@@ -188,9 +188,11 @@ def cmd_train(args) -> int:
     t_end = time.perf_counter()
     log.info(
         "trained %d trees: %d nodes, %d leaves, %d classifiers "
-        "(%d with no positives)",
+        "(%d with no positives), %d Newton steps, "
+        "%d classifiers stopped at the Newton cap",
         len(ens.trees), report.n_nodes, report.n_leaves,
         report.n_classifiers, report.n_zero_positive,
+        report.n_newton_iters, report.n_not_converged,
     )
     log.info(
         "timings: grow %.2fs, solve %.2fs, save %.2fs, total %.2fs",
@@ -235,7 +237,7 @@ def cmd_eval(args) -> int:
             f"{len(preds)} prediction rows for {ds.n} ground-truth instances"
         )
     for res in preds:
-        if len(res.labels) and res.labels.max() >= ds.l:
+        if len(res.labels) and (res.labels.min() < 0 or res.labels.max() >= ds.l):
             raise DataFormatError(f"predicted label id out of range [0, {ds.l})")
 
     if args.uniform_propensity:

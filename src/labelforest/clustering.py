@@ -16,6 +16,9 @@ import scipy.sparse as sp
 
 from .sparse import SparseRowMatrix, SparseVec
 
+# Stored entries scored per block when looking for worst-fit members.
+_SCORE_BLOCK_NNZ = 1 << 16
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -59,6 +62,29 @@ def _normalize_rows_dense(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
+def _own_scores(V: sp.csr_matrix, centers: np.ndarray, assignments: np.ndarray) -> np.ndarray:
+    """v_i . c_{a_i} for every row, in O(nnz): the diagonal of
+    ``(V @ centers.T)[:, assignments]`` without scoring every center.
+
+    ``np.bincount`` sums each row's products in storage order, as the
+    sparse product does, so the scores are the same to the last bit.  Rows
+    go in blocks of about ``_SCORE_BLOCK_NNZ`` stored entries, which bounds
+    the temporaries.
+    """
+    n = V.shape[0]
+    out = np.empty(n)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(V.indptr, V.indptr[lo] + _SCORE_BLOCK_NNZ, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        a, b = V.indptr[lo], V.indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(V.indptr[lo : hi + 1]))
+        prod = V.data[a:b] * centers[assignments[lo + rows], V.indices[a:b]]
+        out[lo:hi] = np.bincount(rows, weights=prod, minlength=hi - lo)
+        lo = hi
+    return out
+
+
 def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int) -> np.ndarray:
     n = V.shape[0]
     ind = sp.csr_matrix(
@@ -72,8 +98,7 @@ def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int) -> np.ndarray:
     dead = np.nonzero((counts == 0) | (np.linalg.norm(means, axis=1) == 0))[0]
     if len(dead):
         # worst-fit members, farthest first, seed the dead clusters
-        scores = V @ centers.T
-        fit = 1.0 - scores[np.arange(n), assignments]
+        fit = 1.0 - _own_scores(V, centers, assignments)
         order = np.lexsort((np.arange(n), -fit))
         for k, member in zip(dead, order):
             row = np.asarray(V.getrow(member).todense()).ravel()

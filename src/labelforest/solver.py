@@ -1,7 +1,7 @@
-"""L2-regularized squared-hinge binary classifier, trained by trust-region
-Newton with conjugate-gradient inner solves.
+"""L2-regularized squared-hinge classifiers, trained by trust-region Newton
+with conjugate-gradient inner solves.
 
-The objective is
+The objective of one classifier is
 
     f(w) = w.w + C * sum_i max(0, 1 - s_i * w.x_i)^2
 
@@ -13,6 +13,13 @@ generalized Hessian restricted to the active set {i : 1 - s_i m_i > 0} is
 which is positive definite, so conjugate gradients never meet negative
 curvature.  The trust-region update schedule uses the classic constants
 eta0=1e-4, eta1=0.25, eta2=0.75, sigma1=0.25, sigma2=0.5, sigma3=4.
+
+All one-vs-rest classifiers of a tree node share the node's rows and differ
+only in their signs, so they are solved together: each classifier is a
+column of one dense weight matrix W, and every Hessian product for all of
+them is one sparse-times-dense product.  Each column keeps its own trust
+radius, stopping test, iteration count and CG state, and leaves the batch
+as soon as it stops.
 """
 
 from __future__ import annotations
@@ -22,12 +29,19 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SparseRowMatrix, SparseVec, prune_threshold
+from .sparse import SparseRowMatrix, SparseVec
 
 ETA0, ETA1, ETA2 = 1e-4, 0.25, 0.75
 SIGMA1, SIGMA2, SIGMA3 = 0.25, 0.5, 4.0
 CG_TOL_FACTOR = 0.1
 MAX_CG_ITERS = 1000
+
+# Bound on the dense float64 working set of one batch of columns; a node
+# with more classifiers than fit is solved in several batches.
+CHUNK_BYTES = 4 << 20
+# Dense arrays of length (rows + features) a column holds at once in the
+# solve: weights, gradient, margins, signs, CG vectors and temporaries.
+_ARRAYS_PER_COLUMN = 10
 
 
 @dataclass(frozen=True)
@@ -95,35 +109,146 @@ def gradient(p: BinaryProblem, w: np.ndarray) -> np.ndarray:
     return 2.0 * w - 2.0 * p.C * (p.X.T @ z)
 
 
-def _trcg(delta, g, hess_vec, cg_tol):
-    """CG-Steihaug: approximately minimize the quadratic model within the
-    trust region.  Returns (step, residual)."""
-    d = -g
-    r = -g.copy()
-    s = np.zeros_like(g)
-    rtr = float(r @ r)
+def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _trcg(X, XT, act, C, G, delta, cg_tol):
+    """CG-Steihaug for every column: approximately minimize each column's
+    quadratic model within its trust region.  ``act`` holds each column's
+    active rows as 0/1.  Returns (steps, residuals)."""
+    steps = np.zeros_like(G)
+    resids = np.empty_like(G)
+    live = np.arange(G.shape[1])
+    d = -G
+    r = -G
+    s = np.zeros_like(G)
+    rtr = _coldot(r, r)
     for _ in range(MAX_CG_ITERS):
-        if np.sqrt(rtr) <= cg_tol:
-            break
-        hd = hess_vec(d)
-        alpha = rtr / float(d @ hd)
-        s += alpha * d
-        if np.linalg.norm(s) > delta:
-            s -= alpha * d
-            std = float(s @ d)
-            sts = float(s @ s)
-            dtd = float(d @ d)
-            dsq = delta * delta
+        done = np.sqrt(rtr) <= cg_tol
+        if done.any():
+            steps[:, live[done]] = s[:, done]
+            resids[:, live[done]] = r[:, done]
+            keep = ~done
+            live, d, r, s, rtr = live[keep], d[:, keep], r[:, keep], s[:, keep], rtr[keep]
+            act, cg_tol, delta = act[:, keep], cg_tol[keep], delta[keep]
+        if not len(live):
+            return steps, resids
+        hd = 2.0 * d + 2.0 * C * (XT @ (act * (X @ d)))
+        alpha = rtr / _coldot(d, hd)
+        s = s + alpha * d
+        out = np.sqrt(_coldot(s, s)) > delta
+        if out.any():
+            # these columns hit the boundary: back off, then step to it
+            so, do_, ao = s[:, out], d[:, out], alpha[out]
+            so -= ao * do_
+            std, sts, dtd = _coldot(so, do_), _coldot(so, so), _coldot(do_, do_)
+            dsq = delta[out] * delta[out]
             rad = np.sqrt(std * std + dtd * (dsq - sts))
-            tau = (dsq - sts) / (std + rad) if std >= 0 else (rad - std) / dtd
-            s += tau * d
-            r -= tau * hd
-            break
-        r -= alpha * hd
-        rtr_new = float(r @ r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = np.where(std >= 0, (dsq - sts) / (std + rad), (rad - std) / dtd)
+            steps[:, live[out]] = so + tau * do_
+            resids[:, live[out]] = r[:, out] - tau * hd[:, out]
+            keep = ~out
+            live, d, r, s, rtr = live[keep], d[:, keep], r[:, keep], s[:, keep], rtr[keep]
+            act, cg_tol, delta = act[:, keep], cg_tol[keep], delta[keep]
+            hd, alpha = hd[:, keep], alpha[keep]
+            if not len(live):
+                return steps, resids
+        r = r - alpha * hd
+        rtr_new = _coldot(r, r)
         d = r + (rtr_new / rtr) * d
         rtr = rtr_new
-    return s, r
+    steps[:, live] = s
+    resids[:, live] = r
+    return steps, resids
+
+
+def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
+    """Trust-region Newton on every column of the sign matrix ``Y`` at once.
+
+    ``XT`` is ``X.T`` as CSR.  Each column stops once its gradient norm is
+    at most ``eps`` times its norm at w = 0, at ``max_newton_iters``
+    accepted steps, or when its trust region can no longer improve it.
+    ``traces``, when given, gets the objective of each accepted iterate of
+    column j appended to ``traces[j]``, starting from w = 0.  Returns
+    (W, newton_iters, converged).
+    """
+    n, dim = X.shape
+    m = Y.shape[1]
+    W_out = np.zeros((dim, m))
+    iters_out = np.zeros(m, dtype=np.int64)
+    conv_out = np.zeros(m, dtype=bool)
+
+    cols = np.arange(m)
+    Y = np.asarray(Y, dtype=np.float64)
+    W = np.zeros((dim, m))
+    M = np.zeros((n, m))  # margins X @ W of the current iterates
+    F = np.full(m, C * n)  # every row is active at w = 0
+    G = 2.0 * W - 2.0 * C * (XT @ Y)
+    gnorm0 = np.sqrt(_coldot(G, G))
+    gnorm = gnorm0.copy()
+    delta = gnorm0.copy()
+    iters = np.zeros(m, dtype=np.int64)
+    halted = np.zeros(m, dtype=bool)
+    if traces is not None:
+        for j in range(m):
+            traces[j].append(float(F[j]))
+
+    while True:
+        done = halted | (iters >= max_newton_iters) | (gnorm <= eps * gnorm0)
+        if done.any():
+            W_out[:, cols[done]] = W[:, done]
+            iters_out[cols[done]] = iters[done]
+            conv_out[cols[done]] = gnorm[done] <= eps * gnorm0[done]
+            keep = ~done
+            cols, Y, W, M, G = cols[keep], Y[:, keep], W[:, keep], M[:, keep], G[:, keep]
+            F, gnorm0, gnorm, delta, iters = F[keep], gnorm0[keep], gnorm[keep], delta[keep], iters[keep]
+        if not len(cols):
+            return W_out, iters_out, conv_out
+
+        xi = 1.0 - Y * M
+        act = (xi > 0).astype(np.float64)
+        S, R = _trcg(X, XT, act, C, G, delta, CG_TOL_FACTOR * gnorm)
+        snorm = np.sqrt(_coldot(S, S))
+        W_new = W + S
+        M_new = X @ W_new
+        xi_new = 1.0 - Y * M_new
+        loss = np.maximum(xi_new, 0.0)
+        F_new = _coldot(W_new, W_new) + C * _coldot(loss, loss)
+        actred = F - F_new
+        gs = _coldot(G, S)
+        # R = -G - H S, so this is -(gs + 0.5 S'HS)
+        prered = -0.5 * (gs - _coldot(S, R))
+
+        denom = F_new - F - gs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(denom <= 0, SIGMA3, np.maximum(SIGMA1, -0.5 * (gs / denom)))
+        delta = np.select(
+            [actred < ETA0 * prered, actred < ETA1 * prered, actred < ETA2 * prered],
+            [
+                np.minimum(np.maximum(alpha, SIGMA1) * snorm, SIGMA2 * delta),
+                np.maximum(SIGMA1 * delta, np.minimum(alpha * snorm, SIGMA2 * delta)),
+                np.maximum(SIGMA1 * delta, np.minimum(alpha * snorm, SIGMA3 * delta)),
+            ],
+            np.maximum(delta, np.minimum(alpha * snorm, SIGMA3 * delta)),
+        )
+
+        acc = (snorm > 0) & (actred > ETA0 * prered)
+        if acc.any():
+            # the accepted margins give the new gradient directly
+            Ya, xa = Y[:, acc], xi_new[:, acc]
+            Z = np.where(xa > 0, Ya * xa, 0.0)
+            W[:, acc] = W_new[:, acc]
+            M[:, acc] = M_new[:, acc]
+            F[acc] = F_new[acc]
+            G[:, acc] = 2.0 * W[:, acc] - 2.0 * C * (XT @ Z)
+            gnorm[acc] = np.sqrt(_coldot(G[:, acc], G[:, acc]))
+            iters[acc] += 1
+            if traces is not None:
+                for j, f in zip(cols[acc], F[acc]):
+                    traces[j].append(float(f))
+        halted = (snorm == 0) | (prered <= 0) | (delta <= 1e-300)
 
 
 @dataclass
@@ -144,88 +269,80 @@ def train_binary(
     caller's augmentation concern."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    w = solve_dense(p, eps, max_newton_iters, info)
+    traces = [[]] if info is not None else None
+    W, iters, conv = _tron(p.X, p.X.T.tocsr(), p.signs[:, None], p.C, eps, max_newton_iters, traces)
+    if info is not None:
+        info.n_newton_iters = int(iters[0])
+        info.converged = bool(conv[0])
+        info.objective_trace.extend(traces[0])
+    w = W[:, 0]
     idx = np.nonzero(w)[0].astype(np.int64)
     return Weights(SparseVec(idx, w[idx], p.dim), 0.0)
 
 
-def solve_dense(
-    p: BinaryProblem,
+@dataclass(frozen=True)
+class NodeSolve:
+    """A node's classifiers, one per sign column, with each column's
+    accepted Newton steps and whether it met the gradient test."""
+
+    weights: list[Weights]
+    newton_iters: np.ndarray
+    converged: np.ndarray
+
+
+def train_node(
+    X: sp.csr_matrix,
+    Y: np.ndarray,
+    C: float = 1.0,
     eps: float = 0.1,
+    delta: float = 0.01,
     max_newton_iters: int = 100,
-    info: SolveInfo | None = None,
-) -> np.ndarray:
-    X, s, C = p.X, p.signs, p.C
-    w = np.zeros(p.dim)
-    fw = objective(p, w)
-    g = gradient(p, w)
-    gnorm0 = np.linalg.norm(g)
-    if info is not None:
-        info.objective_trace.append(fw)
-    if gnorm0 == 0:
-        if info is not None:
-            info.converged = True
-        return w
+) -> NodeSolve:
+    """Train one classifier per column of the n x m sign matrix ``Y`` on the
+    rows of ``X``, whose last column is the constant bias feature.
 
-    delta = gnorm0
-    gnorm = gnorm0
-    iters = 0
-    while iters < max_newton_iters and gnorm > eps * gnorm0:
-        xi = 1.0 - s * (X @ w)
-        act = np.nonzero(xi > 0)[0]
-        X_act = X if len(act) == X.shape[0] else X[act]
-
-        def hess_vec(v, X_act=X_act, C=C):
-            return 2.0 * v + 2.0 * C * (X_act.T @ (X_act @ v))
-
-        step, resid = _trcg(delta, g, hess_vec, CG_TOL_FACTOR * gnorm)
-        snorm = np.linalg.norm(step)
-        if snorm == 0:
-            break
-        w_new = w + step
-        f_new = objective(p, w_new)
-        actred = fw - f_new
-        gs = float(g @ step)
-        # resid = -g - H s, so this is -(gs + 0.5 s'Hs)
-        prered = -0.5 * (gs - float(step @ resid))
-
-        denom = f_new - fw - gs
-        alpha = SIGMA3 if denom <= 0 else max(SIGMA1, -0.5 * (gs / denom))
-
-        if actred < ETA0 * prered:
-            delta = min(max(alpha, SIGMA1) * snorm, SIGMA2 * delta)
-        elif actred < ETA1 * prered:
-            delta = max(SIGMA1 * delta, min(alpha * snorm, SIGMA2 * delta))
-        elif actred < ETA2 * prered:
-            delta = max(SIGMA1 * delta, min(alpha * snorm, SIGMA3 * delta))
-        else:
-            delta = max(delta, min(alpha * snorm, SIGMA3 * delta))
-
-        if actred > ETA0 * prered:
-            w, fw = w_new, f_new
-            g = gradient(p, w)
-            gnorm = np.linalg.norm(g)
-            iters += 1
-            if info is not None:
-                info.objective_trace.append(fw)
-        if prered <= 0:
-            break
-        if delta <= 1e-300:
-            break
-    if info is not None:
-        info.n_newton_iters = iters
-        info.converged = gnorm <= eps * gnorm0
-    return w
-
-
-def finalize_weights(weights: Weights, delta: float) -> Weights:
-    """Threshold small weights away and move to the in-model float32 dtype.
-
-    The bias is never pruned.
+    The solve runs on the node's nonzero feature columns only, in batches of
+    columns bounded by ``CHUNK_BYTES``.  Each weight vector comes back with
+    the bias split off, entries with |w| <= ``delta`` pruned (the bias never
+    is) and values cast to float32.
     """
-    pruned = prune_threshold(weights.w, delta)
-    w32 = SparseVec(pruned.indices, pruned.values.astype(np.float32), pruned.dim)
-    return Weights(w32, float(np.float32(weights.bias)))
+    X = _as_csr(X)
+    Y = np.asarray(Y)
+    n, width = X.shape
+    d = width - 1
+    if Y.ndim != 2 or Y.shape[0] != n:
+        raise ValueError(f"need an {n} x m sign matrix, got shape {Y.shape}")
+    if not np.all(np.abs(Y) == 1):
+        raise ValueError("signs must be +1 or -1")
+    if d < 0 or not C > 0 or not eps > 0 or delta < 0:
+        raise ValueError("require a bias column, C > 0, eps > 0, delta >= 0")
+    m = Y.shape[1]
+    iters = np.zeros(m, dtype=np.int64)
+    conv = np.ones(m, dtype=bool)
+    if n == 0:
+        # no data at all: the regularizer alone is minimized by zero
+        empty = SparseVec(np.empty(0, np.int64), np.empty(0, np.float32), d)
+        return NodeSolve([Weights(empty, 0.0)] * m, iters, conv)
+
+    feats = np.unique(X.indices)
+    Xc = sp.csr_matrix((X.data, np.searchsorted(feats, X.indices), X.indptr), shape=(n, len(feats)))
+    XT = Xc.T.tocsr()
+    has_bias = len(feats) > 0 and feats[-1] == d
+    if has_bias:
+        feats = feats[:-1]
+    per_column = 8 * _ARRAYS_PER_COLUMN * (n + Xc.shape[1])
+    step = max(1, CHUNK_BYTES // per_column)
+    weights = []
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        W, iters[lo:hi], conv[lo:hi] = _tron(Xc, XT, Y[:, lo:hi], C, eps, max_newton_iters)
+        bias = W[-1] if has_bias else np.zeros(hi - lo)
+        Wf = W[: len(feats)].T
+        for w, b in zip(Wf, bias):
+            keep = np.abs(w) > delta
+            vec = SparseVec(feats[keep], w[keep].astype(np.float32), d)
+            weights.append(Weights(vec, float(np.float32(b))))
+    return NodeSolve(weights, iters, conv)
 
 
 def augment_bias_column(X: sp.csr_matrix) -> sp.csr_matrix:
@@ -234,15 +351,3 @@ def augment_bias_column(X: sp.csr_matrix) -> sp.csr_matrix:
     out = sp.hstack([X, ones], format="csr")
     out.sort_indices()
     return out
-
-
-def split_bias(w: SparseVec, d: int) -> Weights:
-    """Split an augmented solution into (first-d weights, bias at index d)."""
-    if w.dim != d + 1:
-        raise ValueError(f"expected dim {d + 1}, got {w.dim}")
-    keep = w.indices < d
-    bias = 0.0
-    tail = w.indices == d
-    if tail.any():
-        bias = float(w.values[tail][0])
-    return Weights(SparseVec(w.indices[keep], w.values[keep], d), bias)

@@ -21,14 +21,7 @@ import numpy as np
 from .clustering import kmeans_partition
 from .data import Dataset, LabelIndex, build_label_index, normalize_instances
 from .representations import LabelRepr, ReprSpace, build_repr
-from .solver import (
-    BinaryProblem,
-    Weights,
-    augment_bias_column,
-    finalize_weights,
-    split_bias,
-    train_binary,
-)
+from .solver import Weights, augment_bias_column, train_node
 from .sparse import SparseVec
 
 log = logging.getLogger(__name__)
@@ -116,6 +109,8 @@ class TrainReport:
     n_leaves: int = 0
     n_classifiers: int = 0
     n_zero_positive: int = 0
+    n_newton_iters: int = 0
+    n_not_converged: int = 0
     grow_seconds: float = 0.0
     solve_seconds: float = 0.0
 
@@ -156,33 +151,38 @@ def grow(node: TreeNode, idx: LabelIndex, repr_csr, config: TrainConfig, rng) ->
 def train_node_classifiers(
     node: TreeNode, X_aug, idx: LabelIndex, config: TrainConfig, report: TrainReport
 ) -> None:
-    """Train one classifier per child (internal) or per label (leaf).
+    """Train one classifier per child (internal) or per label (leaf), all
+    in one batched solve over the node's instances.
 
     Positives carried by no instance of the node still get a classifier
-    (an all-negative problem); those cases are counted in the report.
+    (an all-negative problem); those cases are counted in the report, as
+    are Newton steps and the classifiers stopped by ``max_newton_iters``
+    before meeting the gradient test.
     """
-    d = X_aug.shape[1] - 1
     insts = node.instance_ids
-    X_node = X_aug[insts]
     if node.is_leaf:
         targets = [idx.instances[g] for g in node.labels]
     else:
         targets = [child.instance_ids for child in node.children]
 
-    for tgt in targets:
+    signs = np.full((len(insts), len(targets)), -1, dtype=np.int8)
+    for j, tgt in enumerate(targets):
         if len(tgt) == 0:
             report.n_zero_positive += 1
-        if len(insts) == 0:
-            # no data at all: the regularizer alone is minimized by zero
-            w = Weights(SparseVec(np.empty(0, np.int64), np.empty(0), d), 0.0)
-        else:
-            signs = np.full(len(insts), -1.0)
-            signs[np.searchsorted(insts, tgt)] = 1.0
-            p = BinaryProblem(X_node, signs, C=config.c)
-            sol = train_binary(p, eps=config.eps, max_newton_iters=config.max_newton_iters)
-            w = split_bias(sol.w, d)
-        node.classifiers.append(finalize_weights(w, config.delta))
-        report.n_classifiers += 1
+        signs[np.searchsorted(insts, tgt), j] = 1
+    sol = train_node(
+        X_aug[insts],
+        signs,
+        C=config.c,
+        eps=config.eps,
+        delta=config.delta,
+        max_newton_iters=config.max_newton_iters,
+    )
+    node.classifiers.extend(sol.weights)
+    report.n_classifiers += len(targets)
+    report.n_newton_iters += int(sol.newton_iters.sum())
+    capped = ~sol.converged & (sol.newton_iters >= config.max_newton_iters)
+    report.n_not_converged += int(np.count_nonzero(capped))
 
     for child in node.children:
         train_node_classifiers(child, X_aug, idx, config, report)
@@ -318,8 +318,12 @@ def _read_node(cur: _Cursor, d: int, expect_depth: int) -> TreeNode:
         nnz = int(cur.take("<u4", 1)[0])
         pairs = cur.take(_PAIR_DTYPE, nnz)
         bias = float(cur.take("<f4", 1)[0])
-        w = SparseVec(pairs["i"].astype(np.int64), pairs["v"].astype(np.float32), d)
-        node.classifiers.append(Weights(w, bias))
+        try:
+            w = SparseVec(pairs["i"].astype(np.int64), pairs["v"].astype(np.float32), d)
+            clf = Weights(w, bias)
+        except ValueError as e:
+            raise ModelFormatError(f"bad classifier weights: {e}") from e
+        node.classifiers.append(clf)
     for _ in range(n_children):
         node.children.append(_read_node(cur, d, expect_depth + 1))
     return node

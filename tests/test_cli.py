@@ -1,7 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import io
+import logging
 import math
+import re
+import shutil
+import struct
 import time
 
 import numpy as np
@@ -11,7 +15,7 @@ from conftest import grouped_dataset
 from labelforest.cli import main
 from labelforest.data import dataset_to_text, normalize_instances, parse_dataset
 from labelforest.predict import predict_ensemble, read_predictions, write_predictions
-from labelforest.tree import load_model
+from labelforest.tree import ModelFormatError, load_model
 
 
 def parse_table(text: str) -> dict[str, list[float]]:
@@ -96,6 +100,16 @@ class TestPipeline:
                      "--output", pred2]) == 0
         assert open(pred2).read() == open(paths["pred"]).read()
 
+    def test_summary_reports_newton_counters(self, paths, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="labelforest")
+        assert main(["train", "--data", paths["train"], "--model", str(tmp_path / "m"),
+                     "--branch", "8", "--trees", "1"]) == 0
+        summary = [r.getMessage() for r in caplog.records if "classifiers (" in r.getMessage()]
+        assert len(summary) == 1
+        m = re.search(r"(\d+) Newton steps, (\d+) classifiers stopped at the Newton cap",
+                      summary[0])
+        assert m and int(m.group(1)) > 0 and int(m.group(2)) == 0
+
 
 class TestBeamFlag:
     def test_beam_above_fanout_equals_exhaustive(self, paths, tmp_path):
@@ -166,6 +180,15 @@ class TestEval:
         rc = main(["eval", "--predictions", str(short), "--data", paths["test"]])
         assert rc == 2
 
+    def test_negative_label_id_is_data_error(self, paths, trained, tmp_path, capsys):
+        lines = open(paths["pred"]).read().splitlines()
+        lines[0] = "-1:0.9 " + " ".join(lines[0].split()[1:])
+        bad = tmp_path / "negative.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
+        assert rc == 2
+        assert "out of range" in capsys.readouterr().err
+
 
 class TestStats:
     def test_hand_checked_counts(self, tmp_path, capsys):
@@ -230,6 +253,31 @@ class TestExitCodes:
         rc = main(["predict", "--model", trained, "--data", str(f),
                    "--output", "/dev/null"])
         assert rc == 2
+
+    def test_bad_weight_index_in_model_is_data_error(self, paths, trained, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        d = parse_dataset(paths["train"]).d
+        buf = bytearray((model / "tree_0.bin").read_bytes())
+        # magic, version, root header (depth, labels, children, leaf flag),
+        # the root's labels, then one (nnz, pairs, bias) run per classifier
+        n_labels, n_children, leaf = struct.unpack_from("<3I", buf, 12)
+        pos = 24 + 4 * n_labels
+        for _ in range(n_labels if leaf else n_children):
+            (nnz,) = struct.unpack_from("<I", buf, pos)
+            if nnz:
+                struct.pack_into("<I", buf, pos + 4 + 8 * (nnz - 1), d)
+                break
+            pos += 8 + 8 * nnz
+        else:
+            pytest.fail("root has no stored weights to corrupt")
+        (model / "tree_0.bin").write_bytes(bytes(buf))
+        with pytest.raises(ModelFormatError):
+            load_model(model)
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from labelforest import clustering
 from labelforest.clustering import (
     Partition,
     assign_step,
@@ -94,6 +96,52 @@ class TestUpdateStep:
             np.testing.assert_allclose(
                 centers[k], mean / np.linalg.norm(mean), atol=1e-9
             )
+
+
+def update_full_scores(V, assignments, K):
+    """The dead-cluster reseeding as first written: score every row against
+    every center, then read each row's own-center score."""
+    n = V.shape[0]
+    ind = sp.csr_matrix((np.ones(n), assignments, np.arange(n + 1)), shape=(n, K))
+    sums = np.asarray((ind.T @ V).todense())
+    counts = np.bincount(assignments, minlength=K).astype(np.float64)
+    means = sums / np.maximum(counts, 1.0)[:, None]
+    centers = clustering._normalize_rows_dense(means)
+    dead = np.nonzero((counts == 0) | (np.linalg.norm(means, axis=1) == 0))[0]
+    if len(dead):
+        scores = V @ centers.T
+        fit = 1.0 - scores[np.arange(n), assignments]
+        order = np.lexsort((np.arange(n), -fit))
+        for k, member in zip(dead, order):
+            row = np.asarray(V.getrow(member).todense()).ravel()
+            centers[k] = clustering._normalize_rows_dense(row[None, :])[0]
+    return centers
+
+
+class TestOwnCenterScores:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_dead_clusters_match_full_score_formula(self, monkeypatch, block):
+        # blocks of one row, of a few rows, and all rows at once
+        monkeypatch.setattr(clustering, "_SCORE_BLOCK_NNZ", block)
+        rng = np.random.default_rng(11)
+        for trial in range(10):
+            n, dim, K = 40, 30, 9
+            V = sp.random(n, dim, density=0.2, random_state=rng, format="csr")
+            V.data = rng.normal(size=V.nnz)
+            a = rng.integers(0, 5, size=n)  # clusters 5..8 are dead
+            a[:5] = np.arange(5)
+            got = clustering._update(V, a, K)
+            np.testing.assert_array_equal(got, update_full_scores(V, a, K))
+
+    def test_scores_equal_dense_diagonal(self):
+        rng = np.random.default_rng(12)
+        V = sp.random(25, 12, density=0.3, random_state=rng, format="csr")
+        centers = rng.normal(size=(4, 12))
+        a = rng.integers(0, 4, size=25)
+        full = V @ centers.T
+        np.testing.assert_array_equal(
+            clustering._own_scores(V, centers, a), full[np.arange(25), a]
+        )
 
 
 class TestKmeansPartition:

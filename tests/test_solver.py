@@ -2,18 +2,30 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from labelforest import solver, tree
+from labelforest.predict import predict_batch
 from labelforest.solver import (
     BinaryProblem,
+    NodeSolve,
     SolveInfo,
-    Weights,
+    _tron,
+    _trcg,
     augment_bias_column,
-    finalize_weights,
     gradient,
     objective,
-    split_bias,
     train_binary,
+    train_node,
 )
-from labelforest.sparse import SparseVec
+from labelforest.tree import TrainConfig, TrainReport, train_ensemble
+
+from conftest import grouped_dataset
+from tron_oracle import OracleInfo, oracle_train_node, solve_dense, trcg
+
+# Batched columns against the scalar oracle, relative to the oracle's
+# weight norm.  The two sum dot products in different orders, so they
+# agree to rounding, which CG amplifies on ill-conditioned problems; the
+# seeded problems below are conditioned so that 1e-7 is far from binding.
+ORACLE_RTOL = 1e-7
 
 
 def csr(rows):
@@ -22,6 +34,25 @@ def csr(rows):
 
 def one_point_problem(c):
     return BinaryProblem(csr([[1.0]]), np.array([1.0]), C=c)
+
+
+def random_node(rng, n, d, m, density=0.3, pos_rate=0.3):
+    """Random rows with a bias column, and an n x m sign matrix whose first
+    column has no positives and whose second has no negatives."""
+    X = sp.random(n, d, density=density, random_state=rng, format="csr")
+    X.data = rng.normal(size=X.nnz)
+    Y = np.where(rng.random((n, m)) < pos_rate, 1, -1).astype(np.int8)
+    Y[:, 0] = -1
+    Y[:, 1] = 1
+    return augment_bias_column(X), Y
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+def tron(X, Y, C, eps, max_newton_iters=100):
+    return _tron(X, X.T.tocsr(), Y, C, eps, max_newton_iters)
 
 
 class TestClosedForms:
@@ -38,8 +69,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("c", [0.1, 1.0, 100.0])
     def test_one_point_with_bias_augmentation(self, c):
         X = augment_bias_column(csr([[1.0]]))
-        p = BinaryProblem(X, np.array([1.0]), C=c)
-        sol = split_bias(train_binary(p, eps=1e-10).w, 1)
+        sol = train_node(X, np.array([[1]]), C=c, eps=1e-10, delta=0.0).weights[0]
         expected = c / (1.0 + 2.0 * c)
         assert sol.w.to_dense()[0] == pytest.approx(expected, abs=1e-6)
         assert sol.bias == pytest.approx(expected, abs=1e-6)
@@ -107,6 +137,148 @@ class TestSolverBehavior:
         train_binary(BinaryProblem(X, s, C=100.0), eps=1e-14, max_newton_iters=2, info=info)
         assert info.n_newton_iters <= 2
 
+    def test_info_matches_scalar_oracle(self):
+        rng = np.random.default_rng(4)
+        X = sp.csr_matrix(rng.normal(size=(50, 10)))
+        s = np.where(rng.random(50) < 0.5, 1.0, -1.0)
+        p = BinaryProblem(X, s, C=1.0)
+        info, want = SolveInfo(), OracleInfo()
+        w = train_binary(p, eps=1e-6, info=info)
+        w_oracle = solve_dense(p, eps=1e-6, info=want)
+        assert relative_error(w.w.to_dense(), w_oracle) <= ORACLE_RTOL
+        assert (info.n_newton_iters, info.converged) == (want.n_newton_iters, want.converged)
+        np.testing.assert_allclose(info.objective_trace, want.objective_trace, rtol=1e-12)
+
+
+class TestBatchedAgainstOracle:
+    @pytest.mark.parametrize(
+        "c, eps, steps_to_boundary",
+        [(0.1, 1e-3, False), (1.0, 0.1, False), (1.0, 1e-6, True), (10.0, 0.1, True)],
+    )
+    def test_every_column_matches(self, c, eps, steps_to_boundary):
+        rng = np.random.default_rng(int(c * 1000) + int(-np.log10(eps)))
+        boundary = 0
+        for _ in range(10):
+            n, d = int(rng.integers(20, 80)), int(rng.integers(5, 40))
+            X, Y = random_node(rng, n, d, m=6)
+            W, iters, conv = tron(X, Y, c, eps)
+            for j in range(Y.shape[1]):
+                info = OracleInfo()
+                w = solve_dense(BinaryProblem(X, Y[:, j], c), eps, 100, info)
+                boundary += info.boundary_steps
+                assert relative_error(W[:, j], w) <= ORACLE_RTOL
+                assert (iters[j], conv[j]) == (info.n_newton_iters, info.converged)
+        if steps_to_boundary:
+            # some CG solves stop on the trust region: that path is covered
+            assert boundary > 0
+
+    def test_zero_positive_column_matches(self):
+        rng = np.random.default_rng(5)
+        X, Y = random_node(rng, 30, 10, m=2)
+        W, iters, conv = tron(X, Y, 1.0, 1e-6)
+        w = solve_dense(BinaryProblem(X, Y[:, 0].astype(float), 1.0), 1e-6)
+        assert conv[0] and relative_error(W[:, 0], w) <= ORACLE_RTOL
+        # all negatives: every margin ends below zero
+        assert np.all(X @ W[:, 0] < 0)
+
+    def test_cg_steps_onto_trust_region_boundary(self):
+        rng = np.random.default_rng(6)
+        X, Y = random_node(rng, 40, 15, m=5)
+        XT = X.T.tocsr()
+        Yf = Y.astype(float)
+        G = -2.0 * (XT @ Yf)
+        gnorm = np.sqrt(np.sum(G * G, axis=0))
+        # radii far inside and far outside each column's Newton step
+        delta = gnorm * np.array([1e-3, 1e3, 1e-2, 1e3, 1e-4])
+        act = np.ones_like(Yf)
+        S, R = _trcg(X, XT, act, 1.0, G, delta, 0.1 * gnorm)
+        for j in range(Y.shape[1]):
+
+            def hess_vec(v):
+                return 2.0 * v + 2.0 * (X.T @ (X @ v))
+
+            s, r, hit = trcg(delta[j], G[:, j].copy(), hess_vec, 0.1 * gnorm[j])
+            assert hit == (j in (0, 2, 4))
+            np.testing.assert_allclose(S[:, j], s, rtol=1e-10, atol=1e-12 * gnorm[j])
+            np.testing.assert_allclose(R[:, j], r, rtol=1e-8, atol=1e-10 * gnorm[j])
+            if hit:
+                assert np.linalg.norm(S[:, j]) == pytest.approx(delta[j], rel=1e-12)
+
+    def test_iteration_cap(self):
+        rng = np.random.default_rng(7)
+        X, Y = random_node(rng, 50, 20, m=5)
+        W, iters, conv = tron(X, Y, 1.0, 1e-12, max_newton_iters=1)
+        assert iters.tolist() == [1] * 5 and not conv.any()
+        for j in range(5):
+            info = OracleInfo()
+            w = solve_dense(BinaryProblem(X, Y[:, j], 1.0), 1e-12, 1, info)
+            assert (info.n_newton_iters, info.converged) == (1, False)
+            assert relative_error(W[:, j], w) <= ORACLE_RTOL
+
+    def test_ill_conditioned_columns_meet_gradient_test(self):
+        # with C = 100 rounding differences grow through CG, so columns may
+        # end elsewhere than the oracle; each must still pass its own test
+        rng = np.random.default_rng(8)
+        eps = 1e-3
+        for _ in range(5):
+            X, Y = random_node(rng, 40, 30, m=6)
+            W, iters, conv = tron(X, Y, 100.0, eps)
+            for j in range(6):
+                p = BinaryProblem(X, Y[:, j], 100.0)
+                g0 = np.linalg.norm(gradient(p, np.zeros(X.shape[1])))
+                g = np.linalg.norm(gradient(p, W[:, j]))
+                assert conv[j] == (g <= eps * g0)
+                assert objective(p, W[:, j]) < objective(p, np.zeros(X.shape[1]))
+
+    def test_chunked_equals_unchunked(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X, Y = random_node(rng, 60, 25, m=7)
+        whole = train_node(X, Y, eps=1e-6, delta=0.0)
+        # room for two columns per batch: four batches, the last of one
+        per_column = 8 * solver._ARRAYS_PER_COLUMN * (60 + len(np.unique(X.indices)))
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 2 * per_column)
+        chunked = train_node(X, Y, eps=1e-6, delta=0.0)
+        assert chunked.newton_iters.tolist() == whole.newton_iters.tolist()
+        assert chunked.converged.tolist() == whole.converged.tolist()
+        for a, b in zip(chunked.weights, whole.weights):
+            assert a.w.indices.tolist() == b.w.indices.tolist()
+            np.testing.assert_allclose(a.w.values, b.w.values, rtol=1e-6)
+            assert a.bias == pytest.approx(b.bias, rel=1e-6)
+
+    def test_node_weights_match_oracle(self):
+        rng = np.random.default_rng(10)
+        X, Y = random_node(rng, 70, 30, m=8)
+        got = train_node(X, Y, C=1.0, eps=1e-6, delta=0.01)
+        want, infos = oracle_train_node(X, Y, C=1.0, eps=1e-6, delta=0.01)
+        assert got.newton_iters.tolist() == [i.n_newton_iters for i in infos]
+        for a, b in zip(got.weights, want):
+            assert a.w.indices.tolist() == b.w.indices.tolist()
+            np.testing.assert_allclose(a.w.values, b.w.values, rtol=1e-6)
+            assert a.bias == pytest.approx(b.bias, rel=1e-6)
+
+    def test_ensemble_top5_matches_oracle_trained(self, monkeypatch):
+        train, _ = grouped_dataset(31, n=300, groups=6, labels_per_group=5)
+        test, _ = grouped_dataset(32, n=80, groups=6, labels_per_group=5)
+        config = TrainConfig(n_trees=2, k=3, d_max=2, base_seed=4)
+        report = TrainReport()
+        ens = train_ensemble(train, config, report)
+
+        oracle_iters = []
+
+        def oracle_node(X, Y, C, eps, delta, max_newton_iters):
+            weights, infos = oracle_train_node(X, Y, C, eps, delta, max_newton_iters)
+            iters = np.array([i.n_newton_iters for i in infos], dtype=np.int64)
+            oracle_iters.append(iters)
+            conv = np.array([i.converged for i in infos])
+            return NodeSolve(weights, iters, conv)
+
+        monkeypatch.setattr(tree, "train_node", oracle_node)
+        ref = train_ensemble(train, config)
+        assert report.n_newton_iters == int(np.concatenate(oracle_iters).sum())
+        for a, b in zip(predict_batch(ens, test, k=5), predict_batch(ref, test, k=5)):
+            assert a.labels.tolist() == b.labels.tolist()
+            np.testing.assert_allclose(a.scores, b.scores, rtol=1e-5)
+
 
 class TestGradient:
     def test_matches_central_differences(self):
@@ -138,32 +310,61 @@ class TestGradient:
         np.testing.assert_allclose(gradient(p, np.zeros(2)), np.asarray(expected).ravel())
 
 
+def one_point_node(x, c=1.0):
+    """A one-row node with features ``x`` and a bias column.  Its optimum is
+    w = t * (x, 1) with t = c / (1 + c * (|x|^2 + 1))."""
+    X = augment_bias_column(csr([x]))
+    t = c / (1.0 + c * (np.dot(x, x) + 1.0))
+    return X, t
+
+
 class TestFinalize:
     def test_prunes_and_casts(self):
-        w = Weights(SparseVec(np.array([0, 1, 2]), np.array([0.005, -0.5, 0.02]), 4), 0.003)
-        out = finalize_weights(w, 0.01)
-        assert out.w.indices.tolist() == [1, 2]
+        X, t = one_point_node([1.0, 0.01, 0.06, 0.0])
+        out = train_node(X, np.array([[1]]), eps=1e-10, delta=0.01).weights[0]
+        # t * 0.01 <= delta is pruned, t * 0.06 and t * 1.0 stay
+        assert t * 0.06 > 0.01
+        assert out.w.indices.tolist() == [0, 2]
+        assert out.w.dim == 4
         assert out.w.values.dtype == np.float32
-        assert out.bias == pytest.approx(0.003, rel=1e-6)
+        np.testing.assert_allclose(out.w.values, [t, 0.06 * t], rtol=1e-6)
+        assert out.bias == pytest.approx(t, rel=1e-6)
+
+    def test_bias_never_pruned(self):
+        X, t = one_point_node([1.0, 0.5])
+        out = train_node(X, np.array([[1]]), eps=1e-10, delta=1.0).weights[0]
+        assert out.w.nnz == 0
+        assert out.bias == pytest.approx(t, rel=1e-6)
 
     def test_zero_delta_identity_support(self):
-        w = Weights(SparseVec(np.array([1]), np.array([1e-9]), 2), 1.0)
-        out = finalize_weights(w, 0.0)
-        assert out.w.indices.tolist() == [1]
+        X, t = one_point_node([1.0, 1e-7])
+        out = train_node(X, np.array([[1]]), eps=1e-10, delta=0.0).weights[0]
+        assert out.w.indices.tolist() == [0, 1]
 
     def test_negative_delta_rejected(self):
+        X, _ = one_point_node([1.0])
         with pytest.raises(ValueError):
-            finalize_weights(Weights(SparseVec(np.array([0]), np.array([1.0]), 1), 0.0), -1.0)
+            train_node(X, np.array([[1]]), delta=-1.0)
+
+    def test_empty_node_gives_zero_classifiers(self):
+        X = augment_bias_column(sp.csr_matrix((0, 3)))
+        sol = train_node(X, np.empty((0, 2), dtype=np.int8))
+        assert [(w.w.nnz, w.bias, w.w.dim) for w in sol.weights] == [(0, 0.0, 3)] * 2
+        assert sol.converged.all() and not sol.newton_iters.any()
 
 
 class TestValidation:
     def test_sign_values_checked(self):
         with pytest.raises(ValueError):
             BinaryProblem(csr([[1.0]]), np.array([0.5]))
+        with pytest.raises(ValueError):
+            train_node(csr([[1.0, 1.0]]), np.array([[0]]))
 
     def test_c_positive(self):
         with pytest.raises(ValueError):
             BinaryProblem(csr([[1.0]]), np.array([1.0]), C=0.0)
+        with pytest.raises(ValueError):
+            train_node(csr([[1.0, 1.0]]), np.array([[1]]), C=0.0)
 
     def test_row_sign_count_match(self):
         with pytest.raises(ValueError):
@@ -172,7 +373,12 @@ class TestValidation:
     def test_eps_positive(self):
         with pytest.raises(ValueError):
             train_binary(one_point_problem(1.0), eps=0.0)
-
-    def test_split_bias_dim_check(self):
         with pytest.raises(ValueError):
-            split_bias(SparseVec(np.array([0]), np.array([1.0]), 3), 1)
+            train_node(csr([[1.0, 1.0]]), np.array([[1]]), eps=0.0)
+
+    def test_sign_matrix_shape_checked(self):
+        X = csr([[1.0, 1.0], [0.5, 1.0]])
+        with pytest.raises(ValueError):
+            train_node(X, np.array([[1]]))
+        with pytest.raises(ValueError):
+            train_node(X, np.array([1, -1]))

@@ -142,6 +142,17 @@ class TestClassifiers:
         train_ensemble(ds, TrainConfig(n_trees=1, k=100, base_seed=0), report)
         assert report.n_zero_positive >= 1
 
+    def test_newton_steps_and_cap_counted(self, grouped_train):
+        ds, _ = grouped_train
+        capped, free = TrainReport(), TrainReport()
+        cfg = dict(n_trees=1, k=3, d_max=1, base_seed=0, eps=1e-6)
+        train_ensemble(ds, TrainConfig(max_newton_iters=1, **cfg), capped)
+        train_ensemble(ds, TrainConfig(**cfg), free)
+        assert capped.n_not_converged > 0
+        assert 0 < capped.n_newton_iters <= capped.n_classifiers
+        assert free.n_not_converged == 0
+        assert free.n_newton_iters > capped.n_newton_iters
+
     def test_weights_are_float32_and_pruned(self, grouped_train):
         ds, _ = grouped_train
         ens = train_small(ds, delta=0.01)
