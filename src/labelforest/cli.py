@@ -205,12 +205,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ens = load_model(args.model)
     ds = _load_dataset(args.data)
+    if ds.d != ens.d:
+        raise DataFormatError(f"test data has D={ds.d}, the model was trained with D={ens.d}")
     t0 = time.perf_counter()
-    try:
-        results = predict_batch(ens, ds, beam=args.beam, k=max(args.k))
-    except ValueError as e:
-        # model/test dimension mismatch surfaces here
-        raise DataFormatError(str(e))
+    results = predict_batch(ens, ds, beam=args.beam, k=max(args.k))
     elapsed = time.perf_counter() - t0
     write_predictions(results, args.output)
     if ds.n:
@@ -227,18 +225,17 @@ def _truth_rows(ds: Dataset) -> list[np.ndarray]:
 
 
 def cmd_eval(args) -> int:
-    try:
-        preds = read_predictions(args.predictions)
-    except ValueError as e:
-        raise DataFormatError(str(e))
+    preds = read_predictions(args.predictions)
     ds = _load_dataset(args.data)
     if len(preds) != ds.n:
         raise DataFormatError(
             f"{len(preds)} prediction rows for {ds.n} ground-truth instances"
         )
-    for res in preds:
+    for lineno, res in enumerate(preds, start=1):
         if len(res.labels) and (res.labels.min() < 0 or res.labels.max() >= ds.l):
-            raise DataFormatError(f"predicted label id out of range [0, {ds.l})")
+            raise DataFormatError(
+                f"line {lineno}: predicted label id out of range [0, {ds.l})"
+            )
 
     if args.uniform_propensity:
         prop = PropensityModel.uniform(ds.l)

@@ -1,6 +1,10 @@
 """Ranking metrics: P@k, nDCG@k, their propensity-scored variants, and
 label-space coverage.
 
+``evaluate`` scores a whole test set with array operations; the per-instance
+functions (``precision_at_k`` ... ``psndcg_at_k``) define each metric for
+one ranked list.
+
 Propensities follow the sigmoid-in-log-frequency model
 
     p_l = 1 / (1 + C * exp(-A * ln(N_l + B))),   C = (ln N - 1) * (1 + B)^A
@@ -105,47 +109,6 @@ def psndcg_at_k(pred, truth, prop: PropensityModel, k: int) -> float:
     return psdcg / idcg
 
 
-def oracle_top_k(truth, prop: PropensityModel, k: int) -> np.ndarray:
-    """True labels ranked by ascending propensity (rarest first)."""
-    t = _truth_array(truth)
-    order = np.lexsort((t, prop.p[t]))
-    return t[order][:k]
-
-
-_PS_METRICS = {"psp": psp_at_k, "psndcg": psndcg_at_k}
-
-
-def ps_report(preds, truths, prop: PropensityModel, k: int, kind: str = "psp") -> float:
-    """100 * mean predicted gain over mean oracle gain for a PS metric."""
-    metric = _PS_METRICS[kind]
-    if len(preds) != len(truths):
-        raise ValueError("predictions and truths must align")
-    if not len(preds):
-        raise ValueError("empty test set")
-    pred_gain = 0.0
-    oracle_gain = 0.0
-    for pred, truth in zip(preds, truths):
-        pred_gain += metric(pred, truth, prop, k)
-        oracle_gain += metric(oracle_top_k(truth, prop, k), truth, prop, k)
-    if oracle_gain == 0.0:
-        raise ValueError("oracle gain is zero; no true labels in the test set")
-    return 100.0 * pred_gain / oracle_gain
-
-
-def coverage_at_k(preds, truths, prop: PropensityModel, k: int) -> float:
-    """Distinct predicted top-k labels over distinct oracle top-k labels."""
-    if len(preds) != len(truths):
-        raise ValueError("predictions and truths must align")
-    pred_union = set()
-    truth_union = set()
-    for pred, truth in zip(preds, truths):
-        pred_union.update(_top_labels(pred, k).tolist())
-        truth_union.update(oracle_top_k(truth, prop, k).tolist())
-    if not truth_union:
-        raise ValueError("ground-truth top-k union is empty")
-    return len(pred_union) / len(truth_union)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     ks: tuple
@@ -165,19 +128,81 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _top_matrix(preds, k: int) -> np.ndarray:
+    """n x k predicted label ids; short rows are padded with -1, a miss."""
+    rows = [_top_labels(p, k) for p in preds]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    top = np.full((len(rows), k), -1, dtype=np.int64)
+    top[np.arange(k) < lengths[:, None]] = np.concatenate(rows)
+    return top
+
+
+def _truth_entries(truths) -> tuple[np.ndarray, np.ndarray]:
+    """(row, label) of every distinct true label, sorted by row then label."""
+    rows = [np.fromiter(t, dtype=np.int64) if isinstance(t, (set, frozenset))
+            else np.asarray(t, dtype=np.int64) for t in truths]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    row = np.repeat(np.arange(len(rows)), lengths)
+    lab = np.concatenate(rows)
+    order = np.lexsort((lab, row))
+    row, lab = row[order], lab[order]
+    repeat = np.zeros(len(row), dtype=bool)
+    repeat[1:] = (row[1:] == row[:-1]) & (lab[1:] == lab[:-1])
+    return row[~repeat], lab[~repeat]
+
+
 def evaluate(preds, truths, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
     """Full report: P, nDCG (means x100), PSP, PSnDCG (oracle-normalized),
-    coverage (x100), per cutoff."""
+    coverage (x100), per cutoff.
+
+    ``preds`` holds ranked label lists (or ``ScoredLabels``), ``truths``
+    label sets.  All rows are scored at once: the top labels form an n x k
+    matrix whose slots are looked up among the (row, label) keys of the
+    truth, and the oracle ranks each row's true labels by ascending
+    propensity, ties by label id.
+    """
     if len(preds) != len(truths):
         raise ValueError("predictions and truths must align")
     if not len(preds):
         raise ValueError("empty test set")
-    n = len(preds)
+    if min(ks) < 1:
+        raise ValueError("k must be >= 1")
+    n, kmax = len(preds), max(ks)
+    top = _top_matrix(preds, kmax)
+    t_row, t_lab = _truth_entries(truths)
+    if not len(t_row):
+        raise ValueError("oracle gain is zero; no true labels in the test set")
+    n_true = np.bincount(t_row, minlength=n)
+    has_truth = n_true > 0
+
+    width = max(prop.n_labels, int(top.max()) + 1, int(t_lab.max()) + 1)
+    slot_keys = np.arange(n)[:, None] * width + top
+    hit = (top >= 0) & np.isin(slot_keys, t_row * width + t_lab)
+    gain = np.where(hit, 1.0 / prop.p[np.maximum(top, 0)], 0.0)
+
+    # rank of each true label in its row's oracle list
+    order = np.lexsort((t_lab, prop.p[t_lab], t_row))
+    o_row, o_lab = t_row[order], t_lab[order]
+    o_rank = np.arange(len(o_row)) - (np.cumsum(n_true) - n_true)[o_row]
+    o_gain = 1.0 / prop.p[o_lab]
+
+    disc = 1.0 / np.log2(np.arange(2, kmax + 2))
+    ideal_at = np.concatenate(([0.0], np.cumsum(disc)))
     rows = {name: {} for name in ("P", "nDCG", "PSP", "PSnDCG", "coverage")}
     for k in ks:
-        rows["P"][k] = 100.0 * sum(precision_at_k(p, t, k) for p, t in zip(preds, truths)) / n
-        rows["nDCG"][k] = 100.0 * sum(ndcg_at_k(p, t, k) for p, t in zip(preds, truths)) / n
-        rows["PSP"][k] = ps_report(preds, truths, prop, k, "psp")
-        rows["PSnDCG"][k] = ps_report(preds, truths, prop, k, "psndcg")
-        rows["coverage"][k] = 100.0 * coverage_at_k(preds, truths, prop, k)
+        top_k, hit_k, gain_k = top[:, :k], hit[:, :k], gain[:, :k]
+        in_k = o_rank < k
+        ideal = ideal_at[np.minimum(k, n_true)][has_truth]
+        oracle_dcg = np.bincount(
+            o_row[in_k], weights=o_gain[in_k] * disc[o_rank[in_k]], minlength=n
+        )
+        rows["P"][k] = float(100.0 * np.sum(hit_k.sum(axis=1) / k) / n)
+        rows["nDCG"][k] = float(100.0 * np.sum((hit_k @ disc[:k])[has_truth] / ideal) / n)
+        rows["PSP"][k] = float(100.0 * np.sum(gain_k) / np.sum(o_gain[in_k]))
+        rows["PSnDCG"][k] = float(
+            100.0 * np.sum((gain_k @ disc[:k])[has_truth] / ideal)
+            / np.sum(oracle_dcg[has_truth] / ideal)
+        )
+        covered = np.unique(top_k[top_k >= 0])
+        rows["coverage"][k] = float(100.0 * len(covered) / len(np.unique(o_lab[in_k])))
     return EvalReport(tuple(ks), rows)

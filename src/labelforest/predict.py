@@ -14,13 +14,14 @@ by node and uses sparse matrix products.  Tests hold them to each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .data import Dataset, normalize_instances
+from .data import DataFormatError, Dataset, normalize_instances
 from .solver import Weights
 from .sparse import SparseRowMatrix, SparseVec
 from .tree import Ensemble, Tree, TreeNode
@@ -261,7 +262,11 @@ def write_predictions(results, sink) -> None:
 
 
 def read_predictions(source) -> list[ScoredLabels]:
-    """Parse a prediction file back into ScoredLabels rows."""
+    """Parse a prediction file back into ScoredLabels rows.
+
+    A row whose label ids repeat, or whose scores are not finite, raises
+    DataFormatError naming its line, as does any malformed pair.
+    """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
@@ -273,10 +278,19 @@ def read_predictions(source) -> list[ScoredLabels]:
         for tok in line.split():
             lab, sep, score = tok.partition(":")
             if not sep:
-                raise ValueError(f"line {lineno}: malformed pair {tok!r}")
-            labels.append(int(lab))
-            scores.append(float(score))
-        out.append(
-            ScoredLabels(np.array(labels, dtype=np.int64), np.array(scores))
-        )
+                raise DataFormatError(f"line {lineno}: malformed pair {tok!r}")
+            try:
+                labels.append(int(lab))
+                scores.append(float(score))
+            except ValueError as e:
+                raise DataFormatError(f"line {lineno}: bad pair {tok!r}") from e
+        if len(set(labels)) != len(labels):
+            raise DataFormatError(f"line {lineno}: repeated label id")
+        if not all(map(math.isfinite, scores)):
+            raise DataFormatError(f"line {lineno}: non-finite score")
+        try:
+            labels = np.array(labels, dtype=np.int64)
+        except OverflowError as e:
+            raise DataFormatError(f"line {lineno}: label id out of range") from e
+        out.append(ScoredLabels(labels, np.array(scores)))
     return out

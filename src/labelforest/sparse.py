@@ -123,18 +123,6 @@ def add_scaled(acc: np.ndarray, a: SparseVec, s: float) -> None:
         acc[a.indices] += s * a.values.astype(np.float64, copy=False)
 
 
-def prune_threshold(a: SparseVec, delta: float) -> SparseVec:
-    """Drop entries with |value| <= delta; dim is unchanged."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if delta == 0:
-        return a
-    keep = np.abs(a.values) > delta
-    if keep.all():
-        return a
-    return SparseVec(a.indices[keep], a.values[keep], a.dim)
-
-
 @dataclass(frozen=True)
 class SparseRowMatrix:
     """A stack of sparse rows sharing one dimensionality.

@@ -305,13 +305,15 @@ class _Cursor:
         return self.pos == len(self.buf)
 
 
-def _read_node(cur: _Cursor, d: int, expect_depth: int) -> TreeNode:
+def _read_node(cur: _Cursor, d: int, l: int, expect_depth: int) -> TreeNode:
     depth, n_labels, n_children, leaf_flag = (int(v) for v in cur.take("<u4", 4))
     if depth != expect_depth:
         raise ModelFormatError(f"node depth {depth}, expected {expect_depth}")
     if leaf_flag not in (0, 1) or (leaf_flag == 1) != (n_children == 0):
         raise ModelFormatError("inconsistent leaf flag")
     labels = cur.take("<u4", n_labels).astype(np.int64)
+    if n_labels and labels.max() >= l:
+        raise ModelFormatError(f"label id {labels.max()} out of range [0, {l})")
     node = TreeNode(depth, labels, None, bool(leaf_flag))
     n_clf = n_labels if leaf_flag else n_children
     for _ in range(n_clf):
@@ -325,7 +327,13 @@ def _read_node(cur: _Cursor, d: int, expect_depth: int) -> TreeNode:
             raise ModelFormatError(f"bad classifier weights: {e}") from e
         node.classifiers.append(clf)
     for _ in range(n_children):
-        node.children.append(_read_node(cur, d, expect_depth + 1))
+        node.children.append(_read_node(cur, d, l, expect_depth + 1))
+    if n_children:
+        below = np.concatenate([c.labels for c in node.children])
+        if not np.array_equal(np.sort(labels), np.sort(below)):
+            raise ModelFormatError(
+                f"depth-{depth} node's labels differ from the union of its children's"
+            )
     return node
 
 
@@ -379,10 +387,14 @@ def load_model(model_dir) -> Ensemble:
         version = int(cur.take("<u4", 1)[0])
         if version != FORMAT_VERSION:
             raise ModelFormatError(f"{path}: unsupported version {version}")
-        root = _read_node(cur, d, 0)
+        root = _read_node(cur, d, l, 0)
         if not cur.done():
             raise ModelFormatError(f"{path}: trailing bytes")
-        trees.append(
-            Tree(root, config.k, config.d_max, config.repr_space, config.base_seed + t)
+        tree = Tree(root, config.k, config.d_max, config.repr_space, config.base_seed + t)
+        in_leaves = np.bincount(
+            np.concatenate([leaf.labels for leaf in tree.leaves()]), minlength=l
         )
+        if np.any(in_leaves != 1):
+            raise ModelFormatError(f"{path}: leaves do not hold each of the L={l} labels once")
+        trees.append(tree)
     return Ensemble(trees, config, d, l)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from labelforest.data import Dataset
 from labelforest.sparse import SparseRowMatrix, SparseVec
+
+# Every property test draws the same examples on every run (seeded from the
+# test itself, no example database), so a result depends only on the code.
+settings.register_profile("labelforest", derandomize=True, deadline=None, database=None)
+settings.load_profile("labelforest")
 
 
 def random_dataset(seed, n, d, l, density=0.4, label_density=0.4):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import grouped_dataset
+from labelforest import cli
 from labelforest.cli import main
 from labelforest.data import dataset_to_text, normalize_instances, parse_dataset
 from labelforest.predict import predict_ensemble, read_predictions, write_predictions
-from labelforest.tree import ModelFormatError, load_model
+from labelforest.tree import ModelFormatError, load_model, save_model
 
 
 def parse_table(text: str) -> dict[str, list[float]]:
@@ -180,6 +181,31 @@ class TestEval:
         rc = main(["eval", "--predictions", str(short), "--data", paths["test"]])
         assert rc == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda pairs: [pairs[0]] * 5, "line 3: repeated label id"),
+        (lambda pairs: pairs[:1] + [pairs[0].split(":")[0] + ":0.1"], "line 3: repeated label id"),
+        (lambda pairs: [pairs[0].split(":")[0] + ":nan"] + pairs[1:], "line 3: non-finite score"),
+        (lambda pairs: pairs[:-1] + [pairs[-1].split(":")[0] + ":inf"], "line 3: non-finite score"),
+    ], ids=["label five times", "label twice", "nan score", "inf score"])
+    def test_bad_prediction_row_is_data_error(self, paths, trained, tmp_path, capsys,
+                                              edit, message):
+        lines = open(paths["pred"]).read().splitlines()
+        lines[2] = " ".join(edit(lines[2].split()))
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_repeated_true_label_scores_cannot_pass_100(self, paths, trained, tmp_path, capsys):
+        """Repeating each row's first true label used to score P@5 = 100."""
+        test = parse_dataset(paths["test"])
+        rows = [f"{test.Y.row(i).indices[0]}:0.9 " * 5 for i in range(test.n)]
+        bad = tmp_path / "repeat.txt"
+        bad.write_text("\n".join(r.strip() for r in rows) + "\n")
+        assert main(["eval", "--predictions", str(bad), "--data", paths["test"]]) == 2
+        assert "line 1: repeated label id" in capsys.readouterr().err
+
     def test_negative_label_id_is_data_error(self, paths, trained, tmp_path, capsys):
         lines = open(paths["pred"]).read().splitlines()
         lines[0] = "-1:0.9 " + " ".join(lines[0].split()[1:])
@@ -278,6 +304,39 @@ class TestExitCodes:
                    "--output", str(tmp_path / "pred.txt")])
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["copy a leaf label", "label past L"])
+    def test_leaves_not_partitioning_labels_is_data_error(
+        self, paths, trained, tmp_path, capsys, edit
+    ):
+        ens = load_model(trained)
+        leaves = ens.trees[0].leaves()
+        if edit == "copy a leaf label":
+            leaves[1].labels[0] = leaves[0].labels[0]
+        else:
+            leaves[0].labels[0] = ens.l + 7
+        save_model(ens, tmp_path / "model")
+        rc = main(["predict", "--model", str(tmp_path / "model"), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_dimension_mismatch_names_both_dims(self, paths, trained, tmp_path, capsys):
+        f = tmp_path / "narrow.txt"
+        f.write_text("1 7 50\n0 0:1.0\n")
+        rc = main(["predict", "--model", trained, "--data", str(f), "--output", "/dev/null"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "D=7" in err and f"D={load_model(trained).d}" in err
+
+    def test_value_error_inside_predict_is_internal(self, paths, trained, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug inside predict_batch")
+
+        monkeypatch.setattr(cli, "predict_batch", broken)
+        rc = main(["predict", "--model", trained, "--data", paths["test"],
+                   "--output", "/dev/null"])
+        assert rc == 3
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

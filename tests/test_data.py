@@ -17,6 +17,8 @@ from labelforest.data import (
 )
 from labelforest.sparse import SparseRowMatrix, SparseVec
 
+import parse_oracle
+
 
 def parse_text(text):
     return parse_dataset(io.StringIO(text))
@@ -224,3 +226,157 @@ class TestNormalizeInstances:
         nds = normalize_instances(ds)
         assert nds.X.row(1).nnz == 0
         assert nds.X.values.dtype == np.float32
+
+
+# -- the whole-buffer parser against the per-line oracle ----------------------
+
+VALUE_SPELLINGS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, width=32).map(repr),
+    st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+    st.floats(-50, 50, allow_nan=False).map(lambda v: f"{v:.4f}"),
+    st.floats(-1e30, 1e30, allow_nan=False).map(lambda v: f"{v:e}"),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["0", "0.0", "-0.0", "+0", ".5", "5.", "+.25", "-7.", "1E3", "2.5e-3",
+                     "0.1000000000000000055511151231257827", "00012.50"]),
+)
+
+# one token that int() or float() rejects, or a pair without its colon
+BAD_TOKENS = ["x", "1:", ":1", "1:2:3", "1", "a:1", "1:abc", "1:1e", "1.5:2", "1:-", "1:."]
+NON_FINITE = ["nan", "inf", "-inf", "Infinity", "1e39", "-1e300"]
+
+
+@st.composite
+def data_files(draw):
+    """The text of a valid data file, or of one with a single mutation: a
+    bad token or label, an id out of range, a non-finite value, a duplicate
+    feature, a missing or extra line, or trailing content."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 9))
+    l = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        labels = [str(v) for v in draw(st.lists(st.integers(0, l - 1), max_size=4))]
+        fids = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+        feats = [f"{j}:{draw(VALUE_SPELLINGS)}" for j in fids]
+        rows.append([labels, feats])
+    header = f"{n} {d} {l}"
+    extra_lines = []
+    trailer = draw(st.sampled_from(["", "\n", "  \n\n", "\t"]))
+
+    mutation = draw(st.sampled_from(
+        ["none", "none", "bad token", "bad label", "feature range", "label range",
+         "non-finite", "duplicate", "missing line", "extra line", "trailing"]
+    ))
+    row = draw(st.integers(0, max(n - 1, 0)))
+    if mutation == "bad token" and n:
+        rows[row][1].insert(draw(st.integers(0, len(rows[row][1]))), draw(st.sampled_from(BAD_TOKENS)))
+    elif mutation == "bad label" and n:
+        rows[row][0].append(draw(st.sampled_from(["x", "", "1.0", "0x1"])))
+    elif mutation == "feature range" and n:
+        rows[row][1].append(f"{draw(st.sampled_from([d, d + 5, -1, 10**30]))}:1.5")
+    elif mutation == "label range" and n:
+        rows[row][0].append(str(draw(st.sampled_from([l, -1, 10**25]))))
+    elif mutation == "non-finite" and n:
+        rows[row][1].append(f"{d - 1}:{draw(st.sampled_from(NON_FINITE))}")
+    elif mutation == "duplicate" and n and rows[row][1]:
+        rows[row][1].append(draw(st.sampled_from(rows[row][1])))
+    elif mutation == "missing line" and n:
+        rows.pop()
+    elif mutation == "extra line":
+        extra_lines.append("0 0:1")
+    elif mutation == "trailing":
+        trailer += draw(st.sampled_from(["junk", "0 0:1\n", "\n\n7"]))
+
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \t"]))
+    lines = [header]
+    for labels, feats in rows:
+        line = ",".join(labels)
+        if feats:
+            line += " " + sep.join(feats)
+        elif draw(st.booleans()):
+            line += " "
+        lines.append(line)
+    lines += extra_lines
+    text = "\n".join(lines) + ("\n" if draw(st.booleans()) or trailer else "")
+    return text + trailer
+
+
+def parse_both(source_of):
+    """The Dataset or the error from the bulk parser and from the oracle."""
+    try:
+        new = parse_dataset(source_of())
+    except DataFormatError as e:
+        new = e
+    try:
+        old = parse_oracle.parse_dataset(source_of())
+    except Exception as e:  # the oracle overflows on ids beyond int64
+        old = e
+    return new, old
+
+
+class TestParseOracle:
+    """Every file either parses to the oracle's Dataset and ParseStats, or
+    is rejected with the oracle's message, which names the same line.  Ids
+    beyond int64 crash the oracle with OverflowError; the bulk parser
+    rejects them as out of range."""
+
+    def check(self, source_of):
+        new, old = parse_both(source_of)
+        if isinstance(old, OverflowError):
+            assert isinstance(new, DataFormatError) and "out of range" in str(new)
+        elif isinstance(old, DataFormatError):
+            assert isinstance(new, DataFormatError), f"oracle rejects: {old}"
+            assert str(new) == str(old)
+        else:
+            assert not isinstance(new, DataFormatError), f"oracle accepts: {new}"
+            assert new == old
+            assert new.stats == old.stats
+
+    @given(data_files(), st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300)
+    def test_text_streams(self, text, newline):
+        text = text.replace("\n", newline)
+        self.check(lambda: io.StringIO(text))
+
+    @given(data_files(), st.sampled_from(["\n", "\r\n", "\r"]))
+    @settings(max_examples=300)
+    def test_binary_streams_and_files(self, text, newline):
+        raw = text.replace("\n", newline).encode()
+        self.check(lambda: io.BytesIO(raw))
+
+    def test_path_source(self, tmp_path):
+        f = tmp_path / "data.txt"
+        f.write_bytes(b"3 4 3\r\n2,0,2 3:1.5 0:0 1:-2e-3\r\n\r\n 2:7\r\n")
+        self.check(lambda: str(f))
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "2 3\n", "a 1 1\n", "-1 2 2\n",
+        "1 2 2\n0 1:1\n\n\n", "1 2 2\n0 1:1\n x\n", "0 0 0\n", "0 3 3\n  \n",
+        "2 5 5\n0\n", "2 5 5\n0 1:1 1:0\n1 7:1\n", "1 5 5\n0,,1 1:1\n",
+        "1 5 5\n0 1:1 2:nan 9:1\n", "1 5 5\n0 9:1 2:nan\n", "1 5 5\n9 x\n",
+        "2 5 5\n0 1:1 1:2\n0 x\n", "1 3 3\n0 0:1e-50 1:5e-46 2:-1e-39\n",
+        "1 30 3\n0 000000000000000000000000000012:1 7:000000000000000000000003.5\n",
+        "1 3 3\n0 1:" + "9" * 400 + "\n", "1 3 3\n0 1:1" + "0" * 20 + ".5\n",
+        "1 5 100000000000000000000000\n0,99999999999999999999 3:1\n",
+        "1 100000000000000000000000 5\n0 3:1 99999999999999999999:1\n",
+    ])
+    def test_edge_files(self, text):
+        self.check(lambda: io.StringIO(text))
+        self.check(lambda: io.BytesIO(text.encode()))
+
+    def test_same_result_across_line_blocks(self, monkeypatch):
+        """Small blocks split the file between lines; the result and the
+        error lines must not depend on where."""
+        rng = np.random.default_rng(3)
+        lines = ["40 50 9"]
+        for i in range(40):
+            feats = rng.choice(50, size=rng.integers(0, 8), replace=False)
+            labels = rng.integers(0, 9, size=rng.integers(0, 4))
+            lines.append(",".join(map(str, labels)) + "".join(f" {j}:{rng.normal():.3f}" for j in feats))
+        text = "\n".join(lines) + "\n"
+        whole = parse_dataset(io.StringIO(text))
+        monkeypatch.setattr("labelforest.data._BLOCK_BYTES", 37)
+        assert parse_dataset(io.StringIO(text)) == whole
+        bad = text.replace(lines[30], lines[30] + " 1:x")
+        with pytest.raises(DataFormatError, match="line 31: bad pair"):
+            parse_dataset(io.StringIO(bad))

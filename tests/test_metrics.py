@@ -2,20 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforest.metrics import (
     EvalReport,
     PropensityModel,
-    coverage_at_k,
     evaluate,
     fit_propensities,
     ndcg_at_k,
-    oracle_top_k,
     precision_at_k,
-    ps_report,
     psndcg_at_k,
     psp_at_k,
 )
+from metrics_oracle import coverage_at_k, evaluate_oracle, oracle_top_k, ps_report
 
 
 def dense_ndcg(pred, truth, k):
@@ -250,3 +250,72 @@ class TestEvaluate:
         rep = evaluate(preds, truths, prop, ks=(1,))
         assert rep.value("P", 1) == pytest.approx(100.0)
         assert rep.value("PSP", 1) == pytest.approx(100.0)
+
+
+@st.composite
+def eval_cases(draw):
+    """(preds, truths, prop, ks): ranked distinct-label lists, some shorter
+    than max(ks) or empty, and label sets, some empty."""
+    l = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 10))
+    labels = st.integers(0, l - 1)
+    preds = [draw(st.lists(labels, unique=True, max_size=6)) for _ in range(n)]
+    truths = [draw(st.sets(labels, max_size=5)) for _ in range(n)]
+    if draw(st.booleans()):
+        prop = PropensityModel.uniform(l)
+    else:
+        p = draw(st.lists(st.floats(0.01, 1.0), min_size=l, max_size=l))
+        if draw(st.booleans()):  # ties in propensity go to the lower label id
+            p = [round(v, 1) or 0.1 for v in p]
+        prop = PropensityModel(0.55, 1.5, 100, np.array(p))
+    ks = tuple(sorted(draw(st.sets(st.integers(1, 7), min_size=1, max_size=3))))
+    return preds, truths, prop, ks
+
+
+class TestEvaluateOracle:
+    """The array evaluation matches the per-instance loops to 1e-9."""
+
+    @given(eval_cases(), st.booleans())
+    @settings(max_examples=300)
+    def test_matches_per_instance_loops(self, case, as_arrays):
+        preds, truths, prop, ks = case
+        if as_arrays:
+            preds = [np.array(p, dtype=np.int64) for p in preds]
+            truths = [np.array(sorted(t), dtype=np.int64) for t in truths]
+        if not any(len(t) for t in truths):
+            for fn in (evaluate, evaluate_oracle):
+                with pytest.raises(ValueError, match="oracle gain is zero"):
+                    fn(preds, truths, prop, ks)
+            return
+        got = evaluate(preds, truths, prop, ks)
+        want = evaluate_oracle(preds, truths, prop, ks)
+        assert list(got.rows) == list(want.rows)
+        for metric in want.rows:
+            for k in ks:
+                assert got.value(metric, k) == pytest.approx(want.value(metric, k), abs=1e-9)
+
+    def test_scored_labels_rows(self, grouped_train, grouped_test):
+        from labelforest.predict import predict_batch
+        from labelforest.tree import TrainConfig, train_ensemble
+
+        train, _ = grouped_train
+        test, _ = grouped_test
+        ens = train_ensemble(train, TrainConfig(n_trees=1, k=4))
+        preds = predict_batch(ens, test, k=5)
+        truths = [test.Y.row(i).indices for i in range(test.n)]
+        prop = fit_propensities(np.bincount(train.Y.indices, minlength=train.l), train.n)
+        got = evaluate(preds, truths, prop)
+        want = evaluate_oracle(preds, truths, prop)
+        assert got.format() == want.format()
+        for metric in want.rows:
+            for k in want.ks:
+                assert got.value(metric, k) == pytest.approx(want.value(metric, k), abs=1e-9)
+
+    def test_validation_messages(self):
+        prop = PropensityModel.uniform(3)
+        with pytest.raises(ValueError, match="align"):
+            evaluate([[0]], [], prop)
+        with pytest.raises(ValueError, match="empty test set"):
+            evaluate([], [], prop)
+        with pytest.raises(ValueError, match="k must be"):
+            evaluate([[0]], [{0}], prop, ks=(0,))

@@ -9,8 +9,8 @@ from labelforest.sparse import (
     add_scaled,
     dot,
     l2_normalize,
-    prune_threshold,
 )
+from tron_oracle import prune_threshold
 
 
 def vec(pairs, dim, dtype=np.float64):

@@ -240,3 +240,27 @@ class TestModelStore:
     def test_missing_meta_rejected(self, tmp_path):
         with pytest.raises(ModelFormatError, match="meta"):
             load_model(tmp_path)
+
+    @pytest.mark.parametrize("shape, edit, match", [
+        # a leaf label past L (its parent's set no longer matters: the leaf
+        # is rejected as it is read)
+        ({"k": 3, "d_max": 1}, lambda t, l: t.leaves()[0].labels.__setitem__(0, l + 7),
+         "out of range"),
+        # a root that is the only leaf, holding one label twice and missing one
+        ({"k": 100}, lambda t, l: t.root.labels.__setitem__(1, t.root.labels[0]),
+         "leaves do not hold"),
+        # an internal node whose set is not its children's union
+        ({"k": 3, "d_max": 1}, lambda t, l: t.root.labels.__setitem__(0, t.root.labels[1]),
+         "union of its children"),
+        # one leaf's label copied into another leaf
+        ({"k": 3, "d_max": 1},
+         lambda t, l: t.leaves()[1].labels.__setitem__(0, t.leaves()[0].labels[0]),
+         "union of its children"),
+    ], ids=["label past L", "repeated leaf label", "node set not union", "copied leaf label"])
+    def test_label_sets_checked(self, grouped_train, tmp_path, shape, edit, match):
+        ds, _ = grouped_train
+        ens = train_small(ds, **shape)
+        edit(ens.trees[0], ds.l)
+        save_model(ens, tmp_path / "m")
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(tmp_path / "m")

@@ -24,7 +24,19 @@ from labelforest.solver import (
     gradient,
     objective,
 )
-from labelforest.sparse import SparseVec, prune_threshold
+from labelforest.sparse import SparseVec
+
+
+def prune_threshold(a: SparseVec, delta: float) -> SparseVec:
+    """Drop entries with |value| <= delta; dim is unchanged."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    if delta == 0:
+        return a
+    keep = np.abs(a.values) > delta
+    if keep.all():
+        return a
+    return SparseVec(a.indices[keep], a.values[keep], a.dim)
 
 
 @dataclass
