@@ -14,7 +14,6 @@ bytes, and ids and values are converted in bulk.
 
 from __future__ import annotations
 
-import io
 import logging
 import re
 from dataclasses import dataclass, field
@@ -353,26 +352,6 @@ def _parse_lines(buf, starts, ends, first_line: int, d: int, l: int):
     x_nnz = np.bincount(tok_line, minlength=len(starts))
     y_nnz = np.bincount(lab_line, minlength=len(starts))
     return x_nnz, y_nnz, fid, fval, labels, n_dup, n_zero
-
-
-def serialize_dataset(ds: Dataset, sink) -> None:
-    """Write a Dataset in canonical text form (round-trips through parse)."""
-    if not hasattr(sink, "write"):
-        with open(sink, "w", encoding="utf-8") as f:
-            serialize_dataset(ds, f)
-        return
-    sink.write(f"{ds.n} {ds.d} {ds.l}\n")
-    for i in range(ds.n):
-        x, y = ds.X.row(i), ds.Y.row(i)
-        labels = ",".join(str(j) for j in y.indices)
-        feats = " ".join(f"{j}:{v}" for j, v in zip(x.indices, x.values))
-        sink.write(f"{labels} {feats}".rstrip() + "\n" if feats else f"{labels}\n")
-
-
-def dataset_to_text(ds: Dataset) -> str:
-    buf = io.StringIO()
-    serialize_dataset(ds, buf)
-    return buf.getvalue()
 
 
 def build_label_index(ds: Dataset) -> LabelIndex:

@@ -22,9 +22,8 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import DataFormatError, Dataset, normalize_instances
-from .solver import Weights
-from .sparse import SparseRowMatrix, SparseVec
-from .tree import Ensemble, Tree, TreeNode
+from .sparse import SparseVec
+from .tree import Ensemble, Tree
 
 
 @dataclass(frozen=True)
@@ -47,11 +46,6 @@ class ScoredLabels:
 
 def logsigmoid(m: float) -> float:
     return -np.logaddexp(0.0, -m)
-
-
-def node_child_prob(w: Weights, x: SparseVec) -> float:
-    """Logistic routing probability sigma(w.x + bias)."""
-    return float(expit(w.margin(x)))
 
 
 def _top_k(labels, scores, k: int) -> ScoredLabels:
@@ -110,42 +104,17 @@ def _check_params(beam: int, k: int) -> None:
         raise ValueError("k must be >= 1")
 
 
-class _TreeIndex:
-    """Preorder node arrays plus stacked classifier matrices, built once."""
-
-    def __init__(self, tree: Tree, d: int):
-        self.nodes: list[TreeNode] = list(tree.iter_nodes())
-        uid_of = {id(n): u for u, n in enumerate(self.nodes)}
-        self.is_leaf = np.array([n.is_leaf for n in self.nodes])
-        self.children = [
-            np.array([uid_of[id(c)] for c in n.children], dtype=np.int64)
-            for n in self.nodes
-        ]
-        self.W = []
-        self.bias = []
-        self.labels = []
-        for n in self.nodes:
-            rows = [clf.w for clf in n.classifiers]
-            mat = SparseRowMatrix.from_rows(rows, d).to_csr(np.float64)
-            self.W.append(mat)
-            self.bias.append(np.array([clf.bias for clf in n.classifiers]))
-            self.labels.append(n.labels)
-
-
-def _tree_index(tree: Tree, d: int) -> _TreeIndex:
-    cached = getattr(tree, "_pred_index", None)
-    if cached is None or cached.W[0].shape[1] != d:
-        cached = _TreeIndex(tree, d)
-        tree._pred_index = cached
-    return cached
-
-
-def _batch_tree_triplets(tindex: _TreeIndex, X: sp.csr_matrix, beam: int):
+def _batch_tree_triplets(tree: Tree, X: sp.csr_matrix, beam: int):
     """Batched beam search for one tree.
 
     Returns (instance_ids, label_ids, scores) triplets for every label
     scored at a surviving leaf.
     """
+    nodes = list(tree.iter_nodes())  # preorder: a node's number is its index
+    uid_of = {id(nd): u for u, nd in enumerate(nodes)}
+    is_leaf = np.array([nd.is_leaf for nd in nodes])
+    children = [np.array([uid_of[id(c)] for c in nd.children], dtype=np.int64) for nd in nodes]
+
     n = X.shape[0]
     inst = np.arange(n, dtype=np.int64)
     node = np.zeros(n, dtype=np.int64)
@@ -153,7 +122,7 @@ def _batch_tree_triplets(tindex: _TreeIndex, X: sp.csr_matrix, beam: int):
     rank = np.zeros(n, dtype=np.int64)
 
     while True:
-        internal = ~tindex.is_leaf[node]
+        internal = ~is_leaf[node]
         if not internal.any():
             break
         parts = []
@@ -170,23 +139,20 @@ def _batch_tree_triplets(tindex: _TreeIndex, X: sp.csr_matrix, beam: int):
             )
         for uid in np.unique(node[internal]):
             rows = np.flatnonzero((node == uid) & internal)
-            m = (X[inst[rows]] @ tindex.W[uid].T).toarray() + tindex.bias[uid]
+            nd = nodes[uid]
+            m = (X[inst[rows]] @ nd.W.T).toarray() + nd.bias
             child_lp = lp[rows, None] - np.logaddexp(0.0, -m)
-            n_child = len(tindex.children[uid])
+            n_child = len(children[uid])
             parts.append(
                 (
                     np.repeat(inst[rows], n_child),
-                    np.tile(tindex.children[uid], len(rows)),
+                    np.tile(children[uid], len(rows)),
                     child_lp.ravel(),
                     np.repeat(rank[rows], n_child),
                     np.tile(np.arange(n_child, dtype=np.int64), len(rows)),
                 )
             )
-        inst_a = np.concatenate([p[0] for p in parts])
-        node_a = np.concatenate([p[1] for p in parts])
-        lp_a = np.concatenate([p[2] for p in parts])
-        r_a = np.concatenate([p[3] for p in parts])
-        c_a = np.concatenate([p[4] for p in parts])
+        inst_a, node_a, lp_a, r_a, c_a = (np.concatenate(col) for col in zip(*parts))
 
         order = np.lexsort((c_a, r_a, -lp_a, inst_a))
         inst_s, node_s, lp_s = inst_a[order], node_a[order], lp_a[order]
@@ -196,20 +162,15 @@ def _batch_tree_triplets(tindex: _TreeIndex, X: sp.csr_matrix, beam: int):
         keep = pos < beam
         inst, node, lp, rank = inst_s[keep], node_s[keep], lp_s[keep], pos[keep]
 
-    out_inst, out_lab, out_score = [], [], []
+    out = []
     for uid in np.unique(node):
         rows = np.flatnonzero(node == uid)
-        m = (X[inst[rows]] @ tindex.W[uid].T).toarray() + tindex.bias[uid]
+        nd = nodes[uid]
+        m = (X[inst[rows]] @ nd.W.T).toarray() + nd.bias
         scores = expit(m) * np.exp(lp[rows])[:, None]
-        n_lab = len(tindex.labels[uid])
-        out_inst.append(np.repeat(inst[rows], n_lab))
-        out_lab.append(np.tile(tindex.labels[uid], len(rows)))
-        out_score.append(scores.ravel())
-    return (
-        np.concatenate(out_inst),
-        np.concatenate(out_lab),
-        np.concatenate(out_score),
-    )
+        n_lab = len(nd.labels)
+        out.append((np.repeat(inst[rows], n_lab), np.tile(nd.labels, len(rows)), scores.ravel()))
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 def prepare_features(ens: Ensemble, ds: Dataset) -> sp.csr_matrix:
@@ -227,18 +188,9 @@ def predict_batch(ens: Ensemble, data, beam: int = 10, k: int = 5) -> list[Score
     n = X.shape[0]
     if n == 0:
         return []
-    all_inst, all_lab, all_score = [], [], []
-    for tree in ens.trees:
-        ti = _tree_index(tree, ens.d)
-        i, lab, sc = _batch_tree_triplets(ti, X, beam)
-        all_inst.append(i)
-        all_lab.append(lab)
-        all_score.append(sc)
+    inst, lab, score = zip(*(_batch_tree_triplets(tree, X, beam) for tree in ens.trees))
     merged = sp.coo_matrix(
-        (
-            np.concatenate(all_score) / len(ens.trees),
-            (np.concatenate(all_inst), np.concatenate(all_lab)),
-        ),
+        (np.concatenate(score) / len(ens.trees), (np.concatenate(inst), np.concatenate(lab))),
         shape=(n, ens.l),
     ).tocsr()
 
@@ -267,11 +219,14 @@ def read_predictions(source) -> list[ScoredLabels]:
     A row whose label ids repeat, or whose scores are not finite, raises
     DataFormatError naming its line, as does any malformed pair.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+    try:
+        if hasattr(source, "read"):
+            lines = source.read().splitlines()
+        else:
+            with open(source, "r", encoding="utf-8") as f:
+                lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{getattr(source, 'name', source)}: not UTF-8 text ({e})") from e
     out = []
     for lineno, line in enumerate(lines, start=1):
         labels, scores = [], []

@@ -282,12 +282,15 @@ def train_binary(
 
 @dataclass(frozen=True)
 class NodeSolve:
-    """A node's classifiers, one per sign column, with each column's
-    accepted Newton steps and whether it met the gradient test."""
+    """A node's classifiers as one float32 CSR row per sign column, plus
+    each column's bias, accepted Newton steps and whether it met the
+    gradient test, and the count of nonzero weights pruned at delta."""
 
-    weights: list[Weights]
+    W: sp.csr_matrix
+    bias: np.ndarray
     newton_iters: np.ndarray
     converged: np.ndarray
+    n_pruned: int
 
 
 def train_node(
@@ -302,9 +305,9 @@ def train_node(
     rows of ``X``, whose last column is the constant bias feature.
 
     The solve runs on the node's nonzero feature columns only, in batches of
-    columns bounded by ``CHUNK_BYTES``.  Each weight vector comes back with
-    the bias split off, entries with |w| <= ``delta`` pruned (the bias never
-    is) and values cast to float32.
+    columns bounded by ``CHUNK_BYTES``.  Row j of the returned ``W`` is
+    column j's weight vector with the bias split off, entries with
+    |w| <= ``delta`` pruned (the bias never is) and values cast to float32.
     """
     X = _as_csr(X)
     Y = np.asarray(Y)
@@ -319,10 +322,10 @@ def train_node(
     m = Y.shape[1]
     iters = np.zeros(m, dtype=np.int64)
     conv = np.ones(m, dtype=bool)
+    bias = np.zeros(m, dtype=np.float32)
     if n == 0:
         # no data at all: the regularizer alone is minimized by zero
-        empty = SparseVec(np.empty(0, np.int64), np.empty(0, np.float32), d)
-        return NodeSolve([Weights(empty, 0.0)] * m, iters, conv)
+        return NodeSolve(sp.csr_matrix((m, d), dtype=np.float32), bias, iters, conv, 0)
 
     feats = np.unique(X.indices)
     Xc = sp.csr_matrix((X.data, np.searchsorted(feats, X.indices), X.indptr), shape=(n, len(feats)))
@@ -332,17 +335,18 @@ def train_node(
         feats = feats[:-1]
     per_column = 8 * _ARRAYS_PER_COLUMN * (n + Xc.shape[1])
     step = max(1, CHUNK_BYTES // per_column)
-    weights = []
+    blocks, n_pruned = [], 0
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         W, iters[lo:hi], conv[lo:hi] = _tron(Xc, XT, Y[:, lo:hi], C, eps, max_newton_iters)
-        bias = W[-1] if has_bias else np.zeros(hi - lo)
+        if has_bias:
+            bias[lo:hi] = W[-1]
         Wf = W[: len(feats)].T
-        for w, b in zip(Wf, bias):
-            keep = np.abs(w) > delta
-            vec = SparseVec(feats[keep], w[keep].astype(np.float32), d)
-            weights.append(Weights(vec, float(np.float32(b))))
-    return NodeSolve(weights, iters, conv)
+        # csr drops the zeros, also a kept weight that rounds to a float32 zero
+        B = sp.csr_matrix(np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32))
+        n_pruned += int(np.count_nonzero(Wf)) - B.nnz
+        blocks.append(sp.csr_matrix((B.data, feats[B.indices], B.indptr), shape=(hi - lo, d)))
+    return NodeSolve(sp.vstack(blocks, format="csr"), bias, iters, conv, n_pruned)
 
 
 def augment_bias_column(X: sp.csr_matrix) -> sp.csr_matrix:

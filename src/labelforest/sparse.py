@@ -54,18 +54,6 @@ class SparseVec:
             if np.any(values == 0):
                 raise ValueError("explicit zeros are not stored")
 
-    @classmethod
-    def from_pairs(cls, pairs, dim, dtype=np.float64):
-        """Build from an iterable of (index, value) pairs, sorting as needed."""
-        pairs = list(pairs)
-        if not pairs:
-            return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype), dim)
-        pairs.sort(key=lambda p: p[0])
-        idx = np.array([p[0] for p in pairs], dtype=np.int64)
-        val = np.array([p[1] for p in pairs], dtype=dtype)
-        keep = val != 0
-        return cls(idx[keep], val[keep], dim)
-
     @property
     def nnz(self) -> int:
         return len(self.indices)
@@ -102,25 +90,6 @@ def dot(a: SparseVec, b: SparseVec) -> float:
     av = a.values[ia].astype(np.float64, copy=False)
     bv = b.values[ib].astype(np.float64, copy=False)
     return float(np.dot(av, bv))
-
-
-def l2_normalize(a: SparseVec) -> SparseVec:
-    """Scale to unit euclidean norm; the all-zero vector passes through."""
-    n = a.norm()
-    if n == 0.0:
-        return a
-    return SparseVec(a.indices, a.values.astype(np.float64) / n, a.dim)
-
-
-def add_scaled(acc: np.ndarray, a: SparseVec, s: float) -> None:
-    """In-place acc[j] += s * a_j over the nonzeros of ``a``.
-
-    ``acc`` must be a dense float64 array of length ``a.dim``.
-    """
-    if len(acc) != a.dim:
-        raise ValueError(f"accumulator length {len(acc)} != dim {a.dim}")
-    if a.nnz:
-        acc[a.indices] += s * a.values.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)

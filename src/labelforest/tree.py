@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clustering import kmeans_partition
 from .data import Dataset, LabelIndex, build_label_index, normalize_instances
@@ -27,8 +28,7 @@ from .sparse import SparseVec
 log = logging.getLogger(__name__)
 
 MAGIC = b"LFT1"
-FORMAT_VERSION = 1
-_PAIR_DTYPE = np.dtype([("i", "<u4"), ("v", "<f4")])
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -64,16 +64,30 @@ class TrainConfig:
 
 @dataclass
 class TreeNode:
+    """A tree node with its classifiers: row j of the float32 CSR matrix
+    ``W`` (one column per feature) and ``bias[j]`` score child j of an
+    internal node, or label ``labels[j]`` of a leaf."""
+
     depth: int
     labels: np.ndarray
     instance_ids: np.ndarray | None
     is_leaf: bool
     children: list["TreeNode"] = field(default_factory=list)
-    classifiers: list[Weights] = field(default_factory=list)
+    W: sp.csr_matrix | None = None
+    bias: np.ndarray | None = None
 
     @property
     def n_labels(self) -> int:
         return len(self.labels)
+
+    @property
+    def classifiers(self) -> list[Weights]:
+        """One ``Weights`` view per row of ``W``, built on each access."""
+        W = self.W
+        return [
+            Weights(SparseVec(W.indices[lo:hi], W.data[lo:hi], W.shape[1]), float(b))
+            for lo, hi, b in zip(W.indptr[:-1], W.indptr[1:], self.bias)
+        ]
 
 
 @dataclass
@@ -111,6 +125,8 @@ class TrainReport:
     n_zero_positive: int = 0
     n_newton_iters: int = 0
     n_not_converged: int = 0
+    n_weights_kept: int = 0
+    n_weights_pruned: int = 0
     grow_seconds: float = 0.0
     solve_seconds: float = 0.0
 
@@ -156,8 +172,8 @@ def train_node_classifiers(
 
     Positives carried by no instance of the node still get a classifier
     (an all-negative problem); those cases are counted in the report, as
-    are Newton steps and the classifiers stopped by ``max_newton_iters``
-    before meeting the gradient test.
+    are Newton steps, the classifiers stopped by ``max_newton_iters``
+    before meeting the gradient test, and the weights kept and pruned.
     """
     insts = node.instance_ids
     if node.is_leaf:
@@ -178,8 +194,10 @@ def train_node_classifiers(
         delta=config.delta,
         max_newton_iters=config.max_newton_iters,
     )
-    node.classifiers.extend(sol.weights)
+    node.W, node.bias = sol.W, sol.bias
     report.n_classifiers += len(targets)
+    report.n_weights_kept += sol.W.nnz
+    report.n_weights_pruned += sol.n_pruned
     report.n_newton_iters += int(sol.newton_iters.sum())
     capped = ~sol.converged & (sol.newton_iters >= config.max_newton_iters)
     report.n_not_converged += int(np.count_nonzero(capped))
@@ -263,15 +281,15 @@ def _write_node(chunks: list, node: TreeNode) -> None:
         [node.depth, len(node.labels), len(node.children), int(node.is_leaf)],
         dtype="<u4",
     )
-    chunks.append(header.tobytes())
-    chunks.append(node.labels.astype("<u4").tobytes())
-    for clf in node.classifiers:
-        chunks.append(np.array([clf.w.nnz], dtype="<u4").tobytes())
-        pairs = np.empty(clf.w.nnz, dtype=_PAIR_DTYPE)
-        pairs["i"] = clf.w.indices
-        pairs["v"] = clf.w.values
-        chunks.append(pairs.tobytes())
-        chunks.append(np.array([clf.bias], dtype="<f4").tobytes())
+    W = node.W
+    chunks += [
+        header.tobytes(),
+        node.labels.astype("<u4").tobytes(),
+        np.diff(W.indptr).astype("<u4").tobytes(),
+        W.indices.astype("<u4").tobytes(),
+        W.data.astype("<f4").tobytes(),
+        node.bias.astype("<f4").tobytes(),
+    ]
     for child in node.children:
         _write_node(chunks, child)
 
@@ -314,18 +332,24 @@ def _read_node(cur: _Cursor, d: int, l: int, expect_depth: int) -> TreeNode:
     labels = cur.take("<u4", n_labels).astype(np.int64)
     if n_labels and labels.max() >= l:
         raise ModelFormatError(f"label id {labels.max()} out of range [0, {l})")
-    node = TreeNode(depth, labels, None, bool(leaf_flag))
-    n_clf = n_labels if leaf_flag else n_children
-    for _ in range(n_clf):
-        nnz = int(cur.take("<u4", 1)[0])
-        pairs = cur.take(_PAIR_DTYPE, nnz)
-        bias = float(cur.take("<f4", 1)[0])
-        try:
-            w = SparseVec(pairs["i"].astype(np.int64), pairs["v"].astype(np.float32), d)
-            clf = Weights(w, bias)
-        except ValueError as e:
-            raise ModelFormatError(f"bad classifier weights: {e}") from e
-        node.classifiers.append(clf)
+    m = n_labels if leaf_flag else n_children
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(cur.take("<u4", m), out=indptr[1:])
+    indices = cur.take("<u4", int(indptr[-1]))
+    values = cur.take("<f4", int(indptr[-1]))
+    bias = cur.take("<f4", m)
+    try:
+        W = sp.csr_matrix((values, indices, indptr), shape=(m, d))
+        W.check_format(full_check=True)
+    except ValueError as e:
+        raise ModelFormatError(f"bad classifier weights: {e}") from e
+    if not W.has_canonical_format:
+        raise ModelFormatError("bad classifier weights: indices not strictly increasing")
+    if not np.all(np.isfinite(values)) or not values.all():
+        raise ModelFormatError("bad classifier weights: zero or non-finite weight")
+    if not np.all(np.isfinite(bias)):
+        raise ModelFormatError("bad classifier bias: not finite")
+    node = TreeNode(depth, labels, None, bool(leaf_flag), W=W, bias=bias)
     for _ in range(n_children):
         node.children.append(_read_node(cur, d, l, expect_depth + 1))
     if n_children:
@@ -350,11 +374,14 @@ def _parse_meta(text: str) -> dict:
 
 
 def load_model(model_dir) -> Ensemble:
+    path = os.path.join(model_dir, "meta")
     try:
-        with open(os.path.join(model_dir, "meta"), "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8") as f:
             meta = _parse_meta(f.read())
     except FileNotFoundError as e:
         raise ModelFormatError(f"no meta file in {model_dir}") from e
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"{path}: not UTF-8 text ({e})") from e
     try:
         if int(meta["version"]) != FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model version {meta['version']}")
@@ -370,6 +397,8 @@ def load_model(model_dir) -> Ensemble:
             normalize=bool(int(meta["normalize"])),
         )
         d, l = int(meta["D"]), int(meta["L"])
+        if not (0 <= d <= 2**32 and 0 < l <= 2**32):
+            raise ModelFormatError(f"bad meta file: D={d} or L={l} out of range")
     except (KeyError, ValueError) as e:
         if isinstance(e, ModelFormatError):
             raise
@@ -378,8 +407,11 @@ def load_model(model_dir) -> Ensemble:
     trees = []
     for t in range(n_trees):
         path = os.path.join(model_dir, f"tree_{t}.bin")
-        with open(path, "rb") as f:
-            buf = f.read()
+        try:
+            with open(path, "rb") as f:
+                buf = f.read()
+        except FileNotFoundError as e:
+            raise ModelFormatError(f"{path}: missing, but meta has T={n_trees}") from e
         if buf[:4] != MAGIC:
             raise ModelFormatError(f"{path}: bad magic bytes")
         cur = _Cursor(buf)
@@ -391,10 +423,9 @@ def load_model(model_dir) -> Ensemble:
         if not cur.done():
             raise ModelFormatError(f"{path}: trailing bytes")
         tree = Tree(root, config.k, config.d_max, config.repr_space, config.base_seed + t)
-        in_leaves = np.bincount(
-            np.concatenate([leaf.labels for leaf in tree.leaves()]), minlength=l
-        )
-        if np.any(in_leaves != 1):
+        in_leaves = np.concatenate([leaf.labels for leaf in tree.leaves()])
+        # comparing lengths first keeps a huge L from sizing the bincount
+        if len(in_leaves) != l or np.any(np.bincount(in_leaves, minlength=l) != 1):
             raise ModelFormatError(f"{path}: leaves do not hold each of the L={l} labels once")
         trees.append(tree)
     return Ensemble(trees, config, d, l)

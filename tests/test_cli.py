@@ -6,15 +6,21 @@ import math
 import re
 import shutil
 import struct
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grouped_dataset
+from fuzz import apply_edit, byte_edits, prediction_edits
+from helpers import dataset_to_text
 from labelforest import cli
 from labelforest.cli import main
-from labelforest.data import dataset_to_text, normalize_instances, parse_dataset
+from labelforest.data import normalize_instances, parse_dataset
 from labelforest.predict import predict_ensemble, read_predictions, write_predictions
 from labelforest.tree import ModelFormatError, load_model, save_model
 
@@ -82,7 +88,7 @@ class TestPipeline:
         ]
         buf = io.StringIO()
         write_predictions(results, buf)
-        got = open(paths["pred"], encoding="utf-8").read()
+        got = Path(paths["pred"]).read_text(encoding="utf-8")
         want = buf.getvalue()
         # the batched and per-instance routes agree to many more digits
         # than the 5 printed decimals, so the files must match exactly
@@ -93,13 +99,13 @@ class TestPipeline:
         assert main(["train", "--data", paths["train"], "--model", other,
                      "--branch", "8", "--seed", "3", "--threads", "1"]) == 0
         for name in ("meta", "tree_0.bin", "tree_1.bin", "tree_2.bin"):
-            a = open(f"{trained}/{name}", "rb").read()
-            b = open(f"{other}/{name}", "rb").read()
+            a = Path(trained, name).read_bytes()
+            b = Path(other, name).read_bytes()
             assert a == b, name
         pred2 = str(paths["root"] / "pred2.txt")
         assert main(["predict", "--model", other, "--data", paths["test"],
                      "--output", pred2]) == 0
-        assert open(pred2).read() == open(paths["pred"]).read()
+        assert Path(pred2).read_text() == Path(paths["pred"]).read_text()
 
     def test_summary_reports_newton_counters(self, paths, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="labelforest")
@@ -110,6 +116,10 @@ class TestPipeline:
         m = re.search(r"(\d+) Newton steps, (\d+) classifiers stopped at the Newton cap",
                       summary[0])
         assert m and int(m.group(1)) > 0 and int(m.group(2)) == 0
+        m = re.search(r"(\d+) weights kept, (\d+) pruned", summary[0])
+        ens = load_model(tmp_path / "m")
+        kept = sum(n.W.nnz for n in ens.trees[0].iter_nodes())
+        assert m and int(m.group(1)) == kept > 0 and int(m.group(2)) > 0
 
 
 class TestBeamFlag:
@@ -173,11 +183,11 @@ class TestEval:
         assert main(["eval", "--predictions", paths["pred"], "--data", paths["test"],
                      "--train-data", paths["train"], "--output", out]) == 0
         stdout = capsys.readouterr().out
-        assert open(out).read().strip() == stdout.strip()
+        assert Path(out).read_text().strip() == stdout.strip()
 
     def test_row_count_mismatch_is_data_error(self, paths, trained, tmp_path):
         short = tmp_path / "short.txt"
-        short.write_text("".join(open(paths["pred"]).readlines()[:10]))
+        short.write_text("".join(Path(paths["pred"]).read_text().splitlines(True)[:10]))
         rc = main(["eval", "--predictions", str(short), "--data", paths["test"]])
         assert rc == 2
 
@@ -189,7 +199,7 @@ class TestEval:
     ], ids=["label five times", "label twice", "nan score", "inf score"])
     def test_bad_prediction_row_is_data_error(self, paths, trained, tmp_path, capsys,
                                               edit, message):
-        lines = open(paths["pred"]).read().splitlines()
+        lines = Path(paths["pred"]).read_text().splitlines()
         lines[2] = " ".join(edit(lines[2].split()))
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
@@ -207,7 +217,7 @@ class TestEval:
         assert "line 1: repeated label id" in capsys.readouterr().err
 
     def test_negative_label_id_is_data_error(self, paths, trained, tmp_path, capsys):
-        lines = open(paths["pred"]).read().splitlines()
+        lines = Path(paths["pred"]).read_text().splitlines()
         lines[0] = "-1:0.9 " + " ".join(lines[0].split()[1:])
         bad = tmp_path / "negative.txt"
         bad.write_text("\n".join(lines) + "\n")
@@ -286,17 +296,15 @@ class TestExitCodes:
         d = parse_dataset(paths["train"]).d
         buf = bytearray((model / "tree_0.bin").read_bytes())
         # magic, version, root header (depth, labels, children, leaf flag),
-        # the root's labels, then one (nnz, pairs, bias) run per classifier
+        # the root's labels, then its per-row nnz, indices, values and biases
         n_labels, n_children, leaf = struct.unpack_from("<3I", buf, 12)
+        m = n_labels if leaf else n_children
         pos = 24 + 4 * n_labels
-        for _ in range(n_labels if leaf else n_children):
-            (nnz,) = struct.unpack_from("<I", buf, pos)
-            if nnz:
-                struct.pack_into("<I", buf, pos + 4 + 8 * (nnz - 1), d)
-                break
-            pos += 8 + 8 * nnz
-        else:
+        nnz = sum(struct.unpack_from(f"<{m}I", buf, pos))
+        if not nnz:
             pytest.fail("root has no stored weights to corrupt")
+        # the last index of the last row that has any
+        struct.pack_into("<I", buf, pos + 4 * m + 4 * (nnz - 1), d)
         (model / "tree_0.bin").write_bytes(bytes(buf))
         with pytest.raises(ModelFormatError):
             load_model(model)
@@ -338,6 +346,35 @@ class TestExitCodes:
                    "--output", "/dev/null"])
         assert rc == 3
 
+    def test_v1_model_is_data_error(self, paths, trained, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        meta = (model / "meta").read_text().replace("version=2", "version=1")
+        (model / "meta").write_text(meta)
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert "unsupported model version 1" in capsys.readouterr().err
+
+    def test_invalid_utf8_in_meta_is_data_error(self, paths, trained, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        meta = (model / "meta").read_bytes()
+        (model / "meta").write_bytes(meta.replace(b"T=3\n", b"T=3\xff\n"))
+        with pytest.raises(ModelFormatError):
+            load_model(model)
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert f"data error: {model / 'meta'}: not UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_in_predictions_is_data_error(self, paths, trained, tmp_path, capsys):
+        bad = tmp_path / "pred.txt"
+        bad.write_bytes(b"\xff" + Path(paths["pred"]).read_bytes())
+        rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
+        assert rc == 2
+        assert f"data error: {bad}: not UTF-8" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -350,3 +387,32 @@ class TestPredictFlags:
         rows = read_predictions(pred)
         assert all(len(r.labels) <= 3 for r in rows)
         assert any(len(r.labels) == 3 for r in rows)
+
+
+class TestFuzz:
+    """A corrupted model or prediction file exits 0 or 2, never 3."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_corrupted_tree_file_predicts_or_exits_2(self, paths, trained, data):
+        tree = Path(trained, "tree_0.bin").read_bytes()
+        edit = data.draw(byte_edits(len(tree)))
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp, "model")
+            shutil.copytree(trained, model)
+            (model / "tree_0.bin").write_bytes(apply_edit(tree, edit))
+            rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                       "--output", str(Path(tmp, "pred.txt"))])
+        assert rc in (0, 2)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_corrupted_prediction_file_evaluates_or_exits_2(self, paths, trained, data):
+        pred = Path(paths["pred"]).read_bytes()
+        edit = data.draw(prediction_edits(pred))
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp, "pred.txt")
+            bad.write_bytes(apply_edit(pred, edit))
+            rc = main(["eval", "--predictions", str(bad), "--data", paths["test"],
+                       "--train-data", paths["train"]])
+        assert rc in (0, 2)

@@ -9,11 +9,12 @@ from labelforest.clustering import (
     kmeans_partition,
     update_step,
 )
-from labelforest.sparse import SparseVec, l2_normalize
+from labelforest.sparse import SparseVec
+from helpers import l2_normalize, vec_from_pairs
 
 
 def vec(pairs, dim):
-    return SparseVec.from_pairs(pairs, dim, dtype=np.float64)
+    return vec_from_pairs(pairs, dim, dtype=np.float64)
 
 
 def unit_vecs(seed, n, dim):

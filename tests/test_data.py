@@ -9,13 +9,12 @@ from labelforest.data import (
     DataFormatError,
     Dataset,
     build_label_index,
-    dataset_to_text,
     label_frequency_histogram,
     normalize_instances,
     parse_dataset,
-    serialize_dataset,
 )
 from labelforest.sparse import SparseRowMatrix, SparseVec
+from helpers import dataset_to_text
 
 import parse_oracle
 

@@ -6,7 +6,6 @@ import pytest
 from labelforest.predict import (
     ScoredLabels,
     logsigmoid,
-    node_child_prob,
     predict_batch,
     predict_ensemble,
     predict_tree,
@@ -16,13 +15,23 @@ from labelforest.predict import (
 from labelforest.representations import ReprSpace
 from labelforest.solver import Weights
 from labelforest.sparse import SparseRowMatrix, SparseVec
-from labelforest.tree import Ensemble, TrainConfig, Tree, TreeNode, train_ensemble
+from labelforest.tree import (
+    Ensemble,
+    TrainConfig,
+    Tree,
+    TreeNode,
+    load_model,
+    save_model,
+    train_ensemble,
+)
 
 from conftest import grouped_dataset
+from helpers import node_child_prob, vec_from_pairs, weights_block
 
 
 def wvec(pairs, dim, bias=0.0):
-    return Weights(SparseVec.from_pairs(pairs, dim, dtype=np.float32), bias)
+    # a node stores its biases as float32, like its weights
+    return Weights(vec_from_pairs(pairs, dim, dtype=np.float32), float(np.float32(bias)))
 
 
 def unit_x(seed, dim):
@@ -56,8 +65,15 @@ def exhaustive_top_k(tree, x, k):
     return items[:k]
 
 
+def tree_node(depth, labels, children, classifiers):
+    """A node whose (W, bias) block stacks ``classifiers``, one per row."""
+    W, bias = weights_block(classifiers, classifiers[0].w.dim)
+    labels = np.asarray(labels, dtype=np.int64)
+    return TreeNode(depth, labels, None, not children, children, W, bias)
+
+
 def leaf_node(labels, classifiers, depth=0):
-    return TreeNode(depth, np.asarray(labels, dtype=np.int64), None, True, [], classifiers)
+    return tree_node(depth, labels, [], classifiers)
 
 
 def single_leaf_tree(labels, classifiers):
@@ -110,9 +126,7 @@ class TestPredictTree:
         leaf = leaf_node([0], [wvec([], dim, bias=40.0)], depth=16)
         node = leaf
         for depth in range(15, -1, -1):
-            node = TreeNode(
-                depth, np.array([0]), None, False, [node], [wvec([(0, margin)], dim)]
-            )
+            node = tree_node(depth, [0], [node], [wvec([(0, margin)], dim)])
         tree = Tree(node, 2, 16, ReprSpace.INPUT, 0)
         x = SparseVec(np.array([0]), np.array([1.0]), dim)
         res = predict_tree(tree, x, beam=1, k=1)
@@ -127,14 +141,9 @@ class TestPredictTree:
         x = SparseVec(np.array([0]), np.array([1.0]), dim)
         leaf_a = leaf_node([0], [wvec([], dim, 5.0)], depth=1)
         leaf_b = leaf_node([1], [wvec([], dim, 5.0)], depth=2)
-        internal_b = TreeNode(1, np.array([1]), None, False, [leaf_b], [wvec([], dim, 5.0)])
-        root = TreeNode(
-            0,
-            np.array([0, 1]),
-            None,
-            False,
-            [leaf_a, internal_b],
-            [wvec([], dim, 2.0), wvec([], dim, -2.0)],
+        internal_b = tree_node(1, [1], [leaf_b], [wvec([], dim, 5.0)])
+        root = tree_node(
+            0, [0, 1], [leaf_a, internal_b], [wvec([], dim, 2.0), wvec([], dim, -2.0)]
         )
         tree = Tree(root, 2, 2, ReprSpace.INPUT, 0)
         narrow = predict_tree(tree, x, beam=1, k=2)
@@ -223,6 +232,24 @@ class TestPredictBatch:
         bad, _ = grouped_dataset(9, n=5, feats_per_group=9)
         with pytest.raises(ValueError, match="dim"):
             predict_batch(ens, bad, beam=3, k=5)
+
+    def test_load_and_predict_build_no_sparse_vectors(self, grouped_train, tmp_path,
+                                                      monkeypatch):
+        ds, _ = grouped_train
+        save_model(train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=1)),
+                   tmp_path / "m")
+        built = []
+        check = SparseVec.__post_init__
+
+        def counted(self):
+            built.append(1)
+            check(self)
+
+        monkeypatch.setattr(SparseVec, "__post_init__", counted)
+        out = predict_batch(load_model(tmp_path / "m"), ds, beam=3, k=5)
+        assert len(out) == ds.n and len(built) == 0
+        # the counter does see the per-classifier views
+        assert len(load_model(tmp_path / "m").trees[0].root.classifiers) == len(built) > 0
 
     def test_parameter_validation(self, grouped_train):
         ds, _ = grouped_train

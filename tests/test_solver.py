@@ -19,6 +19,7 @@ from labelforest.solver import (
 from labelforest.tree import TrainConfig, TrainReport, train_ensemble
 
 from conftest import grouped_dataset
+from helpers import row_weights, weights_block
 from tron_oracle import OracleInfo, oracle_train_node, solve_dense, trcg
 
 # Batched columns against the scalar oracle, relative to the oracle's
@@ -55,6 +56,10 @@ def tron(X, Y, C, eps, max_newton_iters=100):
     return _tron(X, X.T.tocsr(), Y, C, eps, max_newton_iters)
 
 
+def weights_of(sol):
+    return row_weights(sol.W, sol.bias)
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("c", [0.1, 1.0, 100.0])
     def test_one_point_optimum(self, c):
@@ -69,7 +74,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("c", [0.1, 1.0, 100.0])
     def test_one_point_with_bias_augmentation(self, c):
         X = augment_bias_column(csr([[1.0]]))
-        sol = train_node(X, np.array([[1]]), C=c, eps=1e-10, delta=0.0).weights[0]
+        sol = weights_of(train_node(X, np.array([[1]]), C=c, eps=1e-10, delta=0.0))[0]
         expected = c / (1.0 + 2.0 * c)
         assert sol.w.to_dense()[0] == pytest.approx(expected, abs=1e-6)
         assert sol.bias == pytest.approx(expected, abs=1e-6)
@@ -240,7 +245,8 @@ class TestBatchedAgainstOracle:
         chunked = train_node(X, Y, eps=1e-6, delta=0.0)
         assert chunked.newton_iters.tolist() == whole.newton_iters.tolist()
         assert chunked.converged.tolist() == whole.converged.tolist()
-        for a, b in zip(chunked.weights, whole.weights):
+        assert chunked.n_pruned == whole.n_pruned == 0
+        for a, b in zip(weights_of(chunked), weights_of(whole)):
             assert a.w.indices.tolist() == b.w.indices.tolist()
             np.testing.assert_allclose(a.w.values, b.w.values, rtol=1e-6)
             assert a.bias == pytest.approx(b.bias, rel=1e-6)
@@ -251,7 +257,8 @@ class TestBatchedAgainstOracle:
         got = train_node(X, Y, C=1.0, eps=1e-6, delta=0.01)
         want, infos = oracle_train_node(X, Y, C=1.0, eps=1e-6, delta=0.01)
         assert got.newton_iters.tolist() == [i.n_newton_iters for i in infos]
-        for a, b in zip(got.weights, want):
+        assert got.n_pruned == sum(i.n_pruned for i in infos) > 0
+        for a, b in zip(weights_of(got), want):
             assert a.w.indices.tolist() == b.w.indices.tolist()
             np.testing.assert_allclose(a.w.values, b.w.values, rtol=1e-6)
             assert a.bias == pytest.approx(b.bias, rel=1e-6)
@@ -270,11 +277,16 @@ class TestBatchedAgainstOracle:
             iters = np.array([i.n_newton_iters for i in infos], dtype=np.int64)
             oracle_iters.append(iters)
             conv = np.array([i.converged for i in infos])
-            return NodeSolve(weights, iters, conv)
+            pruned.append(sum(i.n_pruned for i in infos))
+            return NodeSolve(*weights_block(weights, X.shape[1] - 1), iters, conv, pruned[-1])
 
+        pruned = []
         monkeypatch.setattr(tree, "train_node", oracle_node)
-        ref = train_ensemble(train, config)
+        ref_report = TrainReport()
+        ref = train_ensemble(train, config, ref_report)
         assert report.n_newton_iters == int(np.concatenate(oracle_iters).sum())
+        assert report.n_weights_pruned == ref_report.n_weights_pruned == sum(pruned) > 0
+        assert report.n_weights_kept == ref_report.n_weights_kept > 0
         for a, b in zip(predict_batch(ens, test, k=5), predict_batch(ref, test, k=5)):
             assert a.labels.tolist() == b.labels.tolist()
             np.testing.assert_allclose(a.scores, b.scores, rtol=1e-5)
@@ -321,7 +333,7 @@ def one_point_node(x, c=1.0):
 class TestFinalize:
     def test_prunes_and_casts(self):
         X, t = one_point_node([1.0, 0.01, 0.06, 0.0])
-        out = train_node(X, np.array([[1]]), eps=1e-10, delta=0.01).weights[0]
+        out = weights_of(train_node(X, np.array([[1]]), eps=1e-10, delta=0.01))[0]
         # t * 0.01 <= delta is pruned, t * 0.06 and t * 1.0 stay
         assert t * 0.06 > 0.01
         assert out.w.indices.tolist() == [0, 2]
@@ -332,13 +344,13 @@ class TestFinalize:
 
     def test_bias_never_pruned(self):
         X, t = one_point_node([1.0, 0.5])
-        out = train_node(X, np.array([[1]]), eps=1e-10, delta=1.0).weights[0]
+        out = weights_of(train_node(X, np.array([[1]]), eps=1e-10, delta=1.0))[0]
         assert out.w.nnz == 0
         assert out.bias == pytest.approx(t, rel=1e-6)
 
     def test_zero_delta_identity_support(self):
         X, t = one_point_node([1.0, 1e-7])
-        out = train_node(X, np.array([[1]]), eps=1e-10, delta=0.0).weights[0]
+        out = weights_of(train_node(X, np.array([[1]]), eps=1e-10, delta=0.0))[0]
         assert out.w.indices.tolist() == [0, 1]
 
     def test_negative_delta_rejected(self):
@@ -349,7 +361,7 @@ class TestFinalize:
     def test_empty_node_gives_zero_classifiers(self):
         X = augment_bias_column(sp.csr_matrix((0, 3)))
         sol = train_node(X, np.empty((0, 2), dtype=np.int8))
-        assert [(w.w.nnz, w.bias, w.w.dim) for w in sol.weights] == [(0, 0.0, 3)] * 2
+        assert [(w.w.nnz, w.bias, w.w.dim) for w in weights_of(sol)] == [(0, 0.0, 3)] * 2
         assert sol.converged.all() and not sol.newton_iters.any()
 
 

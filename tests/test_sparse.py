@@ -3,18 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforest.sparse import (
-    SparseRowMatrix,
-    SparseVec,
-    add_scaled,
-    dot,
-    l2_normalize,
-)
+from labelforest.sparse import SparseRowMatrix, SparseVec, dot
+from helpers import add_scaled, l2_normalize, vec_from_pairs
 from tron_oracle import prune_threshold
 
 
 def vec(pairs, dim, dtype=np.float64):
-    return SparseVec.from_pairs(pairs, dim, dtype=dtype)
+    return vec_from_pairs(pairs, dim, dtype=dtype)
 
 
 nonzero_floats = st.floats(min_value=-100, max_value=100, allow_nan=False).filter(

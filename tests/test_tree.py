@@ -1,11 +1,19 @@
 import io
+import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforest.data import build_label_index, parse_dataset
+from labelforest.predict import predict_batch, prepare_features
 from labelforest.representations import ReprSpace
 from labelforest.tree import (
+    FORMAT_VERSION,
     Ensemble,
     ModelFormatError,
     TrainConfig,
@@ -16,6 +24,8 @@ from labelforest.tree import (
 )
 
 from conftest import grouped_dataset
+from fuzz import apply_edit, byte_edits, meta_edits
+from helpers import l2_normalize
 
 
 def parse_text(text):
@@ -127,8 +137,6 @@ class TestClassifiers:
         ens = train_small(ds, k=2, d_max=1, delta=0.0, eps=1e-6)
         root = ens.trees[0].root
         X = [r for r in ds.X.rows]
-        from labelforest.sparse import l2_normalize
-
         for child, clf in zip(root.children, root.classifiers):
             pos = set(child.instance_ids.tolist())
             for i in range(ds.n):
@@ -152,6 +160,18 @@ class TestClassifiers:
         assert 0 < capped.n_newton_iters <= capped.n_classifiers
         assert free.n_not_converged == 0
         assert free.n_newton_iters > capped.n_newton_iters
+
+    def test_weights_kept_and_pruned_counted(self, grouped_train):
+        ds, _ = grouped_train
+        cfg = dict(n_trees=2, k=3, d_max=2, base_seed=0)
+        pruned, whole = TrainReport(), TrainReport()
+        ens = train_ensemble(ds, TrainConfig(delta=0.01, **cfg), pruned)
+        train_ensemble(ds, TrainConfig(delta=0.0, **cfg), whole)
+        kept = sum(n.W.nnz for t in ens.trees for n in t.iter_nodes())
+        assert pruned.n_weights_kept == kept > 0
+        assert pruned.n_weights_pruned > 0 and whole.n_weights_pruned == 0
+        # the solves do not depend on delta, only what is kept of them
+        assert pruned.n_weights_kept + pruned.n_weights_pruned == whole.n_weights_kept
 
     def test_weights_are_float32_and_pruned(self, grouped_train):
         ds, _ = grouped_train
@@ -224,7 +244,8 @@ class TestModelStore:
     def test_bad_version_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
         save_model(train_small(ds), tmp_path / "m")
-        meta = (tmp_path / "m" / "meta").read_text().replace("version=1", "version=9")
+        meta = (tmp_path / "m" / "meta").read_text()
+        meta = meta.replace(f"version={FORMAT_VERSION}", "version=9")
         (tmp_path / "m" / "meta").write_text(meta)
         with pytest.raises(ModelFormatError, match="version"):
             load_model(tmp_path / "m")
@@ -235,6 +256,34 @@ class TestModelStore:
         p = tmp_path / "m" / "tree_0.bin"
         p.write_bytes(p.read_bytes()[:-6])
         with pytest.raises(ModelFormatError):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda b, a, d: struct.pack_into("<I", b, a["indices"], d), "bad classifier weights"),
+        (lambda b, a, d: b.__setitem__(slice(a["indices"] + 4, a["indices"] + 8),
+                                       b[a["indices"]:a["indices"] + 4]), "strictly increasing"),
+        (lambda b, a, d: struct.pack_into("<f", b, a["values"], 0.0), "zero or non-finite"),
+        (lambda b, a, d: struct.pack_into("<f", b, a["values"], np.nan), "zero or non-finite"),
+        (lambda b, a, d: struct.pack_into("<f", b, a["bias"], np.inf), "bias: not finite"),
+        (lambda b, a, d: b.extend(bytes(4)), "trailing bytes"),
+    ], ids=["index past D", "repeated index", "zero weight", "nan weight", "inf bias",
+            "trailing bytes"])
+    def test_bad_weight_block_rejected(self, grouped_train, tmp_path, edit, match):
+        ds, _ = grouped_train
+        save_model(train_small(ds, k=100), tmp_path / "m")
+        p = tmp_path / "m" / "tree_0.bin"
+        buf = bytearray(p.read_bytes())
+        # the root is one leaf: magic, version, header, labels, then its
+        # per-row nnz, indices, values and biases
+        (m,) = struct.unpack_from("<I", buf, 12)
+        row_nnz = struct.unpack_from(f"<{m}I", buf, 24 + 4 * m)
+        assert row_nnz[0] >= 2
+        start = 24 + 8 * m
+        at = {"indices": start, "values": start + 4 * sum(row_nnz),
+              "bias": start + 8 * sum(row_nnz)}
+        edit(buf, at, ds.d)
+        p.write_bytes(bytes(buf))
+        with pytest.raises(ModelFormatError, match=match):
             load_model(tmp_path / "m")
 
     def test_missing_meta_rejected(self, tmp_path):
@@ -264,3 +313,77 @@ class TestModelStore:
         save_model(ens, tmp_path / "m")
         with pytest.raises(ModelFormatError, match=match):
             load_model(tmp_path / "m")
+
+
+def check_invariants(ens):
+    """Everything a trained ensemble holds true, checked node by node."""
+    for tree in ens.trees:
+        in_leaves = []
+        for node in tree.iter_nodes():
+            m = len(node.labels) if node.is_leaf else len(node.children)
+            W = node.W
+            assert isinstance(W, sp.csr_matrix) and W.shape == (m, ens.d)
+            assert W.dtype == np.float32 and node.bias.dtype == np.float32
+            W.check_format(full_check=True)
+            assert W.has_canonical_format
+            assert np.all(np.isfinite(W.data)) and W.data.all()
+            assert node.bias.shape == (m,) and np.all(np.isfinite(node.bias))
+            assert np.all((node.labels >= 0) & (node.labels < ens.l))
+            if node.is_leaf:
+                in_leaves.append(node.labels)
+            else:
+                below = np.concatenate([c.labels for c in node.children])
+                assert sorted(below.tolist()) == sorted(node.labels.tolist())
+                assert all(c.depth == node.depth + 1 for c in node.children)
+        assert sorted(np.concatenate(in_leaves).tolist()) == list(range(ens.l))
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """A saved two-level model with the features of its own training rows."""
+    ds, _ = grouped_dataset(5, n=120, groups=4, labels_per_group=4)
+    ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=2, base_seed=0))
+    path = tmp_path_factory.mktemp("fuzz") / "m"
+    save_model(ens, path)
+    files = {name: (path / name).read_bytes() for name in ("meta", "tree_0.bin")}
+    return files, prepare_features(ens, ds)
+
+
+class TestModelFuzz:
+    """Every single corruption of a saved model either raises
+    ModelFormatError or loads as an ensemble that keeps every invariant
+    and predicts."""
+
+    @staticmethod
+    def load_corrupted(files, name, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            for fname, data in files.items():
+                with open(os.path.join(tmp, fname), "wb") as f:
+                    f.write(apply_edit(data, edit) if fname == name else data)
+            try:
+                return load_model(tmp)
+            except ModelFormatError:
+                return None
+
+    @staticmethod
+    def check_loaded(ens, X):
+        if ens is None:
+            return
+        check_invariants(ens)
+        X = sp.csr_matrix(X[:, : min(X.shape[1], ens.d)])
+        X.resize((X.shape[0], ens.d))
+        assert len(predict_batch(ens, X, beam=3, k=5)) == X.shape[0]
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_tree_file(self, fuzz_model, data):
+        files, X = fuzz_model
+        edit = data.draw(byte_edits(len(files["tree_0.bin"])))
+        self.check_loaded(self.load_corrupted(files, "tree_0.bin", edit), X)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_meta_file(self, fuzz_model, data):
+        files, X = fuzz_model
+        edit = data.draw(meta_edits(files["meta"]))
+        self.check_loaded(self.load_corrupted(files, "meta", edit), X)

@@ -44,6 +44,7 @@ class OracleInfo:
     n_newton_iters: int = 0
     converged: bool = False
     boundary_steps: int = 0  # CG solves that stopped on the trust region
+    n_pruned: int = 0  # nonzero feature weights at or below delta
     objective_trace: list = field(default_factory=list)
 
 
@@ -161,6 +162,7 @@ def oracle_train_node(X, Y, C=1.0, eps=0.1, delta=0.01, max_newton_iters=100):
         feats = w[:d]
         idx = np.nonzero(feats)[0]
         vec = prune_threshold(SparseVec(idx, feats[idx], d), delta)
+        info.n_pruned = len(idx) - vec.nnz
         weights.append(
             Weights(SparseVec(vec.indices, vec.values.astype(np.float32), d), float(np.float32(w[d])))
         )
