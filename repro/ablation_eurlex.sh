@@ -12,7 +12,7 @@ for REPR in output joint; do
     --data "$DATA/eurlex_train.txt" \
     --model "$OUT/model" \
     --trees 3 --branch 100 --max-depth 1 --repr "$REPR" \
-    --seed 42 --threads 1
+    --seed 42
 
   labelforest predict \
     --model "$OUT/model" \

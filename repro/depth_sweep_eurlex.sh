@@ -14,7 +14,7 @@ run_depth() {
     --data "$DATA/eurlex_train.txt" \
     --model "$OUT/model" \
     --trees 3 --branch "$BRANCH" --max-depth "$DEPTH" --repr input \
-    --seed 42 --threads 1
+    --seed 42
 
   labelforest predict \
     --model "$OUT/model" \

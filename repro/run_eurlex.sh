@@ -10,7 +10,7 @@ labelforest train \
   --data "$DATA/eurlex_train.txt" \
   --model "$OUT/model" \
   --trees 3 --branch 100 --max-depth 1 --repr input \
-  --seed 42 --threads 1
+  --seed 42
 
 labelforest predict \
   --model "$OUT/model" \

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 import time
 
@@ -74,20 +73,10 @@ def _k_list(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="base RNG seed")
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=os.cpu_count() or 1,
-        help="worker threads; 1 guarantees bit-reproducibility "
-        "(this implementation always runs single-threaded)",
-    )
-
     parser = _Parser(prog="labelforest", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    p = sub.add_parser("train", parents=[common], help="train a tree ensemble")
+    p = sub.add_parser("train", help="train a tree ensemble")
     p.add_argument("--data", required=True, help="training data file")
     p.add_argument("--model", required=True, help="model directory to write")
     p.add_argument("--trees", type=_positive_int, default=3)
@@ -107,9 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0, help="misclassification weight")
     p.add_argument("--eps", type=float, default=0.1, help="solver gradient tolerance")
     p.add_argument("--delta", type=float, default=0.01, help="weight pruning threshold")
+    p.add_argument("--seed", type=int, default=42, help="base RNG seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common], help="score a test file")
+    p = sub.add_parser("predict", help="score a test file")
     p.add_argument("--model", required=True, help="model directory")
     p.add_argument("--data", required=True, help="test data file")
     p.add_argument("--output", required=True, help="prediction file to write")
@@ -122,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", parents=[common], help="score predictions against truth")
+    p = sub.add_parser("eval", help="score predictions against truth")
     p.add_argument("--predictions", required=True, help="prediction file")
     p.add_argument("--data", required=True, help="ground-truth data file")
     p.add_argument(
@@ -142,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="also write the table to this file")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stats", parents=[common], help="dataset header stats + histogram")
+    p = sub.add_parser("stats", help="dataset header stats + histogram")
     p.add_argument(
         "--data", required=True, nargs="+", help="data files pooled into one summary"
     )
@@ -248,7 +238,10 @@ def cmd_eval(args) -> int:
                 raise DataFormatError(
                     f"propensity source has L={src.l}, ground truth has L={ds.l}"
                 )
-        prop = fit_propensities(build_label_index(src), src.n, args.a, args.b)
+        try:
+            prop = fit_propensities(build_label_index(src), src.n, args.a, args.b)
+        except ValueError as e:
+            raise UsageError(f"--a {args.a} --b {args.b}: {e}")
 
     try:
         rep = evaluate(preds, _truth_rows(ds), prop, args.k)

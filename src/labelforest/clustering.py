@@ -16,6 +16,10 @@ import scipy.sparse as sp
 
 from .sparse import SparseRowMatrix, SparseVec
 
+# Lloyd's stopping rule: at most MAX_ITERS assignment rounds, and stop once
+# a round improves the objective by less than TOL.
+MAX_ITERS = 50
+TOL = 1e-4
 # Stored entries scored per block when looking for worst-fit members.
 _SCORE_BLOCK_NNZ = 1 << 16
 
@@ -132,54 +136,33 @@ def _singletons(V: sp.csr_matrix, K: int) -> Partition:
     return Partition(assignments, centers, 0, float(np.sum(1.0 - norms)))
 
 
-def kmeans_partition(
-    vecs,
-    K: int,
-    max_iters: int = 50,
-    tol: float = 1e-4,
-    seed=0,
-    restarts: int = 1,
-) -> Partition:
+def kmeans_partition(vecs, K: int, seed=0) -> Partition:
     """Spherical k-means by Lloyd's algorithm.
 
     Initial centers are K distinct member vectors chosen uniformly at
     random per seed.  Stops when the absolute objective improvement drops
-    below ``tol`` or after ``max_iters`` assignment rounds.  With
+    below ``TOL`` or after ``MAX_ITERS`` assignment rounds.  With
     ``len(vecs) <= K`` each vector becomes its own cluster, no iteration.
-    ``restarts`` repeats the run with fresh seeds and keeps the lowest
-    final objective.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     V = _stack(vecs)
     if V.shape[0] == 0:
         raise ValueError("need at least one vector")
     if V.shape[0] <= K:
         return _singletons(V, K)
 
-    root = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        rng = np.random.default_rng(root.integers(2**63))
-        part = _run_once(V, K, max_iters, tol, rng)
-        if best is None or part.final_objective < best.final_objective:
-            best = part
-    return best
-
-
-def _run_once(V, K, max_iters, tol, rng) -> Partition:
+    rng = np.random.default_rng(np.random.default_rng(seed).integers(2**63))
     picks = rng.choice(V.shape[0], size=K, replace=False)
     centers = _normalize_rows_dense(np.asarray(V[picks].todense()))
     prev_obj = None
     assignments = None
     obj = 0.0
     iters = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         assignments, obj = _assign(V, centers)
         iters += 1
-        if prev_obj is not None and prev_obj - obj < tol:
+        if prev_obj is not None and prev_obj - obj < TOL:
             break
         prev_obj = obj
         centers = _update(V, assignments, K)

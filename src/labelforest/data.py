@@ -366,14 +366,10 @@ def build_label_index(ds: Dataset) -> LabelIndex:
     return LabelIndex([np.ascontiguousarray(a) for a in instances], freqs)
 
 
-def label_frequency_histogram(source, sink) -> None:
-    """Write (rank, frequency) rows sorted by descending label frequency.
-
-    ``source`` is a Dataset or a ready array of per-label counts.
-    """
-    if isinstance(source, Dataset):
-        source = build_label_index(source).freqs
-    freqs = np.sort(np.asarray(source))[::-1]
+def label_frequency_histogram(counts, sink) -> None:
+    """Write (rank, frequency) rows of the per-label ``counts``, sorted by
+    descending frequency, to a path or a text stream."""
+    freqs = np.sort(np.asarray(counts))[::-1]
     if not hasattr(sink, "write"):
         with open(sink, "w", encoding="utf-8") as f:
             label_frequency_histogram(freqs, f)

@@ -32,7 +32,7 @@ class PropensityModel:
     p: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.p <= 0) or np.any(self.p > 1):
+        if not np.all((self.p > 0) & (self.p <= 1)):
             raise ValueError("propensities must lie in (0, 1]")
 
     @property
@@ -48,8 +48,10 @@ def fit_propensities(idx, n: int, a: float = 0.55, b: float = 1.5) -> Propensity
     """Per-label inverse-frequency propensities from a LabelIndex or an
     array of label frequencies."""
     freqs = idx.freqs if isinstance(idx, LabelIndex) else np.asarray(idx)
-    c = max((np.log(n) - 1.0) * (1.0 + b) ** a, 0.0)
-    p = 1.0 / (1.0 + c * np.exp(-a * np.log(freqs.astype(np.float64) + b)))
+    # a bad a or b gives nan or 0 here, which PropensityModel rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = max((np.log(n) - 1.0) * (1.0 + b) ** a, 0.0)
+        p = 1.0 / (1.0 + c * np.exp(-a * np.log(freqs.astype(np.float64) + b)))
     return PropensityModel(a, b, n, p)
 
 

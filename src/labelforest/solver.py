@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SparseRowMatrix, SparseVec
+from .sparse import SparseVec
 
 ETA0, ETA1, ETA2 = 1e-4, 0.25, 0.75
 SIGMA1, SIGMA2, SIGMA3 = 0.25, 0.5, 4.0
@@ -69,15 +69,10 @@ class BinaryProblem:
         return self.X.shape[1]
 
 
-def _as_csr(rows) -> sp.csr_matrix:
-    if isinstance(rows, sp.csr_matrix):
-        return rows.astype(np.float64) if rows.dtype != np.float64 else rows
-    if isinstance(rows, SparseRowMatrix):
-        return rows.to_csr(np.float64)
-    rows = list(rows)
-    if not rows:
-        raise ValueError("need at least one row")
-    return SparseRowMatrix.from_rows(rows, rows[0].dim).to_csr(np.float64)
+def _as_csr(X: sp.csr_matrix) -> sp.csr_matrix:
+    if not isinstance(X, sp.csr_matrix):
+        raise TypeError(f"need a scipy CSR matrix, got {type(X).__name__}")
+    return X.astype(np.float64) if X.dtype != np.float64 else X
 
 
 @dataclass(frozen=True)
@@ -169,10 +164,12 @@ def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
 
     ``XT`` is ``X.T`` as CSR.  Each column stops once its gradient norm is
     at most ``eps`` times its norm at w = 0, at ``max_newton_iters``
-    accepted steps, or when its trust region can no longer improve it.
-    ``traces``, when given, gets the objective of each accepted iterate of
-    column j appended to ``traces[j]``, starting from w = 0.  Returns
-    (W, newton_iters, converged).
+    accepted steps, or when its trust region can no longer improve it.  A
+    column whose objective, gradient norm at w = 0 or reductions are not
+    finite (C so large that they overflow) stops there and counts as not
+    converged.  ``traces``, when given, gets the objective of each accepted
+    iterate of column j appended to ``traces[j]``, starting from w = 0.
+    Returns (W, newton_iters, converged).
     """
     n, dim = X.shape
     m = Y.shape[1]
@@ -191,16 +188,18 @@ def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
     delta = gnorm0.copy()
     iters = np.zeros(m, dtype=np.int64)
     halted = np.zeros(m, dtype=bool)
+    broken = ~np.isfinite(F) | ~np.isfinite(gnorm0)
     if traces is not None:
         for j in range(m):
             traces[j].append(float(F[j]))
 
     while True:
-        done = halted | (iters >= max_newton_iters) | (gnorm <= eps * gnorm0)
+        conv = (gnorm <= eps * gnorm0) & ~broken
+        done = halted | broken | (iters >= max_newton_iters) | conv
         if done.any():
             W_out[:, cols[done]] = W[:, done]
             iters_out[cols[done]] = iters[done]
-            conv_out[cols[done]] = gnorm[done] <= eps * gnorm0[done]
+            conv_out[cols[done]] = conv[done]
             keep = ~done
             cols, Y, W, M, G = cols[keep], Y[:, keep], W[:, keep], M[:, keep], G[:, keep]
             F, gnorm0, gnorm, delta, iters = F[keep], gnorm0[keep], gnorm[keep], delta[keep], iters[keep]
@@ -249,6 +248,7 @@ def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
                 for j, f in zip(cols[acc], F[acc]):
                     traces[j].append(float(f))
         halted = (snorm == 0) | (prered <= 0) | (delta <= 1e-300)
+        broken = ~np.isfinite(actred) | ~np.isfinite(prered)
 
 
 @dataclass
@@ -265,8 +265,8 @@ def train_binary(
     info: SolveInfo | None = None,
 ) -> Weights:
     """Minimize f(w) until ||grad|| <= eps * ||grad at w=0|| or the
-    iteration cap.  The returned weights carry bias 0; bias handling is the
-    caller's augmentation concern."""
+    iteration cap.  The objective has no bias term, so the returned
+    weights carry bias 0."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     traces = [[]] if info is not None else None
@@ -301,24 +301,24 @@ def train_node(
     delta: float = 0.01,
     max_newton_iters: int = 100,
 ) -> NodeSolve:
-    """Train one classifier per column of the n x m sign matrix ``Y`` on the
-    rows of ``X``, whose last column is the constant bias feature.
+    """Train one classifier, with a bias term, per column of the n x m sign
+    matrix ``Y`` on the rows of ``X``.
 
-    The solve runs on the node's nonzero feature columns only, in batches of
-    columns bounded by ``CHUNK_BYTES``.  Row j of the returned ``W`` is
-    column j's weight vector with the bias split off, entries with
-    |w| <= ``delta`` pruned (the bias never is) and values cast to float32.
+    The solve runs on the node's nonzero feature columns plus a constant
+    bias feature, in batches of columns bounded by ``CHUNK_BYTES``.  Row j
+    of the returned ``W`` is column j's feature weights with entries
+    |w| <= ``delta`` pruned and values cast to float32; ``bias[j]`` is its
+    bias, which is never pruned.
     """
     X = _as_csr(X)
     Y = np.asarray(Y)
-    n, width = X.shape
-    d = width - 1
+    n, d = X.shape
     if Y.ndim != 2 or Y.shape[0] != n:
         raise ValueError(f"need an {n} x m sign matrix, got shape {Y.shape}")
     if not np.all(np.abs(Y) == 1):
         raise ValueError("signs must be +1 or -1")
-    if d < 0 or not C > 0 or not eps > 0 or delta < 0:
-        raise ValueError("require a bias column, C > 0, eps > 0, delta >= 0")
+    if not C > 0 or not eps > 0 or delta < 0:
+        raise ValueError("require C > 0, eps > 0, delta >= 0")
     m = Y.shape[1]
     iters = np.zeros(m, dtype=np.int64)
     conv = np.ones(m, dtype=bool)
@@ -327,31 +327,30 @@ def train_node(
         # no data at all: the regularizer alone is minimized by zero
         return NodeSolve(sp.csr_matrix((m, d), dtype=np.float32), bias, iters, conv, 0)
 
+    # renumber the node's features 0..f-1 and end every row with the bias
+    # feature f
     feats = np.unique(X.indices)
-    Xc = sp.csr_matrix((X.data, np.searchsorted(feats, X.indices), X.indptr), shape=(n, len(feats)))
+    f = len(feats)
+    ends = X.indptr[1:]
+    Xc = sp.csr_matrix(
+        (
+            np.insert(X.data, ends, 1.0),
+            np.insert(np.searchsorted(feats, X.indices), ends, f),
+            X.indptr + np.arange(n + 1),
+        ),
+        shape=(n, f + 1),
+    )
     XT = Xc.T.tocsr()
-    has_bias = len(feats) > 0 and feats[-1] == d
-    if has_bias:
-        feats = feats[:-1]
-    per_column = 8 * _ARRAYS_PER_COLUMN * (n + Xc.shape[1])
+    per_column = 8 * _ARRAYS_PER_COLUMN * (n + f + 1)
     step = max(1, CHUNK_BYTES // per_column)
     blocks, n_pruned = [], 0
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         W, iters[lo:hi], conv[lo:hi] = _tron(Xc, XT, Y[:, lo:hi], C, eps, max_newton_iters)
-        if has_bias:
-            bias[lo:hi] = W[-1]
-        Wf = W[: len(feats)].T
+        bias[lo:hi] = W[f]
+        Wf = W[:f].T
         # csr drops the zeros, also a kept weight that rounds to a float32 zero
         B = sp.csr_matrix(np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32))
         n_pruned += int(np.count_nonzero(Wf)) - B.nnz
         blocks.append(sp.csr_matrix((B.data, feats[B.indices], B.indptr), shape=(hi - lo, d)))
     return NodeSolve(sp.vstack(blocks, format="csr"), bias, iters, conv, n_pruned)
-
-
-def augment_bias_column(X: sp.csr_matrix) -> sp.csr_matrix:
-    """Append a constant all-ones feature column (the bias convention)."""
-    ones = sp.csr_matrix(np.ones((X.shape[0], 1), dtype=X.dtype))
-    out = sp.hstack([X, ones], format="csr")
-    out.sort_indices()
-    return out

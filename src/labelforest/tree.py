@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from .clustering import kmeans_partition
 from .data import Dataset, LabelIndex, build_label_index, normalize_instances
 from .representations import LabelRepr, ReprSpace, build_repr
-from .solver import Weights, augment_bias_column, train_node
+from .solver import Weights, train_node
 from .sparse import SparseVec
 
 log = logging.getLogger(__name__)
@@ -46,9 +46,6 @@ class TrainConfig:
     delta: float = 0.01
     base_seed: int = 42
     normalize: bool = True
-    kmeans_max_iters: int = 50
-    kmeans_tol: float = 1e-4
-    kmeans_restarts: int = 1
     max_newton_iters: int = 100
 
     def __post_init__(self):
@@ -58,6 +55,8 @@ class TrainConfig:
             raise ValueError("k must be >= 2")
         if self.d_max < 0:
             raise ValueError("d_max must be >= 0")
+        if not np.all(np.isfinite([self.c, self.eps, self.delta])):
+            raise ValueError("c, eps and delta must be finite")
         if not self.c > 0 or not self.eps > 0 or self.delta < 0:
             raise ValueError("require c > 0, eps > 0, delta >= 0")
 
@@ -142,14 +141,7 @@ def grow(node: TreeNode, idx: LabelIndex, repr_csr, config: TrainConfig, rng) ->
     Empty clusters that survive reseeding are dropped, so fan-out may come
     out below K.
     """
-    part = kmeans_partition(
-        repr_csr[node.labels],
-        K=config.k,
-        max_iters=config.kmeans_max_iters,
-        tol=config.kmeans_tol,
-        seed=int(rng.integers(2**63)),
-        restarts=config.kmeans_restarts,
-    )
+    part = kmeans_partition(repr_csr[node.labels], K=config.k, seed=int(rng.integers(2**63)))
     for k in range(config.k):
         members = part.members(k)
         if not len(members):
@@ -165,7 +157,7 @@ def grow(node: TreeNode, idx: LabelIndex, repr_csr, config: TrainConfig, rng) ->
 
 
 def train_node_classifiers(
-    node: TreeNode, X_aug, idx: LabelIndex, config: TrainConfig, report: TrainReport
+    node: TreeNode, X: sp.csr_matrix, idx: LabelIndex, config: TrainConfig, report: TrainReport
 ) -> None:
     """Train one classifier per child (internal) or per label (leaf), all
     in one batched solve over the node's instances.
@@ -187,7 +179,7 @@ def train_node_classifiers(
             report.n_zero_positive += 1
         signs[np.searchsorted(insts, tgt), j] = 1
     sol = train_node(
-        X_aug[insts],
+        X[insts],
         signs,
         C=config.c,
         eps=config.eps,
@@ -203,14 +195,14 @@ def train_node_classifiers(
     report.n_not_converged += int(np.count_nonzero(capped))
 
     for child in node.children:
-        train_node_classifiers(child, X_aug, idx, config, report)
+        train_node_classifiers(child, X, idx, config, report)
 
 
 def train_tree(
     ds: Dataset,
     idx: LabelIndex,
     repr_csr,
-    X_aug,
+    X: sp.csr_matrix,
     config: TrainConfig,
     seed: int,
     report: TrainReport | None = None,
@@ -222,7 +214,7 @@ def train_tree(
     if not root.is_leaf:
         grow(root, idx, repr_csr, config, rng)
     t1 = time.perf_counter()
-    train_node_classifiers(root, X_aug, idx, config, report)
+    train_node_classifiers(root, X, idx, config, report)
     t2 = time.perf_counter()
     report.grow_seconds += t1 - t0
     report.solve_seconds += t2 - t1
@@ -239,8 +231,7 @@ def train_ensemble(
     """Train T trees differing only in their clustering seed.
 
     The label representation is built once and shared; instances are
-    unit-normalized first (unless disabled) and a constant bias feature is
-    appended at index D.
+    unit-normalized first (unless disabled).
     """
     if ds.l < 1:
         raise ValueError("training needs at least one label")
@@ -248,13 +239,13 @@ def train_ensemble(
     work = normalize_instances(ds) if config.normalize else ds
     repr_ = build_repr(work, config.repr_space)
     repr_csr = repr_.matrix.to_csr(np.float64)
-    X_aug = augment_bias_column(work.X.to_csr(np.float32)).astype(np.float64)
+    X = work.X.to_csr(np.float64)
 
     trees = []
     for t in range(config.n_trees):
         seed = config.base_seed + t
         log.info("training tree %d/%d (seed %d)", t + 1, config.n_trees, seed)
-        trees.append(train_tree(ds, idx, repr_csr, X_aug, config, seed, report))
+        trees.append(train_tree(ds, idx, repr_csr, X, config, seed, report))
     return Ensemble(trees, config, ds.d, ds.l)
 
 
@@ -323,10 +314,13 @@ class _Cursor:
         return self.pos == len(self.buf)
 
 
-def _read_node(cur: _Cursor, d: int, l: int, expect_depth: int) -> TreeNode:
+def _read_node(cur: _Cursor, d: int, l: int, expect_depth: int, d_max: int):
+    """One node without its children; returns (node, number of children)."""
     depth, n_labels, n_children, leaf_flag = (int(v) for v in cur.take("<u4", 4))
     if depth != expect_depth:
         raise ModelFormatError(f"node depth {depth}, expected {expect_depth}")
+    if depth > d_max:
+        raise ModelFormatError(f"node depth {depth} exceeds d_max={d_max}")
     if leaf_flag not in (0, 1) or (leaf_flag == 1) != (n_children == 0):
         raise ModelFormatError("inconsistent leaf flag")
     labels = cur.take("<u4", n_labels).astype(np.int64)
@@ -349,16 +343,32 @@ def _read_node(cur: _Cursor, d: int, l: int, expect_depth: int) -> TreeNode:
         raise ModelFormatError("bad classifier weights: zero or non-finite weight")
     if not np.all(np.isfinite(bias)):
         raise ModelFormatError("bad classifier bias: not finite")
-    node = TreeNode(depth, labels, None, bool(leaf_flag), W=W, bias=bias)
-    for _ in range(n_children):
-        node.children.append(_read_node(cur, d, l, expect_depth + 1))
-    if n_children:
-        below = np.concatenate([c.labels for c in node.children])
-        if not np.array_equal(np.sort(labels), np.sort(below)):
-            raise ModelFormatError(
-                f"depth-{depth} node's labels differ from the union of its children's"
-            )
-    return node
+    return TreeNode(depth, labels, None, bool(leaf_flag), W=W, bias=bias), n_children
+
+
+def _read_tree(cur: _Cursor, d: int, l: int, d_max: int) -> TreeNode:
+    """Read nodes in preorder with an explicit stack, so that no file can
+    reach the interpreter's recursion limit."""
+    root = None
+    open_nodes = []  # (node, n_children) of the nodes still taking children
+    while True:
+        node, n_children = _read_node(cur, d, l, len(open_nodes), d_max)
+        if open_nodes:
+            open_nodes[-1][0].children.append(node)
+        else:
+            root = node
+        if n_children:
+            open_nodes.append((node, n_children))
+            continue
+        while open_nodes and len(open_nodes[-1][0].children) == open_nodes[-1][1]:
+            done = open_nodes.pop()[0]
+            below = np.concatenate([c.labels for c in done.children])
+            if not np.array_equal(np.sort(done.labels), np.sort(below)):
+                raise ModelFormatError(
+                    f"depth-{done.depth} node's labels differ from the union of its children's"
+                )
+        if not open_nodes:
+            return root
 
 
 def _parse_meta(text: str) -> dict:
@@ -419,7 +429,7 @@ def load_model(model_dir) -> Ensemble:
         version = int(cur.take("<u4", 1)[0])
         if version != FORMAT_VERSION:
             raise ModelFormatError(f"{path}: unsupported version {version}")
-        root = _read_node(cur, d, l, 0)
+        root = _read_tree(cur, d, l, config.d_max)
         if not cur.done():
             raise ModelFormatError(f"{path}: trailing bytes")
         tree = Tree(root, config.k, config.d_max, config.repr_space, config.base_seed + t)

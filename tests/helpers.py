@@ -1,5 +1,6 @@
 """Code that only the tests call: building sparse vectors and node weight
-blocks by hand, per-vector arithmetic, and writing a Dataset back as text.
+blocks by hand, per-vector arithmetic, appending a bias column, and writing
+a Dataset back as text.
 """
 
 from __future__ import annotations
@@ -7,6 +8,7 @@ from __future__ import annotations
 import io
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from labelforest.data import Dataset
@@ -60,6 +62,14 @@ def row_weights(W, bias) -> list[Weights]:
     """One ``Weights`` per row of a CSR block and its bias vector: the
     views ``TreeNode.classifiers`` gives the reference beam search."""
     return TreeNode(0, np.empty(0, dtype=np.int64), None, True, W=W, bias=bias).classifiers
+
+
+def with_bias_column(X: sp.csr_matrix) -> sp.csr_matrix:
+    """Append a constant all-ones feature column: the rows ``train_node``
+    solves on, for the solvers that have no bias term of their own."""
+    out = sp.hstack([X, sp.csr_matrix(np.ones((X.shape[0], 1), dtype=X.dtype))], format="csr")
+    out.sort_indices()
+    return out
 
 
 def serialize_dataset(ds: Dataset, sink) -> None:

@@ -97,7 +97,7 @@ class TestPipeline:
     def test_deterministic_given_seed(self, paths, trained):
         other = str(paths["root"] / "model2")
         assert main(["train", "--data", paths["train"], "--model", other,
-                     "--branch", "8", "--seed", "3", "--threads", "1"]) == 0
+                     "--branch", "8", "--seed", "3"]) == 0
         for name in ("meta", "tree_0.bin", "tree_1.bin", "tree_2.bin"):
             a = Path(trained, name).read_bytes()
             b = Path(other, name).read_bytes()
@@ -216,6 +216,14 @@ class TestEval:
         assert main(["eval", "--predictions", str(bad), "--data", paths["test"]]) == 2
         assert "line 1: repeated label id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--a", "nan"], ["--b", "-5"]], ids=["a nan", "b -5"])
+    def test_bad_propensity_parameters_are_usage(self, paths, trained, capsys, flags):
+        rc = main(["eval", "--predictions", paths["pred"], "--data", paths["test"], *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--a" in captured.err and "--b" in captured.err
+        assert captured.out == ""
+
     def test_negative_label_id_is_data_error(self, paths, trained, tmp_path, capsys):
         lines = Path(paths["pred"]).read_text().splitlines()
         lines[0] = "-1:0.9 " + " ".join(lines[0].split()[1:])
@@ -264,6 +272,22 @@ class TestExitCodes:
         rc = main(["predict", "--model", trained, "--data", paths["test"],
                    "--output", "/dev/null", "--k", "0,3"])
         assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "train", "--model", "m", "--threads", "2"],
+        ["predict", "--model", "m", "--data", "test", "--output", "p", "--seed", "1"],
+        ["eval", "--predictions", "p", "--data", "test", "--seed", "1"],
+    ], ids=["train --threads", "predict --seed", "eval --seed"])
+    def test_removed_flags_are_usage(self, argv):
+        assert main(argv) == 1
+
+    @pytest.mark.parametrize("flags", [["--c", "inf"], ["--delta", "nan"], ["--eps", "inf"]],
+                             ids=["c inf", "delta nan", "eps inf"])
+    def test_non_finite_solver_setting_is_usage(self, paths, tmp_path, capsys, flags):
+        rc = main(["train", "--data", paths["train"], "--model", str(tmp_path / "m"), *flags])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_branch_below_two_is_usage(self, paths, tmp_path):
         rc = main(["train", "--data", paths["train"],
@@ -374,6 +398,37 @@ class TestExitCodes:
         rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
         assert rc == 2
         assert f"data error: {bad}: not UTF-8" in capsys.readouterr().err
+
+    @staticmethod
+    def write_chain_model(model, d, d_max, links=1200):
+        """A one-label tree of ``links`` single-child nodes above one leaf,
+        each node with its header, labels, row nnz, no weights and a bias."""
+        model.mkdir()
+        (model / "meta").write_text(
+            f"version=2\nT=1\nK=2\nd_max={d_max}\nrepr_space=input\nD={d}\nL=1\n"
+            "C=1.0\ndelta=0.01\nbase_seed=0\nnormalize=1\n"
+        )
+        chunks = [b"LFT1", struct.pack("<I", 2)]
+        for depth in range(links + 1):
+            leaf = depth == links
+            chunks.append(struct.pack("<4I", depth, 1, 0 if leaf else 1, int(leaf)))
+            chunks.append(struct.pack("<IIf", 0, 0, 0.5))
+        (model / "tree_0.bin").write_bytes(b"".join(chunks))
+
+    def test_node_deeper_than_d_max_is_data_error(self, paths, tmp_path, capsys):
+        model = tmp_path / "chain"
+        self.write_chain_model(model, parse_dataset(paths["test"]).d, d_max=2)
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert "exceeds d_max=2" in capsys.readouterr().err
+
+    def test_deep_chain_within_d_max_never_exits_3(self, paths, tmp_path):
+        model = tmp_path / "chain"
+        self.write_chain_model(model, parse_dataset(paths["test"]).d, d_max=1200)
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc in (0, 2)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -185,13 +185,13 @@ class TestHistogram:
     def test_rank_sorted_output(self):
         ds = parse_text("3 1 2\n0 0:1\n0 0:1\n0,1 0:1\n")
         buf = io.StringIO()
-        label_frequency_histogram(ds, buf)
+        label_frequency_histogram(build_label_index(ds).freqs, buf)
         assert buf.getvalue() == "1 3\n2 1\n"
 
     def test_empty_dataset(self):
         ds = parse_text("0 0 0\n")
         buf = io.StringIO()
-        label_frequency_histogram(ds, buf)
+        label_frequency_histogram(build_label_index(ds).freqs, buf)
         assert buf.getvalue() == ""
 
 

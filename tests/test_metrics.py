@@ -122,6 +122,16 @@ class TestPropensities:
         m = fit_propensities(np.array([0, 2]), n=2)
         np.testing.assert_allclose(m.p, 1.0)
 
+    def test_nan_propensity_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            PropensityModel(0.55, 1.5, 10, np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.5), (0.55, -5.0)])
+    def test_parameters_giving_nan_rejected(self, a, b):
+        # b = -5 takes the log of a negative count for labels seen < 5 times
+        with pytest.raises(ValueError):
+            fit_propensities(np.array([1, 3, 10]), n=100, a=a, b=b)
+
 
 class TestPsMetrics:
     def test_uniform_propensity_reduction(self):

@@ -10,7 +10,6 @@ from labelforest.solver import (
     SolveInfo,
     _tron,
     _trcg,
-    augment_bias_column,
     gradient,
     objective,
     train_binary,
@@ -19,7 +18,7 @@ from labelforest.solver import (
 from labelforest.tree import TrainConfig, TrainReport, train_ensemble
 
 from conftest import grouped_dataset
-from helpers import row_weights, weights_block
+from helpers import row_weights, weights_block, with_bias_column
 from tron_oracle import OracleInfo, oracle_train_node, solve_dense, trcg
 
 # Batched columns against the scalar oracle, relative to the oracle's
@@ -38,14 +37,21 @@ def one_point_problem(c):
 
 
 def random_node(rng, n, d, m, density=0.3, pos_rate=0.3):
-    """Random rows with a bias column, and an n x m sign matrix whose first
-    column has no positives and whose second has no negatives."""
+    """Random rows without a bias column, and an n x m sign matrix whose
+    first column has no positives and whose second has no negatives."""
     X = sp.random(n, d, density=density, random_state=rng, format="csr")
     X.data = rng.normal(size=X.nnz)
     Y = np.where(rng.random((n, m)) < pos_rate, 1, -1).astype(np.int8)
     Y[:, 0] = -1
     Y[:, 1] = 1
-    return augment_bias_column(X), Y
+    return X, Y
+
+
+def random_biased_node(rng, n, d, m):
+    """``random_node`` with the bias column appended, for ``_tron`` and the
+    scalar oracle, which solve over every column they are given."""
+    X, Y = random_node(rng, n, d, m)
+    return with_bias_column(X), Y
 
 
 def relative_error(got, want):
@@ -73,7 +79,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("c", [0.1, 1.0, 100.0])
     def test_one_point_with_bias_augmentation(self, c):
-        X = augment_bias_column(csr([[1.0]]))
+        X = csr([[1.0]])
         sol = weights_of(train_node(X, np.array([[1]]), C=c, eps=1e-10, delta=0.0))[0]
         expected = c / (1.0 + 2.0 * c)
         assert sol.w.to_dense()[0] == pytest.approx(expected, abs=1e-6)
@@ -142,6 +148,14 @@ class TestSolverBehavior:
         train_binary(BinaryProblem(X, s, C=100.0), eps=1e-14, max_newton_iters=2, info=info)
         assert info.n_newton_iters <= 2
 
+    @pytest.mark.parametrize("c", [1e140, 1e308])
+    def test_overflowing_c_stops_unconverged(self, c):
+        # the objective or its reductions overflow; every column must stop
+        X, Y = random_node(np.random.default_rng(13), 6, 3, m=3, density=0.5)
+        sol = train_node(X, Y, C=c)
+        assert not sol.converged.any()
+        assert np.all(np.isfinite(sol.W.data)) and np.all(np.isfinite(sol.bias))
+
     def test_info_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
         X = sp.csr_matrix(rng.normal(size=(50, 10)))
@@ -165,7 +179,7 @@ class TestBatchedAgainstOracle:
         boundary = 0
         for _ in range(10):
             n, d = int(rng.integers(20, 80)), int(rng.integers(5, 40))
-            X, Y = random_node(rng, n, d, m=6)
+            X, Y = random_biased_node(rng, n, d, m=6)
             W, iters, conv = tron(X, Y, c, eps)
             for j in range(Y.shape[1]):
                 info = OracleInfo()
@@ -179,7 +193,7 @@ class TestBatchedAgainstOracle:
 
     def test_zero_positive_column_matches(self):
         rng = np.random.default_rng(5)
-        X, Y = random_node(rng, 30, 10, m=2)
+        X, Y = random_biased_node(rng, 30, 10, m=2)
         W, iters, conv = tron(X, Y, 1.0, 1e-6)
         w = solve_dense(BinaryProblem(X, Y[:, 0].astype(float), 1.0), 1e-6)
         assert conv[0] and relative_error(W[:, 0], w) <= ORACLE_RTOL
@@ -188,7 +202,7 @@ class TestBatchedAgainstOracle:
 
     def test_cg_steps_onto_trust_region_boundary(self):
         rng = np.random.default_rng(6)
-        X, Y = random_node(rng, 40, 15, m=5)
+        X, Y = random_biased_node(rng, 40, 15, m=5)
         XT = X.T.tocsr()
         Yf = Y.astype(float)
         G = -2.0 * (XT @ Yf)
@@ -211,7 +225,7 @@ class TestBatchedAgainstOracle:
 
     def test_iteration_cap(self):
         rng = np.random.default_rng(7)
-        X, Y = random_node(rng, 50, 20, m=5)
+        X, Y = random_biased_node(rng, 50, 20, m=5)
         W, iters, conv = tron(X, Y, 1.0, 1e-12, max_newton_iters=1)
         assert iters.tolist() == [1] * 5 and not conv.any()
         for j in range(5):
@@ -226,7 +240,7 @@ class TestBatchedAgainstOracle:
         rng = np.random.default_rng(8)
         eps = 1e-3
         for _ in range(5):
-            X, Y = random_node(rng, 40, 30, m=6)
+            X, Y = random_biased_node(rng, 40, 30, m=6)
             W, iters, conv = tron(X, Y, 100.0, eps)
             for j in range(6):
                 p = BinaryProblem(X, Y[:, j], 100.0)
@@ -240,7 +254,7 @@ class TestBatchedAgainstOracle:
         X, Y = random_node(rng, 60, 25, m=7)
         whole = train_node(X, Y, eps=1e-6, delta=0.0)
         # room for two columns per batch: four batches, the last of one
-        per_column = 8 * solver._ARRAYS_PER_COLUMN * (60 + len(np.unique(X.indices)))
+        per_column = 8 * solver._ARRAYS_PER_COLUMN * (60 + len(np.unique(X.indices)) + 1)
         monkeypatch.setattr(solver, "CHUNK_BYTES", 2 * per_column)
         chunked = train_node(X, Y, eps=1e-6, delta=0.0)
         assert chunked.newton_iters.tolist() == whole.newton_iters.tolist()
@@ -255,9 +269,38 @@ class TestBatchedAgainstOracle:
         rng = np.random.default_rng(10)
         X, Y = random_node(rng, 70, 30, m=8)
         got = train_node(X, Y, C=1.0, eps=1e-6, delta=0.01)
-        want, infos = oracle_train_node(X, Y, C=1.0, eps=1e-6, delta=0.01)
+        want, infos = oracle_train_node(with_bias_column(X), Y, C=1.0, eps=1e-6, delta=0.01)
         assert got.newton_iters.tolist() == [i.n_newton_iters for i in infos]
         assert got.n_pruned == sum(i.n_pruned for i in infos) > 0
+        for a, b in zip(weights_of(got), want):
+            assert a.w.indices.tolist() == b.w.indices.tolist()
+            np.testing.assert_allclose(a.w.values, b.w.values, rtol=1e-6)
+            assert a.bias == pytest.approx(b.bias, rel=1e-6)
+
+    def test_featureless_node_gives_oracle_bias_only_classifiers(self):
+        rng = np.random.default_rng(11)
+        X = sp.csr_matrix((12, 5))
+        Y = np.where(rng.random((12, 4)) < 0.3, 1, -1).astype(np.int8)
+        Y[:, 0] = -1
+        got = train_node(X, Y, eps=1e-8)
+        want, infos = oracle_train_node(with_bias_column(X), Y, eps=1e-8)
+        assert got.W.shape == (4, 5) and got.W.nnz == 0
+        assert got.newton_iters.tolist() == [i.n_newton_iters for i in infos]
+        for b, w in zip(got.bias, want):
+            assert w.w.nnz == 0
+            assert b == pytest.approx(w.bias, rel=1e-6)
+
+    def test_rows_without_features_keep_their_bias(self):
+        # empty rows first, last and in a run: each still gets its bias entry
+        rng = np.random.default_rng(12)
+        X, Y = random_node(rng, 30, 12, m=5)
+        X = X.tolil()
+        for i in (0, 7, 8, 9, 29):
+            X.rows[i], X.data[i] = [], []
+        X = X.tocsr()
+        got = train_node(X, Y, eps=1e-6, delta=0.01)
+        want, infos = oracle_train_node(with_bias_column(X), Y, eps=1e-6, delta=0.01)
+        assert got.newton_iters.tolist() == [i.n_newton_iters for i in infos]
         for a, b in zip(weights_of(got), want):
             assert a.w.indices.tolist() == b.w.indices.tolist()
             np.testing.assert_allclose(a.w.values, b.w.values, rtol=1e-6)
@@ -273,12 +316,13 @@ class TestBatchedAgainstOracle:
         oracle_iters = []
 
         def oracle_node(X, Y, C, eps, delta, max_newton_iters):
-            weights, infos = oracle_train_node(X, Y, C, eps, delta, max_newton_iters)
+            weights, infos = oracle_train_node(with_bias_column(X), Y, C, eps, delta,
+                                               max_newton_iters)
             iters = np.array([i.n_newton_iters for i in infos], dtype=np.int64)
             oracle_iters.append(iters)
             conv = np.array([i.converged for i in infos])
             pruned.append(sum(i.n_pruned for i in infos))
-            return NodeSolve(*weights_block(weights, X.shape[1] - 1), iters, conv, pruned[-1])
+            return NodeSolve(*weights_block(weights, X.shape[1]), iters, conv, pruned[-1])
 
         pruned = []
         monkeypatch.setattr(tree, "train_node", oracle_node)
@@ -323,9 +367,9 @@ class TestGradient:
 
 
 def one_point_node(x, c=1.0):
-    """A one-row node with features ``x`` and a bias column.  Its optimum is
-    w = t * (x, 1) with t = c / (1 + c * (|x|^2 + 1))."""
-    X = augment_bias_column(csr([x]))
+    """A one-row node with features ``x``.  With its bias, the optimum is
+    (w, bias) = t * (x, 1) with t = c / (1 + c * (|x|^2 + 1))."""
+    X = csr([x])
     t = c / (1.0 + c * (np.dot(x, x) + 1.0))
     return X, t
 
@@ -359,7 +403,7 @@ class TestFinalize:
             train_node(X, np.array([[1]]), delta=-1.0)
 
     def test_empty_node_gives_zero_classifiers(self):
-        X = augment_bias_column(sp.csr_matrix((0, 3)))
+        X = sp.csr_matrix((0, 3))
         sol = train_node(X, np.empty((0, 2), dtype=np.int8))
         assert [(w.w.nnz, w.bias, w.w.dim) for w in weights_of(sol)] == [(0, 0.0, 3)] * 2
         assert sol.converged.all() and not sol.newton_iters.any()
@@ -387,6 +431,12 @@ class TestValidation:
             train_binary(one_point_problem(1.0), eps=0.0)
         with pytest.raises(ValueError):
             train_node(csr([[1.0, 1.0]]), np.array([[1]]), eps=0.0)
+
+    def test_rows_must_be_csr(self):
+        with pytest.raises(TypeError):
+            train_node(np.ones((2, 2)), np.array([[1], [-1]]))
+        with pytest.raises(TypeError):
+            BinaryProblem(sp.csc_matrix(np.ones((1, 1))), np.array([1.0]))
 
     def test_sign_matrix_shape_checked(self):
         X = csr([[1.0, 1.0], [0.5, 1.0]])

@@ -208,6 +208,12 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             TrainConfig(c=0.0)
 
+    @pytest.mark.parametrize("field", ["c", "eps", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_solver_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
+
     def test_zero_label_dataset_rejected(self):
         ds = parse_text("1 1 0\n 0:1.0\n")
         with pytest.raises(ValueError):
@@ -284,6 +290,28 @@ class TestModelStore:
         edit(buf, at, ds.d)
         p.write_bytes(bytes(buf))
         with pytest.raises(ModelFormatError, match=match):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("line", ["C=nan", "C=inf", "delta=nan"])
+    def test_non_finite_meta_rejected(self, grouped_train, tmp_path, line):
+        ds, _ = grouped_train
+        save_model(train_small(ds), tmp_path / "m")
+        meta = (tmp_path / "m" / "meta").read_text().splitlines()
+        key = line.split("=")[0] + "="
+        meta = [line if m.startswith(key) else m for m in meta]
+        (tmp_path / "m" / "meta").write_text("\n".join(meta) + "\n")
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(tmp_path / "m")
+
+    def test_node_deeper_than_d_max_rejected(self, grouped_train, tmp_path):
+        ds, _ = grouped_train
+        ens = train_small(ds, d_max=2)
+        depth = max(n.depth for n in ens.trees[0].iter_nodes())
+        assert depth == 2
+        save_model(ens, tmp_path / "m")
+        meta = (tmp_path / "m" / "meta").read_text().replace("d_max=2", "d_max=1")
+        (tmp_path / "m" / "meta").write_text(meta)
+        with pytest.raises(ModelFormatError, match="exceeds d_max=1"):
             load_model(tmp_path / "m")
 
     def test_missing_meta_rejected(self, tmp_path):

@@ -146,9 +146,9 @@ def solve_dense(p: BinaryProblem, eps=0.1, max_newton_iters=100, info=None) -> n
 
 def oracle_train_node(X, Y, C=1.0, eps=0.1, delta=0.01, max_newton_iters=100):
     """One scalar solve per sign column of ``Y`` over all of ``X``'s
-    columns; the last column is the bias.  Returns (weights, infos) with
-    weights split, pruned and cast as ``labelforest.solver.train_node``
-    promises."""
+    columns, the last of which must be the constant bias feature (see
+    ``helpers.with_bias_column``).  Returns (weights, infos) with weights
+    split, pruned and cast as ``labelforest.solver.train_node`` promises."""
     X = sp.csr_matrix(X, dtype=np.float64)
     d = X.shape[1] - 1
     weights, infos = [], []
