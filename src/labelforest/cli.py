@@ -196,12 +196,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ens = load_model(args.model)
     ds = _load_dataset(args.data)
-    if ds.d != ens.d:
-        raise DataFormatError(f"test data has D={ds.d}, the model was trained with D={ens.d}")
     t0 = time.perf_counter()
-    results = predict_batch(ens, ds, beam=args.beam, k=max(args.k))
+    preds = predict_batch(ens, ds, beam=args.beam, k=max(args.k))
     elapsed = time.perf_counter() - t0
-    write_predictions(results, args.output)
+    write_predictions(preds, args.output)
     if ds.n:
         log.info(
             "predicted %d instances in %.2fs (%.3f ms/instance)",
@@ -222,11 +220,10 @@ def cmd_eval(args) -> int:
         raise DataFormatError(
             f"{len(preds)} prediction rows for {ds.n} ground-truth instances"
         )
-    for lineno, res in enumerate(preds, start=1):
-        if len(res.labels) and (res.labels.min() < 0 or res.labels.max() >= ds.l):
-            raise DataFormatError(
-                f"line {lineno}: predicted label id out of range [0, {ds.l})"
-            )
+    # read_predictions has rejected negative ids; -1 is the padding
+    bad = np.flatnonzero((preds.labels >= ds.l).any(axis=1))
+    if len(bad):
+        raise DataFormatError(f"line {bad[0] + 1}: predicted label id out of range [0, {ds.l})")
 
     if args.uniform_propensity:
         prop = PropensityModel.uniform(ds.l)
@@ -284,10 +281,7 @@ def cmd_stats(args) -> int:
     print(f"L {l}")
     print(f"APpL {appl:.2f}")
     print(f"ALpP {alpp:.2f}")
-    if args.output is not None:
-        label_frequency_histogram(freqs, args.output)
-    else:
-        label_frequency_histogram(freqs, sys.stdout)
+    label_frequency_histogram(freqs, sys.stdout if args.output is None else args.output)
     return EXIT_OK
 
 

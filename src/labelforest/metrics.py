@@ -56,59 +56,51 @@ def fit_propensities(idx, n: int, a: float = 0.55, b: float = 1.5) -> Propensity
 
 
 def _top_labels(pred, k: int) -> np.ndarray:
-    labels = pred.labels if hasattr(pred, "labels") else np.asarray(pred, dtype=np.int64)
-    return np.asarray(labels, dtype=np.int64)[:k]
+    return np.asarray(getattr(pred, "labels", pred), dtype=np.int64)[:k]
 
 
 def _truth_array(truth) -> np.ndarray:
     return np.asarray(sorted(truth), dtype=np.int64)
 
 
+def _hits(pred, truth, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top k predicted labels, and which of them are true."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    top = _top_labels(pred, k)
+    return top, np.isin(top, _truth_array(truth))
+
+
+def _dcg_ratio(hits, p_top, truth, k: int) -> float:
+    """DCG with gain 1/p at each hit, over the ideal DCG of k slots of
+    ``truth`` at gain 1; 0 for an empty truth."""
+    n_true = len(_truth_array(truth))
+    if not n_true:
+        return 0.0
+    ranks = np.arange(1, len(hits) + 1)
+    dcg = float(np.sum(hits / (p_top * np.log2(ranks + 1))))
+    ideal_ranks = np.arange(1, min(k, n_true) + 1)
+    return dcg / float(np.sum(1.0 / np.log2(ideal_ranks + 1)))
+
+
 def precision_at_k(pred, truth, k: int) -> float:
     """Fraction of the k slots holding a true label; short lists pad with
     misses."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    t = _truth_array(truth)
-    hits = np.isin(_top_labels(pred, k), t).sum()
-    return float(hits) / k
+    return float(_hits(pred, truth, k)[1].sum()) / k
 
 
 def ndcg_at_k(pred, truth, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    t = _truth_array(truth)
-    if not len(t):
-        return 0.0
-    top = _top_labels(pred, k)
-    ranks = np.arange(1, len(top) + 1)
-    dcg = float(np.sum(np.isin(top, t) / np.log2(ranks + 1)))
-    ideal_ranks = np.arange(1, min(k, len(t)) + 1)
-    idcg = float(np.sum(1.0 / np.log2(ideal_ranks + 1)))
-    return dcg / idcg
+    return _dcg_ratio(_hits(pred, truth, k)[1], 1.0, truth, k)
 
 
 def psp_at_k(pred, truth, prop: PropensityModel, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    t = _truth_array(truth)
-    top = _top_labels(pred, k)
-    hits = np.isin(top, t)
+    top, hits = _hits(pred, truth, k)
     return float(np.sum(hits / prop.p[top])) / k
 
 
 def psndcg_at_k(pred, truth, prop: PropensityModel, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    t = _truth_array(truth)
-    if not len(t):
-        return 0.0
-    top = _top_labels(pred, k)
-    ranks = np.arange(1, len(top) + 1)
-    psdcg = float(np.sum(np.isin(top, t) / (prop.p[top] * np.log2(ranks + 1))))
-    ideal_ranks = np.arange(1, min(k, len(t)) + 1)
-    idcg = float(np.sum(1.0 / np.log2(ideal_ranks + 1)))
-    return psdcg / idcg
+    top, hits = _hits(pred, truth, k)
+    return _dcg_ratio(hits, prop.p[top], truth, k)
 
 
 @dataclass(frozen=True)
@@ -122,21 +114,11 @@ class EvalReport:
     def format(self) -> str:
         width = 10
         header = "metric".ljust(width) + "".join(f"@{k}".rjust(8) for k in self.ks)
-        lines = [header]
-        for name, by_k in self.rows.items():
-            lines.append(
-                name.ljust(width) + "".join(f"{by_k[k]:8.2f}" for k in self.ks)
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _top_matrix(preds, k: int) -> np.ndarray:
-    """n x k predicted label ids; short rows are padded with -1, a miss."""
-    rows = [_top_labels(p, k) for p in preds]
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    top = np.full((len(rows), k), -1, dtype=np.int64)
-    top[np.arange(k) < lengths[:, None]] = np.concatenate(rows)
-    return top
+        rows = [
+            name.ljust(width) + "".join(f"{by_k[k]:8.2f}" for k in self.ks)
+            for name, by_k in self.rows.items()
+        ]
+        return "\n".join([header, *rows]) + "\n"
 
 
 def _truth_entries(truths) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +139,9 @@ def evaluate(preds, truths, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
     """Full report: P, nDCG (means x100), PSP, PSnDCG (oracle-normalized),
     coverage (x100), per cutoff.
 
-    ``preds`` holds ranked label lists (or ``ScoredLabels``), ``truths``
-    label sets.  All rows are scored at once: the top labels form an n x k
-    matrix whose slots are looked up among the (row, label) keys of the
+    ``preds`` is a ``Predictions`` block, ``truths`` label sets.  All rows
+    are scored at once: the block, cut or padded with -1 (a miss) to
+    max(ks) columns, is looked up among the (row, label) keys of the
     truth, and the oracle ranks each row's true labels by ascending
     propensity, ties by label id.
     """
@@ -170,7 +152,8 @@ def evaluate(preds, truths, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
     n, kmax = len(preds), max(ks)
-    top = _top_matrix(preds, kmax)
+    top = np.full((n, kmax), -1, dtype=np.int64)
+    top[:, : preds.labels.shape[1]] = preds.labels[:, :kmax]
     t_row, t_lab = _truth_entries(truths)
     if not len(t_row):
         raise ValueError("oracle gain is zero; no true labels in the test set")

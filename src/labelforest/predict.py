@@ -10,6 +10,8 @@ Two implementations are kept deliberately separate: a per-instance
 reference (`predict_tree` / `predict_ensemble`) built on sparse-vector
 dots, and a batched route (`predict_batch`) that groups frontier entries
 by node and uses sparse matrix products.  Tests hold them to each other.
+The batched route's result is one `Predictions` block, which the
+prediction file is written from and read back into.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from scipy.special import expit
 from .data import DataFormatError, Dataset, normalize_instances
 from .sparse import SparseVec
 from .tree import Ensemble, Tree
+
+# Rows scored together by predict_batch: enough to amortize the per-node
+# products, few enough that a block's merged label scores stay small.
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -44,15 +50,46 @@ class ScoredLabels:
         return list(zip(self.labels.tolist(), self.scores.tolist()))
 
 
+@dataclass(frozen=True)
+class Predictions:
+    """Top-k labels of n instances as one block: an n x k int64 ``labels``
+    matrix, each row padded with -1 after its last label, and the aligned
+    float64 ``scores`` (0 in the padding).  ``p[i]`` is row i as a trimmed
+    ``ScoredLabels``."""
+
+    labels: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i) -> ScoredLabels:
+        kept = self.labels[i] >= 0
+        return ScoredLabels(self.labels[i][kept], self.scores[i][kept])
+
+    @classmethod
+    def from_rows(cls, label_rows, score_rows) -> "Predictions":
+        """The block of ranked rows of any lengths, as wide as the longest."""
+        lengths = np.fromiter(map(len, label_rows), dtype=np.int64, count=len(label_rows))
+        filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        labels = np.full(filled.shape, -1, dtype=np.int64)
+        scores = np.zeros(filled.shape)
+        if len(lengths):  # np.concatenate needs at least one row
+            labels[filled] = np.concatenate(label_rows)
+            scores[filled] = np.concatenate(score_rows)
+        return cls(labels, scores)
+
+
 def logsigmoid(m: float) -> float:
     return -np.logaddexp(0.0, -m)
 
 
-def _top_k(labels, scores, k: int) -> ScoredLabels:
+def _top_k(labels, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k best labels and their scores, in ``ScoredLabels`` order."""
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     order = np.lexsort((labels, -scores))[:k]
-    return ScoredLabels(labels[order], scores[order])
+    return labels[order], scores[order]
 
 
 def _tree_label_scores(tree: Tree, x: SparseVec, beam: int):
@@ -80,7 +117,7 @@ def _tree_label_scores(tree: Tree, x: SparseVec, beam: int):
 def predict_tree(tree: Tree, x: SparseVec, beam: int = 10, k: int = 5) -> ScoredLabels:
     """Beam-search a single tree for one (already normalized) instance."""
     _check_params(beam, k)
-    return _top_k(*_tree_label_scores(tree, x, beam), k)
+    return ScoredLabels(*_top_k(*_tree_label_scores(tree, x, beam), k))
 
 
 def predict_ensemble(ens: Ensemble, x: SparseVec, beam: int = 10, k: int = 5) -> ScoredLabels:
@@ -94,7 +131,7 @@ def predict_ensemble(ens: Ensemble, x: SparseVec, beam: int = 10, k: int = 5) ->
     t = len(ens.trees)
     labels = list(sums.keys())
     scores = [sums[lab] / t for lab in labels]
-    return _top_k(labels, scores, k)
+    return ScoredLabels(*_top_k(labels, scores, k))
 
 
 def _check_params(beam: int, k: int) -> None:
@@ -125,18 +162,9 @@ def _batch_tree_triplets(tree: Tree, X: sp.csr_matrix, beam: int):
         internal = ~is_leaf[node]
         if not internal.any():
             break
-        parts = []
-        leaf_rows = np.flatnonzero(~internal)
-        if len(leaf_rows):
-            parts.append(
-                (
-                    inst[leaf_rows],
-                    node[leaf_rows],
-                    lp[leaf_rows],
-                    rank[leaf_rows],
-                    np.zeros(len(leaf_rows), dtype=np.int64),
-                )
-            )
+        # a leaf stays in the frontier as its own child number 0
+        stay = ~internal
+        parts = [(inst[stay], node[stay], lp[stay], rank[stay], np.zeros_like(rank[stay]))]
         for uid in np.unique(node[internal]):
             rows = np.flatnonzero((node == uid) & internal)
             nd = nodes[uid]
@@ -176,58 +204,50 @@ def _batch_tree_triplets(tree: Tree, X: sp.csr_matrix, beam: int):
 def prepare_features(ens: Ensemble, ds: Dataset) -> sp.csr_matrix:
     """Feature matrix in the model's convention (unit rows if trained so)."""
     if ds.d != ens.d:
-        raise ValueError(f"feature dim {ds.d} != model dim {ens.d}")
+        raise DataFormatError(f"test data has D={ds.d}, the model's feature dim is D={ens.d}")
     work = normalize_instances(ds) if ens.config.normalize else ds
     return work.X.to_csr(np.float64)
 
 
-def predict_batch(ens: Ensemble, data, beam: int = 10, k: int = 5) -> list[ScoredLabels]:
-    """Row-wise ensemble prediction over a Dataset or prepared csr matrix."""
+def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Predictions:
+    """Ensemble top-k of every row of ``ds``, scored ``BLOCK_ROWS`` rows
+    at a time; a row's result depends on that row alone."""
     _check_params(beam, k)
-    X = prepare_features(ens, data) if isinstance(data, Dataset) else data
-    n = X.shape[0]
-    if n == 0:
-        return []
-    inst, lab, score = zip(*(_batch_tree_triplets(tree, X, beam) for tree in ens.trees))
-    merged = sp.coo_matrix(
-        (np.concatenate(score) / len(ens.trees), (np.concatenate(inst), np.concatenate(lab))),
-        shape=(n, ens.l),
-    ).tocsr()
-
-    out = []
-    for i in range(n):
-        lo, hi = merged.indptr[i], merged.indptr[i + 1]
-        out.append(_top_k(merged.indices[lo:hi], merged.data[lo:hi], k))
+    X = prepare_features(ens, ds)
+    out = Predictions(np.full((ds.n, k), -1, dtype=np.int64), np.zeros((ds.n, k)))
+    for lo in range(0, ds.n, BLOCK_ROWS):
+        block = X[lo : lo + BLOCK_ROWS]
+        inst, lab, score = zip(*(_batch_tree_triplets(tree, block, beam) for tree in ens.trees))
+        merged = sp.coo_matrix(
+            (np.concatenate(score) / len(ens.trees), (np.concatenate(inst), np.concatenate(lab))),
+            shape=(block.shape[0], ens.l),
+        ).tocsr()
+        for i in range(block.shape[0]):
+            row = slice(merged.indptr[i], merged.indptr[i + 1])
+            labels, scores = _top_k(merged.indices[row], merged.data[row], k)
+            out.labels[lo + i, : len(labels)] = labels
+            out.scores[lo + i, : len(scores)] = scores
     return out
 
 
-def write_predictions(results, sink) -> None:
+def write_predictions(preds: Predictions, path) -> None:
     """One line per instance: `label:score` pairs, 5 decimals, descending."""
-    if not hasattr(sink, "write"):
-        with open(sink, "w", encoding="utf-8") as f:
-            write_predictions(results, f)
-        return
-    for res in results:
-        sink.write(
-            " ".join(f"{lab}:{score:.5f}" for lab, score in res.pairs()) + "\n"
-        )
+    with open(path, "w", encoding="utf-8") as f:
+        for labels, scores in zip(preds.labels.tolist(), preds.scores.tolist()):
+            pairs = (f"{lab}:{score:.5f}" for lab, score in zip(labels, scores) if lab >= 0)
+            f.write(" ".join(pairs) + "\n")
 
 
-def read_predictions(source) -> list[ScoredLabels]:
-    """Parse a prediction file back into ScoredLabels rows.
-
-    A row whose label ids repeat, or whose scores are not finite, raises
-    DataFormatError naming its line, as does any malformed pair.
-    """
+def read_predictions(path) -> Predictions:
+    """Parse a prediction file into a Predictions block.  A malformed pair,
+    or a row with a repeated or negative label id or a non-finite score,
+    raises DataFormatError naming its line."""
     try:
-        if hasattr(source, "read"):
-            lines = source.read().splitlines()
-        else:
-            with open(source, "r", encoding="utf-8") as f:
-                lines = f.read().splitlines()
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
     except UnicodeDecodeError as e:
-        raise DataFormatError(f"{getattr(source, 'name', source)}: not UTF-8 text ({e})") from e
-    out = []
+        raise DataFormatError(f"{path}: not UTF-8 text ({e})") from e
+    label_rows, score_rows = [], []
     for lineno, line in enumerate(lines, start=1):
         labels, scores = [], []
         for tok in line.split():
@@ -243,9 +263,9 @@ def read_predictions(source) -> list[ScoredLabels]:
             raise DataFormatError(f"line {lineno}: repeated label id")
         if not all(map(math.isfinite, scores)):
             raise DataFormatError(f"line {lineno}: non-finite score")
-        try:
-            labels = np.array(labels, dtype=np.int64)
-        except OverflowError as e:
-            raise DataFormatError(f"line {lineno}: label id out of range") from e
-        out.append(ScoredLabels(labels, np.array(scores)))
-    return out
+        # ids are stored as int64, and -1 pads a Predictions row
+        if labels and not (0 <= min(labels) and max(labels) < 2**63):
+            raise DataFormatError(f"line {lineno}: label id out of range")
+        label_rows.append(np.array(labels, dtype=np.int64))
+        score_rows.append(np.array(scores))
+    return Predictions.from_rows(label_rows, score_rows)

@@ -139,9 +139,12 @@ def grow(node: TreeNode, idx: LabelIndex, repr_csr, config: TrainConfig, rng) ->
     """Split ``node`` by spherical k-means on its labels' vectors and recurse.
 
     Empty clusters that survive reseeding are dropped, so fan-out may come
-    out below K.
+    out below K; a node whose labels all fall in one cluster becomes a leaf.
     """
     part = kmeans_partition(repr_csr[node.labels], K=config.k, seed=int(rng.integers(2**63)))
+    if len(np.unique(part.assignments)) == 1:
+        node.is_leaf = True
+        return
     for k in range(config.k):
         members = part.members(k)
         if not len(members):

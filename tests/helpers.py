@@ -1,6 +1,6 @@
-"""Code that only the tests call: building sparse vectors and node weight
-blocks by hand, per-vector arithmetic, appending a bias column, and writing
-a Dataset back as text.
+"""Code that only the tests call: building sparse vectors, node weight
+blocks and prediction blocks by hand, per-vector arithmetic, appending a
+bias column, and writing a Dataset back as text.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from labelforest.data import Dataset
+from labelforest.predict import Predictions
 from labelforest.solver import Weights
 from labelforest.sparse import SparseRowMatrix, SparseVec
 from labelforest.tree import TreeNode
@@ -62,6 +63,15 @@ def row_weights(W, bias) -> list[Weights]:
     """One ``Weights`` per row of a CSR block and its bias vector: the
     views ``TreeNode.classifiers`` gives the reference beam search."""
     return TreeNode(0, np.empty(0, dtype=np.int64), None, True, W=W, bias=bias).classifiers
+
+
+def ranked(label_rows) -> Predictions:
+    """A ``Predictions`` block of ranked label lists, every score 0 (the
+    metrics read only the labels)."""
+    return Predictions.from_rows(
+        [np.asarray(r, dtype=np.int64) for r in label_rows],
+        [np.zeros(len(r)) for r in label_rows],
+    )
 
 
 def with_bias_column(X: sp.csr_matrix) -> sp.csr_matrix:

@@ -69,15 +69,17 @@ def _parse_stream(f) -> Dataset:
         tokens = feat_text.split()
         fidx = np.empty(len(tokens), dtype=np.int64)
         fval = np.empty(len(tokens), dtype=np.float32)
-        for j, tok in enumerate(tokens):
-            fid, sep, sval = tok.partition(":")
-            if not sep:
-                raise DataFormatError(f"line {lineno}: malformed pair {tok!r}")
-            try:
-                fidx[j] = int(fid)
-                fval[j] = float(sval)
-            except ValueError as e:
-                raise DataFormatError(f"line {lineno}: bad pair {tok!r}") from e
+        # a value past float32's range casts to inf, which is rejected below
+        with np.errstate(over="ignore"):
+            for j, tok in enumerate(tokens):
+                fid, sep, sval = tok.partition(":")
+                if not sep:
+                    raise DataFormatError(f"line {lineno}: malformed pair {tok!r}")
+                try:
+                    fidx[j] = int(fid)
+                    fval[j] = float(sval)
+                except ValueError as e:
+                    raise DataFormatError(f"line {lineno}: bad pair {tok!r}") from e
         if len(fidx):
             if np.any(fidx < 0) or np.any(fidx >= d):
                 raise DataFormatError(f"line {lineno}: feature id out of range [0, {d})")

@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface."""
 
-import io
 import logging
 import math
 import re
@@ -18,10 +17,17 @@ from hypothesis import strategies as st
 from conftest import grouped_dataset
 from fuzz import apply_edit, byte_edits, prediction_edits
 from helpers import dataset_to_text
+from metrics_oracle import evaluate_oracle
 from labelforest import cli
 from labelforest.cli import main
 from labelforest.data import normalize_instances, parse_dataset
-from labelforest.predict import predict_ensemble, read_predictions, write_predictions
+from labelforest.metrics import fit_propensities
+from labelforest.predict import (
+    Predictions,
+    predict_ensemble,
+    read_predictions,
+    write_predictions,
+)
 from labelforest.tree import ModelFormatError, load_model, save_model
 
 
@@ -79,17 +85,19 @@ class TestPipeline:
         baseline = 100.0 * hits / test.n
         assert table["P"][0] >= baseline
 
-    def test_prediction_file_matches_library_route(self, paths, trained):
+    def test_prediction_file_matches_library_route(self, paths, trained, tmp_path):
         ens = load_model(trained)
         test = normalize_instances(parse_dataset(paths["test"]))
         results = [
             predict_ensemble(ens, test.X.row(i), beam=10, k=5)
             for i in range(test.n)
         ]
-        buf = io.StringIO()
-        write_predictions(results, buf)
+        ref = tmp_path / "ref.txt"
+        write_predictions(
+            Predictions.from_rows([r.labels for r in results], [r.scores for r in results]), ref
+        )
         got = Path(paths["pred"]).read_text(encoding="utf-8")
-        want = buf.getvalue()
+        want = ref.read_text(encoding="utf-8")
         # the batched and per-instance routes agree to many more digits
         # than the 5 printed decimals, so the files must match exactly
         assert got == want
@@ -232,6 +240,23 @@ class TestEval:
         rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
+
+
+class TestDegenerateSplit:
+    @pytest.mark.parametrize("max_depth", ["5", "1100"])
+    def test_labels_in_one_cluster_make_a_leaf(self, tmp_path, max_depth):
+        """Every row carries the same 10 labels, so the labels' vectors are
+        equal and k-means puts them all in one cluster.  Each tree is then
+        one leaf, not a chain of single-child nodes down to the depth cap."""
+        rng = np.random.default_rng(4)
+        rows = [" ".join(f"{j}:{v:.3f}" for j, v in enumerate(rng.random(6) + 0.1))
+                for _ in range(40)]
+        data = tmp_path / "same.txt"
+        data.write_text("40 6 10\n" + "".join(f"0,1,2,3,4,5,6,7,8,9 {r}\n" for r in rows))
+        assert main(["train", "--data", str(data), "--model", str(tmp_path / "m"),
+                     "--branch", "2", "--max-depth", max_depth]) == 0
+        ens = load_model(tmp_path / "m")
+        assert sum(len(list(tree.iter_nodes())) for tree in ens.trees) == 3
 
 
 class TestStats:
@@ -442,6 +467,21 @@ class TestPredictFlags:
         rows = read_predictions(pred)
         assert all(len(r.labels) <= 3 for r in rows)
         assert any(len(r.labels) == 3 for r in rows)
+
+    def test_short_rows_evaluate_at_wider_cutoffs(self, paths, trained, tmp_path, capsys):
+        """Rows of 3 labels scored at k = 5 count their missing slots as
+        misses, as the per-instance metrics do."""
+        pred = tmp_path / "narrow.txt"
+        assert main(["predict", "--model", trained, "--data", paths["test"],
+                     "--output", str(pred), "--k", "1,3"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--predictions", str(pred), "--data", paths["test"],
+                     "--k", "1,3,5"]) == 0
+        test = parse_dataset(paths["test"])
+        truths = [test.Y.row(i).indices for i in range(test.n)]
+        prop = fit_propensities(np.bincount(test.Y.indices, minlength=test.l), test.n)
+        want = evaluate_oracle(list(read_predictions(pred)), truths, prop, (1, 3, 5))
+        assert capsys.readouterr().out == want.format() + "\n"
 
 
 class TestFuzz:

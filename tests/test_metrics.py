@@ -15,6 +15,7 @@ from labelforest.metrics import (
     psndcg_at_k,
     psp_at_k,
 )
+from helpers import ranked
 from metrics_oracle import coverage_at_k, evaluate_oracle, oracle_top_k, ps_report
 
 
@@ -226,16 +227,16 @@ class TestEvaluate:
 
     def test_permutation_invariance(self):
         preds, truths, prop = self._case()
-        a = evaluate(preds, truths, prop)
+        a = evaluate(ranked(preds), truths, prop)
         order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
-        b = evaluate([preds[i] for i in order], [truths[i] for i in order], prop)
+        b = evaluate(ranked([preds[i] for i in order]), [truths[i] for i in order], prop)
         for metric in a.rows:
             for k in a.ks:
                 assert a.value(metric, k) == pytest.approx(b.value(metric, k), abs=1e-9)
 
     def test_ranges(self):
         preds, truths, prop = self._case()
-        rep = evaluate(preds, truths, prop)
+        rep = evaluate(ranked(preds), truths, prop)
         for k in rep.ks:
             assert 0.0 <= rep.value("P", k) <= 100.0
             assert 0.0 <= rep.value("nDCG", k) <= 100.0
@@ -244,7 +245,7 @@ class TestEvaluate:
 
     def test_format_two_decimals(self):
         preds, truths, prop = self._case()
-        text = evaluate(preds, truths, prop).format()
+        text = evaluate(ranked(preds), truths, prop).format()
         lines = text.strip().splitlines()
         assert lines[0].split() == ["metric", "@1", "@3", "@5"]
         assert len(lines) == 6
@@ -257,7 +258,7 @@ class TestEvaluate:
         prop = PropensityModel.uniform(6)
         truths = [{0}, {1}, {2}]
         preds = [[0], [1], [2]]
-        rep = evaluate(preds, truths, prop, ks=(1,))
+        rep = evaluate(ranked(preds), truths, prop, ks=(1,))
         assert rep.value("P", 1) == pytest.approx(100.0)
         assert rep.value("PSP", 1) == pytest.approx(100.0)
 
@@ -293,11 +294,12 @@ class TestEvaluateOracle:
             preds = [np.array(p, dtype=np.int64) for p in preds]
             truths = [np.array(sorted(t), dtype=np.int64) for t in truths]
         if not any(len(t) for t in truths):
-            for fn in (evaluate, evaluate_oracle):
-                with pytest.raises(ValueError, match="oracle gain is zero"):
-                    fn(preds, truths, prop, ks)
+            with pytest.raises(ValueError, match="oracle gain is zero"):
+                evaluate(ranked(preds), truths, prop, ks)
+            with pytest.raises(ValueError, match="oracle gain is zero"):
+                evaluate_oracle(preds, truths, prop, ks)
             return
-        got = evaluate(preds, truths, prop, ks)
+        got = evaluate(ranked(preds), truths, prop, ks)
         want = evaluate_oracle(preds, truths, prop, ks)
         assert list(got.rows) == list(want.rows)
         for metric in want.rows:
@@ -324,8 +326,8 @@ class TestEvaluateOracle:
     def test_validation_messages(self):
         prop = PropensityModel.uniform(3)
         with pytest.raises(ValueError, match="align"):
-            evaluate([[0]], [], prop)
+            evaluate(ranked([[0]]), [], prop)
         with pytest.raises(ValueError, match="empty test set"):
-            evaluate([], [], prop)
+            evaluate(ranked([]), [], prop)
         with pytest.raises(ValueError, match="k must be"):
-            evaluate([[0]], [{0}], prop, ks=(0,))
+            evaluate(ranked([[0]]), [{0}], prop, ks=(0,))

@@ -1,15 +1,19 @@
-import io
-
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from labelforest import predict
+from labelforest.data import Dataset
+from labelforest.metrics import PropensityModel, evaluate
 from labelforest.predict import (
+    Predictions,
     ScoredLabels,
     logsigmoid,
     predict_batch,
     predict_ensemble,
     predict_tree,
     prepare_features,
+    read_predictions,
     write_predictions,
 )
 from labelforest.representations import ReprSpace
@@ -260,12 +264,59 @@ class TestPredictBatch:
             predict_batch(ens, ds, beam=3, k=0)
 
 
+    def test_blocks_of_four_match_one_block(self, grouped_train, grouped_test, monkeypatch):
+        train, _ = grouped_train
+        test, _ = grouped_test
+        assert test.n >= 11 and test.n % 4  # several blocks, the last one short
+        ens = train_ensemble(train, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=10))
+        monkeypatch.setattr(predict, "BLOCK_ROWS", test.n)
+        whole = predict_batch(ens, test, beam=3, k=5)
+        monkeypatch.setattr(predict, "BLOCK_ROWS", 4)
+        blocked = predict_batch(ens, test, beam=3, k=5)
+        assert np.array_equal(blocked.labels, whole.labels)
+        assert np.array_equal(blocked.scores, whole.scores)
+        X = prepare_features(ens, test)
+        for i in range(test.n):
+            ref = predict_ensemble(ens, SparseRowMatrix.from_csr(X[[i]]).row(0), beam=3, k=5)
+            assert blocked[i].labels.tolist() == ref.labels.tolist()
+            np.testing.assert_allclose(blocked[i].scores, ref.scores, rtol=1e-10, atol=1e-12)
+
+    def test_empty_dataset_gives_empty_block(self, grouped_train):
+        ds, _ = grouped_train
+        ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=11))
+        empty = Dataset(SparseRowMatrix.from_csr(sp.csr_matrix((0, ds.d))),
+                        SparseRowMatrix.from_csr(sp.csr_matrix((0, ds.l))), 0, ds.d, ds.l)
+        out = predict_batch(ens, empty, beam=3, k=5)
+        assert len(out) == 0 and out.labels.shape == (0, 5)
+
+    def test_predict_write_read_evaluate_build_no_scored_labels(
+        self, grouped_train, tmp_path, monkeypatch
+    ):
+        ds, _ = grouped_train
+        ens = train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=12))
+        built = []
+        check = ScoredLabels.__post_init__
+
+        def counted(self):
+            built.append(1)
+            check(self)
+
+        monkeypatch.setattr(ScoredLabels, "__post_init__", counted)
+        preds = predict_batch(ens, ds, beam=3, k=5)
+        write_predictions(preds, tmp_path / "pred.txt")
+        back = read_predictions(tmp_path / "pred.txt")
+        truths = [ds.Y.row(i).indices for i in range(ds.n)]
+        evaluate(back, truths, PropensityModel.uniform(ds.l))
+        assert len(back) == ds.n and len(built) == 0
+        # the counter does see the per-row views
+        assert back[0].labels.tolist() == preds[0].labels.tolist() and len(built) == 2
+
+
 class TestWritePredictions:
-    def test_format_five_decimals_descending(self):
-        res = [
-            ScoredLabels(np.array([7, 2]), np.array([0.875, 0.25])),
-            ScoredLabels(np.array([], dtype=np.int64), np.array([])),
-        ]
-        buf = io.StringIO()
-        write_predictions(res, buf)
-        assert buf.getvalue() == "7:0.87500 2:0.25000\n\n"
+    def test_format_five_decimals_descending(self, tmp_path):
+        res = Predictions.from_rows(
+            [np.array([7, 2]), np.array([], dtype=np.int64)],
+            [np.array([0.875, 0.25]), np.array([])],
+        )
+        write_predictions(res, tmp_path / "pred.txt")
+        assert (tmp_path / "pred.txt").read_text() == "7:0.87500 2:0.25000\n\n"

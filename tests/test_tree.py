@@ -9,9 +9,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforest.data import build_label_index, parse_dataset
+from labelforest.data import Dataset, build_label_index, parse_dataset
 from labelforest.predict import predict_batch, prepare_features
 from labelforest.representations import ReprSpace
+from labelforest.sparse import SparseRowMatrix
 from labelforest.tree import (
     FORMAT_VERSION,
     Ensemble,
@@ -400,7 +401,9 @@ class TestModelFuzz:
         check_invariants(ens)
         X = sp.csr_matrix(X[:, : min(X.shape[1], ens.d)])
         X.resize((X.shape[0], ens.d))
-        assert len(predict_batch(ens, X, beam=3, k=5)) == X.shape[0]
+        no_labels = SparseRowMatrix.from_csr(sp.csr_matrix((X.shape[0], 0)))
+        ds = Dataset(SparseRowMatrix.from_csr(X), no_labels, X.shape[0], ens.d, 0)
+        assert len(predict_batch(ens, ds, beam=3, k=5)) == X.shape[0]
 
     @settings(max_examples=300)
     @given(data=st.data())
