@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SparseRowMatrix, SparseVec
-
 # Lloyd's stopping rule: at most MAX_ITERS assignment rounds, and stop once
 # a round improves the objective by less than TOL.
 MAX_ITERS = 50
@@ -41,19 +39,12 @@ class Partition:
         return np.nonzero(self.assignments == k)[0]
 
 
-def _stack(vecs) -> sp.csr_matrix:
-    if isinstance(vecs, SparseRowMatrix):
-        return vecs.to_csr(np.float64)
-    if isinstance(vecs, sp.csr_matrix):
-        return vecs.astype(np.float64)
-    vecs = list(vecs)
-    if not vecs:
-        raise ValueError("need at least one vector")
-    dim = vecs[0].dim
-    return SparseRowMatrix.from_rows(vecs, dim).to_csr(np.float64)
-
-
 def _assign(V: sp.csr_matrix, centers: np.ndarray):
+    """Nearest-center assignment; ties go to the lowest cluster id.
+
+    Returns (assignments, objective) with objective = sum of 1 - v.c over
+    the chosen centers.
+    """
     scores = V @ centers.T
     assignments = np.argmax(scores, axis=1).astype(np.int64)
     picked = scores[np.arange(V.shape[0]), assignments]
@@ -90,6 +81,7 @@ def _own_scores(V: sp.csr_matrix, centers: np.ndarray, assignments: np.ndarray) 
 
 
 def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int) -> np.ndarray:
+    """Normalized per-cluster means; empty clusters reseeded (see module doc)."""
     n = V.shape[0]
     ind = sp.csr_matrix(
         (np.ones(n), assignments, np.arange(n + 1)), shape=(n, K)
@@ -110,22 +102,6 @@ def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int) -> np.ndarray:
     return centers
 
 
-def assign_step(vecs, centers: np.ndarray):
-    """Nearest-center assignment; ties go to the lowest cluster id.
-
-    Returns (assignments, objective) with objective = sum of 1 - v.c over
-    the chosen centers.
-    """
-    if centers.shape[0] == 0:
-        raise ValueError("centers must be non-empty")
-    return _assign(_stack(vecs), np.asarray(centers, dtype=np.float64))
-
-
-def update_step(vecs, assignments: np.ndarray, K: int) -> np.ndarray:
-    """Normalized per-cluster means; empty clusters reseeded (see module doc)."""
-    return _update(_stack(vecs), np.asarray(assignments, dtype=np.int64), K)
-
-
 def _singletons(V: sp.csr_matrix, K: int) -> Partition:
     n = V.shape[0]
     centers = np.zeros((K, V.shape[1]), dtype=np.float64)
@@ -136,17 +112,17 @@ def _singletons(V: sp.csr_matrix, K: int) -> Partition:
     return Partition(assignments, centers, 0, float(np.sum(1.0 - norms)))
 
 
-def kmeans_partition(vecs, K: int, seed=0) -> Partition:
-    """Spherical k-means by Lloyd's algorithm.
+def kmeans_partition(V: sp.csr_matrix, K: int, seed=0) -> Partition:
+    """Spherical k-means by Lloyd's algorithm on the rows of ``V``.
 
-    Initial centers are K distinct member vectors chosen uniformly at
-    random per seed.  Stops when the absolute objective improvement drops
-    below ``TOL`` or after ``MAX_ITERS`` assignment rounds.  With
-    ``len(vecs) <= K`` each vector becomes its own cluster, no iteration.
+    Initial centers are K distinct rows chosen uniformly at random per
+    seed.  Stops when the absolute objective improvement drops below
+    ``TOL`` or after ``MAX_ITERS`` assignment rounds.  With at most K rows
+    each row becomes its own cluster, no iteration.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    V = _stack(vecs)
+    V = V.astype(np.float64, copy=False)
     if V.shape[0] == 0:
         raise ValueError("need at least one vector")
     if V.shape[0] <= K:

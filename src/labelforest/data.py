@@ -9,18 +9,19 @@ classification benchmark repositories:
 with 0-based label and feature ids, a possibly empty label field, UTF-8
 text and tolerated CR line endings.  The parser reads the whole body at
 once: line, field and token boundaries come from array scans over its
-bytes, and ids and values are converted in bulk.
+bytes, and ids and values are converted in bulk.  It returns the features
+X and the labels Y as float32 scipy CSR matrices, the one sparse matrix
+type of the package.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .sparse import SparseRowMatrix, SparseVec
+import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -37,23 +38,25 @@ class ParseStats:
     zero_values: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Parallel feature rows X (n x d) and binary label rows Y (n x l)."""
+    """Parallel feature rows X (n x d) and binary label rows Y (n x l), as
+    CSR matrices whose rows hold sorted, distinct column ids and no
+    explicit zeros; the parser's are float32."""
 
-    X: SparseRowMatrix
-    Y: SparseRowMatrix
+    X: sp.csr_matrix
+    Y: sp.csr_matrix
     n: int
     d: int
     l: int
-    stats: ParseStats = field(default=ParseStats(), compare=False)
+    stats: ParseStats = ParseStats()
 
     def __post_init__(self):
-        if self.X.n_rows != self.n or self.Y.n_rows != self.n:
+        if self.X.shape[0] != self.n or self.Y.shape[0] != self.n:
             raise DataFormatError("row counts disagree with the declared N")
-        if self.X.dim != self.d or self.Y.dim != self.l:
+        if self.X.shape[1] != self.d or self.Y.shape[1] != self.l:
             raise DataFormatError("matrix dims disagree with the declared D/L")
-        if len(self.Y.values) and not np.all(self.Y.values == 1.0):
+        if not np.all(self.Y.data == 1.0):
             raise DataFormatError("label matrix values must all equal 1.0")
 
 
@@ -79,6 +82,8 @@ def _parse_header(line: str) -> tuple[int, int, int]:
         raise DataFormatError(f"non-integer header field in {line!r}") from e
     if n < 0 or d < 0 or l < 0:
         raise DataFormatError("header counts must be non-negative")
+    if max(n, d, l) >= 2**63:
+        raise DataFormatError("header count out of range [0, 2**63)")
     return n, d, l
 
 
@@ -237,11 +242,13 @@ def _parse_buffer(raw: bytes) -> Dataset:
     if n_zero:
         log.warning("dropped %d explicit zero feature values", n_zero)
     labels = np.concatenate(labels)
-    X = SparseRowMatrix(
-        np.cumsum(np.concatenate(x_nnz)), np.concatenate(fid), np.concatenate(fval), d
+    X = sp.csr_matrix(
+        (np.concatenate(fval), np.concatenate(fid), np.cumsum(np.concatenate(x_nnz))),
+        shape=(n, d),
     )
-    Y = SparseRowMatrix(
-        np.cumsum(np.concatenate(y_nnz)), labels, np.ones(len(labels), dtype=np.float32), l
+    Y = sp.csr_matrix(
+        (np.ones(len(labels), dtype=np.float32), labels, np.cumsum(np.concatenate(y_nnz))),
+        shape=(n, l),
     )
     return Dataset(X, Y, n, d, l, ParseStats(n_dup, n_zero))
 
@@ -385,9 +392,9 @@ def normalize_instances(ds: Dataset) -> Dataset:
     accumulated in float64.
     """
     X = ds.X
-    v64 = X.values.astype(np.float64)
+    v64 = X.data.astype(np.float64)
     if X.nnz:
-        row_sq = np.zeros(X.n_rows, dtype=np.float64)
+        row_sq = np.zeros(ds.n, dtype=np.float64)
         lengths = np.diff(X.indptr)
         nonempty = lengths > 0
         row_sq[nonempty] = np.add.reduceat(v64 * v64, X.indptr[:-1][nonempty])
@@ -395,6 +402,6 @@ def normalize_instances(ds: Dataset) -> Dataset:
         norms[norms == 0] = 1.0
         scaled = (v64 / np.repeat(norms, lengths)).astype(np.float32)
     else:
-        scaled = X.values
-    Xn = SparseRowMatrix(X.indptr, X.indices, scaled, X.dim)
+        scaled = X.data
+    Xn = sp.csr_matrix((scaled, X.indices, X.indptr), shape=X.shape)
     return Dataset(Xn, ds.Y, ds.n, ds.d, ds.l, ds.stats)

@@ -1,9 +1,7 @@
 """Ranking metrics: P@k, nDCG@k, their propensity-scored variants, and
 label-space coverage.
 
-``evaluate`` scores a whole test set with array operations; the per-instance
-functions (``precision_at_k`` ... ``psndcg_at_k``) define each metric for
-one ranked list.
+``evaluate`` scores a whole test set with array operations.
 
 Propensities follow the sigmoid-in-log-frequency model
 
@@ -53,54 +51,6 @@ def fit_propensities(idx, n: int, a: float = 0.55, b: float = 1.5) -> Propensity
         c = max((np.log(n) - 1.0) * (1.0 + b) ** a, 0.0)
         p = 1.0 / (1.0 + c * np.exp(-a * np.log(freqs.astype(np.float64) + b)))
     return PropensityModel(a, b, n, p)
-
-
-def _top_labels(pred, k: int) -> np.ndarray:
-    return np.asarray(getattr(pred, "labels", pred), dtype=np.int64)[:k]
-
-
-def _truth_array(truth) -> np.ndarray:
-    return np.asarray(sorted(truth), dtype=np.int64)
-
-
-def _hits(pred, truth, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top k predicted labels, and which of them are true."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    top = _top_labels(pred, k)
-    return top, np.isin(top, _truth_array(truth))
-
-
-def _dcg_ratio(hits, p_top, truth, k: int) -> float:
-    """DCG with gain 1/p at each hit, over the ideal DCG of k slots of
-    ``truth`` at gain 1; 0 for an empty truth."""
-    n_true = len(_truth_array(truth))
-    if not n_true:
-        return 0.0
-    ranks = np.arange(1, len(hits) + 1)
-    dcg = float(np.sum(hits / (p_top * np.log2(ranks + 1))))
-    ideal_ranks = np.arange(1, min(k, n_true) + 1)
-    return dcg / float(np.sum(1.0 / np.log2(ideal_ranks + 1)))
-
-
-def precision_at_k(pred, truth, k: int) -> float:
-    """Fraction of the k slots holding a true label; short lists pad with
-    misses."""
-    return float(_hits(pred, truth, k)[1].sum()) / k
-
-
-def ndcg_at_k(pred, truth, k: int) -> float:
-    return _dcg_ratio(_hits(pred, truth, k)[1], 1.0, truth, k)
-
-
-def psp_at_k(pred, truth, prop: PropensityModel, k: int) -> float:
-    top, hits = _hits(pred, truth, k)
-    return float(np.sum(hits / prop.p[top])) / k
-
-
-def psndcg_at_k(pred, truth, prop: PropensityModel, k: int) -> float:
-    top, hits = _hits(pred, truth, k)
-    return _dcg_ratio(hits, prop.p[top], truth, k)
 
 
 @dataclass(frozen=True)

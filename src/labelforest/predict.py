@@ -7,9 +7,9 @@ keeps the highest path probabilities at each depth; leaves already reached
 stay in the beam and compete with deeper candidates.
 
 Two implementations are kept deliberately separate: a per-instance
-reference (`predict_tree` / `predict_ensemble`) built on sparse-vector
-dots, and a batched route (`predict_batch`) that groups frontier entries
-by node and uses sparse matrix products.  Tests hold them to each other.
+reference (`predict_ensemble`) built on sparse-vector dots, and a batched
+route (`predict_batch`) that groups frontier entries by node and uses
+sparse matrix products.  Tests hold them to each other.
 The batched route's result is one `Predictions` block, which the
 prediction file is written from and read back into.
 """
@@ -114,12 +114,6 @@ def _tree_label_scores(tree: Tree, x: SparseVec, beam: int):
     return labels, scores
 
 
-def predict_tree(tree: Tree, x: SparseVec, beam: int = 10, k: int = 5) -> ScoredLabels:
-    """Beam-search a single tree for one (already normalized) instance."""
-    _check_params(beam, k)
-    return ScoredLabels(*_top_k(*_tree_label_scores(tree, x, beam), k))
-
-
 def predict_ensemble(ens: Ensemble, x: SparseVec, beam: int = 10, k: int = 5) -> ScoredLabels:
     """Mean of per-tree scores, labels missing from a tree counting as 0."""
     _check_params(beam, k)
@@ -202,11 +196,10 @@ def _batch_tree_triplets(tree: Tree, X: sp.csr_matrix, beam: int):
 
 
 def prepare_features(ens: Ensemble, ds: Dataset) -> sp.csr_matrix:
-    """Feature matrix in the model's convention (unit rows if trained so)."""
+    """Feature matrix in the model's convention: float64, unit rows."""
     if ds.d != ens.d:
         raise DataFormatError(f"test data has D={ds.d}, the model's feature dim is D={ens.d}")
-    work = normalize_instances(ds) if ens.config.normalize else ds
-    return work.X.to_csr(np.float64)
+    return normalize_instances(ds).X.astype(np.float64)
 
 
 def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Predictions:

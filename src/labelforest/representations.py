@@ -8,6 +8,7 @@ Each label gets one vector:
           scaled by 1/sqrt(2), output coordinates offset by d
 
 All rows are L2-normalized; labels with no instances keep a zero row.
+Each representation is one float64 CSR matrix with a row per label.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset
-from .sparse import SparseRowMatrix
 
 
 class ReprSpace(enum.Enum):
@@ -30,20 +30,20 @@ class ReprSpace(enum.Enum):
 
 @dataclass(frozen=True)
 class LabelRepr:
-    """One vector per label, stored row-wise; ``dim`` is the repr space size."""
+    """One vector per label, a row of the CSR ``matrix``; ``dim`` is the
+    repr space size."""
 
-    matrix: SparseRowMatrix
+    matrix: sp.csr_matrix
     space: ReprSpace
     dim: int
 
     @property
     def n_labels(self) -> int:
-        return self.matrix.n_rows
+        return self.matrix.shape[0]
 
 
 def _row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
     """Scale each row of a CSR matrix to unit L2 norm (zero rows untouched)."""
-    m = m.tocsr()
     m.sort_indices()
     sq = np.asarray(m.multiply(m).sum(axis=1)).ravel()
     norms = np.sqrt(sq)
@@ -54,23 +54,19 @@ def _row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
-def _product_csr(ds: Dataset, right: SparseRowMatrix) -> sp.csr_matrix:
+def _product_csr(ds: Dataset, right: sp.csr_matrix) -> sp.csr_matrix:
     """Compute Y^T R in float64 for a row matrix R aligned with Y's rows."""
-    Y = ds.Y.to_csr(np.float64)
-    R = right.to_csr(np.float64)
-    return (Y.T @ R).tocsr()
+    return (ds.Y.T.astype(np.float64) @ right.astype(np.float64)).tocsr()
 
 
 def build_input_repr(ds: Dataset) -> LabelRepr:
     """Rows of Y^T X, L2-normalized."""
-    v = _row_normalize(_product_csr(ds, ds.X))
-    return LabelRepr(SparseRowMatrix.from_csr(v), ReprSpace.INPUT, ds.d)
+    return LabelRepr(_row_normalize(_product_csr(ds, ds.X)), ReprSpace.INPUT, ds.d)
 
 
 def build_output_repr(ds: Dataset) -> LabelRepr:
     """Rows of Y^T Y, L2-normalized."""
-    v = _row_normalize(_product_csr(ds, ds.Y))
-    return LabelRepr(SparseRowMatrix.from_csr(v), ReprSpace.OUTPUT, ds.l)
+    return LabelRepr(_row_normalize(_product_csr(ds, ds.Y)), ReprSpace.OUTPUT, ds.l)
 
 
 def build_joint_repr(ds: Dataset) -> LabelRepr:
@@ -80,7 +76,7 @@ def build_joint_repr(ds: Dataset) -> LabelRepr:
     scale = 1.0 / np.sqrt(2.0)
     joint = sp.hstack([vin * scale, vout * scale], format="csr")
     joint.sort_indices()
-    return LabelRepr(SparseRowMatrix.from_csr(joint), ReprSpace.JOINT, ds.d + ds.l)
+    return LabelRepr(joint, ReprSpace.JOINT, ds.d + ds.l)
 
 
 def build_repr(ds: Dataset, space: ReprSpace) -> LabelRepr:

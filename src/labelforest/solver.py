@@ -24,17 +24,19 @@ as soon as it stops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SparseVec
+from .sparse import SparseVec, dot
 
 ETA0, ETA1, ETA2 = 1e-4, 0.25, 0.75
 SIGMA1, SIGMA2, SIGMA3 = 0.25, 0.5, 4.0
 CG_TOL_FACTOR = 0.1
 MAX_CG_ITERS = 1000
+# Accepted Newton steps after which a column stops unconverged.
+MAX_NEWTON_ITERS = 100
 
 # Bound on the dense float64 working set of one batch of columns; a node
 # with more classifiers than fit is solved in several batches.
@@ -42,37 +44,6 @@ CHUNK_BYTES = 4 << 20
 # Dense arrays of length (rows + features) a column holds at once in the
 # solve: weights, gradient, margins, signs, CG vectors and temporaries.
 _ARRAYS_PER_COLUMN = 10
-
-
-@dataclass(frozen=True)
-class BinaryProblem:
-    """Feature rows with a sign per row and the loss trade-off C."""
-
-    X: sp.csr_matrix
-    signs: np.ndarray
-    C: float = 1.0
-
-    def __post_init__(self):
-        X = _as_csr(self.X)
-        signs = np.asarray(self.signs, dtype=np.float64).ravel()
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "signs", signs)
-        if X.shape[0] != len(signs) or len(signs) < 1:
-            raise ValueError("need one sign per row and at least one row")
-        if not np.all(np.abs(signs) == 1.0):
-            raise ValueError("signs must be +1 or -1")
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
-
-
-def _as_csr(X: sp.csr_matrix) -> sp.csr_matrix:
-    if not isinstance(X, sp.csr_matrix):
-        raise TypeError(f"need a scipy CSR matrix, got {type(X).__name__}")
-    return X.astype(np.float64) if X.dtype != np.float64 else X
 
 
 @dataclass(frozen=True)
@@ -87,21 +58,7 @@ class Weights:
             raise ValueError("bias must be finite")
 
     def margin(self, x: SparseVec) -> float:
-        from .sparse import dot
-
         return dot(self.w, x) + self.bias
-
-
-def objective(p: BinaryProblem, w: np.ndarray) -> float:
-    xi = 1.0 - p.signs * (p.X @ w)
-    act = xi > 0
-    return float(w @ w + p.C * np.dot(xi[act], xi[act]))
-
-
-def gradient(p: BinaryProblem, w: np.ndarray) -> np.ndarray:
-    xi = 1.0 - p.signs * (p.X @ w)
-    z = np.where(xi > 0, p.signs * xi, 0.0)
-    return 2.0 * w - 2.0 * p.C * (p.X.T @ z)
 
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,35 +208,6 @@ def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
         broken = ~np.isfinite(actred) | ~np.isfinite(prered)
 
 
-@dataclass
-class SolveInfo:
-    n_newton_iters: int = 0
-    objective_trace: list = field(default_factory=list)
-    converged: bool = False
-
-
-def train_binary(
-    p: BinaryProblem,
-    eps: float = 0.1,
-    max_newton_iters: int = 100,
-    info: SolveInfo | None = None,
-) -> Weights:
-    """Minimize f(w) until ||grad|| <= eps * ||grad at w=0|| or the
-    iteration cap.  The objective has no bias term, so the returned
-    weights carry bias 0."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    traces = [[]] if info is not None else None
-    W, iters, conv = _tron(p.X, p.X.T.tocsr(), p.signs[:, None], p.C, eps, max_newton_iters, traces)
-    if info is not None:
-        info.n_newton_iters = int(iters[0])
-        info.converged = bool(conv[0])
-        info.objective_trace.extend(traces[0])
-    w = W[:, 0]
-    idx = np.nonzero(w)[0].astype(np.int64)
-    return Weights(SparseVec(idx, w[idx], p.dim), 0.0)
-
-
 @dataclass(frozen=True)
 class NodeSolve:
     """A node's classifiers as one float32 CSR row per sign column, plus
@@ -299,18 +227,20 @@ def train_node(
     C: float = 1.0,
     eps: float = 0.1,
     delta: float = 0.01,
-    max_newton_iters: int = 100,
 ) -> NodeSolve:
     """Train one classifier, with a bias term, per column of the n x m sign
     matrix ``Y`` on the rows of ``X``.
 
     The solve runs on the node's nonzero feature columns plus a constant
-    bias feature, in batches of columns bounded by ``CHUNK_BYTES``.  Row j
+    bias feature, in batches of columns bounded by ``CHUNK_BYTES``, each
+    column stopping at ``MAX_NEWTON_ITERS`` accepted steps.  Row j
     of the returned ``W`` is column j's feature weights with entries
     |w| <= ``delta`` pruned and values cast to float32; ``bias[j]`` is its
     bias, which is never pruned.
     """
-    X = _as_csr(X)
+    if not isinstance(X, sp.csr_matrix):
+        raise TypeError(f"need a scipy CSR matrix, got {type(X).__name__}")
+    X = X.astype(np.float64, copy=False)
     Y = np.asarray(Y)
     n, d = X.shape
     if Y.ndim != 2 or Y.shape[0] != n:
@@ -346,7 +276,7 @@ def train_node(
     blocks, n_pruned = [], 0
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        W, iters[lo:hi], conv[lo:hi] = _tron(Xc, XT, Y[:, lo:hi], C, eps, max_newton_iters)
+        W, iters[lo:hi], conv[lo:hi] = _tron(Xc, XT, Y[:, lo:hi], C, eps, MAX_NEWTON_ITERS)
         bias[lo:hi] = W[f]
         Wf = W[:f].T
         # csr drops the zeros, also a kept weight that rounds to a float32 zero

@@ -1,10 +1,13 @@
-"""Sparse vector and row-matrix primitives used by every other module.
+"""Sparse vectors for the per-instance reference route.
 
-Vectors are stored as parallel (indices, values) arrays with strictly
-increasing indices and no explicit zeros.  Values may be float32 (the
-on-disk and in-model dtype) or float64; every accumulation (dot products,
-norms, dense updates) is carried out in float64 regardless of the storage
-dtype.
+Every matrix in the package (instances, labels, label representations,
+classifier weights) is a scipy CSR matrix.  The reference beam search in
+``predict`` and the ``Weights`` it dots with work one vector at a time:
+a :class:`SparseVec` stores parallel (indices, values) arrays with strictly
+increasing indices and no explicit zeros, and :class:`SparseRowMatrix`
+gives the rows of a CSR matrix as such vectors.  Values may be float32
+(the on-disk and in-model dtype) or float64; dot products and norms are
+accumulated in float64 regardless of the storage dtype.
 """
 
 from __future__ import annotations
@@ -94,51 +97,17 @@ def dot(a: SparseVec, b: SparseVec) -> float:
 
 @dataclass(frozen=True)
 class SparseRowMatrix:
-    """A stack of sparse rows sharing one dimensionality.
-
-    Stored in a compressed row layout (indptr/indices/values), which keeps
-    memory contiguous and streams well even when the number of rows or the
-    dimensionality is very large; ``row(i)`` materializes an individual
-    :class:`SparseVec` view on demand.
-    """
+    """Rows of a scipy CSR matrix as :class:`SparseVec` views, for the
+    per-instance reference beam search; ``from_csr(m).row(i)`` is row i."""
 
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
     dim: int
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.indptr) - 1
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
     def row(self, i: int) -> SparseVec:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return SparseVec(self.indices[lo:hi], self.values[lo:hi], self.dim)
-
-    @property
-    def rows(self) -> list[SparseVec]:
-        return [self.row(i) for i in range(self.n_rows)]
-
-    @classmethod
-    def from_rows(cls, rows, dim) -> "SparseRowMatrix":
-        rows = list(rows)
-        for r in rows:
-            if r.dim != dim:
-                raise ValueError("all rows must share the matrix dim")
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([r.nnz for r in rows])
-        if rows:
-            indices = np.concatenate([r.indices for r in rows])
-            dtype = np.result_type(*(r.values.dtype for r in rows))
-            values = np.concatenate([r.values.astype(dtype) for r in rows])
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=np.float64)
-        return cls(indptr, indices, values, dim)
 
     @classmethod
     def from_csr(cls, m: sp.csr_matrix) -> "SparseRowMatrix":
@@ -150,22 +119,4 @@ class SparseRowMatrix:
             m.indices.astype(np.int64),
             m.data.copy(),
             m.shape[1],
-        )
-
-    def to_csr(self, dtype=None) -> sp.csr_matrix:
-        """scipy CSR view used by the numeric kernels."""
-        values = self.values if dtype is None else self.values.astype(dtype)
-        return sp.csr_matrix(
-            (values, self.indices, self.indptr),
-            shape=(self.n_rows, self.dim),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseRowMatrix):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
         )

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import solver
 from .clustering import kmeans_partition
-from .data import Dataset, LabelIndex, build_label_index, normalize_instances
-from .representations import LabelRepr, ReprSpace, build_repr
+from .data import DataFormatError, Dataset, LabelIndex, build_label_index, normalize_instances
+from .representations import ReprSpace, build_repr
 from .solver import Weights, train_node
 from .sparse import SparseVec
 
@@ -45,8 +46,6 @@ class TrainConfig:
     eps: float = 0.1
     delta: float = 0.01
     base_seed: int = 42
-    normalize: bool = True
-    max_newton_iters: int = 100
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -135,13 +134,14 @@ def _make_node(depth: int, labels: np.ndarray, instances: np.ndarray, config) ->
     return TreeNode(depth, labels, instances, is_leaf)
 
 
-def grow(node: TreeNode, idx: LabelIndex, repr_csr, config: TrainConfig, rng) -> None:
-    """Split ``node`` by spherical k-means on its labels' vectors and recurse.
+def grow(node: TreeNode, idx: LabelIndex, V: sp.csr_matrix, config: TrainConfig, rng) -> None:
+    """Split ``node`` by spherical k-means on its labels' rows of the label
+    representation ``V`` and recurse.
 
     Empty clusters that survive reseeding are dropped, so fan-out may come
     out below K; a node whose labels all fall in one cluster becomes a leaf.
     """
-    part = kmeans_partition(repr_csr[node.labels], K=config.k, seed=int(rng.integers(2**63)))
+    part = kmeans_partition(V[node.labels], K=config.k, seed=int(rng.integers(2**63)))
     if len(np.unique(part.assignments)) == 1:
         node.is_leaf = True
         return
@@ -156,7 +156,7 @@ def grow(node: TreeNode, idx: LabelIndex, repr_csr, config: TrainConfig, rng) ->
         child = _make_node(node.depth + 1, group, insts, config)
         node.children.append(child)
         if not child.is_leaf:
-            grow(child, idx, repr_csr, config, rng)
+            grow(child, idx, V, config, rng)
 
 
 def train_node_classifiers(
@@ -167,7 +167,7 @@ def train_node_classifiers(
 
     Positives carried by no instance of the node still get a classifier
     (an all-negative problem); those cases are counted in the report, as
-    are Newton steps, the classifiers stopped by ``max_newton_iters``
+    are Newton steps, the classifiers stopped by ``solver.MAX_NEWTON_ITERS``
     before meeting the gradient test, and the weights kept and pruned.
     """
     insts = node.instance_ids
@@ -181,20 +181,13 @@ def train_node_classifiers(
         if len(tgt) == 0:
             report.n_zero_positive += 1
         signs[np.searchsorted(insts, tgt), j] = 1
-    sol = train_node(
-        X[insts],
-        signs,
-        C=config.c,
-        eps=config.eps,
-        delta=config.delta,
-        max_newton_iters=config.max_newton_iters,
-    )
+    sol = train_node(X[insts], signs, C=config.c, eps=config.eps, delta=config.delta)
     node.W, node.bias = sol.W, sol.bias
     report.n_classifiers += len(targets)
     report.n_weights_kept += sol.W.nnz
     report.n_weights_pruned += sol.n_pruned
     report.n_newton_iters += int(sol.newton_iters.sum())
-    capped = ~sol.converged & (sol.newton_iters >= config.max_newton_iters)
+    capped = ~sol.converged & (sol.newton_iters >= solver.MAX_NEWTON_ITERS)
     report.n_not_converged += int(np.count_nonzero(capped))
 
     for child in node.children:
@@ -204,7 +197,7 @@ def train_node_classifiers(
 def train_tree(
     ds: Dataset,
     idx: LabelIndex,
-    repr_csr,
+    V: sp.csr_matrix,
     X: sp.csr_matrix,
     config: TrainConfig,
     seed: int,
@@ -215,7 +208,7 @@ def train_tree(
     root = _make_node(0, np.arange(ds.l, dtype=np.int64), np.arange(ds.n, dtype=np.int64), config)
     t0 = time.perf_counter()
     if not root.is_leaf:
-        grow(root, idx, repr_csr, config, rng)
+        grow(root, idx, V, config, rng)
     t1 = time.perf_counter()
     train_node_classifiers(root, X, idx, config, report)
     t2 = time.perf_counter()
@@ -234,21 +227,20 @@ def train_ensemble(
     """Train T trees differing only in their clustering seed.
 
     The label representation is built once and shared; instances are
-    unit-normalized first (unless disabled).
+    unit-normalized first.
     """
     if ds.l < 1:
-        raise ValueError("training needs at least one label")
+        raise DataFormatError("training needs at least one label")
     idx = build_label_index(ds)
-    work = normalize_instances(ds) if config.normalize else ds
-    repr_ = build_repr(work, config.repr_space)
-    repr_csr = repr_.matrix.to_csr(np.float64)
-    X = work.X.to_csr(np.float64)
+    work = normalize_instances(ds)
+    V = build_repr(work, config.repr_space).matrix
+    X = work.X.astype(np.float64)
 
     trees = []
     for t in range(config.n_trees):
         seed = config.base_seed + t
         log.info("training tree %d/%d (seed %d)", t + 1, config.n_trees, seed)
-        trees.append(train_tree(ds, idx, repr_csr, X, config, seed, report))
+        trees.append(train_tree(ds, idx, V, X, config, seed, report))
     return Ensemble(trees, config, ds.d, ds.l)
 
 
@@ -265,7 +257,8 @@ def _meta_lines(ens: Ensemble) -> str:
         ("C", repr(c.c)),
         ("delta", repr(c.delta)),
         ("base_seed", c.base_seed),
-        ("normalize", int(c.normalize)),
+        # instances are always unit-normalized; the key keeps the format
+        ("normalize", 1),
     ]
     return "".join(f"{k}={v}\n" for k, v in pairs)
 
@@ -407,8 +400,9 @@ def load_model(model_dir) -> Ensemble:
             c=float(meta["C"]),
             delta=float(meta["delta"]),
             base_seed=int(meta["base_seed"]),
-            normalize=bool(int(meta["normalize"])),
         )
+        if int(meta["normalize"]) != 1:
+            raise ModelFormatError(f"bad meta file: normalize={meta['normalize']}, not 1")
         d, l = int(meta["D"]), int(meta["L"])
         if not (0 <= d <= 2**32 and 0 < l <= 2**32):
             raise ModelFormatError(f"bad meta file: D={d} or L={l} out of range")

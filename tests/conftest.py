@@ -3,7 +3,8 @@ import pytest
 from hypothesis import settings
 
 from labelforest.data import Dataset
-from labelforest.sparse import SparseRowMatrix, SparseVec
+from labelforest.sparse import SparseVec
+from helpers import csr_from_rows
 
 # Every property test draws the same examples on every run (seeded from the
 # test itself, no example database), so a result depends only on the code.
@@ -25,8 +26,8 @@ def random_dataset(seed, n, d, l, density=0.4, label_density=0.4):
         lidx = np.nonzero(lmask)[0].astype(np.int64)
         y_rows.append(SparseVec(lidx, np.ones(len(lidx), dtype=np.float32), l))
     return Dataset(
-        SparseRowMatrix.from_rows(x_rows, d),
-        SparseRowMatrix.from_rows(y_rows, l),
+        csr_from_rows(x_rows, d),
+        csr_from_rows(y_rows, l),
         n,
         d,
         l,
@@ -59,8 +60,8 @@ def grouped_dataset(seed, n=400, groups=6, labels_per_group=4, feats_per_group=8
         y_rows.append(SparseVec(lidx, np.ones(len(lidx), dtype=np.float32), l))
         gids.append(g)
     ds = Dataset(
-        SparseRowMatrix.from_rows(x_rows, d),
-        SparseRowMatrix.from_rows(y_rows, l),
+        csr_from_rows(x_rows, d),
+        csr_from_rows(y_rows, l),
         n,
         d,
         l,

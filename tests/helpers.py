@@ -1,6 +1,7 @@
-"""Code that only the tests call: building sparse vectors, node weight
-blocks and prediction blocks by hand, per-vector arithmetic, appending a
-bias column, and writing a Dataset back as text.
+"""Code that only the tests call: building sparse vectors, CSR matrices,
+node weight blocks and prediction blocks by hand, reading CSR rows as
+sparse vectors, comparing Datasets, per-vector arithmetic, appending a
+bias column, beam-searching one tree, and writing a Dataset back as text.
 """
 
 from __future__ import annotations
@@ -12,10 +13,16 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from labelforest.data import Dataset
-from labelforest.predict import Predictions
+from labelforest.predict import (
+    Predictions,
+    ScoredLabels,
+    _check_params,
+    _top_k,
+    _tree_label_scores,
+)
 from labelforest.solver import Weights
-from labelforest.sparse import SparseRowMatrix, SparseVec
-from labelforest.tree import TreeNode
+from labelforest.sparse import SparseVec
+from labelforest.tree import Tree, TreeNode
 
 
 def vec_from_pairs(pairs, dim, dtype=np.float64) -> SparseVec:
@@ -26,6 +33,46 @@ def vec_from_pairs(pairs, dim, dtype=np.float64) -> SparseVec:
     val = np.array([p[1] for p in pairs], dtype=dtype)
     keep = val != 0
     return SparseVec(idx[keep], val[keep], dim)
+
+
+def csr_from_rows(rows, dim) -> sp.csr_matrix:
+    """The CSR matrix with the given ``SparseVec`` rows, of their common
+    value dtype (float64 when there are no rows)."""
+    rows = list(rows)
+    if any(r.dim != dim for r in rows):
+        raise ValueError("all rows must share the matrix dim")
+    indptr = np.concatenate(([0], np.cumsum([r.nnz for r in rows], dtype=np.int64)))
+    if rows:
+        indices = np.concatenate([r.indices for r in rows])
+        values = np.concatenate([r.values for r in rows])
+    else:
+        indices, values = np.empty(0, dtype=np.int64), np.empty(0)
+    return sp.csr_matrix((values, indices, indptr), shape=(len(rows), dim))
+
+
+def row(m: sp.csr_matrix, i: int) -> SparseVec:
+    """Row i of a CSR matrix as a ``SparseVec``."""
+    lo, hi = m.indptr[i], m.indptr[i + 1]
+    return SparseVec(m.indices[lo:hi], m.data[lo:hi], m.shape[1])
+
+
+def rows(m: sp.csr_matrix) -> list[SparseVec]:
+    return [row(m, i) for i in range(m.shape[0])]
+
+
+def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Equal shape, index arrays and values (of any dtypes)."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    """Equal counts and matrices; ``stats`` is not compared."""
+    return (a.n, a.d, a.l) == (b.n, b.d, b.l) and same_csr(a.X, b.X) and same_csr(a.Y, b.Y)
 
 
 def l2_normalize(a: SparseVec) -> SparseVec:
@@ -55,7 +102,7 @@ def node_child_prob(w: Weights, x: SparseVec) -> float:
 def weights_block(classifiers: list[Weights], dim: int):
     """A node's (W, bias) from one ``Weights`` per row: a float32 CSR
     matrix with ``dim`` columns and a float32 bias vector."""
-    W = SparseRowMatrix.from_rows([c.w for c in classifiers], dim).to_csr(np.float32)
+    W = csr_from_rows([c.w for c in classifiers], dim).astype(np.float32)
     return W, np.array([c.bias for c in classifiers], dtype=np.float32)
 
 
@@ -63,6 +110,12 @@ def row_weights(W, bias) -> list[Weights]:
     """One ``Weights`` per row of a CSR block and its bias vector: the
     views ``TreeNode.classifiers`` gives the reference beam search."""
     return TreeNode(0, np.empty(0, dtype=np.int64), None, True, W=W, bias=bias).classifiers
+
+
+def predict_tree(tree: Tree, x: SparseVec, beam: int = 10, k: int = 5) -> ScoredLabels:
+    """Beam-search a single tree for one (already normalized) instance."""
+    _check_params(beam, k)
+    return ScoredLabels(*_top_k(*_tree_label_scores(tree, x, beam), k))
 
 
 def ranked(label_rows) -> Predictions:
@@ -86,7 +139,7 @@ def serialize_dataset(ds: Dataset, sink) -> None:
     """Write a Dataset in canonical text form (round-trips through parse)."""
     sink.write(f"{ds.n} {ds.d} {ds.l}\n")
     for i in range(ds.n):
-        x, y = ds.X.row(i), ds.Y.row(i)
+        x, y = row(ds.X, i), row(ds.Y, i)
         labels = ",".join(str(j) for j in y.indices)
         feats = " ".join(f"{j}:{v}" for j, v in zip(x.indices, x.values))
         sink.write(f"{labels} {feats}".rstrip() + "\n" if feats else f"{labels}\n")

@@ -12,9 +12,9 @@ from __future__ import annotations
 import io
 
 import numpy as np
+import scipy.sparse as sp
 
 from labelforest.data import DataFormatError, Dataset, ParseStats, _parse_header
-from labelforest.sparse import SparseRowMatrix
 
 
 def _parse_labels(text: str, l: int, lineno: int) -> tuple[np.ndarray, int]:
@@ -104,16 +104,20 @@ def _parse_stream(f) -> Dataset:
     if trailer.strip():
         raise DataFormatError("trailing content after the declared N instance lines")
 
-    X = SparseRowMatrix(
-        x_indptr,
-        np.concatenate(x_idx_parts) if x_idx_parts else np.empty(0, dtype=np.int64),
-        np.concatenate(x_val_parts) if x_val_parts else np.empty(0, dtype=np.float32),
-        d,
+    X = sp.csr_matrix(
+        (
+            np.concatenate(x_val_parts) if x_val_parts else np.empty(0, dtype=np.float32),
+            np.concatenate(x_idx_parts) if x_idx_parts else np.empty(0, dtype=np.int64),
+            x_indptr,
+        ),
+        shape=(n, d),
     )
-    Y = SparseRowMatrix(
-        y_indptr,
-        np.concatenate(y_idx_parts) if y_idx_parts else np.empty(0, dtype=np.int64),
-        np.ones(int(y_indptr[-1]), dtype=np.float32),
-        l,
+    Y = sp.csr_matrix(
+        (
+            np.ones(int(y_indptr[-1]), dtype=np.float32),
+            np.concatenate(y_idx_parts) if y_idx_parts else np.empty(0, dtype=np.int64),
+            y_indptr,
+        ),
+        shape=(n, l),
     )
     return Dataset(X, Y, n, d, l, ParseStats(n_dup, n_zero))

@@ -14,22 +14,15 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from conftest import random_dataset
-from labelforest.clustering import assign_step, update_step
+from helpers import predict_tree, row
+from labelforest.clustering import _assign, _update
 from labelforest.data import build_label_index, parse_dataset
-from labelforest.metrics import (
-    evaluate,
-    fit_propensities,
-    ndcg_at_k,
-    precision_at_k,
-    psndcg_at_k,
-    psp_at_k,
-    PropensityModel,
-)
-from labelforest.predict import logsigmoid, predict_batch, predict_tree
+from labelforest.metrics import PropensityModel, evaluate, fit_propensities
+from labelforest.predict import logsigmoid, predict_batch
 from labelforest.representations import ReprSpace, build_input_repr, build_output_repr
-from labelforest.solver import BinaryProblem, train_binary, gradient, objective
-from labelforest.sparse import SparseVec
 from labelforest.tree import TrainConfig, load_model, save_model, train_ensemble
+from metrics_oracle import ndcg_at_k, precision_at_k, psndcg_at_k, psp_at_k
+from tron_oracle import BinaryProblem, gradient, objective, train_binary
 
 DATA_DIR = os.environ.get(
     "XMC_DATA_DIR",
@@ -123,9 +116,9 @@ def dense_repr_rows(ds, output):
     x = np.zeros((ds.n, ds.d))
     y = np.zeros((ds.n, ds.l))
     for i in range(ds.n):
-        r = ds.X.row(i)
+        r = row(ds.X, i)
         x[i, r.indices] = r.values
-        t = ds.Y.row(i)
+        t = row(ds.Y, i)
         y[i, t.indices] = 1.0
     m = y.T @ (y if output else x)
     norms = np.linalg.norm(m, axis=1)
@@ -199,31 +192,23 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
             l=int(rng.integers(2, 33)),
         )
         for build, output in ((build_input_repr, False), (build_output_repr, True)):
-            got = build(ds).matrix
-            want = dense_repr_rows(ds, output)
-            for lab in range(ds.l):
-                row = got.row(lab)
-                dense = np.zeros(want.shape[1])
-                dense[row.indices] = row.values
-                np.testing.assert_allclose(dense, want[lab], atol=1e-9)
+            got = build(ds).matrix.toarray()
+            np.testing.assert_allclose(got, dense_repr_rows(ds, output), atol=1e-9)
 
     # clustering objective is non-increasing across alternating steps
     for trial in range(50):
         n, dim, k = int(rng.integers(4, 40)), int(rng.integers(2, 12)), int(rng.integers(2, 5))
         vecs = rng.normal(size=(n, dim))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        vecs_sv = [
-            SparseVec(np.arange(dim, dtype=np.int64), v.astype(np.float32), dim)
-            for v in vecs
-        ]
+        V = sp.csr_matrix(vecs.astype(np.float32), dtype=np.float64)
         centers = vecs[rng.choice(n, size=k, replace=False)].copy()
         prev = None
         for _ in range(6):
-            assignments, obj = assign_step(vecs_sv, centers)
+            assignments, obj = _assign(V, centers)
             if prev is not None:
                 assert obj <= prev + 1e-12
             prev = obj
-            centers = update_step(vecs_sv, assignments, k)
+            centers = _update(V, assignments, k)
 
     # beam at least as wide as any fan-out reproduces exhaustive scoring
     for trial in range(20):
@@ -232,7 +217,7 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
         ens = train_ensemble(ds, config)
         tree = ens.trees[0]
         x_ds = random_dataset(3000 + trial, n=1, d=12, l=ds.l)
-        x = x_ds.X.row(0)
+        x = row(x_ds.X, 0)
         got = predict_tree(tree, x, beam=ds.l, k=5)
         scores = exhaustive_tree_scores(tree, x)
         labels = np.array(sorted(scores), dtype=np.int64)

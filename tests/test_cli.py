@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import logging
 import math
+import os
 import re
 import shutil
 import struct
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import grouped_dataset
 from fuzz import apply_edit, byte_edits, prediction_edits
-from helpers import dataset_to_text
+from helpers import dataset_to_text, row
 from metrics_oracle import evaluate_oracle
 from labelforest import cli
 from labelforest.cli import main
@@ -80,7 +82,7 @@ class TestPipeline:
         np.add.at(counts, train.Y.indices, 1)
         majority = int(np.argmax(counts))
         hits = sum(
-            majority in test.Y.row(i).indices.tolist() for i in range(test.n)
+            majority in row(test.Y, i).indices.tolist() for i in range(test.n)
         )
         baseline = 100.0 * hits / test.n
         assert table["P"][0] >= baseline
@@ -89,7 +91,7 @@ class TestPipeline:
         ens = load_model(trained)
         test = normalize_instances(parse_dataset(paths["test"]))
         results = [
-            predict_ensemble(ens, test.X.row(i), beam=10, k=5)
+            predict_ensemble(ens, row(test.X, i), beam=10, k=5)
             for i in range(test.n)
         ]
         ref = tmp_path / "ref.txt"
@@ -144,7 +146,7 @@ class TestBeamFlag:
         test = normalize_instances(parse_dataset(paths["test"]))
         got = read_predictions(pred)
         for i in range(0, test.n, 10):
-            x = test.X.row(i)
+            x = row(test.X, i)
             sums: dict[int, float] = {}
             for tree in ens.trees:
                 for leaf, clf in zip(tree.root.children, tree.root.classifiers):
@@ -218,7 +220,7 @@ class TestEval:
     def test_repeated_true_label_scores_cannot_pass_100(self, paths, trained, tmp_path, capsys):
         """Repeating each row's first true label used to score P@5 = 100."""
         test = parse_dataset(paths["test"])
-        rows = [f"{test.Y.row(i).indices[0]}:0.9 " * 5 for i in range(test.n)]
+        rows = [f"{row(test.Y, i).indices[0]}:0.9 " * 5 for i in range(test.n)]
         bad = tmp_path / "repeat.txt"
         bad.write_text("\n".join(r.strip() for r in rows) + "\n")
         assert main(["eval", "--predictions", str(bad), "--data", paths["test"]]) == 2
@@ -318,6 +320,12 @@ class TestExitCodes:
         rc = main(["train", "--data", paths["train"],
                    "--model", str(tmp_path / "m"), "--branch", "1"])
         assert rc == 1
+
+    def test_training_data_without_labels_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "nolabels.txt"
+        f.write_text("2 3 0\n 0:1.0\n 1:2.0 2:0.5\n")
+        assert main(["train", "--data", str(f), "--model", str(tmp_path / "m")]) == 2
+        assert "data error: training needs at least one label" in capsys.readouterr().err
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "nope.txt")]) == 2
@@ -459,6 +467,41 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
 
+def _sha256_of_dir(path) -> str:
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode() + b"\0")
+        h.update((Path(path) / name).read_bytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """Models and prediction files are byte-for-byte those of the code
+    that last changed them on purpose: a refactor that moves a single
+    weight or score shows here.  A change that means to alter the model
+    or the file format records the new digests in the same change."""
+
+    @pytest.mark.parametrize("flags, depth, model_sha, pred_sha", [
+        (["--trees", "2", "--branch", "8", "--max-depth", "1", "--repr", "input", "--seed", "3"],
+         1, "b1c34dacae6b7a438a47130909465b53444fa6274052a97d5ee2e302750dde26",
+         "15d2b3491dbc48d3650ce042ff2144636c8236aa2c65452012e84f83bf8ee660"),
+        (["--trees", "2", "--branch", "4", "--max-depth", "2", "--repr", "joint", "--seed", "5"],
+         2, "443129ce8120e7d819f17044e603d5fb770c7610604e441c6693db008431a484",
+         "63d33605df84839a77e5722ac421af5ebb21c14562d616b97b332cabcfe58377"),
+    ], ids=["input-depth1", "joint-depth2"])
+    def test_model_and_predictions_match_recorded_digests(
+        self, paths, tmp_path, flags, depth, model_sha, pred_sha
+    ):
+        model, pred = tmp_path / "m", tmp_path / "pred.txt"
+        assert main(["train", "--data", paths["train"], "--model", str(model), *flags]) == 0
+        assert main(["predict", "--model", str(model), "--data", paths["test"],
+                     "--output", str(pred)]) == 0
+        trees = load_model(model).trees
+        assert max(n.depth for t in trees for n in t.iter_nodes()) == depth
+        assert _sha256_of_dir(model) == model_sha
+        assert hashlib.sha256(pred.read_bytes()).hexdigest() == pred_sha
+
+
 class TestPredictFlags:
     def test_cutoff_list_bounds_line_width(self, paths, trained, tmp_path):
         pred = tmp_path / "narrow.txt"
@@ -478,7 +521,7 @@ class TestPredictFlags:
         assert main(["eval", "--predictions", str(pred), "--data", paths["test"],
                      "--k", "1,3,5"]) == 0
         test = parse_dataset(paths["test"])
-        truths = [test.Y.row(i).indices for i in range(test.n)]
+        truths = [row(test.Y, i).indices for i in range(test.n)]
         prop = fit_propensities(np.bincount(test.Y.indices, minlength=test.l), test.n)
         want = evaluate_oracle(list(read_predictions(pred)), truths, prop, (1, 3, 5))
         assert capsys.readouterr().out == want.format() + "\n"

@@ -3,18 +3,18 @@ import pytest
 import scipy.sparse as sp
 
 from labelforest import clustering
-from labelforest.clustering import (
-    Partition,
-    assign_step,
-    kmeans_partition,
-    update_step,
-)
+from labelforest.clustering import Partition, _assign, _update, kmeans_partition
 from labelforest.sparse import SparseVec
-from helpers import l2_normalize, vec_from_pairs
+from helpers import csr_from_rows, l2_normalize, vec_from_pairs
 
 
 def vec(pairs, dim):
     return vec_from_pairs(pairs, dim, dtype=np.float64)
+
+
+def csr(vecs) -> sp.csr_matrix:
+    """The float64 CSR matrix with one row per vector."""
+    return csr_from_rows(vecs, vecs[0].dim)
 
 
 def unit_vecs(seed, n, dim):
@@ -37,20 +37,20 @@ def brute_objective(vecs, centers, assignments):
 class TestAssignStep:
     def test_member_on_center(self):
         c = np.array([[1.0, 0.0], [0.0, 1.0]])
-        a, obj = assign_step([vec([(0, 1.0)], 2)], c)
+        a, obj = _assign(csr([vec([(0, 1.0)], 2)]), c)
         assert a.tolist() == [0]
         assert obj == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_tie_goes_to_lowest_id(self):
         c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        a, obj = assign_step([vec([(2, 1.0)], 3)], c)
+        a, obj = _assign(csr([vec([(2, 1.0)], 3)]), c)
         assert a.tolist() == [0]
         assert obj == pytest.approx(1.0)
 
     def test_matches_exhaustive_distance_table(self):
         vecs = unit_vecs(5, 5, 4)
         centers = np.vstack([v.to_dense() for v in unit_vecs(6, 2, 4)])
-        a, obj = assign_step(vecs, centers)
+        a, obj = _assign(csr(vecs), centers)
         dists = np.array(
             [[1.0 - np.dot(v.to_dense(), c) for c in centers] for v in vecs]
         )
@@ -59,18 +59,18 @@ class TestAssignStep:
 
     def test_empty_centers_rejected(self):
         with pytest.raises(ValueError):
-            assign_step([vec([(0, 1.0)], 1)], np.zeros((0, 1)))
+            _assign(csr([vec([(0, 1.0)], 1)]), np.zeros((0, 1)))
 
 
 class TestUpdateStep:
     def test_single_member_center_is_member(self):
         v = l2_normalize(vec([(0, 1.0), (1, 1.0)], 2))
-        centers = update_step([v], np.array([0]), 2)
+        centers = _update(csr([v]), np.array([0]), 2)
         np.testing.assert_allclose(centers[0], v.to_dense(), atol=1e-12)
 
     def test_zero_mean_cluster_reseeds(self):
         vecs = [vec([(0, 1.0)], 2), vec([(0, -1.0)], 2)]
-        centers = update_step(vecs, np.array([0, 0]), 2)
+        centers = _update(csr(vecs), np.array([0, 0]), 2)
         norms = np.linalg.norm(centers, axis=1)
         assert norms[0] == pytest.approx(1.0)
 
@@ -81,7 +81,7 @@ class TestUpdateStep:
             vec([(0, 1.0)], 3),
             vec([(2, 1.0)], 3),
         ]
-        centers = update_step(vecs, np.array([0, 0, 0]), 2)
+        centers = _update(csr(vecs), np.array([0, 0, 0]), 2)
         # the outlier (index 2) is farthest from the shared mean
         np.testing.assert_allclose(centers[1], [0.0, 0.0, 1.0], atol=1e-9)
 
@@ -90,7 +90,7 @@ class TestUpdateStep:
         rng = np.random.default_rng(8)
         a = rng.integers(0, 3, size=12)
         a[:3] = [0, 1, 2]  # keep every cluster populated
-        centers = update_step(vecs, a, 3)
+        centers = _update(csr(vecs), a, 3)
         dense = np.vstack([v.to_dense() for v in vecs])
         for k in range(3):
             mean = dense[a == k].mean(axis=0)
@@ -148,15 +148,15 @@ class TestOwnCenterScores:
 class TestKmeansPartition:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            kmeans_partition(unit_vecs(0, 3, 2), K=1)
+            kmeans_partition(csr(unit_vecs(0, 3, 2)), K=1)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            kmeans_partition([], K=2)
+            kmeans_partition(sp.csr_matrix((0, 3)), K=2)
 
     def test_singleton_clusters_no_iteration(self):
         vecs = unit_vecs(1, 3, 4)
-        part = kmeans_partition(vecs, K=3, seed=0)
+        part = kmeans_partition(csr(vecs), K=3, seed=0)
         assert part.assignments.tolist() == [0, 1, 2]
         assert part.n_iters_run == 0
         assert part.final_objective == pytest.approx(0.0, abs=1e-9)
@@ -164,13 +164,13 @@ class TestKmeansPartition:
             np.testing.assert_allclose(part.centers[i], v.to_dense(), atol=1e-12)
 
     def test_fewer_vectors_than_k(self):
-        part = kmeans_partition(unit_vecs(2, 2, 3), K=4, seed=0)
+        part = kmeans_partition(csr(unit_vecs(2, 2, 3)), K=4, seed=0)
         assert part.assignments.tolist() == [0, 1]
         assert part.centers.shape == (4, 3)
 
     def test_identical_points_collapse_to_one_cluster(self):
         v = l2_normalize(vec([(0, 1.0), (1, 2.0)], 3))
-        part = kmeans_partition([v] * 4, K=2, seed=3)
+        part = kmeans_partition(csr([v] * 4), K=2, seed=3)
         sizes = np.bincount(part.assignments, minlength=2)
         assert sorted(sizes.tolist()) == [0, 4]
         assert part.final_objective == pytest.approx(0.0, abs=1e-9)
@@ -184,30 +184,30 @@ class TestKmeansPartition:
         centers = np.vstack([vecs[i].to_dense() for i in picks])
         objs = []
         for _ in range(10):
-            a, obj = assign_step(vecs, centers)
+            a, obj = _assign(csr(vecs), centers)
             assert obj == pytest.approx(brute_objective(vecs, centers, a), abs=1e-9)
             objs.append(obj)
-            centers = update_step(vecs, a, 4)
+            centers = _update(csr(vecs), a, 4)
         diffs = np.diff(objs)
         assert np.all(diffs <= 1e-9)
 
     def test_partition_is_disjoint_cover(self):
         vecs = unit_vecs(11, 25, 5)
-        part = kmeans_partition(vecs, K=4, seed=12)
+        part = kmeans_partition(csr(vecs), K=4, seed=12)
         assert np.all((part.assignments >= 0) & (part.assignments < 4))
         union = np.concatenate([part.members(k) for k in range(4)])
         assert sorted(union.tolist()) == list(range(25))
 
     def test_deterministic_per_seed(self):
         vecs = unit_vecs(13, 30, 6)
-        p1 = kmeans_partition(vecs, K=3, seed=99)
-        p2 = kmeans_partition(vecs, K=3, seed=99)
+        p1 = kmeans_partition(csr(vecs), K=3, seed=99)
+        p2 = kmeans_partition(csr(vecs), K=3, seed=99)
         assert p1.assignments.tolist() == p2.assignments.tolist()
         np.testing.assert_array_equal(p1.centers, p2.centers)
 
     def test_nonempty_centers_are_unit_norm(self):
         vecs = unit_vecs(15, 40, 7)
-        part = kmeans_partition(vecs, K=5, seed=6)
+        part = kmeans_partition(csr(vecs), K=5, seed=6)
         for k in range(5):
             if len(part.members(k)):
                 assert np.linalg.norm(part.centers[k]) == pytest.approx(1.0, abs=1e-6)

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,8 @@ from labelforest.data import (
     normalize_instances,
     parse_dataset,
 )
-from labelforest.sparse import SparseRowMatrix, SparseVec
-from helpers import dataset_to_text
+from labelforest.sparse import SparseVec
+from helpers import csr_from_rows, dataset_to_text, row, same_dataset
 
 import parse_oracle
 
@@ -30,26 +31,39 @@ class TestParse:
         idx = build_label_index(ds)
         assert idx.freqs.tolist() == [2, 1]
 
+    def test_matrices_are_float32_csr(self):
+        ds = parse_text("2 3 2\n0 2:0.5 0:1.0\n0,1 1:2.0\n")
+        for m in (ds.X, ds.Y, normalize_instances(ds).X):
+            assert isinstance(m, sp.csr_matrix) and m.dtype == np.float32
+        assert ds.X.indptr.tolist() == [0, 2, 3]
+        assert ds.X.indices.tolist() == [0, 2, 1]
+        assert ds.X.data.tolist() == [1.0, 0.5, 2.0]
+        assert (ds.Y.indptr.tolist(), ds.Y.indices.tolist()) == ([0, 1, 3], [0, 0, 1])
+
+    def test_header_count_past_int64_is_rejected(self):
+        with pytest.raises(DataFormatError, match="out of range"):
+            parse_text(f"0 {2**63} 5\n")
+
     def test_minimal_example(self):
         ds = parse_text("1 1 1\n0 0:1\n")
         assert (ds.n, ds.d, ds.l) == (1, 1, 1)
-        assert ds.X.row(0).values.tolist() == [1.0]
-        assert ds.Y.row(0).indices.tolist() == [0]
+        assert row(ds.X, 0).values.tolist() == [1.0]
+        assert row(ds.Y, 0).indices.tolist() == [0]
 
     def test_byte_stream_and_cr_stripping(self):
         ds = parse_dataset(io.BytesIO(b"1 2 1\r\n0 1:3.5\r\n"))
-        assert ds.X.row(0).indices.tolist() == [1]
-        assert ds.X.row(0).values.tolist() == [3.5]
+        assert row(ds.X, 0).indices.tolist() == [1]
+        assert row(ds.X, 0).values.tolist() == [3.5]
 
     def test_empty_label_list_line(self):
         ds = parse_text("2 2 2\n 0:1.0\n1 1:1.0\n")
-        assert ds.Y.row(0).nnz == 0
-        assert ds.Y.row(1).indices.tolist() == [1]
+        assert row(ds.Y, 0).nnz == 0
+        assert row(ds.Y, 1).indices.tolist() == [1]
 
     def test_scientific_notation_values(self):
         ds = parse_text("1 2 1\n0 0:1e-3 1:2.5E2\n")
         np.testing.assert_allclose(
-            ds.X.row(0).values, np.array([1e-3, 250.0], dtype=np.float32)
+            row(ds.X, 0).values, np.array([1e-3, 250.0], dtype=np.float32)
         )
 
     def test_duplicate_features_rejected(self):
@@ -58,13 +72,13 @@ class TestParse:
 
     def test_duplicate_labels_deduplicated_with_count(self):
         ds = parse_text("1 2 3\n2,0,2 0:1.0\n")
-        assert ds.Y.row(0).indices.tolist() == [0, 2]
+        assert row(ds.Y, 0).indices.tolist() == [0, 2]
         assert ds.stats.duplicate_labels == 1
 
     def test_unsorted_features_accepted(self):
         ds = parse_text("1 4 1\n0 3:1.0 1:2.0\n")
-        assert ds.X.row(0).indices.tolist() == [1, 3]
-        assert ds.X.row(0).values.tolist() == [2.0, 1.0]
+        assert row(ds.X, 0).indices.tolist() == [1, 3]
+        assert row(ds.X, 0).values.tolist() == [2.0, 1.0]
 
     def test_label_out_of_range(self):
         with pytest.raises(DataFormatError, match="label id out of range"):
@@ -92,7 +106,7 @@ class TestParse:
 
     def test_explicit_zero_values_dropped(self):
         ds = parse_text("1 3 1\n0 0:0.0 2:1.0\n")
-        assert ds.X.row(0).indices.tolist() == [2]
+        assert row(ds.X, 0).indices.tolist() == [2]
         assert ds.stats.zero_values == 1
 
 
@@ -102,7 +116,7 @@ class TestRoundTrip:
         ds = parse_text(text)
         out = dataset_to_text(ds)
         ds2 = parse_text(out)
-        assert ds2 == ds
+        assert same_dataset(ds2, ds)
         assert dataset_to_text(ds2) == out
 
     @given(st.data())
@@ -130,7 +144,7 @@ class TestRoundTrip:
             pairs = " ".join(f"{j}:{v}" for j, v in zip(feats, vals))
             lines.append(",".join(map(str, labels)) + (" " + pairs if pairs else ""))
         ds = parse_text("\n".join(lines) + "\n")
-        assert parse_text(dataset_to_text(ds)) == ds
+        assert same_dataset(parse_text(dataset_to_text(ds)), ds)
 
 
 class TestLabelIndex:
@@ -167,15 +181,13 @@ class TestLabelIndex:
                     l,
                 )
             )
-        Y = SparseRowMatrix.from_rows(rows, l)
-        X = SparseRowMatrix.from_rows(
+        Y = csr_from_rows(rows, l)
+        X = csr_from_rows(
             [SparseVec(np.array([0]), np.array([1.0], dtype=np.float32), 1)] * n, 1
         )
         ds = Dataset(X, Y, n, 1, l)
         idx = build_label_index(ds)
-        dense = np.zeros((n, l))
-        for i in range(n):
-            dense[i] = Y.row(i).to_dense()
+        dense = Y.toarray()
         np.testing.assert_array_equal(idx.freqs, dense.sum(axis=0).astype(np.int64))
         for lab in range(l):
             assert idx.instances[lab].tolist() == list(np.nonzero(dense[:, lab])[0])
@@ -197,16 +209,16 @@ class TestHistogram:
 
 class TestDatasetInvariants:
     def test_label_values_must_be_one(self):
-        X = SparseRowMatrix.from_rows([SparseVec(np.array([0]), np.array([1.0]), 1)], 1)
-        Y = SparseRowMatrix.from_rows(
+        X = csr_from_rows([SparseVec(np.array([0]), np.array([1.0]), 1)], 1)
+        Y = csr_from_rows(
             [SparseVec(np.array([0]), np.array([0.5], dtype=np.float32), 1)], 1
         )
         with pytest.raises(DataFormatError, match="1.0"):
             Dataset(X, Y, 1, 1, 1)
 
     def test_row_count_mismatch(self):
-        X = SparseRowMatrix.from_rows([SparseVec(np.array([0]), np.array([1.0]), 1)], 1)
-        Y = SparseRowMatrix.from_rows([], 1)
+        X = csr_from_rows([SparseVec(np.array([0]), np.array([1.0]), 1)], 1)
+        Y = csr_from_rows([], 1)
         with pytest.raises(DataFormatError, match="row counts"):
             Dataset(X, Y, 1, 1, 1)
 
@@ -216,15 +228,15 @@ class TestNormalizeInstances:
         ds = parse_text("2 2 1\n0 0:3.0 1:4.0\n0 0:2.0\n")
         nds = normalize_instances(ds)
         np.testing.assert_allclose(
-            nds.X.row(0).values, np.array([0.6, 0.8], dtype=np.float32), rtol=1e-6
+            row(nds.X, 0).values, np.array([0.6, 0.8], dtype=np.float32), rtol=1e-6
         )
-        np.testing.assert_allclose(nds.X.row(1).values, [1.0], rtol=1e-6)
+        np.testing.assert_allclose(row(nds.X, 1).values, [1.0], rtol=1e-6)
 
     def test_zero_row_untouched_and_values_stay_f32(self):
         ds = parse_text("2 2 1\n 1:5.0\n0\n")
         nds = normalize_instances(ds)
-        assert nds.X.row(1).nnz == 0
-        assert nds.X.values.dtype == np.float32
+        assert row(nds.X, 1).nnz == 0
+        assert nds.X.dtype == np.float32
 
 
 # -- the whole-buffer parser against the per-line oracle ----------------------
@@ -328,7 +340,7 @@ class TestParseOracle:
             assert str(new) == str(old)
         else:
             assert not isinstance(new, DataFormatError), f"oracle accepts: {new}"
-            assert new == old
+            assert same_dataset(new, old)
             assert new.stats == old.stats
 
     @given(data_files(), st.sampled_from(["\n", "\r\n"]))
@@ -375,7 +387,7 @@ class TestParseOracle:
         text = "\n".join(lines) + "\n"
         whole = parse_dataset(io.StringIO(text))
         monkeypatch.setattr("labelforest.data._BLOCK_BYTES", 37)
-        assert parse_dataset(io.StringIO(text)) == whole
+        assert same_dataset(parse_dataset(io.StringIO(text)), whole)
         bad = text.replace(lines[30], lines[30] + " 1:x")
         with pytest.raises(DataFormatError, match="line 31: bad pair"):
             parse_dataset(io.StringIO(bad))

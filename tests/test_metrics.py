@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforest.metrics import (
-    EvalReport,
-    PropensityModel,
-    evaluate,
-    fit_propensities,
+from labelforest.metrics import EvalReport, PropensityModel, evaluate, fit_propensities
+from helpers import ranked, row
+from metrics_oracle import (
+    coverage_at_k,
+    evaluate_oracle,
     ndcg_at_k,
+    oracle_top_k,
     precision_at_k,
+    ps_report,
     psndcg_at_k,
     psp_at_k,
 )
-from helpers import ranked
-from metrics_oracle import coverage_at_k, evaluate_oracle, oracle_top_k, ps_report
 
 
 def dense_ndcg(pred, truth, k):
@@ -314,7 +314,7 @@ class TestEvaluateOracle:
         test, _ = grouped_test
         ens = train_ensemble(train, TrainConfig(n_trees=1, k=4))
         preds = predict_batch(ens, test, k=5)
-        truths = [test.Y.row(i).indices for i in range(test.n)]
+        truths = [row(test.Y, i).indices for i in range(test.n)]
         prop = fit_propensities(np.bincount(train.Y.indices, minlength=train.l), train.n)
         got = evaluate(preds, truths, prop)
         want = evaluate_oracle(preds, truths, prop)

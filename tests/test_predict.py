@@ -11,7 +11,6 @@ from labelforest.predict import (
     logsigmoid,
     predict_batch,
     predict_ensemble,
-    predict_tree,
     prepare_features,
     read_predictions,
     write_predictions,
@@ -30,7 +29,7 @@ from labelforest.tree import (
 )
 
 from conftest import grouped_dataset
-from helpers import node_child_prob, vec_from_pairs, weights_block
+from helpers import node_child_prob, predict_tree, row, vec_from_pairs, weights_block
 
 
 def wvec(pairs, dim, bias=0.0):
@@ -284,8 +283,7 @@ class TestPredictBatch:
     def test_empty_dataset_gives_empty_block(self, grouped_train):
         ds, _ = grouped_train
         ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=11))
-        empty = Dataset(SparseRowMatrix.from_csr(sp.csr_matrix((0, ds.d))),
-                        SparseRowMatrix.from_csr(sp.csr_matrix((0, ds.l))), 0, ds.d, ds.l)
+        empty = Dataset(sp.csr_matrix((0, ds.d)), sp.csr_matrix((0, ds.l)), 0, ds.d, ds.l)
         out = predict_batch(ens, empty, beam=3, k=5)
         assert len(out) == 0 and out.labels.shape == (0, 5)
 
@@ -305,7 +303,7 @@ class TestPredictBatch:
         preds = predict_batch(ens, ds, beam=3, k=5)
         write_predictions(preds, tmp_path / "pred.txt")
         back = read_predictions(tmp_path / "pred.txt")
-        truths = [ds.Y.row(i).indices for i in range(ds.n)]
+        truths = [row(ds.Y, i).indices for i in range(ds.n)]
         evaluate(back, truths, PropensityModel.uniform(ds.l))
         assert len(back) == ds.n and len(built) == 0
         # the counter does see the per-row views

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from labelforest.data import parse_dataset
 from labelforest.representations import (
@@ -14,6 +15,7 @@ from labelforest.representations import (
 )
 
 from conftest import random_dataset
+from helpers import csr_from_rows, row, rows
 
 
 def parse_text(text):
@@ -21,7 +23,7 @@ def parse_text(text):
 
 
 def dense_rows(repr_: LabelRepr):
-    return np.vstack([r.to_dense() for r in repr_.matrix.rows])
+    return np.vstack([r.to_dense() for r in rows(repr_.matrix)])
 
 
 def normalize_rows(m):
@@ -34,38 +36,38 @@ class TestInputRepr:
     def test_single_instance_label(self):
         ds = parse_text("1 3 1\n0 0:3.0 2:4.0\n")
         r = build_input_repr(ds)
-        np.testing.assert_allclose(r.matrix.row(0).to_dense(), [0.6, 0.0, 0.8])
+        np.testing.assert_allclose(row(r.matrix, 0).to_dense(), [0.6, 0.0, 0.8])
         assert r.space is ReprSpace.INPUT and r.dim == 3
 
     def test_two_instance_symmetry(self):
         ds = parse_text("2 2 1\n0 0:1.0\n0 1:1.0\n")
         r = build_input_repr(ds)
         s = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(r.matrix.row(0).to_dense(), [s, s])
+        np.testing.assert_allclose(row(r.matrix, 0).to_dense(), [s, s])
 
     def test_unused_label_zero_vector(self):
         ds = parse_text("1 2 2\n0 0:1.0\n")
         r = build_input_repr(ds)
-        assert r.matrix.row(1).nnz == 0
+        assert row(r.matrix, 1).nnz == 0
 
     def test_matches_dense_oracle(self):
         ds = random_dataset(11, n=10, d=8, l=5)
-        X = np.vstack([r.to_dense() for r in ds.X.rows])
-        Y = np.vstack([r.to_dense() for r in ds.Y.rows])
+        X = np.vstack([r.to_dense() for r in rows(ds.X)])
+        Y = np.vstack([r.to_dense() for r in rows(ds.Y)])
         expected = normalize_rows(Y.T @ X)
         np.testing.assert_allclose(dense_rows(build_input_repr(ds)), expected, atol=1e-9)
 
     def test_vectors_lie_in_span_of_positives(self):
         ds = random_dataset(3, n=8, d=6, l=4)
-        X = np.vstack([r.to_dense() for r in ds.X.rows])
-        Y = np.vstack([r.to_dense() for r in ds.Y.rows])
-        rows = dense_rows(build_input_repr(ds))
+        X = np.vstack([r.to_dense() for r in rows(ds.X)])
+        Y = np.vstack([r.to_dense() for r in rows(ds.Y)])
+        V = dense_rows(build_input_repr(ds))
         for lab in range(ds.l):
             pos = X[Y[:, lab] == 1]
             if not len(pos):
                 continue
-            coef, *_ = np.linalg.lstsq(pos.T, rows[lab], rcond=None)
-            np.testing.assert_allclose(pos.T @ coef, rows[lab], atol=1e-9)
+            coef, *_ = np.linalg.lstsq(pos.T, V[lab], rcond=None)
+            np.testing.assert_allclose(pos.T @ coef, V[lab], atol=1e-9)
 
 
 class TestOutputRepr:
@@ -78,11 +80,11 @@ class TestOutputRepr:
     def test_isolated_label_is_basis_vector(self):
         ds = parse_text("4 1 3\n0 0:1\n0 0:1\n1,2 0:1\n1,2 0:1\n")
         r = build_output_repr(ds)
-        np.testing.assert_allclose(r.matrix.row(0).to_dense(), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(row(r.matrix, 0).to_dense(), [1.0, 0.0, 0.0])
 
     def test_matches_dense_oracle(self):
         ds = random_dataset(12, n=10, d=4, l=6)
-        Y = np.vstack([r.to_dense() for r in ds.Y.rows])
+        Y = np.vstack([r.to_dense() for r in rows(ds.Y)])
         expected = normalize_rows(Y.T @ Y)
         np.testing.assert_allclose(
             dense_rows(build_output_repr(ds)), expected, atol=1e-9
@@ -91,16 +93,16 @@ class TestOutputRepr:
     def test_permutation_equivariance(self):
         ds = random_dataset(13, n=9, d=3, l=5)
         perm = np.array([3, 0, 4, 1, 2])
-        Y = np.vstack([r.to_dense() for r in ds.Y.rows])
+        Y = np.vstack([r.to_dense() for r in rows(ds.Y)])
         from labelforest.data import Dataset
-        from labelforest.sparse import SparseRowMatrix, SparseVec
+        from labelforest.sparse import SparseVec
 
-        rows = []
+        y_rows = []
         for i in range(ds.n):
             yp = Y[i][np.argsort(perm)]  # label j moves to position perm[j]
             idx = np.nonzero(yp)[0].astype(np.int64)
-            rows.append(SparseVec(idx, np.ones(len(idx), dtype=np.float32), ds.l))
-        dsp = Dataset(ds.X, SparseRowMatrix.from_rows(rows, ds.l), ds.n, ds.d, ds.l)
+            y_rows.append(SparseVec(idx, np.ones(len(idx), dtype=np.float32), ds.l))
+        dsp = Dataset(ds.X, csr_from_rows(y_rows, ds.l), ds.n, ds.d, ds.l)
         base = dense_rows(build_output_repr(ds))
         permuted = dense_rows(build_output_repr(dsp))
         # permuted[perm[j], perm[m]] must equal base[j, m]
@@ -111,7 +113,7 @@ class TestJointRepr:
     def test_zero_input_block_norm(self):
         ds = parse_text("1 2 1\n0\n")
         r = build_joint_repr(ds)
-        v = r.matrix.row(0)
+        v = row(r.matrix, 0)
         assert v.norm() == pytest.approx(1.0 / np.sqrt(2.0))
         assert all(j >= ds.d for j in v.indices)
 
@@ -119,7 +121,7 @@ class TestJointRepr:
         ds = random_dataset(14, n=10, d=8, l=6)
         r = build_joint_repr(ds)
         for lab in range(ds.l):
-            v = r.matrix.row(lab)
+            v = row(r.matrix, lab)
             has_in = any(j < ds.d for j in v.indices)
             has_out = any(j >= ds.d for j in v.indices)
             if has_in and has_out:
@@ -148,11 +150,18 @@ class TestDispatchAndInvariants:
         assert build_repr(ds, ReprSpace.OUTPUT).space is ReprSpace.OUTPUT
         assert build_repr(ds, ReprSpace.JOINT).space is ReprSpace.JOINT
 
+    def test_matrix_is_float64_csr(self):
+        ds = random_dataset(19, n=6, d=5, l=4)
+        for space in ReprSpace:
+            m = build_repr(ds, space).matrix
+            assert isinstance(m, sp.csr_matrix) and m.dtype == np.float64
+            assert m.has_canonical_format and m.data.all()
+
     def test_nonzero_rows_are_unit_norm(self):
         ds = random_dataset(18, n=12, d=7, l=9)
         for space in ReprSpace:
             r = build_repr(ds, space)
             assert r.n_labels == ds.l
-            for v in r.matrix.rows:
+            for v in rows(r.matrix):
                 if v.nnz and space is not ReprSpace.JOINT:
                     assert v.norm() == pytest.approx(1.0, abs=1e-6)

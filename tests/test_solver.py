@@ -4,22 +4,22 @@ import scipy.sparse as sp
 
 from labelforest import solver, tree
 from labelforest.predict import predict_batch
-from labelforest.solver import (
-    BinaryProblem,
-    NodeSolve,
-    SolveInfo,
-    _tron,
-    _trcg,
-    gradient,
-    objective,
-    train_binary,
-    train_node,
-)
+from labelforest.solver import NodeSolve, _tron, _trcg, train_node
 from labelforest.tree import TrainConfig, TrainReport, train_ensemble
 
 from conftest import grouped_dataset
 from helpers import row_weights, weights_block, with_bias_column
-from tron_oracle import OracleInfo, oracle_train_node, solve_dense, trcg
+from tron_oracle import (
+    BinaryProblem,
+    OracleInfo,
+    SolveInfo,
+    gradient,
+    objective,
+    oracle_train_node,
+    solve_dense,
+    train_binary,
+    trcg,
+)
 
 # Batched columns against the scalar oracle, relative to the oracle's
 # weight norm.  The two sum dot products in different orders, so they
@@ -315,9 +315,9 @@ class TestBatchedAgainstOracle:
 
         oracle_iters = []
 
-        def oracle_node(X, Y, C, eps, delta, max_newton_iters):
+        def oracle_node(X, Y, C, eps, delta):
             weights, infos = oracle_train_node(with_bias_column(X), Y, C, eps, delta,
-                                               max_newton_iters)
+                                               solver.MAX_NEWTON_ITERS)
             iters = np.array([i.n_newton_iters for i in infos], dtype=np.int64)
             oracle_iters.append(iters)
             conv = np.array([i.converged for i in infos])

@@ -9,10 +9,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelforest import solver
 from labelforest.data import Dataset, build_label_index, parse_dataset
 from labelforest.predict import predict_batch, prepare_features
 from labelforest.representations import ReprSpace
-from labelforest.sparse import SparseRowMatrix
 from labelforest.tree import (
     FORMAT_VERSION,
     Ensemble,
@@ -26,7 +26,7 @@ from labelforest.tree import (
 
 from conftest import grouped_dataset
 from fuzz import apply_edit, byte_edits, meta_edits
-from helpers import l2_normalize
+from helpers import l2_normalize, row
 
 
 def parse_text(text):
@@ -44,7 +44,7 @@ def train_small(ds, **kw):
 def brute_instance_set(ds, labels, parent_set):
     out = []
     for i in parent_set:
-        if np.intersect1d(ds.Y.row(i).indices, labels).size:
+        if np.intersect1d(row(ds.Y, i).indices, labels).size:
             out.append(i)
     return out
 
@@ -137,11 +137,10 @@ class TestClassifiers:
         ds = parse_text("\n".join(lines) + "\n")
         ens = train_small(ds, k=2, d_max=1, delta=0.0, eps=1e-6)
         root = ens.trees[0].root
-        X = [r for r in ds.X.rows]
         for child, clf in zip(root.children, root.classifiers):
             pos = set(child.instance_ids.tolist())
             for i in range(ds.n):
-                m = clf.margin(l2_normalize(X[i]))
+                m = clf.margin(l2_normalize(row(ds.X, i)))
                 assert (m > 0) == (i in pos)
 
     def test_zero_positive_label_counted(self):
@@ -151,12 +150,13 @@ class TestClassifiers:
         train_ensemble(ds, TrainConfig(n_trees=1, k=100, base_seed=0), report)
         assert report.n_zero_positive >= 1
 
-    def test_newton_steps_and_cap_counted(self, grouped_train):
+    def test_newton_steps_and_cap_counted(self, grouped_train, monkeypatch):
         ds, _ = grouped_train
         capped, free = TrainReport(), TrainReport()
-        cfg = dict(n_trees=1, k=3, d_max=1, base_seed=0, eps=1e-6)
-        train_ensemble(ds, TrainConfig(max_newton_iters=1, **cfg), capped)
-        train_ensemble(ds, TrainConfig(**cfg), free)
+        config = TrainConfig(n_trees=1, k=3, d_max=1, base_seed=0, eps=1e-6)
+        train_ensemble(ds, config, free)
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+        train_ensemble(ds, config, capped)
         assert capped.n_not_converged > 0
         assert 0 < capped.n_newton_iters <= capped.n_classifiers
         assert free.n_not_converged == 0
@@ -304,6 +304,21 @@ class TestModelStore:
         with pytest.raises(ModelFormatError, match="finite"):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("value, match", [
+        ("0", "not 1"), ("2", "not 1"), ("yes", "bad meta file"), (None, "bad meta file"),
+    ])
+    def test_normalize_other_than_one_rejected(self, grouped_train, tmp_path, value, match):
+        ds, _ = grouped_train
+        save_model(train_small(ds), tmp_path / "m")
+        meta = (tmp_path / "m" / "meta").read_text().splitlines()
+        assert "normalize=1" in meta
+        meta = [m for m in meta if m != "normalize=1"]
+        if value is not None:
+            meta.append(f"normalize={value}")
+        (tmp_path / "m" / "meta").write_text("\n".join(meta) + "\n")
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(tmp_path / "m")
+
     def test_node_deeper_than_d_max_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
         ens = train_small(ds, d_max=2)
@@ -401,8 +416,7 @@ class TestModelFuzz:
         check_invariants(ens)
         X = sp.csr_matrix(X[:, : min(X.shape[1], ens.d)])
         X.resize((X.shape[0], ens.d))
-        no_labels = SparseRowMatrix.from_csr(sp.csr_matrix((X.shape[0], 0)))
-        ds = Dataset(SparseRowMatrix.from_csr(X), no_labels, X.shape[0], ens.d, 0)
+        ds = Dataset(X, sp.csr_matrix((X.shape[0], 0)), X.shape[0], ens.d, 0)
         assert len(predict_batch(ens, ds, beam=3, k=5)) == X.shape[0]
 
     @settings(max_examples=300)

@@ -1,6 +1,11 @@
-"""Scalar trust-region Newton: one classifier at a time, one CG vector at a
-time.  This is the solver the batched one in ``labelforest.solver``
-replaced; tests hold every batched column to it.
+"""Single-classifier solvers kept as oracles for the batched one in
+``labelforest.solver``.
+
+``solve_dense`` is scalar trust-region Newton, one classifier at a time and
+one CG vector at a time: the solver the batched one replaced; tests hold
+every batched column to it.  ``train_binary`` is the batched solver's
+``_tron`` called on one sign column, with the objective of each accepted
+iterate recorded in a ``SolveInfo``.
 """
 
 from __future__ import annotations
@@ -19,12 +24,78 @@ from labelforest.solver import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    BinaryProblem,
     Weights,
-    gradient,
-    objective,
+    _tron,
 )
 from labelforest.sparse import SparseVec
+
+
+@dataclass(frozen=True)
+class BinaryProblem:
+    """Feature rows with a sign per row and the loss trade-off C."""
+
+    X: sp.csr_matrix
+    signs: np.ndarray
+    C: float = 1.0
+
+    def __post_init__(self):
+        if not isinstance(self.X, sp.csr_matrix):
+            raise TypeError(f"need a scipy CSR matrix, got {type(self.X).__name__}")
+        X = self.X.astype(np.float64, copy=False)
+        signs = np.asarray(self.signs, dtype=np.float64).ravel()
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "signs", signs)
+        if X.shape[0] != len(signs) or len(signs) < 1:
+            raise ValueError("need one sign per row and at least one row")
+        if not np.all(np.abs(signs) == 1.0):
+            raise ValueError("signs must be +1 or -1")
+        if not self.C > 0:
+            raise ValueError("C must be positive")
+
+    @property
+    def dim(self) -> int:
+        return self.X.shape[1]
+
+
+def objective(p: BinaryProblem, w: np.ndarray) -> float:
+    xi = 1.0 - p.signs * (p.X @ w)
+    act = xi > 0
+    return float(w @ w + p.C * np.dot(xi[act], xi[act]))
+
+
+def gradient(p: BinaryProblem, w: np.ndarray) -> np.ndarray:
+    xi = 1.0 - p.signs * (p.X @ w)
+    z = np.where(xi > 0, p.signs * xi, 0.0)
+    return 2.0 * w - 2.0 * p.C * (p.X.T @ z)
+
+
+@dataclass
+class SolveInfo:
+    n_newton_iters: int = 0
+    objective_trace: list = field(default_factory=list)
+    converged: bool = False
+
+
+def train_binary(
+    p: BinaryProblem,
+    eps: float = 0.1,
+    max_newton_iters: int = 100,
+    info: SolveInfo | None = None,
+) -> Weights:
+    """Minimize f(w) with the batched solver until ||grad|| <= eps *
+    ||grad at w=0|| or the iteration cap.  The objective has no bias term,
+    so the returned weights carry bias 0."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    traces = [[]] if info is not None else None
+    W, iters, conv = _tron(p.X, p.X.T.tocsr(), p.signs[:, None], p.C, eps, max_newton_iters, traces)
+    if info is not None:
+        info.n_newton_iters = int(iters[0])
+        info.converged = bool(conv[0])
+        info.objective_trace.extend(traces[0])
+    w = W[:, 0]
+    idx = np.nonzero(w)[0].astype(np.int64)
+    return Weights(SparseVec(idx, w[idx], p.dim), 0.0)
 
 
 def prune_threshold(a: SparseVec, delta: float) -> SparseVec:
