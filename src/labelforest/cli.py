@@ -12,13 +12,7 @@ import time
 
 import numpy as np
 
-from .data import (
-    DataFormatError,
-    Dataset,
-    build_label_index,
-    label_frequency_histogram,
-    parse_dataset,
-)
+from .data import DataFormatError, Dataset, label_frequency_histogram, parse_dataset
 from .metrics import PropensityModel, evaluate, fit_propensities
 from .predict import predict_batch, read_predictions, write_predictions
 from .representations import ReprSpace
@@ -208,11 +202,6 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _truth_rows(ds: Dataset) -> list[np.ndarray]:
-    y = ds.Y
-    return [y.indices[s:e] for s, e in zip(y.indptr[:-1], y.indptr[1:])]
-
-
 def cmd_eval(args) -> int:
     preds = read_predictions(args.predictions)
     ds = _load_dataset(args.data)
@@ -235,13 +224,14 @@ def cmd_eval(args) -> int:
                 raise DataFormatError(
                     f"propensity source has L={src.l}, ground truth has L={ds.l}"
                 )
+        freqs = np.bincount(src.Y.indices, minlength=src.l)
         try:
-            prop = fit_propensities(build_label_index(src), src.n, args.a, args.b)
+            prop = fit_propensities(freqs, src.n, args.a, args.b)
         except ValueError as e:
             raise UsageError(f"--a {args.a} --b {args.b}: {e}")
 
     try:
-        rep = evaluate(preds, _truth_rows(ds), prop, args.k)
+        rep = evaluate(preds, ds.Y, prop, args.k)
     except ValueError as e:
         # empty test sets and all-empty truths are data conditions
         raise DataFormatError(str(e))
@@ -266,8 +256,7 @@ def cmd_stats(args) -> int:
             raise DataFormatError(
                 f"{path}: dimensions {ds.d}x{ds.l} disagree with first file {d}x{l}"
             )
-        idx = build_label_index(ds)
-        counts = idx.freqs if l else np.zeros(0, dtype=np.int64)
+        counts = np.bincount(ds.Y.indices, minlength=l)
         freqs = counts if freqs is None else freqs + counts
         n_total += ds.n
         occurrences += int(counts.sum())

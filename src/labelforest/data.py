@@ -1,4 +1,4 @@
-"""Multi-label dataset parsing, validation and the label-to-instance index.
+"""Multi-label dataset parsing, validation and normalization.
 
 The on-disk format is the plain-text one used by the public extreme
 classification benchmark repositories:
@@ -11,7 +11,9 @@ text and tolerated CR line endings.  The parser reads the whole body at
 once: line, field and token boundaries come from array scans over its
 bytes, and ids and values are converted in bulk.  It returns the features
 X and the labels Y as float32 scipy CSR matrices, the one sparse matrix
-type of the package.
+type of the package.  Y is also the one form of label sets: a label's
+instances are a row of its transpose, and its frequency a count over
+``Y.indices``.
 """
 
 from __future__ import annotations
@@ -60,18 +62,6 @@ class Dataset:
             raise DataFormatError("label matrix values must all equal 1.0")
 
 
-@dataclass(frozen=True)
-class LabelIndex:
-    """Per-label sorted instance-id lists and label frequencies."""
-
-    instances: list[np.ndarray]
-    freqs: np.ndarray
-
-    @property
-    def n_labels(self) -> int:
-        return len(self.instances)
-
-
 def _parse_header(line: str) -> tuple[int, int, int]:
     parts = line.split()
     if len(parts) != 3:
@@ -82,8 +72,11 @@ def _parse_header(line: str) -> tuple[int, int, int]:
         raise DataFormatError(f"non-integer header field in {line!r}") from e
     if n < 0 or d < 0 or l < 0:
         raise DataFormatError("header counts must be non-negative")
-    if max(n, d, l) >= 2**63:
-        raise DataFormatError("header count out of range [0, 2**63)")
+    if n >= 2**63:
+        raise DataFormatError("header N out of range [0, 2**63)")
+    # the bound of the u32 ids in the model format
+    if max(d, l) > 2**32:
+        raise DataFormatError("header D or L out of range [0, 2**32]")
     return n, d, l
 
 
@@ -361,16 +354,10 @@ def _parse_lines(buf, starts, ends, first_line: int, d: int, l: int):
     return x_nnz, y_nnz, fid, fval, labels, n_dup, n_zero
 
 
-def build_label_index(ds: Dataset) -> LabelIndex:
-    """Invert Y into per-label sorted instance-id lists."""
-    cols = ds.Y.indices
-    rows = np.repeat(np.arange(ds.n, dtype=np.int64), np.diff(ds.Y.indptr))
-    order = np.lexsort((rows, cols))
-    cols, rows = cols[order], rows[order]
-    freqs = np.bincount(cols, minlength=ds.l).astype(np.int64)
-    bounds = np.cumsum(freqs)[:-1]
-    instances = np.split(rows, bounds) if ds.l else []
-    return LabelIndex([np.ascontiguousarray(a) for a in instances], freqs)
+def build_label_index(ds: Dataset) -> sp.csr_matrix:
+    """Y's transpose, the L x N CSR matrix whose row j holds the sorted ids
+    of the instances carrying label j."""
+    return ds.Y.T.tocsr()
 
 
 def label_frequency_histogram(counts, sink) -> None:

@@ -1,7 +1,8 @@
 """Ranking metrics: P@k, nDCG@k, their propensity-scored variants, and
 label-space coverage.
 
-``evaluate`` scores a whole test set with array operations.
+``evaluate`` scores a whole test set with array operations, reading the
+truth straight from the index arrays of the label matrix Y.
 
 Propensities follow the sigmoid-in-log-frequency model
 
@@ -18,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .data import LabelIndex
 
 
 @dataclass(frozen=True)
@@ -42,14 +41,13 @@ class PropensityModel:
         return cls(0.0, 0.0, 0, np.ones(n_labels))
 
 
-def fit_propensities(idx, n: int, a: float = 0.55, b: float = 1.5) -> PropensityModel:
-    """Per-label inverse-frequency propensities from a LabelIndex or an
-    array of label frequencies."""
-    freqs = idx.freqs if isinstance(idx, LabelIndex) else np.asarray(idx)
+def fit_propensities(freqs, n: int, a: float = 0.55, b: float = 1.5) -> PropensityModel:
+    """Per-label inverse-frequency propensities from the label frequencies
+    ``freqs`` over ``n`` training instances."""
     # a bad a or b gives nan or 0 here, which PropensityModel rejects
     with np.errstate(divide="ignore", invalid="ignore"):
         c = max((np.log(n) - 1.0) * (1.0 + b) ** a, 0.0)
-        p = 1.0 / (1.0 + c * np.exp(-a * np.log(freqs.astype(np.float64) + b)))
+        p = 1.0 / (1.0 + c * np.exp(-a * np.log(np.asarray(freqs, dtype=np.float64) + b)))
     return PropensityModel(a, b, n, p)
 
 
@@ -71,32 +69,22 @@ class EvalReport:
         return "\n".join([header, *rows]) + "\n"
 
 
-def _truth_entries(truths) -> tuple[np.ndarray, np.ndarray]:
-    """(row, label) of every distinct true label, sorted by row then label."""
-    rows = [np.fromiter(t, dtype=np.int64) if isinstance(t, (set, frozenset))
-            else np.asarray(t, dtype=np.int64) for t in truths]
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    row = np.repeat(np.arange(len(rows)), lengths)
-    lab = np.concatenate(rows)
-    order = np.lexsort((lab, row))
-    row, lab = row[order], lab[order]
-    repeat = np.zeros(len(row), dtype=bool)
-    repeat[1:] = (row[1:] == row[:-1]) & (lab[1:] == lab[:-1])
-    return row[~repeat], lab[~repeat]
-
-
-def evaluate(preds, truths, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
+def evaluate(preds, truth, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
     """Full report: P, nDCG (means x100), PSP, PSnDCG (oracle-normalized),
     coverage (x100), per cutoff.
 
-    ``preds`` is a ``Predictions`` block, ``truths`` label sets.  All rows
-    are scored at once: the block, cut or padded with -1 (a miss) to
-    max(ks) columns, is looked up among the (row, label) keys of the
-    truth, and the oracle ranks each row's true labels by ascending
-    propensity, ties by label id.
+    ``preds`` is a ``Predictions`` block and ``truth`` the n x L label
+    matrix as CSR in canonical format (sorted, distinct labels per row),
+    whose ``indptr`` and ``indices`` give the (row, label) keys of every
+    true label.  All rows are scored at once: the block, cut or padded
+    with -1 (a miss) to max(ks) columns, is looked up among those keys,
+    and the oracle ranks each row's true labels by ascending propensity,
+    ties by label id.
     """
-    if len(preds) != len(truths):
+    if len(preds) != truth.shape[0]:
         raise ValueError("predictions and truths must align")
+    if not truth.has_canonical_format:
+        raise ValueError("truth rows must hold sorted, distinct labels")
     if not len(preds):
         raise ValueError("empty test set")
     if min(ks) < 1:
@@ -104,10 +92,10 @@ def evaluate(preds, truths, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
     n, kmax = len(preds), max(ks)
     top = np.full((n, kmax), -1, dtype=np.int64)
     top[:, : preds.labels.shape[1]] = preds.labels[:, :kmax]
-    t_row, t_lab = _truth_entries(truths)
-    if not len(t_row):
+    n_true = np.diff(truth.indptr)
+    t_row, t_lab = np.repeat(np.arange(n), n_true), truth.indices.astype(np.int64)
+    if not len(t_lab):
         raise ValueError("oracle gain is zero; no true labels in the test set")
-    n_true = np.bincount(t_row, minlength=n)
     has_truth = n_true > 0
 
     width = max(prop.n_labels, int(top.max()) + 1, int(t_lab.max()) + 1)

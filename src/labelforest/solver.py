@@ -116,7 +116,7 @@ def _trcg(X, XT, act, C, G, delta, cg_tol):
     return steps, resids
 
 
-def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
+def _tron(X, XT, Y, C, eps, max_newton_iters):
     """Trust-region Newton on every column of the sign matrix ``Y`` at once.
 
     ``XT`` is ``X.T`` as CSR.  Each column stops once its gradient norm is
@@ -124,9 +124,7 @@ def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
     accepted steps, or when its trust region can no longer improve it.  A
     column whose objective, gradient norm at w = 0 or reductions are not
     finite (C so large that they overflow) stops there and counts as not
-    converged.  ``traces``, when given, gets the objective of each accepted
-    iterate of column j appended to ``traces[j]``, starting from w = 0.
-    Returns (W, newton_iters, converged).
+    converged.  Returns (W, newton_iters, converged).
     """
     n, dim = X.shape
     m = Y.shape[1]
@@ -146,9 +144,6 @@ def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
     iters = np.zeros(m, dtype=np.int64)
     halted = np.zeros(m, dtype=bool)
     broken = ~np.isfinite(F) | ~np.isfinite(gnorm0)
-    if traces is not None:
-        for j in range(m):
-            traces[j].append(float(F[j]))
 
     while True:
         conv = (gnorm <= eps * gnorm0) & ~broken
@@ -201,9 +196,6 @@ def _tron(X, XT, Y, C, eps, max_newton_iters, traces=None):
             G[:, acc] = 2.0 * W[:, acc] - 2.0 * C * (XT @ Z)
             gnorm[acc] = np.sqrt(_coldot(G[:, acc], G[:, acc]))
             iters[acc] += 1
-            if traces is not None:
-                for j, f in zip(cols[acc], F[acc]):
-                    traces[j].append(float(f))
         halted = (snorm == 0) | (prered <= 0) | (delta <= 1e-300)
         broken = ~np.isfinite(actred) | ~np.isfinite(prered)
 

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from . import solver
 from .clustering import kmeans_partition
-from .data import DataFormatError, Dataset, LabelIndex, build_label_index, normalize_instances
+from .data import DataFormatError, Dataset, build_label_index, normalize_instances
 from .representations import ReprSpace, build_repr
 from .solver import Weights, train_node
 from .sparse import SparseVec
@@ -91,9 +91,6 @@ class TreeNode:
 @dataclass
 class Tree:
     root: TreeNode
-    k: int
-    d_max: int
-    repr_space: ReprSpace
     seed: int
 
     def iter_nodes(self):
@@ -134,9 +131,10 @@ def _make_node(depth: int, labels: np.ndarray, instances: np.ndarray, config) ->
     return TreeNode(depth, labels, instances, is_leaf)
 
 
-def grow(node: TreeNode, idx: LabelIndex, V: sp.csr_matrix, config: TrainConfig, rng) -> None:
+def grow(node: TreeNode, idx: sp.csr_matrix, V: sp.csr_matrix, config: TrainConfig, rng) -> None:
     """Split ``node`` by spherical k-means on its labels' rows of the label
-    representation ``V`` and recurse.
+    representation ``V`` and recurse; row j of ``idx`` holds the instances
+    of label j.
 
     Empty clusters that survive reseeding are dropped, so fan-out may come
     out below K; a node whose labels all fall in one cluster becomes a leaf.
@@ -152,7 +150,7 @@ def grow(node: TreeNode, idx: LabelIndex, V: sp.csr_matrix, config: TrainConfig,
         group = node.labels[members]
         # every instance holding one of these labels already sits in
         # node.instance_ids (label sets only shrink down the tree)
-        insts = np.unique(np.concatenate([idx.instances[g] for g in group]))
+        insts = np.unique(idx[group].indices)
         child = _make_node(node.depth + 1, group, insts, config)
         node.children.append(child)
         if not child.is_leaf:
@@ -160,7 +158,7 @@ def grow(node: TreeNode, idx: LabelIndex, V: sp.csr_matrix, config: TrainConfig,
 
 
 def train_node_classifiers(
-    node: TreeNode, X: sp.csr_matrix, idx: LabelIndex, config: TrainConfig, report: TrainReport
+    node: TreeNode, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, report: TrainReport
 ) -> None:
     """Train one classifier per child (internal) or per label (leaf), all
     in one batched solve over the node's instances.
@@ -171,19 +169,20 @@ def train_node_classifiers(
     before meeting the gradient test, and the weights kept and pruned.
     """
     insts = node.instance_ids
+    # the positive instances of every classifier, one run per classifier
     if node.is_leaf:
-        targets = [idx.instances[g] for g in node.labels]
+        T = idx[node.labels]
+        positives, counts = T.indices, np.diff(T.indptr)
     else:
-        targets = [child.instance_ids for child in node.children]
+        positives = np.concatenate([child.instance_ids for child in node.children])
+        counts = np.array([len(child.instance_ids) for child in node.children])
 
-    signs = np.full((len(insts), len(targets)), -1, dtype=np.int8)
-    for j, tgt in enumerate(targets):
-        if len(tgt) == 0:
-            report.n_zero_positive += 1
-        signs[np.searchsorted(insts, tgt), j] = 1
+    signs = np.full((len(insts), len(counts)), -1, dtype=np.int8)
+    signs[np.searchsorted(insts, positives), np.repeat(np.arange(len(counts)), counts)] = 1
+    report.n_zero_positive += int(np.count_nonzero(counts == 0))
     sol = train_node(X[insts], signs, C=config.c, eps=config.eps, delta=config.delta)
     node.W, node.bias = sol.W, sol.bias
-    report.n_classifiers += len(targets)
+    report.n_classifiers += len(counts)
     report.n_weights_kept += sol.W.nnz
     report.n_weights_pruned += sol.n_pruned
     report.n_newton_iters += int(sol.newton_iters.sum())
@@ -196,7 +195,7 @@ def train_node_classifiers(
 
 def train_tree(
     ds: Dataset,
-    idx: LabelIndex,
+    idx: sp.csr_matrix,
     V: sp.csr_matrix,
     X: sp.csr_matrix,
     config: TrainConfig,
@@ -214,7 +213,7 @@ def train_tree(
     t2 = time.perf_counter()
     report.grow_seconds += t1 - t0
     report.solve_seconds += t2 - t1
-    tree = Tree(root, config.k, config.d_max, config.repr_space, seed)
+    tree = Tree(root, seed)
     for n in tree.iter_nodes():
         report.n_nodes += 1
         report.n_leaves += int(n.is_leaf)
@@ -429,7 +428,7 @@ def load_model(model_dir) -> Ensemble:
         root = _read_tree(cur, d, l, config.d_max)
         if not cur.done():
             raise ModelFormatError(f"{path}: trailing bytes")
-        tree = Tree(root, config.k, config.d_max, config.repr_space, config.base_seed + t)
+        tree = Tree(root, config.base_seed + t)
         in_leaves = np.concatenate([leaf.labels for leaf in tree.leaves()])
         # comparing lengths first keeps a huge L from sizing the bincount
         if len(in_leaves) != l or np.any(np.bincount(in_leaves, minlength=l) != 1):

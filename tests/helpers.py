@@ -1,7 +1,8 @@
 """Code that only the tests call: building sparse vectors, CSR matrices,
-node weight blocks and prediction blocks by hand, reading CSR rows as
-sparse vectors, comparing Datasets, per-vector arithmetic, appending a
-bias column, beam-searching one tree, and writing a Dataset back as text.
+label matrices, node weight blocks and prediction blocks by hand, reading
+CSR rows as sparse vectors, comparing Datasets, per-vector arithmetic,
+appending a bias column, beam-searching one tree, and writing a Dataset
+back as text.
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ def predict_tree(tree: Tree, x: SparseVec, beam: int = 10, k: int = 5) -> Scored
     """Beam-search a single tree for one (already normalized) instance."""
     _check_params(beam, k)
     return ScoredLabels(*_top_k(*_tree_label_scores(tree, x, beam), k))
+
+
+def label_matrix(label_sets, l=None) -> sp.csr_matrix:
+    """The float32 CSR label matrix, in canonical format, with a row per
+    iterable of label ids in ``label_sets`` (repeats allowed); ``l``
+    columns, by default one past the largest id."""
+    rows = [np.unique(np.asarray(list(t), dtype=np.int64)) for t in label_sets]
+    if l is None:
+        l = 1 + max((int(r[-1]) for r in rows if len(r)), default=-1)
+    return csr_from_rows([SparseVec(r, np.ones(len(r), dtype=np.float32), l) for r in rows], l)
 
 
 def ranked(label_rows) -> Predictions:

@@ -327,6 +327,25 @@ class TestExitCodes:
         assert main(["train", "--data", str(f), "--model", str(tmp_path / "m")]) == 2
         assert "data error: training needs at least one label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, header", [
+        ("stats", f"0 1 {2**62}"),
+        ("eval", f"0 1 {2**62}"),
+        ("train", f"0 {2**62} 3"),
+    ], ids=["stats", "eval", "train"])
+    def test_header_count_past_u32_ids_is_data_error(self, tmp_path, capsys, command, header):
+        """A D or L the model format's u32 ids cannot hold is rejected on
+        read, before anything is sized by it."""
+        data, pred = tmp_path / "huge.txt", tmp_path / "pred.txt"
+        data.write_text(header + "\n")
+        pred.write_text("")
+        argv = {
+            "stats": ["stats", "--data", str(data)],
+            "eval": ["eval", "--predictions", str(pred), "--data", str(data)],
+            "train": ["train", "--data", str(data), "--model", str(tmp_path / "m")],
+        }[command]
+        assert main(argv) == 2
+        assert "D or L out of range" in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "nope.txt")]) == 2
 
@@ -500,6 +519,39 @@ class TestPinnedBytes:
         assert max(n.depth for t in trees for n in t.iter_nodes()) == depth
         assert _sha256_of_dir(model) == model_sha
         assert hashlib.sha256(pred.read_bytes()).hexdigest() == pred_sha
+
+    @pytest.mark.parametrize("train_data, table", [
+        (False, "metric          @1      @3      @5\n"
+             "P            40.67   41.11   42.13\n"
+             "nDCG         40.67   48.54   64.43\n"
+             "PSP          38.13   54.44   85.35\n"
+             "PSnDCG       38.13   47.87   63.87\n"
+             "coverage     76.60  100.00  100.00\n"),
+        (True, "metric          @1      @3      @5\n"
+               "P            40.67   41.11   42.13\n"
+               "nDCG         40.67   48.54   64.43\n"
+               "PSP          37.76   52.16   82.96\n"
+               "PSnDCG       37.76   46.21   62.18\n"
+               "coverage     90.00  100.00  100.00\n"),
+    ], ids=["test-propensities", "train-propensities"])
+    def test_eval_table_matches_recorded_text(
+        self, paths, trained, tmp_path, capsys, train_data, table
+    ):
+        pred = tmp_path / "pred.txt"
+        assert main(["predict", "--model", trained, "--data", paths["test"],
+                     "--output", str(pred)]) == 0
+        capsys.readouterr()
+        extra = ["--train-data", paths["train"]] if train_data else []
+        assert main(["eval", "--predictions", str(pred), "--data", paths["test"], *extra]) == 0
+        assert capsys.readouterr().out == table + "\n"
+
+    def test_stats_output_matches_recorded_digest(self, paths, capsys):
+        assert main(["stats", "--data", paths["train"], paths["test"]]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("N 550\nD 84\nL 50\nAPpL 28.10\nALpP 2.55\n1 41\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "be82c01413925b5e63092418ad2e852c229c31d29fe78046018bbaf4d4f14802"
+        )
 
 
 class TestPredictFlags:

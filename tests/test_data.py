@@ -29,7 +29,7 @@ class TestParse:
         ds = parse_text("2 3 2\n0 0:1.0 2:0.5\n0,1 1:2.0\n")
         assert (ds.n, ds.d, ds.l) == (2, 3, 2)
         idx = build_label_index(ds)
-        assert idx.freqs.tolist() == [2, 1]
+        assert np.diff(idx.indptr).tolist() == [2, 1]
 
     def test_matrices_are_float32_csr(self):
         ds = parse_text("2 3 2\n0 2:0.5 0:1.0\n0,1 1:2.0\n")
@@ -43,6 +43,17 @@ class TestParse:
     def test_header_count_past_int64_is_rejected(self):
         with pytest.raises(DataFormatError, match="out of range"):
             parse_text(f"0 {2**63} 5\n")
+        with pytest.raises(DataFormatError, match="out of range"):
+            parse_text(f"{2**63} 1 5\n")
+
+    @pytest.mark.parametrize("header", [f"0 1 {2**32 + 1}", f"0 {2**32 + 1} 1", f"0 1 {2**62}"])
+    def test_header_d_or_l_past_u32_ids_is_rejected(self, header):
+        with pytest.raises(DataFormatError, match="D or L out of range"):
+            parse_text(header + "\n")
+
+    def test_header_d_and_l_of_2_pow_32_are_read(self):
+        ds = parse_text(f"0 {2**32} {2**32}\n")
+        assert (ds.n, ds.d, ds.l) == (0, 2**32, 2**32)
 
     def test_minimal_example(self):
         ds = parse_text("1 1 1\n0 0:1\n")
@@ -148,23 +159,28 @@ class TestRoundTrip:
 
 
 class TestLabelIndex:
+    """``build_label_index`` is Y's transpose: row j holds label j's
+    sorted instance ids."""
+
     def test_inversion_example(self):
         ds = parse_text("2 1 2\n0,1 0:1\n1 0:1\n")
         idx = build_label_index(ds)
-        assert idx.instances[0].tolist() == [0]
-        assert idx.instances[1].tolist() == [0, 1]
-        assert idx.freqs.tolist() == [1, 2]
+        assert isinstance(idx, sp.csr_matrix) and idx.shape == (2, 2)
+        assert idx[0].indices.tolist() == [0]
+        assert idx[1].indices.tolist() == [0, 1]
+        assert np.diff(idx.indptr).tolist() == [1, 2]
 
     def test_unused_label_has_empty_list(self):
         ds = parse_text("1 1 3\n0 0:1\n")
         idx = build_label_index(ds)
-        assert idx.instances[2].tolist() == []
-        assert idx.freqs[2] == 0
+        assert idx[2].indices.tolist() == []
+        assert np.diff(idx.indptr)[2] == 0
 
     def test_total_count_matches_nnz(self):
         ds = parse_text("3 1 4\n0,1 0:1\n2 0:1\n0,3 0:1\n")
         idx = build_label_index(ds)
-        assert int(idx.freqs.sum()) == ds.Y.nnz
+        assert idx.nnz == ds.Y.nnz
+        assert np.bincount(ds.Y.indices, minlength=ds.l).tolist() == np.diff(idx.indptr).tolist()
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -188,22 +204,23 @@ class TestLabelIndex:
         ds = Dataset(X, Y, n, 1, l)
         idx = build_label_index(ds)
         dense = Y.toarray()
-        np.testing.assert_array_equal(idx.freqs, dense.sum(axis=0).astype(np.int64))
+        np.testing.assert_array_equal(np.diff(idx.indptr), dense.sum(axis=0).astype(np.int64))
+        assert idx.has_canonical_format
         for lab in range(l):
-            assert idx.instances[lab].tolist() == list(np.nonzero(dense[:, lab])[0])
+            assert idx[lab].indices.tolist() == list(np.nonzero(dense[:, lab])[0])
 
 
 class TestHistogram:
     def test_rank_sorted_output(self):
         ds = parse_text("3 1 2\n0 0:1\n0 0:1\n0,1 0:1\n")
         buf = io.StringIO()
-        label_frequency_histogram(build_label_index(ds).freqs, buf)
+        label_frequency_histogram(np.bincount(ds.Y.indices, minlength=ds.l), buf)
         assert buf.getvalue() == "1 3\n2 1\n"
 
     def test_empty_dataset(self):
         ds = parse_text("0 0 0\n")
         buf = io.StringIO()
-        label_frequency_histogram(build_label_index(ds).freqs, buf)
+        label_frequency_histogram(np.bincount(ds.Y.indices, minlength=ds.l), buf)
         assert buf.getvalue() == ""
 
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforest.metrics import EvalReport, PropensityModel, evaluate, fit_propensities
-from helpers import ranked, row
+from helpers import label_matrix, ranked, row
 from metrics_oracle import (
     coverage_at_k,
     evaluate_oracle,
@@ -227,16 +228,18 @@ class TestEvaluate:
 
     def test_permutation_invariance(self):
         preds, truths, prop = self._case()
-        a = evaluate(ranked(preds), truths, prop)
+        a = evaluate(ranked(preds), label_matrix(truths), prop)
         order = [4, 0, 8, 2, 6, 1, 7, 3, 5]
-        b = evaluate(ranked([preds[i] for i in order]), [truths[i] for i in order], prop)
+        b = evaluate(
+            ranked([preds[i] for i in order]), label_matrix([truths[i] for i in order]), prop
+        )
         for metric in a.rows:
             for k in a.ks:
                 assert a.value(metric, k) == pytest.approx(b.value(metric, k), abs=1e-9)
 
     def test_ranges(self):
         preds, truths, prop = self._case()
-        rep = evaluate(ranked(preds), truths, prop)
+        rep = evaluate(ranked(preds), label_matrix(truths), prop)
         for k in rep.ks:
             assert 0.0 <= rep.value("P", k) <= 100.0
             assert 0.0 <= rep.value("nDCG", k) <= 100.0
@@ -245,7 +248,7 @@ class TestEvaluate:
 
     def test_format_two_decimals(self):
         preds, truths, prop = self._case()
-        text = evaluate(ranked(preds), truths, prop).format()
+        text = evaluate(ranked(preds), label_matrix(truths), prop).format()
         lines = text.strip().splitlines()
         assert lines[0].split() == ["metric", "@1", "@3", "@5"]
         assert len(lines) == 6
@@ -258,7 +261,7 @@ class TestEvaluate:
         prop = PropensityModel.uniform(6)
         truths = [{0}, {1}, {2}]
         preds = [[0], [1], [2]]
-        rep = evaluate(ranked(preds), truths, prop, ks=(1,))
+        rep = evaluate(ranked(preds), label_matrix(truths), prop, ks=(1,))
         assert rep.value("P", 1) == pytest.approx(100.0)
         assert rep.value("PSP", 1) == pytest.approx(100.0)
 
@@ -293,13 +296,14 @@ class TestEvaluateOracle:
         if as_arrays:
             preds = [np.array(p, dtype=np.int64) for p in preds]
             truths = [np.array(sorted(t), dtype=np.int64) for t in truths]
+        truth = label_matrix(truths, prop.n_labels)
         if not any(len(t) for t in truths):
             with pytest.raises(ValueError, match="oracle gain is zero"):
-                evaluate(ranked(preds), truths, prop, ks)
+                evaluate(ranked(preds), truth, prop, ks)
             with pytest.raises(ValueError, match="oracle gain is zero"):
                 evaluate_oracle(preds, truths, prop, ks)
             return
-        got = evaluate(ranked(preds), truths, prop, ks)
+        got = evaluate(ranked(preds), truth, prop, ks)
         want = evaluate_oracle(preds, truths, prop, ks)
         assert list(got.rows) == list(want.rows)
         for metric in want.rows:
@@ -316,7 +320,7 @@ class TestEvaluateOracle:
         preds = predict_batch(ens, test, k=5)
         truths = [row(test.Y, i).indices for i in range(test.n)]
         prop = fit_propensities(np.bincount(train.Y.indices, minlength=train.l), train.n)
-        got = evaluate(preds, truths, prop)
+        got = evaluate(preds, test.Y, prop)
         want = evaluate_oracle(preds, truths, prop)
         assert got.format() == want.format()
         for metric in want.rows:
@@ -326,8 +330,16 @@ class TestEvaluateOracle:
     def test_validation_messages(self):
         prop = PropensityModel.uniform(3)
         with pytest.raises(ValueError, match="align"):
-            evaluate(ranked([[0]]), [], prop)
+            evaluate(ranked([[0]]), label_matrix([]), prop)
         with pytest.raises(ValueError, match="empty test set"):
-            evaluate(ranked([]), [], prop)
+            evaluate(ranked([]), label_matrix([]), prop)
         with pytest.raises(ValueError, match="k must be"):
-            evaluate(ranked([[0]]), [{0}], prop, ks=(0,))
+            evaluate(ranked([[0]]), label_matrix([{0}]), prop, ks=(0,))
+
+    @pytest.mark.parametrize("indices", [[1, 0], [1, 1]], ids=["unsorted", "repeated"])
+    def test_truth_rows_must_be_canonical(self, indices):
+        truth = sp.csr_matrix(
+            (np.ones(2, dtype=np.float32), np.array(indices), np.array([0, 2])), shape=(1, 3)
+        )
+        with pytest.raises(ValueError, match="sorted, distinct"):
+            evaluate(ranked([[0]]), truth, PropensityModel.uniform(3))

@@ -15,7 +15,6 @@ from labelforest.predict import (
     read_predictions,
     write_predictions,
 )
-from labelforest.representations import ReprSpace
 from labelforest.solver import Weights
 from labelforest.sparse import SparseRowMatrix, SparseVec
 from labelforest.tree import (
@@ -29,7 +28,7 @@ from labelforest.tree import (
 )
 
 from conftest import grouped_dataset
-from helpers import node_child_prob, predict_tree, row, vec_from_pairs, weights_block
+from helpers import node_child_prob, predict_tree, vec_from_pairs, weights_block
 
 
 def wvec(pairs, dim, bias=0.0):
@@ -80,7 +79,7 @@ def leaf_node(labels, classifiers, depth=0):
 
 
 def single_leaf_tree(labels, classifiers):
-    return Tree(leaf_node(labels, classifiers), 100, 1, ReprSpace.INPUT, 0)
+    return Tree(leaf_node(labels, classifiers), 0)
 
 
 class TestNodeChildProb:
@@ -130,7 +129,7 @@ class TestPredictTree:
         node = leaf
         for depth in range(15, -1, -1):
             node = tree_node(depth, [0], [node], [wvec([(0, margin)], dim)])
-        tree = Tree(node, 2, 16, ReprSpace.INPUT, 0)
+        tree = Tree(node, 0)
         x = SparseVec(np.array([0]), np.array([1.0]), dim)
         res = predict_tree(tree, x, beam=1, k=1)
         # weights are stored float32, so allow that much slack on the product
@@ -148,7 +147,7 @@ class TestPredictTree:
         root = tree_node(
             0, [0, 1], [leaf_a, internal_b], [wvec([], dim, 2.0), wvec([], dim, -2.0)]
         )
-        tree = Tree(root, 2, 2, ReprSpace.INPUT, 0)
+        tree = Tree(root, 0)
         narrow = predict_tree(tree, x, beam=1, k=2)
         assert narrow.labels.tolist() == [0]
         wide = predict_tree(tree, x, beam=2, k=2)
@@ -303,8 +302,7 @@ class TestPredictBatch:
         preds = predict_batch(ens, ds, beam=3, k=5)
         write_predictions(preds, tmp_path / "pred.txt")
         back = read_predictions(tmp_path / "pred.txt")
-        truths = [row(ds.Y, i).indices for i in range(ds.n)]
-        evaluate(back, truths, PropensityModel.uniform(ds.l))
+        evaluate(back, ds.Y, PropensityModel.uniform(ds.l))
         assert len(back) == ds.n and len(built) == 0
         # the counter does see the per-row views
         assert back[0].labels.tolist() == preds[0].labels.tolist() and len(built) == 2

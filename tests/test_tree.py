@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforest import solver
-from labelforest.data import Dataset, build_label_index, parse_dataset
+from labelforest.data import Dataset, parse_dataset
 from labelforest.predict import predict_batch, prepare_features
 from labelforest.representations import ReprSpace
 from labelforest.tree import (

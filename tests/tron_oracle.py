@@ -4,8 +4,9 @@
 ``solve_dense`` is scalar trust-region Newton, one classifier at a time and
 one CG vector at a time: the solver the batched one replaced; tests hold
 every batched column to it.  ``train_binary`` is the batched solver's
-``_tron`` called on one sign column, with the objective of each accepted
-iterate recorded in a ``SolveInfo``.
+``_tron`` called on one sign column; its ``SolveInfo`` trace is the
+objective of the iterate after each accepted step, from w = 0, taken by
+solving again with the step cap set to that step.
 """
 
 from __future__ import annotations
@@ -87,12 +88,15 @@ def train_binary(
     so the returned weights carry bias 0."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    traces = [[]] if info is not None else None
-    W, iters, conv = _tron(p.X, p.X.T.tocsr(), p.signs[:, None], p.C, eps, max_newton_iters, traces)
+    XT = p.X.T.tocsr()
+    W, iters, conv = _tron(p.X, XT, p.signs[:, None], p.C, eps, max_newton_iters)
     if info is not None:
         info.n_newton_iters = int(iters[0])
         info.converged = bool(conv[0])
-        info.objective_trace.extend(traces[0])
+        info.objective_trace.extend(
+            objective(p, _tron(p.X, XT, p.signs[:, None], p.C, eps, t)[0][:, 0])
+            for t in range(info.n_newton_iters + 1)
+        )
     w = W[:, 0]
     idx = np.nonzero(w)[0].astype(np.int64)
     return Weights(SparseVec(idx, w[idx], p.dim), 0.0)
