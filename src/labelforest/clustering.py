@@ -4,7 +4,9 @@ Lloyd's algorithm under the cosine distance d(v, c) = 1 - v.c, with no
 balancedness constraint: clusters may end up wildly different in size and
 are deliberately left that way.  Empty (or zero-mean) clusters are reseeded
 with the member vector currently fitting its own cluster worst, so exactly
-K centers survive every update.
+K centers survive every update.  Each round scores every row against every
+center once, ``V @ centers.T``; the assignments, the objective and the
+worst-fit members are all read from that one product.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import scipy.sparse as sp
 # a round improves the objective by less than TOL.
 MAX_ITERS = 50
 TOL = 1e-4
-# Stored entries scored per block when looking for worst-fit members.
-_SCORE_BLOCK_NNZ = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,107 +39,61 @@ class Partition:
         return np.nonzero(self.assignments == k)[0]
 
 
-def _assign(V: sp.csr_matrix, centers: np.ndarray):
-    """Nearest-center assignment; ties go to the lowest cluster id.
-
-    Returns (assignments, objective) with objective = sum of 1 - v.c over
-    the chosen centers.
-    """
-    scores = V @ centers.T
-    assignments = np.argmax(scores, axis=1).astype(np.int64)
-    picked = scores[np.arange(V.shape[0]), assignments]
-    return assignments, float(np.sum(1.0 - picked))
-
-
 def _normalize_rows_dense(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return m / norms
+    """Divide each nonzero row of ``m`` by its norm in place; returns the
+    norms from before."""
+    norms = np.linalg.norm(m, axis=1)
+    m /= np.where(norms == 0, 1.0, norms)[:, None]
+    return norms
 
 
-def _own_scores(V: sp.csr_matrix, centers: np.ndarray, assignments: np.ndarray) -> np.ndarray:
-    """v_i . c_{a_i} for every row, in O(nnz): the diagonal of
-    ``(V @ centers.T)[:, assignments]`` without scoring every center.
-
-    ``np.bincount`` sums each row's products in storage order, as the
-    sparse product does, so the scores are the same to the last bit.  Rows
-    go in blocks of about ``_SCORE_BLOCK_NNZ`` stored entries, which bounds
-    the temporaries.
-    """
+def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int):
+    """Normalized per-cluster means, empty clusters reseeded (see module
+    doc).  Returns ``(centers, V @ centers.T)``."""
     n = V.shape[0]
-    out = np.empty(n)
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(V.indptr, V.indptr[lo] + _SCORE_BLOCK_NNZ, side="right")) - 1
-        hi = min(max(hi, lo + 1), n)
-        a, b = V.indptr[lo], V.indptr[hi]
-        rows = np.repeat(np.arange(hi - lo), np.diff(V.indptr[lo : hi + 1]))
-        prod = V.data[a:b] * centers[assignments[lo + rows], V.indices[a:b]]
-        out[lo:hi] = np.bincount(rows, weights=prod, minlength=hi - lo)
-        lo = hi
-    return out
-
-
-def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int) -> np.ndarray:
-    """Normalized per-cluster means; empty clusters reseeded (see module doc)."""
-    n = V.shape[0]
-    ind = sp.csr_matrix(
-        (np.ones(n), assignments, np.arange(n + 1)), shape=(n, K)
-    )
-    sums = np.asarray((ind.T @ V).todense())
-    counts = np.bincount(assignments, minlength=K).astype(np.float64)
-    means = sums / np.maximum(counts, 1.0)[:, None]
-    centers = _normalize_rows_dense(means)
-
-    dead = np.nonzero((counts == 0) | (np.linalg.norm(means, axis=1) == 0))[0]
+    ind = sp.csr_matrix((np.ones(n), assignments, np.arange(n + 1)), shape=(n, K))
+    centers = (ind.T @ V).toarray()
+    centers /= np.maximum(np.bincount(assignments, minlength=K), 1)[:, None]
+    # dead: empty or zero-mean clusters (an empty cluster's sums are zero)
+    dead = np.nonzero(_normalize_rows_dense(centers) == 0)[0]
+    scores = V @ centers.T
     if len(dead):
         # worst-fit members, farthest first, seed the dead clusters
-        fit = 1.0 - _own_scores(V, centers, assignments)
-        order = np.lexsort((np.arange(n), -fit))
-        for k, member in zip(dead, order):
-            row = np.asarray(V.getrow(member).todense()).ravel()
-            centers[k] = _normalize_rows_dense(row[None, :])[0]
-    return centers
-
-
-def _singletons(V: sp.csr_matrix, K: int) -> Partition:
-    n = V.shape[0]
-    centers = np.zeros((K, V.shape[1]), dtype=np.float64)
-    centers[:n] = _normalize_rows_dense(np.asarray(V.todense()))
-    assignments = np.arange(n, dtype=np.int64)
-    # each member sits on its own normalized self: 1 - v.c = 1 - ||v||
-    norms = np.sqrt(np.asarray(V.multiply(V).sum(axis=1)).ravel())
-    return Partition(assignments, centers, 0, float(np.sum(1.0 - norms)))
+        fit = 1.0 - scores[np.arange(n), assignments]
+        seeds = V[np.lexsort((np.arange(n), -fit))[: len(dead)]].toarray()
+        _normalize_rows_dense(seeds)
+        centers[dead] = seeds
+        scores[:, dead] = V @ seeds.T
+    return centers, scores
 
 
 def kmeans_partition(V: sp.csr_matrix, K: int, seed=0) -> Partition:
-    """Spherical k-means by Lloyd's algorithm on the rows of ``V``.
+    """Spherical k-means by Lloyd's algorithm on the rows of ``V``, which
+    must outnumber K.
 
     Initial centers are K distinct rows chosen uniformly at random per
     seed.  Stops when the absolute objective improvement drops below
-    ``TOL`` or after ``MAX_ITERS`` assignment rounds.  With at most K rows
-    each row becomes its own cluster, no iteration.
+    ``TOL`` or after ``MAX_ITERS`` assignment rounds; ties in the
+    assignment go to the lowest cluster id.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
+    n = V.shape[0]
+    if n <= K:
+        raise ValueError(f"need more than K={K} vectors, got {n}")
     V = V.astype(np.float64, copy=False)
-    if V.shape[0] == 0:
-        raise ValueError("need at least one vector")
-    if V.shape[0] <= K:
-        return _singletons(V, K)
 
     rng = np.random.default_rng(np.random.default_rng(seed).integers(2**63))
-    picks = rng.choice(V.shape[0], size=K, replace=False)
-    centers = _normalize_rows_dense(np.asarray(V[picks].todense()))
-    prev_obj = None
-    assignments = None
-    obj = 0.0
-    iters = 0
-    for _ in range(MAX_ITERS):
-        assignments, obj = _assign(V, centers)
-        iters += 1
-        if prev_obj is not None and prev_obj - obj < TOL:
+    centers = V[rng.choice(n, size=K, replace=False)].toarray()
+    _normalize_rows_dense(centers)
+    scores = V @ centers.T
+    prev_obj = np.inf
+    for iters in range(1, MAX_ITERS + 1):
+        assignments = np.argmax(scores, axis=1)
+        obj = float(np.sum(1.0 - scores[np.arange(n), assignments]))
+        if prev_obj - obj < TOL:
             break
         prev_obj = obj
-        centers = _update(V, assignments, K)
+        del scores  # freed before the update allocates the next one
+        centers, scores = _update(V, assignments, K)
     return Partition(assignments, centers, iters, obj)

@@ -37,10 +37,6 @@ class LabelRepr:
     space: ReprSpace
     dim: int
 
-    @property
-    def n_labels(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
     """Scale each row of a CSR matrix to unit L2 norm (zero rows untouched)."""

@@ -58,6 +58,8 @@ class TrainConfig:
             raise ValueError("c, eps and delta must be finite")
         if not self.c > 0 or not self.eps > 0 or self.delta < 0:
             raise ValueError("require c > 0, eps > 0, delta >= 0")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
 
 
 @dataclass
@@ -73,10 +75,6 @@ class TreeNode:
     children: list["TreeNode"] = field(default_factory=list)
     W: sp.csr_matrix | None = None
     bias: np.ndarray | None = None
-
-    @property
-    def n_labels(self) -> int:
-        return len(self.labels)
 
     @property
     def classifiers(self) -> list[Weights]:
@@ -374,6 +372,8 @@ def _parse_meta(text: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ModelFormatError(f"bad meta line {line!r}")
+        if key in meta:
+            raise ModelFormatError(f"bad meta file: repeated key {key!r}")
         meta[key] = value
     return meta
 

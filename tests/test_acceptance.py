@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from conftest import random_dataset
 from helpers import predict_tree, row
-from labelforest.clustering import _assign, _update
+from labelforest.clustering import _update
 from labelforest.data import parse_dataset
 from labelforest.metrics import PropensityModel, evaluate, fit_propensities
 from labelforest.predict import logsigmoid, predict_batch
@@ -196,14 +196,15 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
         vecs = rng.normal(size=(n, dim))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         V = sp.csr_matrix(vecs.astype(np.float32), dtype=np.float64)
-        centers = vecs[rng.choice(n, size=k, replace=False)].copy()
+        scores = V @ vecs[rng.choice(n, size=k, replace=False)].T
         prev = None
         for _ in range(6):
-            assignments, obj = _assign(V, centers)
+            assignments = np.argmax(scores, axis=1)
+            obj = float(np.sum(1.0 - scores[np.arange(n), assignments]))
             if prev is not None:
                 assert obj <= prev + 1e-12
             prev = obj
-            centers = _update(V, assignments, k)
+            _, scores = _update(V, assignments, k)
 
     # beam at least as wide as any fan-out reproduces exhaustive scoring
     for trial in range(20):

@@ -444,6 +444,30 @@ class TestExitCodes:
         assert rc == 2
         assert f"data error: {model / 'meta'}: not UTF-8" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage(self, paths, tmp_path, capsys):
+        rc = main(["train", "--data", paths["train"], "--model", str(tmp_path / "m"),
+                   "--seed", "-1"])
+        assert rc == 1
+        assert "base_seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda meta: meta.replace("base_seed=3\n", "base_seed=-1\n"), "base_seed must be >= 0"),
+        (lambda meta: meta + "T=1\n", "repeated key 'T'"),
+    ], ids=["negative base_seed", "repeated key"])
+    def test_bad_meta_value_is_data_error(self, paths, trained, tmp_path, capsys, edit, match):
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        meta = (model / "meta").read_text()
+        assert "base_seed=3\n" in meta and "T=3\n" in meta
+        (model / "meta").write_text(edit(meta))
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(model)
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert "data error: bad meta file" in capsys.readouterr().err
+
     def test_invalid_utf8_in_predictions_is_data_error(self, paths, trained, tmp_path, capsys):
         bad = tmp_path / "pred.txt"
         bad.write_bytes(b"\xff" + Path(paths["pred"]).read_bytes())

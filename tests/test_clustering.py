@@ -1,9 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from labelforest import clustering
-from labelforest.clustering import Partition, _assign, _update, kmeans_partition
+from labelforest.clustering import _update, kmeans_partition
 from labelforest.sparse import SparseVec
 from helpers import csr_from_rows, l2_normalize, vec_from_pairs
 
@@ -35,42 +38,49 @@ def brute_objective(vecs, centers, assignments):
 
 
 class TestAssignStep:
+    """Each round assigns every row to its best-scoring center, read from
+    that round's ``V @ centers.T``."""
+
     def test_member_on_center(self):
-        c = np.array([[1.0, 0.0], [0.0, 1.0]])
-        a, obj = _assign(csr([vec([(0, 1.0)], 2)]), c)
-        assert a.tolist() == [0]
-        assert obj == pytest.approx(0.0, abs=1e-12)
+        V = csr([vec([(0, 1.0)], 2), vec([(0, 1.0)], 2), vec([(1, 1.0)], 2)])
+        part = kmeans_partition(V, K=2, seed=0)
+        own = (V @ part.centers.T)[np.arange(3), part.assignments]
+        np.testing.assert_allclose(own, 1.0, atol=1e-12)
+        assert part.final_objective == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_tie_goes_to_lowest_id(self):
-        c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        a, obj = _assign(csr([vec([(2, 1.0)], 3)]), c)
-        assert a.tolist() == [0]
-        assert obj == pytest.approx(1.0)
+        # a label with no instances has a zero row, which scores 0 against
+        # every center
+        pairs = [[(0, 1.0)], [(0, 1.0)], [(1, 1.0)], [(1, 1.0)], []]
+        for seed in range(4):
+            part = kmeans_partition(csr([vec(p, 3) for p in pairs]), K=2, seed=seed)
+            assert part.assignments[4] == 0
 
     def test_matches_exhaustive_distance_table(self):
-        vecs = unit_vecs(5, 5, 4)
-        centers = np.vstack([v.to_dense() for v in unit_vecs(6, 2, 4)])
-        a, obj = _assign(csr(vecs), centers)
+        vecs = unit_vecs(5, 12, 4)
+        part = kmeans_partition(csr(vecs), K=3, seed=1)
+        # converged, so the assignments come from the returned centers
+        assert part.n_iters_run < clustering.MAX_ITERS
         dists = np.array(
-            [[1.0 - np.dot(v.to_dense(), c) for c in centers] for v in vecs]
+            [[1.0 - np.dot(v.to_dense(), c) for c in part.centers] for v in vecs]
         )
-        np.testing.assert_array_equal(a, dists.argmin(axis=1))
-        assert obj == pytest.approx(dists.min(axis=1).sum(), abs=1e-12)
+        np.testing.assert_array_equal(part.assignments, dists.argmin(axis=1))
+        assert part.final_objective == pytest.approx(dists.min(axis=1).sum(), abs=1e-12)
 
     def test_empty_centers_rejected(self):
         with pytest.raises(ValueError):
-            _assign(csr([vec([(0, 1.0)], 1)]), np.zeros((0, 1)))
+            kmeans_partition(csr(unit_vecs(0, 3, 2)), K=0)
 
 
 class TestUpdateStep:
     def test_single_member_center_is_member(self):
         v = l2_normalize(vec([(0, 1.0), (1, 1.0)], 2))
-        centers = _update(csr([v]), np.array([0]), 2)
+        centers, _ = _update(csr([v]), np.array([0]), 2)
         np.testing.assert_allclose(centers[0], v.to_dense(), atol=1e-12)
 
     def test_zero_mean_cluster_reseeds(self):
         vecs = [vec([(0, 1.0)], 2), vec([(0, -1.0)], 2)]
-        centers = _update(csr(vecs), np.array([0, 0]), 2)
+        centers, _ = _update(csr(vecs), np.array([0, 0]), 2)
         norms = np.linalg.norm(centers, axis=1)
         assert norms[0] == pytest.approx(1.0)
 
@@ -81,7 +91,7 @@ class TestUpdateStep:
             vec([(0, 1.0)], 3),
             vec([(2, 1.0)], 3),
         ]
-        centers = _update(csr(vecs), np.array([0, 0, 0]), 2)
+        centers, _ = _update(csr(vecs), np.array([0, 0, 0]), 2)
         # the outlier (index 2) is farthest from the shared mean
         np.testing.assert_allclose(centers[1], [0.0, 0.0, 1.0], atol=1e-9)
 
@@ -90,7 +100,7 @@ class TestUpdateStep:
         rng = np.random.default_rng(8)
         a = rng.integers(0, 3, size=12)
         a[:3] = [0, 1, 2]  # keep every cluster populated
-        centers = _update(csr(vecs), a, 3)
+        centers, _ = _update(csr(vecs), a, 3)
         dense = np.vstack([v.to_dense() for v in vecs])
         for k in range(3):
             mean = dense[a == k].mean(axis=0)
@@ -99,15 +109,22 @@ class TestUpdateStep:
             )
 
 
+def normalize_rows(m):
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return m / norms
+
+
 def update_full_scores(V, assignments, K):
     """The dead-cluster reseeding as first written: score every row against
-    every center, then read each row's own-center score."""
+    every center, read each row's own-center score, and after reseeding
+    score every row against every center again."""
     n = V.shape[0]
     ind = sp.csr_matrix((np.ones(n), assignments, np.arange(n + 1)), shape=(n, K))
     sums = np.asarray((ind.T @ V).todense())
     counts = np.bincount(assignments, minlength=K).astype(np.float64)
     means = sums / np.maximum(counts, 1.0)[:, None]
-    centers = clustering._normalize_rows_dense(means)
+    centers = normalize_rows(means)
     dead = np.nonzero((counts == 0) | (np.linalg.norm(means, axis=1) == 0))[0]
     if len(dead):
         scores = V @ centers.T
@@ -115,15 +132,12 @@ def update_full_scores(V, assignments, K):
         order = np.lexsort((np.arange(n), -fit))
         for k, member in zip(dead, order):
             row = np.asarray(V.getrow(member).todense()).ravel()
-            centers[k] = clustering._normalize_rows_dense(row[None, :])[0]
-    return centers
+            centers[k] = normalize_rows(row[None, :])[0]
+    return centers, V @ centers.T
 
 
 class TestOwnCenterScores:
-    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
-    def test_dead_clusters_match_full_score_formula(self, monkeypatch, block):
-        # blocks of one row, of a few rows, and all rows at once
-        monkeypatch.setattr(clustering, "_SCORE_BLOCK_NNZ", block)
+    def test_dead_clusters_match_full_score_formula(self):
         rng = np.random.default_rng(11)
         for trial in range(10):
             n, dim, K = 40, 30, 9
@@ -131,18 +145,72 @@ class TestOwnCenterScores:
             V.data = rng.normal(size=V.nnz)
             a = rng.integers(0, 5, size=n)  # clusters 5..8 are dead
             a[:5] = np.arange(5)
-            got = clustering._update(V, a, K)
-            np.testing.assert_array_equal(got, update_full_scores(V, a, K))
+            centers, scores = _update(V, a, K)
+            want_centers, want_scores = update_full_scores(V, a, K)
+            np.testing.assert_array_equal(centers, want_centers)
+            np.testing.assert_array_equal(scores, want_scores)
 
-    def test_scores_equal_dense_diagonal(self):
-        rng = np.random.default_rng(12)
-        V = sp.random(25, 12, density=0.3, random_state=rng, format="csr")
-        centers = rng.normal(size=(4, 12))
-        a = rng.integers(0, 4, size=25)
-        full = V @ centers.T
-        np.testing.assert_array_equal(
-            clustering._own_scores(V, centers, a), full[np.arange(25), a]
-        )
+
+def pinned_input(seed):
+    """90 unit rows, each a copy of one of 14 random sparse vectors, so
+    that k-means with K = 10 meets empty clusters."""
+    rng = np.random.default_rng(seed)
+    pool = sp.random(14, 20, density=0.3, random_state=rng, format="csr")
+    pool.data = rng.normal(size=pool.nnz)
+    V = pool[rng.integers(0, 14, size=90)]
+    norms = np.sqrt(np.asarray(V.multiply(V).sum(axis=1)).ravel())
+    return sp.csr_matrix(sp.diags(1 / np.where(norms == 0, 1, norms)) @ V)
+
+
+class TestPinnedOutput:
+    """``kmeans_partition``'s exact output, recorded when the reseeding
+    scored rows with a blocked ``bincount`` kernel of its own: sha256 of the
+    assignments' and the centers' bytes, rounds run and final objective."""
+
+    @pytest.mark.parametrize("seed, max_iters, assign_sha, center_sha, iters, objective", [
+        (40, 50, "b77d74e2e3260f6739526d7c97fa86cbebea4c7079cf930b1fb84a7ed59b2066",
+         "c5094f29bd59ebed19999b48977a2201f99e35e943fa174d785333a82ab88b0e",
+         7, 10.868222967689903),
+        (45, 3, "ab9a1d5496900be508668a29b426faaf3984b1f2ffd1aa7d764f6f7a05c139fb",
+         "fff91e2618083c7b8f2bcadffe6b4874487419c41dca7ed336ae6eb1c5ddc810",
+         3, 20.42456815537546),
+    ], ids=["reseeds", "max-iters"])
+    def test_matches_recorded_digests(
+        self, monkeypatch, seed, max_iters, assign_sha, center_sha, iters, objective
+    ):
+        monkeypatch.setattr(clustering, "MAX_ITERS", max_iters)
+        dead_rounds = []
+
+        def spy(V, assignments, K):
+            dead_rounds.append(np.bincount(assignments, minlength=K).min() == 0)
+            return _update(V, assignments, K)
+
+        monkeypatch.setattr(clustering, "_update", spy)
+        part = kmeans_partition(pinned_input(seed), K=10, seed=seed)
+        assert any(dead_rounds)
+        assert part.assignments.dtype == np.int64
+        assert hashlib.sha256(part.assignments.tobytes()).hexdigest() == assign_sha
+        assert hashlib.sha256(part.centers.tobytes()).hexdigest() == center_sha
+        assert part.n_iters_run == iters
+        assert part.final_objective == objective
+
+
+def test_peak_memory_bounded():
+    # traced peaks of this run: 4.09 MB when each update held the sums,
+    # the means and the centers as three dense K x D arrays; 2.89 MB with
+    # one; 3.61 MB if V's transpose is kept for the cluster sums, 4.08 MB
+    # if the last round's scores live on through the update
+    rng = np.random.default_rng(0)
+    V = sp.random(3000, 2000, density=0.01, random_state=rng, format="csr")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kmeans_partition(V, K=50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2e6
 
 
 class TestKmeansPartition:
@@ -154,19 +222,11 @@ class TestKmeansPartition:
         with pytest.raises(ValueError):
             kmeans_partition(sp.csr_matrix((0, 3)), K=2)
 
-    def test_singleton_clusters_no_iteration(self):
-        vecs = unit_vecs(1, 3, 4)
-        part = kmeans_partition(csr(vecs), K=3, seed=0)
-        assert part.assignments.tolist() == [0, 1, 2]
-        assert part.n_iters_run == 0
-        assert part.final_objective == pytest.approx(0.0, abs=1e-9)
-        for i, v in enumerate(vecs):
-            np.testing.assert_allclose(part.centers[i], v.to_dense(), atol=1e-12)
-
     def test_fewer_vectors_than_k(self):
-        part = kmeans_partition(csr(unit_vecs(2, 2, 3)), K=4, seed=0)
-        assert part.assignments.tolist() == [0, 1]
-        assert part.centers.shape == (4, 3)
+        # n <= K leaves no room for k-means; a node that small is a leaf
+        for n, K in [(2, 4), (4, 4)]:
+            with pytest.raises(ValueError, match="more than K"):
+                kmeans_partition(csr(unit_vecs(2, n, 3)), K=K, seed=0)
 
     def test_identical_points_collapse_to_one_cluster(self):
         v = l2_normalize(vec([(0, 1.0), (1, 2.0)], 3))
@@ -182,12 +242,15 @@ class TestKmeansPartition:
         rng = np.random.default_rng(10)
         picks = rng.choice(20, size=4, replace=False)
         centers = np.vstack([vecs[i].to_dense() for i in picks])
+        V = csr(vecs)
+        scores = V @ centers.T
         objs = []
         for _ in range(10):
-            a, obj = _assign(csr(vecs), centers)
+            a = np.argmax(scores, axis=1)
+            obj = float(np.sum(1.0 - scores[np.arange(20), a]))
             assert obj == pytest.approx(brute_objective(vecs, centers, a), abs=1e-9)
             objs.append(obj)
-            centers = _update(csr(vecs), a, 4)
+            centers, scores = _update(V, a, 4)
         diffs = np.diff(objs)
         assert np.all(diffs <= 1e-9)
 

@@ -140,7 +140,7 @@ class TestJointRepr:
         ds = random_dataset(16, n=5, d=4, l=3)
         r = build_joint_repr(ds)
         assert r.dim == 7 and r.space is ReprSpace.JOINT
-        assert r.n_labels == 3
+        assert r.matrix.shape[0] == 3
 
 
 class TestDispatchAndInvariants:
@@ -161,7 +161,7 @@ class TestDispatchAndInvariants:
         ds = random_dataset(18, n=12, d=7, l=9)
         for space in ReprSpace:
             r = build_repr(ds, space)
-            assert r.n_labels == ds.l
+            assert r.matrix.shape[0] == ds.l
             for v in rows(r.matrix):
                 if v.nnz and space is not ReprSpace.JOINT:
                     assert v.norm() == pytest.approx(1.0, abs=1e-6)
