@@ -137,8 +137,10 @@ def update_full_scores(V, assignments, K):
 
 
 class TestOwnCenterScores:
-    def test_dead_clusters_match_full_score_formula(self):
-        rng = np.random.default_rng(11)
+    @pytest.mark.parametrize("seed", [1, 7, 1 << 16])
+    def test_dead_clusters_match_full_score_formula(self, seed):
+        # three independent draws of ten trials each
+        rng = np.random.default_rng(seed)
         for trial in range(10):
             n, dim, K = 40, 30, 9
             V = sp.random(n, dim, density=0.2, random_state=rng, format="csr")
