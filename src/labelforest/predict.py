@@ -8,10 +8,10 @@ stay in the beam and compete with deeper candidates.
 
 Two implementations are kept deliberately separate: a per-instance
 reference (`predict_ensemble`) built on sparse-vector dots, and a batched
-route (`predict_batch`) that groups frontier entries by node and uses
-sparse matrix products.  Tests hold them to each other.
-The batched route's result is one `Predictions` block, which the
-prediction file is written from and read back into.
+route (`predict_batch`) that scores each node's rows with one product and
+ranks dense row blocks, for the beam cut and the final top k alike.  Tests
+hold them to each other.  The batched route's result is one `Predictions`
+block, which the prediction file is written from and read back into.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .sparse import SparseVec
 from .tree import Ensemble, Tree
 
 # Rows scored together by predict_batch: enough to amortize the per-node
-# products, few enough that a block's merged label scores stay small.
+# products, few enough that a block's label accumulator stays small.
 BLOCK_ROWS = 512
 
 
@@ -135,64 +135,59 @@ def _check_params(beam: int, k: int) -> None:
         raise ValueError("k must be >= 1")
 
 
-def _batch_tree_triplets(tree: Tree, X: sp.csr_matrix, beam: int):
-    """Batched beam search for one tree.
+def _top_cols(P: np.ndarray, k: int):
+    """(rows, ranks, cols) of the k best entries of each row of ``P``, by
+    value descending, then column ascending, grouped by ascending row;
+    -inf pads a row and is never picked."""
+    n, m = P.shape
+    # ties at a row's k-th best value stay in until the sort
+    cut = np.partition(P, m - k, axis=1)[:, m - k] if k < m else np.full(n, -np.inf)
+    rows, cols = np.nonzero((P >= cut[:, None]) & (P > -np.inf))  # row-major
+    cols = cols[np.lexsort((cols, -P[rows, cols], rows))]  # rows stay sorted
+    ranks = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    return rows[ranks < k], ranks[ranks < k], cols[ranks < k]
 
-    Returns (instance_ids, label_ids, scores) triplets for every label
-    scored at a surviving leaf.
-    """
-    nodes = list(tree.iter_nodes())  # preorder: a node's number is its index
-    uid_of = {id(nd): u for u, nd in enumerate(nodes)}
-    is_leaf = np.array([nd.is_leaf for nd in nodes])
-    children = [np.array([uid_of[id(c)] for c in nd.children], dtype=np.int64) for nd in nodes]
 
-    n = X.shape[0]
-    inst = np.arange(n, dtype=np.int64)
-    node = np.zeros(n, dtype=np.int64)
-    lp = np.zeros(n)
-    rank = np.zeros(n, dtype=np.int64)
+def _number_nodes(tree: Tree):
+    """A tree's nodes in preorder and the table of their children's numbers
+    (indices), as wide as the largest fan-out; a leaf is its own child 0."""
+    nodes = list(tree.iter_nodes())
+    number = {id(nd): u for u, nd in enumerate(nodes)}
+    child = np.zeros((len(nodes), max(1, *(len(nd.children) for nd in nodes))), dtype=np.int64)
+    for u, nd in enumerate(nodes):
+        kids = [number[id(c)] for c in nd.children] or [u]
+        child[u, : len(kids)] = kids
+    return nodes, child
 
+
+def _beam(numbered, X: sp.csr_matrix, beam: int):
+    """Batched beam search of one numbered tree over the rows of ``X``: each
+    leaf of the final frontier, with the rows whose beam holds it and their
+    log path probabilities."""
+    nodes, child = numbered
+    n, width = X.shape[0], child.shape[1]
+    inst, lp = np.arange(n), np.zeros(n)
+    node = rank = np.zeros(n, dtype=np.int64)  # the root, at rank 0
     while True:
-        internal = ~is_leaf[node]
-        if not internal.any():
-            break
-        # a leaf stays in the frontier as its own child number 0
-        stay = ~internal
-        parts = [(inst[stay], node[stay], lp[stay], rank[stay], np.zeros_like(rank[stay]))]
-        for uid in np.unique(node[internal]):
-            rows = np.flatnonzero((node == uid) & internal)
-            nd = nodes[uid]
-            m = (X[inst[rows]] @ nd.W.T).toarray() + nd.bias
-            child_lp = lp[rows, None] - np.logaddexp(0.0, -m)
-            n_child = len(children[uid])
-            parts.append(
-                (
-                    np.repeat(inst[rows], n_child),
-                    np.tile(children[uid], len(rows)),
-                    child_lp.ravel(),
-                    np.repeat(rank[rows], n_child),
-                    np.tile(np.arange(n_child, dtype=np.int64), len(rows)),
-                )
-            )
-        inst_a, node_a, lp_a, r_a, c_a = (np.concatenate(col) for col in zip(*parts))
-
-        order = np.lexsort((c_a, r_a, -lp_a, inst_a))
-        inst_s, node_s, lp_s = inst_a[order], node_a[order], lp_a[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(inst_s) != 0])
-        run_lengths = np.diff(np.r_[starts, len(inst_s)])
-        pos = np.arange(len(inst_s)) - np.repeat(starts, run_lengths)
-        keep = pos < beam
-        inst, node, lp, rank = inst_s[keep], node_s[keep], lp_s[keep], pos[keep]
-
-    out = []
-    for uid in np.unique(node):
-        rows = np.flatnonzero(node == uid)
-        nd = nodes[uid]
-        m = (X[inst[rows]] @ nd.W.T).toarray() + nd.bias
-        scores = expit(m) * np.exp(lp[rows])[:, None]
-        n_lab = len(nd.labels)
-        out.append((np.repeat(inst[rows], n_lab), np.tile(nd.labels, len(rows)), scores.ravel()))
-    return tuple(np.concatenate(col) for col in zip(*out))
+        order = np.argsort(node, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(node[order])) + 1)
+        groups = [(nodes[node[g[0]]], g) for g in groups]
+        if all(nd.is_leaf for nd, _ in groups):
+            return [(nd, inst[g], lp[g]) for nd, g in groups]
+        # a row's candidate (rank, child) goes in column rank * width + child,
+        # so that column order is the tie order
+        P = np.full((n, (rank.max() + 1) * width), -np.inf)
+        for nd, g in groups:
+            if nd.is_leaf:  # stays in the beam as its own child 0
+                P[inst[g], rank[g] * width] = lp[g]
+            else:
+                m = (X[inst[g]] @ nd.W.T).toarray() + nd.bias
+                cols = rank[g, None] * width + np.arange(m.shape[1])
+                P[inst[g, None], cols] = lp[g, None] - np.logaddexp(0.0, -m)
+        rows, rank, cols = _top_cols(P, beam)
+        # the frontier holds each row's entries together, in rank order
+        node = child[node[np.searchsorted(inst, rows) + cols // width], cols % width]
+        inst, lp = rows, P[rows, cols]
 
 
 def prepare_features(ens: Ensemble, ds: Dataset) -> sp.csr_matrix:
@@ -207,19 +202,24 @@ def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Pre
     at a time; a row's result depends on that row alone."""
     _check_params(beam, k)
     X = prepare_features(ens, ds)
+    numbered = [_number_nodes(tree) for tree in ens.trees]
     out = Predictions(np.full((ds.n, k), -1, dtype=np.int64), np.zeros((ds.n, k)))
     for lo in range(0, ds.n, BLOCK_ROWS):
         block = X[lo : lo + BLOCK_ROWS]
-        inst, lab, score = zip(*(_batch_tree_triplets(tree, block, beam) for tree in ens.trees))
-        merged = sp.coo_matrix(
-            (np.concatenate(score) / len(ens.trees), (np.concatenate(inst), np.concatenate(lab))),
-            shape=(block.shape[0], ens.l),
-        ).tocsr()
-        for i in range(block.shape[0]):
-            row = slice(merged.indptr[i], merged.indptr[i + 1])
-            labels, scores = _top_k(merged.indices[row], merged.data[row], k)
-            out.labels[lo + i, : len(labels)] = labels
-            out.scores[lo + i, : len(scores)] = scores
+        leaves = [leaf for num in numbered for leaf in _beam(num, block, beam)]
+        # the accumulator has a column per label reached, ascending, and
+        # holds -inf where no tree scored a label; trees add in their order
+        reached = np.zeros(ens.l, dtype=bool)
+        reached[np.concatenate([nd.labels for nd, _, _ in leaves])] = True
+        col_of = np.cumsum(reached) - 1
+        acc = np.full((block.shape[0], np.count_nonzero(reached)), -np.inf)
+        for nd, inst, lp in leaves:
+            m = (block[inst] @ nd.W.T).toarray() + nd.bias
+            cell = (inst[:, None], col_of[nd.labels])
+            acc[cell] = np.maximum(acc[cell], 0) + expit(m) * np.exp(lp)[:, None] / len(ens.trees)
+        rows, ranks, cols = _top_cols(acc, k)
+        out.labels[lo + rows, ranks] = np.flatnonzero(reached)[cols]
+        out.scores[lo + rows, ranks] = acc[rows, cols]
     return out
 
 

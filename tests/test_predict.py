@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforest import predict
 from labelforest.data import Dataset
@@ -210,7 +214,112 @@ class TestPredictEnsemble:
             np.testing.assert_allclose(a.scores, b.scores, rtol=1e-12)
 
 
+def top_cols_oracle(P, k):
+    """(rows, ranks, cols) from one full lexsort of each row's finite entries."""
+    out = ([], [], [])
+    for i, row in enumerate(P):
+        cols = np.flatnonzero(row > -np.inf)
+        cols = cols[np.lexsort((cols, -row[cols]))][:k]
+        out[0].extend([i] * len(cols))
+        out[1].extend(range(len(cols)))
+        out[2].extend(cols.tolist())
+    return out
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_top_cols_matches_lexsort_oracle(data):
+    n, m = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 9))
+    k = data.draw(st.integers(1, 12))  # above the width too
+    # a few repeated values make heavy ties; -inf is padding
+    value = st.one_of(
+        st.sampled_from([-np.inf, -np.inf, -2.0, 0.0, 0.5, 0.5, 1.0]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    P = np.array(data.draw(st.lists(value, min_size=n * m, max_size=n * m))).reshape(n, m)
+    if n:
+        P[data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = -np.inf  # all-padding rows
+    rows, ranks, cols = predict._top_cols(P, k)
+    assert (rows.tolist(), ranks.tolist(), cols.tolist()) == top_cols_oracle(P, k)
+
+
+def tied_ensemble():
+    """Two depth-2 trees over 12 labels with exact ties everywhere: every
+    node's children share one classifier, a deep route adds nothing to the
+    log probability (bias 40) so a shallow leaf ties with its cousins, and
+    every label shares one classifier.  Leaves list labels out of order."""
+    dim = 2
+    route, sure, label = wvec([(0, 0.3)], dim, 0.2), wvec([], dim, 40.0), wvec([(1, 0.7)], dim, -0.1)
+
+    def leaf(labels):
+        return leaf_node(labels, [label] * len(labels), depth=2)
+
+    def node(depth, children, clf):
+        labels = np.concatenate([c.labels for c in children])
+        return tree_node(depth, labels, children, [clf] * len(children))
+
+    shallow = leaf_node([7, 3], [label] * 2, depth=1)
+    a = node(0, [shallow, node(1, [leaf([11, 0]), leaf([5, 9])], sure),
+                 node(1, [leaf([2, 6]), leaf([1])], sure),
+                 node(1, [leaf([4, 8]), leaf([10])], sure)], route)
+    b = node(0, [node(1, [leaf([3, 11]), leaf([0, 6, 7])], route),
+                 node(1, [leaf([1, 2, 4]), leaf([5, 8, 9, 10])], route)], route)
+    return Ensemble([Tree(a, 0), Tree(b, 1)], TrainConfig(n_trees=2), dim, 12)
+
+
 class TestPredictBatch:
+    def test_exact_ties_match_reference_route(self):
+        ens = tied_ensemble()
+        X = sp.csr_matrix(np.array([[1.0, 0.0], [0.6, -0.8], [0.0, 0.0], [-0.3, 0.2]],
+                                   dtype=np.float32))
+        ds = Dataset(X, sp.csr_matrix((4, ens.l), dtype=np.float32), 4, ens.d, ens.l)
+        Xn = prepare_features(ens, ds)
+        for beam, k in [(1, 3), (2, 10), (3, 4), (3, 12), (5, 12)]:
+            batch = predict_batch(ens, ds, beam=beam, k=k)
+            for i in range(ds.n):
+                ref = predict_ensemble(ens, SparseRowMatrix.from_csr(Xn[[i]]).row(0), beam, k)
+                n_ref = len(ref)
+                assert batch.labels[i, :n_ref].tolist() == ref.labels.tolist()
+                np.testing.assert_allclose(batch.scores[i, :n_ref], ref.scores, rtol=1e-12)
+                assert (batch.labels[i, n_ref:] == -1).all()
+                assert (batch.scores[i, n_ref:] == 0).all()
+        # the tie rules are exercised: beam 2 keeps the shallow leaf and one
+        # cousin in tree a, so a row reaches five labels, four of them tied
+        two = predict_batch(ens, ds, beam=2, k=10)
+        assert two.labels[0].tolist() == [0, 3, 7, 11, 6] + [-1] * 5
+
+    def test_peak_memory_bounded(self):
+        # traced peaks of this run: 26.1 MB when a block's (row, label, score)
+        # triplets were merged through a sparse matrix, 6.0 MB with one
+        # accumulator over the labels the block reaches
+        rng = np.random.default_rng(0)
+        d, n_labels, fan_out = 300, 600, 20
+
+        def weights(rows):
+            W = sp.random(rows, d, density=0.1, random_state=rng, format="csr", dtype=np.float32)
+            return W, rng.normal(size=rows).astype(np.float32)
+
+        def tree(seed):
+            perm = rng.permutation(n_labels)
+            leaves = [TreeNode(1, np.sort(part), None, True, [], *weights(len(part)))
+                      for part in np.split(perm, fan_out)]
+            return Tree(TreeNode(0, np.arange(n_labels), None, False, leaves,
+                                 *weights(fan_out)), seed)
+
+        ens = Ensemble([tree(s) for s in range(3)], TrainConfig(n_trees=3), d, n_labels)
+        X = sp.random(512, d, density=0.05, random_state=rng, format="csr", dtype=np.float32)
+        ds = Dataset(X, sp.csr_matrix((512, n_labels), dtype=np.float32), 512, d, n_labels)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            preds = predict_batch(ens, ds, beam=10, k=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (preds.labels >= 0).all()
+        assert peak < 12e6
+
     def test_matches_reference_route(self, grouped_train, grouped_test):
         train, _ = grouped_train
         test, _ = grouped_test
