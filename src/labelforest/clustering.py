@@ -91,7 +91,7 @@ def kmeans_partition(V: sp.csr_matrix, K: int, seed=0) -> Partition:
     for iters in range(1, MAX_ITERS + 1):
         assignments = np.argmax(scores, axis=1)
         obj = float(np.sum(1.0 - scores[np.arange(n), assignments]))
-        if prev_obj - obj < TOL:
+        if prev_obj - obj < TOL or iters == MAX_ITERS:
             break
         prev_obj = obj
         del scores  # freed before the update allocates the next one

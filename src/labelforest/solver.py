@@ -235,8 +235,8 @@ def train_node(
     X = X.astype(np.float64, copy=False)
     Y = np.asarray(Y)
     n, d = X.shape
-    if Y.ndim != 2 or Y.shape[0] != n:
-        raise ValueError(f"need an {n} x m sign matrix, got shape {Y.shape}")
+    if Y.ndim != 2 or Y.shape[0] != n or Y.shape[1] == 0:
+        raise ValueError(f"need an {n} x m sign matrix, m >= 1, got shape {Y.shape}")
     if not np.all(np.abs(Y) == 1):
         raise ValueError("signs must be +1 or -1")
     if not C > 0 or not eps > 0 or delta < 0:
@@ -245,23 +245,8 @@ def train_node(
     iters = np.zeros(m, dtype=np.int64)
     conv = np.ones(m, dtype=bool)
     bias = np.zeros(m, dtype=np.float32)
-    if n == 0:
-        # no data at all: the regularizer alone is minimized by zero
-        return NodeSolve(sp.csr_matrix((m, d), dtype=np.float32), bias, iters, conv, 0)
-
-    # renumber the node's features 0..f-1 and end every row with the bias
-    # feature f
-    feats = np.unique(X.indices)
+    Xc, feats = with_bias_feature(X)
     f = len(feats)
-    ends = X.indptr[1:]
-    Xc = sp.csr_matrix(
-        (
-            np.insert(X.data, ends, 1.0),
-            np.insert(np.searchsorted(feats, X.indices), ends, f),
-            X.indptr + np.arange(n + 1),
-        ),
-        shape=(n, f + 1),
-    )
     XT = Xc.T.tocsr()
     per_column = 8 * _ARRAYS_PER_COLUMN * (n + f + 1)
     step = max(1, CHUNK_BYTES // per_column)
@@ -271,8 +256,29 @@ def train_node(
         W, iters[lo:hi], conv[lo:hi] = _tron(Xc, XT, Y[:, lo:hi], C, eps, MAX_NEWTON_ITERS)
         bias[lo:hi] = W[f]
         Wf = W[:f].T
-        # csr drops the zeros, also a kept weight that rounds to a float32 zero
-        B = sp.csr_matrix(np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32))
-        n_pruned += int(np.count_nonzero(Wf)) - B.nnz
-        blocks.append(sp.csr_matrix((B.data, feats[B.indices], B.indptr), shape=(hi - lo, d)))
-    return NodeSolve(sp.vstack(blocks, format="csr"), bias, iters, conv, n_pruned)
+        P = np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32)
+        r, c = np.nonzero(P)  # also drops a kept weight that rounds to a float32 zero
+        n_pruned += int(np.count_nonzero(Wf)) - len(r)
+        indptr = np.searchsorted(r, np.arange(hi - lo + 1))
+        blocks.append(sp.csr_matrix((P[r, c], feats[c], indptr), shape=(hi - lo, d)))
+        del P, r, c  # freed before the next batch's solve
+    W = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
+    return NodeSolve(W, bias, iters, conv, n_pruned)
+
+
+def with_bias_feature(X: sp.csr_matrix):
+    """``X`` on its nonzero feature columns, renumbered 0..f-1 in order, with
+    every row ending in a bias feature f of value 1; and the f feature ids."""
+    n, d = X.shape
+    present = np.zeros(d, dtype=bool)
+    present[X.indices] = True
+    feats = np.flatnonzero(present).astype(X.indices.dtype)
+    indptr = X.indptr + np.arange(n + 1)
+    # row r's bias goes at X.indptr[r + 1] + r, after its features
+    feat = np.ones(indptr[-1], dtype=bool)
+    feat[indptr[1:] - 1] = False
+    data = np.ones(indptr[-1], dtype=X.dtype)
+    data[feat] = X.data
+    indices = np.full(indptr[-1], len(feats), dtype=X.indices.dtype)
+    indices[feat] = (np.cumsum(present, dtype=X.indices.dtype) - 1)[X.indices]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, len(feats) + 1)), feats

@@ -124,6 +124,19 @@ class TrainReport:
     solve_seconds: float = 0.0
 
 
+def take_rows(A: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """``A[rows]`` for distinct nonnegative row ids, from slices of A's arrays;
+    ``A`` itself, not a copy, when ``rows`` is every row in order (a root)."""
+    if len(rows) == A.shape[0] and np.array_equal(rows, np.arange(len(rows))):
+        return A
+    starts = A.indptr[rows]
+    counts = A.indptr[rows + 1] - starts
+    indptr = np.zeros(len(rows) + 1, dtype=A.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    at = np.arange(indptr[-1], dtype=indptr.dtype) + np.repeat(starts - indptr[:-1], counts)
+    return sp.csr_matrix((A.data[at], A.indices[at], indptr), shape=(len(rows), A.shape[1]))
+
+
 def _make_node(depth: int, labels: np.ndarray, instances: np.ndarray, config) -> TreeNode:
     is_leaf = len(labels) <= config.k or depth >= config.d_max
     return TreeNode(depth, labels, instances, is_leaf)
@@ -137,22 +150,23 @@ def grow(node: TreeNode, idx: sp.csr_matrix, V: sp.csr_matrix, config: TrainConf
     Empty clusters that survive reseeding are dropped, so fan-out may come
     out below K; a node whose labels all fall in one cluster becomes a leaf.
     """
-    part = kmeans_partition(V[node.labels], K=config.k, seed=int(rng.integers(2**63)))
+    part = kmeans_partition(take_rows(V, node.labels), K=config.k, seed=int(rng.integers(2**63)))
     if len(np.unique(part.assignments)) == 1:
         node.is_leaf = True
         return
-    for k in range(config.k):
+    # one sort on (cluster, instance) of the node's label rows gives each
+    # child's instances, all in node.instance_ids (label sets only shrink)
+    T = take_rows(idx, node.labels)
+    keys = np.unique(np.repeat(part.assignments, np.diff(T.indptr)) * T.shape[1] + T.indices)
+    clusters, insts = np.divmod(keys, T.shape[1])
+    cuts = np.searchsorted(clusters, np.arange(1, config.k))
+    for k, child_insts in enumerate(np.split(insts, cuts)):
         members = part.members(k)
-        if not len(members):
-            continue
-        group = node.labels[members]
-        # every instance holding one of these labels already sits in
-        # node.instance_ids (label sets only shrink down the tree)
-        insts = np.unique(idx[group].indices)
-        child = _make_node(node.depth + 1, group, insts, config)
-        node.children.append(child)
-        if not child.is_leaf:
-            grow(child, idx, V, config, rng)
+        if len(members):
+            child = _make_node(node.depth + 1, node.labels[members], child_insts, config)
+            node.children.append(child)
+            if not child.is_leaf:
+                grow(child, idx, V, config, rng)
 
 
 def train_node_classifiers(
@@ -169,7 +183,7 @@ def train_node_classifiers(
     insts = node.instance_ids
     # the positive instances of every classifier, one run per classifier
     if node.is_leaf:
-        T = idx[node.labels]
+        T = take_rows(idx, node.labels)
         positives, counts = T.indices, np.diff(T.indptr)
     else:
         positives = np.concatenate([child.instance_ids for child in node.children])
@@ -178,7 +192,7 @@ def train_node_classifiers(
     signs = np.full((len(insts), len(counts)), -1, dtype=np.int8)
     signs[np.searchsorted(insts, positives), np.repeat(np.arange(len(counts)), counts)] = 1
     report.n_zero_positive += int(np.count_nonzero(counts == 0))
-    sol = train_node(X[insts], signs, C=config.c, eps=config.eps, delta=config.delta)
+    sol = train_node(take_rows(X, insts), signs, C=config.c, eps=config.eps, delta=config.delta)
     node.W, node.bias = sol.W, sol.bias
     report.n_classifiers += len(counts)
     report.n_weights_kept += sol.W.nnz

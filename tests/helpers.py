@@ -1,8 +1,9 @@
 """Code that only the tests call: building sparse vectors, CSR matrices,
 label matrices, node weight blocks and prediction blocks by hand, reading
 CSR rows as sparse vectors, comparing Datasets, per-vector arithmetic,
-appending a bias column, beam-searching one tree, and writing a Dataset
-back as text.
+appending a bias column, beam-searching one tree, the first forms of a
+node's solve inputs and of its children's instance sets, and writing a
+Dataset back as text.
 """
 
 from __future__ import annotations
@@ -69,6 +70,20 @@ def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
         and np.array_equal(a.indices, b.indices)
         and np.array_equal(a.data, b.data)
     )
+
+
+def same_csr_bits(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """``same_csr``, and values of one dtype with the same bytes."""
+    return same_csr(a, b) and a.dtype == b.dtype and a.data.tobytes() == b.data.tobytes()
+
+
+def random_csr(seed: int, n: int, d: int, density: float, empty_rows: float = 0.3):
+    """An n x d float64 CSR matrix of normal values in canonical format;
+    about ``empty_rows`` of its rows have no entries."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n, d)) < density, rng.normal(size=(n, d)), 0.0)
+    dense[rng.random(n) < empty_rows] = 0.0
+    return sp.csr_matrix(dense)
 
 
 def same_dataset(a: Dataset, b: Dataset) -> bool:
@@ -144,6 +159,31 @@ def with_bias_column(X: sp.csr_matrix) -> sp.csr_matrix:
     out = sp.hstack([X, sp.csr_matrix(np.ones((X.shape[0], 1), dtype=X.dtype))], format="csr")
     out.sort_indices()
     return out
+
+
+def with_bias_feature_oracle(X: sp.csr_matrix):
+    """``solver.with_bias_feature`` as ``train_node`` first built it: the
+    features renumbered by ``np.unique`` and ``searchsorted``, and the
+    bias column added by two ``np.insert`` calls."""
+    n = X.shape[0]
+    feats = np.unique(X.indices)
+    ends = X.indptr[1:]
+    Xc = sp.csr_matrix(
+        (
+            np.insert(X.data, ends, 1.0),
+            np.insert(np.searchsorted(feats, X.indices), ends, len(feats)),
+            X.indptr + np.arange(n + 1),
+        ),
+        shape=(n, len(feats) + 1),
+    )
+    return Xc, feats
+
+
+def child_instances_oracle(idx: sp.csr_matrix, labels, assignments, K: int) -> list[np.ndarray]:
+    """The children's instance sets as ``tree.grow`` first computed them:
+    per cluster k < K, a scipy row gather of its labels' rows of ``idx``
+    and an ``np.unique``."""
+    return [np.unique(idx[labels[assignments == k]].indices) for k in range(K)]
 
 
 def serialize_dataset(ds: Dataset, sink) -> None:

@@ -20,7 +20,7 @@ from conftest import grouped_dataset
 from fuzz import apply_edit, byte_edits, prediction_edits
 from helpers import dataset_to_text, row
 from metrics_oracle import evaluate_oracle
-from labelforest import cli
+from labelforest import cli, solver
 from labelforest.cli import main
 from labelforest.data import normalize_instances, parse_dataset
 from labelforest.metrics import fit_propensities
@@ -537,6 +537,35 @@ class TestPinnedBytes:
     ):
         model, pred = tmp_path / "m", tmp_path / "pred.txt"
         assert main(["train", "--data", paths["train"], "--model", str(model), *flags]) == 0
+        self._check_digests(paths, model, pred, depth, model_sha, pred_sha)
+
+    def test_multi_batch_nodes_match_recorded_digests(self, paths, tmp_path, monkeypatch):
+        """A chunk bound this small solves half the nodes in several column
+        batches and the rest in one.  The digests were recorded before the
+        node inputs were built by index arithmetic; on this data they
+        equal the one-batch digests of the joint-depth2 case."""
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 1 << 14)
+        batches = []
+
+        def spy(X, XT, Y, *args):
+            batches.append(Y.shape[1])
+            return tron(X, XT, Y, *args)
+
+        tron = solver._tron
+        monkeypatch.setattr(solver, "_tron", spy)
+        model, pred = tmp_path / "m", tmp_path / "pred.txt"
+        flags = ["--trees", "2", "--branch", "4", "--max-depth", "2", "--repr", "joint", "--seed", "5"]
+        assert main(["train", "--data", paths["train"], "--model", str(model), *flags]) == 0
+        n_nodes = sum(1 for t in load_model(model).trees for _ in t.iter_nodes())
+        assert len(batches) > n_nodes + 20 and max(batches) > 1
+        self._check_digests(
+            paths, model, pred, 2,
+            "443129ce8120e7d819f17044e603d5fb770c7610604e441c6693db008431a484",
+            "63d33605df84839a77e5722ac421af5ebb21c14562d616b97b332cabcfe58377",
+        )
+
+    @staticmethod
+    def _check_digests(paths, model, pred, depth, model_sha, pred_sha):
         assert main(["predict", "--model", str(model), "--data", paths["test"],
                      "--output", str(pred)]) == 0
         trees = load_model(model).trees

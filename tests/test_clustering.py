@@ -173,8 +173,10 @@ class TestPinnedOutput:
         (40, 50, "b77d74e2e3260f6739526d7c97fa86cbebea4c7079cf930b1fb84a7ed59b2066",
          "c5094f29bd59ebed19999b48977a2201f99e35e943fa174d785333a82ab88b0e",
          7, 10.868222967689903),
+        # centers re-recorded when a run stopped by MAX_ITERS stopped
+        # returning the centers of one more, unread update
         (45, 3, "ab9a1d5496900be508668a29b426faaf3984b1f2ffd1aa7d764f6f7a05c139fb",
-         "fff91e2618083c7b8f2bcadffe6b4874487419c41dca7ed336ae6eb1c5ddc810",
+         "4b04b8ecb6be1a7a60ab957b47af49c45e88b278c7cac79f921457490bc8845d",
          3, 20.42456815537546),
     ], ids=["reseeds", "max-iters"])
     def test_matches_recorded_digests(
@@ -195,6 +197,24 @@ class TestPinnedOutput:
         assert hashlib.sha256(part.centers.tobytes()).hexdigest() == center_sha
         assert part.n_iters_run == iters
         assert part.final_objective == objective
+
+
+def test_max_iters_run_returns_the_centers_it_assigned_to(monkeypatch):
+    """A run stopped by MAX_ITERS returns the centers its last assignment
+    was made against: every row sits in its best-scoring returned center
+    (ties to the lowest id), with no update after the last assignment."""
+    monkeypatch.setattr(clustering, "MAX_ITERS", 3)
+    updates = []
+
+    def spy(V, assignments, K):
+        updates.append(K)
+        return _update(V, assignments, K)
+
+    monkeypatch.setattr(clustering, "_update", spy)
+    V = pinned_input(45)
+    part = kmeans_partition(V, K=10, seed=45)
+    assert part.n_iters_run == 3 and len(updates) == 2
+    np.testing.assert_array_equal(np.argmax(V @ part.centers.T, axis=1), part.assignments)
 
 
 def test_peak_memory_bounded():

@@ -2,6 +2,7 @@ import io
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforest import solver
+from labelforest import solver, tree
+from labelforest.clustering import Partition
 from labelforest.data import Dataset, parse_dataset
 from labelforest.predict import predict_batch, prepare_features
 from labelforest.representations import ReprSpace
@@ -19,14 +21,17 @@ from labelforest.tree import (
     ModelFormatError,
     TrainConfig,
     TrainReport,
+    TreeNode,
+    grow,
     load_model,
     save_model,
+    take_rows,
     train_ensemble,
 )
 
 from conftest import grouped_dataset
 from fuzz import apply_edit, byte_edits, meta_edits
-from helpers import l2_normalize, row
+from helpers import child_instances_oracle, l2_normalize, random_csr, row, same_csr_bits
 
 
 def parse_text(text):
@@ -117,6 +122,66 @@ class TestGrow:
         sizes = sorted(len(c.labels) for c in ens.trees[0].root.children)
         assert sizes == [1, 5]
         assert sizes[1] - sizes[0] > 1
+
+
+class TestNodeInputsAgainstOracles:
+    """The row gather and the children's instance sets equal, bit for bit,
+    their first forms: scipy's fancy indexing ``A[rows]``, and one
+    ``np.unique(idx[group].indices)`` per cluster."""
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 12),
+        d=st.integers(1, 10),
+        density=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+        n_rows=st.integers(0, 12),
+    )
+    def test_take_rows_matches_fancy_indexing(self, seed, n, d, density, n_rows):
+        A = random_csr(seed, n, d, density)
+        rows = np.random.default_rng(seed).permutation(n)[:n_rows]
+        assert same_csr_bits(take_rows(A, rows), A[rows])
+
+    def test_take_rows_of_every_row_in_order_is_the_matrix_itself(self):
+        A = random_csr(4, 6, 5, 0.5)
+        assert take_rows(A, np.arange(6)) is A
+        rows = np.array([1, 0, 2, 3, 4, 5])
+        assert same_csr_bits(take_rows(A, rows), A[rows])
+
+    def test_take_rows_of_float32_label_rows(self):
+        Y = sp.csr_matrix(random_csr(3, 9, 6, 0.4) != 0, dtype=np.float32)
+        idx = Y.T.tocsr()
+        for rows in ([], [5], [0, 2, 3], [4, 1]):
+            rows = np.array(rows, dtype=np.int64)
+            assert same_csr_bits(take_rows(idx, rows), idx[rows])
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_labels=st.integers(1, 12),
+        n_insts=st.integers(1, 20),
+        K=st.integers(2, 5),
+    )
+    def test_children_instances_match_per_cluster_unique(self, seed, n_labels, n_insts, K):
+        rng = np.random.default_rng(seed)
+        # some labels have no instance: their rows of idx are empty
+        idx = sp.csr_matrix(random_csr(seed, 14, n_insts, 0.3) != 0, dtype=np.float32)
+        labels = np.sort(rng.choice(14, size=n_labels, replace=False))
+        assignments = rng.integers(0, K, size=n_labels)
+        part = Partition(assignments, np.zeros((K, 1)), 1, 0.0)
+        node = TreeNode(0, labels, np.arange(n_insts), False)
+        with mock.patch.object(tree, "kmeans_partition", lambda V, K, seed: part):
+            grow(node, idx, idx, TrainConfig(k=K, d_max=1), rng)
+        want = child_instances_oracle(idx, labels, assignments, K)
+        if node.is_leaf:  # one cluster holds every label
+            assert len(np.unique(assignments)) == 1
+            return
+        filled = [k for k in range(K) if np.any(assignments == k)]
+        assert [c.labels.tolist() for c in node.children] == [
+            labels[assignments == k].tolist() for k in filled
+        ]
+        for child, k in zip(node.children, filled, strict=True):
+            np.testing.assert_array_equal(child.instance_ids, want[k])
 
 
 class TestClassifiers:
