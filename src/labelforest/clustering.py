@@ -4,9 +4,10 @@ Lloyd's algorithm under the cosine distance d(v, c) = 1 - v.c, with no
 balancedness constraint: clusters may end up wildly different in size and
 are deliberately left that way.  Empty (or zero-mean) clusters are reseeded
 with the member vector currently fitting its own cluster worst, so exactly
-K centers survive every update.  Each round scores every row against every
-center once, ``V @ centers.T``; the assignments, the objective and the
-worst-fit members are all read from that one product.
+K centers survive every update.  Each round reads the assignments, the
+objective and the worst-fit members from one score array, ``V @ centers.T``;
+an update rescores in place only the clusters that gained or lost a member
+and the dead ones, as the others' centers come out bit for bit the same.
 """
 
 from __future__ import annotations
@@ -47,16 +48,27 @@ def _normalize_rows_dense(m: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int):
+def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int, scores=None, stale=None):
     """Normalized per-cluster means, empty clusters reseeded (see module
-    doc).  Returns ``(centers, V @ centers.T)``."""
+    doc).  Returns ``(centers, V @ centers.T)``: a fresh product, or the
+    last round's ``scores`` with only the columns of the ``stale`` (bool
+    mask over K) and dead clusters recomputed."""
     n = V.shape[0]
     ind = sp.csr_matrix((np.ones(n), assignments, np.arange(n + 1)), shape=(n, K))
-    centers = (ind.T @ V).toarray()
+    # V.T @ ind reads V's own arrays (ind.T @ V would convert V to CSC), and
+    # the F-ordered centers keep each row norm a sequential sum, not pairwise
+    centers = (V.T @ ind).tocsr().toarray().T
     centers /= np.maximum(np.bincount(assignments, minlength=K), 1)[:, None]
     # dead: empty or zero-mean clusters (an empty cluster's sums are zero)
-    dead = np.nonzero(_normalize_rows_dense(centers) == 0)[0]
-    scores = V @ centers.T
+    dead = _normalize_rows_dense(centers) == 0
+    if scores is None:
+        scores = V @ centers.T
+    else:
+        # each column of a sparse x dense product is computed on its own
+        redo = np.nonzero(stale & ~dead)[0]
+        scores[:, redo] = V @ centers[redo].T
+        scores[:, dead] = 0.0  # V @ 0, so a dead cluster's members fit worst
+    dead = np.nonzero(dead)[0]
     if len(dead):
         # worst-fit members, farthest first, seed the dead clusters
         fit = 1.0 - scores[np.arange(n), assignments]
@@ -87,13 +99,21 @@ def kmeans_partition(V: sp.csr_matrix, K: int, seed=0) -> Partition:
     centers = V[rng.choice(n, size=K, replace=False)].toarray()
     _normalize_rows_dense(centers)
     scores = V @ centers.T
-    prev_obj = np.inf
+    prev_obj, prev = np.inf, None
     for iters in range(1, MAX_ITERS + 1):
         assignments = np.argmax(scores, axis=1)
         obj = float(np.sum(1.0 - scores[np.arange(n), assignments]))
         if prev_obj - obj < TOL or iters == MAX_ITERS:
             break
         prev_obj = obj
-        del scores  # freed before the update allocates the next one
-        centers, scores = _update(V, assignments, K)
+        if prev is None:  # every center was a random row
+            stale = np.ones(K, dtype=bool)
+        else:  # clusters that gained or lost a member
+            moved = prev != assignments
+            stale = np.isin(np.arange(K), np.r_[prev[moved], assignments[moved]])
+        del centers
+        if 2 * np.count_nonzero(stale) > K:
+            scores = None  # freed before the update allocates a fresh product
+        centers, scores = _update(V, assignments, K, scores, stale)
+        prev = assignments
     return Partition(assignments, centers, iters, obj)

@@ -25,7 +25,7 @@ from scipy.special import expit
 
 from .data import DataFormatError, Dataset, normalize_instances
 from .sparse import SparseVec
-from .tree import Ensemble, Tree
+from .tree import Ensemble, Tree, take_rows
 
 # Rows scored together by predict_batch: enough to amortize the per-node
 # products, few enough that a block's label accumulator stays small.
@@ -181,7 +181,7 @@ def _beam(numbered, X: sp.csr_matrix, beam: int):
             if nd.is_leaf:  # stays in the beam as its own child 0
                 P[inst[g], rank[g] * width] = lp[g]
             else:
-                m = (X[inst[g]] @ nd.W.T).toarray() + nd.bias
+                m = (take_rows(X, inst[g]) @ nd.W.T).toarray() + nd.bias
                 cols = rank[g, None] * width + np.arange(m.shape[1])
                 P[inst[g, None], cols] = lp[g, None] - np.logaddexp(0.0, -m)
         rows, rank, cols = _top_cols(P, beam)
@@ -214,7 +214,7 @@ def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Pre
         col_of = np.cumsum(reached) - 1
         acc = np.full((block.shape[0], np.count_nonzero(reached)), -np.inf)
         for nd, inst, lp in leaves:
-            m = (block[inst] @ nd.W.T).toarray() + nd.bias
+            m = (take_rows(block, inst) @ nd.W.T).toarray() + nd.bias
             cell = (inst[:, None], col_of[nd.labels])
             acc[cell] = np.maximum(acc[cell], 0) + expit(m) * np.exp(lp)[:, None] / len(ens.trees)
         rows, ranks, cols = _top_cols(acc, k)

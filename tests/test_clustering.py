@@ -1,14 +1,18 @@
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforest import clustering
 from labelforest.clustering import _update, kmeans_partition
 from labelforest.sparse import SparseVec
-from helpers import csr_from_rows, l2_normalize, vec_from_pairs
+from helpers import csr_from_rows, l2_normalize, random_csr, vec_from_pairs
+from kmeans_oracle import kmeans_partition_full
 
 
 def vec(pairs, dim):
@@ -95,6 +99,16 @@ class TestUpdateStep:
         # the outlier (index 2) is farthest from the shared mean
         np.testing.assert_allclose(centers[1], [0.0, 0.0, 1.0], atol=1e-9)
 
+    def test_rescore_in_place_reads_a_dead_cluster_as_worst_fit(self):
+        # cluster 0 = {e0, -e0} has a zero mean; the last round's column 0
+        # scored it against its seed e0, which is not its members' fit now
+        pairs = [[(0, 1.0)], [(0, -1.0)], [(1, 1.0)], [(1, 1.0)], [(2, 1.0)]]
+        V, a = csr([vec(p, 3) for p in pairs]), np.array([0, 0, 1, 1, 2])
+        want_centers, want_scores = _update(V, a, 3)
+        centers, scores = _update(V, a, 3, want_scores.copy(), np.zeros(3, dtype=bool))
+        assert centers.tobytes() == want_centers.tobytes()
+        assert scores.tobytes() == want_scores.tobytes()
+
     def test_matches_dense_mean_normalize_oracle(self):
         vecs = unit_vecs(7, 12, 6)
         rng = np.random.default_rng(8)
@@ -153,15 +167,18 @@ class TestOwnCenterScores:
             np.testing.assert_array_equal(scores, want_scores)
 
 
-def pinned_input(seed):
+def pinned_input(seed, zero_rows=0):
     """90 unit rows, each a copy of one of 14 random sparse vectors, so
-    that k-means with K = 10 meets empty clusters."""
+    that k-means with K = 10 meets empty clusters; ``zero_rows`` random
+    rows are zero instead, like the rows of labels with no instance."""
     rng = np.random.default_rng(seed)
     pool = sp.random(14, 20, density=0.3, random_state=rng, format="csr")
     pool.data = rng.normal(size=pool.nnz)
     V = pool[rng.integers(0, 14, size=90)]
     norms = np.sqrt(np.asarray(V.multiply(V).sum(axis=1)).ravel())
-    return sp.csr_matrix(sp.diags(1 / np.where(norms == 0, 1, norms)) @ V)
+    scale = 1 / np.where(norms == 0, 1, norms)
+    scale[rng.choice(90, size=zero_rows, replace=False)] = 0
+    return sp.csr_matrix(sp.diags(scale) @ V)
 
 
 class TestPinnedOutput:
@@ -169,28 +186,33 @@ class TestPinnedOutput:
     scored rows with a blocked ``bincount`` kernel of its own: sha256 of the
     assignments' and the centers' bytes, rounds run and final objective."""
 
-    @pytest.mark.parametrize("seed, max_iters, assign_sha, center_sha, iters, objective", [
-        (40, 50, "b77d74e2e3260f6739526d7c97fa86cbebea4c7079cf930b1fb84a7ed59b2066",
+    @pytest.mark.parametrize("seed, max_iters, zero_rows, assign_sha, center_sha, iters, objective", [
+        (40, 50, 0, "b77d74e2e3260f6739526d7c97fa86cbebea4c7079cf930b1fb84a7ed59b2066",
          "c5094f29bd59ebed19999b48977a2201f99e35e943fa174d785333a82ab88b0e",
          7, 10.868222967689903),
         # centers re-recorded when a run stopped by MAX_ITERS stopped
         # returning the centers of one more, unread update
-        (45, 3, "ab9a1d5496900be508668a29b426faaf3984b1f2ffd1aa7d764f6f7a05c139fb",
+        (45, 3, 0, "ab9a1d5496900be508668a29b426faaf3984b1f2ffd1aa7d764f6f7a05c139fb",
          "4b04b8ecb6be1a7a60ab957b47af49c45e88b278c7cac79f921457490bc8845d",
          3, 20.42456815537546),
-    ], ids=["reseeds", "max-iters"])
+        # 14 of 90 rows zero: they fit every center worst, so they reseed
+        # the dead clusters, which stay dead every round
+        (52, 50, 14, "b91ef04a0c7ae23ee4e2382b27cff49024a18740cfe1d7fb73960d7534146f7e",
+         "b542114154a5d530cf7f6baf150c4a83f70ebbcc4a88f1a2f2f17e744e8f6f9d",
+         4, 33.127342816484784),
+    ], ids=["reseeds", "max-iters", "zero-rows"])
     def test_matches_recorded_digests(
-        self, monkeypatch, seed, max_iters, assign_sha, center_sha, iters, objective
+        self, monkeypatch, seed, max_iters, zero_rows, assign_sha, center_sha, iters, objective
     ):
         monkeypatch.setattr(clustering, "MAX_ITERS", max_iters)
         dead_rounds = []
 
-        def spy(V, assignments, K):
+        def spy(V, assignments, K, *args):
             dead_rounds.append(np.bincount(assignments, minlength=K).min() == 0)
-            return _update(V, assignments, K)
+            return _update(V, assignments, K, *args)
 
         monkeypatch.setattr(clustering, "_update", spy)
-        part = kmeans_partition(pinned_input(seed), K=10, seed=seed)
+        part = kmeans_partition(pinned_input(seed, zero_rows), K=10, seed=seed)
         assert any(dead_rounds)
         assert part.assignments.dtype == np.int64
         assert hashlib.sha256(part.assignments.tobytes()).hexdigest() == assign_sha
@@ -206,9 +228,9 @@ def test_max_iters_run_returns_the_centers_it_assigned_to(monkeypatch):
     monkeypatch.setattr(clustering, "MAX_ITERS", 3)
     updates = []
 
-    def spy(V, assignments, K):
+    def spy(V, assignments, K, *args):
         updates.append(K)
-        return _update(V, assignments, K)
+        return _update(V, assignments, K, *args)
 
     monkeypatch.setattr(clustering, "_update", spy)
     V = pinned_input(45)
@@ -217,11 +239,92 @@ def test_max_iters_run_returns_the_centers_it_assigned_to(monkeypatch):
     np.testing.assert_array_equal(np.argmax(V @ part.centers.T, axis=1), part.assignments)
 
 
+class TestIncrementalRoundsAgainstFullRecompute:
+    """An update rescores only the clusters that gained or lost a member and
+    the dead ones; every partition must equal, bit for bit, that of the full
+    recompute every round (``kmeans_oracle.kmeans_partition_full``)."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(2, 12),
+        extra=st.integers(1, 40),
+        d=st.integers(1, 12),
+        density=st.sampled_from([0.15, 0.5, 1.0]),
+        distinct=st.sampled_from([0.2, 0.5, 1.0]),
+        zero_rows=st.sampled_from([0.0, 0.15, 0.5]),
+        max_iters=st.sampled_from([3, 50]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_matches_full_recompute(
+        self, seed, K, extra, d, density, distinct, zero_rows, max_iters, dtype
+    ):
+        # normal values, so negative ones; rows copied from a pool, so
+        # duplicates; K + 1 rows at the least, so K near n
+        n = K + extra
+        pool = random_csr(seed, max(1, int(distinct * n)), d, density, zero_rows)
+        rng = np.random.default_rng(seed)
+        V = pool[rng.integers(0, pool.shape[0], size=n)].astype(dtype)
+        with mock.patch.object(clustering, "MAX_ITERS", max_iters):
+            got = kmeans_partition(V, K, seed=seed)
+            want = kmeans_partition_full(V, K, seed=seed)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert got.n_iters_run == want.n_iters_run
+        assert got.final_objective == want.final_objective
+
+
+class ScoredColumns(sp.csr_matrix):
+    """A CSR matrix that records how many columns each of its products with
+    a dense array has."""
+
+    columns: list
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray):
+            self.columns.append(other.shape[1])
+        return super().__matmul__(other)
+
+
+def test_update_after_a_still_round_scores_only_dead_columns(monkeypatch):
+    """Once no row moves, an update scores the dead clusters' columns (their
+    new seeds) and nothing else; the first update scores all K columns."""
+    V = ScoredColumns(pinned_input(52, 14))
+    V.columns = []
+    K = 10
+    dense = V.toarray()
+    updates = []
+
+    def spy(V, assignments, K, *args):
+        sums = np.zeros((K, dense.shape[1]))
+        np.add.at(sums, assignments, dense)
+        n_dead = int(np.count_nonzero(~sums.any(axis=1)))
+        before = len(V.columns)
+        out = _update(V, assignments, K, *args)
+        updates.append((assignments, n_dead, sum(V.columns[before:])))
+        return out
+
+    monkeypatch.setattr(clustering, "_update", spy)
+    kmeans_partition(V, K=K, seed=52)
+    (_, n_dead, scored), *rest = updates
+    assert scored == K + n_dead
+    still = [
+        (n_dead, scored)
+        for (prev, _, _), (a, n_dead, scored) in zip(updates, rest)
+        if np.array_equal(prev, a)
+    ]
+    assert still and all(n_dead > 0 for n_dead, _ in still)
+    assert all(scored == n_dead for n_dead, scored in still)
+
+
 def test_peak_memory_bounded():
     # traced peaks of this run: 4.09 MB when each update held the sums,
     # the means and the centers as three dense K x D arrays; 2.89 MB with
-    # one; 3.61 MB if V's transpose is kept for the cluster sums, 4.08 MB
-    # if the last round's scores live on through the update
+    # one, every update scoring into a fresh array.  2.92 MB when an update
+    # in which at most half the clusters changed rescores the last round's
+    # array in place; 3.74 MB if every update after the first does, 3.72 MB
+    # if the old centers live on through the update, and 3.16 MB if the
+    # sums are made F-ordered from a second sparse copy
     rng = np.random.default_rng(0)
     V = sp.random(3000, 2000, density=0.01, random_state=rng, format="csr")
     tracemalloc.start()
