@@ -36,9 +36,6 @@ class Partition:
     def k(self) -> int:
         return self.centers.shape[0]
 
-    def members(self, k: int) -> np.ndarray:
-        return np.nonzero(self.assignments == k)[0]
-
 
 def _normalize_rows_dense(m: np.ndarray) -> np.ndarray:
     """Divide each nonzero row of ``m`` by its norm in place; returns the

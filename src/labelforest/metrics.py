@@ -77,9 +77,10 @@ def evaluate(preds, truth, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
     matrix as CSR in canonical format (sorted, distinct labels per row),
     whose ``indptr`` and ``indices`` give the (row, label) keys of every
     true label.  All rows are scored at once: the block, cut or padded
-    with -1 (a miss) to max(ks) columns, is looked up among those keys,
-    and the oracle ranks each row's true labels by ascending propensity,
-    ties by label id.
+    with -1 (a miss) to min(max(ks), L) columns, is looked up among those
+    keys, and the oracle ranks each row's true labels by ascending
+    propensity, ties by label id.  Every label id indexes ``prop``, so no
+    row holds more than its L labels; P@k still divides by k.
     """
     if len(preds) != truth.shape[0]:
         raise ValueError("predictions and truths must align")
@@ -89,7 +90,7 @@ def evaluate(preds, truth, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
         raise ValueError("empty test set")
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
-    n, kmax = len(preds), max(ks)
+    n, kmax = len(preds), min(max(ks), prop.n_labels)
     top = np.full((n, kmax), -1, dtype=np.int64)
     top[:, : preds.labels.shape[1]] = preds.labels[:, :kmax]
     n_true = np.diff(truth.indptr)
@@ -115,7 +116,7 @@ def evaluate(preds, truth, prop: PropensityModel, ks=(1, 3, 5)) -> EvalReport:
     for k in ks:
         top_k, hit_k, gain_k = top[:, :k], hit[:, :k], gain[:, :k]
         in_k = o_rank < k
-        ideal = ideal_at[np.minimum(k, n_true)][has_truth]
+        ideal = ideal_at[np.minimum(min(k, kmax), n_true)][has_truth]
         oracle_dcg = np.bincount(
             o_row[in_k], weights=o_gain[in_k] * disc[o_rank[in_k]], minlength=n
         )

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import DataFormatError, Dataset, normalize_instances
-from .sparse import SparseVec
+from .sparse import SparseVec, dot
 from .tree import Ensemble, Tree, take_rows
 
 # Rows scored together by predict_batch: enough to amortize the per-node
@@ -92,25 +92,35 @@ def _top_k(labels, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     return labels[order], scores[order]
 
 
+def _margins(tree: Tree, u: int, x: SparseVec) -> list[float]:
+    """The margins of node u's classifiers on ``x``, one sparse dot each."""
+    W, bias = tree.node_rows(u)
+    return [
+        dot(SparseVec(W.indices[lo:hi], W.data[lo:hi], W.shape[1]), x) + float(b)
+        for lo, hi, b in zip(W.indptr[:-1], W.indptr[1:], bias)
+    ]
+
+
 def _tree_label_scores(tree: Tree, x: SparseVec, beam: int):
     """Reference beam search: all labels scored at the surviving leaves."""
-    frontier = [(tree.root, 0.0)]
-    while any(not node.is_leaf for node, _ in frontier):
+    is_leaf = tree.nodes["leaf"] == 1
+    frontier = [(0, 0.0)]  # (node, log path probability), from the root
+    while not all(is_leaf[u] for u, _ in frontier):
         expanded = []
-        for node, lp in frontier:
-            if node.is_leaf:
-                expanded.append((node, lp))
+        for u, lp in frontier:
+            if is_leaf[u]:
+                expanded.append((u, lp))
                 continue
-            for child, clf in zip(node.children, node.classifiers):
-                expanded.append((child, lp + logsigmoid(clf.margin(x))))
+            for child, m in zip(tree.child[u], _margins(tree, u, x)):
+                expanded.append((child, lp + logsigmoid(m)))
         expanded.sort(key=lambda e: -e[1])
         frontier = expanded[:beam]
     labels, scores = [], []
-    for node, lp in frontier:
+    for u, lp in frontier:
         path_prob = np.exp(lp)
-        for lab, clf in zip(node.labels, node.classifiers):
+        for lab, m in zip(tree.node_labels(u), _margins(tree, u, x)):
             labels.append(int(lab))
-            scores.append(path_prob * float(expit(clf.margin(x))))
+            scores.append(path_prob * float(expit(m)))
     return labels, scores
 
 
@@ -148,40 +158,31 @@ def _top_cols(P: np.ndarray, k: int):
     return rows[ranks < k], ranks[ranks < k], cols[ranks < k]
 
 
-def _number_nodes(tree: Tree):
-    """A tree's nodes in preorder and the table of their children's numbers
-    (indices), as wide as the largest fan-out; a leaf is its own child 0."""
-    nodes = list(tree.iter_nodes())
-    number = {id(nd): u for u, nd in enumerate(nodes)}
-    child = np.zeros((len(nodes), max(1, *(len(nd.children) for nd in nodes))), dtype=np.int64)
-    for u, nd in enumerate(nodes):
-        kids = [number[id(c)] for c in nd.children] or [u]
-        child[u, : len(kids)] = kids
-    return nodes, child
-
-
-def _beam(numbered, X: sp.csr_matrix, beam: int):
-    """Batched beam search of one numbered tree over the rows of ``X``: each
-    leaf of the final frontier, with the rows whose beam holds it and their
-    log path probabilities."""
-    nodes, child = numbered
+def _beam(tree: Tree, X: sp.csr_matrix, beam: int):
+    """Batched beam search of one tree over the rows of ``X``: each leaf of
+    the final frontier, with the rows whose beam holds it and their log
+    path probabilities."""
+    is_leaf = tree.nodes["leaf"] == 1
+    child = tree.child.copy()
+    child[is_leaf, 0] = np.flatnonzero(is_leaf)  # a leaf is its own child 0
     n, width = X.shape[0], child.shape[1]
     inst, lp = np.arange(n), np.zeros(n)
     node = rank = np.zeros(n, dtype=np.int64)  # the root, at rank 0
     while True:
         order = np.argsort(node, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(node[order])) + 1)
-        groups = [(nodes[node[g[0]]], g) for g in groups]
-        if all(nd.is_leaf for nd, _ in groups):
-            return [(nd, inst[g], lp[g]) for nd, g in groups]
+        groups = [(node[g[0]], g) for g in groups]
+        if all(is_leaf[u] for u, _ in groups):
+            return [(u, inst[g], lp[g]) for u, g in groups]
         # a row's candidate (rank, child) goes in column rank * width + child,
         # so that column order is the tie order
         P = np.full((n, (rank.max() + 1) * width), -np.inf)
-        for nd, g in groups:
-            if nd.is_leaf:  # stays in the beam as its own child 0
+        for u, g in groups:
+            if is_leaf[u]:  # stays in the beam as its own child 0
                 P[inst[g], rank[g] * width] = lp[g]
             else:
-                m = (take_rows(X, inst[g]) @ nd.W.T).toarray() + nd.bias
+                W, bias = tree.node_rows(u)
+                m = (take_rows(X, inst[g]) @ W.T).toarray() + bias
                 cols = rank[g, None] * width + np.arange(m.shape[1])
                 P[inst[g, None], cols] = lp[g, None] - np.logaddexp(0.0, -m)
         rows, rank, cols = _top_cols(P, beam)
@@ -199,23 +200,25 @@ def prepare_features(ens: Ensemble, ds: Dataset) -> sp.csr_matrix:
 
 def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Predictions:
     """Ensemble top-k of every row of ``ds``, scored ``BLOCK_ROWS`` rows
-    at a time; a row's result depends on that row alone."""
+    at a time; a row's result depends on that row alone.  No row holds more
+    than L labels, so the block is min(k, L) wide."""
     _check_params(beam, k)
     X = prepare_features(ens, ds)
-    numbered = [_number_nodes(tree) for tree in ens.trees]
+    k = min(k, ens.l)
     out = Predictions(np.full((ds.n, k), -1, dtype=np.int64), np.zeros((ds.n, k)))
     for lo in range(0, ds.n, BLOCK_ROWS):
         block = X[lo : lo + BLOCK_ROWS]
-        leaves = [leaf for num in numbered for leaf in _beam(num, block, beam)]
+        leaves = [(tree, *leaf) for tree in ens.trees for leaf in _beam(tree, block, beam)]
         # the accumulator has a column per label reached, ascending, and
         # holds -inf where no tree scored a label; trees add in their order
         reached = np.zeros(ens.l, dtype=bool)
-        reached[np.concatenate([nd.labels for nd, _, _ in leaves])] = True
+        reached[np.concatenate([tree.node_labels(u) for tree, u, _, _ in leaves])] = True
         col_of = np.cumsum(reached) - 1
         acc = np.full((block.shape[0], np.count_nonzero(reached)), -np.inf)
-        for nd, inst, lp in leaves:
-            m = (take_rows(block, inst) @ nd.W.T).toarray() + nd.bias
-            cell = (inst[:, None], col_of[nd.labels])
+        for tree, u, inst, lp in leaves:
+            W, bias = tree.node_rows(u)
+            m = (take_rows(block, inst) @ W.T).toarray() + bias
+            cell = (inst[:, None], col_of[tree.node_labels(u)])
             acc[cell] = np.maximum(acc[cell], 0) + expit(m) * np.exp(lp)[:, None] / len(ens.trees)
         rows, ranks, cols = _top_cols(acc, k)
         out.labels[lo + rows, ranks] = np.flatnonzero(reached)[cols]

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SparseVec, dot
-
 ETA0, ETA1, ETA2 = 1e-4, 0.25, 0.75
 SIGMA1, SIGMA2, SIGMA3 = 0.25, 0.5, 4.0
 CG_TOL_FACTOR = 0.1
@@ -44,21 +42,6 @@ CHUNK_BYTES = 4 << 20
 # Dense arrays of length (rows + features) a column holds at once in the
 # solve: weights, gradient, margins, signs, CG vectors and temporaries.
 _ARRAYS_PER_COLUMN = 10
-
-
-@dataclass(frozen=True)
-class Weights:
-    """Learned weight vector plus an explicit bias term."""
-
-    w: SparseVec
-    bias: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.bias):
-            raise ValueError("bias must be finite")
-
-    def margin(self, x: SparseVec) -> float:
-        return dot(self.w, x) + self.bias
 
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Every matrix in the package (instances, labels, label representations,
 classifier weights) is a scipy CSR matrix.  The reference beam search in
-``predict`` and the ``Weights`` it dots with work one vector at a time:
-a :class:`SparseVec` stores parallel (indices, values) arrays with strictly
+``predict`` works one vector at a time, dotting each classifier row with
+the instance: a :class:`SparseVec` stores parallel (indices, values) arrays with strictly
 increasing indices and no explicit zeros, and :class:`SparseRowMatrix`
 gives the rows of a CSR matrix as such vectors.  Values may be float32
 (the on-disk and in-model dtype) or float64; dot products and norms are

@@ -1,12 +1,14 @@
 """Shallow label-tree training and model persistence.
 
-A tree is grown by recursively clustering label representation vectors
-into at most K groups per node; nodes stop splitting once they hold at
-most K labels or sit at the depth cap.  Internal nodes carry one routing
-classifier per child; leaves carry one classifier per label.  Every
-classifier is trained only on the instances owning at least one of the
-node's labels, except the root, which sees the whole training set so that
-unlabeled instances still act as negatives.
+A tree is grown by clustering label representation vectors into at most K
+groups per node, one node at a time; nodes stop splitting once they hold
+at most K labels or sit at the depth cap.  Internal nodes carry one
+routing classifier per child; leaves carry one classifier per label.
+Every classifier is trained only on the instances owning at least one of
+the node's labels, except the root, which sees the whole training set so
+that unlabeled instances still act as negatives.  A trained tree is a
+node table, its labels, and one weight matrix and bias vector (``Tree``),
+and a tree file is those arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,13 +26,12 @@ from . import solver
 from .clustering import kmeans_partition
 from .data import DataFormatError, Dataset, build_label_index, normalize_instances
 from .representations import ReprSpace, build_repr
-from .solver import Weights, train_node
-from .sparse import SparseVec
+from .solver import NodeSolve, train_node
 
 log = logging.getLogger(__name__)
 
 MAGIC = b"LFT1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ModelFormatError(ValueError):
@@ -62,44 +64,65 @@ class TrainConfig:
             raise ValueError("base_seed must be >= 0")
 
 
-@dataclass
-class TreeNode:
-    """A tree node with its classifiers: row j of the float32 CSR matrix
-    ``W`` (one column per feature) and ``bias[j]`` score child j of an
-    internal node, or label ``labels[j]`` of a leaf."""
+# One record per node of a tree, parents before children: the parent's id
+# (-1 at the root), the depth, 1 for a leaf, the node's slice [label_lo,
+# label_hi) of the tree's labels, and its number of weight rows.
+NODE = np.dtype([(f, "<i8") for f in ("parent", "depth", "leaf", "label_lo", "label_hi", "rows")])
 
-    depth: int
-    labels: np.ndarray
-    instance_ids: np.ndarray | None
-    is_leaf: bool
-    children: list["TreeNode"] = field(default_factory=list)
-    W: sp.csr_matrix | None = None
-    bias: np.ndarray | None = None
 
-    @property
-    def classifiers(self) -> list[Weights]:
-        """One ``Weights`` view per row of ``W``, built on each access."""
-        W = self.W
-        return [
-            Weights(SparseVec(W.indices[lo:hi], W.data[lo:hi], W.shape[1]), float(b))
-            for lo, hi, b in zip(W.indptr[:-1], W.indptr[1:], self.bias)
-        ]
+def _siblings(parent: np.ndarray):
+    """Every node but the root, grouped by parent and in id order within a
+    group; each one's rank among its siblings; and each node's child count."""
+    kids = np.argsort(parent[1:], kind="stable") + 1
+    rank = np.arange(len(kids)) - np.searchsorted(parent[kids], parent[kids])
+    return kids, rank, np.bincount(parent[kids], minlength=len(parent))
 
 
 @dataclass
 class Tree:
-    root: TreeNode
+    """A trained tree as arrays.  ``nodes`` is its ``NODE`` table, each
+    node's labels are the slice ``labels[label_lo:label_hi]``, and the
+    children's slices tile the parent's in id order.  Node u owns rows
+    ``row_ptr[u]:row_ptr[u + 1]`` of the float32 CSR matrix ``W`` (one
+    column per feature) and of ``bias``: one classifier per child of an
+    internal node, in id order, or per label of a leaf.  ``child[u]`` lists
+    u's children in id order, padded with -1."""
+
+    nodes: np.ndarray
+    labels: np.ndarray
+    W: sp.csr_matrix
+    bias: np.ndarray
     seed: int
 
-    def iter_nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+    def __post_init__(self):
+        self.row_ptr = np.concatenate(([0], np.cumsum(self.nodes["rows"])))
+        kids, rank, _ = _siblings(self.nodes["parent"])
+        self.child = np.full((len(self.nodes), rank.max(initial=0) + 1), -1, dtype=np.int64)
+        self.child[self.nodes["parent"][kids], rank] = kids
 
-    def leaves(self):
-        return [n for n in self.iter_nodes() if n.is_leaf]
+    def node_labels(self, u: int) -> np.ndarray:
+        return self.labels[self.nodes["label_lo"][u] : self.nodes["label_hi"][u]]
+
+    def node_rows(self, u: int) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Node u's rows of ``W``, as a CSR matrix on W's own arrays, and of
+        ``bias``."""
+        a, b = self.row_ptr[u], self.row_ptr[u + 1]
+        lo, hi = self.W.indptr[a], self.W.indptr[b]
+        W = sp.csr_matrix(
+            (self.W.data[lo:hi], self.W.indices[lo:hi], self.W.indptr[a : b + 1] - lo),
+            shape=(b - a, self.W.shape[1]),
+        )
+        return W, self.bias[a:b]
+
+
+class Node(NamedTuple):
+    """One node's training inputs, as ``grow`` leaves them: its labels, its
+    instances (sorted ids) and, for an internal node, each child's."""
+
+    is_leaf: bool
+    labels: np.ndarray
+    instances: np.ndarray
+    child_instances: list
 
 
 @dataclass
@@ -137,41 +160,56 @@ def take_rows(A: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((A.data[at], A.indices[at], indptr), shape=(len(rows), A.shape[1]))
 
 
-def _make_node(depth: int, labels: np.ndarray, instances: np.ndarray, config) -> TreeNode:
-    is_leaf = len(labels) <= config.k or depth >= config.d_max
-    return TreeNode(depth, labels, instances, is_leaf)
-
-
-def grow(node: TreeNode, idx: sp.csr_matrix, V: sp.csr_matrix, config: TrainConfig, rng) -> None:
-    """Split ``node`` by spherical k-means on its labels' rows of the label
-    representation ``V`` and recurse; row j of ``idx`` holds the instances
-    of label j.
+def grow(idx: sp.csr_matrix, V: sp.csr_matrix, n: int, config: TrainConfig, rng):
+    """A tree's node table in preorder (children in cluster order), its
+    labels and each node's ``Node``: a node above the depth cap with more
+    than K labels is split by spherical k-means on its labels' rows of the
+    label representation ``V``.  Row j of ``idx`` holds the instances of
+    label j; the root holds all ``n`` instances.
 
     Empty clusters that survive reseeding are dropped, so fan-out may come
-    out below K; a node whose labels all fall in one cluster becomes a leaf.
+    out below K; a node whose labels all fall in one cluster is a leaf.
     """
-    part = kmeans_partition(take_rows(V, node.labels), K=config.k, seed=int(rng.integers(2**63)))
-    if len(np.unique(part.assignments)) == 1:
-        node.is_leaf = True
-        return
+    labels = np.arange(V.shape[0], dtype=np.int64)
+    table, nodes = [], []
+    stack = [(-1, 0, 0, len(labels), np.arange(n, dtype=np.int64))]
+    while stack:
+        parent, depth, lo, hi, insts = stack.pop()
+        kids = []
+        if hi - lo > config.k and depth < config.d_max:
+            part = kmeans_partition(take_rows(V, labels[lo:hi]), K=config.k,
+                                    seed=int(rng.integers(2**63)))
+            if len(np.unique(part.assignments)) > 1:
+                kids = _split(labels, lo, hi, part.assignments, idx, config.k)
+        u = len(table)
+        is_leaf = not kids
+        table.append((parent, depth, is_leaf, lo, hi, hi - lo if is_leaf else len(kids)))
+        nodes.append(Node(is_leaf, labels[lo:hi], insts, [k[2] for k in kids]))
+        # popped, and so numbered, in preorder
+        stack += [(u, depth + 1, *k) for k in reversed(kids)]
+    return np.array(table, dtype=NODE), labels, nodes
+
+
+def _split(labels, lo, hi, assignments, idx, K):
+    """Order ``labels[lo:hi]`` by cluster, keeping their order within one,
+    and return the [lo, hi) slice and the instances of each nonempty
+    cluster, in cluster order."""
     # one sort on (cluster, instance) of the node's label rows gives each
-    # child's instances, all in node.instance_ids (label sets only shrink)
-    T = take_rows(idx, node.labels)
-    keys = np.unique(np.repeat(part.assignments, np.diff(T.indptr)) * T.shape[1] + T.indices)
-    clusters, insts = np.divmod(keys, T.shape[1])
-    cuts = np.searchsorted(clusters, np.arange(1, config.k))
-    for k, child_insts in enumerate(np.split(insts, cuts)):
-        members = part.members(k)
-        if len(members):
-            child = _make_node(node.depth + 1, node.labels[members], child_insts, config)
-            node.children.append(child)
-            if not child.is_leaf:
-                grow(child, idx, V, config, rng)
+    # child's instances, all in the node's own (label sets only shrink)
+    T = take_rows(idx, labels[lo:hi])
+    keys = np.unique(np.repeat(assignments, np.diff(T.indptr)) * T.shape[1] + T.indices)
+    clusters, members = np.divmod(keys, T.shape[1])
+    child_insts = np.split(members, np.searchsorted(clusters, np.arange(1, K)))
+    labels[lo:hi] = labels[lo:hi][np.argsort(assignments, kind="stable")]
+    sizes = np.bincount(assignments, minlength=K)
+    ends = lo + np.cumsum(sizes)
+    return [(end - size, end, child_insts[k])
+            for k, (size, end) in enumerate(zip(sizes, ends)) if size]
 
 
 def train_node_classifiers(
-    node: TreeNode, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, report: TrainReport
-) -> None:
+    node: Node, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, report: TrainReport
+) -> NodeSolve:
     """Train one classifier per child (internal) or per label (leaf), all
     in one batched solve over the node's instances.
 
@@ -180,56 +218,26 @@ def train_node_classifiers(
     are Newton steps, the classifiers stopped by ``solver.MAX_NEWTON_ITERS``
     before meeting the gradient test, and the weights kept and pruned.
     """
-    insts = node.instance_ids
+    insts = node.instances
     # the positive instances of every classifier, one run per classifier
     if node.is_leaf:
         T = take_rows(idx, node.labels)
         positives, counts = T.indices, np.diff(T.indptr)
     else:
-        positives = np.concatenate([child.instance_ids for child in node.children])
-        counts = np.array([len(child.instance_ids) for child in node.children])
+        positives = np.concatenate(node.child_instances)
+        counts = np.array([len(c) for c in node.child_instances])
 
     signs = np.full((len(insts), len(counts)), -1, dtype=np.int8)
     signs[np.searchsorted(insts, positives), np.repeat(np.arange(len(counts)), counts)] = 1
     report.n_zero_positive += int(np.count_nonzero(counts == 0))
     sol = train_node(take_rows(X, insts), signs, C=config.c, eps=config.eps, delta=config.delta)
-    node.W, node.bias = sol.W, sol.bias
     report.n_classifiers += len(counts)
     report.n_weights_kept += sol.W.nnz
     report.n_weights_pruned += sol.n_pruned
     report.n_newton_iters += int(sol.newton_iters.sum())
     capped = ~sol.converged & (sol.newton_iters >= solver.MAX_NEWTON_ITERS)
     report.n_not_converged += int(np.count_nonzero(capped))
-
-    for child in node.children:
-        train_node_classifiers(child, X, idx, config, report)
-
-
-def train_tree(
-    ds: Dataset,
-    idx: sp.csr_matrix,
-    V: sp.csr_matrix,
-    X: sp.csr_matrix,
-    config: TrainConfig,
-    seed: int,
-    report: TrainReport | None = None,
-) -> Tree:
-    report = report if report is not None else TrainReport()
-    rng = np.random.default_rng(seed)
-    root = _make_node(0, np.arange(ds.l, dtype=np.int64), np.arange(ds.n, dtype=np.int64), config)
-    t0 = time.perf_counter()
-    if not root.is_leaf:
-        grow(root, idx, V, config, rng)
-    t1 = time.perf_counter()
-    train_node_classifiers(root, X, idx, config, report)
-    t2 = time.perf_counter()
-    report.grow_seconds += t1 - t0
-    report.solve_seconds += t2 - t1
-    tree = Tree(root, seed)
-    for n in tree.iter_nodes():
-        report.n_nodes += 1
-        report.n_leaves += int(n.is_leaf)
-    return tree
+    return sol
 
 
 def train_ensemble(
@@ -242,6 +250,7 @@ def train_ensemble(
     """
     if ds.l < 1:
         raise DataFormatError("training needs at least one label")
+    report = report if report is not None else TrainReport()
     idx = build_label_index(ds)
     work = normalize_instances(ds)
     V = build_repr(work, config.repr_space).matrix
@@ -251,7 +260,18 @@ def train_ensemble(
     for t in range(config.n_trees):
         seed = config.base_seed + t
         log.info("training tree %d/%d (seed %d)", t + 1, config.n_trees, seed)
-        trees.append(train_tree(ds, idx, V, X, config, seed, report))
+        t0 = time.perf_counter()
+        table, labels, nodes = grow(idx, V, ds.n, config, np.random.default_rng(seed))
+        t1 = time.perf_counter()
+        solves = [train_node_classifiers(node, X, idx, config, report) for node in nodes]
+        report.grow_seconds += t1 - t0
+        report.solve_seconds += time.perf_counter() - t1
+        report.n_nodes += len(table)
+        report.n_leaves += int(table["leaf"].sum())
+        # one W per tree: the nodes' blocks are stacked once, then dropped
+        W = sp.vstack([s.W for s in solves], format="csr")
+        trees.append(Tree(table, labels, W, np.concatenate([s.bias for s in solves]), seed))
+        del nodes, solves
     return Ensemble(trees, config, ds.d, ds.l)
 
 
@@ -274,71 +294,89 @@ def _meta_lines(ens: Ensemble) -> str:
     return "".join(f"{k}={v}\n" for k, v in pairs)
 
 
-def _write_node(chunks: list, node: TreeNode) -> None:
-    header = np.array(
-        [node.depth, len(node.labels), len(node.children), int(node.is_leaf)],
-        dtype="<u4",
-    )
-    W = node.W
-    chunks += [
-        header.tobytes(),
-        node.labels.astype("<u4").tobytes(),
-        np.diff(W.indptr).astype("<u4").tobytes(),
-        W.indices.astype("<u4").tobytes(),
-        W.data.astype("<f4").tobytes(),
-        node.bias.astype("<f4").tobytes(),
-    ]
-    for child in node.children:
-        _write_node(chunks, child)
-
-
 def save_model(ens: Ensemble, model_dir) -> None:
     os.makedirs(model_dir, exist_ok=True)
     with open(os.path.join(model_dir, "meta"), "w", encoding="utf-8") as f:
         f.write(_meta_lines(ens))
     for t, tree in enumerate(ens.trees):
-        chunks = [MAGIC, np.array([FORMAT_VERSION], dtype="<u4").tobytes()]
-        _write_node(chunks, tree.root)
+        W = tree.W
         with open(os.path.join(model_dir, f"tree_{t}.bin"), "wb") as f:
-            f.write(b"".join(chunks))
+            f.write(MAGIC)
+            for a, dtype in [
+                ([FORMAT_VERSION], "<u4"),
+                ([len(tree.nodes)], "<i8"),
+                (tree.nodes, NODE),
+                (tree.labels, "<u4"),
+                (np.diff(W.indptr), "<u4"),
+                (W.indices, "<u4"),
+                (W.data, "<f4"),
+                (tree.bias, "<f4"),
+            ]:
+                f.write(np.asarray(a, dtype=dtype).data)
 
 
-class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+def _check_nodes(nodes: np.ndarray, l: int, d_max: int) -> None:
+    """Raise ModelFormatError unless the nonempty ``nodes`` is the table of
+    a tree over L labels, up to depth ``d_max``, with each node's row count
+    its child count (internal) or label count (leaf)."""
+    parent, depth, leaf, lo, hi, rows = (nodes[name] for name in NODE.names)
+    ids = np.arange(len(nodes))
+    if parent[0] != -1 or np.any((parent[1:] < 0) | (parent[1:] >= ids[1:])):
+        raise ModelFormatError("a node's parent is out of range or not before it")
+    if depth[0] != 0 or np.any(depth[1:] != depth[parent[1:]] + 1):
+        raise ModelFormatError("a node's depth is not its parent's depth + 1")
+    if depth.max() > d_max:
+        raise ModelFormatError(f"node depth {depth.max()} exceeds d_max={d_max}")
+    kids, rank, n_children = _siblings(parent)
+    if np.any((leaf != 0) & (leaf != 1)) or np.any((leaf == 1) != (n_children == 0)):
+        raise ModelFormatError("inconsistent leaf flag: a leaf with children or a node without")
+    # a first child starts where its parent does, any other where its
+    # previous sibling ends, and a last child ends where its parent does
+    up = parent[kids]
+    starts = np.where(rank == 0, lo[up], hi[np.roll(kids, 1)])
+    last = rank == n_children[up] - 1
+    if (lo[0], hi[0]) != (0, l) or np.any(lo > hi) or np.any(lo[kids] != starts) \
+            or np.any(hi[kids[last]] != hi[up[last]]):
+        raise ModelFormatError("label ranges do not tile their parent's")
+    if np.any(rows != np.where(leaf == 1, hi - lo, n_children)):
+        raise ModelFormatError("a node's row count is not its child or label count")
 
-    def take(self, dtype, count):
-        dt = np.dtype(dtype)
-        end = self.pos + dt.itemsize * count
-        if end > len(self.buf):
+
+def _parse_tree(buf: bytes, d: int, l: int, d_max: int, seed: int) -> Tree:
+    """A tree file's arrays, each checked as a whole."""
+    if buf[:4] != MAGIC:
+        raise ModelFormatError("bad magic bytes")
+    pos = 4
+
+    def take(dtype, count):
+        nonlocal pos
+        size = np.dtype(dtype).itemsize * count
+        if pos + size > len(buf):
             raise ModelFormatError("truncated tree file")
-        out = np.frombuffer(self.buf, dtype=dt, count=count, offset=self.pos)
-        self.pos = end
-        return out
+        pos += size
+        return np.frombuffer(buf, dtype=dtype, count=count, offset=pos - size)
 
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
-
-
-def _read_node(cur: _Cursor, d: int, l: int, expect_depth: int, d_max: int):
-    """One node without its children; returns (node, number of children)."""
-    depth, n_labels, n_children, leaf_flag = (int(v) for v in cur.take("<u4", 4))
-    if depth != expect_depth:
-        raise ModelFormatError(f"node depth {depth}, expected {expect_depth}")
-    if depth > d_max:
-        raise ModelFormatError(f"node depth {depth} exceeds d_max={d_max}")
-    if leaf_flag not in (0, 1) or (leaf_flag == 1) != (n_children == 0):
-        raise ModelFormatError("inconsistent leaf flag")
-    labels = cur.take("<u4", n_labels).astype(np.int64)
-    if n_labels and labels.max() >= l:
+    version = int(take("<u4", 1)[0])
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported version {version}")
+    n_nodes = int(take("<i8", 1)[0])
+    if n_nodes < 1:
+        raise ModelFormatError(f"{n_nodes} nodes")
+    nodes = take(NODE, n_nodes)
+    _check_nodes(nodes, l, d_max)
+    labels = take("<u4", l).astype(np.int64)
+    if labels.max() >= l:
         raise ModelFormatError(f"label id {labels.max()} out of range [0, {l})")
-    m = n_labels if leaf_flag else n_children
+    if np.any(np.bincount(labels, minlength=l) != 1):
+        raise ModelFormatError(f"leaves do not hold each of the L={l} labels once")
+    m = int(nodes["rows"].sum())
     indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(cur.take("<u4", m), out=indptr[1:])
-    indices = cur.take("<u4", int(indptr[-1]))
-    values = cur.take("<f4", int(indptr[-1]))
-    bias = cur.take("<f4", m)
+    np.cumsum(take("<u4", m), out=indptr[1:])
+    indices = take("<u4", int(indptr[-1]))
+    values = take("<f4", int(indptr[-1]))
+    bias = take("<f4", m)
+    if pos != len(buf):
+        raise ModelFormatError("trailing bytes")
     try:
         W = sp.csr_matrix((values, indices, indptr), shape=(m, d))
         W.check_format(full_check=True)
@@ -350,32 +388,7 @@ def _read_node(cur: _Cursor, d: int, l: int, expect_depth: int, d_max: int):
         raise ModelFormatError("bad classifier weights: zero or non-finite weight")
     if not np.all(np.isfinite(bias)):
         raise ModelFormatError("bad classifier bias: not finite")
-    return TreeNode(depth, labels, None, bool(leaf_flag), W=W, bias=bias), n_children
-
-
-def _read_tree(cur: _Cursor, d: int, l: int, d_max: int) -> TreeNode:
-    """Read nodes in preorder with an explicit stack, so that no file can
-    reach the interpreter's recursion limit."""
-    root = None
-    open_nodes = []  # (node, n_children) of the nodes still taking children
-    while True:
-        node, n_children = _read_node(cur, d, l, len(open_nodes), d_max)
-        if open_nodes:
-            open_nodes[-1][0].children.append(node)
-        else:
-            root = node
-        if n_children:
-            open_nodes.append((node, n_children))
-            continue
-        while open_nodes and len(open_nodes[-1][0].children) == open_nodes[-1][1]:
-            done = open_nodes.pop()[0]
-            below = np.concatenate([c.labels for c in done.children])
-            if not np.array_equal(np.sort(done.labels), np.sort(below)):
-                raise ModelFormatError(
-                    f"depth-{done.depth} node's labels differ from the union of its children's"
-                )
-        if not open_nodes:
-            return root
+    return Tree(nodes, labels, W, bias, seed)
 
 
 def _parse_meta(text: str) -> dict:
@@ -432,20 +445,8 @@ def load_model(model_dir) -> Ensemble:
                 buf = f.read()
         except FileNotFoundError as e:
             raise ModelFormatError(f"{path}: missing, but meta has T={n_trees}") from e
-        if buf[:4] != MAGIC:
-            raise ModelFormatError(f"{path}: bad magic bytes")
-        cur = _Cursor(buf)
-        cur.pos = 4
-        version = int(cur.take("<u4", 1)[0])
-        if version != FORMAT_VERSION:
-            raise ModelFormatError(f"{path}: unsupported version {version}")
-        root = _read_tree(cur, d, l, config.d_max)
-        if not cur.done():
-            raise ModelFormatError(f"{path}: trailing bytes")
-        tree = Tree(root, config.base_seed + t)
-        in_leaves = np.concatenate([leaf.labels for leaf in tree.leaves()])
-        # comparing lengths first keeps a huge L from sizing the bincount
-        if len(in_leaves) != l or np.any(np.bincount(in_leaves, minlength=l) != 1):
-            raise ModelFormatError(f"{path}: leaves do not hold each of the L={l} labels once")
-        trees.append(tree)
+        try:
+            trees.append(_parse_tree(buf, d, l, config.d_max, config.base_seed + t))
+        except ModelFormatError as e:
+            raise ModelFormatError(f"{path}: {e}") from e
     return Ensemble(trees, config, d, l)

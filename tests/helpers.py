@@ -1,14 +1,18 @@
 """Code that only the tests call: building sparse vectors, CSR matrices,
-label matrices, node weight blocks and prediction blocks by hand, reading
-CSR rows as sparse vectors, comparing Datasets, per-vector arithmetic,
-appending a bias column, beam-searching one tree, the first forms of a
-node's solve inputs and of its children's instance sets, and writing a
-Dataset back as text.
+label matrices, node weight blocks, trees and prediction blocks by hand,
+reading CSR rows as sparse vectors, comparing Datasets, per-vector
+arithmetic, appending a bias column, beam-searching one tree and scoring
+all of its labels, the first forms of a node's solve inputs and of its
+children's instance sets, and writing a Dataset back as text.
 """
 
 from __future__ import annotations
 
 import io
+import math
+import struct
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,10 +25,25 @@ from labelforest.predict import (
     _check_params,
     _top_k,
     _tree_label_scores,
+    logsigmoid,
 )
-from labelforest.solver import Weights
-from labelforest.sparse import SparseVec
-from labelforest.tree import Tree, TreeNode
+from labelforest.sparse import SparseVec, dot
+from labelforest.tree import NODE, Tree
+
+
+@dataclass(frozen=True)
+class Weights:
+    """One classifier: a weight vector plus an explicit bias term."""
+
+    w: SparseVec
+    bias: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.bias):
+            raise ValueError("bias must be finite")
+
+    def margin(self, x: SparseVec) -> float:
+        return dot(self.w, x) + self.bias
 
 
 def vec_from_pairs(pairs, dim, dtype=np.float64) -> SparseVec:
@@ -123,9 +142,91 @@ def weights_block(classifiers: list[Weights], dim: int):
 
 
 def row_weights(W, bias) -> list[Weights]:
-    """One ``Weights`` per row of a CSR block and its bias vector: the
-    views ``TreeNode.classifiers`` gives the reference beam search."""
-    return TreeNode(0, np.empty(0, dtype=np.int64), None, True, W=W, bias=bias).classifiers
+    """One ``Weights`` per row of a CSR block and its bias vector."""
+    return [
+        Weights(SparseVec(W.indices[lo:hi], W.data[lo:hi], W.shape[1]), float(b))
+        for lo, hi, b in zip(W.indptr[:-1], W.indptr[1:], bias)
+    ]
+
+
+class Leaf(NamedTuple):
+    """A leaf in a ``build_tree`` spec: its labels and their classifiers."""
+
+    labels: list
+    clfs: list
+
+
+class Inner(NamedTuple):
+    """An internal node in a ``build_tree`` spec: its children's specs and
+    their routing classifiers."""
+
+    children: list
+    clfs: list
+
+
+def build_tree(spec, dim: int, seed: int = 0) -> Tree:
+    """The ``Tree`` of a nested spec of ``Leaf`` and ``Inner`` nodes, numbered
+    in preorder.  A node's classifiers are a list of ``Weights`` or its
+    (W, bias) block."""
+    table, labels, blocks = [], [], []
+
+    def visit(node, parent, depth):
+        u, lo = len(table), len(labels)
+        W, bias = node.clfs if isinstance(node.clfs, tuple) else weights_block(node.clfs, dim)
+        table.append(None)  # numbered before its children
+        blocks.append((W, bias))
+        if isinstance(node, Leaf):
+            labels.extend(node.labels)
+        else:
+            for child in node.children:
+                visit(child, u, depth + 1)
+        table[u] = (parent, depth, isinstance(node, Leaf), lo, len(labels), W.shape[0])
+
+    visit(spec, -1, 0)
+    W = sp.vstack([W for W, _ in blocks], format="csr").astype(np.float32)
+    bias = np.concatenate([b for _, b in blocks]).astype(np.float32)
+    return Tree(np.array(table, dtype=NODE), np.array(labels, dtype=np.int64), W, bias, seed)
+
+
+def tree_file_sections(buf, l: int) -> dict[str, int]:
+    """The byte offset of each array in a tree file over L labels."""
+    (n,) = struct.unpack_from("<q", buf, 8)
+    nodes = np.frombuffer(buf, NODE, count=n, offset=16)
+    m = int(nodes["rows"].sum())
+    at = {"nodes": 16, "labels": 16 + NODE.itemsize * n}
+    at["row_nnz"] = at["labels"] + 4 * l
+    nnz = int(np.frombuffer(buf, "<u4", count=m, offset=at["row_nnz"]).sum())
+    at["indices"] = at["row_nnz"] + 4 * m
+    at["values"] = at["indices"] + 4 * nnz
+    at["bias"] = at["values"] + 4 * nnz
+    return at
+
+
+def node_weights(tree: Tree, u: int) -> list[Weights]:
+    """Node u's classifiers, one ``Weights`` per row."""
+    return row_weights(*tree.node_rows(u))
+
+
+def children(tree: Tree, u: int) -> list[int]:
+    return [c for c in tree.child[u] if c >= 0]
+
+
+def exhaustive_scores(tree: Tree, x: SparseVec) -> dict[int, float]:
+    """Every label's chain-rule score in one tree, from a full walk: no
+    beam, every leaf scored."""
+    out = {}
+
+    def walk(u, lp):
+        clfs = node_weights(tree, u)
+        if tree.nodes["leaf"][u]:
+            for lab, clf in zip(tree.node_labels(u), clfs):
+                out[int(lab)] = math.exp(lp) * float(expit(clf.margin(x)))
+            return
+        for child, clf in zip(children(tree, u), clfs):
+            walk(child, lp + logsigmoid(clf.margin(x)))
+
+    walk(0, 0.0)
+    return out
 
 
 def predict_tree(tree: Tree, x: SparseVec, beam: int = 10, k: int = 5) -> ScoredLabels:

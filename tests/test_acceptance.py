@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.special import expit
 
 from conftest import random_dataset
-from helpers import predict_tree, row
+from helpers import exhaustive_scores, predict_tree, row
 from labelforest.clustering import _update
 from labelforest.data import parse_dataset
 from labelforest.metrics import PropensityModel, evaluate, fit_propensities
-from labelforest.predict import logsigmoid, predict_batch
+from labelforest.predict import predict_batch
 from labelforest.representations import ReprSpace, build_input_repr, build_output_repr
 from labelforest.tree import TrainConfig, load_model, save_model, train_ensemble
 from metrics_oracle import ndcg_at_k, precision_at_k, psndcg_at_k, psp_at_k
@@ -120,21 +119,6 @@ def dense_repr_rows(ds, output):
     return m / np.where(norms > 0, norms, 1.0)[:, None]
 
 
-def exhaustive_tree_scores(tree, x):
-    scores = {}
-
-    def walk(node, lp):
-        if node.is_leaf:
-            for lab, clf in zip(node.labels, node.classifiers):
-                scores[int(lab)] = math.exp(lp) * float(expit(clf.margin(x)))
-            return
-        for child, clf in zip(node.children, node.classifiers):
-            walk(child, lp + logsigmoid(clf.margin(x)))
-
-    walk(tree.root, 0.0)
-    return scores
-
-
 def dense_metric_case(rng):
     l = int(rng.integers(5, 30))
     n_pred = int(rng.integers(1, l + 1))
@@ -215,7 +199,7 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
         x_ds = random_dataset(3000 + trial, n=1, d=12, l=ds.l)
         x = row(x_ds.X, 0)
         got = predict_tree(tree, x, beam=ds.l, k=5)
-        scores = exhaustive_tree_scores(tree, x)
+        scores = exhaustive_scores(tree, x)
         labels = np.array(sorted(scores), dtype=np.int64)
         vals = np.array([scores[int(lab)] for lab in labels])
         order = np.lexsort((labels, -vals))[:5]
@@ -280,10 +264,11 @@ def test_structural_invariants_and_roundtrip_predictions(tmp_path):
     for case_id, (ds, config) in enumerate(cases):
         ens = train_ensemble(ds, config)
         for tree in ens.trees:
-            leaf_labels = np.concatenate([leaf.labels for leaf in tree.leaves()])
+            leaves = np.flatnonzero(tree.nodes["leaf"])
+            leaf_labels = np.concatenate([tree.node_labels(u) for u in leaves])
             assert len(leaf_labels) == ds.l
             assert np.array_equal(np.sort(leaf_labels), np.arange(ds.l))
-            assert max(node.depth for node in tree.iter_nodes()) <= config.d_max
+            assert tree.nodes["depth"].max() <= config.d_max
 
         model_dir = tmp_path / f"model_{case_id}"
         save_model(ens, model_dir)

@@ -1,4 +1,5 @@
-"""The benchmark tracer's hooks name attributes that labelforest has.
+"""The benchmark tracer's hooks name attributes that labelforest has, and
+its per-node counters count the nodes of the model it traced.
 
 ``bench/tracing.py::install`` wraps module attributes by name and skips a
 name it cannot find, so a rename in ``src/`` silently turns that layer
@@ -9,7 +10,17 @@ list of hooks known to be dead, which must itself stay exact.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+
+from conftest import grouped_dataset
+from helpers import dataset_to_text
+from labelforest.tree import load_model
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -69,3 +80,28 @@ def test_known_dead_hooks_are_exact():
     assert KNOWN_DEAD <= hooks, f"not hooks in install: {sorted(KNOWN_DEAD - hooks)}"
     alive = sorted(h for h in KNOWN_DEAD if is_live(*h))
     assert not alive, f"listed as dead but present: {alive}"
+
+
+def test_traced_node_counters_match_the_saved_model(tmp_path):
+    """``tree.nodes``, ``tree.leaves`` and ``tree.leaf_labels_max`` count the
+    calls of ``train_node_classifiers``; a traced depth-2 training run gives
+    the counts that its saved model holds."""
+    ds, _ = grouped_dataset(3, n=150, groups=6, labels_per_group=4)
+    data, model, spans = tmp_path / "train.txt", tmp_path / "m", tmp_path / "spans.json"
+    data.write_text(dataset_to_text(ds))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, str(TRACING), str(spans), "train", "--data", str(data),
+         "--model", str(model), "--trees", "2", "--branch", "3", "--max-depth", "2"],
+        check=True, env=env, capture_output=True,
+    )
+    counters = json.loads(spans.read_text(encoding="utf-8").splitlines()[0])["counters"]
+    trees = load_model(model).trees
+    leaves = [np.flatnonzero(t.nodes["leaf"]) for t in trees]
+    assert max(t.nodes["depth"].max() for t in trees) == 2
+    assert counters["tree.nodes"] == sum(len(t.nodes) for t in trees)
+    assert counters["tree.leaves"] == sum(len(u) for u in leaves)
+    assert counters["tree.leaf_labels_max"] == max(
+        len(t.node_labels(u)) for t, us in zip(trees, leaves) for u in us
+    )

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import grouped_dataset
 from fuzz import apply_edit, byte_edits, prediction_edits
-from helpers import dataset_to_text, row
+from helpers import children, dataset_to_text, node_weights, row, tree_file_sections
 from metrics_oracle import evaluate_oracle
 from labelforest import cli, solver
 from labelforest.cli import main
@@ -30,7 +30,7 @@ from labelforest.predict import (
     read_predictions,
     write_predictions,
 )
-from labelforest.tree import ModelFormatError, load_model, save_model
+from labelforest.tree import FORMAT_VERSION, NODE, ModelFormatError, load_model, save_model
 
 
 def parse_table(text: str) -> dict[str, list[float]]:
@@ -128,7 +128,7 @@ class TestPipeline:
         assert m and int(m.group(1)) > 0 and int(m.group(2)) == 0
         m = re.search(r"(\d+) weights kept, (\d+) pruned", summary[0])
         ens = load_model(tmp_path / "m")
-        kept = sum(n.W.nnz for n in ens.trees[0].iter_nodes())
+        kept = ens.trees[0].W.nnz
         assert m and int(m.group(1)) == kept > 0 and int(m.group(2)) > 0
 
 
@@ -142,16 +142,16 @@ class TestBeamFlag:
                      "--output", pred, "--beam", "100"]) == 0
 
         ens = load_model(model)
-        assert all(len(t.root.children) <= 25 for t in ens.trees)
+        assert all(len(children(t, 0)) <= 25 for t in ens.trees)
         test = normalize_instances(parse_dataset(paths["test"]))
         got = read_predictions(pred)
         for i in range(0, test.n, 10):
             x = row(test.X, i)
             sums: dict[int, float] = {}
             for tree in ens.trees:
-                for leaf, clf in zip(tree.root.children, tree.root.classifiers):
+                for leaf, clf in zip(children(tree, 0), node_weights(tree, 0), strict=True):
                     lp = -math.log1p(math.exp(-clf.margin(x))) if clf.margin(x) > -30 else clf.margin(x)
-                    for lab, leaf_clf in zip(leaf.labels, leaf.classifiers):
+                    for lab, leaf_clf in zip(tree.node_labels(leaf), node_weights(tree, leaf)):
                         m = leaf_clf.margin(x)
                         s = math.exp(lp) / (1.0 + math.exp(-m))
                         sums[int(lab)] = sums.get(int(lab), 0.0) + s
@@ -258,7 +258,7 @@ class TestDegenerateSplit:
         assert main(["train", "--data", str(data), "--model", str(tmp_path / "m"),
                      "--branch", "2", "--max-depth", max_depth]) == 0
         ens = load_model(tmp_path / "m")
-        assert sum(len(list(tree.iter_nodes())) for tree in ens.trees) == 3
+        assert sum(len(tree.nodes) for tree in ens.trees) == 3
 
 
 class TestStats:
@@ -369,18 +369,13 @@ class TestExitCodes:
     def test_bad_weight_index_in_model_is_data_error(self, paths, trained, tmp_path, capsys):
         model = tmp_path / "model"
         shutil.copytree(trained, model)
-        d = parse_dataset(paths["train"]).d
+        train = parse_dataset(paths["train"])
         buf = bytearray((model / "tree_0.bin").read_bytes())
-        # magic, version, root header (depth, labels, children, leaf flag),
-        # the root's labels, then its per-row nnz, indices, values and biases
-        n_labels, n_children, leaf = struct.unpack_from("<3I", buf, 12)
-        m = n_labels if leaf else n_children
-        pos = 24 + 4 * n_labels
-        nnz = sum(struct.unpack_from(f"<{m}I", buf, pos))
-        if not nnz:
-            pytest.fail("root has no stored weights to corrupt")
+        at = tree_file_sections(buf, train.l)
+        if at["values"] == at["indices"]:
+            pytest.fail("the tree has no stored weights to corrupt")
         # the last index of the last row that has any
-        struct.pack_into("<I", buf, pos + 4 * m + 4 * (nnz - 1), d)
+        struct.pack_into("<I", buf, at["values"] - 4, train.d)
         (model / "tree_0.bin").write_bytes(bytes(buf))
         with pytest.raises(ModelFormatError):
             load_model(model)
@@ -394,11 +389,12 @@ class TestExitCodes:
         self, paths, trained, tmp_path, capsys, edit
     ):
         ens = load_model(trained)
-        leaves = ens.trees[0].leaves()
+        tree = ens.trees[0]
+        second_leaf = np.flatnonzero(tree.nodes["leaf"])[1]
         if edit == "copy a leaf label":
-            leaves[1].labels[0] = leaves[0].labels[0]
+            tree.labels[tree.nodes["label_lo"][second_leaf]] = tree.labels[0]
         else:
-            leaves[0].labels[0] = ens.l + 7
+            tree.labels[0] = ens.l + 7
         save_model(ens, tmp_path / "model")
         rc = main(["predict", "--model", str(tmp_path / "model"), "--data", paths["test"],
                    "--output", str(tmp_path / "pred.txt")])
@@ -425,7 +421,9 @@ class TestExitCodes:
     def test_v1_model_is_data_error(self, paths, trained, tmp_path, capsys):
         model = tmp_path / "model"
         shutil.copytree(trained, model)
-        meta = (model / "meta").read_text().replace("version=2", "version=1")
+        meta = (model / "meta").read_text()
+        assert f"version={FORMAT_VERSION}\n" in meta
+        meta = meta.replace(f"version={FORMAT_VERSION}", "version=1")
         (model / "meta").write_text(meta)
         rc = main(["predict", "--model", str(model), "--data", paths["test"],
                    "--output", str(tmp_path / "pred.txt")])
@@ -477,19 +475,46 @@ class TestExitCodes:
 
     @staticmethod
     def write_chain_model(model, d, d_max, links=1200):
-        """A one-label tree of ``links`` single-child nodes above one leaf,
-        each node with its header, labels, row nnz, no weights and a bias."""
+        """A one-label tree of ``links`` single-child nodes above one leaf:
+        the node table, the label, a row per node with no weights, and a
+        bias per row."""
         model.mkdir()
         (model / "meta").write_text(
-            f"version=2\nT=1\nK=2\nd_max={d_max}\nrepr_space=input\nD={d}\nL=1\n"
-            "C=1.0\ndelta=0.01\nbase_seed=0\nnormalize=1\n"
+            f"version={FORMAT_VERSION}\nT=1\nK=2\nd_max={d_max}\nrepr_space=input\nD={d}\n"
+            "L=1\nC=1.0\ndelta=0.01\nbase_seed=0\nnormalize=1\n"
         )
-        chunks = [b"LFT1", struct.pack("<I", 2)]
-        for depth in range(links + 1):
-            leaf = depth == links
-            chunks.append(struct.pack("<4I", depth, 1, 0 if leaf else 1, int(leaf)))
-            chunks.append(struct.pack("<IIf", 0, 0, 0.5))
-        (model / "tree_0.bin").write_bytes(b"".join(chunks))
+        n = links + 1
+        nodes = np.zeros(n, dtype=NODE)
+        nodes["parent"] = np.arange(n) - 1
+        nodes["depth"] = np.arange(n)
+        nodes["leaf"][-1] = 1
+        nodes["label_hi"] = nodes["rows"] = 1
+        (model / "tree_0.bin").write_bytes(
+            b"LFT1" + struct.pack("<Iq", FORMAT_VERSION, n) + nodes.tobytes()
+            + struct.pack("<I", 0) + bytes(4 * n) + np.full(n, 0.5, dtype="<f4").tobytes()
+        )
+
+    def test_chain_model_loads_and_predicts(self, paths, tmp_path):
+        model = tmp_path / "chain"
+        self.write_chain_model(model, parse_dataset(paths["test"]).d, d_max=1200, links=3)
+        tree = load_model(model).trees[0]
+        assert len(tree.nodes) == 4 and tree.W.shape == (4, tree.W.shape[1]) and tree.W.nnz == 0
+        pred = tmp_path / "pred.txt"
+        assert main(["predict", "--model", str(model), "--data", paths["test"],
+                     "--output", str(pred)]) == 0
+        # three routing steps and the leaf, each at probability sigmoid(0.5)
+        score = (1.0 / (1.0 + math.exp(-0.5))) ** 4
+        assert read_predictions(pred)[0].pairs() == [(0, pytest.approx(score, abs=5e-6))]
+
+    def test_v2_model_is_data_error(self, paths, tmp_path, capsys):
+        model = tmp_path / "v2"
+        self.write_chain_model(model, parse_dataset(paths["test"]).d, d_max=2, links=1)
+        meta = (model / "meta").read_text()
+        (model / "meta").write_text(meta.replace(f"version={FORMAT_VERSION}", "version=2"))
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert "unsupported model version 2" in capsys.readouterr().err
 
     def test_node_deeper_than_d_max_is_data_error(self, paths, tmp_path, capsys):
         model = tmp_path / "chain"
@@ -526,10 +551,10 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("flags, depth, model_sha, pred_sha", [
         (["--trees", "2", "--branch", "8", "--max-depth", "1", "--repr", "input", "--seed", "3"],
-         1, "b1c34dacae6b7a438a47130909465b53444fa6274052a97d5ee2e302750dde26",
+         1, "52a671d4f9693af55993581933a9cacf32a1d8425b7f3b0327dfb2f47a45e1c6",
          "15d2b3491dbc48d3650ce042ff2144636c8236aa2c65452012e84f83bf8ee660"),
         (["--trees", "2", "--branch", "4", "--max-depth", "2", "--repr", "joint", "--seed", "5"],
-         2, "443129ce8120e7d819f17044e603d5fb770c7610604e441c6693db008431a484",
+         2, "82ab76ccef42058e836d63b775510b7194bc541591882265dee82e4dac432c55",
          "63d33605df84839a77e5722ac421af5ebb21c14562d616b97b332cabcfe58377"),
     ], ids=["input-depth1", "joint-depth2"])
     def test_model_and_predictions_match_recorded_digests(
@@ -541,9 +566,9 @@ class TestPinnedBytes:
 
     def test_multi_batch_nodes_match_recorded_digests(self, paths, tmp_path, monkeypatch):
         """A chunk bound this small solves half the nodes in several column
-        batches and the rest in one.  The digests were recorded before the
-        node inputs were built by index arithmetic; on this data they
-        equal the one-batch digests of the joint-depth2 case."""
+        batches and the rest in one.  The prediction digest was recorded
+        before the node inputs were built by index arithmetic; on this data
+        both digests equal the one-batch digests of the joint-depth2 case."""
         monkeypatch.setattr(solver, "CHUNK_BYTES", 1 << 14)
         batches = []
 
@@ -556,11 +581,11 @@ class TestPinnedBytes:
         model, pred = tmp_path / "m", tmp_path / "pred.txt"
         flags = ["--trees", "2", "--branch", "4", "--max-depth", "2", "--repr", "joint", "--seed", "5"]
         assert main(["train", "--data", paths["train"], "--model", str(model), *flags]) == 0
-        n_nodes = sum(1 for t in load_model(model).trees for _ in t.iter_nodes())
+        n_nodes = sum(len(t.nodes) for t in load_model(model).trees)
         assert len(batches) > n_nodes + 20 and max(batches) > 1
         self._check_digests(
             paths, model, pred, 2,
-            "443129ce8120e7d819f17044e603d5fb770c7610604e441c6693db008431a484",
+            "82ab76ccef42058e836d63b775510b7194bc541591882265dee82e4dac432c55",
             "63d33605df84839a77e5722ac421af5ebb21c14562d616b97b332cabcfe58377",
         )
 
@@ -569,7 +594,7 @@ class TestPinnedBytes:
         assert main(["predict", "--model", str(model), "--data", paths["test"],
                      "--output", str(pred)]) == 0
         trees = load_model(model).trees
-        assert max(n.depth for t in trees for n in t.iter_nodes()) == depth
+        assert max(t.nodes["depth"].max() for t in trees) == depth
         assert _sha256_of_dir(model) == model_sha
         assert hashlib.sha256(pred.read_bytes()).hexdigest() == pred_sha
 
@@ -630,6 +655,37 @@ class TestPredictFlags:
         prop = fit_propensities(np.bincount(test.Y.indices, minlength=test.l), test.n)
         want = evaluate_oracle(list(read_predictions(pred)), truths, prop, (1, 3, 5))
         assert capsys.readouterr().out == want.format() + "\n"
+
+
+    def test_k_above_l_writes_every_reached_label(self, paths, trained, tmp_path):
+        """A cutoff far above L ranks at most L labels a row; the file is the
+        one a cutoff of L writes."""
+        huge, exact = tmp_path / "huge.txt", tmp_path / "exact.txt"
+        l = load_model(trained).l
+        for k, out in ((10**11, huge), (l, exact)):
+            assert main(["predict", "--model", trained, "--data", paths["test"],
+                         "--output", str(out), "--k", str(k)]) == 0
+        assert huge.read_bytes() == exact.read_bytes()
+        assert max(len(r) for r in read_predictions(huge)) > 5
+
+    def test_eval_at_k_above_l(self, paths, trained, tmp_path, capsys):
+        """P@k still divides by k: a cutoff of 10**11 reads as a fraction of
+        a percent, and nDCG and the PS metrics as at k = L."""
+        pred = tmp_path / "pred.txt"
+        assert main(["predict", "--model", trained, "--data", paths["test"],
+                     "--output", str(pred), "--k", "60"]) == 0
+        capsys.readouterr()
+        l = load_model(trained).l
+        tables = []
+        for k in (l, 10**11):
+            assert main(["eval", "--predictions", str(pred), "--data", paths["test"],
+                         "--k", str(k)]) == 0
+            tables.append(capsys.readouterr().out.splitlines())
+        at_l, huge = ({ln.split()[0]: float(ln.split()[1]) for ln in t[1:] if ln} for t in tables)
+        assert tables[1][0].split() == ["metric", f"@{10**11}"]
+        assert huge["P"] == pytest.approx(at_l["P"] * l / 10**11, abs=0.005)
+        for metric in ("nDCG", "PSP", "PSnDCG", "coverage"):
+            assert huge[metric] == at_l[metric]
 
 
 class TestFuzz:

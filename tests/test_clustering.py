@@ -383,7 +383,7 @@ class TestKmeansPartition:
         vecs = unit_vecs(11, 25, 5)
         part = kmeans_partition(csr(vecs), K=4, seed=12)
         assert np.all((part.assignments >= 0) & (part.assignments < 4))
-        union = np.concatenate([part.members(k) for k in range(4)])
+        union = np.concatenate([np.flatnonzero(part.assignments == k) for k in range(4)])
         assert sorted(union.tolist()) == list(range(25))
 
     def test_deterministic_per_seed(self):
@@ -397,5 +397,5 @@ class TestKmeansPartition:
         vecs = unit_vecs(15, 40, 7)
         part = kmeans_partition(csr(vecs), K=5, seed=6)
         for k in range(5):
-            if len(part.members(k)):
+            if np.any(part.assignments == k):
                 assert np.linalg.norm(part.centers[k]) == pytest.approx(1.0, abs=1e-6)

@@ -12,27 +12,26 @@ from labelforest.metrics import PropensityModel, evaluate
 from labelforest.predict import (
     Predictions,
     ScoredLabels,
-    logsigmoid,
     predict_batch,
     predict_ensemble,
     prepare_features,
     read_predictions,
     write_predictions,
 )
-from labelforest.solver import Weights
 from labelforest.sparse import SparseRowMatrix, SparseVec
-from labelforest.tree import (
-    Ensemble,
-    TrainConfig,
-    Tree,
-    TreeNode,
-    load_model,
-    save_model,
-    train_ensemble,
-)
+from labelforest.tree import Ensemble, TrainConfig, load_model, save_model, train_ensemble
 
 from conftest import grouped_dataset
-from helpers import node_child_prob, predict_tree, vec_from_pairs, weights_block
+from helpers import (
+    Inner,
+    Leaf,
+    Weights,
+    build_tree,
+    exhaustive_scores,
+    node_child_prob,
+    predict_tree,
+    vec_from_pairs,
+)
 
 
 def wvec(pairs, dim, bias=0.0):
@@ -48,42 +47,17 @@ def unit_x(seed, dim):
     return SparseVec(idx, v, dim)
 
 
-def exhaustive_scores(tree, x):
-    """Independent full-tree walk: no beam, every leaf scored."""
-    from scipy.special import expit
-
-    out = {}
-
-    def walk(node, logp):
-        if node.is_leaf:
-            for lab, clf in zip(node.labels, node.classifiers):
-                out[int(lab)] = np.exp(logp) * float(expit(clf.margin(x)))
-            return
-        for child, clf in zip(node.children, node.classifiers):
-            walk(child, logp + logsigmoid(clf.margin(x)))
-
-    walk(tree.root, 0.0)
-    return out
-
-
 def exhaustive_top_k(tree, x, k):
     items = sorted(exhaustive_scores(tree, x).items(), key=lambda p: (-p[1], p[0]))
     return items[:k]
 
 
-def tree_node(depth, labels, children, classifiers):
-    """A node whose (W, bias) block stacks ``classifiers``, one per row."""
-    W, bias = weights_block(classifiers, classifiers[0].w.dim)
-    labels = np.asarray(labels, dtype=np.int64)
-    return TreeNode(depth, labels, None, not children, children, W, bias)
-
-
-def leaf_node(labels, classifiers, depth=0):
-    return tree_node(depth, labels, [], classifiers)
-
-
-def single_leaf_tree(labels, classifiers):
-    return Tree(leaf_node(labels, classifiers), 0)
+def chain(depth, leaf_clf, route_clf):
+    """A one-label tree of ``depth`` single-child nodes above its leaf."""
+    spec = Leaf([0], [leaf_clf])
+    for _ in range(depth):
+        spec = Inner([spec], [route_clf])
+    return spec
 
 
 class TestNodeChildProb:
@@ -106,7 +80,7 @@ class TestPredictTree:
         from scipy.special import expit
 
         clfs = [wvec([(0, 1.0)], 2, 0.1), wvec([(1, 1.0)], 2, -0.2), wvec([], 2, 0.0)]
-        tree = single_leaf_tree([0, 1, 2], clfs)
+        tree = build_tree(Leaf([0, 1, 2], clfs), 2)
         x = unit_x(2, 2)
         res = predict_tree(tree, x, beam=1, k=3)
         expected = {lab: float(expit(clf.margin(x))) for lab, clf in zip([0, 1, 2], clfs)}
@@ -129,11 +103,8 @@ class TestPredictTree:
     def test_chain_of_sixteen_095_probabilities(self):
         dim = 1
         margin = float(np.log(0.95 / 0.05))
-        leaf = leaf_node([0], [wvec([], dim, bias=40.0)], depth=16)
-        node = leaf
-        for depth in range(15, -1, -1):
-            node = tree_node(depth, [0], [node], [wvec([(0, margin)], dim)])
-        tree = Tree(node, 0)
+        tree = build_tree(chain(16, wvec([], dim, bias=40.0), wvec([(0, margin)], dim)), dim)
+        assert tree.nodes["depth"].max() == 16
         x = SparseVec(np.array([0]), np.array([1.0]), dim)
         res = predict_tree(tree, x, beam=1, k=1)
         # weights are stored float32, so allow that much slack on the product
@@ -145,13 +116,11 @@ class TestPredictTree:
         # root -> (leaf A, internal B -> leaf B'); A routes stronger than B
         dim = 1
         x = SparseVec(np.array([0]), np.array([1.0]), dim)
-        leaf_a = leaf_node([0], [wvec([], dim, 5.0)], depth=1)
-        leaf_b = leaf_node([1], [wvec([], dim, 5.0)], depth=2)
-        internal_b = tree_node(1, [1], [leaf_b], [wvec([], dim, 5.0)])
-        root = tree_node(
-            0, [0, 1], [leaf_a, internal_b], [wvec([], dim, 2.0), wvec([], dim, -2.0)]
+        leaf_a = Leaf([0], [wvec([], dim, 5.0)])
+        internal_b = Inner([Leaf([1], [wvec([], dim, 5.0)])], [wvec([], dim, 5.0)])
+        tree = build_tree(
+            Inner([leaf_a, internal_b], [wvec([], dim, 2.0), wvec([], dim, -2.0)]), dim
         )
-        tree = Tree(root, 0)
         narrow = predict_tree(tree, x, beam=1, k=2)
         assert narrow.labels.tolist() == [0]
         wide = predict_tree(tree, x, beam=2, k=2)
@@ -193,8 +162,8 @@ class TestPredictEnsemble:
         # tree 1 scores label 0 at 0.8; tree 2's only leaf holds label 1
         dim = 1
         bias_08 = float(np.log(0.8 / 0.2))
-        t1 = single_leaf_tree([0], [wvec([], dim, bias_08)])
-        t2 = single_leaf_tree([1], [wvec([], dim, 0.0)])
+        t1 = build_tree(Leaf([0], [wvec([], dim, bias_08)]), dim)
+        t2 = build_tree(Leaf([1], [wvec([], dim, 0.0)]), dim, seed=1)
         cfg = TrainConfig(n_trees=2, k=100)
         ens = Ensemble([t1, t2], cfg, dim, 2)
         res = predict_ensemble(ens, SparseVec(np.array([0]), np.array([1.0]), dim), beam=1, k=2)
@@ -252,19 +221,18 @@ def tied_ensemble():
     route, sure, label = wvec([(0, 0.3)], dim, 0.2), wvec([], dim, 40.0), wvec([(1, 0.7)], dim, -0.1)
 
     def leaf(labels):
-        return leaf_node(labels, [label] * len(labels), depth=2)
+        return Leaf(labels, [label] * len(labels))
 
-    def node(depth, children, clf):
-        labels = np.concatenate([c.labels for c in children])
-        return tree_node(depth, labels, children, [clf] * len(children))
+    def node(children, clf):
+        return Inner(children, [clf] * len(children))
 
-    shallow = leaf_node([7, 3], [label] * 2, depth=1)
-    a = node(0, [shallow, node(1, [leaf([11, 0]), leaf([5, 9])], sure),
-                 node(1, [leaf([2, 6]), leaf([1])], sure),
-                 node(1, [leaf([4, 8]), leaf([10])], sure)], route)
-    b = node(0, [node(1, [leaf([3, 11]), leaf([0, 6, 7])], route),
-                 node(1, [leaf([1, 2, 4]), leaf([5, 8, 9, 10])], route)], route)
-    return Ensemble([Tree(a, 0), Tree(b, 1)], TrainConfig(n_trees=2), dim, 12)
+    a = node([leaf([7, 3]), node([leaf([11, 0]), leaf([5, 9])], sure),
+              node([leaf([2, 6]), leaf([1])], sure),
+              node([leaf([4, 8]), leaf([10])], sure)], route)
+    b = node([node([leaf([3, 11]), leaf([0, 6, 7])], route),
+              node([leaf([1, 2, 4]), leaf([5, 8, 9, 10])], route)], route)
+    trees = [build_tree(a, dim), build_tree(b, dim, seed=1)]
+    return Ensemble(trees, TrainConfig(n_trees=2), dim, 12)
 
 
 class TestPredictBatch:
@@ -301,10 +269,8 @@ class TestPredictBatch:
 
         def tree(seed):
             perm = rng.permutation(n_labels)
-            leaves = [TreeNode(1, np.sort(part), None, True, [], *weights(len(part)))
-                      for part in np.split(perm, fan_out)]
-            return Tree(TreeNode(0, np.arange(n_labels), None, False, leaves,
-                                 *weights(fan_out)), seed)
+            leaves = [Leaf(np.sort(part), weights(len(part))) for part in np.split(perm, fan_out)]
+            return build_tree(Inner(leaves, weights(fan_out)), d, seed)
 
         ens = Ensemble([tree(s) for s in range(3)], TrainConfig(n_trees=3), d, n_labels)
         X = sp.random(512, d, density=0.05, random_state=rng, format="csr", dtype=np.float32)
@@ -349,6 +315,7 @@ class TestPredictBatch:
         ds, _ = grouped_train
         save_model(train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=1)),
                    tmp_path / "m")
+        x = SparseVec(np.array([0]), np.array([1.0]), ds.d)
         built = []
         check = SparseVec.__post_init__
 
@@ -359,8 +326,11 @@ class TestPredictBatch:
         monkeypatch.setattr(SparseVec, "__post_init__", counted)
         out = predict_batch(load_model(tmp_path / "m"), ds, beam=3, k=5)
         assert len(out) == ds.n and len(built) == 0
-        # the counter does see the per-classifier views
-        assert len(load_model(tmp_path / "m").trees[0].root.classifiers) == len(built) > 0
+        # the counter does see the reference route's per-classifier vectors,
+        # one per row of each tree's root at least
+        ens = load_model(tmp_path / "m")
+        predict_ensemble(ens, x, beam=3, k=5)
+        assert len(built) >= sum(t.row_ptr[1] for t in ens.trees) > 0
 
     def test_parameter_validation(self, grouped_train):
         ds, _ = grouped_train

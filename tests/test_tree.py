@@ -1,5 +1,6 @@
 import io
 import os
+import shutil
 import struct
 import tempfile
 from unittest import mock
@@ -12,16 +13,15 @@ from hypothesis import strategies as st
 
 from labelforest import solver, tree
 from labelforest.clustering import Partition
-from labelforest.data import Dataset, parse_dataset
+from labelforest.data import Dataset, build_label_index, normalize_instances, parse_dataset
 from labelforest.predict import predict_batch, prepare_features
-from labelforest.representations import ReprSpace
+from labelforest.representations import build_repr
 from labelforest.tree import (
     FORMAT_VERSION,
-    Ensemble,
+    NODE,
     ModelFormatError,
     TrainConfig,
     TrainReport,
-    TreeNode,
     grow,
     load_model,
     save_model,
@@ -31,7 +31,16 @@ from labelforest.tree import (
 
 from conftest import grouped_dataset
 from fuzz import apply_edit, byte_edits, meta_edits
-from helpers import child_instances_oracle, l2_normalize, random_csr, row, same_csr_bits
+from helpers import (
+    child_instances_oracle,
+    children,
+    l2_normalize,
+    node_weights,
+    random_csr,
+    row,
+    same_csr_bits,
+    tree_file_sections,
+)
 
 
 def parse_text(text):
@@ -54,62 +63,64 @@ def brute_instance_set(ds, labels, parent_set):
     return out
 
 
+def grow_nodes(ds, **kw):
+    """``grow``'s node table, labels and per-node inputs for ``ds``, as
+    ``train_small`` would grow its first tree."""
+    config = TrainConfig(**{"n_trees": 1, "k": 3, "d_max": 2, "base_seed": 0, **kw})
+    V = build_repr(normalize_instances(ds), config.repr_space).matrix
+    rng = np.random.default_rng(config.base_seed)
+    return grow(build_label_index(ds), V, ds.n, config, rng)
+
+
 class TestGrow:
     def test_small_label_set_root_is_leaf(self):
         ds = parse_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
-        ens = train_small(ds, k=100)
-        root = ens.trees[0].root
-        assert root.is_leaf and root.depth == 0
-        assert len(root.classifiers) == 3
+        tree = train_small(ds, k=100).trees[0]
+        assert len(tree.nodes) == 1
+        assert tree.nodes["leaf"][0] == 1 and tree.nodes["depth"][0] == 0
+        assert tree.W.shape[0] == len(tree.bias) == 3
 
     def test_depth_capped_everywhere(self, grouped_train):
         ds, _ = grouped_train
         for d_max in (1, 2):
-            ens = train_small(ds, d_max=d_max)
-            for node in ens.trees[0].iter_nodes():
-                assert node.depth <= d_max
-                if node.is_leaf:
-                    assert node.depth <= d_max
-                else:
-                    assert len(node.children) <= 3
+            nodes = train_small(ds, d_max=d_max).trees[0].nodes
+            assert nodes["depth"].max() <= d_max
+            fan_out = np.bincount(nodes["parent"][1:], minlength=len(nodes))
+            assert np.all(fan_out[nodes["leaf"] == 0] <= 3)
 
     def test_leaf_label_sets_partition_all_labels(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_small(ds, d_max=1)
-        tree = ens.trees[0]
-        seen = np.concatenate([leaf.labels for leaf in tree.leaves()])
+        tree = train_small(ds, d_max=1).trees[0]
+        seen = np.concatenate([tree.node_labels(u) for u in np.flatnonzero(tree.nodes["leaf"])])
         assert sorted(seen.tolist()) == list(range(ds.l))
         assert len(seen) == len(np.unique(seen))
 
     def test_children_partition_parent_labels(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_small(ds, d_max=2)
-        for node in ens.trees[0].iter_nodes():
-            if node.is_leaf:
-                continue
-            union = np.concatenate([c.labels for c in node.children])
-            assert sorted(union.tolist()) == sorted(node.labels.tolist())
+        tree = train_small(ds, d_max=2).trees[0]
+        assert tree.nodes["depth"].max() == 2
+        for u in np.flatnonzero(tree.nodes["leaf"] == 0):
+            union = np.concatenate([tree.node_labels(c) for c in children(tree, u)])
+            assert sorted(union.tolist()) == sorted(tree.node_labels(u).tolist())
 
     def test_instance_sets_match_brute_force(self):
         ds, _ = grouped_dataset(21, n=60, groups=3, labels_per_group=3)
-        ens = train_small(ds, k=2, d_max=3)
-        root = ens.trees[0].root
-        assert root.instance_ids.tolist() == list(range(ds.n))
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                expected = brute_instance_set(ds, child.labels, node.instance_ids)
-                assert child.instance_ids.tolist() == expected
-                stack.append(child)
+        table, _, nodes = grow_nodes(ds, k=2, d_max=3)
+        assert nodes[0].instances.tolist() == list(range(ds.n))
+        assert len(nodes) > 3
+        for u in range(1, len(nodes)):
+            parent = nodes[table["parent"][u]]
+            expected = brute_instance_set(ds, nodes[u].labels, parent.instances)
+            assert nodes[u].instances.tolist() == expected
+            assert any(c is nodes[u].instances for c in parent.child_instances)
 
     def test_root_keeps_unlabeled_instances(self):
         ds = parse_text("3 2 4\n0,1 0:1.0\n 1:1.0\n2,3 1:1.0\n")
-        ens = train_small(ds, k=2, d_max=1)
-        root = ens.trees[0].root
-        assert root.instance_ids.tolist() == [0, 1, 2]
-        for child in root.children:
-            assert 1 not in child.instance_ids
+        table, _, nodes = grow_nodes(ds, k=2, d_max=1)
+        assert nodes[0].instances.tolist() == [0, 1, 2]
+        assert len(nodes) > 1
+        for node in nodes[1:]:
+            assert 1 not in node.instances
 
     def test_unbalanced_split_preserved(self):
         lines = ["12 2 6"]
@@ -118,8 +129,8 @@ class TestGrow:
         for _ in range(2):
             lines.append("5 1:1.0")
         ds = parse_text("\n".join(lines) + "\n")
-        ens = train_small(ds, k=2, d_max=1)
-        sizes = sorted(len(c.labels) for c in ens.trees[0].root.children)
+        tree = train_small(ds, k=2, d_max=1).trees[0]
+        sizes = sorted(len(tree.node_labels(c)) for c in children(tree, 0))
         assert sizes == [1, 5]
         assert sizes[1] - sizes[0] > 1
 
@@ -168,29 +179,55 @@ class TestNodeInputsAgainstOracles:
         idx = sp.csr_matrix(random_csr(seed, 14, n_insts, 0.3) != 0, dtype=np.float32)
         labels = np.sort(rng.choice(14, size=n_labels, replace=False))
         assignments = rng.integers(0, K, size=n_labels)
-        part = Partition(assignments, np.zeros((K, 1)), 1, 0.0)
-        node = TreeNode(0, labels, np.arange(n_insts), False)
-        with mock.patch.object(tree, "kmeans_partition", lambda V, K, seed: part):
-            grow(node, idx, idx, TrainConfig(k=K, d_max=1), rng)
+        # the node's labels sit between two other nodes' in the tree's array
+        ordered = np.concatenate(([99], labels, [98]))
+        kids = tree._split(ordered, 1, n_labels + 1, assignments, idx, K)
         want = child_instances_oracle(idx, labels, assignments, K)
-        if node.is_leaf:  # one cluster holds every label
-            assert len(np.unique(assignments)) == 1
-            return
         filled = [k for k in range(K) if np.any(assignments == k)]
-        assert [c.labels.tolist() for c in node.children] == [
+        assert [ordered[lo:hi].tolist() for lo, hi, _ in kids] == [
             labels[assignments == k].tolist() for k in filled
         ]
-        for child, k in zip(node.children, filled, strict=True):
-            np.testing.assert_array_equal(child.instance_ids, want[k])
+        assert kids[0][0] == 1 and kids[-1][1] == n_labels + 1
+        assert ordered[0] == 99 and ordered[-1] == 98
+        for (_, _, child_insts), k in zip(kids, filled, strict=True):
+            np.testing.assert_array_equal(child_insts, want[k])
+
+    def test_labels_in_one_cluster_make_the_node_a_leaf(self, grouped_train):
+        ds, _ = grouped_train
+        one = Partition(np.zeros(ds.l, dtype=np.int64), np.zeros((3, 1)), 1, 0.0)
+        with mock.patch.object(tree, "kmeans_partition", lambda V, K, seed: one):
+            table, labels, nodes = grow_nodes(ds, k=3, d_max=2)
+        assert len(table) == 1 and table["leaf"][0] == 1 and table["rows"][0] == ds.l
+        assert labels.tolist() == list(range(ds.l)) and nodes[0].child_instances == []
+
+    def test_seeds_drawn_once_per_split_in_preorder(self, grouped_train):
+        """Each split draws its k-means seed as it is numbered, so the n-th
+        split in preorder gets the rng's n-th draw."""
+        ds, _ = grouped_train
+        seeds = []
+        split = tree.kmeans_partition
+
+        def spy(V, K, seed):
+            seeds.append((V.shape[0], seed))
+            return split(V, K=K, seed=seed)
+
+        with mock.patch.object(tree, "kmeans_partition", spy):
+            table, _, _ = grow_nodes(ds, k=3, d_max=2)
+        rng = np.random.default_rng(0)
+        internal = table[table["leaf"] == 0]
+        assert len(internal) > 1
+        assert seeds == [(hi - lo, int(rng.integers(2**63)))
+                         for lo, hi in zip(internal["label_lo"], internal["label_hi"])]
 
 
 class TestClassifiers:
     def test_counts_per_node(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_small(ds, d_max=1)
-        for node in ens.trees[0].iter_nodes():
-            want = len(node.labels) if node.is_leaf else len(node.children)
-            assert len(node.classifiers) == want
+        tree = train_small(ds, d_max=1).trees[0]
+        for u in range(len(tree.nodes)):
+            want = len(tree.node_labels(u)) if tree.nodes["leaf"][u] else len(children(tree, u))
+            W, bias = tree.node_rows(u)
+            assert W.shape == (want, ds.d) and len(bias) == want
 
     def test_separable_children_fit_training_data(self):
         # two groups with disjoint feature blocks split cleanly
@@ -201,9 +238,10 @@ class TestClassifiers:
             lines.append(f"3,4,5 2:1.0 3:{0.5 + 0.1 * i}")
         ds = parse_text("\n".join(lines) + "\n")
         ens = train_small(ds, k=2, d_max=1, delta=0.0, eps=1e-6)
-        root = ens.trees[0].root
-        for child, clf in zip(root.children, root.classifiers):
-            pos = set(child.instance_ids.tolist())
+        tree = ens.trees[0]
+        for child, clf in zip(children(tree, 0), node_weights(tree, 0), strict=True):
+            labels = tree.node_labels(child)
+            pos = set(brute_instance_set(ds, labels, range(ds.n)))
             for i in range(ds.n):
                 m = clf.margin(l2_normalize(row(ds.X, i)))
                 assert (m > 0) == (i in pos)
@@ -233,7 +271,7 @@ class TestClassifiers:
         pruned, whole = TrainReport(), TrainReport()
         ens = train_ensemble(ds, TrainConfig(delta=0.01, **cfg), pruned)
         train_ensemble(ds, TrainConfig(delta=0.0, **cfg), whole)
-        kept = sum(n.W.nnz for t in ens.trees for n in t.iter_nodes())
+        kept = sum(t.W.nnz for t in ens.trees)
         assert pruned.n_weights_kept == kept > 0
         assert pruned.n_weights_pruned > 0 and whole.n_weights_pruned == 0
         # the solves do not depend on delta, only what is kept of them
@@ -241,12 +279,9 @@ class TestClassifiers:
 
     def test_weights_are_float32_and_pruned(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_small(ds, delta=0.01)
-        for node in ens.trees[0].iter_nodes():
-            for clf in node.classifiers:
-                assert clf.w.values.dtype == np.float32
-                if clf.w.nnz:
-                    assert np.min(np.abs(clf.w.values)) > 0.01 * (1 - 1e-6)
+        tree = train_small(ds, delta=0.01).trees[0]
+        assert tree.W.dtype == np.float32 and tree.bias.dtype == np.float32
+        assert tree.W.nnz and np.min(np.abs(tree.W.data)) > 0.01 * (1 - 1e-6)
 
 
 class TestEnsemble:
@@ -295,15 +330,13 @@ class TestModelStore:
         assert (back.d, back.l) == (ds.d, ds.l)
         assert back.config.k == ens.config.k
         assert back.config.repr_space is ens.config.repr_space
-        for ta, tb in zip(ens.trees, back.trees):
-            na, nb = list(ta.iter_nodes()), list(tb.iter_nodes())
-            assert len(na) == len(nb)
-            for a, b in zip(na, nb):
-                assert a.depth == b.depth and a.is_leaf == b.is_leaf
-                assert a.labels.tolist() == b.labels.tolist()
-                for ca, cb in zip(a.classifiers, b.classifiers):
-                    assert ca.w == cb.w
-                    assert np.float32(ca.bias) == np.float32(cb.bias)
+        assert max(t.nodes["depth"].max() for t in ens.trees) == 2
+        for ta, tb in zip(ens.trees, back.trees, strict=True):
+            assert ta.nodes.tobytes() == tb.nodes.tobytes()
+            assert np.array_equal(ta.labels, tb.labels)
+            assert same_csr_bits(ta.W, tb.W)
+            assert ta.bias.tobytes() == tb.bias.tobytes()
+            assert ta.seed == tb.seed
 
     def test_bad_magic_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
@@ -342,17 +375,12 @@ class TestModelStore:
             "trailing bytes"])
     def test_bad_weight_block_rejected(self, grouped_train, tmp_path, edit, match):
         ds, _ = grouped_train
-        save_model(train_small(ds, k=100), tmp_path / "m")
+        save_model(train_small(ds), tmp_path / "m")
         p = tmp_path / "m" / "tree_0.bin"
         buf = bytearray(p.read_bytes())
-        # the root is one leaf: magic, version, header, labels, then its
-        # per-row nnz, indices, values and biases
-        (m,) = struct.unpack_from("<I", buf, 12)
-        row_nnz = struct.unpack_from(f"<{m}I", buf, 24 + 4 * m)
-        assert row_nnz[0] >= 2
-        start = 24 + 8 * m
-        at = {"indices": start, "values": start + 4 * sum(row_nnz),
-              "bias": start + 8 * sum(row_nnz)}
+        at = tree_file_sections(buf, ds.l)
+        # the root's first row holds at least two weights
+        assert struct.unpack_from("<I", buf, at["row_nnz"])[0] >= 2
         edit(buf, at, ds.d)
         p.write_bytes(bytes(buf))
         with pytest.raises(ModelFormatError, match=match):
@@ -387,8 +415,7 @@ class TestModelStore:
     def test_node_deeper_than_d_max_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
         ens = train_small(ds, d_max=2)
-        depth = max(n.depth for n in ens.trees[0].iter_nodes())
-        assert depth == 2
+        assert ens.trees[0].nodes["depth"].max() == 2
         save_model(ens, tmp_path / "m")
         meta = (tmp_path / "m" / "meta").read_text().replace("d_max=2", "d_max=1")
         (tmp_path / "m" / "meta").write_text(meta)
@@ -399,51 +426,130 @@ class TestModelStore:
         with pytest.raises(ModelFormatError, match="meta"):
             load_model(tmp_path)
 
-    @pytest.mark.parametrize("shape, edit, match", [
-        # a leaf label past L (its parent's set no longer matters: the leaf
-        # is rejected as it is read)
-        ({"k": 3, "d_max": 1}, lambda t, l: t.leaves()[0].labels.__setitem__(0, l + 7),
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t, l: t.labels.__setitem__(t.nodes["label_lo"][leaves(t)[0]], l + 7),
          "out of range"),
-        # a root that is the only leaf, holding one label twice and missing one
-        ({"k": 100}, lambda t, l: t.root.labels.__setitem__(1, t.root.labels[0]),
+        # a label written twice and one missing, in one leaf or in two
+        (lambda t, l: t.labels.__setitem__(1, t.labels[0]), "leaves do not hold"),
+        # a child's range shifted off its parent's: the parent's labels are
+        # no longer its children's
+        (lambda t, l: t.nodes["label_lo"].__setitem__(leaves(t)[1], t.nodes["label_lo"][leaves(t)[1]] + 1),
+         "do not tile"),
+        (lambda t, l: t.labels.__setitem__(t.nodes["label_lo"][leaves(t)[1]], t.labels[0]),
          "leaves do not hold"),
-        # an internal node whose set is not its children's union
-        ({"k": 3, "d_max": 1}, lambda t, l: t.root.labels.__setitem__(0, t.root.labels[1]),
-         "union of its children"),
-        # one leaf's label copied into another leaf
-        ({"k": 3, "d_max": 1},
-         lambda t, l: t.leaves()[1].labels.__setitem__(0, t.leaves()[0].labels[0]),
-         "union of its children"),
     ], ids=["label past L", "repeated leaf label", "node set not union", "copied leaf label"])
-    def test_label_sets_checked(self, grouped_train, tmp_path, shape, edit, match):
+    def test_label_sets_checked(self, grouped_train, tmp_path, edit, match):
         ds, _ = grouped_train
-        ens = train_small(ds, **shape)
+        ens = train_small(ds, d_max=1)
         edit(ens.trees[0], ds.l)
         save_model(ens, tmp_path / "m")
         with pytest.raises(ModelFormatError, match=match):
             load_model(tmp_path / "m")
 
 
+def leaves(tree):
+    return np.flatnonzero(tree.nodes["leaf"])
+
+
+class TestNodeTableRules:
+    """Each rule of the v3 node table, broken in a saved two-level model,
+    fails the load with ModelFormatError."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory, grouped_train):
+        ds, _ = grouped_train
+        ens = train_small(ds, d_max=2)
+        nodes = ens.trees[0].nodes
+        # node 1 is internal, and its first child is node 2, a leaf; both
+        # start at label 0
+        assert nodes["leaf"][1] == 0 and nodes["parent"][2] == 1 and nodes["leaf"][2] == 1
+        assert nodes["label_lo"][2] == 0
+        path = tmp_path_factory.mktemp("rules") / "m"
+        save_model(ens, path)
+        return path
+
+    @pytest.mark.parametrize("field, node, value, match", [
+        ("parent", 0, 0, "parent is out of range or not before it"),
+        ("parent", 2, 2, "parent is out of range or not before it"),
+        ("parent", 2, 9999, "parent is out of range or not before it"),
+        ("parent", 2, -1, "parent is out of range or not before it"),
+        ("depth", 2, 1, "depth is not its parent's depth \\+ 1"),
+        ("depth", 0, 1, "depth is not its parent's depth \\+ 1"),
+        ("leaf", 1, 1, "inconsistent leaf flag"),
+        ("leaf", 2, 0, "inconsistent leaf flag"),
+        ("leaf", 2, 2, "inconsistent leaf flag"),
+        ("label_lo", 2, 1, "do not tile"),
+        ("label_hi", 0, 1, "do not tile"),
+        ("label_lo", 0, -1, "do not tile"),
+        ("rows", 1, 1, "row count"),
+        ("rows", 2, 0, "row count"),
+    ], ids=["root with a parent", "own parent", "parent past the table", "second root",
+            "depth skips", "root below depth 0", "leaf with children",
+            "internal without children", "leaf flag 2", "child range shifted",
+            "root range short of L", "root range before 0", "internal rows",
+            "leaf rows"])
+    def test_broken_rule_rejected(self, saved, tmp_path, field, node, value, match):
+        model = tmp_path / "m"
+        shutil.copytree(saved, model)
+        path = model / "tree_0.bin"
+        buf = bytearray(path.read_bytes())
+        n = struct.unpack_from("<q", buf, 8)[0]
+        nodes = np.frombuffer(buf, NODE, count=n, offset=16)
+        nodes[field][node] = value
+        path.write_bytes(bytes(buf))
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(model)
+
+    def test_depth_above_d_max_rejected(self, saved, tmp_path):
+        model = tmp_path / "m"
+        shutil.copytree(saved, model)
+        meta = (model / "meta").read_text()
+        (model / "meta").write_text(meta.replace("d_max=2", "d_max=1"))
+        with pytest.raises(ModelFormatError, match="node depth 2 exceeds d_max=1"):
+            load_model(model)
+
+    def test_empty_node_table_rejected(self, saved, tmp_path):
+        model = tmp_path / "m"
+        shutil.copytree(saved, model)
+        buf = bytearray((model / "tree_0.bin").read_bytes())
+        struct.pack_into("<q", buf, 8, 0)
+        (model / "tree_0.bin").write_bytes(bytes(buf))
+        with pytest.raises(ModelFormatError, match="0 nodes"):
+            load_model(model)
+
+    def test_unedited_copy_loads(self, saved, tmp_path):
+        shutil.copytree(saved, tmp_path / "m")
+        check_invariants(load_model(tmp_path / "m"))
+
+
 def check_invariants(ens):
-    """Everything a trained ensemble holds true, checked node by node."""
+    """Everything a trained ensemble holds true, read off each tree's arrays."""
     for tree in ens.trees:
+        nodes, n = tree.nodes, len(tree.nodes)
+        parent, depth, leaf = nodes["parent"], nodes["depth"], nodes["leaf"]
+        assert parent[0] == -1 and np.all((0 <= parent[1:]) & (parent[1:] < np.arange(1, n)))
+        assert depth[0] == 0 and np.all(depth[1:] == depth[parent[1:]] + 1)
+        assert depth.max() <= ens.config.d_max
+        fan_out = np.bincount(parent[1:], minlength=n)
+        assert np.array_equal(leaf == 1, fan_out == 0)
+        assert sorted(tree.labels.tolist()) == list(range(ens.l))
+        W = tree.W
+        assert isinstance(W, sp.csr_matrix) and W.shape == (nodes["rows"].sum(), ens.d)
+        assert W.dtype == np.float32 and tree.bias.dtype == np.float32
+        W.check_format(full_check=True)
+        assert W.has_canonical_format
+        assert np.all(np.isfinite(W.data)) and W.data.all()
+        assert tree.bias.shape == (W.shape[0],) and np.all(np.isfinite(tree.bias))
         in_leaves = []
-        for node in tree.iter_nodes():
-            m = len(node.labels) if node.is_leaf else len(node.children)
-            W = node.W
-            assert isinstance(W, sp.csr_matrix) and W.shape == (m, ens.d)
-            assert W.dtype == np.float32 and node.bias.dtype == np.float32
-            W.check_format(full_check=True)
-            assert W.has_canonical_format
-            assert np.all(np.isfinite(W.data)) and W.data.all()
-            assert node.bias.shape == (m,) and np.all(np.isfinite(node.bias))
-            assert np.all((node.labels >= 0) & (node.labels < ens.l))
-            if node.is_leaf:
-                in_leaves.append(node.labels)
+        for u in range(n):
+            labels = tree.node_labels(u)
+            kids = children(tree, u)
+            assert tree.node_rows(u)[0].shape[0] == (len(labels) if leaf[u] else len(kids))
+            if leaf[u]:
+                in_leaves.append(labels)
             else:
-                below = np.concatenate([c.labels for c in node.children])
-                assert sorted(below.tolist()) == sorted(node.labels.tolist())
-                assert all(c.depth == node.depth + 1 for c in node.children)
+                below = np.concatenate([tree.node_labels(c) for c in kids])
+                assert np.array_equal(below, labels)
         assert sorted(np.concatenate(in_leaves).tolist()) == list(range(ens.l))
 
 

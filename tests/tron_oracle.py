@@ -25,10 +25,11 @@ from labelforest.solver import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    Weights,
     _tron,
 )
 from labelforest.sparse import SparseVec
+
+from helpers import Weights
 
 
 @dataclass(frozen=True)
