@@ -48,18 +48,17 @@ class Dataset:
 
     X: sp.csr_matrix
     Y: sp.csr_matrix
-    n: int
-    d: int
-    l: int
     stats: ParseStats = ParseStats()
 
     def __post_init__(self):
-        if self.X.shape[0] != self.n or self.Y.shape[0] != self.n:
-            raise DataFormatError("row counts disagree with the declared N")
-        if self.X.shape[1] != self.d or self.Y.shape[1] != self.l:
-            raise DataFormatError("matrix dims disagree with the declared D/L")
+        if self.X.shape[0] != self.Y.shape[0]:
+            raise DataFormatError("X and Y row counts disagree")
         if not np.all(self.Y.data == 1.0):
             raise DataFormatError("label matrix values must all equal 1.0")
+
+    n = property(lambda self: self.X.shape[0])
+    d = property(lambda self: self.X.shape[1])
+    l = property(lambda self: self.Y.shape[1])
 
 
 def _parse_header(line: str) -> tuple[int, int, int]:
@@ -243,7 +242,7 @@ def _parse_buffer(raw: bytes) -> Dataset:
         (np.ones(len(labels), dtype=np.float32), labels, np.cumsum(np.concatenate(y_nnz))),
         shape=(n, l),
     )
-    return Dataset(X, Y, n, d, l, ParseStats(n_dup, n_zero))
+    return Dataset(X, Y, ParseStats(n_dup, n_zero))
 
 
 def _parse_lines(buf, starts, ends, first_line: int, d: int, l: int):
@@ -372,23 +371,21 @@ def label_frequency_histogram(counts, sink) -> None:
         sink.write(f"{rank} {c}\n")
 
 
-def normalize_instances(ds: Dataset) -> Dataset:
-    """Return a copy of ``ds`` with every feature row scaled to unit L2 norm.
+def normalize_instances(ds: Dataset) -> sp.csr_matrix:
+    """``ds.X`` with every row scaled to unit L2 norm, as a float64 CSR
+    matrix on X's own ``indices`` and ``indptr``.
 
-    Zero rows are left untouched.  Values stay float32; the norms are
-    accumulated in float64.
+    Zero rows are left untouched.  The norms are accumulated in float64,
+    and the scaled values are rounded to float32, the precision of the
+    parsed features.
     """
     X = ds.X
     v64 = X.data.astype(np.float64)
-    if X.nnz:
-        row_sq = np.zeros(ds.n, dtype=np.float64)
-        lengths = np.diff(X.indptr)
-        nonempty = lengths > 0
-        row_sq[nonempty] = np.add.reduceat(v64 * v64, X.indptr[:-1][nonempty])
-        norms = np.sqrt(row_sq)
-        norms[norms == 0] = 1.0
-        scaled = (v64 / np.repeat(norms, lengths)).astype(np.float32)
-    else:
-        scaled = X.data
-    Xn = sp.csr_matrix((scaled, X.indices, X.indptr), shape=X.shape)
-    return Dataset(Xn, ds.Y, ds.n, ds.d, ds.l, ds.stats)
+    row_sq = np.zeros(X.shape[0], dtype=np.float64)
+    lengths = np.diff(X.indptr)
+    nonempty = lengths > 0
+    row_sq[nonempty] = np.add.reduceat(v64 * v64, X.indptr[:-1][nonempty])
+    norms = np.sqrt(row_sq)
+    norms[norms == 0] = 1.0
+    scaled = (v64 / np.repeat(norms, lengths)).astype(np.float32).astype(np.float64)
+    return sp.csr_matrix((scaled, X.indices, X.indptr), shape=X.shape)

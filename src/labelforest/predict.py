@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .data import DataFormatError, Dataset, normalize_instances
 from .sparse import SparseVec, dot
@@ -117,10 +116,9 @@ def _tree_label_scores(tree: Tree, x: SparseVec, beam: int):
         frontier = expanded[:beam]
     labels, scores = [], []
     for u, lp in frontier:
-        path_prob = np.exp(lp)
         for lab, m in zip(tree.node_labels(u), _margins(tree, u, x)):
             labels.append(int(lab))
-            scores.append(path_prob * float(expit(m)))
+            scores.append(float(np.exp(lp + logsigmoid(m))))
     return labels, scores
 
 
@@ -195,7 +193,7 @@ def prepare_features(ens: Ensemble, ds: Dataset) -> sp.csr_matrix:
     """Feature matrix in the model's convention: float64, unit rows."""
     if ds.d != ens.d:
         raise DataFormatError(f"test data has D={ds.d}, the model's feature dim is D={ens.d}")
-    return normalize_instances(ds).X.astype(np.float64)
+    return normalize_instances(ds)
 
 
 def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Predictions:
@@ -219,7 +217,10 @@ def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Pre
             W, bias = tree.node_rows(u)
             m = (take_rows(block, inst) @ W.T).toarray() + bias
             cell = (inst[:, None], col_of[tree.node_labels(u)])
-            acc[cell] = np.maximum(acc[cell], 0) + expit(m) * np.exp(lp)[:, None] / len(ens.trees)
+            # an overflowing exp(-m) gives the score 0, as it should
+            with np.errstate(over="ignore"):
+                score = np.exp(lp)[:, None] / (1.0 + np.exp(-m))
+            acc[cell] = np.maximum(acc[cell], 0) + score / len(ens.trees)
         rows, ranks, cols = _top_cols(acc, k)
         out.labels[lo + rows, ranks] = np.flatnonzero(reached)[cols]
         out.scores[lo + rows, ranks] = acc[rows, cols]

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import Dataset
-
 
 class ReprSpace(enum.Enum):
     INPUT = "input"
@@ -34,8 +32,7 @@ class LabelRepr:
     repr space size."""
 
     matrix: sp.csr_matrix
-    space: ReprSpace
-    dim: int
+    dim = property(lambda self: self.matrix.shape[1])
 
 
 def _row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
@@ -50,34 +47,18 @@ def _row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
-def _product_csr(ds: Dataset, right: sp.csr_matrix) -> sp.csr_matrix:
-    """Compute Y^T R in float64 for a row matrix R aligned with Y's rows."""
-    return (ds.Y.T.astype(np.float64) @ right.astype(np.float64)).tocsr()
-
-
-def build_input_repr(ds: Dataset) -> LabelRepr:
-    """Rows of Y^T X, L2-normalized."""
-    return LabelRepr(_row_normalize(_product_csr(ds, ds.X)), ReprSpace.INPUT, ds.d)
-
-
-def build_output_repr(ds: Dataset) -> LabelRepr:
-    """Rows of Y^T Y, L2-normalized."""
-    return LabelRepr(_row_normalize(_product_csr(ds, ds.Y)), ReprSpace.OUTPUT, ds.l)
-
-
-def build_joint_repr(ds: Dataset) -> LabelRepr:
-    """Per-block normalized [input ; output] stacked side by side, / sqrt(2)."""
-    vin = _row_normalize(_product_csr(ds, ds.X))
-    vout = _row_normalize(_product_csr(ds, ds.Y))
+def build_repr(X: sp.csr_matrix, Y: sp.csr_matrix, space: ReprSpace) -> LabelRepr:
+    """The label vectors of ``space`` from the instance rows X (n x d) and
+    their label rows Y (n x l), computed in float64."""
+    Yt = Y.T.astype(np.float64)
+    blocks = []
+    if space is not ReprSpace.OUTPUT:
+        blocks.append(_row_normalize((Yt @ X.astype(np.float64, copy=False)).tocsr()))
+    if space is not ReprSpace.INPUT:
+        blocks.append(_row_normalize((Yt @ Yt.T).tocsr()))
+    if len(blocks) == 1:
+        return LabelRepr(blocks[0])
     scale = 1.0 / np.sqrt(2.0)
-    joint = sp.hstack([vin * scale, vout * scale], format="csr")
+    joint = sp.hstack([b * scale for b in blocks], format="csr")
     joint.sort_indices()
-    return LabelRepr(joint, ReprSpace.JOINT, ds.d + ds.l)
-
-
-def build_repr(ds: Dataset, space: ReprSpace) -> LabelRepr:
-    if space is ReprSpace.INPUT:
-        return build_input_repr(ds)
-    if space is ReprSpace.OUTPUT:
-        return build_output_repr(ds)
-    return build_joint_repr(ds)
+    return LabelRepr(joint)

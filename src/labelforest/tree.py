@@ -31,7 +31,7 @@ from .solver import NodeSolve, train_node
 log = logging.getLogger(__name__)
 
 MAGIC = b"LFT1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class ModelFormatError(ValueError):
@@ -252,9 +252,8 @@ def train_ensemble(
         raise DataFormatError("training needs at least one label")
     report = report if report is not None else TrainReport()
     idx = build_label_index(ds)
-    work = normalize_instances(ds)
-    V = build_repr(work, config.repr_space).matrix
-    X = work.X.astype(np.float64)
+    X = normalize_instances(ds)
+    V = build_repr(X, ds.Y, config.repr_space).matrix
 
     trees = []
     for t in range(config.n_trees):
@@ -275,23 +274,15 @@ def train_ensemble(
     return Ensemble(trees, config, ds.d, ds.l)
 
 
+# A model's meta file holds one ``key=value`` line per key, in this order.
+META_KEYS = "version T K d_max repr_space D L C eps delta base_seed".split()
+
+
 def _meta_lines(ens: Ensemble) -> str:
     c = ens.config
-    pairs = [
-        ("version", FORMAT_VERSION),
-        ("T", c.n_trees),
-        ("K", c.k),
-        ("d_max", c.d_max),
-        ("repr_space", c.repr_space.value),
-        ("D", ens.d),
-        ("L", ens.l),
-        ("C", repr(c.c)),
-        ("delta", repr(c.delta)),
-        ("base_seed", c.base_seed),
-        # instances are always unit-normalized; the key keeps the format
-        ("normalize", 1),
-    ]
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+    values = (FORMAT_VERSION, c.n_trees, c.k, c.d_max, c.repr_space.value, ens.d, ens.l,
+              repr(c.c), repr(c.eps), repr(c.delta), c.base_seed)
+    return "".join(f"{k}={v}\n" for k, v in zip(META_KEYS, values))
 
 
 def save_model(ens: Ensemble, model_dir) -> None:
@@ -417,6 +408,9 @@ def load_model(model_dir) -> Ensemble:
     try:
         if int(meta["version"]) != FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model version {meta['version']}")
+        unknown = sorted(set(meta) - set(META_KEYS))
+        if unknown:
+            raise ModelFormatError(f"bad meta file: unknown keys {unknown}")
         n_trees = int(meta["T"])
         config = TrainConfig(
             n_trees=n_trees,
@@ -424,17 +418,16 @@ def load_model(model_dir) -> Ensemble:
             d_max=int(meta["d_max"]),
             repr_space=ReprSpace(meta["repr_space"]),
             c=float(meta["C"]),
+            eps=float(meta["eps"]),
             delta=float(meta["delta"]),
             base_seed=int(meta["base_seed"]),
         )
-        if int(meta["normalize"]) != 1:
-            raise ModelFormatError(f"bad meta file: normalize={meta['normalize']}, not 1")
         d, l = int(meta["D"]), int(meta["L"])
         if not (0 <= d <= 2**32 and 0 < l <= 2**32):
             raise ModelFormatError(f"bad meta file: D={d} or L={l} out of range")
+    except ModelFormatError:
+        raise
     except (KeyError, ValueError) as e:
-        if isinstance(e, ModelFormatError):
-            raise
         raise ModelFormatError(f"bad meta file: {e}") from e
 
     trees = []

@@ -25,13 +25,7 @@ def random_dataset(seed, n, d, l, density=0.4, label_density=0.4):
         lmask = rng.random(l) < label_density
         lidx = np.nonzero(lmask)[0].astype(np.int64)
         y_rows.append(SparseVec(lidx, np.ones(len(lidx), dtype=np.float32), l))
-    return Dataset(
-        csr_from_rows(x_rows, d),
-        csr_from_rows(y_rows, l),
-        n,
-        d,
-        l,
-    )
+    return Dataset(csr_from_rows(x_rows, d), csr_from_rows(y_rows, l))
 
 
 def grouped_dataset(seed, n=400, groups=6, labels_per_group=4, feats_per_group=8):
@@ -59,13 +53,7 @@ def grouped_dataset(seed, n=400, groups=6, labels_per_group=4, feats_per_group=8
         lidx = (g * labels_per_group + np.nonzero(lab_mask)[0]).astype(np.int64)
         y_rows.append(SparseVec(lidx, np.ones(len(lidx), dtype=np.float32), l))
         gids.append(g)
-    ds = Dataset(
-        csr_from_rows(x_rows, d),
-        csr_from_rows(y_rows, l),
-        n,
-        d,
-        l,
-    )
+    ds = Dataset(csr_from_rows(x_rows, d), csr_from_rows(y_rows, l))
     return ds, np.array(gids)
 
 

@@ -120,4 +120,4 @@ def _parse_stream(f) -> Dataset:
         ),
         shape=(n, l),
     )
-    return Dataset(X, Y, n, d, l, ParseStats(n_dup, n_zero))
+    return Dataset(X, Y, ParseStats(n_dup, n_zero))

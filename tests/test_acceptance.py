@@ -18,7 +18,7 @@ from labelforest.clustering import _update
 from labelforest.data import parse_dataset
 from labelforest.metrics import PropensityModel, evaluate, fit_propensities
 from labelforest.predict import predict_batch
-from labelforest.representations import ReprSpace, build_input_repr, build_output_repr
+from labelforest.representations import ReprSpace, build_repr
 from labelforest.tree import TrainConfig, load_model, save_model, train_ensemble
 from metrics_oracle import ndcg_at_k, precision_at_k, psndcg_at_k, psp_at_k
 from tron_oracle import BinaryProblem, gradient, objective, train_binary
@@ -170,8 +170,8 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
             d=int(rng.integers(2, 33)),
             l=int(rng.integers(2, 33)),
         )
-        for build, output in ((build_input_repr, False), (build_output_repr, True)):
-            got = build(ds).matrix.toarray()
+        for space, output in ((ReprSpace.INPUT, False), (ReprSpace.OUTPUT, True)):
+            got = build_repr(ds.X, ds.Y, space).matrix.toarray()
             np.testing.assert_allclose(got, dense_repr_rows(ds, output), atol=1e-9)
 
     # clustering objective is non-increasing across alternating steps

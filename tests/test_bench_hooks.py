@@ -20,6 +20,8 @@ import numpy as np
 
 from conftest import grouped_dataset
 from helpers import dataset_to_text
+from labelforest.data import normalize_instances, parse_dataset
+from labelforest.representations import ReprSpace, build_repr
 from labelforest.tree import load_model
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -82,21 +84,29 @@ def test_known_dead_hooks_are_exact():
     assert not alive, f"listed as dead but present: {alive}"
 
 
-def test_traced_node_counters_match_the_saved_model(tmp_path):
-    """``tree.nodes``, ``tree.leaves`` and ``tree.leaf_labels_max`` count the
-    calls of ``train_node_classifiers``; a traced depth-2 training run gives
-    the counts that its saved model holds."""
-    ds, _ = grouped_dataset(3, n=150, groups=6, labels_per_group=4)
+def traced_train(tmp_path, ds, *flags):
+    """Train on ``ds`` through ``bench/tracing.py``; return the data file,
+    the model directory and the traced counters."""
     data, model, spans = tmp_path / "train.txt", tmp_path / "m", tmp_path / "spans.json"
     data.write_text(dataset_to_text(ds))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run(
         [sys.executable, str(TRACING), str(spans), "train", "--data", str(data),
-         "--model", str(model), "--trees", "2", "--branch", "3", "--max-depth", "2"],
+         "--model", str(model), *flags],
         check=True, env=env, capture_output=True,
     )
-    counters = json.loads(spans.read_text(encoding="utf-8").splitlines()[0])["counters"]
+    return data, model, json.loads(spans.read_text(encoding="utf-8").splitlines()[0])["counters"]
+
+
+def test_traced_node_counters_match_the_saved_model(tmp_path):
+    """``tree.nodes``, ``tree.leaves`` and ``tree.leaf_labels_max`` count the
+    calls of ``train_node_classifiers``; a traced depth-2 training run gives
+    the counts that its saved model holds."""
+    ds, _ = grouped_dataset(3, n=150, groups=6, labels_per_group=4)
+    _, model, counters = traced_train(
+        tmp_path, ds, "--trees", "2", "--branch", "3", "--max-depth", "2"
+    )
     trees = load_model(model).trees
     leaves = [np.flatnonzero(t.nodes["leaf"]) for t in trees]
     assert max(t.nodes["depth"].max() for t in trees) == 2
@@ -105,3 +115,15 @@ def test_traced_node_counters_match_the_saved_model(tmp_path):
     assert counters["tree.leaf_labels_max"] == max(
         len(t.node_labels(u)) for t, us in zip(trees, leaves) for u in us
     )
+
+
+def test_traced_repr_counters_match_build_repr(tmp_path):
+    """``representations.nnz`` and ``representations.dim`` are those of the
+    one label representation a training run builds."""
+    ds, _ = grouped_dataset(3, n=150, groups=6, labels_per_group=4)
+    data, _, counters = traced_train(tmp_path, ds, "--trees", "2", "--repr", "joint")
+    ds = parse_dataset(data)
+    V = build_repr(normalize_instances(ds), ds.Y, ReprSpace.JOINT).matrix
+    assert V.shape[1] == ds.d + ds.l
+    assert counters["representations.nnz"] == V.nnz
+    assert counters["representations.dim"] == V.shape[1]

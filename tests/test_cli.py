@@ -7,6 +7,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -89,11 +91,8 @@ class TestPipeline:
 
     def test_prediction_file_matches_library_route(self, paths, trained, tmp_path):
         ens = load_model(trained)
-        test = normalize_instances(parse_dataset(paths["test"]))
-        results = [
-            predict_ensemble(ens, row(test.X, i), beam=10, k=5)
-            for i in range(test.n)
-        ]
+        X = normalize_instances(parse_dataset(paths["test"]))
+        results = [predict_ensemble(ens, row(X, i), beam=10, k=5) for i in range(X.shape[0])]
         ref = tmp_path / "ref.txt"
         write_predictions(
             Predictions.from_rows([r.labels for r in results], [r.scores for r in results]), ref
@@ -103,6 +102,13 @@ class TestPipeline:
         # the batched and per-instance routes agree to many more digits
         # than the 5 printed decimals, so the files must match exactly
         assert got == want
+
+    def test_eps_survives_save_and_load(self, paths, tmp_path):
+        model = tmp_path / "m"
+        assert main(["train", "--data", paths["train"], "--model", str(model),
+                     "--trees", "1", "--branch", "8", "--eps", "0.5"]) == 0
+        assert "eps=0.5\n" in (model / "meta").read_text()
+        assert load_model(model).config.eps == 0.5
 
     def test_deterministic_given_seed(self, paths, trained):
         other = str(paths["root"] / "model2")
@@ -143,10 +149,10 @@ class TestBeamFlag:
 
         ens = load_model(model)
         assert all(len(children(t, 0)) <= 25 for t in ens.trees)
-        test = normalize_instances(parse_dataset(paths["test"]))
+        X = normalize_instances(parse_dataset(paths["test"]))
         got = read_predictions(pred)
-        for i in range(0, test.n, 10):
-            x = row(test.X, i)
+        for i in range(0, X.shape[0], 10):
+            x = row(X, i)
             sums: dict[int, float] = {}
             for tree in ens.trees:
                 for leaf, clf in zip(children(tree, 0), node_weights(tree, 0), strict=True):
@@ -452,7 +458,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit, match", [
         (lambda meta: meta.replace("base_seed=3\n", "base_seed=-1\n"), "base_seed must be >= 0"),
         (lambda meta: meta + "T=1\n", "repeated key 'T'"),
-    ], ids=["negative base_seed", "repeated key"])
+        (lambda meta: meta.replace("eps=0.1\n", ""), "'eps'"),
+        (lambda meta: meta + "normalize=1\n", r"unknown keys \['normalize'\]"),
+    ], ids=["negative base_seed", "repeated key", "missing eps", "normalize key"])
     def test_bad_meta_value_is_data_error(self, paths, trained, tmp_path, capsys, edit, match):
         model = tmp_path / "model"
         shutil.copytree(trained, model)
@@ -481,7 +489,7 @@ class TestExitCodes:
         model.mkdir()
         (model / "meta").write_text(
             f"version={FORMAT_VERSION}\nT=1\nK=2\nd_max={d_max}\nrepr_space=input\nD={d}\n"
-            "L=1\nC=1.0\ndelta=0.01\nbase_seed=0\nnormalize=1\n"
+            "L=1\nC=1.0\neps=0.1\ndelta=0.01\nbase_seed=0\n"
         )
         n = links + 1
         nodes = np.zeros(n, dtype=NODE)
@@ -515,6 +523,22 @@ class TestExitCodes:
                    "--output", str(tmp_path / "pred.txt")])
         assert rc == 2
         assert "unsupported model version 2" in capsys.readouterr().err
+
+    def test_v3_model_is_data_error(self, paths, trained, tmp_path, capsys):
+        """A directory in format v3 (a ``normalize`` key, no ``eps``) fails
+        on its version, before any other meta check."""
+        model = tmp_path / "v3"
+        shutil.copytree(trained, model)
+        meta = (model / "meta").read_text()
+        meta = meta.replace(f"version={FORMAT_VERSION}\n", "version=3\n")
+        (model / "meta").write_text(meta.replace("eps=0.1\n", "") + "normalize=1\n")
+        for t in range(3):
+            tree = model / f"tree_{t}.bin"
+            tree.write_bytes(b"LFT1" + struct.pack("<I", 3) + tree.read_bytes()[8:])
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert "unsupported model version 3" in capsys.readouterr().err
 
     def test_node_deeper_than_d_max_is_data_error(self, paths, tmp_path, capsys):
         model = tmp_path / "chain"
@@ -551,10 +575,10 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("flags, depth, model_sha, pred_sha", [
         (["--trees", "2", "--branch", "8", "--max-depth", "1", "--repr", "input", "--seed", "3"],
-         1, "52a671d4f9693af55993581933a9cacf32a1d8425b7f3b0327dfb2f47a45e1c6",
+         1, "4d2267401fd0a76cabf521168aa6b19c9ddac7fa8901890afe8f965150950d24",
          "15d2b3491dbc48d3650ce042ff2144636c8236aa2c65452012e84f83bf8ee660"),
         (["--trees", "2", "--branch", "4", "--max-depth", "2", "--repr", "joint", "--seed", "5"],
-         2, "82ab76ccef42058e836d63b775510b7194bc541591882265dee82e4dac432c55",
+         2, "b3987104f30075cd3f5374cbf5592b3bc5cdfd387f176373c9b73c0fea256214",
          "63d33605df84839a77e5722ac421af5ebb21c14562d616b97b332cabcfe58377"),
     ], ids=["input-depth1", "joint-depth2"])
     def test_model_and_predictions_match_recorded_digests(
@@ -585,7 +609,7 @@ class TestPinnedBytes:
         assert len(batches) > n_nodes + 20 and max(batches) > 1
         self._check_digests(
             paths, model, pred, 2,
-            "82ab76ccef42058e836d63b775510b7194bc541591882265dee82e4dac432c55",
+            "b3987104f30075cd3f5374cbf5592b3bc5cdfd387f176373c9b73c0fea256214",
             "63d33605df84839a77e5722ac421af5ebb21c14562d616b97b332cabcfe58377",
         )
 
@@ -715,3 +739,14 @@ class TestFuzz:
             rc = main(["eval", "--predictions", str(bad), "--data", paths["test"],
                        "--train-data", paths["train"]])
         assert rc in (0, 2)
+
+
+def test_cli_import_leaves_out_scipy_special():
+    """Every command imports ``labelforest.cli``; importing scipy.special
+    would add a tenth of a second or more to each one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, labelforest.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"

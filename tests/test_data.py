@@ -15,6 +15,7 @@ from labelforest.data import (
     parse_dataset,
 )
 from labelforest.sparse import SparseVec
+from conftest import random_dataset
 from helpers import csr_from_rows, dataset_to_text, row, same_dataset
 
 import parse_oracle
@@ -33,7 +34,7 @@ class TestParse:
 
     def test_matrices_are_float32_csr(self):
         ds = parse_text("2 3 2\n0 2:0.5 0:1.0\n0,1 1:2.0\n")
-        for m in (ds.X, ds.Y, normalize_instances(ds).X):
+        for m in (ds.X, ds.Y):
             assert isinstance(m, sp.csr_matrix) and m.dtype == np.float32
         assert ds.X.indptr.tolist() == [0, 2, 3]
         assert ds.X.indices.tolist() == [0, 2, 1]
@@ -201,7 +202,7 @@ class TestLabelIndex:
         X = csr_from_rows(
             [SparseVec(np.array([0]), np.array([1.0], dtype=np.float32), 1)] * n, 1
         )
-        ds = Dataset(X, Y, n, 1, l)
+        ds = Dataset(X, Y)
         idx = build_label_index(ds)
         dense = Y.toarray()
         np.testing.assert_array_equal(np.diff(idx.indptr), dense.sum(axis=0).astype(np.int64))
@@ -231,29 +232,41 @@ class TestDatasetInvariants:
             [SparseVec(np.array([0]), np.array([0.5], dtype=np.float32), 1)], 1
         )
         with pytest.raises(DataFormatError, match="1.0"):
-            Dataset(X, Y, 1, 1, 1)
+            Dataset(X, Y)
 
     def test_row_count_mismatch(self):
         X = csr_from_rows([SparseVec(np.array([0]), np.array([1.0]), 1)], 1)
         Y = csr_from_rows([], 1)
         with pytest.raises(DataFormatError, match="row counts"):
-            Dataset(X, Y, 1, 1, 1)
+            Dataset(X, Y)
 
 
 class TestNormalizeInstances:
     def test_rows_become_unit_norm(self):
         ds = parse_text("2 2 1\n0 0:3.0 1:4.0\n0 0:2.0\n")
-        nds = normalize_instances(ds)
-        np.testing.assert_allclose(
-            row(nds.X, 0).values, np.array([0.6, 0.8], dtype=np.float32), rtol=1e-6
-        )
-        np.testing.assert_allclose(row(nds.X, 1).values, [1.0], rtol=1e-6)
+        X = normalize_instances(ds)
+        np.testing.assert_array_equal(row(X, 0).values, np.float32([0.6, 0.8]).astype(np.float64))
+        np.testing.assert_array_equal(row(X, 1).values, [1.0])
 
     def test_zero_row_untouched_and_values_stay_f32(self):
+        """The values are float64 holding float32 values."""
         ds = parse_text("2 2 1\n 1:5.0\n0\n")
-        nds = normalize_instances(ds)
-        assert row(nds.X, 1).nnz == 0
-        assert nds.X.dtype == np.float32
+        X = normalize_instances(ds)
+        assert row(X, 1).nnz == 0
+        assert X.dtype == np.float64 and X.data.tolist() == [1.0]
+        assert np.array_equal(X.data, X.data.astype(np.float32))
+
+    def test_float64_csr_on_the_parsed_index_arrays(self):
+        ds = random_dataset(4, n=30, d=12, l=3)
+        X = normalize_instances(ds)
+        assert isinstance(X, sp.csr_matrix) and X.dtype == np.float64 and X.shape == ds.X.shape
+        assert np.shares_memory(X.indices, ds.X.indices)
+        assert np.shares_memory(X.indptr, ds.X.indptr)
+        # each value is a float32, rounded from the float64 quotient
+        assert np.array_equal(X.data, X.data.astype(np.float32))
+        norms = np.sqrt(np.asarray(ds.X.multiply(ds.X).sum(axis=1), dtype=np.float64)).ravel()
+        nonzero = np.repeat(norms, np.diff(ds.X.indptr))
+        np.testing.assert_allclose(X.data, ds.X.data / nonzero, rtol=1e-7)
 
 
 # -- the whole-buffer parser against the per-line oracle ----------------------

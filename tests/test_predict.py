@@ -240,7 +240,7 @@ class TestPredictBatch:
         ens = tied_ensemble()
         X = sp.csr_matrix(np.array([[1.0, 0.0], [0.6, -0.8], [0.0, 0.0], [-0.3, 0.2]],
                                    dtype=np.float32))
-        ds = Dataset(X, sp.csr_matrix((4, ens.l), dtype=np.float32), 4, ens.d, ens.l)
+        ds = Dataset(X, sp.csr_matrix((4, ens.l), dtype=np.float32))
         Xn = prepare_features(ens, ds)
         for beam, k in [(1, 3), (2, 10), (3, 4), (3, 12), (5, 12)]:
             batch = predict_batch(ens, ds, beam=beam, k=k)
@@ -274,7 +274,7 @@ class TestPredictBatch:
 
         ens = Ensemble([tree(s) for s in range(3)], TrainConfig(n_trees=3), d, n_labels)
         X = sp.random(512, d, density=0.05, random_state=rng, format="csr", dtype=np.float32)
-        ds = Dataset(X, sp.csr_matrix((512, n_labels), dtype=np.float32), 512, d, n_labels)
+        ds = Dataset(X, sp.csr_matrix((512, n_labels), dtype=np.float32))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -361,7 +361,7 @@ class TestPredictBatch:
     def test_empty_dataset_gives_empty_block(self, grouped_train):
         ds, _ = grouped_train
         ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=11))
-        empty = Dataset(sp.csr_matrix((0, ds.d)), sp.csr_matrix((0, ds.l)), 0, ds.d, ds.l)
+        empty = Dataset(sp.csr_matrix((0, ds.d)), sp.csr_matrix((0, ds.l)))
         out = predict_batch(ens, empty, beam=3, k=5)
         assert len(out) == 0 and out.labels.shape == (0, 5)
 

@@ -5,14 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from labelforest.data import parse_dataset
-from labelforest.representations import (
-    LabelRepr,
-    ReprSpace,
-    build_input_repr,
-    build_joint_repr,
-    build_output_repr,
-    build_repr,
-)
+from labelforest.representations import LabelRepr, ReprSpace, build_repr
 
 from conftest import random_dataset
 from helpers import csr_from_rows, row, rows
@@ -20,6 +13,18 @@ from helpers import csr_from_rows, row, rows
 
 def parse_text(text):
     return parse_dataset(io.StringIO(text))
+
+
+def build_input_repr(ds):
+    return build_repr(ds.X, ds.Y, ReprSpace.INPUT)
+
+
+def build_output_repr(ds):
+    return build_repr(ds.X, ds.Y, ReprSpace.OUTPUT)
+
+
+def build_joint_repr(ds):
+    return build_repr(ds.X, ds.Y, ReprSpace.JOINT)
 
 
 def dense_rows(repr_: LabelRepr):
@@ -37,7 +42,7 @@ class TestInputRepr:
         ds = parse_text("1 3 1\n0 0:3.0 2:4.0\n")
         r = build_input_repr(ds)
         np.testing.assert_allclose(row(r.matrix, 0).to_dense(), [0.6, 0.0, 0.8])
-        assert r.space is ReprSpace.INPUT and r.dim == 3
+        assert r.dim == 3
 
     def test_two_instance_symmetry(self):
         ds = parse_text("2 2 1\n0 0:1.0\n0 1:1.0\n")
@@ -94,7 +99,6 @@ class TestOutputRepr:
         ds = random_dataset(13, n=9, d=3, l=5)
         perm = np.array([3, 0, 4, 1, 2])
         Y = np.vstack([r.to_dense() for r in rows(ds.Y)])
-        from labelforest.data import Dataset
         from labelforest.sparse import SparseVec
 
         y_rows = []
@@ -102,9 +106,8 @@ class TestOutputRepr:
             yp = Y[i][np.argsort(perm)]  # label j moves to position perm[j]
             idx = np.nonzero(yp)[0].astype(np.int64)
             y_rows.append(SparseVec(idx, np.ones(len(idx), dtype=np.float32), ds.l))
-        dsp = Dataset(ds.X, csr_from_rows(y_rows, ds.l), ds.n, ds.d, ds.l)
         base = dense_rows(build_output_repr(ds))
-        permuted = dense_rows(build_output_repr(dsp))
+        permuted = dense_rows(build_repr(ds.X, csr_from_rows(y_rows, ds.l), ReprSpace.OUTPUT))
         # permuted[perm[j], perm[m]] must equal base[j, m]
         np.testing.assert_allclose(permuted[np.ix_(perm, perm)], base, atol=1e-12)
 
@@ -137,30 +140,47 @@ class TestJointRepr:
         np.testing.assert_allclose(joint[:, ds.d :], s * vout, atol=1e-9)
 
     def test_dims_and_space(self):
+        """The joint space has d input then l output coordinates."""
         ds = random_dataset(16, n=5, d=4, l=3)
         r = build_joint_repr(ds)
-        assert r.dim == 7 and r.space is ReprSpace.JOINT
+        assert r.dim == 7 and r.matrix.shape[1] == 7
+        assert r.matrix[:, : ds.d].nnz == build_input_repr(ds).matrix.nnz
         assert r.matrix.shape[0] == 3
 
 
 class TestDispatchAndInvariants:
     def test_build_repr_dispatch(self):
         ds = random_dataset(17, n=6, d=5, l=4)
-        assert build_repr(ds, ReprSpace.INPUT).space is ReprSpace.INPUT
-        assert build_repr(ds, ReprSpace.OUTPUT).space is ReprSpace.OUTPUT
-        assert build_repr(ds, ReprSpace.JOINT).space is ReprSpace.JOINT
+        X, Y = ds.X.toarray().astype(np.float64), ds.Y.toarray().astype(np.float64)
+        vin, vout = normalize_rows(Y.T @ X), normalize_rows(Y.T @ Y)
+        s = 1.0 / np.sqrt(2.0)
+        for space, dim, blocks in (
+            (ReprSpace.INPUT, 5, vin),
+            (ReprSpace.OUTPUT, 4, vout),
+            (ReprSpace.JOINT, 9, np.hstack([s * vin, s * vout])),
+        ):
+            r = build_repr(ds.X, ds.Y, space)
+            assert r.dim == dim and r.matrix.shape == (4, dim)
+            np.testing.assert_allclose(r.matrix.toarray(), blocks, atol=1e-9)
+
+    def test_float32_and_float64_features_agree(self):
+        ds = random_dataset(20, n=9, d=6, l=5)
+        for space in ReprSpace:
+            a = build_repr(ds.X, ds.Y, space).matrix
+            b = build_repr(ds.X.astype(np.float64), ds.Y, space).matrix
+            assert (a != b).nnz == 0
 
     def test_matrix_is_float64_csr(self):
         ds = random_dataset(19, n=6, d=5, l=4)
         for space in ReprSpace:
-            m = build_repr(ds, space).matrix
+            m = build_repr(ds.X, ds.Y, space).matrix
             assert isinstance(m, sp.csr_matrix) and m.dtype == np.float64
             assert m.has_canonical_format and m.data.all()
 
     def test_nonzero_rows_are_unit_norm(self):
         ds = random_dataset(18, n=12, d=7, l=9)
         for space in ReprSpace:
-            r = build_repr(ds, space)
+            r = build_repr(ds.X, ds.Y, space)
             assert r.matrix.shape[0] == ds.l
             for v in rows(r.matrix):
                 if v.nnz and space is not ReprSpace.JOINT:

@@ -18,6 +18,7 @@ from labelforest.predict import predict_batch, prepare_features
 from labelforest.representations import build_repr
 from labelforest.tree import (
     FORMAT_VERSION,
+    META_KEYS,
     NODE,
     ModelFormatError,
     TrainConfig,
@@ -67,7 +68,7 @@ def grow_nodes(ds, **kw):
     """``grow``'s node table, labels and per-node inputs for ``ds``, as
     ``train_small`` would grow its first tree."""
     config = TrainConfig(**{"n_trees": 1, "k": 3, "d_max": 2, "base_seed": 0, **kw})
-    V = build_repr(normalize_instances(ds), config.repr_space).matrix
+    V = build_repr(normalize_instances(ds), ds.Y, config.repr_space).matrix
     rng = np.random.default_rng(config.base_seed)
     return grow(build_label_index(ds), V, ds.n, config, rng)
 
@@ -397,19 +398,20 @@ class TestModelStore:
         with pytest.raises(ModelFormatError, match="finite"):
             load_model(tmp_path / "m")
 
-    @pytest.mark.parametrize("value, match", [
-        ("0", "not 1"), ("2", "not 1"), ("yes", "bad meta file"), (None, "bad meta file"),
-    ])
-    def test_normalize_other_than_one_rejected(self, grouped_train, tmp_path, value, match):
+    @pytest.mark.parametrize("extra", ["normalize=1", "normalize=0", "normalize=2",
+                                       "normalize=yes", None],
+                             ids=["normalize=1", "normalize=0", "normalize=2",
+                                  "normalize=yes", "no eps"])
+    def test_meta_keys_other_than_v4_rejected(self, grouped_train, tmp_path, extra):
+        """Format v4 has no ``normalize`` key (instances are always
+        unit-normalized), and it needs ``eps``; ``extra=None`` drops eps."""
         ds, _ = grouped_train
         save_model(train_small(ds), tmp_path / "m")
         meta = (tmp_path / "m" / "meta").read_text().splitlines()
-        assert "normalize=1" in meta
-        meta = [m for m in meta if m != "normalize=1"]
-        if value is not None:
-            meta.append(f"normalize={value}")
+        assert [m.partition("=")[0] for m in meta] == list(META_KEYS)
+        meta = meta + [extra] if extra else [m for m in meta if not m.startswith("eps=")]
         (tmp_path / "m" / "meta").write_text("\n".join(meta) + "\n")
-        with pytest.raises(ModelFormatError, match=match):
+        with pytest.raises(ModelFormatError, match="bad meta file"):
             load_model(tmp_path / "m")
 
     def test_node_deeper_than_d_max_rejected(self, grouped_train, tmp_path):
@@ -587,7 +589,7 @@ class TestModelFuzz:
         check_invariants(ens)
         X = sp.csr_matrix(X[:, : min(X.shape[1], ens.d)])
         X.resize((X.shape[0], ens.d))
-        ds = Dataset(X, sp.csr_matrix((X.shape[0], 0)), X.shape[0], ens.d, 0)
+        ds = Dataset(X, sp.csr_matrix((X.shape[0], 0)))
         assert len(predict_batch(ens, ds, beam=3, k=5)) == X.shape[0]
 
     @settings(max_examples=300)
