@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the ground-truth file)",
     )
     p.add_argument("--k", type=_k_list, default=(1, 3, 5))
-    p.add_argument("--a", type=float, default=0.55, help="propensity parameter A")
-    p.add_argument("--b", type=float, default=1.5, help="propensity parameter B")
+    p.add_argument("--a", type=float, default=None, help="propensity parameter A (default 0.55)")
+    p.add_argument("--b", type=float, default=None, help="propensity parameter B (default 1.5)")
     p.add_argument(
         "--uniform-propensity",
         action="store_true",
@@ -203,6 +203,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    fit_flags = (("--train-data", args.train_data), ("--a", args.a), ("--b", args.b))
+    given = [flag for flag, value in fit_flags if value is not None]
+    if args.uniform_propensity and given:
+        raise UsageError(f"--uniform-propensity takes no {', '.join(given)}")
     preds = read_predictions(args.predictions)
     ds = _load_dataset(args.data)
     if len(preds) != ds.n:
@@ -225,10 +229,11 @@ def cmd_eval(args) -> int:
                     f"propensity source has L={src.l}, ground truth has L={ds.l}"
                 )
         freqs = np.bincount(src.Y.indices, minlength=src.l)
+        a, b = (0.55 if args.a is None else args.a), (1.5 if args.b is None else args.b)
         try:
-            prop = fit_propensities(freqs, src.n, args.a, args.b)
+            prop = fit_propensities(freqs, src.n, a, b)
         except ValueError as e:
-            raise UsageError(f"--a {args.a} --b {args.b}: {e}")
+            raise UsageError(f"--a {a} --b {b}: {e}")
 
     try:
         rep = evaluate(preds, ds.Y, prop, args.k)
@@ -290,7 +295,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, ModelFormatError, FileNotFoundError, IsADirectoryError) as e:
+    except (DataFormatError, ModelFormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # pragma: no cover - defensive

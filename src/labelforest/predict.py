@@ -7,28 +7,31 @@ keeps the highest path probabilities at each depth; leaves already reached
 stay in the beam and compete with deeper candidates.
 
 Two implementations are kept deliberately separate: a per-instance
-reference (`predict_ensemble`) built on sparse-vector dots, and a batched
-route (`predict_batch`) that scores each node's rows with one product and
-ranks dense row blocks, for the beam cut and the final top k alike.  Tests
-hold them to each other.  The batched route's result is one `Predictions`
-block, which the prediction file is written from and read back into.
+reference (`predict_ensemble`) that dots one CSR row with each classifier
+by sorted-index intersection, and a batched route (`predict_batch`) that
+scores each node's rows with one product and ranks dense row blocks, for
+the beam cut and the final top k alike.  Tests hold them to each other.
+The batched route's result is one `Predictions` block, which the
+prediction file is written from and read back into.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data import DataFormatError, Dataset, normalize_instances
-from .sparse import SparseVec, dot
 from .tree import Ensemble, Tree, take_rows
 
 # Rows scored together by predict_batch: enough to amortize the per-node
 # products, few enough that a block's label accumulator stays small.
 BLOCK_ROWS = 512
+
+_LABEL_ID = re.compile(r"[+-]?[0-9]+")  # as the data parser spells ids
 
 
 @dataclass(frozen=True)
@@ -91,16 +94,18 @@ def _top_k(labels, scores, k: int) -> tuple[np.ndarray, np.ndarray]:
     return labels[order], scores[order]
 
 
-def _margins(tree: Tree, u: int, x: SparseVec) -> list[float]:
-    """The margins of node u's classifiers on ``x``, one sparse dot each."""
+def _margins(tree: Tree, u: int, x: sp.csr_matrix) -> list[float]:
+    """Node u's classifier margins on the row ``x``, each summed in float64."""
     W, bias = tree.node_rows(u)
-    return [
-        dot(SparseVec(W.indices[lo:hi], W.data[lo:hi], W.shape[1]), x) + float(b)
-        for lo, hi, b in zip(W.indptr[:-1], W.indptr[1:], bias)
-    ]
+    xi, xv = x.indices, x.data.astype(np.float64, copy=False)
+    out = []
+    for lo, hi, b in zip(W.indptr[:-1], W.indptr[1:], bias):
+        _, iw, ix = np.intersect1d(W.indices[lo:hi], xi, assume_unique=True, return_indices=True)
+        out.append(float(np.dot(W.data[lo + iw].astype(np.float64), xv[ix])) + float(b))
+    return out
 
 
-def _tree_label_scores(tree: Tree, x: SparseVec, beam: int):
+def _tree_label_scores(tree: Tree, x: sp.csr_matrix, beam: int):
     """Reference beam search: all labels scored at the surviving leaves."""
     is_leaf = tree.nodes["leaf"] == 1
     frontier = [(0, 0.0)]  # (node, log path probability), from the root
@@ -122,9 +127,14 @@ def _tree_label_scores(tree: Tree, x: SparseVec, beam: int):
     return labels, scores
 
 
-def predict_ensemble(ens: Ensemble, x: SparseVec, beam: int = 10, k: int = 5) -> ScoredLabels:
-    """Mean of per-tree scores, labels missing from a tree counting as 0."""
+def predict_ensemble(ens: Ensemble, x: sp.csr_matrix, beam: int = 10, k: int = 5) -> ScoredLabels:
+    """Mean of per-tree scores, labels missing from a tree counting as 0.
+    ``x`` is a 1 x D CSR row with sorted, distinct indices, as the rows of
+    ``prepare_features`` are."""
     _check_params(beam, k)
+    canonical = sp.issparse(x) and x.format == "csr" and not np.any(np.diff(x.indices) <= 0)
+    if not canonical or x.shape != (1, ens.d):
+        raise ValueError(f"x must be a 1 x {ens.d} CSR row with sorted, distinct indices")
     sums: dict[int, float] = {}
     for tree in ens.trees:
         labels, scores = _tree_label_scores(tree, x, beam)
@@ -236,21 +246,28 @@ def write_predictions(preds: Predictions, path) -> None:
 
 
 def read_predictions(path) -> Predictions:
-    """Parse a prediction file into a Predictions block.  A malformed pair,
-    or a row with a repeated or negative label id or a non-finite score,
+    """Parse a prediction file into a Predictions block.  A non-ASCII
+    character, a malformed pair, a label id not spelled ``[+-]digits``, or
+    a row with a repeated or negative label id or a non-finite score,
     raises DataFormatError naming its line."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
+            text = f.read()
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text ({e})") from e
+    if not text.isascii():
+        at = re.search(r"[^\x00-\x7f]", text).start()
+        lineno = len((text[:at] + ".").splitlines())
+        raise DataFormatError(f"line {lineno}: non-ASCII character {text[at]!r}")
     label_rows, score_rows = [], []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         labels, scores = [], []
         for tok in line.split():
             lab, sep, score = tok.partition(":")
             if not sep:
                 raise DataFormatError(f"line {lineno}: malformed pair {tok!r}")
+            if not _LABEL_ID.fullmatch(lab):
+                raise DataFormatError(f"line {lineno}: bad label id in {tok!r}")
             try:
                 labels.append(int(lab))
                 scores.append(float(score))

@@ -92,7 +92,6 @@ class Tree:
     labels: np.ndarray
     W: sp.csr_matrix
     bias: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.row_ptr = np.concatenate(([0], np.cumsum(self.nodes["rows"])))
@@ -269,7 +268,7 @@ def train_ensemble(
         report.n_leaves += int(table["leaf"].sum())
         # one W per tree: the nodes' blocks are stacked once, then dropped
         W = sp.vstack([s.W for s in solves], format="csr")
-        trees.append(Tree(table, labels, W, np.concatenate([s.bias for s in solves]), seed))
+        trees.append(Tree(table, labels, W, np.concatenate([s.bias for s in solves])))
         del nodes, solves
     return Ensemble(trees, config, ds.d, ds.l)
 
@@ -333,7 +332,7 @@ def _check_nodes(nodes: np.ndarray, l: int, d_max: int) -> None:
         raise ModelFormatError("a node's row count is not its child or label count")
 
 
-def _parse_tree(buf: bytes, d: int, l: int, d_max: int, seed: int) -> Tree:
+def _parse_tree(buf: bytes, d: int, l: int, d_max: int) -> Tree:
     """A tree file's arrays, each checked as a whole."""
     if buf[:4] != MAGIC:
         raise ModelFormatError("bad magic bytes")
@@ -379,7 +378,7 @@ def _parse_tree(buf: bytes, d: int, l: int, d_max: int, seed: int) -> Tree:
         raise ModelFormatError("bad classifier weights: zero or non-finite weight")
     if not np.all(np.isfinite(bias)):
         raise ModelFormatError("bad classifier bias: not finite")
-    return Tree(nodes, labels, W, bias, seed)
+    return Tree(nodes, labels, W, bias)
 
 
 def _parse_meta(text: str) -> dict:
@@ -439,7 +438,7 @@ def load_model(model_dir) -> Ensemble:
         except FileNotFoundError as e:
             raise ModelFormatError(f"{path}: missing, but meta has T={n_trees}") from e
         try:
-            trees.append(_parse_tree(buf, d, l, config.d_max, config.base_seed + t))
+            trees.append(_parse_tree(buf, d, l, config.d_max))
         except ModelFormatError as e:
             raise ModelFormatError(f"{path}: {e}") from e
     return Ensemble(trees, config, d, l)

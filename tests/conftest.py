@@ -3,8 +3,7 @@ import pytest
 from hypothesis import settings
 
 from labelforest.data import Dataset
-from labelforest.sparse import SparseVec
-from helpers import csr_from_rows
+from helpers import SparseVec, csr_from_rows
 
 # Every property test draws the same examples on every run (seeded from the
 # test itself, no example database), so a result depends only on the code.

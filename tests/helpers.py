@@ -1,9 +1,12 @@
-"""Code that only the tests call: building sparse vectors, CSR matrices,
-label matrices, node weight blocks, trees and prediction blocks by hand,
-reading CSR rows as sparse vectors, comparing Datasets, per-vector
-arithmetic, appending a bias column, beam-searching one tree and scoring
-all of its labels, the first forms of a node's solve inputs and of its
-children's instance sets, and writing a Dataset back as text.
+"""Code that only the tests call: the sparse vector type ``SparseVec`` and
+its ``dot``, building sparse vectors, CSR matrices, label matrices, node
+weight blocks, trees and prediction blocks by hand, reading CSR rows as
+sparse vectors and sparse vectors as CSR rows, comparing Datasets,
+per-vector arithmetic, appending a bias column, beam-searching one tree
+and scoring all of its labels, the first forms of a node's solve inputs
+and of its children's instance sets, and writing a Dataset back as text.
+Values of a ``SparseVec`` may be float32 or float64; its dot products and
+norms are accumulated in float64 regardless of the storage dtype.
 """
 
 from __future__ import annotations
@@ -27,8 +30,84 @@ from labelforest.predict import (
     _tree_label_scores,
     logsigmoid,
 )
-from labelforest.sparse import SparseVec, dot
 from labelforest.tree import NODE, Tree
+
+
+@dataclass(frozen=True)
+class SparseVec:
+    """Immutable sparse vector.
+
+    Parameters
+    ----------
+    indices
+        Strictly increasing non-negative integer coordinates, all < ``dim``.
+    values
+        Finite nonzero entries aligned with ``indices``.
+    dim
+        Declared dimensionality of the ambient space.
+    """
+
+    indices: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    def __post_init__(self):
+        indices = np.asarray(self.indices, dtype=np.int64)
+        values = np.asarray(self.values)
+        if values.dtype not in (np.float32, np.float64):
+            values = values.astype(np.float64)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
+        if indices.ndim != 1 or values.ndim != 1 or len(indices) != len(values):
+            raise ValueError("indices and values must be 1-d and equal length")
+        if self.dim < 0:
+            raise ValueError("dim must be non-negative")
+        if len(indices):
+            if indices[0] < 0 or indices[-1] >= self.dim:
+                raise ValueError("indices must lie in [0, dim)")
+            if np.any(np.diff(indices) <= 0):
+                raise ValueError("indices must be strictly increasing")
+            if not np.all(np.isfinite(values)):
+                raise ValueError("values must be finite")
+            if np.any(values == 0):
+                raise ValueError("explicit zeros are not stored")
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def norm(self) -> float:
+        """Euclidean norm, accumulated in float64."""
+        v = self.values.astype(np.float64, copy=False)
+        return float(np.sqrt(np.dot(v, v)))
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.dim, dtype=np.float64)
+        out[self.indices] = self.values
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseVec):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
+        )
+
+
+def dot(a: SparseVec, b: SparseVec) -> float:
+    """Dot product of two sparse vectors via sorted-index intersection."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
+    common, ia, ib = np.intersect1d(
+        a.indices, b.indices, assume_unique=True, return_indices=True
+    )
+    if not len(common):
+        return 0.0
+    av = a.values[ia].astype(np.float64, copy=False)
+    bv = b.values[ib].astype(np.float64, copy=False)
+    return float(np.dot(av, bv))
 
 
 @dataclass(frozen=True)
@@ -79,6 +158,11 @@ def row(m: sp.csr_matrix, i: int) -> SparseVec:
 
 def rows(m: sp.csr_matrix) -> list[SparseVec]:
     return [row(m, i) for i in range(m.shape[0])]
+
+
+def csr_row(v: SparseVec) -> sp.csr_matrix:
+    """``v`` as a 1 x dim CSR row, the form ``predict_ensemble`` takes."""
+    return sp.csr_matrix((v.values, v.indices, [0, v.nnz]), shape=(1, v.dim))
 
 
 def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -164,7 +248,7 @@ class Inner(NamedTuple):
     clfs: list
 
 
-def build_tree(spec, dim: int, seed: int = 0) -> Tree:
+def build_tree(spec, dim: int) -> Tree:
     """The ``Tree`` of a nested spec of ``Leaf`` and ``Inner`` nodes, numbered
     in preorder.  A node's classifiers are a list of ``Weights`` or its
     (W, bias) block."""
@@ -185,7 +269,7 @@ def build_tree(spec, dim: int, seed: int = 0) -> Tree:
     visit(spec, -1, 0)
     W = sp.vstack([W for W, _ in blocks], format="csr").astype(np.float32)
     bias = np.concatenate([b for _, b in blocks]).astype(np.float32)
-    return Tree(np.array(table, dtype=NODE), np.array(labels, dtype=np.int64), W, bias, seed)
+    return Tree(np.array(table, dtype=NODE), np.array(labels, dtype=np.int64), W, bias)
 
 
 def tree_file_sections(buf, l: int) -> dict[str, int]:
@@ -232,7 +316,7 @@ def exhaustive_scores(tree: Tree, x: SparseVec) -> dict[int, float]:
 def predict_tree(tree: Tree, x: SparseVec, beam: int = 10, k: int = 5) -> ScoredLabels:
     """Beam-search a single tree for one (already normalized) instance."""
     _check_params(beam, k)
-    return ScoredLabels(*_top_k(*_tree_label_scores(tree, x, beam), k))
+    return ScoredLabels(*_top_k(*_tree_label_scores(tree, csr_row(x), beam), k))
 
 
 def label_matrix(label_sets, l=None) -> sp.csr_matrix:

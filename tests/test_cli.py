@@ -25,7 +25,7 @@ from metrics_oracle import evaluate_oracle
 from labelforest import cli, solver
 from labelforest.cli import main
 from labelforest.data import normalize_instances, parse_dataset
-from labelforest.metrics import fit_propensities
+from labelforest.metrics import evaluate, fit_propensities
 from labelforest.predict import (
     Predictions,
     predict_ensemble,
@@ -92,7 +92,7 @@ class TestPipeline:
     def test_prediction_file_matches_library_route(self, paths, trained, tmp_path):
         ens = load_model(trained)
         X = normalize_instances(parse_dataset(paths["test"]))
-        results = [predict_ensemble(ens, row(X, i), beam=10, k=5) for i in range(X.shape[0])]
+        results = [predict_ensemble(ens, X[i : i + 1], beam=10, k=5) for i in range(X.shape[0])]
         ref = tmp_path / "ref.txt"
         write_predictions(
             Predictions.from_rows([r.labels for r in results], [r.scores for r in results]), ref
@@ -240,6 +240,50 @@ class TestEval:
         assert "--a" in captured.err and "--b" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--train-data", "/nonexistent"], ["--a", "nan"], ["--b", "1.5"],
+        ["--train-data", "/nonexistent", "--a", "nan"],
+    ], ids=["train-data", "a", "b", "train-data and a"])
+    def test_uniform_propensity_with_fit_flags_is_usage(self, paths, trained, capsys, flags):
+        rc = main(["eval", "--predictions", paths["pred"], "--data", paths["test"],
+                   "--uniform-propensity", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--uniform-propensity takes no " + flags[0] in captured.err
+        assert captured.out == ""
+
+    def test_propensity_parameters_keep_their_outputs(self, paths, trained, capsys):
+        """Leaving out --a and --b fits with 0.55 and 1.5; other values fit
+        with those values."""
+        base = ["eval", "--predictions", paths["pred"], "--data", paths["test"]]
+        tables = []
+        for flags in ([], ["--a", "0.55", "--b", "1.5"], ["--a", "0.6"], ["--b", "2.5"]):
+            assert main(base + flags) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+        test = parse_dataset(paths["test"])
+        freqs = np.bincount(test.Y.indices, minlength=test.l)
+        preds = read_predictions(paths["pred"])
+        for table, (a, b) in zip(tables[2:], [(0.6, 1.5), (0.55, 2.5)]):
+            prop = fit_propensities(freqs, test.n, a, b)
+            assert table == evaluate(preds, test.Y, prop, (1, 3, 5)).format() + "\n"
+            assert table != tables[0]
+
+    @pytest.mark.parametrize("pair, message", [
+        ("\uff11:0.5", "line 3: non-ASCII character '\uff11'"),
+        ("1_0:0.5", "line 3: bad label id in '1_0:0.5'"),
+        ("3:0.5\u00a04:0.25", "line 3: non-ASCII character '\\xa0'"),
+    ], ids=["fullwidth digit", "underscore", "no-break space"])
+    def test_label_id_spelled_as_the_data_parser_reads(self, paths, trained, tmp_path, capsys,
+                                                        pair, message):
+        lines = Path(paths["pred"]).read_text().splitlines()
+        lines[2] = pair
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_negative_label_id_is_data_error(self, paths, trained, tmp_path, capsys):
         lines = Path(paths["pred"]).read_text().splitlines()
         lines[0] = "-1:0.9 " + " ".join(lines[0].split()[1:])
@@ -359,6 +403,28 @@ class TestExitCodes:
         f = tmp_path / "bad.txt"
         f.write_text("1 2\n0 0:1.0\n")
         assert main(["stats", "--data", str(f)]) == 2
+
+    @pytest.mark.parametrize("command", [
+        "train --model F", "train --data F/x", "predict --model F",
+        "predict --output F/x", "stats --output F/x",
+    ])
+    def test_unusable_path_is_data_error(self, paths, trained, tmp_path, capsys, command):
+        """A path that cannot be read or written, here for a regular file
+        F standing where a directory must be, exits 2, not 3."""
+        f = tmp_path / "F"
+        f.write_text("a regular file\n")
+        model, pred, test = str(tmp_path / "m"), str(tmp_path / "pred.txt"), paths["test"]
+        argv = {
+            "train --model F": ["train", "--data", paths["train"], "--model", str(f)],
+            "train --data F/x": ["train", "--data", str(f / "x"), "--model", model],
+            "predict --model F": ["predict", "--model", str(f), "--data", test, "--output", pred],
+            "predict --output F/x": ["predict", "--model", trained, "--data", test,
+                                     "--output", str(f / "x")],
+            "stats --output F/x": ["stats", "--data", test, "--output", str(f / "x")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error: [Errno" in err and str(f) in err
 
     def test_missing_model_is_data_error(self, paths, tmp_path):
         rc = main(["predict", "--model", str(tmp_path / "absent"),

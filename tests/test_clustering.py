@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from labelforest import clustering
 from labelforest.clustering import _update, kmeans_partition
-from labelforest.sparse import SparseVec
-from helpers import csr_from_rows, l2_normalize, random_csr, vec_from_pairs
+from helpers import SparseVec, csr_from_rows, l2_normalize, random_csr, vec_from_pairs
 from kmeans_oracle import kmeans_partition_full
 
 

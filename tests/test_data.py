@@ -14,9 +14,8 @@ from labelforest.data import (
     normalize_instances,
     parse_dataset,
 )
-from labelforest.sparse import SparseVec
 from conftest import random_dataset
-from helpers import csr_from_rows, dataset_to_text, row, same_dataset
+from helpers import SparseVec, csr_from_rows, dataset_to_text, row, same_dataset
 
 import parse_oracle
 

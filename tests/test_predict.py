@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +22,18 @@ from labelforest.predict import (
     read_predictions,
     write_predictions,
 )
-from labelforest.sparse import SparseRowMatrix, SparseVec
+from labelforest.sparse import SparseRowMatrix
 from labelforest.tree import Ensemble, TrainConfig, load_model, save_model, train_ensemble
 
 from conftest import grouped_dataset
 from helpers import (
     Inner,
     Leaf,
+    SparseVec,
     Weights,
     build_tree,
+    csr_row,
+    dataset_to_text,
     exhaustive_scores,
     node_child_prob,
     predict_tree,
@@ -155,7 +162,7 @@ class TestPredictEnsemble:
         for trial in range(5):
             x = unit_x(300 + trial, ds.d)
             a = predict_tree(ens.trees[0], x, beam=3, k=5)
-            b = predict_ensemble(ens, x, beam=3, k=5)
+            b = predict_ensemble(ens, csr_row(x), beam=3, k=5)
             assert a.pairs() == b.pairs()
 
     def test_missing_label_counts_as_zero(self):
@@ -163,10 +170,10 @@ class TestPredictEnsemble:
         dim = 1
         bias_08 = float(np.log(0.8 / 0.2))
         t1 = build_tree(Leaf([0], [wvec([], dim, bias_08)]), dim)
-        t2 = build_tree(Leaf([1], [wvec([], dim, 0.0)]), dim, seed=1)
+        t2 = build_tree(Leaf([1], [wvec([], dim, 0.0)]), dim)
         cfg = TrainConfig(n_trees=2, k=100)
         ens = Ensemble([t1, t2], cfg, dim, 2)
-        res = predict_ensemble(ens, SparseVec(np.array([0]), np.array([1.0]), dim), beam=1, k=2)
+        res = predict_ensemble(ens, sp.csr_matrix([[1.0]]), beam=1, k=2)
         scores = dict(res.pairs())
         assert scores[0] == pytest.approx(0.4, abs=1e-9)
         assert scores[1] == pytest.approx(0.25, abs=1e-9)
@@ -176,11 +183,25 @@ class TestPredictEnsemble:
         one = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=6))
         tripled = Ensemble([one.trees[0]] * 3, one.config, one.d, one.l)
         for trial in range(5):
-            x = unit_x(400 + trial, ds.d)
+            x = csr_row(unit_x(400 + trial, ds.d))
             a = predict_ensemble(one, x, beam=3, k=5)
             b = predict_ensemble(tripled, x, beam=3, k=5)
             assert a.labels.tolist() == b.labels.tolist()
             np.testing.assert_allclose(a.scores, b.scores, rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [
+        sp.csr_matrix(np.ones((1, 3))),
+        sp.csr_matrix(np.ones((1, 5))),
+        sp.csr_matrix(np.ones((2, 4))),
+        np.ones((1, 4)),
+        sp.csr_matrix((np.ones(2), [2, 0], [0, 2]), shape=(1, 4)),
+        sp.csr_matrix((np.ones(2), [1, 1], [0, 2]), shape=(1, 4)),
+    ], ids=["width 3", "width 5", "two rows", "dense", "unsorted", "duplicate"])
+    def test_rejects_a_row_of_another_width_or_order(self, x):
+        ens = Ensemble([build_tree(Leaf([0], [wvec([(0, 1.0)], 4)]), 4)], TrainConfig(n_trees=1), 4, 1)
+        assert len(predict_ensemble(ens, sp.csr_matrix(np.ones((1, 4))), beam=1, k=1)) == 1
+        with pytest.raises(ValueError, match="1 x 4 CSR row with sorted, distinct indices"):
+            predict_ensemble(ens, x, beam=1, k=1)
 
 
 def top_cols_oracle(P, k):
@@ -231,7 +252,7 @@ def tied_ensemble():
               node([leaf([4, 8]), leaf([10])], sure)], route)
     b = node([node([leaf([3, 11]), leaf([0, 6, 7])], route),
               node([leaf([1, 2, 4]), leaf([5, 8, 9, 10])], route)], route)
-    trees = [build_tree(a, dim), build_tree(b, dim, seed=1)]
+    trees = [build_tree(a, dim), build_tree(b, dim)]
     return Ensemble(trees, TrainConfig(n_trees=2), dim, 12)
 
 
@@ -267,12 +288,12 @@ class TestPredictBatch:
             W = sp.random(rows, d, density=0.1, random_state=rng, format="csr", dtype=np.float32)
             return W, rng.normal(size=rows).astype(np.float32)
 
-        def tree(seed):
+        def tree():
             perm = rng.permutation(n_labels)
             leaves = [Leaf(np.sort(part), weights(len(part))) for part in np.split(perm, fan_out)]
-            return build_tree(Inner(leaves, weights(fan_out)), d, seed)
+            return build_tree(Inner(leaves, weights(fan_out)), d)
 
-        ens = Ensemble([tree(s) for s in range(3)], TrainConfig(n_trees=3), d, n_labels)
+        ens = Ensemble([tree() for _ in range(3)], TrainConfig(n_trees=3), d, n_labels)
         X = sp.random(512, d, density=0.05, random_state=rng, format="csr", dtype=np.float32)
         ds = Dataset(X, sp.csr_matrix((512, n_labels), dtype=np.float32))
         tracemalloc.start()
@@ -310,27 +331,31 @@ class TestPredictBatch:
         with pytest.raises(ValueError, match="dim"):
             predict_batch(ens, bad, beam=3, k=5)
 
-    def test_load_and_predict_build_no_sparse_vectors(self, grouped_train, tmp_path,
-                                                      monkeypatch):
+    def test_load_and_predict_build_no_sparse_vectors(self, grouped_train, tmp_path):
+        """The commands' route, from ``import labelforest.cli`` through
+        load, predict, the prediction file and evaluate, never loads
+        ``labelforest.sparse``: it has no sparse type but scipy's."""
         ds, _ = grouped_train
         save_model(train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=1)),
                    tmp_path / "m")
-        x = SparseVec(np.array([0]), np.array([1.0]), ds.d)
-        built = []
-        check = SparseVec.__post_init__
-
-        def counted(self):
-            built.append(1)
-            check(self)
-
-        monkeypatch.setattr(SparseVec, "__post_init__", counted)
-        out = predict_batch(load_model(tmp_path / "m"), ds, beam=3, k=5)
-        assert len(out) == ds.n and len(built) == 0
-        # the counter does see the reference route's per-classifier vectors,
-        # one per row of each tree's root at least
-        ens = load_model(tmp_path / "m")
-        predict_ensemble(ens, x, beam=3, k=5)
-        assert len(built) >= sum(t.row_ptr[1] for t in ens.trees) > 0
+        (tmp_path / "data.txt").write_text(dataset_to_text(ds))
+        code = (
+            "import sys, labelforest.cli\n"
+            "from labelforest.data import parse_dataset\n"
+            "from labelforest.metrics import PropensityModel, evaluate\n"
+            "from labelforest.predict import predict_batch, read_predictions, write_predictions\n"
+            "from labelforest.tree import load_model\n"
+            "ds = parse_dataset('data.txt')\n"
+            "write_predictions(predict_batch(load_model('m'), ds, beam=3, k=5), 'pred.txt')\n"
+            "evaluate(read_predictions('pred.txt'), ds.Y, PropensityModel.uniform(ds.l))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('labelforest')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=tmp_path,
+                             capture_output=True, text=True).stdout
+        assert "'labelforest.predict'" in out and "'labelforest.sparse'" not in out
+        assert (tmp_path / "pred.txt").read_text().count("\n") == ds.n
 
     def test_parameter_validation(self, grouped_train):
         ds, _ = grouped_train

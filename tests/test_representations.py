@@ -99,7 +99,7 @@ class TestOutputRepr:
         ds = random_dataset(13, n=9, d=3, l=5)
         perm = np.array([3, 0, 4, 1, 2])
         Y = np.vstack([r.to_dense() for r in rows(ds.Y)])
-        from labelforest.sparse import SparseVec
+        from helpers import SparseVec
 
         y_rows = []
         for i in range(ds.n):

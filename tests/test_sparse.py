@@ -4,8 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforest.sparse import SparseRowMatrix, SparseVec, dot
-from helpers import add_scaled, l2_normalize, vec_from_pairs
+from labelforest.sparse import SparseRowMatrix
+from helpers import SparseVec, add_scaled, csr_row, dot, l2_normalize, row, same_csr, vec_from_pairs
 from tron_oracle import prune_threshold
 
 
@@ -156,27 +156,27 @@ class TestPrune:
 
 
 class TestSparseRowMatrix:
+    """``from_csr(m).row(i)`` is row i of m as a 1 x D CSR row: the width
+    is kept, explicit zeros are dropped and the indices are sorted."""
+
     def test_row_round_trip(self):
         rows = [vec([(0, 1.0), (2, 3.0)], 4), vec([], 4), vec([(3, -2.0)], 4)]
         m = SparseRowMatrix.from_csr(sp.csr_matrix(np.vstack([r.to_dense() for r in rows])))
         for i, want in enumerate(rows):
-            assert m.row(i) == want
+            assert same_csr(m.row(i), csr_row(want))
 
     def test_dim_mismatch_rejected(self):
         # a row keeps the matrix's column count, so it never meets a
         # vector of another dim
         m = SparseRowMatrix.from_csr(sp.csr_matrix(np.ones((1, 4))))
-        assert m.row(0).dim == 4
+        assert m.row(0).shape == (1, 4)
         with pytest.raises(ValueError):
-            dot(m.row(0), vec([(0, 1.0)], 3))
+            dot(row(m.row(0), 0), vec([(0, 1.0)], 3))
 
     def test_csr_round_trip(self):
         csr = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 4.0]]))
         m = SparseRowMatrix.from_csr(csr)
-        assert m.dim == 3
-        assert np.array_equal(m.indptr, csr.indptr)
-        assert np.array_equal(m.indices, csr.indices)
-        assert np.array_equal(m.values, csr.data)
+        assert same_csr(sp.vstack([m.row(0), m.row(1)], format="csr"), csr)
 
     def test_from_csr_removes_explicit_zeros(self):
         raw = sp.csr_matrix(
@@ -186,3 +186,14 @@ class TestSparseRowMatrix:
         m = SparseRowMatrix.from_csr(raw)
         assert m.row(0).nnz == 0
         assert m.row(1).indices.tolist() == [0]
+        assert raw.nnz == 2  # on a copy
+
+    def test_rows_have_sorted_indices(self):
+        raw = sp.csr_matrix(
+            (np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 3])), shape=(1, 5)
+        )
+        got = SparseRowMatrix.from_csr(raw).row(0)
+        assert got.shape == (1, 5)
+        assert got.indices.tolist() == [0, 1, 2]
+        assert got.data.tolist() == [2.0, 3.0, 1.0]
+        assert raw.indices.tolist() == [2, 0, 1]  # on a copy

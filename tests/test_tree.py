@@ -298,7 +298,7 @@ class TestEnsemble:
     def test_tree_count_and_seeds(self, grouped_train):
         ds, _ = grouped_train
         ens = train_small(ds, n_trees=3, base_seed=5)
-        assert [t.seed for t in ens.trees] == [5, 6, 7]
+        assert [ens.config.base_seed + t for t in range(len(ens.trees))] == [5, 6, 7]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -331,13 +331,13 @@ class TestModelStore:
         assert (back.d, back.l) == (ds.d, ds.l)
         assert back.config.k == ens.config.k
         assert back.config.repr_space is ens.config.repr_space
+        assert back.config.base_seed == ens.config.base_seed
         assert max(t.nodes["depth"].max() for t in ens.trees) == 2
         for ta, tb in zip(ens.trees, back.trees, strict=True):
             assert ta.nodes.tobytes() == tb.nodes.tobytes()
             assert np.array_equal(ta.labels, tb.labels)
             assert same_csr_bits(ta.W, tb.W)
             assert ta.bias.tobytes() == tb.bias.tobytes()
-            assert ta.seed == tb.seed
 
     def test_bad_magic_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train

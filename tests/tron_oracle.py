@@ -27,9 +27,8 @@ from labelforest.solver import (
     SIGMA3,
     _tron,
 )
-from labelforest.sparse import SparseVec
 
-from helpers import Weights
+from helpers import SparseVec, Weights
 
 
 @dataclass(frozen=True)
