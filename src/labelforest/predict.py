@@ -246,10 +246,10 @@ def write_predictions(preds: Predictions, path) -> None:
 
 
 def read_predictions(path) -> Predictions:
-    """Parse a prediction file into a Predictions block.  A non-ASCII
-    character, a malformed pair, a label id not spelled ``[+-]digits``, or
-    a row with a repeated or negative label id or a non-finite score,
-    raises DataFormatError naming its line."""
+    """Parse a prediction file, one row per line (ending at LF, CRLF or CR
+    only).  A non-ASCII character, a malformed pair, a label id not spelled
+    ``[+-]digits``, or a row with a repeated or negative label id or a
+    non-finite score, raises DataFormatError naming its line."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
@@ -257,10 +257,10 @@ def read_predictions(path) -> Predictions:
         raise DataFormatError(f"{path}: not UTF-8 text ({e})") from e
     if not text.isascii():
         at = re.search(r"[^\x00-\x7f]", text).start()
-        lineno = len((text[:at] + ".").splitlines())
+        lineno = text.count("\n", 0, at) + 1
         raise DataFormatError(f"line {lineno}: non-ASCII character {text[at]!r}")
     label_rows, score_rows = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removesuffix("\n").split("\n") if text else [], start=1):
         labels, scores = [], []
         for tok in line.split():
             lab, sep, score = tok.partition(":")

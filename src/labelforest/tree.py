@@ -2,13 +2,14 @@
 
 A tree is grown by clustering label representation vectors into at most K
 groups per node, one node at a time; nodes stop splitting once they hold
-at most K labels or sit at the depth cap.  Internal nodes carry one
-routing classifier per child; leaves carry one classifier per label.
-Every classifier is trained only on the instances owning at least one of
-the node's labels, except the root, which sees the whole training set so
-that unlabeled instances still act as negatives.  A trained tree is a
-node table, its labels, and one weight matrix and bias vector (``Tree``),
-and a tree file is those arrays.
+at most K labels or sit at the depth cap.  Growing fixes only the shape:
+each node is a slice of the tree's label order, tiled by its children's.
+Internal nodes carry one routing classifier per child; leaves carry one
+classifier per label.  A node's training problem follows from its labels
+alone: its classifiers see the instances owning at least one of them,
+except the root's, which see every instance so that unlabeled ones still
+act as negatives.  A trained tree is a node table, its labels, and one
+weight matrix and bias vector (``Tree``), and a tree file is those arrays.
 """
 
 from __future__ import annotations
@@ -115,13 +116,11 @@ class Tree:
 
 
 class Node(NamedTuple):
-    """One node's training inputs, as ``grow`` leaves them: its labels, its
-    instances (sorted ids) and, for an internal node, each child's."""
+    """A node as ``grow`` leaves it: its labels and its children's label counts."""
 
     is_leaf: bool
     labels: np.ndarray
-    instances: np.ndarray
-    child_instances: list
+    child_sizes: np.ndarray
 
 
 @dataclass
@@ -159,78 +158,68 @@ def take_rows(A: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((A.data[at], A.indices[at], indptr), shape=(len(rows), A.shape[1]))
 
 
-def grow(idx: sp.csr_matrix, V: sp.csr_matrix, n: int, config: TrainConfig, rng):
+def grow(V: sp.csr_matrix, config: TrainConfig, rng):
     """A tree's node table in preorder (children in cluster order), its
     labels and each node's ``Node``: a node above the depth cap with more
     than K labels is split by spherical k-means on its labels' rows of the
-    label representation ``V``.  Row j of ``idx`` holds the instances of
-    label j; the root holds all ``n`` instances.
-
+    label representation ``V``, and its label slice is ordered by cluster.
     Empty clusters that survive reseeding are dropped, so fan-out may come
-    out below K; a node whose labels all fall in one cluster is a leaf.
-    """
+    out below K; a node whose labels all fall in one cluster is a leaf."""
     labels = np.arange(V.shape[0], dtype=np.int64)
     table, nodes = [], []
-    stack = [(-1, 0, 0, len(labels), np.arange(n, dtype=np.int64))]
+    stack = [(-1, 0, 0, len(labels))]
     while stack:
-        parent, depth, lo, hi, insts = stack.pop()
-        kids = []
+        parent, depth, lo, hi = stack.pop()
+        sizes = np.empty(0, dtype=np.int64)
         if hi - lo > config.k and depth < config.d_max:
             part = kmeans_partition(take_rows(V, labels[lo:hi]), K=config.k,
                                     seed=int(rng.integers(2**63)))
-            if len(np.unique(part.assignments)) > 1:
-                kids = _split(labels, lo, hi, part.assignments, idx, config.k)
+            counts = np.bincount(part.assignments)
+            if np.count_nonzero(counts) > 1:
+                labels[lo:hi] = labels[lo:hi][np.argsort(part.assignments, kind="stable")]
+                sizes = counts[counts > 0]
         u = len(table)
-        is_leaf = not kids
-        table.append((parent, depth, is_leaf, lo, hi, hi - lo if is_leaf else len(kids)))
-        nodes.append(Node(is_leaf, labels[lo:hi], insts, [k[2] for k in kids]))
+        is_leaf = not len(sizes)
+        table.append((parent, depth, is_leaf, lo, hi, hi - lo if is_leaf else len(sizes)))
+        nodes.append(Node(is_leaf, labels[lo:hi], sizes))
         # popped, and so numbered, in preorder
-        stack += [(u, depth + 1, *k) for k in reversed(kids)]
+        ends = lo + np.cumsum(sizes)
+        stack += [(u, depth + 1, end - size, end) for size, end in zip(sizes[::-1], ends[::-1])]
     return np.array(table, dtype=NODE), labels, nodes
 
 
-def _split(labels, lo, hi, assignments, idx, K):
-    """Order ``labels[lo:hi]`` by cluster, keeping their order within one,
-    and return the [lo, hi) slice and the instances of each nonempty
-    cluster, in cluster order."""
-    # one sort on (cluster, instance) of the node's label rows gives each
-    # child's instances, all in the node's own (label sets only shrink)
-    T = take_rows(idx, labels[lo:hi])
-    keys = np.unique(np.repeat(assignments, np.diff(T.indptr)) * T.shape[1] + T.indices)
-    clusters, members = np.divmod(keys, T.shape[1])
-    child_insts = np.split(members, np.searchsorted(clusters, np.arange(1, K)))
-    labels[lo:hi] = labels[lo:hi][np.argsort(assignments, kind="stable")]
-    sizes = np.bincount(assignments, minlength=K)
-    ends = lo + np.cumsum(sizes)
-    return [(end - size, end, child_insts[k])
-            for k, (size, end) in enumerate(zip(sizes, ends)) if size]
+def node_problem(node: Node, idx: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """A node's instances (sorted ids) and its int8 sign matrix, one column
+    per classifier, from its labels' rows of the L x N label index ``idx``.
+    A classifier's positives carry a label of its group (one label of a
+    leaf, one child's slice of an internal node).  The node's instances are
+    all its positives, or every instance at the root (the node holding all
+    L labels), so that unlabeled instances still act as negatives there."""
+    sizes = np.ones(len(node.labels), dtype=np.int64) if node.is_leaf else node.child_sizes
+    T = take_rows(idx, node.labels)
+    # every instance of a label is a positive of its group's column
+    column = np.repeat(np.repeat(np.arange(len(sizes)), sizes), np.diff(T.indptr))
+    insts = np.arange(T.shape[1]) if len(node.labels) == idx.shape[0] else np.unique(T.indices)
+    signs = np.full((len(insts), len(sizes)), -1, dtype=np.int8)
+    signs[np.searchsorted(insts, T.indices), column] = 1
+    return insts, signs
 
 
 def train_node_classifiers(
     node: Node, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, report: TrainReport
 ) -> NodeSolve:
     """Train one classifier per child (internal) or per label (leaf), all
-    in one batched solve over the node's instances.
+    in one batched solve over the node's instances (``node_problem``).
 
     Positives carried by no instance of the node still get a classifier
     (an all-negative problem); those cases are counted in the report, as
     are Newton steps, the classifiers stopped by ``solver.MAX_NEWTON_ITERS``
     before meeting the gradient test, and the weights kept and pruned.
     """
-    insts = node.instances
-    # the positive instances of every classifier, one run per classifier
-    if node.is_leaf:
-        T = take_rows(idx, node.labels)
-        positives, counts = T.indices, np.diff(T.indptr)
-    else:
-        positives = np.concatenate(node.child_instances)
-        counts = np.array([len(c) for c in node.child_instances])
-
-    signs = np.full((len(insts), len(counts)), -1, dtype=np.int8)
-    signs[np.searchsorted(insts, positives), np.repeat(np.arange(len(counts)), counts)] = 1
-    report.n_zero_positive += int(np.count_nonzero(counts == 0))
+    insts, signs = node_problem(node, idx)
+    report.n_zero_positive += int(np.count_nonzero(~np.any(signs > 0, axis=0)))
     sol = train_node(take_rows(X, insts), signs, C=config.c, eps=config.eps, delta=config.delta)
-    report.n_classifiers += len(counts)
+    report.n_classifiers += signs.shape[1]
     report.n_weights_kept += sol.W.nnz
     report.n_weights_pruned += sol.n_pruned
     report.n_newton_iters += int(sol.newton_iters.sum())
@@ -259,7 +248,7 @@ def train_ensemble(
         seed = config.base_seed + t
         log.info("training tree %d/%d (seed %d)", t + 1, config.n_trees, seed)
         t0 = time.perf_counter()
-        table, labels, nodes = grow(idx, V, ds.n, config, np.random.default_rng(seed))
+        table, labels, nodes = grow(V, config, np.random.default_rng(seed))
         t1 = time.perf_counter()
         solves = [train_node_classifiers(node, X, idx, config, report) for node in nodes]
         report.grow_seconds += t1 - t0

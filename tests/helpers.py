@@ -4,7 +4,9 @@ weight blocks, trees and prediction blocks by hand, reading CSR rows as
 sparse vectors and sparse vectors as CSR rows, comparing Datasets,
 per-vector arithmetic, appending a bias column, beam-searching one tree
 and scoring all of its labels, the first forms of a node's solve inputs
-and of its children's instance sets, and writing a Dataset back as text.
+and of its children's instance sets, growing a tree that carries each
+node's instances down from its parent's split (the route that node
+problems were first built by), and writing a Dataset back as text.
 Values of a ``SparseVec`` may be float32 or float64; its dot products and
 norms are accumulated in float64 regardless of the storage dtype.
 """
@@ -21,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from labelforest.clustering import kmeans_partition
 from labelforest.data import Dataset
 from labelforest.predict import (
     Predictions,
@@ -30,7 +33,7 @@ from labelforest.predict import (
     _tree_label_scores,
     logsigmoid,
 )
-from labelforest.tree import NODE, Tree
+from labelforest.tree import NODE, Tree, take_rows
 
 
 @dataclass(frozen=True)
@@ -369,6 +372,71 @@ def child_instances_oracle(idx: sp.csr_matrix, labels, assignments, K: int) -> l
     per cluster k < K, a scipy row gather of its labels' rows of ``idx``
     and an ``np.unique``."""
     return [np.unique(idx[labels[assignments == k]].indices) for k in range(K)]
+
+
+class CarriedNode(NamedTuple):
+    """A node as ``grow_oracle`` leaves it: its labels, its instances
+    (sorted ids) and, for an internal node, each child's."""
+
+    is_leaf: bool
+    labels: np.ndarray
+    instances: np.ndarray
+    child_instances: list
+
+
+def grow_oracle(idx: sp.csr_matrix, V: sp.csr_matrix, n: int, config, rng,
+                partition=kmeans_partition):
+    """``tree.grow`` as it first was: the same node table and label order,
+    with each node's instances carried down its stack.  The root holds all
+    ``n`` instances; a split hands each child the instances of its labels,
+    from one sort on (cluster, instance) in ``split_oracle``."""
+    labels = np.arange(V.shape[0], dtype=np.int64)
+    table, nodes = [], []
+    stack = [(-1, 0, 0, len(labels), np.arange(n, dtype=np.int64))]
+    while stack:
+        parent, depth, lo, hi, insts = stack.pop()
+        kids = []
+        if hi - lo > config.k and depth < config.d_max:
+            part = partition(take_rows(V, labels[lo:hi]), K=config.k,
+                             seed=int(rng.integers(2**63)))
+            if len(np.unique(part.assignments)) > 1:
+                kids = split_oracle(labels, lo, hi, part.assignments, idx, config.k)
+        u = len(table)
+        is_leaf = not kids
+        table.append((parent, depth, is_leaf, lo, hi, hi - lo if is_leaf else len(kids)))
+        nodes.append(CarriedNode(is_leaf, labels[lo:hi], insts, [k[2] for k in kids]))
+        stack += [(u, depth + 1, *k) for k in reversed(kids)]
+    return np.array(table, dtype=NODE), labels, nodes
+
+
+def split_oracle(labels, lo, hi, assignments, idx, K):
+    """Order ``labels[lo:hi]`` by cluster, keeping their order within one,
+    and return the [lo, hi) slice and the instances of each nonempty
+    cluster, in cluster order."""
+    T = take_rows(idx, labels[lo:hi])
+    keys = np.unique(np.repeat(assignments, np.diff(T.indptr)) * T.shape[1] + T.indices)
+    clusters, members = np.divmod(keys, T.shape[1])
+    child_insts = np.split(members, np.searchsorted(clusters, np.arange(1, K)))
+    labels[lo:hi] = labels[lo:hi][np.argsort(assignments, kind="stable")]
+    sizes = np.bincount(assignments, minlength=K)
+    ends = lo + np.cumsum(sizes)
+    return [(end - size, end, child_insts[k])
+            for k, (size, end) in enumerate(zip(sizes, ends)) if size]
+
+
+def node_problem_oracle(node: CarriedNode, idx: sp.csr_matrix):
+    """A carried node's instances, sign matrix and count of classifiers
+    without a positive: a leaf's positives are its labels' rows of ``idx``,
+    an internal node's are its children's carried instances."""
+    if node.is_leaf:
+        T = take_rows(idx, node.labels)
+        positives, counts = T.indices, np.diff(T.indptr)
+    else:
+        positives = np.concatenate(node.child_instances)
+        counts = np.array([len(c) for c in node.child_instances])
+    signs = np.full((len(node.instances), len(counts)), -1, dtype=np.int8)
+    signs[np.searchsorted(node.instances, positives), np.repeat(np.arange(len(counts)), counts)] = 1
+    return node.instances, signs, int(np.count_nonzero(counts == 0))
 
 
 def serialize_dataset(ds: Dataset, sink) -> None:

@@ -284,6 +284,17 @@ class TestEval:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_form_feed_in_a_prediction_row_is_not_a_row_break(self, tmp_path, capsys):
+        """A form feed inside a row once split it in two, and the file then
+        held 4 rows for 3 instances."""
+        truth = tmp_path / "truth.txt"
+        truth.write_text("3 2 2\n0 0:1.0\n1 1:1.0\n0 0:1.0\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_bytes(b"0:0.9\x0c1:0.5\n1:0.5\n0:0.3\n")
+        assert main(["eval", "--predictions", str(pred), "--data", str(truth),
+                     "--uniform-propensity"]) == 0
+        assert parse_table(capsys.readouterr().out)["P"][0] == 100.0
+
     def test_negative_label_id_is_data_error(self, paths, trained, tmp_path, capsys):
         lines = Path(paths["pred"]).read_text().splitlines()
         lines[0] = "-1:0.9 " + " ".join(lines[0].split()[1:])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforest import predict
-from labelforest.data import Dataset
+from labelforest.data import DataFormatError, Dataset, parse_dataset
 from labelforest.metrics import PropensityModel, evaluate
 from labelforest.predict import (
     Predictions,
@@ -420,3 +420,45 @@ class TestWritePredictions:
         )
         write_predictions(res, tmp_path / "pred.txt")
         assert (tmp_path / "pred.txt").read_text() == "7:0.87500 2:0.25000\n\n"
+
+
+class TestReadPredictions:
+    @pytest.mark.parametrize("byte", [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e"],
+                             ids=["VT", "FF", "FS", "GS", "RS"])
+    def test_control_byte_separates_pairs_within_a_row(self, tmp_path, byte):
+        """A byte that ``str.splitlines`` breaks at is whitespace inside a
+        row, as ``parse_dataset`` reads it inside a data line."""
+        pairs = b"3:0.25" + byte + b"0:-0.5"
+        (tmp_path / "pred.txt").write_bytes(pairs + b"\n1:0.5\n")
+        rows = read_predictions(tmp_path / "pred.txt")
+        assert len(rows) == 2
+        assert rows[0].pairs() == [(3, 0.25), (0, -0.5)] and rows[1].pairs() == [(1, 0.5)]
+        data = tmp_path / "data.txt"
+        data.write_bytes(b"1 4 1\n0 " + pairs + b"\n")
+        X = parse_dataset(data).X
+        assert dict(rows[0].pairs()) == dict(zip(X.indices.tolist(), X.data.tolist()))
+
+    @pytest.mark.parametrize("text", [
+        b"7:0.5 2:0.25\n\n1:0.75\n", b"7:0.5 2:0.25\n\n1:0.75", b"7:0.5 2:0.25\r\n\r\n1:0.75\r\n",
+        b"7:0.5 2:0.25\r\r1:0.75\r", b"7:0.5 2:0.25\r\n\n1:0.75\r",
+    ], ids=["LF", "no final LF", "CRLF", "CR", "mixed"])
+    def test_line_endings_read_as_before(self, tmp_path, text):
+        (tmp_path / "pred.txt").write_bytes(text)
+        rows = read_predictions(tmp_path / "pred.txt")
+        assert [r.pairs() for r in rows] == [[(7, 0.5), (2, 0.25)], [], [(1, 0.75)]]
+
+    @pytest.mark.parametrize("text, rows", [(b"", 0), (b"\n", 1), (b"\n\n", 2), (b"\r\n", 1)])
+    def test_empty_rows_count(self, tmp_path, text, rows):
+        (tmp_path / "pred.txt").write_bytes(text)
+        assert len(read_predictions(tmp_path / "pred.txt")) == rows
+
+    def test_errors_name_the_row_after_a_control_byte(self, tmp_path):
+        """Row i is line i + 1 in every message, a control byte before it
+        or not."""
+        path = tmp_path / "pred.txt"
+        path.write_bytes(b"0:0.5\x0c1:0.5\n2:0.5\n\xc3\xa9\n")
+        with pytest.raises(DataFormatError, match="line 3: non-ASCII"):
+            read_predictions(path)
+        path.write_bytes(b"0:0.5\x0c1:0.5\n2:0.5\n2:0.5 2:0.25\n")
+        with pytest.raises(DataFormatError, match="line 3: repeated label id"):
+            read_predictions(path)

@@ -25,9 +25,11 @@ from labelforest.tree import (
     TrainReport,
     grow,
     load_model,
+    node_problem,
     save_model,
     take_rows,
     train_ensemble,
+    train_node_classifiers,
 )
 
 from conftest import grouped_dataset
@@ -35,7 +37,9 @@ from fuzz import apply_edit, byte_edits, meta_edits
 from helpers import (
     child_instances_oracle,
     children,
+    grow_oracle,
     l2_normalize,
+    node_problem_oracle,
     node_weights,
     random_csr,
     row,
@@ -65,12 +69,12 @@ def brute_instance_set(ds, labels, parent_set):
 
 
 def grow_nodes(ds, **kw):
-    """``grow``'s node table, labels and per-node inputs for ``ds``, as
+    """``grow``'s node table, labels and nodes for ``ds``, as
     ``train_small`` would grow its first tree."""
     config = TrainConfig(**{"n_trees": 1, "k": 3, "d_max": 2, "base_seed": 0, **kw})
     V = build_repr(normalize_instances(ds), ds.Y, config.repr_space).matrix
     rng = np.random.default_rng(config.base_seed)
-    return grow(build_label_index(ds), V, ds.n, config, rng)
+    return grow(V, config, rng)
 
 
 class TestGrow:
@@ -107,21 +111,27 @@ class TestGrow:
     def test_instance_sets_match_brute_force(self):
         ds, _ = grouped_dataset(21, n=60, groups=3, labels_per_group=3)
         table, _, nodes = grow_nodes(ds, k=2, d_max=3)
-        assert nodes[0].instances.tolist() == list(range(ds.n))
+        idx = build_label_index(ds)
+        problems = [node_problem(node, idx) for node in nodes]
+        assert problems[0][0].tolist() == list(range(ds.n))
         assert len(nodes) > 3
         for u in range(1, len(nodes)):
-            parent = nodes[table["parent"][u]]
-            expected = brute_instance_set(ds, nodes[u].labels, parent.instances)
-            assert nodes[u].instances.tolist() == expected
-            assert any(c is nodes[u].instances for c in parent.child_instances)
+            p = table["parent"][u]
+            parent_insts, parent_signs = problems[p]
+            expected = brute_instance_set(ds, nodes[u].labels, parent_insts)
+            assert problems[u][0].tolist() == expected
+            # u's instances are the positives of its column in its parent's problem
+            rank = np.flatnonzero(table["parent"] == p).tolist().index(u)
+            assert np.array_equal(parent_insts[parent_signs[:, rank] == 1], problems[u][0])
 
     def test_root_keeps_unlabeled_instances(self):
         ds = parse_text("3 2 4\n0,1 0:1.0\n 1:1.0\n2,3 1:1.0\n")
         table, _, nodes = grow_nodes(ds, k=2, d_max=1)
-        assert nodes[0].instances.tolist() == [0, 1, 2]
+        idx = build_label_index(ds)
+        assert node_problem(nodes[0], idx)[0].tolist() == [0, 1, 2]
         assert len(nodes) > 1
         for node in nodes[1:]:
-            assert 1 not in node.instances
+            assert 1 not in node_problem(node, idx)[0]
 
     def test_unbalanced_split_preserved(self):
         lines = ["12 2 6"]
@@ -137,9 +147,10 @@ class TestGrow:
 
 
 class TestNodeInputsAgainstOracles:
-    """The row gather and the children's instance sets equal, bit for bit,
-    their first forms: scipy's fancy indexing ``A[rows]``, and one
-    ``np.unique(idx[group].indices)`` per cluster."""
+    """The row gather, the children's instance sets and every node's
+    problem equal, bit for bit, their first forms: scipy's fancy indexing
+    ``A[rows]``, one ``np.unique(idx[group].indices)`` per cluster, and
+    the instances carried down from each parent's split."""
 
     @settings(max_examples=200)
     @given(
@@ -170,7 +181,7 @@ class TestNodeInputsAgainstOracles:
     @settings(max_examples=200)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_labels=st.integers(1, 12),
+        n_labels=st.integers(3, 12),
         n_insts=st.integers(1, 20),
         K=st.integers(2, 5),
     )
@@ -179,19 +190,91 @@ class TestNodeInputsAgainstOracles:
         # some labels have no instance: their rows of idx are empty
         idx = sp.csr_matrix(random_csr(seed, 14, n_insts, 0.3) != 0, dtype=np.float32)
         labels = np.sort(rng.choice(14, size=n_labels, replace=False))
-        assignments = rng.integers(0, K, size=n_labels)
-        # the node's labels sit between two other nodes' in the tree's array
-        ordered = np.concatenate(([99], labels, [98]))
-        kids = tree._split(ordered, 1, n_labels + 1, assignments, idx, K)
+        # a node splits only above K labels, into at least two clusters
+        K = min(K, n_labels - 1)
+        assignments = rng.permutation(np.append([0, K - 1], rng.integers(0, K, n_labels - 2)))
+        # the node's labels sit between two other nodes' in the tree's array:
+        # the root splits off `after`, and its first child splits `before`
+        # off the node's labels
+        others = np.setdiff1d(np.arange(14), labels)
+        before, after = others[::2], others[1::2]
+
+        def partition(V, K, seed):
+            ids = V.toarray()[:, 0].astype(np.int64) - 1  # V's rows carry their label ids
+            if np.array_equal(ids, labels):
+                a = assignments
+            else:
+                a = np.isin(ids, after if len(ids) == 14 else labels).astype(np.int64)
+            return Partition(a, np.zeros((K, 1)), 1, 0.0)
+
+        V = sp.csr_matrix(np.arange(1.0, 15.0)[:, None])
+        with mock.patch.object(tree, "kmeans_partition", partition):
+            table, ordered, nodes = grow(V, TrainConfig(k=K, d_max=3), np.random.default_rng(0))
+        u = next(u for u, node in enumerate(nodes) if np.array_equal(np.sort(node.labels), labels))
+        kids = table[table["parent"] == u]
         want = child_instances_oracle(idx, labels, assignments, K)
         filled = [k for k in range(K) if np.any(assignments == k)]
-        assert [ordered[lo:hi].tolist() for lo, hi, _ in kids] == [
+        assert [ordered[lo:hi].tolist() for lo, hi in zip(kids["label_lo"], kids["label_hi"])] == [
             labels[assignments == k].tolist() for k in filled
         ]
-        assert kids[0][0] == 1 and kids[-1][1] == n_labels + 1
-        assert ordered[0] == 99 and ordered[-1] == 98
-        for (_, _, child_insts), k in zip(kids, filled, strict=True):
-            np.testing.assert_array_equal(child_insts, want[k])
+        lo, hi = table["label_lo"][u], table["label_hi"][u]
+        assert kids["label_lo"][0] == lo and kids["label_hi"][-1] == hi
+        assert ordered[:lo].tolist() == before.tolist() and ordered[hi:].tolist() == after.tolist()
+        insts, signs = node_problem(nodes[u], idx)
+        for column, k in zip(signs.T, filled, strict=True):
+            np.testing.assert_array_equal(insts[column == 1], want[k])
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_labels=st.integers(1, 14),
+        n_insts=st.integers(1, 20),
+        density=st.sampled_from([0.0, 0.1, 0.3, 0.8]),
+        K=st.integers(2, 4),
+        d_max=st.integers(0, 3),
+    )
+    def test_node_problem_matches_carried_instances(self, seed, n_labels, n_insts, density,
+                                                    K, d_max):
+        """Every node's instances, signs and zero-positive count, built from
+        its label slice, equal those of the route that carried instances
+        down from each parent's split, at the root and below it, for leaves
+        and internal nodes."""
+        # empty rows of idx are labels without an instance, and empty
+        # columns are instances without a label
+        idx = sp.csr_matrix(random_csr(seed, n_labels, n_insts, density) != 0, dtype=np.float32)
+        V = sp.csr_matrix(np.ones((n_labels, 1)))
+        config = TrainConfig(n_trees=1, k=K, d_max=d_max)
+
+        def partition(V, K, seed):
+            # few clusters, so that some come out empty or alone
+            a = np.random.default_rng(seed).integers(0, K, V.shape[0])
+            return Partition(a, np.zeros((K, 1)), 1, 0.0)
+
+        with mock.patch.object(tree, "kmeans_partition", partition):
+            table, labels, nodes = grow(V, config, np.random.default_rng(seed))
+        want_table, want_labels, carried = grow_oracle(idx, V, n_insts, config,
+                                                       np.random.default_rng(seed), partition)
+        assert table.tobytes() == want_table.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
+
+        def solve(X, signs, **_):
+            seen.append((X.shape[0], signs))
+            m = signs.shape[1]
+            return solver.NodeSolve(sp.csr_matrix((m, 1), dtype=np.float32), np.zeros(m),
+                                    np.zeros(m, dtype=np.int64), np.ones(m, dtype=bool), 0)
+
+        for node, old in zip(nodes, carried, strict=True):
+            insts, signs = node_problem(node, idx)
+            want_insts, want_signs, want_zero = node_problem_oracle(old, idx)
+            assert np.array_equal(insts, want_insts)
+            assert signs.dtype == want_signs.dtype and signs.shape == want_signs.shape
+            assert signs.tobytes() == want_signs.tobytes()
+            report, seen = TrainReport(), []
+            with mock.patch.object(tree, "train_node", solve):
+                train_node_classifiers(node, sp.csr_matrix((n_insts, 1)), idx, config, report)
+            assert report.n_zero_positive == want_zero
+            assert report.n_classifiers == want_signs.shape[1]
+            assert seen[0][0] == len(want_insts) and np.array_equal(seen[0][1], want_signs)
 
     def test_labels_in_one_cluster_make_the_node_a_leaf(self, grouped_train):
         ds, _ = grouped_train
@@ -199,7 +282,8 @@ class TestNodeInputsAgainstOracles:
         with mock.patch.object(tree, "kmeans_partition", lambda V, K, seed: one):
             table, labels, nodes = grow_nodes(ds, k=3, d_max=2)
         assert len(table) == 1 and table["leaf"][0] == 1 and table["rows"][0] == ds.l
-        assert labels.tolist() == list(range(ds.l)) and nodes[0].child_instances == []
+        assert labels.tolist() == list(range(ds.l)) and len(nodes[0].child_sizes) == 0
+        assert node_problem(nodes[0], build_label_index(ds))[1].shape == (ds.n, ds.l)
 
     def test_seeds_drawn_once_per_split_in_preorder(self, grouped_train):
         """Each split draws its k-means seed as it is numbered, so the n-th
