@@ -16,10 +16,22 @@ eta0=1e-4, eta1=0.25, eta2=0.75, sigma1=0.25, sigma2=0.5, sigma3=4.
 
 All one-vs-rest classifiers of a tree node share the node's rows and differ
 only in their signs, so they are solved together: each classifier is a
-column of one dense weight matrix W, and every Hessian product for all of
-them is one sparse-times-dense product.  Each column keeps its own trust
-radius, stopping test, iteration count and CG state, and leaves the batch
-as soon as it stops.
+column of one dense matrix, and every Hessian product for all of them is
+one product with the node's rows.  Each column keeps its own trust radius,
+stopping test, iteration counts and CG state, and leaves the batch as soon
+as it stops.
+
+One trust-region loop runs in either of two coordinate systems.  In
+feature coordinates a column is w itself, and a Hessian product is two
+sparse products.  TRON starts from w = 0 and every step lies in the span
+of the node's rows, so the same iterates can be carried as w = X^T b, one
+coefficient per instance (Chapelle, Neural Computation 2007); in these
+instance coordinates a Hessian product is one product with the dense n x n
+Gram matrix K = X X^T.  A node is solved in instance coordinates when
+n^2 <= 4 nnz (its bias feature counted): a K product then costs at most
+about twice the two sparse products, vectors shrink from f + 1 entries to
+n, and K takes at most 32 bytes per nonzero.  Nodes with many rows, such
+as the roots, usually stay in feature coordinates.
 """
 
 from __future__ import annotations
@@ -48,19 +60,82 @@ def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
-def _trcg(X, XT, act, C, G, delta, cg_tol):
+def _norm(squares: np.ndarray) -> np.ndarray:
+    # a squared K-norm of a vector near K's null space can round below 0
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
+class _Features:
+    """Feature coordinates: a column is a weight vector itself, and the
+    Hessian product is two sparse products with the node's rows ``X``."""
+
+    def __init__(self, X, C):
+        self.X, self.XT, self.C = X, X.T.tocsr(), C
+        self.dim = X.shape[1]
+
+    dot = staticmethod(_coldot)
+
+    def hess(self, act, D):
+        return 2.0 * D + 2.0 * self.C * (self.XT @ (act * (self.X @ D)))
+
+    def gradient(self, W, cols, Z):
+        return 2.0 * W[:, cols] - 2.0 * self.C * (self.XT @ Z)
+
+    def margins(self, W):
+        return self.X @ W
+
+    def weights(self, W):
+        return W
+
+
+class _Instances:
+    """Instance coordinates: a column stacks n coefficients b, standing for
+    the weights X.T b, over their image K b under the Gram matrix K = X X.T.
+    Sums and scalings keep the two halves consistent, the image half of the
+    weights is the margins, and a dot product of weight vectors is b.(K b'),
+    so a Hessian product costs one dense K product."""
+
+    def __init__(self, X, C):
+        self.XT, self.C, self.n = X.T.tocsr(), C, X.shape[0]
+        self.dim = 2 * self.n
+        self.K = (X @ self.XT).toarray()
+
+    def dot(self, A, B):
+        return _coldot(A[: self.n], B[self.n :])
+
+    def _stack(self, top):
+        out = np.empty((self.dim, top.shape[1]))
+        out[: self.n] = top
+        np.matmul(self.K, top, out=out[self.n :])
+        return out
+
+    def hess(self, act, D):
+        return self._stack(2.0 * D[: self.n] + 2.0 * self.C * (act * D[self.n :]))
+
+    def gradient(self, W, cols, Z):
+        return self._stack(2.0 * W[: self.n, cols] - 2.0 * self.C * Z)
+
+    def margins(self, W):
+        return W[self.n :]
+
+    def weights(self, W):
+        return self.XT @ W[: self.n]
+
+
+def _trcg(space, act, G, delta, cg_tol):
     """CG-Steihaug for every column: approximately minimize each column's
     quadratic model within its trust region.  ``act`` holds each column's
-    active rows as 0/1.  Returns (steps, residuals)."""
+    active rows as 0/1.  Returns (steps, residuals, CG steps per column)."""
     steps = np.zeros_like(G)
     resids = np.empty_like(G)
+    n_cg = np.zeros(G.shape[1], dtype=np.int64)
     live = np.arange(G.shape[1])
     d = -G
     r = -G
     s = np.zeros_like(G)
-    rtr = _coldot(r, r)
+    rtr = space.dot(r, r)
     for _ in range(MAX_CG_ITERS):
-        done = np.sqrt(rtr) <= cg_tol
+        done = _norm(rtr) <= cg_tol
         if done.any():
             steps[:, live[done]] = s[:, done]
             resids[:, live[done]] = r[:, done]
@@ -68,16 +143,17 @@ def _trcg(X, XT, act, C, G, delta, cg_tol):
             live, d, r, s, rtr = live[keep], d[:, keep], r[:, keep], s[:, keep], rtr[keep]
             act, cg_tol, delta = act[:, keep], cg_tol[keep], delta[keep]
         if not len(live):
-            return steps, resids
-        hd = 2.0 * d + 2.0 * C * (XT @ (act * (X @ d)))
-        alpha = rtr / _coldot(d, hd)
+            return steps, resids, n_cg
+        n_cg[live] += 1
+        hd = space.hess(act, d)
+        alpha = rtr / space.dot(d, hd)
         s = s + alpha * d
-        out = np.sqrt(_coldot(s, s)) > delta
+        out = _norm(space.dot(s, s)) > delta
         if out.any():
             # these columns hit the boundary: back off, then step to it
             so, do_, ao = s[:, out], d[:, out], alpha[out]
             so -= ao * do_
-            std, sts, dtd = _coldot(so, do_), _coldot(so, so), _coldot(do_, do_)
+            std, sts, dtd = space.dot(so, do_), space.dot(so, so), space.dot(do_, do_)
             dsq = delta[out] * delta[out]
             rad = np.sqrt(std * std + dtd * (dsq - sts))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -89,42 +165,45 @@ def _trcg(X, XT, act, C, G, delta, cg_tol):
             act, cg_tol, delta = act[:, keep], cg_tol[keep], delta[keep]
             hd, alpha = hd[:, keep], alpha[keep]
             if not len(live):
-                return steps, resids
+                return steps, resids, n_cg
         r = r - alpha * hd
-        rtr_new = _coldot(r, r)
+        rtr_new = space.dot(r, r)
         d = r + (rtr_new / rtr) * d
         rtr = rtr_new
     steps[:, live] = s
     resids[:, live] = r
-    return steps, resids
+    return steps, resids, n_cg
 
 
-def _tron(X, XT, Y, C, eps, max_newton_iters):
-    """Trust-region Newton on every column of the sign matrix ``Y`` at once.
+def _tron(space, Y, eps, max_newton_iters):
+    """Trust-region Newton on every column of the sign matrix ``Y`` at once,
+    in the coordinates of ``space`` (``_Features`` or ``_Instances``).
 
-    ``XT`` is ``X.T`` as CSR.  Each column stops once its gradient norm is
-    at most ``eps`` times its norm at w = 0, at ``max_newton_iters``
-    accepted steps, or when its trust region can no longer improve it.  A
-    column whose objective, gradient norm at w = 0 or reductions are not
-    finite (C so large that they overflow) stops there and counts as not
-    converged.  Returns (W, newton_iters, converged).
+    Each column stops once its gradient norm is at most ``eps`` times its
+    norm at w = 0, at ``max_newton_iters`` accepted steps, or when its trust
+    region can no longer improve it.  A column whose objective, gradient
+    norm at w = 0 or reductions are not finite (C so large that they
+    overflow) stops there and counts as not converged.  Returns (W,
+    newton_iters, converged, cg_iters), W in ``space``'s coordinates.
     """
-    n, dim = X.shape
-    m = Y.shape[1]
-    W_out = np.zeros((dim, m))
+    n, m = Y.shape
+    C = space.C
+    W_out = np.zeros((space.dim, m))
     iters_out = np.zeros(m, dtype=np.int64)
+    cg_out = np.zeros(m, dtype=np.int64)
     conv_out = np.zeros(m, dtype=bool)
 
     cols = np.arange(m)
     Y = np.asarray(Y, dtype=np.float64)
-    W = np.zeros((dim, m))
-    M = np.zeros((n, m))  # margins X @ W of the current iterates
+    W = np.zeros((space.dim, m))
+    M = np.zeros((n, m))  # margins of the current iterates
     F = np.full(m, C * n)  # every row is active at w = 0
-    G = 2.0 * W - 2.0 * C * (XT @ Y)
-    gnorm0 = np.sqrt(_coldot(G, G))
+    G = space.gradient(W, slice(None), Y)
+    gnorm0 = _norm(space.dot(G, G))
     gnorm = gnorm0.copy()
     delta = gnorm0.copy()
     iters = np.zeros(m, dtype=np.int64)
+    cg = np.zeros(m, dtype=np.int64)
     halted = np.zeros(m, dtype=bool)
     broken = ~np.isfinite(F) | ~np.isfinite(gnorm0)
 
@@ -134,26 +213,29 @@ def _tron(X, XT, Y, C, eps, max_newton_iters):
         if done.any():
             W_out[:, cols[done]] = W[:, done]
             iters_out[cols[done]] = iters[done]
+            cg_out[cols[done]] = cg[done]
             conv_out[cols[done]] = conv[done]
             keep = ~done
             cols, Y, W, M, G = cols[keep], Y[:, keep], W[:, keep], M[:, keep], G[:, keep]
             F, gnorm0, gnorm, delta, iters = F[keep], gnorm0[keep], gnorm[keep], delta[keep], iters[keep]
+            cg = cg[keep]
         if not len(cols):
-            return W_out, iters_out, conv_out
+            return W_out, iters_out, conv_out, cg_out
 
         xi = 1.0 - Y * M
         act = (xi > 0).astype(np.float64)
-        S, R = _trcg(X, XT, act, C, G, delta, CG_TOL_FACTOR * gnorm)
-        snorm = np.sqrt(_coldot(S, S))
+        S, R, n_cg = _trcg(space, act, G, delta, CG_TOL_FACTOR * gnorm)
+        cg += n_cg
+        snorm = _norm(space.dot(S, S))
         W_new = W + S
-        M_new = X @ W_new
+        M_new = space.margins(W_new)
         xi_new = 1.0 - Y * M_new
         loss = np.maximum(xi_new, 0.0)
-        F_new = _coldot(W_new, W_new) + C * _coldot(loss, loss)
+        F_new = space.dot(W_new, W_new) + C * _coldot(loss, loss)
         actred = F - F_new
-        gs = _coldot(G, S)
+        gs = space.dot(G, S)
         # R = -G - H S, so this is -(gs + 0.5 S'HS)
-        prered = -0.5 * (gs - _coldot(S, R))
+        prered = -0.5 * (gs - space.dot(S, R))
 
         denom = F_new - F - gs
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -176,8 +258,9 @@ def _tron(X, XT, Y, C, eps, max_newton_iters):
             W[:, acc] = W_new[:, acc]
             M[:, acc] = M_new[:, acc]
             F[acc] = F_new[acc]
-            G[:, acc] = 2.0 * W[:, acc] - 2.0 * C * (XT @ Z)
-            gnorm[acc] = np.sqrt(_coldot(G[:, acc], G[:, acc]))
+            # the space takes W[:, acc] itself, so that copy dies before the product
+            G[:, acc] = space.gradient(W, acc, Z)
+            gnorm[acc] = _norm(space.dot(G[:, acc], G[:, acc]))
             iters[acc] += 1
         halted = (snorm == 0) | (prered <= 0) | (delta <= 1e-300)
         broken = ~np.isfinite(actred) | ~np.isfinite(prered)
@@ -186,14 +269,17 @@ def _tron(X, XT, Y, C, eps, max_newton_iters):
 @dataclass(frozen=True)
 class NodeSolve:
     """A node's classifiers as one float32 CSR row per sign column, plus
-    each column's bias, accepted Newton steps and whether it met the
-    gradient test, and the count of nonzero weights pruned at delta."""
+    each column's bias, accepted Newton steps, CG steps and whether it met
+    the gradient test, the count of nonzero weights pruned at delta, and
+    whether the node was solved in instance coordinates."""
 
     W: sp.csr_matrix
     bias: np.ndarray
     newton_iters: np.ndarray
+    cg_iters: np.ndarray
     converged: np.ndarray
     n_pruned: int
+    in_instances: bool
 
 
 def train_node(
@@ -208,7 +294,8 @@ def train_node(
 
     The solve runs on the node's nonzero feature columns plus a constant
     bias feature, in batches of columns bounded by ``CHUNK_BYTES``, each
-    column stopping at ``MAX_NEWTON_ITERS`` accepted steps.  Row j
+    column stopping at ``MAX_NEWTON_ITERS`` accepted steps, in instance
+    coordinates when n^2 <= 4 nnz (see the module docstring).  Row j
     of the returned ``W`` is column j's feature weights with entries
     |w| <= ``delta`` pruned and values cast to float32; ``bias[j]`` is its
     bias, which is never pruned.
@@ -226,17 +313,22 @@ def train_node(
         raise ValueError("require C > 0, eps > 0, delta >= 0")
     m = Y.shape[1]
     iters = np.zeros(m, dtype=np.int64)
+    cg = np.zeros(m, dtype=np.int64)
     conv = np.ones(m, dtype=bool)
     bias = np.zeros(m, dtype=np.float32)
     Xc, feats = with_bias_feature(X)
     f = len(feats)
-    XT = Xc.T.tocsr()
+    in_instances = n * n <= 4 * Xc.nnz
+    space = (_Instances if in_instances else _Features)(Xc, C)
     per_column = 8 * _ARRAYS_PER_COLUMN * (n + f + 1)
     step = max(1, CHUNK_BYTES // per_column)
     blocks, n_pruned = [], 0
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        W, iters[lo:hi], conv[lo:hi] = _tron(Xc, XT, Y[:, lo:hi], C, eps, MAX_NEWTON_ITERS)
+        # an overflowing C makes values inf or nan; _tron stops those columns
+        with np.errstate(over="ignore", invalid="ignore"):
+            W, iters[lo:hi], conv[lo:hi], cg[lo:hi] = _tron(space, Y[:, lo:hi], eps, MAX_NEWTON_ITERS)
+        W = space.weights(W)
         bias[lo:hi] = W[f]
         Wf = W[:f].T
         P = np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32)
@@ -246,7 +338,7 @@ def train_node(
         blocks.append(sp.csr_matrix((P[r, c], feats[c], indptr), shape=(hi - lo, d)))
         del P, r, c  # freed before the next batch's solve
     W = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
-    return NodeSolve(W, bias, iters, conv, n_pruned)
+    return NodeSolve(W, bias, iters, cg, conv, n_pruned, in_instances)
 
 
 def with_bias_feature(X: sp.csr_matrix):

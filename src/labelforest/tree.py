@@ -138,6 +138,8 @@ class TrainReport:
     n_classifiers: int = 0
     n_zero_positive: int = 0
     n_newton_iters: int = 0
+    n_cg_iters: int = 0
+    n_instance_nodes: int = 0
     n_not_converged: int = 0
     n_weights_kept: int = 0
     n_weights_pruned: int = 0
@@ -213,7 +215,8 @@ def train_node_classifiers(
 
     Positives carried by no instance of the node still get a classifier
     (an all-negative problem); those cases are counted in the report, as
-    are Newton steps, the classifiers stopped by ``solver.MAX_NEWTON_ITERS``
+    are Newton and CG steps, the nodes solved in instance coordinates,
+    the classifiers stopped by ``solver.MAX_NEWTON_ITERS``
     before meeting the gradient test, and the weights kept and pruned.
     """
     insts, signs = node_problem(node, idx)
@@ -223,6 +226,8 @@ def train_node_classifiers(
     report.n_weights_kept += sol.W.nnz
     report.n_weights_pruned += sol.n_pruned
     report.n_newton_iters += int(sol.newton_iters.sum())
+    report.n_cg_iters += int(sol.cg_iters.sum())
+    report.n_instance_nodes += sol.in_instances
     capped = ~sol.converged & (sol.newton_iters >= solver.MAX_NEWTON_ITERS)
     report.n_not_converged += int(np.count_nonzero(capped))
     return sol

@@ -22,7 +22,7 @@ from conftest import grouped_dataset
 from fuzz import apply_edit, byte_edits, prediction_edits
 from helpers import children, dataset_to_text, node_weights, row, tree_file_sections
 from metrics_oracle import evaluate_oracle
-from labelforest import cli, solver
+from labelforest import cli, solver, tree
 from labelforest.cli import main
 from labelforest.data import normalize_instances, parse_dataset
 from labelforest.metrics import evaluate, fit_propensities
@@ -136,6 +136,25 @@ class TestPipeline:
         ens = load_model(tmp_path / "m")
         kept = ens.trees[0].W.nnz
         assert m and int(m.group(1)) == kept > 0 and int(m.group(2)) > 0
+
+    def test_summary_reports_cg_steps_and_instance_nodes(self, paths, tmp_path, caplog,
+                                                         monkeypatch):
+        caplog.set_level(logging.INFO, logger="labelforest")
+        solves = []
+
+        def spy(X, Y, **kwargs):
+            solves.append(train_node(X, Y, **kwargs))
+            return solves[-1]
+
+        train_node = tree.train_node
+        monkeypatch.setattr(tree, "train_node", spy)
+        assert main(["train", "--data", paths["train"], "--model", str(tmp_path / "m"),
+                     "--branch", "2", "--max-depth", "6", "--trees", "1"]) == 0
+        summary = [r.getMessage() for r in caplog.records if "classifiers (" in r.getMessage()]
+        m = re.search(r"(\d+) CG steps, (\d+) nodes solved in instance coordinates",
+                      summary[0])
+        assert m and int(m.group(1)) == sum(int(s.cg_iters.sum()) for s in solves) > 0
+        assert int(m.group(2)) == sum(s.in_instances for s in solves) > 0
 
 
 class TestBeamFlag:
@@ -673,9 +692,9 @@ class TestPinnedBytes:
         monkeypatch.setattr(solver, "CHUNK_BYTES", 1 << 14)
         batches = []
 
-        def spy(X, XT, Y, *args):
+        def spy(space, Y, *args):
             batches.append(Y.shape[1])
-            return tron(X, XT, Y, *args)
+            return tron(space, Y, *args)
 
         tron = solver._tron
         monkeypatch.setattr(solver, "_tron", spy)

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforest import solver, tree
+from labelforest.data import Dataset
 from labelforest.predict import predict_batch
-from labelforest.solver import NodeSolve, _tron, _trcg, train_node, with_bias_feature
+from labelforest.solver import (
+    NodeSolve,
+    _Features,
+    _Instances,
+    _tron,
+    _trcg,
+    train_node,
+    with_bias_feature,
+)
 from labelforest.tree import TrainConfig, TrainReport, train_ensemble
 
 from conftest import grouped_dataset
@@ -37,6 +47,14 @@ from tron_oracle import (
 # agree to rounding, which CG amplifies on ill-conditioned problems; the
 # seeded problems below are conditioned so that 1e-7 is far from binding.
 ORACLE_RTOL = 1e-7
+
+
+# Float32 classifiers from instance against feature coordinates (and the
+# scalar oracle), relative to the reference's weight norm with its bias.
+# Both take the same iterates, but K-images and the dot products through
+# them round differently: over 1,500 seeded nodes the float64 weights
+# parted by at most 1.6e-15 relative, and no float32 weight differed.
+INSTANCE_RTOL = 1e-6
 
 
 def csr(rows):
@@ -70,7 +88,7 @@ def relative_error(got, want):
 
 
 def tron(X, Y, C, eps, max_newton_iters=100):
-    return _tron(X, X.T.tocsr(), Y, C, eps, max_newton_iters)
+    return _tron(_Features(X, C), Y, eps, max_newton_iters)[:3]
 
 
 def weights_of(sol):
@@ -164,6 +182,15 @@ class TestSolverBehavior:
         # the objective or its reductions overflow; every column must stop
         X, Y = random_node(np.random.default_rng(13), 6, 3, m=3, density=0.5)
         sol = train_node(X, Y, C=c)
+        assert sol.in_instances
+        assert not sol.converged.any()
+        assert np.all(np.isfinite(sol.W.data)) and np.all(np.isfinite(sol.bias))
+
+    @pytest.mark.parametrize("c", [1e140, 1e308])
+    def test_overflowing_c_stops_unconverged_in_feature_coordinates(self, c):
+        X, Y = random_node(np.random.default_rng(13), 6, 3, m=3, density=0.5)
+        with in_feature_coordinates():
+            sol = train_node(X, Y, C=c)
         assert not sol.converged.any()
         assert np.all(np.isfinite(sol.W.data)) and np.all(np.isfinite(sol.bias))
 
@@ -221,7 +248,7 @@ class TestBatchedAgainstOracle:
         # radii far inside and far outside each column's Newton step
         delta = gnorm * np.array([1e-3, 1e3, 1e-2, 1e3, 1e-4])
         act = np.ones_like(Yf)
-        S, R = _trcg(X, XT, act, 1.0, G, delta, 0.1 * gnorm)
+        S, R, _ = _trcg(_Features(X, 1.0), act, G, delta, 0.1 * gnorm)
         for j in range(Y.shape[1]):
 
             def hess_vec(v):
@@ -331,20 +358,190 @@ class TestBatchedAgainstOracle:
                                                solver.MAX_NEWTON_ITERS)
             iters = np.array([i.n_newton_iters for i in infos], dtype=np.int64)
             oracle_iters.append(iters)
+            cg = np.array([i.n_cg_iters for i in infos], dtype=np.int64)
+            oracle_cg.append(cg)
             conv = np.array([i.converged for i in infos])
             pruned.append(sum(i.n_pruned for i in infos))
-            return NodeSolve(*weights_block(weights, X.shape[1]), iters, conv, pruned[-1])
+            return NodeSolve(*weights_block(weights, X.shape[1]), iters, cg, conv, pruned[-1],
+                             False)
 
-        pruned = []
+        pruned, oracle_cg = [], []
         monkeypatch.setattr(tree, "train_node", oracle_node)
         ref_report = TrainReport()
         ref = train_ensemble(train, config, ref_report)
         assert report.n_newton_iters == int(np.concatenate(oracle_iters).sum())
+        assert report.n_cg_iters == int(np.concatenate(oracle_cg).sum()) > 0
         assert report.n_weights_pruned == ref_report.n_weights_pruned == sum(pruned) > 0
         assert report.n_weights_kept == ref_report.n_weights_kept > 0
         for a, b in zip(predict_batch(ens, test, k=5), predict_batch(ref, test, k=5)):
             assert a.labels.tolist() == b.labels.tolist()
             np.testing.assert_allclose(a.scores, b.scores, rtol=1e-5)
+
+
+def in_feature_coordinates():
+    """Solve every node in feature coordinates, whatever the rule picks."""
+    return mock.patch.object(solver, "_Instances", solver._Features)
+
+
+def weight_vector(w):
+    return np.append(w.w.to_dense(), w.bias)
+
+
+def assert_instance_path_matches(X, Y, C=1.0, eps=1e-6):
+    """``train_node`` takes instance coordinates on ``X`` and matches the
+    feature-coordinate path and the scalar oracle step for step."""
+    got = train_node(X, Y, C=C, eps=eps)
+    assert got.in_instances
+    with in_feature_coordinates():
+        feat = train_node(X, Y, C=C, eps=eps)
+    oracle, infos = oracle_train_node(with_bias_column(X), Y, C=C, eps=eps)
+    for sol in (got, feat):
+        assert sol.newton_iters.tolist() == [i.n_newton_iters for i in infos]
+        assert sol.cg_iters.tolist() == [i.n_cg_iters for i in infos]
+        assert sol.converged.tolist() == [i.converged for i in infos]
+    # (the count of pruned weights may differ: a weight that is exactly 0
+    # on one path can be a rounding-level nonzero on the other)
+    for a, b, c in zip(weights_of(got), weights_of(feat), oracle, strict=True):
+        assert a.w.indices.tolist() == b.w.indices.tolist() == c.w.indices.tolist()
+        assert relative_error(weight_vector(a), weight_vector(b)) <= INSTANCE_RTOL
+        assert relative_error(weight_vector(a), weight_vector(c)) <= INSTANCE_RTOL
+    return got
+
+
+class TestInstanceCoordinates:
+    """Nodes with n^2 <= 4 nnz are solved on one coefficient per instance;
+    the trust-region iterates are the feature path's, so every count and
+    the pruned support agree with it and with the scalar oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        extra=st.integers(0, 40),
+        m=st.integers(2, 6),
+        eps=st.sampled_from([0.1, 1e-6]),
+    )
+    def test_matches_features_and_oracle(self, seed, n, extra, m, eps):
+        rng = np.random.default_rng(seed)
+        X, Y = random_node(rng, n, 4 * n + extra, m, density=0.3)
+        if X.shape[0] ** 2 > 4 * (X.nnz + n):
+            return  # too few nonzeros drawn for the rule to pick instances
+        assert_instance_path_matches(X, Y, eps=eps)
+
+    def test_ill_conditioned_columns_meet_gradient_test(self):
+        # at C = 100 rounding differences grow through CG, so columns may
+        # end elsewhere than the feature path; each must pass its own test
+        rng = np.random.default_rng(14)
+        eps = 1e-4
+        for _ in range(5):
+            X, Y = random_node(rng, 10, 60, m=6, density=0.3)
+            Xc, _ = with_bias_feature(X)
+            space = _Instances(Xc, 100.0)
+            B, iters, conv, cg = _tron(space, Y, eps, 100)
+            W = space.weights(B)
+            assert (cg >= iters).all()
+            for j in range(6):
+                p = BinaryProblem(Xc, Y[:, j], 100.0)
+                g0 = np.linalg.norm(gradient(p, np.zeros(Xc.shape[1])))
+                g = np.linalg.norm(gradient(p, W[:, j]))
+                # the gradient norm is measured through K, so allow rounding
+                if conv[j]:
+                    assert g <= eps * g0 * (1 + 1e-6)
+                else:
+                    assert iters[j] == 100 and g > eps * g0 * (1 - 1e-6)
+                assert objective(p, W[:, j]) < objective(p, np.zeros(Xc.shape[1]))
+
+    def test_empty_node(self):
+        sol = train_node(sp.csr_matrix((0, 4)), np.empty((0, 3), dtype=np.int8))
+        assert sol.in_instances and sol.converged.all()
+        assert sol.W.shape == (3, 4) and sol.W.nnz == 0 and not sol.bias.any()
+        assert not sol.newton_iters.any() and not sol.cg_iters.any()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_row(self, sign):
+        X, t = one_point_node([1.0, 0.5, 0.0, 0.25])
+        sol = assert_instance_path_matches(X, np.array([[sign]]))
+        out = weights_of(sol)[0]
+        np.testing.assert_allclose(out.w.values, sign * t * np.array([1.0, 0.5, 0.25]), rtol=1e-6)
+        assert out.bias == pytest.approx(sign * t, rel=1e-6)
+
+    def test_duplicate_rows(self):
+        # K is singular: repeated rows, with equal and with opposite signs
+        rng = np.random.default_rng(15)
+        X, Y = random_node(rng, 8, 40, m=5, density=0.3)
+        X = sp.csr_matrix(X[[0, 1, 2, 0, 3, 1, 4, 5, 6, 7, 0, 2]])
+        Y = np.where(rng.random((12, 5)) < 0.4, 1, -1).astype(np.int8)
+        Y[3, :] = -Y[0, :]
+        assert np.linalg.matrix_rank(with_bias_feature(X)[0].toarray()) < 12
+        assert_instance_path_matches(X, Y)
+
+    def test_featureless_rows(self):
+        rng = np.random.default_rng(16)
+        X, Y = random_node(rng, 9, 45, m=4, density=0.3)
+        X = X.tolil()
+        for i in (0, 4, 5, 8):
+            X.rows[i], X.data[i] = [], []
+        assert_instance_path_matches(X.tocsr(), Y)
+        # no features at all: every classifier is a bias alone
+        sol = assert_instance_path_matches(sp.csr_matrix((3, 5)), Y[:3])
+        assert sol.W.nnz == 0
+
+    def test_all_negative_columns(self):
+        rng = np.random.default_rng(17)
+        X, Y = random_node(rng, 10, 50, m=4, density=0.3)
+        Y[:, :3] = -1
+        sol = assert_instance_path_matches(X, Y)
+        assert sol.converged.all()
+
+    def test_several_column_batches(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        X, Y = random_node(rng, 10, 50, m=7, density=0.3)
+        whole = assert_instance_path_matches(X, Y)
+        # room for two columns per batch: four batches, the last of one
+        per_column = 8 * solver._ARRAYS_PER_COLUMN * (10 + len(np.unique(X.indices)) + 1)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 2 * per_column)
+        spy = mock.Mock(wraps=_tron)
+        monkeypatch.setattr(solver, "_tron", spy)
+        chunked = assert_instance_path_matches(X, Y)
+        assert [c.args[1].shape[1] for c in spy.call_args_list[:4]] == [2, 2, 2, 1]
+        assert isinstance(spy.call_args_list[0].args[0], _Instances)
+        assert chunked.newton_iters.tolist() == whole.newton_iters.tolist()
+        assert chunked.cg_iters.tolist() == whole.cg_iters.tolist()
+
+    def test_rule_reads_the_node_counts(self, monkeypatch):
+        spy = mock.Mock(wraps=_tron)
+        monkeypatch.setattr(solver, "_tron", spy)
+        rng = np.random.default_rng(19)
+        # a root-shaped node: n^2 = 16e6 against 4 nnz = 1.8e6
+        X = sp.random(4000, 5000, density=110 / 5000, random_state=rng, format="csr")
+        Y = np.where(rng.random((4000, 1)) < 0.1, 1, -1).astype(np.int8)
+        assert not train_node(X, Y).in_instances
+        # a leaf-shaped node: n^2 = 900 against 4 nnz = 13,320
+        X = sp.random(30, 2000, density=110 / 2000, random_state=rng, format="csr")
+        assert train_node(X, Y[:30]).in_instances
+        assert [type(c.args[0]) for c in spy.call_args_list] == [_Features, _Instances]
+
+    def test_ensemble_takes_the_feature_paths_steps(self):
+        ds, _ = grouped_dataset(33, n=300, groups=6, labels_per_group=5)
+        # about 20 more features per row, so that nodes below the root
+        # fall under the rule and the root does not
+        rng = np.random.default_rng(34)
+        noise = sp.random(ds.n, 200, density=0.1, random_state=rng, format="csr", dtype=np.float32)
+        X = sp.hstack([ds.X, noise], format="csr")
+        X.sort_indices()
+        train = Dataset(X, ds.Y)
+        config = TrainConfig(n_trees=2, k=3, d_max=2, base_seed=6)
+        report, feat_report = TrainReport(), TrainReport()
+        ens = train_ensemble(train, config, report)
+        with in_feature_coordinates():
+            feat = train_ensemble(train, config, feat_report)
+        assert 0 < report.n_instance_nodes < report.n_nodes
+        assert report.n_newton_iters == feat_report.n_newton_iters
+        assert report.n_cg_iters == feat_report.n_cg_iters > report.n_newton_iters
+        assert report.n_weights_kept == feat_report.n_weights_kept
+        for a, b in zip(ens.trees, feat.trees, strict=True):
+            assert same_csr_bits(a.W, b.W)
+            np.testing.assert_allclose(a.bias, b.bias, rtol=1e-6, atol=1e-12)
 
 
 class TestGradient:
@@ -521,3 +718,28 @@ def test_peak_memory_bounded():
         tracemalloc.stop()
     assert sol.W.nnz and sol.n_pruned
     assert peak <= 14.70e6
+
+
+def test_instance_coordinates_peak_memory_bounded():
+    """The largest node the bench's eurlex trees solve in instance
+    coordinates: 379 unit rows of about 100 nonzeros over 5,000 features,
+    and 30 columns in three batches."""
+    # traced peaks of this run: 3.92 MB, of which the 379 x 379 Gram
+    # matrix is 1.15 MB; 5.90 MB when the node is solved in feature
+    # coordinates
+    rng = np.random.default_rng(1)
+    X = sp.random(379, 5000, density=99 / 5000, random_state=rng, format="csr")
+    X.data = rng.random(X.nnz) + 0.1
+    X = sp.csr_matrix(sp.diags(1 / np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())) @ X)
+    S = X @ rng.normal(size=(5000, 30))
+    Y = np.where(S > np.quantile(S, 0.9, axis=0), 1, -1).astype(np.int8)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sol = train_node(X, Y, C=1.0, eps=0.1, delta=0.001)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sol.in_instances and sol.W.nnz and sol.n_pruned
+    assert peak <= 4.00e6

@@ -261,7 +261,8 @@ class TestNodeInputsAgainstOracles:
             seen.append((X.shape[0], signs))
             m = signs.shape[1]
             return solver.NodeSolve(sp.csr_matrix((m, 1), dtype=np.float32), np.zeros(m),
-                                    np.zeros(m, dtype=np.int64), np.ones(m, dtype=bool), 0)
+                                    np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64),
+                                    np.ones(m, dtype=bool), 0, False)
 
         for node, old in zip(nodes, carried, strict=True):
             insts, signs = node_problem(node, idx)

@@ -3,10 +3,11 @@
 
 ``solve_dense`` is scalar trust-region Newton, one classifier at a time and
 one CG vector at a time: the solver the batched one replaced; tests hold
-every batched column to it.  ``train_binary`` is the batched solver's
-``_tron`` called on one sign column; its ``SolveInfo`` trace is the
-objective of the iterate after each accepted step, from w = 0, taken by
-solving again with the step cap set to that step.
+every batched column to it, and counts its Hessian products as CG steps.
+``train_binary`` is the batched solver's ``_tron`` called on one sign
+column in feature coordinates; its ``SolveInfo`` trace is the objective of
+the iterate after each accepted step, from w = 0, taken by solving again
+with the step cap set to that step.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from labelforest.solver import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    _Features,
     _tron,
 )
 
@@ -88,13 +90,13 @@ def train_binary(
     so the returned weights carry bias 0."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    XT = p.X.T.tocsr()
-    W, iters, conv = _tron(p.X, XT, p.signs[:, None], p.C, eps, max_newton_iters)
+    space = _Features(p.X, p.C)
+    W, iters, conv, _ = _tron(space, p.signs[:, None], eps, max_newton_iters)
     if info is not None:
         info.n_newton_iters = int(iters[0])
         info.converged = bool(conv[0])
         info.objective_trace.extend(
-            objective(p, _tron(p.X, XT, p.signs[:, None], p.C, eps, t)[0][:, 0])
+            objective(p, _tron(space, p.signs[:, None], eps, t)[0][:, 0])
             for t in range(info.n_newton_iters + 1)
         )
     w = W[:, 0]
@@ -117,6 +119,7 @@ def prune_threshold(a: SparseVec, delta: float) -> SparseVec:
 @dataclass
 class OracleInfo:
     n_newton_iters: int = 0
+    n_cg_iters: int = 0  # Hessian products, one per CG step
     converged: bool = False
     boundary_steps: int = 0  # CG solves that stopped on the trust region
     n_pruned: int = 0  # nonzero feature weights at or below delta
@@ -176,6 +179,8 @@ def solve_dense(p: BinaryProblem, eps=0.1, max_newton_iters=100, info=None) -> n
         X_act = X if len(act) == X.shape[0] else X[act]
 
         def hess_vec(v, X_act=X_act, C=C):
+            if info is not None:
+                info.n_cg_iters += 1
             return 2.0 * v + 2.0 * C * (X_act.T @ (X_act @ v))
 
         step, resid, hit = trcg(delta, g, hess_vec, CG_TOL_FACTOR * gnorm)
