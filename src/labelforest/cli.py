@@ -9,11 +9,12 @@ import argparse
 import logging
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .data import DataFormatError, Dataset, label_frequency_histogram, parse_dataset
-from .metrics import PropensityModel, evaluate, fit_propensities
+from .metrics import DEFAULT_A, DEFAULT_B, PropensityModel, evaluate, fit_propensities
 from .predict import predict_batch, read_predictions, write_predictions
 from .representations import ReprSpace
 from .tree import (
@@ -73,24 +74,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a tree ensemble")
     p.add_argument("--data", required=True, help="training data file")
     p.add_argument("--model", required=True, help="model directory to write")
-    p.add_argument("--trees", type=_positive_int, default=3)
-    p.add_argument("--branch", type=int, default=100, help="k-means branching factor")
-    p.add_argument(
-        "--max-depth",
-        type=int,
-        default=None,
-        help="maximum internal depth (default: 1 when L <= 40000, else 2)",
-    )
-    p.add_argument(
-        "--repr",
-        choices=[s.value for s in ReprSpace],
-        default="input",
-        help="label representation space",
-    )
-    p.add_argument("--c", type=float, default=1.0, help="misclassification weight")
-    p.add_argument("--eps", type=float, default=0.1, help="solver gradient tolerance")
-    p.add_argument("--delta", type=float, default=0.01, help="weight pruning threshold")
-    p.add_argument("--seed", type=int, default=42, help="base RNG seed")
+    # each flag fills its TrainConfig field, defaulting to it (set first: --max-depth keeps None)
+    p.set_defaults(**asdict(TrainConfig()))
+    p.add_argument("--trees", dest="n_trees", metavar="TREES", type=_positive_int)
+    p.add_argument("--branch", dest="k", metavar="BRANCH", type=int,
+                   help="k-means branching factor")
+    p.add_argument("--max-depth", dest="d_max", metavar="MAX_DEPTH", type=int, default=None,
+                   help="maximum internal depth (default: 1 when L <= 40000, else 2)")
+    p.add_argument("--repr", dest="repr_space", choices=[s.value for s in ReprSpace],
+                   help="label representation space")
+    p.add_argument("--c", type=float, help="misclassification weight")
+    p.add_argument("--eps", type=float, help="solver gradient tolerance")
+    p.add_argument("--delta", type=float, help="weight pruning threshold")
+    p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help="base RNG seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score a test file")
@@ -116,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the ground-truth file)",
     )
     p.add_argument("--k", type=_k_list, default=(1, 3, 5))
-    p.add_argument("--a", type=float, default=None, help="propensity parameter A (default 0.55)")
-    p.add_argument("--b", type=float, default=None, help="propensity parameter B (default 1.5)")
+    p.add_argument("--a", type=float, help=f"propensity parameter A (default {DEFAULT_A})")
+    p.add_argument("--b", type=float, help=f"propensity parameter B (default {DEFAULT_B})")
     p.add_argument(
         "--uniform-propensity",
         action="store_true",
@@ -148,20 +144,10 @@ def _load_dataset(path) -> Dataset:
 def cmd_train(args) -> int:
     t_start = time.perf_counter()
     ds = _load_dataset(args.data)
-    d_max = args.max_depth
-    if d_max is None:
-        d_max = 1 if ds.l <= AUTO_DEPTH_CUTOFF else 2
+    if args.d_max is None:
+        args.d_max = 1 if ds.l <= AUTO_DEPTH_CUTOFF else 2
     try:
-        config = TrainConfig(
-            n_trees=args.trees,
-            k=args.branch,
-            d_max=d_max,
-            repr_space=ReprSpace(args.repr),
-            c=args.c,
-            eps=args.eps,
-            delta=args.delta,
-            base_seed=args.seed,
-        )
+        config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -231,7 +217,7 @@ def cmd_eval(args) -> int:
                     f"propensity source has L={src.l}, ground truth has L={ds.l}"
                 )
         freqs = np.bincount(src.Y.indices, minlength=src.l)
-        a, b = (0.55 if args.a is None else args.a), (1.5 if args.b is None else args.b)
+        a, b = (DEFAULT_A if args.a is None else args.a), (DEFAULT_B if args.b is None else args.b)
         try:
             prop = fit_propensities(freqs, src.n, a, b)
         except ValueError as e:
@@ -287,16 +273,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    try:
-        return args.func(args)
-    except UsageError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
     except (DataFormatError, ModelFormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

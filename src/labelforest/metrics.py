@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_A, DEFAULT_B = 0.55, 1.5  # the propensity model's A and B unless given
+
 
 @dataclass(frozen=True)
 class PropensityModel:
@@ -41,7 +43,7 @@ class PropensityModel:
         return cls(0.0, 0.0, 0, np.ones(n_labels))
 
 
-def fit_propensities(freqs, n: int, a: float = 0.55, b: float = 1.5) -> PropensityModel:
+def fit_propensities(freqs, n: int, a: float = DEFAULT_A, b: float = DEFAULT_B) -> PropensityModel:
     """Per-label inverse-frequency propensities from the label frequencies
     ``freqs`` over ``n`` training instances."""
     # a bad a or b gives nan or 0 here, which PropensityModel rejects

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +39,16 @@ class ModelFormatError(ValueError):
     """Raised when a model directory or tree file cannot be decoded."""
 
 
+def _as_int(value) -> int:
+    if not isinstance(value, (str, int, np.integer)) and not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """A training run's settings, the source of ``train``'s flags and meta files."""
+
     n_trees: int = 3
     k: int = 100
     d_max: int = 1
@@ -51,6 +59,10 @@ class TrainConfig:
     base_seed: int = 42
 
     def __post_init__(self):
+        # plain values by annotation (a string here), from numpy scalars or text too
+        read = {"int": _as_int, "float": float, "ReprSpace": ReprSpace}
+        for f in fields(self):
+            object.__setattr__(self, f.name, read[f.type](getattr(self, f.name)))
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.k < 2:
@@ -267,15 +279,17 @@ def train_ensemble(
     return Ensemble(trees, config, ds.d, ds.l)
 
 
-# A model's meta file holds one ``key=value`` line per key, in this order.
-META_KEYS = "version T K d_max repr_space D L C eps delta base_seed".split()
+# A model's meta file holds a ``key=value`` line per key, in this order: the format's
+# own keys (None) and each setting's, named by its field (a space by its value).
+META_KEYS = {"version": None, "T": "n_trees", "K": "k", "d_max": "d_max",
+             "repr_space": "repr_space", "D": None, "L": None, "C": "c", "eps": "eps",
+             "delta": "delta", "base_seed": "base_seed"}
 
 
 def _meta_lines(ens: Ensemble) -> str:
-    c = ens.config
-    values = (FORMAT_VERSION, c.n_trees, c.k, c.d_max, c.repr_space.value, ens.d, ens.l,
-              repr(c.c), repr(c.eps), repr(c.delta), c.base_seed)
-    return "".join(f"{k}={v}\n" for k, v in zip(META_KEYS, values))
+    values = {"version": FORMAT_VERSION, "D": ens.d, "L": ens.l}
+    values.update((key, getattr(ens.config, f)) for key, f in META_KEYS.items() if f)
+    return "".join(f"{k}={getattr(values[k], 'value', values[k])}\n" for k in META_KEYS)
 
 
 def save_model(ens: Ensemble, model_dir) -> None:
@@ -404,17 +418,7 @@ def load_model(model_dir) -> Ensemble:
         unknown = sorted(set(meta) - set(META_KEYS))
         if unknown:
             raise ModelFormatError(f"bad meta file: unknown keys {unknown}")
-        n_trees = int(meta["T"])
-        config = TrainConfig(
-            n_trees=n_trees,
-            k=int(meta["K"]),
-            d_max=int(meta["d_max"]),
-            repr_space=ReprSpace(meta["repr_space"]),
-            c=float(meta["C"]),
-            eps=float(meta["eps"]),
-            delta=float(meta["delta"]),
-            base_seed=int(meta["base_seed"]),
-        )
+        config = TrainConfig(**{f: meta[key] for key, f in META_KEYS.items() if f})
         d, l = int(meta["D"]), int(meta["L"])
         if not (0 <= d <= 2**32 and 0 < l <= 2**32):
             raise ModelFormatError(f"bad meta file: D={d} or L={l} out of range")
@@ -424,13 +428,13 @@ def load_model(model_dir) -> Ensemble:
         raise ModelFormatError(f"bad meta file: {e}") from e
 
     trees = []
-    for t in range(n_trees):
+    for t in range(config.n_trees):
         path = os.path.join(model_dir, f"tree_{t}.bin")
         try:
             with open(path, "rb") as f:
                 buf = f.read()
         except FileNotFoundError as e:
-            raise ModelFormatError(f"{path}: missing, but meta has T={n_trees}") from e
+            raise ModelFormatError(f"{path}: missing, but meta has T={config.n_trees}") from e
         try:
             trees.append(_parse_tree(buf, d, l, config.d_max))
         except ModelFormatError as e:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,14 @@ from labelforest.predict import (
     read_predictions,
     write_predictions,
 )
-from labelforest.tree import FORMAT_VERSION, NODE, ModelFormatError, load_model, save_model
+from labelforest.tree import (
+    FORMAT_VERSION,
+    NODE,
+    ModelFormatError,
+    TrainConfig,
+    load_model,
+    save_model,
+)
 
 
 def parse_table(text: str) -> dict[str, list[float]]:
@@ -109,6 +117,26 @@ class TestPipeline:
                      "--trees", "1", "--branch", "8", "--eps", "0.5"]) == 0
         assert "eps=0.5\n" in (model / "meta").read_text()
         assert load_model(model).config.eps == 0.5
+
+    def test_every_setting_reaches_the_model(self, paths, tmp_path):
+        """A flag for each setting, each off its default, comes back from the
+        saved model's meta file."""
+        want = TrainConfig(n_trees=2, k=4, d_max=2, repr_space="joint", c=2.5, eps=0.05,
+                           delta=0.02, base_seed=7)
+        for field in fields(TrainConfig):
+            assert getattr(want, field.name) != getattr(TrainConfig(), field.name)
+        model = tmp_path / "m"
+        assert main(["train", "--data", paths["train"], "--model", str(model),
+                     "--trees", "2", "--branch", "4", "--max-depth", "2", "--repr", "joint",
+                     "--c", "2.5", "--eps", "0.05", "--delta", "0.02", "--seed", "7"]) == 0
+        assert load_model(model).config == want
+
+    def test_bare_train_parses_into_the_config_defaults(self):
+        """``--max-depth`` aside, whose default waits for L."""
+        args = cli.build_parser().parse_args(["train", "--data", "d", "--model", "m"])
+        assert args.d_max is None
+        got = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name != "d_max"}
+        assert got == {k: v for k, v in asdict(TrainConfig()).items() if k != "d_max"}
 
     def test_deterministic_given_seed(self, paths, trained):
         other = str(paths["root"] / "model2")

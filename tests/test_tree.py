@@ -3,6 +3,7 @@ import os
 import shutil
 import struct
 import tempfile
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from labelforest import solver, tree
 from labelforest.clustering import Partition
 from labelforest.data import Dataset, build_label_index, normalize_instances, parse_dataset
 from labelforest.predict import predict_batch, prepare_features
-from labelforest.representations import build_repr
+from labelforest.representations import ReprSpace, build_repr
 from labelforest.tree import (
     FORMAT_VERSION,
     META_KEYS,
@@ -399,6 +400,41 @@ class TestEnsemble:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_solver_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("space", list(ReprSpace))
+    def test_space_by_name_trains_and_saves_that_space(self, grouped_train, tmp_path, space):
+        """A space's name is stored as the space: the model, meta file included,
+        is byte-identical to one trained from the ``ReprSpace`` member."""
+        ds, _ = grouped_train
+        assert TrainConfig(repr_space=space.value).repr_space is space
+        for name, value in (("by_name", space.value), ("by_member", space)):
+            save_model(train_small(ds, n_trees=2, repr_space=value), tmp_path / name)
+        for name in ("meta", "tree_0.bin", "tree_1.bin"):
+            assert (tmp_path / "by_name" / name).read_bytes() == \
+                (tmp_path / "by_member" / name).read_bytes()
+
+    def test_unknown_space_name_rejected(self):
+        with pytest.raises(ValueError, match="not a valid ReprSpace"):
+            TrainConfig(repr_space="inputs")
+
+    def test_numpy_scalar_settings_survive_save_and_load(self, grouped_train, tmp_path):
+        ds, _ = grouped_train
+        config = TrainConfig(n_trees=np.int64(2), k=np.int32(3), d_max=np.float64(2.0),
+                             c=np.logspace(0, 1, 2)[0], eps=np.float32(0.25),
+                             delta=np.float64(0.02), base_seed=np.uint8(5))
+        for field in fields(TrainConfig):
+            assert type(getattr(config, field.name)) in (int, float, ReprSpace), field.name
+        save_model(train_ensemble(ds, config), tmp_path / "m")
+        assert "C=1.0\n" in (tmp_path / "m" / "meta").read_text()
+        assert load_model(tmp_path / "m").config == config == TrainConfig(
+            n_trees=2, k=3, d_max=2, c=1.0, eps=0.25, delta=0.02, base_seed=5)
+
+    @pytest.mark.parametrize("field", ["n_trees", "k", "d_max", "base_seed"])
+    @pytest.mark.parametrize("value", [3.5, np.float64(3.5), np.inf, np.nan],
+                             ids=["3.5", "np 3.5", "inf", "nan"])
+    def test_non_integral_int_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match="not an integer"):
             TrainConfig(**{field: value})
 
     def test_zero_label_dataset_rejected(self):
