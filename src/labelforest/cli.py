@@ -160,12 +160,14 @@ def cmd_train(args) -> int:
         "trained %d trees: %d nodes, %d leaves, %d classifiers "
         "(%d with no positives), %d Newton steps, "
         "%d classifiers stopped at the Newton cap, %d weights kept, %d pruned; "
-        "%d CG steps, %d nodes solved in instance coordinates",
+        "%d CG steps, %d nodes solved in instance coordinates; "
+        "%d k-means splits in %d Lloyd rounds",
         len(ens.trees), report.n_nodes, report.n_leaves,
         report.n_classifiers, report.n_zero_positive,
         report.n_newton_iters, report.n_not_converged,
         report.n_weights_kept, report.n_weights_pruned,
         report.n_cg_iters, report.n_instance_nodes,
+        report.n_splits, report.n_lloyd_rounds,
     )
     log.info(
         "timings: grow %.2fs, solve %.2fs, save %.2fs, total %.2fs",

@@ -8,6 +8,12 @@ K centers survive every update.  Each round reads the assignments, the
 objective and the worst-fit members from one score array, ``V @ centers.T``;
 an update rescores in place only the clusters that gained or lost a member
 and the dead ones, as the others' centers come out bit for bit the same.
+
+The label vectors come as the two CSR factors of V = B·F that
+``representations`` builds, and V itself is never formed: the scores are
+B·(F·centersᵀ), the cluster sums (indᵀ·B)·F for the 0/1 cluster indicator
+ind, and a center drawn from the rows is (B[rows]·F).  A plain matrix V is
+the pair (V, identity), and its products skip the identity.
 """
 
 from __future__ import annotations
@@ -45,39 +51,60 @@ def _normalize_rows_dense(m: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _update(V: sp.csr_matrix, assignments: np.ndarray, K: int, scores=None, stale=None):
+def _factors(V):
+    """``(B, F)`` with V = B·F: the pair itself, or a plain matrix V in
+    float64 and the identity F, written None."""
+    return V if isinstance(V, tuple) else (V.astype(np.float64, copy=False), None)
+
+
+def _scores(B, F, centers: np.ndarray) -> np.ndarray:
+    """``V @ centers.T`` as ``B @ (F @ centers.T)``."""
+    return B @ (centers.T if F is None else F @ centers.T)
+
+
+def _rows(B, F, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of V, dense."""
+    R = B[rows]
+    return (R if F is None else R @ F).toarray()
+
+
+def _update(V, assignments: np.ndarray, K: int, scores=None, stale=None):
     """Normalized per-cluster means, empty clusters reseeded (see module
     doc).  Returns ``(centers, V @ centers.T)``: a fresh product, or the
     last round's ``scores`` with only the columns of the ``stale`` (bool
     mask over K) and dead clusters recomputed."""
-    n = V.shape[0]
+    B, F = _factors(V)
+    n = B.shape[0]
     ind = sp.csr_matrix((np.ones(n), assignments, np.arange(n + 1)), shape=(n, K))
-    # V.T @ ind reads V's own arrays (ind.T @ V would convert V to CSC), and
-    # the F-ordered centers keep each row norm a sequential sum, not pairwise
-    centers = (V.T @ ind).tocsr().toarray().T
+    # the sums (ind.T @ B) @ F, each product taken on the transposes so that
+    # it reads B's and F's own arrays (ind.T @ B would convert B to CSC),
+    # and no sparse sum outlives its conversion; the F-ordered centers keep
+    # each row norm a sequential sum, not pairwise
+    centers = (B.T @ ind if F is None else F.T @ (B.T @ ind)).tocsr().toarray().T
     centers /= np.maximum(np.bincount(assignments, minlength=K), 1)[:, None]
     # dead: empty or zero-mean clusters (an empty cluster's sums are zero)
     dead = _normalize_rows_dense(centers) == 0
     if scores is None:
-        scores = V @ centers.T
+        scores = _scores(B, F, centers)
     else:
         # each column of a sparse x dense product is computed on its own
         redo = np.nonzero(stale & ~dead)[0]
-        scores[:, redo] = V @ centers[redo].T
+        scores[:, redo] = _scores(B, F, centers[redo])
         scores[:, dead] = 0.0  # V @ 0, so a dead cluster's members fit worst
     dead = np.nonzero(dead)[0]
     if len(dead):
         # worst-fit members, farthest first, seed the dead clusters
         fit = 1.0 - scores[np.arange(n), assignments]
-        seeds = V[np.lexsort((np.arange(n), -fit))[: len(dead)]].toarray()
+        seeds = _rows(B, F, np.lexsort((np.arange(n), -fit))[: len(dead)])
         _normalize_rows_dense(seeds)
         centers[dead] = seeds
-        scores[:, dead] = V @ seeds.T
+        scores[:, dead] = _scores(B, F, seeds)
     return centers, scores
 
 
-def kmeans_partition(V: sp.csr_matrix, K: int, seed=0) -> Partition:
-    """Spherical k-means by Lloyd's algorithm on the rows of ``V``, which
+def kmeans_partition(V, K: int, seed=0) -> Partition:
+    """Spherical k-means by Lloyd's algorithm on the rows of ``V``, a CSR
+    matrix or a pair ``(B, F)`` of float64 CSR factors of it; the rows
     must outnumber K.
 
     Initial centers are K distinct rows chosen uniformly at random per
@@ -87,15 +114,15 @@ def kmeans_partition(V: sp.csr_matrix, K: int, seed=0) -> Partition:
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    n = V.shape[0]
+    B, F = _factors(V)
+    n = B.shape[0]
     if n <= K:
         raise ValueError(f"need more than K={K} vectors, got {n}")
-    V = V.astype(np.float64, copy=False)
 
     rng = np.random.default_rng(np.random.default_rng(seed).integers(2**63))
-    centers = V[rng.choice(n, size=K, replace=False)].toarray()
+    centers = _rows(B, F, rng.choice(n, size=K, replace=False))
     _normalize_rows_dense(centers)
-    scores = V @ centers.T
+    scores = _scores(B, F, centers)
     prev_obj, prev = np.inf, None
     for iters in range(1, MAX_ITERS + 1):
         assignments = np.argmax(scores, axis=1)

@@ -155,6 +155,8 @@ class TrainReport:
     n_not_converged: int = 0
     n_weights_kept: int = 0
     n_weights_pruned: int = 0
+    n_splits: int = 0
+    n_lloyd_rounds: int = 0
     grow_seconds: float = 0.0
     solve_seconds: float = 0.0
 
@@ -172,22 +174,48 @@ def take_rows(A: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((A.data[at], A.indices[at], indptr), shape=(len(rows), A.shape[1]))
 
 
-def grow(V: sp.csr_matrix, config: TrainConfig, rng):
+def _drop_empty_columns(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``A`` without the columns that hold no entry, on A's data and indptr,
+    and the ids of the columns kept."""
+    cols, at = np.unique(A.indices, return_inverse=True)
+    return sp.csr_matrix((A.data, at, A.indptr), shape=(A.shape[0], len(cols))), cols
+
+
+def label_rows(B: sp.csr_matrix, F: sp.csr_matrix, rows: np.ndarray):
+    """The labels ``rows`` of V = B·F as a pair of factors: their rows of B
+    with only the instance columns they touch, and those rows of F with
+    only the columns those touch.  The root's (every label in order) are B
+    and F themselves.  Dropping empty columns leaves every product and sum
+    of k-means bit for bit the same."""
+    Bs = take_rows(B, rows)
+    if Bs is B:
+        return B, F
+    Bs, insts = _drop_empty_columns(Bs)
+    return Bs, _drop_empty_columns(take_rows(F, insts))[0]
+
+
+def grow(V, config: TrainConfig, rng, report: TrainReport | None = None):
     """A tree's node table in preorder (children in cluster order), its
     labels and each node's ``Node``: a node above the depth cap with more
     than K labels is split by spherical k-means on its labels' rows of the
-    label representation ``V``, and its label slice is ordered by cluster.
-    Empty clusters that survive reseeding are dropped, so fan-out may come
-    out below K; a node whose labels all fall in one cluster is a leaf."""
-    labels = np.arange(V.shape[0], dtype=np.int64)
+    label representation, given as its factors ``V = (B, F)``
+    (``label_rows``), and its label slice is ordered by cluster.  Empty
+    clusters that survive reseeding are dropped, so fan-out may come out
+    below K; a node whose labels all fall in one cluster is a leaf.  The
+    splits and their Lloyd rounds are counted in ``report``."""
+    B, F = V
+    report = report if report is not None else TrainReport()
+    labels = np.arange(B.shape[0], dtype=np.int64)
     table, nodes = [], []
     stack = [(-1, 0, 0, len(labels))]
     while stack:
         parent, depth, lo, hi = stack.pop()
         sizes = np.empty(0, dtype=np.int64)
         if hi - lo > config.k and depth < config.d_max:
-            part = kmeans_partition(take_rows(V, labels[lo:hi]), K=config.k,
+            part = kmeans_partition(label_rows(B, F, labels[lo:hi]), K=config.k,
                                     seed=int(rng.integers(2**63)))
+            report.n_splits += 1
+            report.n_lloyd_rounds += part.n_iters_run
             counts = np.bincount(part.assignments)
             if np.count_nonzero(counts) > 1:
                 labels[lo:hi] = labels[lo:hi][np.argsort(part.assignments, kind="stable")]
@@ -250,22 +278,24 @@ def train_ensemble(
 ) -> Ensemble:
     """Train T trees differing only in their clustering seed.
 
-    The label representation is built once and shared; instances are
-    unit-normalized first.
+    The label representation is built once and shared, and only its
+    factors are kept; instances are unit-normalized first.
     """
     if ds.l < 1:
         raise DataFormatError("training needs at least one label")
     report = report if report is not None else TrainReport()
     idx = build_label_index(ds)
     X = normalize_instances(ds)
-    V = build_repr(X, ds.Y, config.repr_space).matrix
+    repr_ = build_repr(X, ds.Y, config.repr_space)
+    V = repr_.B, repr_.F
+    del repr_  # and with it the matrix V
 
     trees = []
     for t in range(config.n_trees):
         seed = config.base_seed + t
         log.info("training tree %d/%d (seed %d)", t + 1, config.n_trees, seed)
         t0 = time.perf_counter()
-        table, labels, nodes = grow(V, config, np.random.default_rng(seed))
+        table, labels, nodes = grow(V, config, np.random.default_rng(seed), report)
         t1 = time.perf_counter()
         solves = [train_node_classifiers(node, X, idx, config, report) for node in nodes]
         report.grow_seconds += t1 - t0

@@ -384,20 +384,21 @@ class CarriedNode(NamedTuple):
     child_instances: list
 
 
-def grow_oracle(idx: sp.csr_matrix, V: sp.csr_matrix, n: int, config, rng,
-                partition=kmeans_partition):
+def grow_oracle(idx: sp.csr_matrix, V, n: int, config, rng, partition=kmeans_partition):
     """``tree.grow`` as it first was: the same node table and label order,
     with each node's instances carried down its stack.  The root holds all
     ``n`` instances; a split hands each child the instances of its labels,
-    from one sort on (cluster, instance) in ``split_oracle``."""
-    labels = np.arange(V.shape[0], dtype=np.int64)
+    from one sort on (cluster, instance) in ``split_oracle``.  ``V`` is the
+    label representation's factors (B, F)."""
+    B, F = V
+    labels = np.arange(B.shape[0], dtype=np.int64)
     table, nodes = [], []
     stack = [(-1, 0, 0, len(labels), np.arange(n, dtype=np.int64))]
     while stack:
         parent, depth, lo, hi, insts = stack.pop()
         kids = []
         if hi - lo > config.k and depth < config.d_max:
-            part = partition(take_rows(V, labels[lo:hi]), K=config.k,
+            part = partition((take_rows(B, labels[lo:hi]), F), K=config.k,
                              seed=int(rng.integers(2**63)))
             if len(np.unique(part.assignments)) > 1:
                 kids = split_oracle(labels, lo, hi, part.assignments, idx, config.k)

@@ -184,6 +184,26 @@ class TestPipeline:
         assert m and int(m.group(1)) == sum(int(s.cg_iters.sum()) for s in solves) > 0
         assert int(m.group(2)) == sum(s.in_instances for s in solves) > 0
 
+    def test_summary_reports_kmeans_splits_and_rounds(self, paths, tmp_path, caplog,
+                                                      monkeypatch):
+        """The k-means splits and Lloyd rounds in the summary are those of
+        the splits the run made."""
+        caplog.set_level(logging.INFO, logger="labelforest")
+        parts = []
+
+        def spy(V, K, seed):
+            parts.append(split(V, K=K, seed=seed))
+            return parts[-1]
+
+        split = tree.kmeans_partition
+        monkeypatch.setattr(tree, "kmeans_partition", spy)
+        assert main(["train", "--data", paths["train"], "--model", str(tmp_path / "m"),
+                     "--branch", "4", "--max-depth", "2", "--trees", "2"]) == 0
+        summary = [r.getMessage() for r in caplog.records if "classifiers (" in r.getMessage()]
+        m = re.search(r"(\d+) k-means splits in (\d+) Lloyd rounds", summary[0])
+        assert m and int(m.group(1)) == len(parts) > 2
+        assert int(m.group(2)) == sum(p.n_iters_run for p in parts) > len(parts)
+
 
 class TestBeamFlag:
     def test_beam_above_fanout_equals_exhaustive(self, paths, tmp_path):

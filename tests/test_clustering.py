@@ -273,6 +273,66 @@ class TestIncrementalRoundsAgainstFullRecompute:
         assert got.final_objective == want.final_objective
 
 
+def separated_factors(seed, groups, n, zero_rows):
+    """Factors (B, F) of n label vectors in well-separated groups, so that
+    no assignment is a near-tie: each group owns a block of F's columns,
+    each instance row of F lies in its group's block, and each label sums
+    two or three instances of one group with random positive weights,
+    scaled to a unit row of B·F.  About ``zero_rows`` of the labels have no
+    instance and a zero row, as unused labels do."""
+    rng = np.random.default_rng(seed)
+    block, per_group = 5, 6
+    F = np.zeros((groups * per_group, groups * block))
+    for i in range(groups * per_group):
+        cols = i // per_group * block + rng.choice(block, size=rng.integers(2, block + 1),
+                                                   replace=False)
+        F[i, cols] = rng.uniform(0.1, 1.0, size=len(cols))
+    B = np.zeros((n, groups * per_group))
+    for row in B:
+        insts = rng.integers(groups) * per_group + rng.choice(per_group, size=rng.integers(2, 4),
+                                                              replace=False)
+        row[insts] = rng.uniform(0.5, 1.0, size=len(insts))
+    B[rng.random(n) < zero_rows] = 0.0
+    norms = np.linalg.norm(B @ F, axis=1)
+    B /= np.where(norms == 0, 1.0, norms)[:, None]
+    return sp.csr_matrix(B), sp.csr_matrix(F)
+
+
+class TestFactoredAgainstOracle:
+    """k-means on the factors (B, F) never forms V; it must make the same
+    partition as the full-recompute oracle on V = B·F, up to rounding."""
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        groups=st.integers(2, 5),
+        K=st.integers(2, 8),
+        extra=st.integers(1, 30),
+        zero_rows=st.sampled_from([0.0, 0.2]),
+        max_iters=st.sampled_from([3, 50]),
+    )
+    def test_matches_oracle_on_the_product(self, seed, groups, K, extra, zero_rows, max_iters):
+        B, F = separated_factors(seed, groups, K + extra, zero_rows)
+        with mock.patch.object(clustering, "MAX_ITERS", max_iters):
+            got = kmeans_partition((B, F), K, seed=seed)
+            want = kmeans_partition_full(B @ F, K, seed=seed)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert got.n_iters_run == want.n_iters_run
+        assert got.final_objective == pytest.approx(want.final_objective, rel=0, abs=1e-9)
+        np.testing.assert_allclose(got.centers, want.centers, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed, zero_rows", [(40, 0), (45, 0), (52, 14)])
+    def test_identity_factor_gives_the_plain_matrix_bits(self, seed, zero_rows):
+        """A plain V is the pair (V, identity): passing the identity as F
+        gives the plain run's partition bit for bit."""
+        V = pinned_input(seed, zero_rows)
+        got = kmeans_partition((V, sp.identity(V.shape[1], format="csr")), K=10, seed=seed)
+        want = kmeans_partition(V, K=10, seed=seed)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert (got.n_iters_run, got.final_objective) == (want.n_iters_run, want.final_objective)
+
+
 class ScoredColumns(sp.csr_matrix):
     """A CSR matrix that records how many columns each of its products with
     a dense array has."""

@@ -3,9 +3,12 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelforest.data import parse_dataset
+from labelforest.data import normalize_instances, parse_dataset
 from labelforest.representations import LabelRepr, ReprSpace, build_repr
+from labelforest.tree import label_rows
 
 from conftest import random_dataset
 from helpers import csr_from_rows, row, rows
@@ -185,3 +188,66 @@ class TestDispatchAndInvariants:
             for v in rows(r.matrix):
                 if v.nnz and space is not ReprSpace.JOINT:
                     assert v.norm() == pytest.approx(1.0, abs=1e-6)
+
+
+class TestFactors:
+    """V = B·F, the form in which k-means reads V: the product equals the
+    matrix to 1e-15 per entry in every space, zero rows included, and so do
+    the label slices ``tree.grow`` hands k-means."""
+
+    @staticmethod
+    def factored(seed, space):
+        """X, Y and the representation of a random dataset with sparse
+        labels, plus one label that no instance carries, so that at least
+        one row of V is zero."""
+        ds = random_dataset(seed, n=12, d=7, l=9, label_density=0.15)
+        Y = sp.hstack([ds.Y, sp.csr_matrix((ds.n, 1), dtype=ds.Y.dtype)], format="csr")
+        X = normalize_instances(ds)
+        return X, Y, build_repr(X, Y, space)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(list(ReprSpace)))
+    def test_product_is_the_matrix(self, seed, space):
+        X, Y, r = self.factored(seed, space)
+        (n, l), blocks = Y.shape, 2 if space is ReprSpace.JOINT else 1
+        assert r.B.shape == (l, blocks * n) and r.F.shape == (blocks * n, r.dim)
+        assert r.B.dtype == r.F.dtype == np.float64
+        np.testing.assert_allclose((r.B @ r.F).toarray(), r.matrix.toarray(), rtol=0, atol=1e-15)
+        unused = np.bincount(Y.indices, minlength=l) == 0
+        assert unused[-1] and not np.diff(r.B.indptr)[unused].any()
+
+    def test_input_factor_is_x_itself(self):
+        ds = random_dataset(22, n=10, d=6, l=5)
+        X = normalize_instances(ds)
+        assert build_repr(X, ds.Y, ReprSpace.INPUT).F is X
+
+    def test_joint_factors_are_the_scaled_blocks(self):
+        ds = random_dataset(23, n=10, d=6, l=5)
+        X = normalize_instances(ds)
+        vin, vout, joint = (build_repr(X, ds.Y, s) for s in ReprSpace)
+        s = 1.0 / np.sqrt(2.0)
+        B = np.hstack([s * vin.B.toarray(), s * vout.B.toarray()])
+        F = np.block([[X.toarray(), np.zeros((ds.n, ds.l))],
+                      [np.zeros((ds.n, ds.d)), ds.Y.toarray()]])
+        np.testing.assert_array_equal(joint.B.toarray(), B)
+        np.testing.assert_array_equal(joint.F.toarray(), F)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(list(ReprSpace)),
+           n_rows=st.integers(1, 10))
+    def test_label_slices_are_rows_of_the_matrix(self, seed, space, n_rows):
+        """``label_rows`` keeps a slice's rows of B with only the instance
+        columns they touch, and those rows of F with only the columns they
+        touch; the root keeps B and F whole."""
+        _, Y, r = self.factored(seed, space)
+        rows = np.random.default_rng(seed).permutation(Y.shape[1])[:n_rows]
+        B, F = label_rows(r.B, r.F, rows)
+        assert B.shape == (n_rows, F.shape[0]) and B.has_canonical_format
+        assert np.diff(B.tocsc().indptr).all() and np.diff(F.tocsc().indptr).all()
+        insts = np.unique(r.B[rows].indices)
+        cols = np.unique(r.F[insts].indices)
+        want = r.matrix[rows].toarray()
+        assert not np.delete(want, cols, axis=1).any()
+        np.testing.assert_allclose((B @ F).toarray(), want[:, cols], rtol=0, atol=1e-15)
+        root = label_rows(r.B, r.F, np.arange(Y.shape[1]))
+        assert root[0] is r.B and root[1] is r.F

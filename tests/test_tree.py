@@ -73,9 +73,9 @@ def grow_nodes(ds, **kw):
     """``grow``'s node table, labels and nodes for ``ds``, as
     ``train_small`` would grow its first tree."""
     config = TrainConfig(**{"n_trees": 1, "k": 3, "d_max": 2, "base_seed": 0, **kw})
-    V = build_repr(normalize_instances(ds), ds.Y, config.repr_space).matrix
+    r = build_repr(normalize_instances(ds), ds.Y, config.repr_space)
     rng = np.random.default_rng(config.base_seed)
-    return grow(V, config, rng)
+    return grow((r.B, r.F), config, rng)
 
 
 class TestGrow:
@@ -108,6 +108,21 @@ class TestGrow:
         for u in np.flatnonzero(tree.nodes["leaf"] == 0):
             union = np.concatenate([tree.node_labels(c) for c in children(tree, u)])
             assert sorted(union.tolist()) == sorted(tree.node_labels(u).tolist())
+
+    @pytest.mark.parametrize("space", list(ReprSpace))
+    def test_factors_grow_the_tree_of_the_matrix(self, space):
+        """Growing on V's factors gives the tree grown on V itself, as the
+        pair (V, identity); 12 labels that no instance carries make a split
+        whose labels all have zero rows (input and joint spaces)."""
+        ds, _ = grouped_dataset(5, n=120, groups=4, labels_per_group=6)
+        Y = sp.hstack([ds.Y, sp.csr_matrix((ds.n, 12), dtype=ds.Y.dtype)], format="csr")
+        r = build_repr(normalize_instances(ds), Y, space)
+        config = TrainConfig(n_trees=1, k=3, d_max=3)
+        table, labels, _ = grow((r.B, r.F), config, np.random.default_rng(0))
+        want_table, want_labels, _ = grow((r.matrix, sp.identity(r.dim, format="csr")), config,
+                                          np.random.default_rng(0))
+        assert table.tobytes() == want_table.tobytes() and len(table) > 10
+        assert labels.tobytes() == want_labels.tobytes()
 
     def test_instance_sets_match_brute_force(self):
         ds, _ = grouped_dataset(21, n=60, groups=3, labels_per_group=3)
@@ -201,14 +216,15 @@ class TestNodeInputsAgainstOracles:
         before, after = others[::2], others[1::2]
 
         def partition(V, K, seed):
-            ids = V.toarray()[:, 0].astype(np.int64) - 1  # V's rows carry their label ids
+            B, F = V
+            ids = (B @ F).toarray()[:, 0].astype(np.int64) - 1  # V's rows carry their label ids
             if np.array_equal(ids, labels):
                 a = assignments
             else:
                 a = np.isin(ids, after if len(ids) == 14 else labels).astype(np.int64)
             return Partition(a, np.zeros((K, 1)), 1, 0.0)
 
-        V = sp.csr_matrix(np.arange(1.0, 15.0)[:, None])
+        V = sp.csr_matrix(np.arange(1.0, 15.0)[:, None]), sp.identity(1, format="csr")
         with mock.patch.object(tree, "kmeans_partition", partition):
             table, ordered, nodes = grow(V, TrainConfig(k=K, d_max=3), np.random.default_rng(0))
         u = next(u for u, node in enumerate(nodes) if np.array_equal(np.sort(node.labels), labels))
@@ -243,12 +259,12 @@ class TestNodeInputsAgainstOracles:
         # empty rows of idx are labels without an instance, and empty
         # columns are instances without a label
         idx = sp.csr_matrix(random_csr(seed, n_labels, n_insts, density) != 0, dtype=np.float32)
-        V = sp.csr_matrix(np.ones((n_labels, 1)))
+        V = sp.csr_matrix(np.ones((n_labels, 1))), sp.identity(1, format="csr")
         config = TrainConfig(n_trees=1, k=K, d_max=d_max)
 
         def partition(V, K, seed):
             # few clusters, so that some come out empty or alone
-            a = np.random.default_rng(seed).integers(0, K, V.shape[0])
+            a = np.random.default_rng(seed).integers(0, K, V[0].shape[0])
             return Partition(a, np.zeros((K, 1)), 1, 0.0)
 
         with mock.patch.object(tree, "kmeans_partition", partition):
@@ -295,7 +311,7 @@ class TestNodeInputsAgainstOracles:
         split = tree.kmeans_partition
 
         def spy(V, K, seed):
-            seeds.append((V.shape[0], seed))
+            seeds.append((V[0].shape[0], seed))
             return split(V, K=K, seed=seed)
 
         with mock.patch.object(tree, "kmeans_partition", spy):
