@@ -9,11 +9,10 @@ objective and the worst-fit members from one score array, ``V @ centers.T``;
 an update rescores in place only the clusters that gained or lost a member
 and the dead ones, as the others' centers come out bit for bit the same.
 
-The label vectors come as the two CSR factors of V = B·F that
+The label vectors come only as the two CSR factors of V = B·F that
 ``representations`` builds, and V itself is never formed: the scores are
 B·(F·centersᵀ), the cluster sums (indᵀ·B)·F for the 0/1 cluster indicator
-ind, and a center drawn from the rows is (B[rows]·F).  A plain matrix V is
-the pair (V, identity), and its products skip the identity.
+ind, and a center drawn from the rows is (B[rows]·F).
 """
 
 from __future__ import annotations
@@ -51,36 +50,30 @@ def _normalize_rows_dense(m: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _factors(V):
-    """``(B, F)`` with V = B·F: the pair itself, or a plain matrix V in
-    float64 and the identity F, written None."""
-    return V if isinstance(V, tuple) else (V.astype(np.float64, copy=False), None)
-
-
 def _scores(B, F, centers: np.ndarray) -> np.ndarray:
     """``V @ centers.T`` as ``B @ (F @ centers.T)``."""
-    return B @ (centers.T if F is None else F @ centers.T)
+    return B @ (F @ centers.T)
 
 
 def _rows(B, F, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows`` of V, dense."""
-    R = B[rows]
-    return (R if F is None else R @ F).toarray()
+    return (B[rows] @ F).toarray()
 
 
 def _update(V, assignments: np.ndarray, K: int, scores=None, stale=None):
-    """Normalized per-cluster means, empty clusters reseeded (see module
-    doc).  Returns ``(centers, V @ centers.T)``: a fresh product, or the
-    last round's ``scores`` with only the columns of the ``stale`` (bool
-    mask over K) and dead clusters recomputed."""
-    B, F = _factors(V)
+    """Normalized per-cluster means of the rows of V = B·F, given as the
+    pair ``V = (B, F)``, empty clusters reseeded (see module doc).
+    Returns ``(centers, V @ centers.T)``: a fresh product, or the last
+    round's ``scores`` with only the columns of the ``stale`` (bool mask
+    over K) and dead clusters recomputed."""
+    B, F = V
     n = B.shape[0]
     ind = sp.csr_matrix((np.ones(n), assignments, np.arange(n + 1)), shape=(n, K))
     # the sums (ind.T @ B) @ F, each product taken on the transposes so that
     # it reads B's and F's own arrays (ind.T @ B would convert B to CSC),
     # and no sparse sum outlives its conversion; the F-ordered centers keep
     # each row norm a sequential sum, not pairwise
-    centers = (B.T @ ind if F is None else F.T @ (B.T @ ind)).tocsr().toarray().T
+    centers = (F.T @ (B.T @ ind)).tocsr().toarray().T
     centers /= np.maximum(np.bincount(assignments, minlength=K), 1)[:, None]
     # dead: empty or zero-mean clusters (an empty cluster's sums are zero)
     dead = _normalize_rows_dense(centers) == 0
@@ -103,9 +96,9 @@ def _update(V, assignments: np.ndarray, K: int, scores=None, stale=None):
 
 
 def kmeans_partition(V, K: int, seed=0) -> Partition:
-    """Spherical k-means by Lloyd's algorithm on the rows of ``V``, a CSR
-    matrix or a pair ``(B, F)`` of float64 CSR factors of it; the rows
-    must outnumber K.
+    """Spherical k-means by Lloyd's algorithm on the rows of V = B·F, given
+    as the pair ``V = (B, F)`` of its float64 CSR factors; the rows must
+    outnumber K.
 
     Initial centers are K distinct rows chosen uniformly at random per
     seed.  Stops when the absolute objective improvement drops below
@@ -114,7 +107,7 @@ def kmeans_partition(V, K: int, seed=0) -> Partition:
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    B, F = _factors(V)
+    B, F = V
     n = B.shape[0]
     if n <= K:
         raise ValueError(f"need more than K={K} vectors, got {n}")

@@ -25,10 +25,7 @@ DEFAULT_A, DEFAULT_B = 0.55, 1.5  # the propensity model's A and B unless given
 
 @dataclass(frozen=True)
 class PropensityModel:
-    a: float
-    b: float
-    n: int
-    p: np.ndarray
+    p: np.ndarray  # one propensity per label
 
     def __post_init__(self):
         if not np.all((self.p > 0) & (self.p <= 1)):
@@ -40,7 +37,7 @@ class PropensityModel:
 
     @classmethod
     def uniform(cls, n_labels: int) -> "PropensityModel":
-        return cls(0.0, 0.0, 0, np.ones(n_labels))
+        return cls(np.ones(n_labels))
 
 
 def fit_propensities(freqs, n: int, a: float = DEFAULT_A, b: float = DEFAULT_B) -> PropensityModel:
@@ -50,7 +47,7 @@ def fit_propensities(freqs, n: int, a: float = DEFAULT_A, b: float = DEFAULT_B) 
     with np.errstate(divide="ignore", invalid="ignore"):
         c = max((np.log(n) - 1.0) * (1.0 + b) ** a, 0.0)
         p = 1.0 / (1.0 + c * np.exp(-a * np.log(np.asarray(freqs, dtype=np.float64) + b)))
-    return PropensityModel(a, b, n, p)
+    return PropensityModel(p)
 
 
 @dataclass(frozen=True)

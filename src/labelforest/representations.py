@@ -8,16 +8,17 @@ Each label gets one vector:
           scaled by 1/sqrt(2), output coordinates offset by d
 
 All rows are L2-normalized; labels with no instances keep a zero row.
-The vectors are the rows of one float64 CSR matrix V, which also comes
-as two CSR factors V = B·F made from the X and Y that training holds:
+The vectors are the rows of V = B·F, and the representation is the two
+float64 CSR factors made from the X and Y that training holds:
 
   input   B = diag(1/|(Y^T X)_l|) Y^T  and  F = X
   output  B = diag(1/|(Y^T Y)_l|) Y^T  and  F = Y
   joint   B = [B_in/sqrt(2) | B_out/sqrt(2)]  and  F = blockdiag(X, Y)
 
 so B has a row per label and a column per instance (two in the joint
-space), and F is X itself in the input space.  k-means reads V only
-through B and F; V is formed here once, for its row norms.
+space), and F is X itself in the input space.  Each block's Y^T F is
+formed here only for its row norms and then dropped; k-means reads the
+labels through B and F, and training never forms V.
 """
 
 from __future__ import annotations
@@ -37,13 +38,19 @@ class ReprSpace(enum.Enum):
 
 @dataclass(frozen=True)
 class LabelRepr:
-    """One vector per label, a row of the CSR ``matrix`` V, and V's
-    factors ``B`` (labels x instances) and ``F`` (instances x ``dim``)."""
+    """One vector per label, a row of V = ``B`` @ ``F``: the factors ``B``
+    (labels x instances) and ``F`` (instances x ``dim``)."""
 
-    matrix: sp.csr_matrix
     B: sp.csr_matrix
     F: sp.csr_matrix
-    dim = property(lambda self: self.matrix.shape[1])
+    dim = property(lambda self: self.F.shape[1])
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """V itself, formed on each read as canonical CSR."""
+        V = self.B @ self.F
+        V.sum_duplicates()
+        return V
 
 
 def _inverse_row_norms(m: sp.csr_matrix) -> np.ndarray:
@@ -55,28 +62,23 @@ def _inverse_row_norms(m: sp.csr_matrix) -> np.ndarray:
 
 
 def build_repr(X: sp.csr_matrix, Y: sp.csr_matrix, space: ReprSpace) -> LabelRepr:
-    """The label vectors of ``space`` and their factors from the instance
-    rows X (n x d) and their label rows Y (n x l), computed in float64."""
+    """The factors of the label vectors of ``space`` from the instance rows
+    X (n x d) and their label rows Y (n x l), computed in float64."""
     Yt = Y.T.astype(np.float64)
     factors = []
     if space is not ReprSpace.OUTPUT:
         factors.append(X.astype(np.float64, copy=False))
     if space is not ReprSpace.INPUT:
         factors.append(Yt.T)
-    vs, bs = [], []
+    bs = []
     for F in factors:
-        V = (Yt @ F).tocsr()
-        inv = sp.diags(_inverse_row_norms(V))
-        V, B = inv @ V, (inv @ Yt).tocsr()
-        V.sort_indices()
+        inv = sp.diags(_inverse_row_norms((Yt @ F).tocsr()))
+        B = (inv @ Yt).tocsr()
         B.sort_indices()
-        vs.append(V)
         bs.append(B)
     if len(factors) == 1:
-        return LabelRepr(vs[0], bs[0], factors[0])
+        return LabelRepr(bs[0], factors[0])
     scale = 1.0 / np.sqrt(2.0)
-    V = sp.hstack([v * scale for v in vs], format="csr")
-    V.sort_indices()
     B = sp.hstack([b * scale for b in bs], format="csr")
     # blockdiag(X, Y) in one copy of their arrays: each block padded to
     # every column (X's on X's own arrays), then stacked
@@ -84,4 +86,4 @@ def build_repr(X: sp.csr_matrix, Y: sp.csr_matrix, space: ReprSpace) -> LabelRep
     n, d = X.shape
     X_wide = sp.csr_matrix((Fx.data, Fx.indices, Fx.indptr), shape=(n, d + Fy.shape[1]))
     Y_wide = sp.csr_matrix((Fy.data, Fy.indices + d, Fy.indptr), shape=X_wide.shape)
-    return LabelRepr(V, B, sp.vstack([X_wide, Y_wide], format="csr"))
+    return LabelRepr(B, sp.vstack([X_wide, Y_wide], format="csr"))

@@ -278,8 +278,8 @@ def train_ensemble(
 ) -> Ensemble:
     """Train T trees differing only in their clustering seed.
 
-    The label representation is built once and shared, and only its
-    factors are kept; instances are unit-normalized first.
+    The label representation, the factors B and F, is built once and
+    shared; instances are unit-normalized first.
     """
     if ds.l < 1:
         raise DataFormatError("training needs at least one label")
@@ -288,7 +288,6 @@ def train_ensemble(
     X = normalize_instances(ds)
     repr_ = build_repr(X, ds.Y, config.repr_space)
     V = repr_.B, repr_.F
-    del repr_  # and with it the matrix V
 
     trees = []
     for t in range(config.n_trees):

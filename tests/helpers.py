@@ -6,7 +6,8 @@ per-vector arithmetic, appending a bias column, beam-searching one tree
 and scoring all of its labels, the first forms of a node's solve inputs
 and of its children's instance sets, growing a tree that carries each
 node's instances down from its parent's split (the route that node
-problems were first built by), and writing a Dataset back as text.
+problems were first built by), passing a plain matrix to k-means as the
+factor pair (V, identity), and writing a Dataset back as text.
 Values of a ``SparseVec`` may be float32 or float64; its dot products and
 norms are accumulated in float64 regardless of the storage dtype.
 """
@@ -382,6 +383,12 @@ class CarriedNode(NamedTuple):
     labels: np.ndarray
     instances: np.ndarray
     child_instances: list
+
+
+def identity_pair(V: sp.csr_matrix):
+    """A plain matrix V of label rows as the factor pair ``(V, identity)``
+    that k-means takes, V in float64."""
+    return V.astype(np.float64, copy=False), sp.identity(V.shape[1], format="csr")
 
 
 def grow_oracle(idx: sp.csr_matrix, V, n: int, config, rng, partition=kmeans_partition):

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_dataset
-from helpers import exhaustive_scores, predict_tree, row
+from helpers import exhaustive_scores, identity_pair, predict_tree, row
 from labelforest.clustering import _update
 from labelforest.data import parse_dataset
 from labelforest.metrics import PropensityModel, evaluate, fit_propensities
@@ -188,7 +188,7 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
             if prev is not None:
                 assert obj <= prev + 1e-12
             prev = obj
-            _, scores = _update(V, assignments, k)
+            _, scores = _update(identity_pair(V), assignments, k)
 
     # beam at least as wide as any fan-out reproduces exhaustive scoring
     for trial in range(20):
@@ -235,7 +235,7 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
     rng_m = np.random.default_rng(77)
     for _ in range(100):
         pred, truth, p, k = dense_metric_case(rng_m)
-        prop = PropensityModel(0.55, 1.5, 1000, p)
+        prop = PropensityModel(p)
         uniform = PropensityModel.uniform(len(p))
         assert precision_at_k(pred, truth, k) == pytest.approx(
             dense_p_at_k(pred, truth, k), abs=1e-12

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from labelforest import clustering
 from labelforest.clustering import _update, kmeans_partition
-from helpers import SparseVec, csr_from_rows, l2_normalize, random_csr, vec_from_pairs
+from helpers import (
+    SparseVec,
+    csr_from_rows,
+    identity_pair,
+    l2_normalize,
+    random_csr,
+    vec_from_pairs,
+)
 from kmeans_oracle import kmeans_partition_full
 
 
@@ -46,7 +53,7 @@ class TestAssignStep:
 
     def test_member_on_center(self):
         V = csr([vec([(0, 1.0)], 2), vec([(0, 1.0)], 2), vec([(1, 1.0)], 2)])
-        part = kmeans_partition(V, K=2, seed=0)
+        part = kmeans_partition(identity_pair(V), K=2, seed=0)
         own = (V @ part.centers.T)[np.arange(3), part.assignments]
         np.testing.assert_allclose(own, 1.0, atol=1e-12)
         assert part.final_objective == pytest.approx(0.0, abs=1e-12)
@@ -56,12 +63,12 @@ class TestAssignStep:
         # every center
         pairs = [[(0, 1.0)], [(0, 1.0)], [(1, 1.0)], [(1, 1.0)], []]
         for seed in range(4):
-            part = kmeans_partition(csr([vec(p, 3) for p in pairs]), K=2, seed=seed)
+            part = kmeans_partition(identity_pair(csr([vec(p, 3) for p in pairs])), K=2, seed=seed)
             assert part.assignments[4] == 0
 
     def test_matches_exhaustive_distance_table(self):
         vecs = unit_vecs(5, 12, 4)
-        part = kmeans_partition(csr(vecs), K=3, seed=1)
+        part = kmeans_partition(identity_pair(csr(vecs)), K=3, seed=1)
         # converged, so the assignments come from the returned centers
         assert part.n_iters_run < clustering.MAX_ITERS
         dists = np.array(
@@ -72,18 +79,18 @@ class TestAssignStep:
 
     def test_empty_centers_rejected(self):
         with pytest.raises(ValueError):
-            kmeans_partition(csr(unit_vecs(0, 3, 2)), K=0)
+            kmeans_partition(identity_pair(csr(unit_vecs(0, 3, 2))), K=0)
 
 
 class TestUpdateStep:
     def test_single_member_center_is_member(self):
         v = l2_normalize(vec([(0, 1.0), (1, 1.0)], 2))
-        centers, _ = _update(csr([v]), np.array([0]), 2)
+        centers, _ = _update(identity_pair(csr([v])), np.array([0]), 2)
         np.testing.assert_allclose(centers[0], v.to_dense(), atol=1e-12)
 
     def test_zero_mean_cluster_reseeds(self):
         vecs = [vec([(0, 1.0)], 2), vec([(0, -1.0)], 2)]
-        centers, _ = _update(csr(vecs), np.array([0, 0]), 2)
+        centers, _ = _update(identity_pair(csr(vecs)), np.array([0, 0]), 2)
         norms = np.linalg.norm(centers, axis=1)
         assert norms[0] == pytest.approx(1.0)
 
@@ -94,7 +101,7 @@ class TestUpdateStep:
             vec([(0, 1.0)], 3),
             vec([(2, 1.0)], 3),
         ]
-        centers, _ = _update(csr(vecs), np.array([0, 0, 0]), 2)
+        centers, _ = _update(identity_pair(csr(vecs)), np.array([0, 0, 0]), 2)
         # the outlier (index 2) is farthest from the shared mean
         np.testing.assert_allclose(centers[1], [0.0, 0.0, 1.0], atol=1e-9)
 
@@ -103,8 +110,9 @@ class TestUpdateStep:
         # scored it against its seed e0, which is not its members' fit now
         pairs = [[(0, 1.0)], [(0, -1.0)], [(1, 1.0)], [(1, 1.0)], [(2, 1.0)]]
         V, a = csr([vec(p, 3) for p in pairs]), np.array([0, 0, 1, 1, 2])
-        want_centers, want_scores = _update(V, a, 3)
-        centers, scores = _update(V, a, 3, want_scores.copy(), np.zeros(3, dtype=bool))
+        want_centers, want_scores = _update(identity_pair(V), a, 3)
+        centers, scores = _update(identity_pair(V), a, 3, want_scores.copy(),
+                                  np.zeros(3, dtype=bool))
         assert centers.tobytes() == want_centers.tobytes()
         assert scores.tobytes() == want_scores.tobytes()
 
@@ -113,7 +121,7 @@ class TestUpdateStep:
         rng = np.random.default_rng(8)
         a = rng.integers(0, 3, size=12)
         a[:3] = [0, 1, 2]  # keep every cluster populated
-        centers, _ = _update(csr(vecs), a, 3)
+        centers, _ = _update(identity_pair(csr(vecs)), a, 3)
         dense = np.vstack([v.to_dense() for v in vecs])
         for k in range(3):
             mean = dense[a == k].mean(axis=0)
@@ -160,7 +168,7 @@ class TestOwnCenterScores:
             V.data = rng.normal(size=V.nnz)
             a = rng.integers(0, 5, size=n)  # clusters 5..8 are dead
             a[:5] = np.arange(5)
-            centers, scores = _update(V, a, K)
+            centers, scores = _update(identity_pair(V), a, K)
             want_centers, want_scores = update_full_scores(V, a, K)
             np.testing.assert_array_equal(centers, want_centers)
             np.testing.assert_array_equal(scores, want_scores)
@@ -211,7 +219,7 @@ class TestPinnedOutput:
             return _update(V, assignments, K, *args)
 
         monkeypatch.setattr(clustering, "_update", spy)
-        part = kmeans_partition(pinned_input(seed, zero_rows), K=10, seed=seed)
+        part = kmeans_partition(identity_pair(pinned_input(seed, zero_rows)), K=10, seed=seed)
         assert any(dead_rounds)
         assert part.assignments.dtype == np.int64
         assert hashlib.sha256(part.assignments.tobytes()).hexdigest() == assign_sha
@@ -233,7 +241,7 @@ def test_max_iters_run_returns_the_centers_it_assigned_to(monkeypatch):
 
     monkeypatch.setattr(clustering, "_update", spy)
     V = pinned_input(45)
-    part = kmeans_partition(V, K=10, seed=45)
+    part = kmeans_partition(identity_pair(V), K=10, seed=45)
     assert part.n_iters_run == 3 and len(updates) == 2
     np.testing.assert_array_equal(np.argmax(V @ part.centers.T, axis=1), part.assignments)
 
@@ -265,7 +273,7 @@ class TestIncrementalRoundsAgainstFullRecompute:
         rng = np.random.default_rng(seed)
         V = pool[rng.integers(0, pool.shape[0], size=n)].astype(dtype)
         with mock.patch.object(clustering, "MAX_ITERS", max_iters):
-            got = kmeans_partition(V, K, seed=seed)
+            got = kmeans_partition(identity_pair(V), K, seed=seed)
             want = kmeans_partition_full(V, K, seed=seed)
         np.testing.assert_array_equal(got.assignments, want.assignments)
         assert got.centers.tobytes() == want.centers.tobytes()
@@ -324,10 +332,10 @@ class TestFactoredAgainstOracle:
     @pytest.mark.parametrize("seed, zero_rows", [(40, 0), (45, 0), (52, 14)])
     def test_identity_factor_gives_the_plain_matrix_bits(self, seed, zero_rows):
         """A plain V is the pair (V, identity): passing the identity as F
-        gives the plain run's partition bit for bit."""
+        gives the partition of the full-recompute oracle on V bit for bit."""
         V = pinned_input(seed, zero_rows)
-        got = kmeans_partition((V, sp.identity(V.shape[1], format="csr")), K=10, seed=seed)
-        want = kmeans_partition(V, K=10, seed=seed)
+        got = kmeans_partition(identity_pair(V), K=10, seed=seed)
+        want = kmeans_partition_full(V, K=10, seed=seed)
         np.testing.assert_array_equal(got.assignments, want.assignments)
         assert got.centers.tobytes() == want.centers.tobytes()
         assert (got.n_iters_run, got.final_objective) == (want.n_iters_run, want.final_objective)
@@ -354,17 +362,17 @@ def test_update_after_a_still_round_scores_only_dead_columns(monkeypatch):
     dense = V.toarray()
     updates = []
 
-    def spy(V, assignments, K, *args):
+    def spy(pair, assignments, K, *args):
         sums = np.zeros((K, dense.shape[1]))
         np.add.at(sums, assignments, dense)
         n_dead = int(np.count_nonzero(~sums.any(axis=1)))
         before = len(V.columns)
-        out = _update(V, assignments, K, *args)
+        out = _update(pair, assignments, K, *args)
         updates.append((assignments, n_dead, sum(V.columns[before:])))
         return out
 
     monkeypatch.setattr(clustering, "_update", spy)
-    kmeans_partition(V, K=K, seed=52)
+    kmeans_partition(identity_pair(V), K=K, seed=52)
     (_, n_dead, scored), *rest = updates
     assert scored == K + n_dead
     still = [
@@ -383,9 +391,10 @@ def test_peak_memory_bounded():
     # in which at most half the clusters changed rescores the last round's
     # array in place; 3.74 MB if every update after the first does, 3.72 MB
     # if the old centers live on through the update, and 3.16 MB if the
-    # sums are made F-ordered from a second sparse copy
+    # sums are made F-ordered from a second sparse copy.  The identity
+    # factor F adds under 2 kB (2.918 MB against 2.917 MB for a plain V)
     rng = np.random.default_rng(0)
-    V = sp.random(3000, 2000, density=0.01, random_state=rng, format="csr")
+    V = identity_pair(sp.random(3000, 2000, density=0.01, random_state=rng, format="csr"))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -400,21 +409,21 @@ def test_peak_memory_bounded():
 class TestKmeansPartition:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            kmeans_partition(csr(unit_vecs(0, 3, 2)), K=1)
+            kmeans_partition(identity_pair(csr(unit_vecs(0, 3, 2))), K=1)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            kmeans_partition(sp.csr_matrix((0, 3)), K=2)
+            kmeans_partition(identity_pair(sp.csr_matrix((0, 3))), K=2)
 
     def test_fewer_vectors_than_k(self):
         # n <= K leaves no room for k-means; a node that small is a leaf
         for n, K in [(2, 4), (4, 4)]:
             with pytest.raises(ValueError, match="more than K"):
-                kmeans_partition(csr(unit_vecs(2, n, 3)), K=K, seed=0)
+                kmeans_partition(identity_pair(csr(unit_vecs(2, n, 3))), K=K, seed=0)
 
     def test_identical_points_collapse_to_one_cluster(self):
         v = l2_normalize(vec([(0, 1.0), (1, 2.0)], 3))
-        part = kmeans_partition(csr([v] * 4), K=2, seed=3)
+        part = kmeans_partition(identity_pair(csr([v] * 4)), K=2, seed=3)
         sizes = np.bincount(part.assignments, minlength=2)
         assert sorted(sizes.tolist()) == [0, 4]
         assert part.final_objective == pytest.approx(0.0, abs=1e-9)
@@ -434,27 +443,27 @@ class TestKmeansPartition:
             obj = float(np.sum(1.0 - scores[np.arange(20), a]))
             assert obj == pytest.approx(brute_objective(vecs, centers, a), abs=1e-9)
             objs.append(obj)
-            centers, scores = _update(V, a, 4)
+            centers, scores = _update(identity_pair(V), a, 4)
         diffs = np.diff(objs)
         assert np.all(diffs <= 1e-9)
 
     def test_partition_is_disjoint_cover(self):
         vecs = unit_vecs(11, 25, 5)
-        part = kmeans_partition(csr(vecs), K=4, seed=12)
+        part = kmeans_partition(identity_pair(csr(vecs)), K=4, seed=12)
         assert np.all((part.assignments >= 0) & (part.assignments < 4))
         union = np.concatenate([np.flatnonzero(part.assignments == k) for k in range(4)])
         assert sorted(union.tolist()) == list(range(25))
 
     def test_deterministic_per_seed(self):
         vecs = unit_vecs(13, 30, 6)
-        p1 = kmeans_partition(csr(vecs), K=3, seed=99)
-        p2 = kmeans_partition(csr(vecs), K=3, seed=99)
+        p1 = kmeans_partition(identity_pair(csr(vecs)), K=3, seed=99)
+        p2 = kmeans_partition(identity_pair(csr(vecs)), K=3, seed=99)
         assert p1.assignments.tolist() == p2.assignments.tolist()
         np.testing.assert_array_equal(p1.centers, p2.centers)
 
     def test_nonempty_centers_are_unit_norm(self):
         vecs = unit_vecs(15, 40, 7)
-        part = kmeans_partition(csr(vecs), K=5, seed=6)
+        part = kmeans_partition(identity_pair(csr(vecs)), K=5, seed=6)
         for k in range(5):
             if np.any(part.assignments == k):
                 assert np.linalg.norm(part.centers[k]) == pytest.approx(1.0, abs=1e-6)

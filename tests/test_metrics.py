@@ -126,7 +126,7 @@ class TestPropensities:
 
     def test_nan_propensity_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            PropensityModel(0.55, 1.5, 10, np.array([0.5, np.nan]))
+            PropensityModel(np.array([0.5, np.nan]))
 
     @pytest.mark.parametrize("a, b", [(np.nan, 1.5), (0.55, -5.0)])
     def test_parameters_giving_nan_rejected(self, a, b):
@@ -146,13 +146,13 @@ class TestPsMetrics:
             assert psndcg_at_k(pred, truth, prop, k) == ndcg_at_k(pred, truth, k)
 
     def test_single_hit_reciprocal(self):
-        prop = PropensityModel(0.55, 1.5, 100, np.array([0.5, 1.0]))
+        prop = PropensityModel(np.array([0.5, 1.0]))
         assert psp_at_k([0], {0}, prop, 1) == pytest.approx(2.0)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
         p = rng.uniform(0.05, 1.0, size=20)
-        prop = PropensityModel(0.55, 1.5, 100, p)
+        prop = PropensityModel(p)
         for _ in range(50):
             pred, truth = random_case(rng)
             k = int(rng.integers(1, 9))
@@ -168,7 +168,7 @@ class TestPsReport:
     def test_oracle_predictions_score_100(self):
         rng = np.random.default_rng(4)
         p = rng.uniform(0.1, 1.0, size=15)
-        prop = PropensityModel(0.55, 1.5, 50, p)
+        prop = PropensityModel(p)
         truths = [rng.permutation(15)[: rng.integers(1, 6)] for _ in range(8)]
         preds = [oracle_top_k(t, prop, 3) for t in truths]
         assert ps_report(preds, truths, prop, 3) == pytest.approx(100.0, abs=1e-9)
@@ -181,7 +181,7 @@ class TestPsReport:
 
     def test_five_instance_hand_rolled(self):
         p = np.array([0.2, 0.4, 0.5, 0.8, 1.0])
-        prop = PropensityModel(0.55, 1.5, 10, p)
+        prop = PropensityModel(p)
         preds = [[0, 1], [1, 2], [3], [4, 0], [2, 4]]
         truths = [{0}, {2, 1}, {3, 0}, {1}, {4}]
         k = 2
@@ -221,7 +221,7 @@ class TestEvaluate:
     def _case(self):
         rng = np.random.default_rng(5)
         p = rng.uniform(0.1, 1.0, size=12)
-        prop = PropensityModel(0.55, 1.5, 40, p)
+        prop = PropensityModel(p)
         preds = [rng.permutation(12)[:5] for _ in range(9)]
         truths = [set(rng.permutation(12)[: rng.integers(1, 4)].tolist()) for _ in range(9)]
         return preds, truths, prop
@@ -281,7 +281,7 @@ def eval_cases(draw):
         p = draw(st.lists(st.floats(0.01, 1.0), min_size=l, max_size=l))
         if draw(st.booleans()):  # ties in propensity go to the lower label id
             p = [round(v, 1) or 0.1 for v in p]
-        prop = PropensityModel(0.55, 1.5, 100, np.array(p))
+        prop = PropensityModel(np.array(p))
     ks = tuple(sorted(draw(st.sets(st.integers(1, 7), min_size=1, max_size=3))))
     return preds, truths, prop, ks
 

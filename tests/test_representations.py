@@ -191,9 +191,10 @@ class TestDispatchAndInvariants:
 
 
 class TestFactors:
-    """V = B·F, the form in which k-means reads V: the product equals the
-    matrix to 1e-15 per entry in every space, zero rows included, and so do
-    the label slices ``tree.grow`` hands k-means."""
+    """V = B·F, the only form of V in training: the product equals V formed
+    directly (``unfactored``) to 1e-15 per entry in every space, zero rows
+    included, and the label slices ``tree.grow`` hands k-means equal their
+    rows of the product."""
 
     @staticmethod
     def factored(seed, space):
@@ -205,6 +206,20 @@ class TestFactors:
         X = normalize_instances(ds)
         return X, Y, build_repr(X, Y, space)
 
+    @staticmethod
+    def unfactored(X, Y, space):
+        """V formed directly, not from the factors: each block's Yᵀ·F with
+        rows scaled to unit norm, the joint space's two blocks side by side
+        and scaled by 1/√2."""
+        Yt = Y.T.astype(np.float64)
+        vs = []
+        for F in {ReprSpace.INPUT: [X], ReprSpace.OUTPUT: [Y], ReprSpace.JOINT: [X, Y]}[space]:
+            V = (Yt @ F.astype(np.float64)).tocsr()
+            V.sort_indices()
+            norms = np.sqrt(np.asarray(V.multiply(V).sum(axis=1)).ravel())
+            vs.append(sp.diags(1.0 / np.where(norms == 0, 1.0, norms)) @ V)
+        return vs[0] if len(vs) == 1 else sp.hstack([v * (1.0 / np.sqrt(2.0)) for v in vs])
+
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(list(ReprSpace)))
     def test_product_is_the_matrix(self, seed, space):
@@ -212,7 +227,8 @@ class TestFactors:
         (n, l), blocks = Y.shape, 2 if space is ReprSpace.JOINT else 1
         assert r.B.shape == (l, blocks * n) and r.F.shape == (blocks * n, r.dim)
         assert r.B.dtype == r.F.dtype == np.float64
-        np.testing.assert_allclose((r.B @ r.F).toarray(), r.matrix.toarray(), rtol=0, atol=1e-15)
+        want = self.unfactored(X, Y, space).toarray()
+        np.testing.assert_allclose((r.B @ r.F).toarray(), want, rtol=0, atol=1e-15)
         unused = np.bincount(Y.indices, minlength=l) == 0
         assert unused[-1] and not np.diff(r.B.indptr)[unused].any()
 

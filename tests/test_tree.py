@@ -16,7 +16,7 @@ from labelforest import solver, tree
 from labelforest.clustering import Partition
 from labelforest.data import Dataset, build_label_index, normalize_instances, parse_dataset
 from labelforest.predict import predict_batch, prepare_features
-from labelforest.representations import ReprSpace, build_repr
+from labelforest.representations import LabelRepr, ReprSpace, build_repr
 from labelforest.tree import (
     FORMAT_VERSION,
     META_KEYS,
@@ -39,6 +39,7 @@ from helpers import (
     child_instances_oracle,
     children,
     grow_oracle,
+    identity_pair,
     l2_normalize,
     node_problem_oracle,
     node_weights,
@@ -119,7 +120,7 @@ class TestGrow:
         r = build_repr(normalize_instances(ds), Y, space)
         config = TrainConfig(n_trees=1, k=3, d_max=3)
         table, labels, _ = grow((r.B, r.F), config, np.random.default_rng(0))
-        want_table, want_labels, _ = grow((r.matrix, sp.identity(r.dim, format="csr")), config,
+        want_table, want_labels, _ = grow(identity_pair(r.matrix), config,
                                           np.random.default_rng(0))
         assert table.tobytes() == want_table.tobytes() and len(table) > 10
         assert labels.tobytes() == want_labels.tobytes()
@@ -224,7 +225,7 @@ class TestNodeInputsAgainstOracles:
                 a = np.isin(ids, after if len(ids) == 14 else labels).astype(np.int64)
             return Partition(a, np.zeros((K, 1)), 1, 0.0)
 
-        V = sp.csr_matrix(np.arange(1.0, 15.0)[:, None]), sp.identity(1, format="csr")
+        V = identity_pair(sp.csr_matrix(np.arange(1.0, 15.0)[:, None]))
         with mock.patch.object(tree, "kmeans_partition", partition):
             table, ordered, nodes = grow(V, TrainConfig(k=K, d_max=3), np.random.default_rng(0))
         u = next(u for u, node in enumerate(nodes) if np.array_equal(np.sort(node.labels), labels))
@@ -259,7 +260,7 @@ class TestNodeInputsAgainstOracles:
         # empty rows of idx are labels without an instance, and empty
         # columns are instances without a label
         idx = sp.csr_matrix(random_csr(seed, n_labels, n_insts, density) != 0, dtype=np.float32)
-        V = sp.csr_matrix(np.ones((n_labels, 1))), sp.identity(1, format="csr")
+        V = identity_pair(sp.csr_matrix(np.ones((n_labels, 1))))
         config = TrainConfig(n_trees=1, k=K, d_max=d_max)
 
         def partition(V, K, seed):
@@ -417,6 +418,26 @@ class TestEnsemble:
     def test_non_finite_solver_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("space", list(ReprSpace))
+    def test_training_never_forms_the_matrix(self, grouped_train, space):
+        """Training reads the label representation only through its factors:
+        with ``LabelRepr.matrix`` raising, every tree's weights, biases and
+        labels have the bytes of an unpatched run."""
+        ds, _ = grouped_train
+
+        def formed(_):
+            raise AssertionError("training formed V")
+
+        config = TrainConfig(n_trees=2, k=3, d_max=2, repr_space=space, base_seed=0)
+        with mock.patch.object(LabelRepr, "matrix", property(formed)):
+            got = train_ensemble(ds, config)
+        want = train_ensemble(ds, config)
+        assert len(got.trees) == 2 and all(len(t.nodes) > 1 for t in got.trees)
+        for g, w in zip(got.trees, want.trees):
+            assert same_csr_bits(g.W, w.W)
+            assert g.bias.tobytes() == w.bias.tobytes()
+            assert g.labels.tobytes() == w.labels.tobytes()
 
     @pytest.mark.parametrize("space", list(ReprSpace))
     def test_space_by_name_trains_and_saves_that_space(self, grouped_train, tmp_path, space):
