@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -178,7 +179,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    t0 = time.perf_counter()
     ens = load_model(args.model)
+    t_load = time.perf_counter() - t0
+    names = ["meta", *(f"tree_{t}.bin" for t in range(len(ens.trees)))]
+    size = sum(os.path.getsize(os.path.join(args.model, name)) for name in names)
+    log.info("loaded %d trees: %.2f MB on disk in %.3fs", len(ens.trees), size / 1e6, t_load)
     ds = _load_dataset(args.data)
     t0 = time.perf_counter()
     preds = predict_batch(ens, ds, beam=args.beam, k=max(args.k))

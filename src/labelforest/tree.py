@@ -32,7 +32,13 @@ from .solver import NodeSolve, train_node
 log = logging.getLogger(__name__)
 
 MAGIC = b"LFT1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+
+
+def _id_dtype(d: int) -> str:
+    """The stored dtype of a tree file's feature ids: 2 bytes when every id
+    below D fits them, else 4."""
+    return "<u2" if d <= 2**16 else "<u4"
 
 
 class ModelFormatError(ValueError):
@@ -335,7 +341,7 @@ def save_model(ens: Ensemble, model_dir) -> None:
                 (tree.nodes, NODE),
                 (tree.labels, "<u4"),
                 (np.diff(W.indptr), "<u4"),
-                (W.indices, "<u4"),
+                (W.indices, _id_dtype(ens.d)),
                 (W.data, "<f4"),
                 (tree.bias, "<f4"),
             ]:
@@ -369,20 +375,30 @@ def _check_nodes(nodes: np.ndarray, l: int, d_max: int) -> None:
         raise ModelFormatError("a node's row count is not its child or label count")
 
 
-def _parse_tree(buf: bytes, d: int, l: int, d_max: int) -> Tree:
-    """A tree file's arrays, each checked as a whole."""
-    if buf[:4] != MAGIC:
-        raise ModelFormatError("bad magic bytes")
-    pos = 4
+def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
+    """A tree file's arrays, each checked as a whole.  Each is read from the
+    open file ``f`` straight into a new array of its final dtype, once its
+    size is checked against the bytes left in the file; feature ids are
+    read at their stored width and converted to the index dtype."""
+    left = os.fstat(f.fileno()).st_size - len(MAGIC)
 
     def take(dtype, count):
-        nonlocal pos
+        nonlocal left
         size = np.dtype(dtype).itemsize * count
-        if pos + size > len(buf):
-            raise ModelFormatError("truncated tree file")
-        pos += size
-        return np.frombuffer(buf, dtype=dtype, count=count, offset=pos - size)
+        if size > left:
+            raise ModelFormatError(f"truncated tree file: {size} bytes wanted, {left} left")
+        left -= size
+        a = np.empty(count, dtype=dtype)
+        view, got = memoryview(a.view(np.uint8)), 0
+        while got < size:  # a short read is truncation only at EOF
+            n = f.readinto(view[got:])
+            if not n:
+                raise ModelFormatError("truncated tree file")
+            got += n
+        return a
 
+    if f.read(len(MAGIC)) != MAGIC:
+        raise ModelFormatError("bad magic bytes")
     version = int(take("<u4", 1)[0])
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported version {version}")
@@ -397,15 +413,20 @@ def _parse_tree(buf: bytes, d: int, l: int, d_max: int) -> Tree:
     if np.any(np.bincount(labels, minlength=l) != 1):
         raise ModelFormatError(f"leaves do not hold each of the L={l} labels once")
     m = int(nodes["rows"].sum())
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(take("<u4", m), out=indptr[1:])
-    indices = take("<u4", int(indptr[-1]))
-    values = take("<f4", int(indptr[-1]))
+    ends = np.cumsum(take("<u4", m), dtype=np.int64)
+    nnz = int(ends[-1])
+    # scipy's own index dtype for this shape and nnz, so csr_matrix keeps the arrays
+    index = np.int32 if max(m, d, nnz) < 2**31 else np.int64
+    ids = take(_id_dtype(d), nnz)
+    if nnz and ids.max() >= d:
+        raise ModelFormatError(f"bad classifier weights: feature id {ids.max()} >= D={d}")
+    values = take("<f4", nnz)
     bias = take("<f4", m)
-    if pos != len(buf):
+    if f.read(1):
         raise ModelFormatError("trailing bytes")
     try:
-        W = sp.csr_matrix((values, indices, indptr), shape=(m, d))
+        W = sp.csr_matrix((values, ids.astype(index), np.concatenate(([0], ends)).astype(index)),
+                          shape=(m, d))
         W.check_format(full_check=True)
     except ValueError as e:
         raise ModelFormatError(f"bad classifier weights: {e}") from e
@@ -461,11 +482,9 @@ def load_model(model_dir) -> Ensemble:
         path = os.path.join(model_dir, f"tree_{t}.bin")
         try:
             with open(path, "rb") as f:
-                buf = f.read()
+                trees.append(_read_tree(f, d, l, config.d_max))
         except FileNotFoundError as e:
             raise ModelFormatError(f"{path}: missing, but meta has T={config.n_trees}") from e
-        try:
-            trees.append(_parse_tree(buf, d, l, config.d_max))
         except ModelFormatError as e:
             raise ModelFormatError(f"{path}: {e}") from e
     return Ensemble(trees, config, d, l)

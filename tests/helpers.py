@@ -7,7 +7,9 @@ and scoring all of its labels, the first forms of a node's solve inputs
 and of its children's instance sets, growing a tree that carries each
 node's instances down from its parent's split (the route that node
 problems were first built by), passing a plain matrix to k-means as the
-factor pair (V, identity), and writing a Dataset back as text.
+factor pair (V, identity), finding and overwriting the sections of a
+tree file, and widening a Dataset's feature range or writing it back as
+text.
 Values of a ``SparseVec`` may be float32 or float64; its dot products and
 norms are accumulated in float64 regardless of the storage dtype.
 """
@@ -276,18 +278,33 @@ def build_tree(spec, dim: int) -> Tree:
     return Tree(np.array(table, dtype=NODE), np.array(labels, dtype=np.int64), W, bias)
 
 
-def tree_file_sections(buf, l: int) -> dict[str, int]:
-    """The byte offset of each array in a tree file over L labels."""
+def tree_file_sections(buf, l: int, d: int) -> dict[str, int]:
+    """The byte offset of each array in a tree file over L labels and D
+    features, and ``id_size``, the bytes of a stored feature id: 2 when
+    D <= 65,536, else 4."""
     (n,) = struct.unpack_from("<q", buf, 8)
     nodes = np.frombuffer(buf, NODE, count=n, offset=16)
     m = int(nodes["rows"].sum())
-    at = {"nodes": 16, "labels": 16 + NODE.itemsize * n}
+    at = {"id_size": 2 if d <= 65536 else 4, "nodes": 16, "labels": 16 + NODE.itemsize * n}
     at["row_nnz"] = at["labels"] + 4 * l
     nnz = int(np.frombuffer(buf, "<u4", count=m, offset=at["row_nnz"]).sum())
     at["indices"] = at["row_nnz"] + 4 * m
-    at["values"] = at["indices"] + 4 * nnz
+    at["values"] = at["indices"] + at["id_size"] * nnz
     at["bias"] = at["values"] + 4 * nnz
+    at["end"] = at["bias"] + 4 * m
     return at
+
+
+def id_bytes(buf, at, i):
+    """The bytes of the i-th stored feature id of a tree file."""
+    pos = at["indices"] + i * at["id_size"]
+    return buf[pos : pos + at["id_size"]]
+
+
+def put_id(buf, at, i, value):
+    """Overwrite the i-th stored feature id of a tree file, at its width."""
+    pos = at["indices"] + i * at["id_size"]
+    buf[pos : pos + at["id_size"]] = value.to_bytes(at["id_size"], "little")
 
 
 def node_weights(tree: Tree, u: int) -> list[Weights]:
@@ -445,6 +462,14 @@ def node_problem_oracle(node: CarriedNode, idx: sp.csr_matrix):
     signs = np.full((len(node.instances), len(counts)), -1, dtype=np.int8)
     signs[np.searchsorted(node.instances, positives), np.repeat(np.arange(len(counts)), counts)] = 1
     return node.instances, signs, int(np.count_nonzero(counts == 0))
+
+
+def widened(ds: Dataset, d: int) -> Dataset:
+    """``ds`` with D = d and feature j renamed d - 1 - j, so that its
+    first features take the last ids of the wider range."""
+    X = sp.csr_matrix((ds.X.data.copy(), d - 1 - ds.X.indices, ds.X.indptr), shape=(ds.n, d))
+    X.sort_indices()
+    return Dataset(X, ds.Y)
 
 
 def serialize_dataset(ds: Dataset, sink) -> None:

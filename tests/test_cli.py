@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -19,9 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grouped_dataset
+from conftest import grouped_dataset, random_dataset
 from fuzz import apply_edit, byte_edits, prediction_edits
-from helpers import children, dataset_to_text, node_weights, row, tree_file_sections
+from helpers import (
+    children,
+    dataset_to_text,
+    node_weights,
+    put_id,
+    row,
+    tree_file_sections,
+    widened,
+)
 from metrics_oracle import evaluate_oracle
 from labelforest import cli, solver, tree
 from labelforest.cli import main
@@ -40,6 +49,7 @@ from labelforest.tree import (
     TrainConfig,
     load_model,
     save_model,
+    train_ensemble,
 )
 
 
@@ -74,6 +84,22 @@ def trained(paths):
     )
     assert rc == 0
     return paths["model"]
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """A train/test pair with D = 65,537 in its header and its features at
+    the top of that range, and a one-tree model trained on it, which
+    stores 4-byte feature ids."""
+    root = tmp_path_factory.mktemp("wide")
+    out = {"model": str(root / "model")}
+    for name, seed, n in [("train", 7, 200), ("test", 8, 40)]:
+        ds, _ = grouped_dataset(seed, n=n, groups=4, labels_per_group=4)
+        out[name] = str(root / f"{name}.txt")
+        Path(out[name]).write_text(dataset_to_text(widened(ds, 65537)))
+    assert main(["train", "--data", out["train"], "--model", out["model"], "--trees", "1",
+                 "--branch", "3", "--seed", "1"]) == 0
+    return out
 
 
 class TestPipeline:
@@ -516,23 +542,28 @@ class TestExitCodes:
                    "--output", "/dev/null"])
         assert rc == 2
 
-    def test_bad_weight_index_in_model_is_data_error(self, paths, trained, tmp_path, capsys):
-        model = tmp_path / "model"
-        shutil.copytree(trained, model)
-        train = parse_dataset(paths["train"])
-        buf = bytearray((model / "tree_0.bin").read_bytes())
-        at = tree_file_sections(buf, train.l)
-        if at["values"] == at["indices"]:
-            pytest.fail("the tree has no stored weights to corrupt")
-        # the last index of the last row that has any
-        struct.pack_into("<I", buf, at["values"] - 4, train.d)
-        (model / "tree_0.bin").write_bytes(bytes(buf))
-        with pytest.raises(ModelFormatError):
-            load_model(model)
-        rc = main(["predict", "--model", str(model), "--data", paths["test"],
-                   "--output", str(tmp_path / "pred.txt")])
-        assert rc == 2
-        assert "data error" in capsys.readouterr().err
+    def test_bad_weight_index_in_model_is_data_error(self, paths, trained, wide, tmp_path, capsys):
+        """At each id width, the largest id it holds: >= D, and for 4-byte
+        ids >= 2**31 too, where a cast that reinterprets it reads a negative."""
+        for id_size, files in [(2, dict(paths, model=trained)), (4, wide)]:
+            model = tmp_path / f"model{id_size}"
+            shutil.copytree(files["model"], model)
+            train = parse_dataset(files["train"])
+            buf = bytearray((model / "tree_0.bin").read_bytes())
+            at = tree_file_sections(buf, train.l, train.d)
+            assert at["id_size"] == id_size
+            nnz = (at["values"] - at["indices"]) // id_size
+            if not nnz:
+                pytest.fail("the tree has no stored weights to corrupt")
+            # the last index of the last row that has any
+            put_id(buf, at, nnz - 1, 2 ** (8 * id_size) - 1)
+            (model / "tree_0.bin").write_bytes(bytes(buf))
+            with pytest.raises(ModelFormatError, match="bad classifier weights"):
+                load_model(model)
+            rc = main(["predict", "--model", str(model), "--data", files["test"],
+                       "--output", str(tmp_path / "pred.txt")])
+            assert rc == 2
+            assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["copy a leaf label", "label past L"])
     def test_leaves_not_partitioning_labels_is_data_error(
@@ -684,6 +715,27 @@ class TestExitCodes:
         assert rc == 2
         assert "unsupported model version 3" in capsys.readouterr().err
 
+    def test_v4_model_is_data_error(self, paths, trained, tmp_path, capsys):
+        """A directory in format v4, its feature ids stored in 4 bytes,
+        fails on its version."""
+        model = tmp_path / "v4"
+        shutil.copytree(trained, model)
+        meta = (model / "meta").read_text()
+        (model / "meta").write_text(meta.replace(f"version={FORMAT_VERSION}\n", "version=4\n"))
+        train = parse_dataset(paths["train"])
+        for t in range(3):
+            tree = model / f"tree_{t}.bin"
+            buf = tree.read_bytes()
+            at = tree_file_sections(buf, train.l, train.d)
+            ids = np.frombuffer(buf, "<u2", count=(at["values"] - at["indices"]) // 2,
+                                offset=at["indices"])
+            tree.write_bytes(b"LFT1" + struct.pack("<I", 4) + buf[8:at["indices"]]
+                             + ids.astype("<u4").tobytes() + buf[at["values"]:])
+        rc = main(["predict", "--model", str(model), "--data", paths["test"],
+                   "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2
+        assert "unsupported model version 4" in capsys.readouterr().err
+
     def test_node_deeper_than_d_max_is_data_error(self, paths, tmp_path, capsys):
         model = tmp_path / "chain"
         self.write_chain_model(model, parse_dataset(paths["test"]).d, d_max=2)
@@ -703,6 +755,92 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
 
+def _base_chain(a):
+    """``a``, its base, that one's base and so on, through memoryviews too."""
+    while a is not None:
+        yield a
+        a = a.base if isinstance(a, np.ndarray) else getattr(a, "obj", None)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)``'s result, and the most memory that tracemalloc saw it
+    hold at once beyond what was held before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadMemory:
+    """Loading a model reads each tree file's arrays straight into their
+    final dtype: no file's bytes outlive the load, and no section is
+    allocated before its size is checked against the file."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        """Three trees of about 44,000 weights each (no pruning), so that
+        their arrays outweigh the load's Python objects."""
+        ds = random_dataset(0, n=200, d=1000, l=40, density=0.1, label_density=0.1)
+        path = tmp_path_factory.mktemp("dense") / "m"
+        save_model(train_ensemble(ds, TrainConfig(k=4, d_max=1, base_seed=0, delta=0.0)), path)
+        return str(path)
+
+    def test_loaded_arrays_hold_no_file_bytes(self, model):
+        for tree in load_model(model).trees:
+            for a in (tree.nodes, tree.labels, tree.W.data, tree.W.indices, tree.W.indptr,
+                      tree.bias):
+                assert not any(isinstance(b, (bytes, bytearray)) for b in _base_chain(a))
+
+    def test_load_peak_is_the_arrays_and_one_file(self, model):
+        ens, peak = _traced_peak(load_model, model)
+        arrays = sum(a.nbytes for t in ens.trees for a in (
+            t.nodes, t.labels, t.W.data, t.W.indices, t.W.indptr, t.bias, t.row_ptr, t.child))
+        largest = max(os.path.getsize(os.path.join(model, f"tree_{t}.bin"))
+                      for t in range(len(ens.trees)))
+        assert peak < arrays + largest
+
+    @pytest.mark.parametrize("claim", ["2**40 nodes", "L=2**32"])
+    def test_sizes_checked_before_allocation(self, paths, tmp_path, capsys, claim):
+        model = tmp_path / "m"
+        TestExitCodes.write_chain_model(model, parse_dataset(paths["test"]).d, d_max=1,
+                                        links=0)
+        path = model / "tree_0.bin"
+        if claim == "2**40 nodes":
+            buf = bytearray(path.read_bytes())
+            struct.pack_into("<q", buf, 8, 2**40)
+            path.write_bytes(bytes(buf))
+        else:
+            (model / "meta").write_text((model / "meta").read_text().replace("L=1", f"L={2**32}"))
+            nodes = np.zeros(1, dtype=NODE)
+            nodes["parent"], nodes["leaf"], nodes["label_hi"], nodes["rows"] = -1, 1, 2**32, 2**32
+            path.write_bytes(b"LFT1" + struct.pack("<Iq", FORMAT_VERSION, 1) + nodes.tobytes()
+                             + bytes(16))
+
+        def load():
+            with pytest.raises(ModelFormatError, match="truncated"):
+                load_model(model)
+
+        _, peak = _traced_peak(load)
+        assert peak < 1 << 20
+        rc, peak = _traced_peak(main, ["predict", "--model", str(model), "--data",
+                                       paths["test"], "--output", str(tmp_path / "pred.txt")])
+        assert rc == 2 and peak < 1 << 20
+        assert "data error" in capsys.readouterr().err
+
+    def test_predict_logs_the_load(self, paths, trained, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="labelforest")
+        assert main(["predict", "--model", trained, "--data", paths["test"],
+                     "--output", str(tmp_path / "pred.txt")]) == 0
+        size = sum(f.stat().st_size for f in Path(trained).iterdir())
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("loaded ")]
+        assert len(lines) == 1
+        assert re.fullmatch(rf"loaded 3 trees: {size / 1e6:.2f} MB on disk in \d+\.\d{{3}}s",
+                            lines[0])
+
+
 def _sha256_of_dir(path) -> str:
     h = hashlib.sha256()
     for name in sorted(os.listdir(path)):
@@ -719,10 +857,10 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("flags, depth, model_sha, pred_sha", [
         (["--trees", "2", "--branch", "8", "--max-depth", "1", "--repr", "input", "--seed", "3"],
-         1, "4d2267401fd0a76cabf521168aa6b19c9ddac7fa8901890afe8f965150950d24",
+         1, "40fa403744d5c291d2598dd4be083cee823dc1355226431f5be405cac5156f9a",
          "15d2b3491dbc48d3650ce042ff2144636c8236aa2c65452012e84f83bf8ee660"),
         (["--trees", "2", "--branch", "4", "--max-depth", "2", "--repr", "joint", "--seed", "5"],
-         2, "b3987104f30075cd3f5374cbf5592b3bc5cdfd387f176373c9b73c0fea256214",
+         2, "8a4c8b6d73e1f370185eca1a8395f2c186de23be19f17815de3f03db5aa561fb",
          "63d33605df84839a77e5722ac421af5ebb21c14562d616b97b332cabcfe58377"),
     ], ids=["input-depth1", "joint-depth2"])
     def test_model_and_predictions_match_recorded_digests(
@@ -753,7 +891,7 @@ class TestPinnedBytes:
         assert len(batches) > n_nodes + 20 and max(batches) > 1
         self._check_digests(
             paths, model, pred, 2,
-            "b3987104f30075cd3f5374cbf5592b3bc5cdfd387f176373c9b73c0fea256214",
+            "8a4c8b6d73e1f370185eca1a8395f2c186de23be19f17815de3f03db5aa561fb",
             "63d33605df84839a77e5722ac421af5ebb21c14562d616b97b332cabcfe58377",
         )
 

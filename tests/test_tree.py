@@ -38,15 +38,19 @@ from fuzz import apply_edit, byte_edits, meta_edits
 from helpers import (
     child_instances_oracle,
     children,
+    dataset_to_text,
     grow_oracle,
+    id_bytes,
     identity_pair,
     l2_normalize,
     node_problem_oracle,
     node_weights,
+    put_id,
     random_csr,
     row,
     same_csr_bits,
     tree_file_sections,
+    widened,
 )
 
 
@@ -491,11 +495,23 @@ class TestModelStore:
         assert back.config.repr_space is ens.config.repr_space
         assert back.config.base_seed == ens.config.base_seed
         assert max(t.nodes["depth"].max() for t in ens.trees) == 2
-        for ta, tb in zip(ens.trees, back.trees, strict=True):
-            assert ta.nodes.tobytes() == tb.nodes.tobytes()
-            assert np.array_equal(ta.labels, tb.labels)
-            assert same_csr_bits(ta.W, tb.W)
-            assert ta.bias.tobytes() == tb.bias.tobytes()
+        assert_same_trees(ens, back)
+
+    @pytest.mark.parametrize("d, id_size", [(65536, 2), (65537, 4)])
+    def test_round_trip_at_id_width_boundary(self, tmp_path, d, id_size):
+        """A split whose header has D = 65,536 stores 2-byte feature ids,
+        one with D = 65,537 4-byte ids, and the top feature id D - 1 is
+        among the kept weights; either loads as the trained arrays."""
+        train, _ = grouped_dataset(3, n=120, groups=4, labels_per_group=4)
+        ds = parse_text(dataset_to_text(widened(train, d)))
+        ens = train_small(ds, n_trees=2, d_max=1)
+        assert ens.trees[0].W.indices.max() == d - 1
+        save_model(ens, tmp_path / "m")
+        for t in range(2):
+            buf = (tmp_path / "m" / f"tree_{t}.bin").read_bytes()
+            at = tree_file_sections(buf, ds.l, d)
+            assert (at["id_size"], at["end"]) == (id_size, len(buf))
+        assert_same_trees(ens, load_model(tmp_path / "m"))
 
     def test_bad_magic_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
@@ -523,9 +539,9 @@ class TestModelStore:
             load_model(tmp_path / "m")
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda b, a, d: struct.pack_into("<I", b, a["indices"], d), "bad classifier weights"),
-        (lambda b, a, d: b.__setitem__(slice(a["indices"] + 4, a["indices"] + 8),
-                                       b[a["indices"]:a["indices"] + 4]), "strictly increasing"),
+        (lambda b, a, d: put_id(b, a, 0, d), "bad classifier weights"),
+        (lambda b, a, d: put_id(b, a, 1, int.from_bytes(id_bytes(b, a, 0), "little")),
+         "strictly increasing"),
         (lambda b, a, d: struct.pack_into("<f", b, a["values"], 0.0), "zero or non-finite"),
         (lambda b, a, d: struct.pack_into("<f", b, a["values"], np.nan), "zero or non-finite"),
         (lambda b, a, d: struct.pack_into("<f", b, a["bias"], np.inf), "bias: not finite"),
@@ -537,7 +553,7 @@ class TestModelStore:
         save_model(train_small(ds), tmp_path / "m")
         p = tmp_path / "m" / "tree_0.bin"
         buf = bytearray(p.read_bytes())
-        at = tree_file_sections(buf, ds.l)
+        at = tree_file_sections(buf, ds.l, ds.d)
         # the root's first row holds at least two weights
         assert struct.unpack_from("<I", buf, at["row_nnz"])[0] >= 2
         edit(buf, at, ds.d)
@@ -561,8 +577,8 @@ class TestModelStore:
                              ids=["normalize=1", "normalize=0", "normalize=2",
                                   "normalize=yes", "no eps"])
     def test_meta_keys_other_than_v4_rejected(self, grouped_train, tmp_path, extra):
-        """Format v4 has no ``normalize`` key (instances are always
-        unit-normalized), and it needs ``eps``; ``extra=None`` drops eps."""
+        """Since format v4 a meta file has no ``normalize`` key (instances are
+        always unit-normalized) and needs ``eps``; ``extra=None`` drops eps."""
         ds, _ = grouped_train
         save_model(train_small(ds), tmp_path / "m")
         meta = (tmp_path / "m" / "meta").read_text().splitlines()
@@ -605,6 +621,17 @@ class TestModelStore:
         save_model(ens, tmp_path / "m")
         with pytest.raises(ModelFormatError, match=match):
             load_model(tmp_path / "m")
+
+
+def assert_same_trees(a, b):
+    """The trees of ensembles ``a`` and ``b`` hold equal arrays of equal
+    dtypes, their weights and biases bit for bit."""
+    for ta, tb in zip(a.trees, b.trees, strict=True):
+        assert ta.nodes.tobytes() == tb.nodes.tobytes()
+        assert np.array_equal(ta.labels, tb.labels) and ta.labels.dtype == tb.labels.dtype
+        assert same_csr_bits(ta.W, tb.W)
+        assert ta.W.indices.dtype == tb.W.indices.dtype == tb.W.indptr.dtype
+        assert ta.bias.tobytes() == tb.bias.tobytes() and ta.bias.dtype == tb.bias.dtype
 
 
 def leaves(tree):
