@@ -182,8 +182,7 @@ def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     ens = load_model(args.model)
     t_load = time.perf_counter() - t0
-    names = ["meta", *(f"tree_{t}.bin" for t in range(len(ens.trees)))]
-    size = sum(os.path.getsize(os.path.join(args.model, name)) for name in names)
+    size = sum(entry.stat().st_size for entry in os.scandir(args.model))
     log.info("loaded %d trees: %.2f MB on disk in %.3fs", len(ens.trees), size / 1e6, t_load)
     ds = _load_dataset(args.data)
     t0 = time.perf_counter()

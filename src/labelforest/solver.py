@@ -341,13 +341,21 @@ def train_node(
     return NodeSolve(W, bias, iters, cg, conv, n_pruned, in_instances)
 
 
+def compact_columns(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``A`` on its nonzero columns, renumbered 0..f-1 in order, on A's own
+    data and indptr; and the f kept column ids, in A's index dtype."""
+    present = np.zeros(A.shape[1], dtype=bool)
+    present[A.indices] = True
+    cols = np.flatnonzero(present).astype(A.indices.dtype)
+    at = (np.cumsum(present, dtype=A.indices.dtype) - 1)[A.indices]
+    return sp.csr_matrix((A.data, at, A.indptr), shape=(A.shape[0], len(cols))), cols
+
+
 def with_bias_feature(X: sp.csr_matrix):
-    """``X`` on its nonzero feature columns, renumbered 0..f-1 in order, with
-    every row ending in a bias feature f of value 1; and the f feature ids."""
-    n, d = X.shape
-    present = np.zeros(d, dtype=bool)
-    present[X.indices] = True
-    feats = np.flatnonzero(present).astype(X.indices.dtype)
+    """``X`` on its nonzero feature columns (``compact_columns``), with every
+    row ending in a bias feature f of value 1; and the f feature ids."""
+    Xf, feats = compact_columns(X)
+    n = X.shape[0]
     indptr = X.indptr + np.arange(n + 1)
     # row r's bias goes at X.indptr[r + 1] + r, after its features
     feat = np.ones(indptr[-1], dtype=bool)
@@ -355,5 +363,5 @@ def with_bias_feature(X: sp.csr_matrix):
     data = np.ones(indptr[-1], dtype=X.dtype)
     data[feat] = X.data
     indices = np.full(indptr[-1], len(feats), dtype=X.indices.dtype)
-    indices[feat] = (np.cumsum(present, dtype=X.indices.dtype) - 1)[X.indices]
+    indices[feat] = Xf.indices
     return sp.csr_matrix((data, indices, indptr), shape=(n, len(feats) + 1)), feats

@@ -180,13 +180,6 @@ def take_rows(A: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((A.data[at], A.indices[at], indptr), shape=(len(rows), A.shape[1]))
 
 
-def _drop_empty_columns(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """``A`` without the columns that hold no entry, on A's data and indptr,
-    and the ids of the columns kept."""
-    cols, at = np.unique(A.indices, return_inverse=True)
-    return sp.csr_matrix((A.data, at, A.indptr), shape=(A.shape[0], len(cols))), cols
-
-
 def label_rows(B: sp.csr_matrix, F: sp.csr_matrix, rows: np.ndarray):
     """The labels ``rows`` of V = B·F as a pair of factors: their rows of B
     with only the instance columns they touch, and those rows of F with
@@ -196,8 +189,8 @@ def label_rows(B: sp.csr_matrix, F: sp.csr_matrix, rows: np.ndarray):
     Bs = take_rows(B, rows)
     if Bs is B:
         return B, F
-    Bs, insts = _drop_empty_columns(Bs)
-    return Bs, _drop_empty_columns(take_rows(F, insts))[0]
+    Bs, insts = solver.compact_columns(Bs)
+    return Bs, solver.compact_columns(take_rows(F, insts))[0]
 
 
 def grow(V, config: TrainConfig, rng, report: TrainReport | None = None):
@@ -376,9 +369,9 @@ def _check_nodes(nodes: np.ndarray, l: int, d_max: int) -> None:
 
 
 def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
-    """A tree file's arrays, each checked as a whole.  Each is read from the
-    open file ``f`` straight into a new array of its final dtype, once its
-    size is checked against the bytes left in the file; feature ids are
+    """A tree file's arrays, each checked as a whole.  Each is filled by one
+    read from the open file ``f`` into a new array of its final dtype, once
+    its size is checked against the bytes left in the file; feature ids are
     read at their stored width and converted to the index dtype."""
     left = os.fstat(f.fileno()).st_size - len(MAGIC)
 
@@ -389,12 +382,9 @@ def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
             raise ModelFormatError(f"truncated tree file: {size} bytes wanted, {left} left")
         left -= size
         a = np.empty(count, dtype=dtype)
-        view, got = memoryview(a.view(np.uint8)), 0
-        while got < size:  # a short read is truncation only at EOF
-            n = f.readinto(view[got:])
-            if not n:
-                raise ModelFormatError("truncated tree file")
-            got += n
+        # a buffered read of a regular file comes back short only at EOF
+        if f.readinto(a.view(np.uint8)) < size:
+            raise ModelFormatError("truncated tree file")
         return a
 
     if f.read(len(MAGIC)) != MAGIC:

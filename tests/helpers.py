@@ -186,12 +186,15 @@ def same_csr_bits(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
     return same_csr(a, b) and a.dtype == b.dtype and a.data.tobytes() == b.data.tobytes()
 
 
-def random_csr(seed: int, n: int, d: int, density: float, empty_rows: float = 0.3):
+def random_csr(seed: int, n: int, d: int, density: float, empty_rows: float = 0.3,
+               empty_cols: float = 0.0):
     """An n x d float64 CSR matrix of normal values in canonical format;
-    about ``empty_rows`` of its rows have no entries."""
+    about ``empty_rows`` of its rows and ``empty_cols`` of its columns have
+    no entries."""
     rng = np.random.default_rng(seed)
     dense = np.where(rng.random((n, d)) < density, rng.normal(size=(n, d)), 0.0)
     dense[rng.random(n) < empty_rows] = 0.0
+    dense[:, rng.random(d) < empty_cols] = 0.0
     return sp.csr_matrix(dense)
 
 
@@ -365,6 +368,13 @@ def with_bias_column(X: sp.csr_matrix) -> sp.csr_matrix:
     out = sp.hstack([X, sp.csr_matrix(np.ones((X.shape[0], 1), dtype=X.dtype))], format="csr")
     out.sort_indices()
     return out
+
+
+def compact_columns_oracle(A: sp.csr_matrix):
+    """``solver.compact_columns`` as ``tree.label_rows`` first built it: the
+    kept columns from ``np.unique`` and their new ids from its inverse."""
+    cols, at = np.unique(A.indices, return_inverse=True)
+    return sp.csr_matrix((A.data, at, A.indptr), shape=(A.shape[0], len(cols))), cols
 
 
 def with_bias_feature_oracle(X: sp.csr_matrix):

@@ -87,6 +87,15 @@ def trained(paths):
 
 
 @pytest.fixture(scope="module")
+def predicted(paths, trained):
+    """The test split's prediction file at ``paths["pred"]``, written once
+    by ``predict`` from the trained model."""
+    assert main(["predict", "--model", trained, "--data", paths["test"],
+                 "--output", paths["pred"]]) == 0
+    return paths["pred"]
+
+
+@pytest.fixture(scope="module")
 def wide(tmp_path_factory):
     """A train/test pair with D = 65,537 in its header and its features at
     the top of that range, and a one-tree model trained on it, which
@@ -123,7 +132,7 @@ class TestPipeline:
         baseline = 100.0 * hits / test.n
         assert table["P"][0] >= baseline
 
-    def test_prediction_file_matches_library_route(self, paths, trained, tmp_path):
+    def test_prediction_file_matches_library_route(self, paths, trained, predicted, tmp_path):
         ens = load_model(trained)
         X = normalize_instances(parse_dataset(paths["test"]))
         results = [predict_ensemble(ens, X[i : i + 1], beam=10, k=5) for i in range(X.shape[0])]
@@ -164,7 +173,7 @@ class TestPipeline:
         got = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name != "d_max"}
         assert got == {k: v for k, v in asdict(TrainConfig()).items() if k != "d_max"}
 
-    def test_deterministic_given_seed(self, paths, trained):
+    def test_deterministic_given_seed(self, paths, trained, predicted):
         other = str(paths["root"] / "model2")
         assert main(["train", "--data", paths["train"], "--model", other,
                      "--branch", "8", "--seed", "3"]) == 0
@@ -287,14 +296,14 @@ class TestEval:
         assert table["PSP"] == table["P"]
         assert table["PSnDCG"] == table["nDCG"]
 
-    def test_output_file_matches_stdout(self, paths, trained, capsys):
+    def test_output_file_matches_stdout(self, paths, predicted, capsys):
         out = str(paths["root"] / "report.txt")
         assert main(["eval", "--predictions", paths["pred"], "--data", paths["test"],
                      "--train-data", paths["train"], "--output", out]) == 0
         stdout = capsys.readouterr().out
         assert Path(out).read_text().strip() == stdout.strip()
 
-    def test_row_count_mismatch_is_data_error(self, paths, trained, tmp_path):
+    def test_row_count_mismatch_is_data_error(self, paths, predicted, tmp_path):
         short = tmp_path / "short.txt"
         short.write_text("".join(Path(paths["pred"]).read_text().splitlines(True)[:10]))
         rc = main(["eval", "--predictions", str(short), "--data", paths["test"]])
@@ -306,7 +315,7 @@ class TestEval:
         (lambda pairs: [pairs[0].split(":")[0] + ":nan"] + pairs[1:], "line 3: non-finite score"),
         (lambda pairs: pairs[:-1] + [pairs[-1].split(":")[0] + ":inf"], "line 3: non-finite score"),
     ], ids=["label five times", "label twice", "nan score", "inf score"])
-    def test_bad_prediction_row_is_data_error(self, paths, trained, tmp_path, capsys,
+    def test_bad_prediction_row_is_data_error(self, paths, predicted, tmp_path, capsys,
                                               edit, message):
         lines = Path(paths["pred"]).read_text().splitlines()
         lines[2] = " ".join(edit(lines[2].split()))
@@ -326,7 +335,7 @@ class TestEval:
         assert "line 1: repeated label id" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--a", "nan"], ["--b", "-5"]], ids=["a nan", "b -5"])
-    def test_bad_propensity_parameters_are_usage(self, paths, trained, capsys, flags):
+    def test_bad_propensity_parameters_are_usage(self, paths, predicted, capsys, flags):
         rc = main(["eval", "--predictions", paths["pred"], "--data", paths["test"], *flags])
         assert rc == 1
         captured = capsys.readouterr()
@@ -337,7 +346,7 @@ class TestEval:
         ["--train-data", "/nonexistent"], ["--a", "nan"], ["--b", "1.5"],
         ["--train-data", "/nonexistent", "--a", "nan"],
     ], ids=["train-data", "a", "b", "train-data and a"])
-    def test_uniform_propensity_with_fit_flags_is_usage(self, paths, trained, capsys, flags):
+    def test_uniform_propensity_with_fit_flags_is_usage(self, paths, predicted, capsys, flags):
         rc = main(["eval", "--predictions", paths["pred"], "--data", paths["test"],
                    "--uniform-propensity", *flags])
         assert rc == 1
@@ -345,7 +354,7 @@ class TestEval:
         assert "--uniform-propensity takes no " + flags[0] in captured.err
         assert captured.out == ""
 
-    def test_propensity_parameters_keep_their_outputs(self, paths, trained, capsys):
+    def test_propensity_parameters_keep_their_outputs(self, paths, predicted, capsys):
         """Leaving out --a and --b fits with 0.55 and 1.5; other values fit
         with those values."""
         base = ["eval", "--predictions", paths["pred"], "--data", paths["test"]]
@@ -367,7 +376,7 @@ class TestEval:
         ("1_0:0.5", "line 3: bad label id in '1_0:0.5'"),
         ("3:0.5\u00a04:0.25", "line 3: non-ASCII character '\\xa0'"),
     ], ids=["fullwidth digit", "underscore", "no-break space"])
-    def test_label_id_spelled_as_the_data_parser_reads(self, paths, trained, tmp_path, capsys,
+    def test_label_id_spelled_as_the_data_parser_reads(self, paths, predicted, tmp_path, capsys,
                                                         pair, message):
         lines = Path(paths["pred"]).read_text().splitlines()
         lines[2] = pair
@@ -388,7 +397,7 @@ class TestEval:
                      "--uniform-propensity"]) == 0
         assert parse_table(capsys.readouterr().out)["P"][0] == 100.0
 
-    def test_negative_label_id_is_data_error(self, paths, trained, tmp_path, capsys):
+    def test_negative_label_id_is_data_error(self, paths, predicted, tmp_path, capsys):
         lines = Path(paths["pred"]).read_text().splitlines()
         lines[0] = "-1:0.9 " + " ".join(lines[0].split()[1:])
         bad = tmp_path / "negative.txt"
@@ -396,6 +405,43 @@ class TestEval:
         rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
+
+
+    def test_label_id_past_l_is_data_error(self, paths, predicted, tmp_path, capsys):
+        l = parse_dataset(paths["test"]).l
+        lines = Path(paths["pred"]).read_text().splitlines()
+        lines[1] = f"{l}:0.9 " + " ".join(lines[1].split()[1:])
+        bad = tmp_path / "past_l.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
+        assert rc == 2
+        assert f"line 2: predicted label id out of range [0, {l})" in capsys.readouterr().err
+
+    def test_propensity_source_of_another_l_is_data_error(self, paths, predicted, tmp_path,
+                                                          capsys):
+        other = tmp_path / "other.txt"
+        other.write_text("2 3 7\n0 0:1.0\n6 1:1.0\n")
+        rc = main(["eval", "--predictions", paths["pred"], "--data", paths["test"],
+                   "--train-data", str(other)])
+        assert rc == 2
+        l = parse_dataset(paths["test"]).l
+        assert f"propensity source has L=7, ground truth has L={l}" in capsys.readouterr().err
+
+    def test_truth_without_labels_is_data_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.txt"
+        truth.write_text("2 3 4\n 0:1.0\n 1:2.0\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("0:0.9\n1:0.5\n")
+        assert main(["eval", "--predictions", str(pred), "--data", str(truth)]) == 2
+        assert "data error: oracle gain is zero" in capsys.readouterr().err
+
+    def test_empty_test_set_is_data_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.txt"
+        truth.write_text("0 3 4\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("")
+        assert main(["eval", "--predictions", str(pred), "--data", str(truth)]) == 2
+        assert "data error: empty test set" in capsys.readouterr().err
 
 
 class TestDegenerateSplit:
@@ -499,6 +545,22 @@ class TestExitCodes:
         }[command]
         assert main(argv) == 2
         assert "D or L out of range" in capsys.readouterr().err
+
+    def test_header_not_utf8_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"\xff 3 4\n0 0:1.0\n")
+        assert main(["stats", "--data", str(f)]) == 2
+        assert "data error: header is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "d", "--model", "m", "--trees", "0"],
+         "labelforest train: argument --trees: expected a positive integer, got 0"),
+        (["eval", "--predictions", "p", "--data", "d", "--k", "a,b"],
+         "labelforest eval: argument --k: expected comma-separated integers, got 'a,b'"),
+    ], ids=["train --trees 0", "eval --k a,b"])
+    def test_bad_flag_value_is_usage(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "nope.txt")]) == 2
@@ -649,7 +711,7 @@ class TestExitCodes:
         assert rc == 2
         assert "data error: bad meta file" in capsys.readouterr().err
 
-    def test_invalid_utf8_in_predictions_is_data_error(self, paths, trained, tmp_path, capsys):
+    def test_invalid_utf8_in_predictions_is_data_error(self, paths, predicted, tmp_path, capsys):
         bad = tmp_path / "pred.txt"
         bad.write_bytes(b"\xff" + Path(paths["pred"]).read_bytes())
         rc = main(["eval", "--predictions", str(bad), "--data", paths["test"]])
@@ -1012,7 +1074,7 @@ class TestFuzz:
 
     @settings(max_examples=150)
     @given(data=st.data())
-    def test_corrupted_prediction_file_evaluates_or_exits_2(self, paths, trained, data):
+    def test_corrupted_prediction_file_evaluates_or_exits_2(self, paths, predicted, data):
         pred = Path(paths["pred"]).read_bytes()
         edit = data.draw(prediction_edits(pred))
         with tempfile.TemporaryDirectory() as tmp:

@@ -16,6 +16,7 @@ from labelforest.solver import (
     _Instances,
     _tron,
     _trcg,
+    compact_columns,
     train_node,
     with_bias_feature,
 )
@@ -23,6 +24,7 @@ from labelforest.tree import TrainConfig, TrainReport, train_ensemble
 
 from conftest import grouped_dataset
 from helpers import (
+    compact_columns_oracle,
     random_csr,
     row_weights,
     same_csr_bits,
@@ -615,6 +617,48 @@ class TestFinalize:
         sol = train_node(X, np.empty((0, 2), dtype=np.int8))
         assert [(w.w.nnz, w.bias, w.w.dim) for w in weights_of(sol)] == [(0, 0.0, 3)] * 2
         assert sol.converged.all() and not sol.newton_iters.any()
+
+
+class TestCompactColumnsAgainstOracle:
+    """``compact_columns`` gives the arrays, dtypes, shape and column ids of
+    the ``np.unique`` renumbering it replaced, on A's own data and indptr."""
+
+    @staticmethod
+    def check(A):
+        got, cols = compact_columns(A)
+        want, want_cols = compact_columns_oracle(A)
+        assert got.shape == want.shape
+        for a, b in [(got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr), (cols, want_cols)]:
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert cols.dtype == A.indices.dtype
+        if A.indptr.dtype == got.indptr.dtype:
+            assert np.shares_memory(got.indptr, A.indptr)
+            assert not A.nnz or np.shares_memory(got.data, A.data)
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 12),
+        d=st.integers(1, 10),
+        density=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+        empty_cols=st.sampled_from([0.0, 0.3, 0.7]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_matches_oracle(self, seed, n, d, density, empty_cols, dtype):
+        self.check(random_csr(seed, n, d, density, empty_cols=empty_cols).astype(dtype))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 5), (3, 0)])
+    def test_all_empty(self, shape):
+        A = sp.csr_matrix(shape)
+        self.check(A)
+        assert compact_columns(A)[0].shape == (shape[0], 0)
+
+    def test_int64_index_arrays(self):
+        A = random_csr(4, 9, 12, density=0.3, empty_cols=0.4)
+        A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+        self.check(A)
 
 
 class TestBiasFeatureAgainstOracle:

@@ -538,6 +538,20 @@ class TestModelStore:
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "m")
 
+    def test_file_shorter_than_fstat_says_is_truncated(self, grouped_train, tmp_path,
+                                                      monkeypatch):
+        """Every size check passes when ``os.fstat`` overstates the size, so
+        the short read of the last section is what rejects the file."""
+        ds, _ = grouped_train
+        save_model(train_small(ds), tmp_path / "m")
+        p = tmp_path / "m" / "tree_0.bin"
+        p.write_bytes(p.read_bytes()[:-6])
+        fstat = os.fstat
+        monkeypatch.setattr("labelforest.tree.os.fstat",
+                            lambda fd: mock.Mock(st_size=fstat(fd).st_size + 6))
+        with pytest.raises(ModelFormatError, match=r": truncated tree file$"):
+            load_model(tmp_path / "m")
+
     @pytest.mark.parametrize("edit, match", [
         (lambda b, a, d: put_id(b, a, 0, d), "bad classifier weights"),
         (lambda b, a, d: put_id(b, a, 1, int.from_bytes(id_bytes(b, a, 0), "little")),
