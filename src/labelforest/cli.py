@@ -162,13 +162,13 @@ def cmd_train(args) -> int:
         "(%d with no positives), %d Newton steps, "
         "%d classifiers stopped at the Newton cap, %d weights kept, %d pruned; "
         "%d CG steps, %d nodes solved in instance coordinates; "
-        "%d k-means splits in %d Lloyd rounds",
+        "%d k-means splits in %d Lloyd rounds; %d solve batches",
         len(ens.trees), report.n_nodes, report.n_leaves,
         report.n_classifiers, report.n_zero_positive,
         report.n_newton_iters, report.n_not_converged,
         report.n_weights_kept, report.n_weights_pruned,
         report.n_cg_iters, report.n_instance_nodes,
-        report.n_splits, report.n_lloyd_rounds,
+        report.n_splits, report.n_lloyd_rounds, report.n_solve_batches,
     )
     log.info(
         "timings: grow %.2fs, solve %.2fs, save %.2fs, total %.2fs",

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataFormatError, Dataset, normalize_instances
-from .tree import Ensemble, Tree, take_rows
+from .solver import take_rows
+from .tree import Ensemble, Tree
 
 # Rows scored together by predict_batch: enough to amortize the per-node
 # products, few enough that a block's label accumulator stays small.

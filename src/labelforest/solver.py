@@ -32,11 +32,31 @@ n^2 <= 4 nnz (its bias feature counted): a K product then costs at most
 about twice the two sparse products, vectors shrink from f + 1 entries to
 n, and K takes at most 32 bytes per nonzero.  Nodes with many rows, such
 as the roots, usually stay in feature coordinates.
+
+``train_nodes`` solves many nodes at once, which is how a tree's nodes are
+trained.  A node in feature coordinates is solved alone, in batches of at
+most ``CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1))`` columns
+(at least one), f being its nonzero feature count.  The instance-coordinate
+nodes are cut into the same column chunks and packed, in order of row
+count (then of position), into shared batches, one ``_tron`` call each: a
+chunk joins the open batch while the batch's columns, at
+8 * ``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each with N the batch's
+largest row count, plus 8 n^2 bytes for each of its nodes' Gram matrices
+fit in ``CHUNK_BYTES``, and otherwise opens the next batch.  So a node
+solved alone keeps the chunks above, and two chunks of one node never
+share a batch.  A batch's columns all have N rows: rows past their own
+node's n are padding, with sign +1 and a margin held at 1, so that they
+are never active, add no loss and keep a zero coefficient.  Every product
+and dot product a column takes is the one it takes alone, up to those zero
+terms: each node's K products are its own (see ``_Instances``), and every
+dot product sums row by row over C-ordered columns (``_coldot``,
+``_cols``).  So a node's classifiers are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +77,18 @@ _ARRAYS_PER_COLUMN = 10
 
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # numpy sums a lone column with SIMD partial sums and several columns
+    # row by row; two copies of a lone column take the row-by-row sums too,
+    # so a column's dot product has the same bits whatever shares its batch
+    if a.shape[1] == 1:
+        return np.einsum("ij,ij->j", np.repeat(a, 2, 1), np.repeat(b, 2, 1))[:1]
     return np.einsum("ij,ij->j", a, b)
+
+
+def _cols(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The columns ``keep`` of ``a``, C-ordered: ``a[:, keep]`` comes out
+    F-ordered, and numpy sums an F-ordered column in another order."""
+    return a.compress(keep, axis=1)
 
 
 def _norm(squares: np.ndarray) -> np.ndarray:
@@ -75,57 +106,82 @@ class _Features:
 
     dot = staticmethod(_coldot)
 
-    def hess(self, act, D):
+    def origin(self, m):
+        n = self.X.shape[0]
+        return np.zeros((self.dim, m)), np.zeros((n, m)), np.full(m, self.C * n)
+
+    def hess(self, act, D, cols):
         return 2.0 * D + 2.0 * self.C * (self.XT @ (act * (self.X @ D)))
 
-    def gradient(self, W, cols, Z):
-        return 2.0 * W[:, cols] - 2.0 * self.C * (self.XT @ Z)
+    def gradient(self, W, sel, Z, cols):
+        return 2.0 * (W if sel is None else _cols(W, sel)) - 2.0 * self.C * (self.XT @ Z)
 
     def margins(self, W):
         return self.X @ W
 
-    def weights(self, W):
-        return W
-
 
 class _Instances:
-    """Instance coordinates: a column stacks n coefficients b, standing for
-    the weights X.T b, over their image K b under the Gram matrix K = X X.T.
-    Sums and scalings keep the two halves consistent, the image half of the
-    weights is the margins, and a dot product of weight vectors is b.(K b'),
-    so a Hessian product costs one dense K product."""
+    """Instance coordinates for the columns of one or more nodes, one slot
+    each: a column stacks N coefficients b, standing for the weights X.T b,
+    over their image K b under its slot's Gram matrix K = X X.T.  Sums and
+    scalings keep the two halves consistent, the image half of the weights
+    is the margins, and a dot product of weight vectors is b.(K b'), so a
+    Hessian product costs one dense K product per slot.
 
-    def __init__(self, X, C):
-        self.XT, self.C, self.n = X.T.tocsr(), C, X.shape[0]
-        self.dim = 2 * self.n
-        self.K = (X @ self.XT).toarray()
+    ``K[s]`` is slot s's n_s x n_s Gram matrix, and ``slot[j]`` is the slot
+    of batch column j (nondecreasing in j).  N is the largest n_s; a column
+    of a smaller node has padding rows, whose coefficients and image stay
+    0 while its weights' image, its margins, stay 1 (``origin``).  Each
+    slot's live columns are multiplied by their own K on their own n rows,
+    so with one slot this is the single-node space and each K product is
+    the one that node takes alone."""
+
+    def __init__(self, K, n, slot, C):
+        self.K, self.n, self.slot, self.C = K, n, slot, C
+        self.N = int(n.max(initial=0))
+        self.dim = 2 * self.N
 
     def dot(self, A, B):
-        return _coldot(A[: self.n], B[self.n :])
+        return _coldot(A[: self.N], B[self.N :])
 
-    def _stack(self, top):
+    def origin(self, m):
+        pad = np.arange(self.N)[:, None] >= self.n[self.slot]
+        W = np.zeros((self.dim, m))
+        W[self.N :] = pad
+        return W, W[self.N :].copy(), self.C * self.n[self.slot]
+
+    def _stack(self, top, cols):
+        N = self.N
         out = np.empty((self.dim, top.shape[1]))
-        out[: self.n] = top
-        np.matmul(self.K, top, out=out[self.n :])
+        out[:N] = top
+        if len(self.K) == 1:
+            np.matmul(self.K[0], top, out=out[N:])
+            return out
+        slots = self.slot[cols]
+        cuts = np.flatnonzero(slots[1:] != slots[:-1]) + 1
+        for a, b in zip([0, *cuts], [*cuts, len(slots)]):
+            s = slots[a]
+            n = self.n[s]
+            np.matmul(self.K[s], top[:n, a:b], out=out[N : N + n, a:b])
+            out[N + n :, a:b] = 0.0
         return out
 
-    def hess(self, act, D):
-        return self._stack(2.0 * D[: self.n] + 2.0 * self.C * (act * D[self.n :]))
+    def hess(self, act, D, cols):
+        return self._stack(2.0 * D[: self.N] + 2.0 * self.C * (act * D[self.N :]), cols)
 
-    def gradient(self, W, cols, Z):
-        return self._stack(2.0 * W[: self.n, cols] - 2.0 * self.C * Z)
+    def gradient(self, W, sel, Z, cols):
+        top = W[: self.N] if sel is None else _cols(W[: self.N], sel)
+        return self._stack(2.0 * top - 2.0 * self.C * Z, cols)
 
     def margins(self, W):
-        return W[self.n :]
-
-    def weights(self, W):
-        return self.XT @ W[: self.n]
+        return W[self.N :]
 
 
-def _trcg(space, act, G, delta, cg_tol):
+def _trcg(space, act, G, delta, cg_tol, cols):
     """CG-Steihaug for every column: approximately minimize each column's
     quadratic model within its trust region.  ``act`` holds each column's
-    active rows as 0/1.  Returns (steps, residuals, CG steps per column)."""
+    active rows as 0/1, and ``cols`` its batch column ids.  Returns (steps,
+    residuals, CG steps per column)."""
     steps = np.zeros_like(G)
     resids = np.empty_like(G)
     n_cg = np.zeros(G.shape[1], dtype=np.int64)
@@ -140,18 +196,18 @@ def _trcg(space, act, G, delta, cg_tol):
             steps[:, live[done]] = s[:, done]
             resids[:, live[done]] = r[:, done]
             keep = ~done
-            live, d, r, s, rtr = live[keep], d[:, keep], r[:, keep], s[:, keep], rtr[keep]
-            act, cg_tol, delta = act[:, keep], cg_tol[keep], delta[keep]
+            live, d, r, s, rtr = live[keep], _cols(d, keep), _cols(r, keep), _cols(s, keep), rtr[keep]
+            act, cg_tol, delta = _cols(act, keep), cg_tol[keep], delta[keep]
         if not len(live):
             return steps, resids, n_cg
         n_cg[live] += 1
-        hd = space.hess(act, d)
+        hd = space.hess(act, d, cols[live])
         alpha = rtr / space.dot(d, hd)
         s = s + alpha * d
         out = _norm(space.dot(s, s)) > delta
         if out.any():
             # these columns hit the boundary: back off, then step to it
-            so, do_, ao = s[:, out], d[:, out], alpha[out]
+            so, do_, ao = _cols(s, out), _cols(d, out), alpha[out]
             so -= ao * do_
             std, sts, dtd = space.dot(so, do_), space.dot(so, so), space.dot(do_, do_)
             dsq = delta[out] * delta[out]
@@ -159,11 +215,11 @@ def _trcg(space, act, G, delta, cg_tol):
             with np.errstate(divide="ignore", invalid="ignore"):
                 tau = np.where(std >= 0, (dsq - sts) / (std + rad), (rad - std) / dtd)
             steps[:, live[out]] = so + tau * do_
-            resids[:, live[out]] = r[:, out] - tau * hd[:, out]
+            resids[:, live[out]] = _cols(r, out) - tau * _cols(hd, out)
             keep = ~out
-            live, d, r, s, rtr = live[keep], d[:, keep], r[:, keep], s[:, keep], rtr[keep]
-            act, cg_tol, delta = act[:, keep], cg_tol[keep], delta[keep]
-            hd, alpha = hd[:, keep], alpha[keep]
+            live, d, r, s, rtr = live[keep], _cols(d, keep), _cols(r, keep), _cols(s, keep), rtr[keep]
+            act, cg_tol, delta = _cols(act, keep), cg_tol[keep], delta[keep]
+            hd, alpha = _cols(hd, keep), alpha[keep]
             if not len(live):
                 return steps, resids, n_cg
         r = r - alpha * hd
@@ -177,7 +233,8 @@ def _trcg(space, act, G, delta, cg_tol):
 
 def _tron(space, Y, eps, max_newton_iters):
     """Trust-region Newton on every column of the sign matrix ``Y`` at once,
-    in the coordinates of ``space`` (``_Features`` or ``_Instances``).
+    in the coordinates of ``space`` (``_Features`` or ``_Instances``), from
+    the space's ``origin``: w = 0, with its margins and objective.
 
     Each column stops once its gradient norm is at most ``eps`` times its
     norm at w = 0, at ``max_newton_iters`` accepted steps, or when its trust
@@ -186,7 +243,7 @@ def _tron(space, Y, eps, max_newton_iters):
     overflow) stops there and counts as not converged.  Returns (W,
     newton_iters, converged, cg_iters), W in ``space``'s coordinates.
     """
-    n, m = Y.shape
+    m = Y.shape[1]
     C = space.C
     W_out = np.zeros((space.dim, m))
     iters_out = np.zeros(m, dtype=np.int64)
@@ -195,10 +252,10 @@ def _tron(space, Y, eps, max_newton_iters):
 
     cols = np.arange(m)
     Y = np.asarray(Y, dtype=np.float64)
-    W = np.zeros((space.dim, m))
-    M = np.zeros((n, m))  # margins of the current iterates
-    F = np.full(m, C * n)  # every row is active at w = 0
-    G = space.gradient(W, slice(None), Y)
+    W, M, F = space.origin(m)  # W, its margins and its objective
+    xi = 1.0 - Y * M
+    G = space.gradient(W, None, np.where(xi > 0, Y * xi, 0.0), cols)
+    del xi
     gnorm0 = _norm(space.dot(G, G))
     gnorm = gnorm0.copy()
     delta = gnorm0.copy()
@@ -216,7 +273,7 @@ def _tron(space, Y, eps, max_newton_iters):
             cg_out[cols[done]] = cg[done]
             conv_out[cols[done]] = conv[done]
             keep = ~done
-            cols, Y, W, M, G = cols[keep], Y[:, keep], W[:, keep], M[:, keep], G[:, keep]
+            cols, Y, W, M, G = cols[keep], _cols(Y, keep), _cols(W, keep), _cols(M, keep), _cols(G, keep)
             F, gnorm0, gnorm, delta, iters = F[keep], gnorm0[keep], gnorm[keep], delta[keep], iters[keep]
             cg = cg[keep]
         if not len(cols):
@@ -224,7 +281,7 @@ def _tron(space, Y, eps, max_newton_iters):
 
         xi = 1.0 - Y * M
         act = (xi > 0).astype(np.float64)
-        S, R, n_cg = _trcg(space, act, G, delta, CG_TOL_FACTOR * gnorm)
+        S, R, n_cg = _trcg(space, act, G, delta, CG_TOL_FACTOR * gnorm, cols)
         cg += n_cg
         snorm = _norm(space.dot(S, S))
         W_new = W + S
@@ -253,14 +310,14 @@ def _tron(space, Y, eps, max_newton_iters):
         acc = (snorm > 0) & (actred > ETA0 * prered)
         if acc.any():
             # the accepted margins give the new gradient directly
-            Ya, xa = Y[:, acc], xi_new[:, acc]
+            Ya, xa = _cols(Y, acc), _cols(xi_new, acc)
             Z = np.where(xa > 0, Ya * xa, 0.0)
             W[:, acc] = W_new[:, acc]
             M[:, acc] = M_new[:, acc]
             F[acc] = F_new[acc]
-            # the space takes W[:, acc] itself, so that copy dies before the product
-            G[:, acc] = space.gradient(W, acc, Z)
-            gnorm[acc] = _norm(space.dot(G[:, acc], G[:, acc]))
+            # the space takes W's accepted columns itself, so that copy dies before the product
+            G[:, acc] = Ga = space.gradient(W, acc, Z, cols[acc])
+            gnorm[acc] = _norm(space.dot(Ga, Ga))
             iters[acc] += 1
         halted = (snorm == 0) | (prered <= 0) | (delta <= 1e-300)
         broken = ~np.isfinite(actred) | ~np.isfinite(prered)
@@ -270,8 +327,10 @@ def _tron(space, Y, eps, max_newton_iters):
 class NodeSolve:
     """A node's classifiers as one float32 CSR row per sign column, plus
     each column's bias, accepted Newton steps, CG steps and whether it met
-    the gradient test, the count of nonzero weights pruned at delta, and
-    whether the node was solved in instance coordinates."""
+    the gradient test, the count of nonzero weights pruned at delta,
+    whether the node was solved in instance coordinates, and each column's
+    solve batch (its ``_tron`` call, numbered from 0 in one ``train_nodes``
+    call)."""
 
     W: sp.csr_matrix
     bias: np.ndarray
@@ -280,6 +339,17 @@ class NodeSolve:
     converged: np.ndarray
     n_pruned: int
     in_instances: bool
+    batch: np.ndarray
+
+
+class Problem(NamedTuple):
+    """A node's classifiers to train: an n x m sign matrix ``Y``, one
+    column per classifier, over the rows ``rows`` of the CSR matrix ``X``
+    (sorted distinct ids; every row of X if None)."""
+
+    X: sp.csr_matrix
+    Y: np.ndarray
+    rows: np.ndarray | None = None
 
 
 def train_node(
@@ -289,56 +359,308 @@ def train_node(
     eps: float = 0.1,
     delta: float = 0.01,
 ) -> NodeSolve:
-    """Train one classifier, with a bias term, per column of the n x m sign
-    matrix ``Y`` on the rows of ``X``.
+    """``train_nodes`` on the one problem (X, Y)."""
+    return train_nodes([(X, Y)], C, eps, delta)[0]
 
-    The solve runs on the node's nonzero feature columns plus a constant
-    bias feature, in batches of columns bounded by ``CHUNK_BYTES``, each
-    column stopping at ``MAX_NEWTON_ITERS`` accepted steps, in instance
-    coordinates when n^2 <= 4 nnz (see the module docstring).  Row j
-    of the returned ``W`` is column j's feature weights with entries
-    |w| <= ``delta`` pruned and values cast to float32; ``bias[j]`` is its
-    bias, which is never pruned.
+
+def train_nodes(problems, C: float = 1.0, eps: float = 0.1, delta: float = 0.01) -> list[NodeSolve]:
+    """For each ``Problem`` (or tuple of its fields), train one classifier,
+    with a bias term, per column of its sign matrix on its rows.
+
+    Each node is solved on its nonzero feature columns plus a constant
+    bias feature, each column stopping at ``MAX_NEWTON_ITERS`` accepted
+    steps, in instance coordinates when n^2 <= 4 nnz, and in batches of
+    columns bounded by ``CHUNK_BYTES`` that instance-coordinate nodes
+    share (see the module docstring).  A node's rows are gathered only
+    when its batch is solved.  Row j of a returned ``W`` is column j's
+    feature weights with entries |w| <= ``delta`` pruned and values cast
+    to float32; ``bias[j]`` is its bias, which is never pruned.
     """
-    if not isinstance(X, sp.csr_matrix):
-        raise TypeError(f"need a scipy CSR matrix, got {type(X).__name__}")
-    X = X.astype(np.float64, copy=False)
-    Y = np.asarray(Y)
-    n, d = X.shape
+    if not C > 0 or not eps > 0 or delta < 0:
+        raise ValueError("require C > 0, eps > 0, delta >= 0")
+    problems = [_checked(Problem(*p)) for p in problems]
+    solves = [None] * len(problems)
+    packed, batch = [], 0
+    for u, (X, Y, rows) in enumerate(problems):
+        if _in_instances(len(rows), int((X.indptr[rows + 1] - X.indptr[rows]).sum())):
+            packed.append(u)
+        else:
+            solves[u] = _joined(_solve_in_features(take_rows(X, rows), Y, C, eps, delta, batch))
+            batch = solves[u].batch[-1] + 1
+    parts, kept = {}, {}  # solved chunks of the nodes begun, and a batch's carry-over
+    for chunks in _packed_batches(problems, packed):
+        done, kept = _solve_in_instances(problems, chunks, kept, C, eps, delta, batch)
+        for (u, _, hi), part in zip(chunks, done):
+            parts.setdefault(u, []).append(part)
+            if hi == problems[u].Y.shape[1]:
+                solves[u] = _joined(parts.pop(u))
+        batch += 1
+    return solves
+
+
+def _checked(p: Problem) -> Problem:
+    """``p`` with its signs as an array and its rows as an id array."""
+    if not isinstance(p.X, sp.csr_matrix):
+        raise TypeError(f"need a scipy CSR matrix, got {type(p.X).__name__}")
+    rows = np.arange(p.X.shape[0]) if p.rows is None else np.asarray(p.rows)
+    Y = np.asarray(p.Y)
+    n = len(rows)
     if Y.ndim != 2 or Y.shape[0] != n or Y.shape[1] == 0:
         raise ValueError(f"need an {n} x m sign matrix, m >= 1, got shape {Y.shape}")
     if not np.all(np.abs(Y) == 1):
         raise ValueError("signs must be +1 or -1")
-    if not C > 0 or not eps > 0 or delta < 0:
-        raise ValueError("require C > 0, eps > 0, delta >= 0")
+    return Problem(p.X, Y, rows)
+
+
+def _in_instances(n: int, nnz: int) -> bool:
+    """The coordinate rule: n^2 <= 4 nnz, the node's n bias entries counted."""
+    return n * n <= 4 * (nnz + n)
+
+
+def _step(n: int, f: int) -> int:
+    """Columns per batch of a node solved alone: n rows, f nonzero features."""
+    return max(1, CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1)))
+
+
+def _joined(parts: list[NodeSolve]) -> NodeSolve:
+    """One node's solve from those of its column chunks, in order."""
+    if len(parts) == 1:
+        return parts[0]
+    return NodeSolve(
+        sp.vstack([p.W for p in parts], format="csr"),
+        *(np.concatenate([getattr(p, f) for p in parts])
+          for f in ("bias", "newton_iters", "cg_iters", "converged")),
+        sum(p.n_pruned for p in parts), parts[0].in_instances,
+        np.concatenate([p.batch for p in parts]),
+    )
+
+
+def _solve_in_features(X, Y, C, eps, delta, batch) -> list[NodeSolve]:
+    """One node in feature coordinates, a batch of columns at a time, the
+    batches numbered from ``batch``."""
+    X = X.astype(np.float64, copy=False)
+    n, d = X.shape
     m = Y.shape[1]
-    iters = np.zeros(m, dtype=np.int64)
-    cg = np.zeros(m, dtype=np.int64)
-    conv = np.ones(m, dtype=bool)
-    bias = np.zeros(m, dtype=np.float32)
     Xc, feats = with_bias_feature(X)
     f = len(feats)
-    in_instances = n * n <= 4 * Xc.nnz
-    space = (_Instances if in_instances else _Features)(Xc, C)
-    per_column = 8 * _ARRAYS_PER_COLUMN * (n + f + 1)
-    step = max(1, CHUNK_BYTES // per_column)
-    blocks, n_pruned = [], 0
+    space = _Features(Xc, C)
+    step = _step(n, f)
+    parts = []
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         # an overflowing C makes values inf or nan; _tron stops those columns
         with np.errstate(over="ignore", invalid="ignore"):
-            W, iters[lo:hi], conv[lo:hi], cg[lo:hi] = _tron(space, Y[:, lo:hi], eps, MAX_NEWTON_ITERS)
-        W = space.weights(W)
-        bias[lo:hi] = W[f]
-        Wf = W[:f].T
-        P = np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32)
-        r, c = np.nonzero(P)  # also drops a kept weight that rounds to a float32 zero
-        n_pruned += int(np.count_nonzero(Wf)) - len(r)
-        indptr = np.searchsorted(r, np.arange(hi - lo + 1))
-        blocks.append(sp.csr_matrix((P[r, c], feats[c], indptr), shape=(hi - lo, d)))
-        del P, r, c  # freed before the next batch's solve
-    W = blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
-    return NodeSolve(W, bias, iters, cg, conv, n_pruned, in_instances)
+            W, iters, conv, cg = _tron(space, Y[:, lo:hi], eps, MAX_NEWTON_ITERS)
+        W, bias, n_pruned = _pruned(W, feats, d, delta)
+        parts.append(NodeSolve(W, bias, iters, cg, conv, n_pruned, False,
+                               np.full(hi - lo, batch + len(parts))))
+    return parts
+
+
+def _pruned(W, feats, d, delta):
+    """Dense weight columns ``W``, a row per feature id in ``feats`` and a
+    last row of biases, as float32 CSR rows over d features with entries
+    |w| <= ``delta`` pruned, and float32 biases; returns (W, bias, count
+    of nonzero weights pruned)."""
+    f = len(feats)
+    Wf = W[:f].T
+    P = np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32)
+    r, c = np.nonzero(P)  # also drops a kept weight that rounds to a float32 zero
+    indptr = np.searchsorted(r, np.arange(W.shape[1] + 1))
+    return (sp.csr_matrix((P[r, c], feats[c], indptr), shape=(W.shape[1], d)),
+            W[f].astype(np.float32), int(np.count_nonzero(Wf)) - len(r))
+
+
+def _packed_batches(problems, packed):
+    """The column chunks (u, lo, hi) of the instance-coordinate problems
+    ``packed``, in batches under ``CHUNK_BYTES`` (see the module docstring)."""
+    per_byte = 8 * _ARRAYS_PER_COLUMN
+    batches, chunks = [], []
+    cols = feats = grams = 0  # the open batch's columns, sum of their f + 1, Gram bytes
+    for u in sorted(packed, key=lambda u: len(problems[u].rows)):
+        X, Y, rows = problems[u]
+        n, m = Y.shape
+        f = _n_features(X, rows)
+        step = _step(n, f)
+        for lo in range(0, m, step):
+            w = min(m, lo + step) - lo
+            # nodes come in increasing row count, so this chunk's n is the batch's N
+            if chunks and per_byte * (n * (cols + w) + feats + w * (f + 1)) + grams \
+                    + 8 * n * n > CHUNK_BYTES:
+                batches.append(chunks)
+                chunks, cols, feats, grams = [], 0, 0, 0
+            chunks.append((u, lo, lo + w))
+            cols, feats, grams = cols + w, feats + w * (f + 1), grams + 8 * n * n
+    if chunks:
+        batches.append(chunks)
+    return batches
+
+
+def _n_features(X, rows) -> int:
+    """The count of X's columns that its rows ``rows`` use."""
+    present = np.zeros(X.shape[1], dtype=bool)
+    present[X.indices[_positions(X.indptr, rows)[0]]] = True
+    return int(np.count_nonzero(present))
+
+
+def _solve_in_instances(problems, chunks, kept, C, eps, delta, batch):
+    """Solve one batch of instance-coordinate column chunks (u, lo, hi),
+    one slot per chunk.  ``kept`` holds what carries over for a node whose
+    columns continue from the previous batch: its Gram matrix and, if it
+    was solved alone there, its transposed rows with their column ids.
+    Returns each chunk's ``NodeSolve`` and what to keep for the next
+    batch."""
+    n = np.array([len(problems[u].rows) for u, _, _ in chunks], dtype=np.int64)
+    widths = [problems[u].X.shape[1] for u, _, _ in chunks]
+    ends = np.cumsum([hi - lo for _, lo, hi in chunks])
+    starts = ends - [hi - lo for _, lo, hi in chunks]
+    slot = np.repeat(np.arange(len(chunks)), ends - starts)
+    N = int(n.max())
+    Y = np.ones((N, ends[-1]))
+    for s, (u, lo, hi) in enumerate(chunks):
+        Y[: n[s], starts[s] : ends[s]] = problems[u].Y[:, lo:hi]
+    d = max(widths)
+    row0 = np.concatenate(([0], np.cumsum(n)))  # each node's first row in the batch
+    K0, AT, cols = kept.get(chunks[0][0], (None, None, None))
+    K = [K0] if K0 is not None else []
+    if len(chunks) > 1 or AT is None:
+        A = _stacked_rows(_gathered(problems, [u for u, _, _ in chunks]), n, d)
+        # on the columns in use alone, in order, every product keeps its bits
+        A, cols = compact_columns(A)
+        if len(K) < len(chunks):
+            rest = A[row0[1] :] if K else A
+            K += _gram_blocks(rest @ rest.T, n[len(K) :])
+            del rest
+        AT = A.T.tocsr()
+        del A  # its transpose alone serves the back-projection
+    with np.errstate(over="ignore", invalid="ignore"):
+        B, iters, conv, cg = _tron(_Instances(K, n, slot, C), Y, eps, MAX_NEWTON_ITERS)
+    if len(chunks) == 1 and N:
+        # one node with rows (so with a bias column): X^T B in one dense
+        # product, as in feature coordinates
+        W, bias, n_pruned = _pruned(AT @ B[:N], cols[:-1], widths[0], delta)
+        done = [NodeSolve(W, bias, iters, cg, conv, n_pruned, True, np.full(len(slot), batch))]
+    else:
+        W, bias, pruned = _back_projected(B[:N], n, row0, starts, ends, AT, cols % (d + 1), d, delta)
+        done = []
+        for a, b, width in zip(starts, ends, widths):
+            i, j = W.indptr[a], W.indptr[b]
+            Wu = sp.csr_matrix((W.data[i:j], W.indices[i:j], W.indptr[a : b + 1] - i),
+                               shape=(b - a, width))
+            done.append(NodeSolve(Wu, bias[a:b], iters[a:b], cg[a:b], conv[a:b],
+                                  int(pruned[a:b].sum()), True, np.full(b - a, batch)))
+    u, _, hi = chunks[-1]
+    if hi == problems[u].Y.shape[1]:
+        return done, {}
+    return done, {u: (K[-1], AT, cols) if len(chunks) == 1 else (K[-1], None, None)}
+
+
+def _gathered(problems, nodes) -> sp.csr_matrix:
+    """The rows of each of the ``nodes``, one node after another, as one
+    CSR matrix: one row gather per run of nodes over the same X."""
+    pieces, i = [], 0
+    while i < len(nodes):
+        X = problems[nodes[i]].X
+        j = i + 1
+        while j < len(nodes) and problems[nodes[j]].X is X:
+            j += 1
+        pieces.append(take_rows(X, np.concatenate([problems[u].rows for u in nodes[i:j]])))
+        i = j
+    return pieces[0] if len(pieces) == 1 else sp.vstack(pieces, format="csr")
+
+
+def _stacked_rows(X, n, d) -> sp.csr_matrix:
+    """The rows of X, the first n[0] a node's, the next n[1] the next
+    node's, ..., as one float64 CSR matrix whose s-th block of d + 1
+    columns holds node s's columns and, after its features in each of its
+    rows, its bias feature of value 1."""
+    lens = np.diff(X.indptr)
+    shape = (len(lens), len(n) * (d + 1))
+    # scipy's own index dtype for this shape and nnz, so csr_matrix keeps the arrays
+    index = np.int32 if max(*shape, X.nnz + len(lens)) < 2**31 else np.int64
+    base = np.repeat(np.arange(len(n), dtype=index) * (d + 1), n)
+    indptr = np.zeros(len(lens) + 1, dtype=index)
+    np.cumsum(lens + 1, out=indptr[1:])
+    # a row's bias goes after its features, as in ``with_bias_feature``
+    feat = np.ones(indptr[-1], dtype=bool)
+    feat[indptr[1:] - 1] = False
+    data = np.ones(indptr[-1])
+    data[feat] = X.data
+    indices = np.repeat(base + d, lens + 1)
+    indices[feat] = X.indices
+    indices[feat] += np.repeat(base, lens)
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _gram_blocks(P, n) -> list[np.ndarray]:
+    """The diagonal blocks of n[s] x n[s] entries of the block diagonal
+    sparse product ``P``, as dense matrices."""
+    if len(n) == 1:
+        return [P.toarray()]
+    off = np.concatenate(([0], np.cumsum(n * n)))
+    row0 = np.concatenate(([0], np.cumsum(n)))[:-1]
+    s = np.repeat(np.arange(len(n)), n)
+    # row r of block s starts at off[s] + (r - row0[s]) n[s], and column c
+    # sits c - row0[s] past that
+    at = np.repeat(off[s] + (np.arange(len(s)) - row0[s]) * n[s] - row0[s], np.diff(P.indptr))
+    at += P.indices
+    flat = np.zeros(off[-1])
+    flat[at] = P.data
+    return [flat[a:b].reshape(k, k) for a, b, k in zip(off[:-1], off[1:], n)]
+
+
+def _back_projected(B, n, row0, starts, ends, AT, local, d, delta):
+    """The weights X^T b of each batch column, from one sparse product:
+    the columns ``starts[s]:ends[s]`` belong to node s, whose rows of the
+    stacked A (``AT`` = A^T as CSR) are ``row0[s]:row0[s] + n[s]`` and whose
+    coefficients are ``B[:n[s]]``.  Column c of A is its node's feature
+    ``local[c]``, or its bias if that is d.  An entry sums over the node's
+    rows in order, as the dense product X^T B does.  Returns the pruned
+    float32 feature weights (a CSR row per batch column over d features),
+    the float32 biases and each column's pruned count."""
+    m = ends[-1]
+    slot = np.repeat(np.arange(len(n)), n)
+    width = (ends - starts)[slot]
+    indptr = np.concatenate(([0], np.cumsum(width)))
+    at = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - starts[slot], width)
+    rows = np.repeat(np.arange(len(slot)) - row0[slot], width)
+    Bs = sp.csr_matrix((B[rows, at], at, indptr), shape=(len(slot), m))
+    # Q^T of Q = A^T B comes out with each row's ids in order
+    P = (AT @ Bs).T.tocsr()
+    del Bs
+    ids = local[P.indices]
+    at = np.flatnonzero(ids == d)
+    rows = np.searchsorted(P.indptr, at, side="right") - 1
+    bias = np.zeros(m, dtype=np.float32)
+    bias[rows] = P.data[at]
+    keep = np.abs(P.data) > delta
+    keep[at] = False
+    keep[keep] = P.data[keep].astype(np.float32) != 0  # a float32 zero is dropped too
+    at = np.flatnonzero(keep)
+    del keep
+    indptr = np.searchsorted(at, P.indptr)
+    kept = np.diff(indptr)
+    W = sp.csr_matrix((P.data[at].astype(np.float32), ids[at], indptr), shape=(m, d))
+    return W, bias, np.diff(P.indptr) - np.bincount(rows, minlength=m) - kept
+
+
+def _positions(indptr, rows):
+    """The positions in a CSR matrix's arrays of its rows ``rows``, in
+    order, and the indptr of those rows alone."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    out = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    np.cumsum(counts, out=out[1:])
+    return np.arange(out[-1], dtype=out.dtype) + np.repeat(starts - out[:-1], counts), out
+
+
+def take_rows(A: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """``A[rows]`` for distinct nonnegative row ids, from slices of A's arrays;
+    ``A`` itself, not a copy, when ``rows`` is every row in order (a root)."""
+    if len(rows) == A.shape[0] and np.array_equal(rows, np.arange(len(rows))):
+        return A
+    at, indptr = _positions(A.indptr, rows)
+    return sp.csr_matrix((A.data[at], A.indices[at], indptr), shape=(len(rows), A.shape[1]))
 
 
 def compact_columns(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -347,7 +669,10 @@ def compact_columns(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     present = np.zeros(A.shape[1], dtype=bool)
     present[A.indices] = True
     cols = np.flatnonzero(present).astype(A.indices.dtype)
-    at = (np.cumsum(present, dtype=A.indices.dtype) - 1)[A.indices]
+    if A.shape[1] <= A.nnz:
+        at = (np.cumsum(present, dtype=A.indices.dtype) - 1)[A.indices]
+    else:  # far more columns than entries: search the kept ones instead of counting all
+        at = np.searchsorted(cols, A.indices).astype(A.indices.dtype)
     return sp.csr_matrix((A.data, at, A.indptr), shape=(A.shape[0], len(cols))), cols
 
 

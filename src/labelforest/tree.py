@@ -8,8 +8,11 @@ Internal nodes carry one routing classifier per child; leaves carry one
 classifier per label.  A node's training problem follows from its labels
 alone: its classifiers see the instances owning at least one of them,
 except the root's, which see every instance so that unlabeled ones still
-act as negatives.  A trained tree is a node table, its labels, and one
-weight matrix and bias vector (``Tree``), and a tree file is those arrays.
+act as negatives.  A tree's nodes are trained together: once it is grown,
+every node's inputs are built, and one ``solver.train_nodes`` call solves
+them all, so that small nodes share solve batches.  A trained tree is a
+node table, its labels, and one weight matrix and bias vector (``Tree``),
+and a tree file is those arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from . import solver
 from .clustering import kmeans_partition
 from .data import DataFormatError, Dataset, build_label_index, normalize_instances
 from .representations import ReprSpace, build_repr
-from .solver import NodeSolve, train_node
+from .solver import NodeSolve, Problem, take_rows, train_nodes
 
 log = logging.getLogger(__name__)
 
@@ -163,21 +166,9 @@ class TrainReport:
     n_weights_pruned: int = 0
     n_splits: int = 0
     n_lloyd_rounds: int = 0
+    n_solve_batches: int = 0
     grow_seconds: float = 0.0
     solve_seconds: float = 0.0
-
-
-def take_rows(A: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """``A[rows]`` for distinct nonnegative row ids, from slices of A's arrays;
-    ``A`` itself, not a copy, when ``rows`` is every row in order (a root)."""
-    if len(rows) == A.shape[0] and np.array_equal(rows, np.arange(len(rows))):
-        return A
-    starts = A.indptr[rows]
-    counts = A.indptr[rows + 1] - starts
-    indptr = np.zeros(len(rows) + 1, dtype=A.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    at = np.arange(indptr[-1], dtype=indptr.dtype) + np.repeat(starts - indptr[:-1], counts)
-    return sp.csr_matrix((A.data[at], A.indices[at], indptr), shape=(len(rows), A.shape[1]))
 
 
 def label_rows(B: sp.csr_matrix, F: sp.csr_matrix, rows: np.ndarray):
@@ -247,21 +238,28 @@ def node_problem(node: Node, idx: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray
 
 
 def train_node_classifiers(
-    node: Node, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, report: TrainReport
-) -> NodeSolve:
-    """Train one classifier per child (internal) or per label (leaf), all
-    in one batched solve over the node's instances (``node_problem``).
+    node: Node, X: sp.csr_matrix, idx: sp.csr_matrix, report: TrainReport
+) -> Problem:
+    """The inputs of a node's classifiers, one per child (internal) or per
+    label (leaf): its sign matrix over its instances' rows of X
+    (``node_problem``), which ``train_ensemble`` solves together with the
+    rest of the tree's.  The rows are named by id, not copied.
 
     Positives carried by no instance of the node still get a classifier
     (an all-negative problem); those cases are counted in the report, as
-    are Newton and CG steps, the nodes solved in instance coordinates,
-    the classifiers stopped by ``solver.MAX_NEWTON_ITERS``
-    before meeting the gradient test, and the weights kept and pruned.
+    are the classifiers.
     """
     insts, signs = node_problem(node, idx)
     report.n_zero_positive += int(np.count_nonzero(~np.any(signs > 0, axis=0)))
-    sol = train_node(take_rows(X, insts), signs, C=config.c, eps=config.eps, delta=config.delta)
     report.n_classifiers += signs.shape[1]
+    return Problem(X, signs, insts)
+
+
+def _count_solve(sol: NodeSolve, report: TrainReport) -> None:
+    """Count a node's Newton and CG steps, whether it was solved in
+    instance coordinates, the classifiers stopped by
+    ``solver.MAX_NEWTON_ITERS`` before meeting the gradient test, and the
+    weights kept and pruned."""
     report.n_weights_kept += sol.W.nnz
     report.n_weights_pruned += sol.n_pruned
     report.n_newton_iters += int(sol.newton_iters.sum())
@@ -269,7 +267,6 @@ def train_node_classifiers(
     report.n_instance_nodes += sol.in_instances
     capped = ~sol.converged & (sol.newton_iters >= solver.MAX_NEWTON_ITERS)
     report.n_not_converged += int(np.count_nonzero(capped))
-    return sol
 
 
 def train_ensemble(
@@ -278,7 +275,11 @@ def train_ensemble(
     """Train T trees differing only in their clustering seed.
 
     The label representation, the factors B and F, is built once and
-    shared; instances are unit-normalized first.
+    shared; instances are unit-normalized first.  Each tree is grown, then
+    every node's inputs are built (``train_node_classifiers``), and then
+    all its nodes are solved by one ``solver.train_nodes`` call, which
+    shares solve batches between small nodes; the batches are counted in
+    the report.
     """
     if ds.l < 1:
         raise DataFormatError("training needs at least one label")
@@ -295,7 +296,11 @@ def train_ensemble(
         t0 = time.perf_counter()
         table, labels, nodes = grow(V, config, np.random.default_rng(seed), report)
         t1 = time.perf_counter()
-        solves = [train_node_classifiers(node, X, idx, config, report) for node in nodes]
+        problems = [train_node_classifiers(node, X, idx, report) for node in nodes]
+        solves = train_nodes(problems, C=config.c, eps=config.eps, delta=config.delta)
+        for sol in solves:
+            _count_solve(sol, report)
+        report.n_solve_batches += len(np.unique(np.concatenate([s.batch for s in solves])))
         report.grow_seconds += t1 - t0
         report.solve_seconds += time.perf_counter() - t1
         report.n_nodes += len(table)

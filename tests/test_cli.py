@@ -205,12 +205,12 @@ class TestPipeline:
         caplog.set_level(logging.INFO, logger="labelforest")
         solves = []
 
-        def spy(X, Y, **kwargs):
-            solves.append(train_node(X, Y, **kwargs))
-            return solves[-1]
+        def spy(problems, **kwargs):
+            solves.extend(train_nodes(problems, **kwargs))
+            return solves[len(solves) - len(problems):]
 
-        train_node = tree.train_node
-        monkeypatch.setattr(tree, "train_node", spy)
+        train_nodes = tree.train_nodes
+        monkeypatch.setattr(tree, "train_nodes", spy)
         assert main(["train", "--data", paths["train"], "--model", str(tmp_path / "m"),
                      "--branch", "2", "--max-depth", "6", "--trees", "1"]) == 0
         summary = [r.getMessage() for r in caplog.records if "classifiers (" in r.getMessage()]
@@ -218,6 +218,24 @@ class TestPipeline:
                       summary[0])
         assert m and int(m.group(1)) == sum(int(s.cg_iters.sum()) for s in solves) > 0
         assert int(m.group(2)) == sum(s.in_instances for s in solves) > 0
+
+    def test_summary_reports_solve_batches(self, paths, tmp_path, caplog, monkeypatch):
+        """The solve batches at the end of the summary are the run's
+        ``_tron`` calls, fewer than its nodes once small nodes share them."""
+        caplog.set_level(logging.INFO, logger="labelforest")
+        calls = []
+
+        def spy(space, Y, *args):
+            calls.append(Y.shape[1])
+            return tron(space, Y, *args)
+
+        tron = solver._tron
+        monkeypatch.setattr(solver, "_tron", spy)
+        assert main(["train", "--data", paths["train"], "--model", str(tmp_path / "m"),
+                     "--branch", "2", "--max-depth", "6", "--trees", "1"]) == 0
+        summary = [r.getMessage() for r in caplog.records if "classifiers (" in r.getMessage()]
+        m = re.search(r"^trained 1 trees: (\d+) nodes.*; (\d+) solve batches$", summary[0])
+        assert m and int(m.group(2)) == len(calls) < int(m.group(1))
 
     def test_summary_reports_kmeans_splits_and_rounds(self, paths, tmp_path, caplog,
                                                       monkeypatch):
@@ -941,7 +959,8 @@ class TestPinnedBytes:
         batches = []
 
         def spy(space, Y, *args):
-            batches.append(Y.shape[1])
+            # columns, and nodes sharing the batch (none in feature coordinates)
+            batches.append((Y.shape[1], len(getattr(space, "K", ()))))
             return tron(space, Y, *args)
 
         tron = solver._tron
@@ -950,7 +969,8 @@ class TestPinnedBytes:
         flags = ["--trees", "2", "--branch", "4", "--max-depth", "2", "--repr", "joint", "--seed", "5"]
         assert main(["train", "--data", paths["train"], "--model", str(model), *flags]) == 0
         n_nodes = sum(len(t.nodes) for t in load_model(model).trees)
-        assert len(batches) > n_nodes + 20 and max(batches) > 1
+        assert len(batches) > n_nodes + 20 and max(c for c, _ in batches) > 1
+        assert max(k for _, k in batches) > 1
         self._check_digests(
             paths, model, pred, 2,
             "8a4c8b6d73e1f370185eca1a8395f2c186de23be19f17815de3f03db5aa561fb",

@@ -18,6 +18,7 @@ from labelforest.solver import (
     _trcg,
     compact_columns,
     train_node,
+    train_nodes,
     with_bias_feature,
 )
 from labelforest.tree import TrainConfig, TrainReport, train_ensemble
@@ -250,7 +251,7 @@ class TestBatchedAgainstOracle:
         # radii far inside and far outside each column's Newton step
         delta = gnorm * np.array([1e-3, 1e3, 1e-2, 1e3, 1e-4])
         act = np.ones_like(Yf)
-        S, R, _ = _trcg(_Features(X, 1.0), act, G, delta, 0.1 * gnorm)
+        S, R, _ = _trcg(_Features(X, 1.0), act, G, delta, 0.1 * gnorm, np.arange(5))
         for j in range(Y.shape[1]):
 
             def hess_vec(v):
@@ -365,10 +366,14 @@ class TestBatchedAgainstOracle:
             conv = np.array([i.converged for i in infos])
             pruned.append(sum(i.n_pruned for i in infos))
             return NodeSolve(*weights_block(weights, X.shape[1]), iters, cg, conv, pruned[-1],
-                             False)
+                             False, np.zeros(len(iters), dtype=np.int64))
+
+        def oracle_nodes(problems, C, eps, delta):
+            return [oracle_node(tree.take_rows(X, rows), Y, C, eps, delta)
+                    for X, Y, rows in problems]
 
         pruned, oracle_cg = [], []
-        monkeypatch.setattr(tree, "train_node", oracle_node)
+        monkeypatch.setattr(tree, "train_nodes", oracle_nodes)
         ref_report = TrainReport()
         ref = train_ensemble(train, config, ref_report)
         assert report.n_newton_iters == int(np.concatenate(oracle_iters).sum())
@@ -382,7 +387,7 @@ class TestBatchedAgainstOracle:
 
 def in_feature_coordinates():
     """Solve every node in feature coordinates, whatever the rule picks."""
-    return mock.patch.object(solver, "_Instances", solver._Features)
+    return mock.patch.object(solver, "_in_instances", lambda n, nnz: False)
 
 
 def weight_vector(w):
@@ -438,9 +443,9 @@ class TestInstanceCoordinates:
         for _ in range(5):
             X, Y = random_node(rng, 10, 60, m=6, density=0.3)
             Xc, _ = with_bias_feature(X)
-            space = _Instances(Xc, 100.0)
+            space = _Instances([(Xc @ Xc.T).toarray()], np.array([10]), np.zeros(6, dtype=int), 100.0)
             B, iters, conv, cg = _tron(space, Y, eps, 100)
-            W = space.weights(B)
+            W = Xc.T @ B[:10]
             assert (cg >= iters).all()
             for j in range(6):
                 p = BinaryProblem(Xc, Y[:, j], 100.0)
@@ -544,6 +549,136 @@ class TestInstanceCoordinates:
         for a, b in zip(ens.trees, feat.trees, strict=True):
             assert same_csr_bits(a.W, b.W)
             np.testing.assert_allclose(a.bias, b.bias, rtol=1e-6, atol=1e-12)
+
+
+NODE_KINDS = ["random", "empty", "one-row", "duplicate-rows", "featureless-rows",
+              "no-features", "all-negative"]
+
+
+def kind_node(rng, kind, n, d, m):
+    """A small node of the given kind: rows over d features and signs."""
+    n = {"empty": 0, "one-row": 1}.get(kind, n)
+    X, Y = random_node(rng, max(n, 2), d, max(m, 2), density=0.3)
+    X, Y = X[:n], Y[:n, :m]
+    if kind == "duplicate-rows":
+        # rows repeated with their signs (opposite signs can cancel a whole
+        # gradient, which the scalar oracle cannot tell from rounding)
+        at = rng.integers(0, max(n // 2, 1), n)
+        X, Y = X[at], Y[at]
+    if kind == "featureless-rows":
+        X = X.tolil()
+        for i in range(0, n, 2):
+            X.rows[i], X.data[i] = [], []
+        X = X.tocsr()
+    if kind == "no-features":
+        X = sp.csr_matrix((n, d))
+    if kind == "all-negative":
+        Y = -np.ones((n, m), dtype=np.int8)
+    return sp.csr_matrix(X), Y
+
+
+def assert_same_solve(got, want):
+    """``got`` is ``want``: the same counts, and weights and biases bit for
+    bit.  (A looser bias test, zero-up-to-rounding biases within 1e-12,
+    would be needed if a column's dot products depended on the columns
+    sharing its batch; ``solver._coldot`` and ``solver._cols`` keep them
+    from it.)"""
+    assert got.newton_iters.tolist() == want.newton_iters.tolist()
+    assert got.cg_iters.tolist() == want.cg_iters.tolist()
+    assert got.converged.tolist() == want.converged.tolist()
+    assert (got.in_instances, got.n_pruned) == (want.in_instances, want.n_pruned)
+    assert same_csr_bits(got.W, want.W)
+    assert got.bias.dtype == want.bias.dtype and got.bias.tobytes() == want.bias.tobytes()
+
+
+class TestTrainNodes:
+    """Instance-coordinate nodes solved together, in shared padded batches,
+    get the solve each gets alone: the same steps and counts, and the same
+    float32 weights and biases bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nodes=st.lists(st.tuples(st.sampled_from(NODE_KINDS), st.integers(0, 40),
+                                 st.integers(1, 6)), min_size=1, max_size=8),
+        eps=st.sampled_from([0.1, 1e-6]),
+        shared=st.booleans(),
+    )
+    def test_together_equals_alone(self, seed, nodes, eps, shared):
+        rng = np.random.default_rng(seed)
+        d = 4 * max(n for _, n, _ in nodes) + 8
+        problems = [kind_node(rng, kind, n, d, m) for kind, n, m in nodes]
+        alone = [train_node(X, Y, eps=eps) for X, Y in problems]
+        if shared:
+            # the tree's form: every node names its rows of one matrix
+            ends = np.cumsum([X.shape[0] for X, _ in problems])
+            X = sp.vstack([X for X, _ in problems], format="csr")
+            problems = [(X, Y, np.arange(end - len(Y), end)) for (_, Y), end in zip(problems, ends)]
+        together = train_nodes(problems, eps=eps)
+        assert len(together) == len(alone)
+        for got, want, p in zip(together, alone, problems):
+            assert_same_solve(got, want)
+            Xu = tree.take_rows(p[0], p[2]) if shared else p[0]
+            oracle, _ = oracle_train_node(with_bias_column(Xu), p[1], eps=eps)
+            for a, c in zip(weights_of(got), oracle, strict=True):
+                assert relative_error(weight_vector(a), weight_vector(c)) <= INSTANCE_RTOL
+        # every instance-coordinate node shares the one batch these fit in
+        batches = {int(b) for sol in together if sol.in_instances for b in sol.batch}
+        assert len(batches) <= 1
+
+    def test_small_budget_splits_nodes_and_shares_batches(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        big = random_node(rng, 12, 60, m=7, density=0.3)
+        small = [random_node(rng, n, 60, m=m, density=0.05) for n, m in ((4, 3), (5, 2), (6, 2))]
+        problems = [*small, big]
+        whole = train_nodes(problems)
+
+        def per_column(X, N):
+            return 8 * solver._ARRAYS_PER_COLUMN * (N + len(np.unique(X.indices)) + 1)
+
+        # room for two of the big node's columns, and for the small nodes together
+        budget = max(2 * per_column(big[0], 12) + 8 * 12 * 12,
+                     sum(Y.shape[1] * per_column(X, 6) + 8 * len(Y) ** 2 for X, Y in small))
+        assert budget < 3 * per_column(big[0], 12)
+        monkeypatch.setattr(solver, "CHUNK_BYTES", budget)
+        spy = mock.Mock(wraps=_tron)
+        monkeypatch.setattr(solver, "_tron", spy)
+        split = train_nodes(problems)
+        assert all(sol.in_instances for sol in split)
+        # the big node's columns span four batches, two columns at most each
+        assert len(set(split[-1].batch.tolist())) == 4
+        assert np.bincount(split[-1].batch).max() == 2
+        # and one batch holds every small node
+        firsts = {int(sol.batch[0]) for sol in split[:-1]}
+        assert len(firsts) == 1
+        assert max(len(c.args[0].K) for c in spy.call_args_list) == 3
+        # one _tron call per batch
+        batches = np.unique(np.concatenate([sol.batch for sol in split]))
+        assert spy.call_count == len(batches) == batches.max() + 1
+        for got, want, (X, Y) in zip(split, whole, problems):
+            assert_same_solve(got, want)
+            assert_same_solve(got, train_node(X, Y))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+        density=st.sampled_from([0.0, 0.2, 0.6]),
+    )
+    def test_gram_blocks_are_each_nodes_own_product(self, seed, sizes, density):
+        """One sparse product over the stacked, shifted rows gives each
+        node's Gram matrix bit for bit, empty rows and featureless nodes
+        included."""
+        d = 9
+        Xs = [random_csr(seed + s, n, d, density) for s, n in enumerate(sizes)]
+        n = np.array(sizes, dtype=np.int64)
+        A = solver._stacked_rows(sp.vstack(Xs, format="csr"), n, d)
+        A, _ = compact_columns(A)
+        blocks = solver._gram_blocks(A @ A.T, n)
+        for X, K in zip(Xs, blocks, strict=True):
+            Xc, _ = with_bias_feature(X)
+            want = (Xc @ Xc.T).toarray()
+            assert K.shape == want.shape and K.tobytes() == want.tobytes()
 
 
 class TestGradient:

@@ -279,25 +279,19 @@ class TestNodeInputsAgainstOracles:
         assert table.tobytes() == want_table.tobytes()
         assert labels.tobytes() == want_labels.tobytes()
 
-        def solve(X, signs, **_):
-            seen.append((X.shape[0], signs))
-            m = signs.shape[1]
-            return solver.NodeSolve(sp.csr_matrix((m, 1), dtype=np.float32), np.zeros(m),
-                                    np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64),
-                                    np.ones(m, dtype=bool), 0, False)
-
         for node, old in zip(nodes, carried, strict=True):
             insts, signs = node_problem(node, idx)
             want_insts, want_signs, want_zero = node_problem_oracle(old, idx)
             assert np.array_equal(insts, want_insts)
             assert signs.dtype == want_signs.dtype and signs.shape == want_signs.shape
             assert signs.tobytes() == want_signs.tobytes()
-            report, seen = TrainReport(), []
-            with mock.patch.object(tree, "train_node", solve):
-                train_node_classifiers(node, sp.csr_matrix((n_insts, 1)), idx, config, report)
+            report = TrainReport()
+            X = sp.csr_matrix((n_insts, 1))
+            problem = train_node_classifiers(node, X, idx, report)
             assert report.n_zero_positive == want_zero
             assert report.n_classifiers == want_signs.shape[1]
-            assert seen[0][0] == len(want_insts) and np.array_equal(seen[0][1], want_signs)
+            assert problem.X is X and np.array_equal(problem.rows, want_insts)
+            assert np.array_equal(problem.Y, want_signs)
 
     def test_labels_in_one_cluster_make_the_node_a_leaf(self, grouped_train):
         ds, _ = grouped_train
