@@ -34,23 +34,26 @@ n, and K takes at most 32 bytes per nonzero.  Nodes with many rows, such
 as the roots, usually stay in feature coordinates.
 
 ``train_nodes`` solves many nodes at once, which is how a tree's nodes are
-trained.  A node in feature coordinates is solved alone, in batches of at
-most ``CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1))`` columns
-(at least one), f being its nonzero feature count.  The instance-coordinate
-nodes are cut into the same column chunks and packed, in order of row
-count (then of position), into shared batches, one ``_tron`` call each: a
-chunk joins the open batch while the batch's columns, at
-8 * ``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each with N the batch's
-largest row count, plus 8 n^2 bytes for each of its nodes' Gram matrices
-fit in ``CHUNK_BYTES``, and otherwise opens the next batch.  So a node
-solved alone keeps the chunks above, and two chunks of one node never
-share a batch.  A batch's columns all have N rows: rows past their own
-node's n are padding, with sign +1 and a margin held at 1, so that they
-are never active, add no loss and keep a zero coefficient.  Every product
-and dot product a column takes is the one it takes alone, up to those zero
-terms: each node's K products are its own (see ``_Instances``), and every
-dot product sums row by row over C-ordered columns (``_coldot``,
-``_cols``).  So a node's classifiers are bit for bit those it gets alone.
+trained.  One planner (``_batches``) cuts each node into chunks of at most
+``CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1))`` columns (at
+least one), f being its nonzero feature count, and forms the batches, one
+``_tron`` call each.  A feature-coordinate chunk is a batch alone.  The
+instance-coordinate chunks are packed, in order of row count (then of
+position), into shared batches: a chunk joins the open batch while the
+batch's columns, at 8 * ``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each
+with N the batch's largest row count, plus 8 n^2 bytes for each of its
+nodes' Gram matrices fit in ``CHUNK_BYTES``, and otherwise opens the next
+batch.  So a node solved alone keeps its chunks, and two chunks of one
+node never share a batch.  Every batch builds its rows one way: gathered,
+stacked with each node's columns shifted apart and its own bias column,
+compacted to the columns in use, and transposed (``_solve_batch``).  A
+batch's columns all have N rows: rows past their own node's n are
+padding, with sign +1 and a margin held at 1, so that they are never
+active, add no loss and keep a zero coefficient.  Every product and dot
+product a column takes is the one it takes alone, up to those zero terms:
+each node's K products are its own (see ``_Instances``), and every dot
+product sums row by row over C-ordered columns (``_coldot``, ``_cols``).
+So a node's classifiers are bit for bit those it gets alone.
 """
 
 from __future__ import annotations
@@ -98,10 +101,11 @@ def _norm(squares: np.ndarray) -> np.ndarray:
 
 class _Features:
     """Feature coordinates: a column is a weight vector itself, and the
-    Hessian product is two sparse products with the node's rows ``X``."""
+    Hessian product is two sparse products with the node's rows ``X`` and
+    their transpose ``XT`` (CSR)."""
 
-    def __init__(self, X, C):
-        self.X, self.XT, self.C = X, X.T.tocsr(), C
+    def __init__(self, X, XT, C):
+        self.X, self.XT, self.C = X, XT, C
         self.dim = X.shape[1]
 
     dot = staticmethod(_coldot)
@@ -154,9 +158,6 @@ class _Instances:
         N = self.N
         out = np.empty((self.dim, top.shape[1]))
         out[:N] = top
-        if len(self.K) == 1:
-            np.matmul(self.K[0], top, out=out[N:])
-            return out
         slots = self.slot[cols]
         cuts = np.flatnonzero(slots[1:] != slots[:-1]) + 1
         for a, b in zip([0, *cuts], [*cuts, len(slots)]):
@@ -352,17 +353,6 @@ class Problem(NamedTuple):
     rows: np.ndarray | None = None
 
 
-def train_node(
-    X: sp.csr_matrix,
-    Y: np.ndarray,
-    C: float = 1.0,
-    eps: float = 0.1,
-    delta: float = 0.01,
-) -> NodeSolve:
-    """``train_nodes`` on the one problem (X, Y)."""
-    return train_nodes([(X, Y)], C, eps, delta)[0]
-
-
 def train_nodes(problems, C: float = 1.0, eps: float = 0.1, delta: float = 0.01) -> list[NodeSolve]:
     """For each ``Problem`` (or tuple of its fields), train one classifier,
     with a bias term, per column of its sign matrix on its rows.
@@ -380,21 +370,13 @@ def train_nodes(problems, C: float = 1.0, eps: float = 0.1, delta: float = 0.01)
         raise ValueError("require C > 0, eps > 0, delta >= 0")
     problems = [_checked(Problem(*p)) for p in problems]
     solves = [None] * len(problems)
-    packed, batch = [], 0
-    for u, (X, Y, rows) in enumerate(problems):
-        if _in_instances(len(rows), int((X.indptr[rows + 1] - X.indptr[rows]).sum())):
-            packed.append(u)
-        else:
-            solves[u] = _joined(_solve_in_features(take_rows(X, rows), Y, C, eps, delta, batch))
-            batch = solves[u].batch[-1] + 1
     parts, kept = {}, {}  # solved chunks of the nodes begun, and a batch's carry-over
-    for chunks in _packed_batches(problems, packed):
-        done, kept = _solve_in_instances(problems, chunks, kept, C, eps, delta, batch)
+    for batch, (in_instances, chunks) in enumerate(_batches(problems)):
+        done, kept = _solve_batch(problems, in_instances, chunks, kept, C, eps, delta, batch)
         for (u, _, hi), part in zip(chunks, done):
             parts.setdefault(u, []).append(part)
             if hi == problems[u].Y.shape[1]:
                 solves[u] = _joined(parts.pop(u))
-        batch += 1
     return solves
 
 
@@ -417,11 +399,6 @@ def _in_instances(n: int, nnz: int) -> bool:
     return n * n <= 4 * (nnz + n)
 
 
-def _step(n: int, f: int) -> int:
-    """Columns per batch of a node solved alone: n rows, f nonzero features."""
-    return max(1, CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1)))
-
-
 def _joined(parts: list[NodeSolve]) -> NodeSolve:
     """One node's solve from those of its column chunks, in order."""
     if len(parts) == 1:
@@ -433,28 +410,6 @@ def _joined(parts: list[NodeSolve]) -> NodeSolve:
         sum(p.n_pruned for p in parts), parts[0].in_instances,
         np.concatenate([p.batch for p in parts]),
     )
-
-
-def _solve_in_features(X, Y, C, eps, delta, batch) -> list[NodeSolve]:
-    """One node in feature coordinates, a batch of columns at a time, the
-    batches numbered from ``batch``."""
-    X = X.astype(np.float64, copy=False)
-    n, d = X.shape
-    m = Y.shape[1]
-    Xc, feats = with_bias_feature(X)
-    f = len(feats)
-    space = _Features(Xc, C)
-    step = _step(n, f)
-    parts = []
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        # an overflowing C makes values inf or nan; _tron stops those columns
-        with np.errstate(over="ignore", invalid="ignore"):
-            W, iters, conv, cg = _tron(space, Y[:, lo:hi], eps, MAX_NEWTON_ITERS)
-        W, bias, n_pruned = _pruned(W, feats, d, delta)
-        parts.append(NodeSolve(W, bias, iters, cg, conv, n_pruned, False,
-                               np.full(hi - lo, batch + len(parts))))
-    return parts
 
 
 def _pruned(W, feats, d, delta):
@@ -471,44 +426,56 @@ def _pruned(W, feats, d, delta):
             W[f].astype(np.float32), int(np.count_nonzero(Wf)) - len(r))
 
 
-def _packed_batches(problems, packed):
-    """The column chunks (u, lo, hi) of the instance-coordinate problems
-    ``packed``, in batches under ``CHUNK_BYTES`` (see the module docstring)."""
+def _batches(problems):
+    """The batches of ``train_nodes``, one ``_tron`` call each, in order:
+    whether a batch is in instance coordinates, and its column chunks
+    (u, lo, hi), the columns lo:hi of problem u (see the module
+    docstring).  A feature-coordinate chunk is a batch alone."""
+    packed = []
+    for u, p in enumerate(problems):
+        if _in_instances(len(p.rows), int((p.X.indptr[p.rows + 1] - p.X.indptr[p.rows]).sum())):
+            packed.append(u)
+        else:
+            yield from ((False, [(u, lo, hi)]) for lo, hi in _chunks(p)[1])
     per_byte = 8 * _ARRAYS_PER_COLUMN
-    batches, chunks = [], []
+    chunks = []
     cols = feats = grams = 0  # the open batch's columns, sum of their f + 1, Gram bytes
     for u in sorted(packed, key=lambda u: len(problems[u].rows)):
-        X, Y, rows = problems[u]
-        n, m = Y.shape
-        f = _n_features(X, rows)
-        step = _step(n, f)
-        for lo in range(0, m, step):
-            w = min(m, lo + step) - lo
+        n = len(problems[u].rows)
+        f, spans = _chunks(problems[u])
+        for lo, hi in spans:
+            w = hi - lo
             # nodes come in increasing row count, so this chunk's n is the batch's N
             if chunks and per_byte * (n * (cols + w) + feats + w * (f + 1)) + grams \
                     + 8 * n * n > CHUNK_BYTES:
-                batches.append(chunks)
+                yield True, chunks
                 chunks, cols, feats, grams = [], 0, 0, 0
-            chunks.append((u, lo, lo + w))
+            chunks.append((u, lo, hi))
             cols, feats, grams = cols + w, feats + w * (f + 1), grams + 8 * n * n
     if chunks:
-        batches.append(chunks)
-    return batches
+        yield True, chunks
 
 
-def _n_features(X, rows) -> int:
-    """The count of X's columns that its rows ``rows`` use."""
-    present = np.zeros(X.shape[1], dtype=bool)
-    present[X.indices[_positions(X.indptr, rows)[0]]] = True
-    return int(np.count_nonzero(present))
+def _chunks(p: Problem):
+    """The count f of features that a node's rows use, and its column
+    chunks (lo, hi) as it is solved alone: n rows and f + 1 features give
+    ``CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1))`` columns a
+    chunk, at least one."""
+    n, m = p.Y.shape
+    present = np.zeros(p.X.shape[1], dtype=bool)
+    present[p.X.indices[_positions(p.X.indptr, p.rows)[0]]] = True
+    f = int(np.count_nonzero(present))
+    step = max(1, CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1)))
+    return f, [(lo, min(m, lo + step)) for lo in range(0, m, step)]
 
 
-def _solve_in_instances(problems, chunks, kept, C, eps, delta, batch):
-    """Solve one batch of instance-coordinate column chunks (u, lo, hi),
-    one slot per chunk.  ``kept`` holds what carries over for a node whose
-    columns continue from the previous batch: its Gram matrix and, if it
-    was solved alone there, its transposed rows with their column ids.
-    Returns each chunk's ``NodeSolve`` and what to keep for the next
+def _solve_batch(problems, in_instances, chunks, kept, C, eps, delta, batch):
+    """Solve one batch of column chunks (u, lo, hi), one slot per chunk,
+    in instance coordinates or, for a chunk alone, in feature coordinates.
+    ``kept`` holds what carries over for a node whose columns continue from
+    the previous batch: its Gram matrix in instance coordinates and, if it
+    was solved alone there, its rows (stacked, transposed, and their column
+    ids).  Returns each chunk's ``NodeSolve`` and what to keep for the next
     batch."""
     n = np.array([len(problems[u].rows) for u, _, _ in chunks], dtype=np.int64)
     widths = [problems[u].X.shape[1] for u, _, _ in chunks]
@@ -521,25 +488,29 @@ def _solve_in_instances(problems, chunks, kept, C, eps, delta, batch):
         Y[: n[s], starts[s] : ends[s]] = problems[u].Y[:, lo:hi]
     d = max(widths)
     row0 = np.concatenate(([0], np.cumsum(n)))  # each node's first row in the batch
-    K0, AT, cols = kept.get(chunks[0][0], (None, None, None))
-    K = [K0] if K0 is not None else []
-    if len(chunks) > 1 or AT is None:
+    K, stack = kept.get(chunks[0][0], ([], None))
+    if len(chunks) > 1 or stack is None:
         A = _stacked_rows(_gathered(problems, [u for u, _, _ in chunks]), n, d)
         # on the columns in use alone, in order, every product keeps its bits
         A, cols = compact_columns(A)
-        if len(K) < len(chunks):
+        if in_instances and len(K) < len(chunks):
             rest = A[row0[1] :] if K else A
             K += _gram_blocks(rest @ rest.T, n[len(K) :])
             del rest
-        AT = A.T.tocsr()
-        del A  # its transpose alone serves the back-projection
+        # in instance coordinates the transpose alone serves the back-projection
+        stack = (None if in_instances else A), A.T.tocsr(), cols
+        del A
+    A, AT, cols = stack
+    space = _Instances(K, n, slot, C) if in_instances else _Features(A, AT, C)
+    # an overflowing C makes values inf or nan; _tron stops those columns
     with np.errstate(over="ignore", invalid="ignore"):
-        B, iters, conv, cg = _tron(_Instances(K, n, slot, C), Y, eps, MAX_NEWTON_ITERS)
+        B, iters, conv, cg = _tron(space, Y, eps, MAX_NEWTON_ITERS)
     if len(chunks) == 1 and N:
-        # one node with rows (so with a bias column): X^T B in one dense
-        # product, as in feature coordinates
-        W, bias, n_pruned = _pruned(AT @ B[:N], cols[:-1], widths[0], delta)
-        done = [NodeSolve(W, bias, iters, cg, conv, n_pruned, True, np.full(len(slot), batch))]
+        # one node with rows (so with a bias column): its weights in one
+        # dense block, X^T B in instance coordinates
+        W, bias, n_pruned = _pruned(AT @ B[:N] if in_instances else B, cols[:-1], widths[0], delta)
+        done = [NodeSolve(W, bias, iters, cg, conv, n_pruned, in_instances,
+                          np.full(len(slot), batch))]
     else:
         W, bias, pruned = _back_projected(B[:N], n, row0, starts, ends, AT, cols % (d + 1), d, delta)
         done = []
@@ -552,7 +523,7 @@ def _solve_in_instances(problems, chunks, kept, C, eps, delta, batch):
     u, _, hi = chunks[-1]
     if hi == problems[u].Y.shape[1]:
         return done, {}
-    return done, {u: (K[-1], AT, cols) if len(chunks) == 1 else (K[-1], None, None)}
+    return done, {u: (K[-1:], stack if len(chunks) == 1 else None)}
 
 
 def _gathered(problems, nodes) -> sp.csr_matrix:
@@ -581,7 +552,7 @@ def _stacked_rows(X, n, d) -> sp.csr_matrix:
     base = np.repeat(np.arange(len(n), dtype=index) * (d + 1), n)
     indptr = np.zeros(len(lens) + 1, dtype=index)
     np.cumsum(lens + 1, out=indptr[1:])
-    # a row's bias goes after its features, as in ``with_bias_feature``
+    # a row's bias goes after its features
     feat = np.ones(indptr[-1], dtype=bool)
     feat[indptr[1:] - 1] = False
     data = np.ones(indptr[-1])
@@ -675,18 +646,3 @@ def compact_columns(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
         at = np.searchsorted(cols, A.indices).astype(A.indices.dtype)
     return sp.csr_matrix((A.data, at, A.indptr), shape=(A.shape[0], len(cols))), cols
 
-
-def with_bias_feature(X: sp.csr_matrix):
-    """``X`` on its nonzero feature columns (``compact_columns``), with every
-    row ending in a bias feature f of value 1; and the f feature ids."""
-    Xf, feats = compact_columns(X)
-    n = X.shape[0]
-    indptr = X.indptr + np.arange(n + 1)
-    # row r's bias goes at X.indptr[r + 1] + r, after its features
-    feat = np.ones(indptr[-1], dtype=bool)
-    feat[indptr[1:] - 1] = False
-    data = np.ones(indptr[-1], dtype=X.dtype)
-    data[feat] = X.data
-    indices = np.full(indptr[-1], len(feats), dtype=X.indices.dtype)
-    indices[feat] = Xf.indices
-    return sp.csr_matrix((data, indices, indptr), shape=(n, len(feats) + 1)), feats

@@ -2,14 +2,14 @@
 its ``dot``, building sparse vectors, CSR matrices, label matrices, node
 weight blocks, trees and prediction blocks by hand, reading CSR rows as
 sparse vectors and sparse vectors as CSR rows, comparing Datasets,
-per-vector arithmetic, appending a bias column, beam-searching one tree
-and scoring all of its labels, the first forms of a node's solve inputs
-and of its children's instance sets, growing a tree that carries each
-node's instances down from its parent's split (the route that node
-problems were first built by), passing a plain matrix to k-means as the
-factor pair (V, identity), finding and overwriting the sections of a
-tree file, and widening a Dataset's feature range or writing it back as
-text.
+per-vector arithmetic, appending a bias column, solving one node's
+classifiers, beam-searching one tree and scoring all of its labels, the
+first forms of a node's solve inputs and of its children's instance
+sets, growing a tree that carries each node's instances down from its
+parent's split (the route that node problems were first built by),
+passing a plain matrix to k-means as the factor pair (V, identity),
+finding and overwriting the sections of a tree file, and widening a
+Dataset's feature range or writing it back as text.
 Values of a ``SparseVec`` may be float32 or float64; its dot products and
 norms are accumulated in float64 regardless of the storage dtype.
 """
@@ -36,6 +36,7 @@ from labelforest.predict import (
     _tree_label_scores,
     logsigmoid,
 )
+from labelforest.solver import NodeSolve, train_nodes
 from labelforest.tree import NODE, Tree, take_rows
 
 
@@ -377,8 +378,15 @@ def compact_columns_oracle(A: sp.csr_matrix):
     return sp.csr_matrix((A.data, at, A.indptr), shape=(A.shape[0], len(cols))), cols
 
 
+def train_node(X: sp.csr_matrix, Y: np.ndarray, C: float = 1.0, eps: float = 0.1,
+               delta: float = 0.01) -> NodeSolve:
+    """``solver.train_nodes`` on the one problem (X, Y)."""
+    return train_nodes([(X, Y)], C, eps, delta)[0]
+
+
 def with_bias_feature_oracle(X: sp.csr_matrix):
-    """``solver.with_bias_feature`` as ``train_node`` first built it: the
+    """A node's rows on their nonzero features plus a last bias feature of
+    value 1, and its feature ids, as the solver first built them: the
     features renumbered by ``np.unique`` and ``searchsorted``, and the
     bias column added by two ``np.insert`` calls."""
     n = X.shape[0]

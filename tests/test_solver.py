@@ -14,12 +14,11 @@ from labelforest.solver import (
     NodeSolve,
     _Features,
     _Instances,
+    _stacked_rows,
     _tron,
     _trcg,
     compact_columns,
-    train_node,
     train_nodes,
-    with_bias_feature,
 )
 from labelforest.tree import TrainConfig, TrainReport, train_ensemble
 
@@ -29,6 +28,7 @@ from helpers import (
     random_csr,
     row_weights,
     same_csr_bits,
+    train_node,
     weights_block,
     with_bias_column,
     with_bias_feature_oracle,
@@ -79,6 +79,17 @@ def random_node(rng, n, d, m, density=0.3, pos_rate=0.3):
     return X, Y
 
 
+def sparse_rows_node(rng, n, d, m):
+    """n rows of one or two features each over d, and an n x m sign
+    matrix.  With nnz <= 2n, n^2 > 4 (nnz + n) from n = 13 on, so such a
+    node is solved in feature coordinates."""
+    lens = rng.integers(1, 3, n)
+    indices = np.concatenate([np.sort(rng.choice(d, k, replace=False)) for k in lens])
+    X = sp.csr_matrix((rng.normal(size=lens.sum()), indices, np.concatenate(([0], np.cumsum(lens)))),
+                      shape=(n, d))
+    return X, np.where(rng.random((n, m)) < 0.3, 1, -1).astype(np.int8)
+
+
 def random_biased_node(rng, n, d, m):
     """``random_node`` with the bias column appended, for ``_tron`` and the
     scalar oracle, which solve over every column they are given."""
@@ -91,7 +102,7 @@ def relative_error(got, want):
 
 
 def tron(X, Y, C, eps, max_newton_iters=100):
-    return _tron(_Features(X, C), Y, eps, max_newton_iters)[:3]
+    return _tron(_Features(X, X.T.tocsr(), C), Y, eps, max_newton_iters)[:3]
 
 
 def weights_of(sol):
@@ -251,7 +262,7 @@ class TestBatchedAgainstOracle:
         # radii far inside and far outside each column's Newton step
         delta = gnorm * np.array([1e-3, 1e3, 1e-2, 1e3, 1e-4])
         act = np.ones_like(Yf)
-        S, R, _ = _trcg(_Features(X, 1.0), act, G, delta, 0.1 * gnorm, np.arange(5))
+        S, R, _ = _trcg(_Features(X, XT, 1.0), act, G, delta, 0.1 * gnorm, np.arange(5))
         for j in range(Y.shape[1]):
 
             def hess_vec(v):
@@ -442,7 +453,7 @@ class TestInstanceCoordinates:
         eps = 1e-4
         for _ in range(5):
             X, Y = random_node(rng, 10, 60, m=6, density=0.3)
-            Xc, _ = with_bias_feature(X)
+            Xc = with_bias_column(X)
             space = _Instances([(Xc @ Xc.T).toarray()], np.array([10]), np.zeros(6, dtype=int), 100.0)
             B, iters, conv, cg = _tron(space, Y, eps, 100)
             W = Xc.T @ B[:10]
@@ -479,7 +490,7 @@ class TestInstanceCoordinates:
         X = sp.csr_matrix(X[[0, 1, 2, 0, 3, 1, 4, 5, 6, 7, 0, 2]])
         Y = np.where(rng.random((12, 5)) < 0.4, 1, -1).astype(np.int8)
         Y[3, :] = -Y[0, :]
-        assert np.linalg.matrix_rank(with_bias_feature(X)[0].toarray()) < 12
+        assert np.linalg.matrix_rank(with_bias_column(X).toarray()) < 12
         assert_instance_path_matches(X, Y)
 
     def test_featureless_rows(self):
@@ -552,11 +563,15 @@ class TestInstanceCoordinates:
 
 
 NODE_KINDS = ["random", "empty", "one-row", "duplicate-rows", "featureless-rows",
-              "no-features", "all-negative"]
+              "no-features", "all-negative", "sparse-rows"]
 
 
 def kind_node(rng, kind, n, d, m):
-    """A small node of the given kind: rows over d features and signs."""
+    """A small node of the given kind: rows over d features and signs.  A
+    "sparse-rows" node has 13 + n rows and is solved in feature
+    coordinates; every other kind is solved in instance coordinates."""
+    if kind == "sparse-rows":
+        return sparse_rows_node(rng, 13 + n, d, m)
     n = {"empty": 0, "one-row": 1}.get(kind, n)
     X, Y = random_node(rng, max(n, 2), d, max(m, 2), density=0.3)
     X, Y = X[:n], Y[:n, :m]
@@ -592,9 +607,16 @@ def assert_same_solve(got, want):
 
 
 class TestTrainNodes:
-    """Instance-coordinate nodes solved together, in shared padded batches,
-    get the solve each gets alone: the same steps and counts, and the same
-    float32 weights and biases bit for bit."""
+    """Nodes solved together, the instance-coordinate ones in shared padded
+    batches, get the solve each gets alone: the same steps and counts, and
+    the same float32 weights and biases bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_sparse_rows_kind_takes_feature_coordinates(self, n):
+        rng = np.random.default_rng(n)
+        X, Y = kind_node(rng, "sparse-rows", n, 9, 2)
+        assert len(Y) ** 2 > 4 * (X.nnz + len(Y))
+        assert not train_node(X, Y).in_instances
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -630,28 +652,42 @@ class TestTrainNodes:
         rng = np.random.default_rng(20)
         big = random_node(rng, 12, 60, m=7, density=0.3)
         small = [random_node(rng, n, 60, m=m, density=0.05) for n, m in ((4, 3), (5, 2), (6, 2))]
-        problems = [*small, big]
+        wide = sparse_rows_node(rng, 40, 60, m=3)
+        problems = [*small, wide, big]
         whole = train_nodes(problems)
 
         def per_column(X, N):
             return 8 * solver._ARRAYS_PER_COLUMN * (N + len(np.unique(X.indices)) + 1)
 
-        # room for two of the big node's columns, and for the small nodes together
+        # room for two of the big node's columns, for the small nodes
+        # together, and for one of the wide node's columns
         budget = max(2 * per_column(big[0], 12) + 8 * 12 * 12,
                      sum(Y.shape[1] * per_column(X, 6) + 8 * len(Y) ** 2 for X, Y in small))
         assert budget < 3 * per_column(big[0], 12)
+        assert per_column(wide[0], 40) <= budget < 2 * per_column(wide[0], 40)
         monkeypatch.setattr(solver, "CHUNK_BYTES", budget)
         spy = mock.Mock(wraps=_tron)
         monkeypatch.setattr(solver, "_tron", spy)
+        gathered = mock.Mock(wraps=solver._gathered)
+        monkeypatch.setattr(solver, "_gathered", gathered)
         split = train_nodes(problems)
-        assert all(sol.in_instances for sol in split)
+        assert [sol.in_instances for sol in split] == [True, True, True, False, True]
+        # the wide node's columns span three batches, each that column alone,
+        # and its rows are gathered once for all three
+        assert len(set(split[3].batch.tolist())) == 3
+        for b in split[3].batch:
+            space, Y = spy.call_args_list[b].args[:2]
+            assert isinstance(space, _Features) and Y.shape[1] == 1
+            assert all(b not in sol.batch for u, sol in enumerate(split) if u != 3)
+        assert [c.args[1] for c in gathered.call_args_list].count([3]) == 1
         # the big node's columns span four batches, two columns at most each
         assert len(set(split[-1].batch.tolist())) == 4
         assert np.bincount(split[-1].batch).max() == 2
         # and one batch holds every small node
-        firsts = {int(sol.batch[0]) for sol in split[:-1]}
+        firsts = {int(sol.batch[0]) for sol in split[:3]}
         assert len(firsts) == 1
-        assert max(len(c.args[0].K) for c in spy.call_args_list) == 3
+        assert max(len(c.args[0].K) for c in spy.call_args_list
+                   if isinstance(c.args[0], _Instances)) == 3
         # one _tron call per batch
         batches = np.unique(np.concatenate([sol.batch for sol in split]))
         assert spy.call_count == len(batches) == batches.max() + 1
@@ -676,7 +712,7 @@ class TestTrainNodes:
         A, _ = compact_columns(A)
         blocks = solver._gram_blocks(A @ A.T, n)
         for X, K in zip(Xs, blocks, strict=True):
-            Xc, _ = with_bias_feature(X)
+            Xc = with_bias_column(X)
             want = (Xc @ Xc.T).toarray()
             assert K.shape == want.shape and K.tobytes() == want.tobytes()
 
@@ -797,15 +833,24 @@ class TestCompactColumnsAgainstOracle:
 
 
 class TestBiasFeatureAgainstOracle:
-    """``with_bias_feature`` builds, bit for bit, the arrays of its first
-    form (``np.unique``, ``searchsorted`` and two ``np.insert`` calls)."""
+    """A node's rows as every batch builds them for one node,
+    ``compact_columns(_stacked_rows(X, [n], d))``, are bit for bit the
+    arrays of that build's first form (``np.unique``, ``searchsorted`` and
+    two ``np.insert`` calls), with the feature ids ``cols[:-1]`` and the
+    bias column last.  A node without rows has no columns, not even its
+    bias."""
 
     @staticmethod
     def check(X):
-        Xc, feats = with_bias_feature(X)
-        want, want_feats = with_bias_feature_oracle(X)
-        assert same_csr_bits(Xc, want)
-        np.testing.assert_array_equal(feats, want_feats)
+        n, d = X.shape
+        A, cols = compact_columns(_stacked_rows(X, np.array([n]), d))
+        if n == 0:
+            assert A.shape == (0, 0) and len(cols) == 0
+            return
+        want, want_feats = with_bias_feature_oracle(X.astype(np.float64))
+        assert same_csr_bits(A, want)
+        np.testing.assert_array_equal(cols[:-1], want_feats)
+        assert cols[-1] == d
 
     @settings(max_examples=200)
     @given(
@@ -829,8 +874,11 @@ class TestBiasFeatureAgainstOracle:
         assert len(np.unique(X.indices)) == 9
         self.check(X)
 
-    def test_float32_rows_keep_their_dtype(self):
-        self.check(random_csr(3, 8, 6, density=0.4).astype(np.float32))
+    def test_float32_rows_are_widened_exactly(self):
+        # the solve is in float64, which holds every float32 value
+        X = random_csr(3, 8, 6, density=0.4).astype(np.float32)
+        self.check(X)
+        assert _stacked_rows(X, np.array([8]), 6).dtype == np.float64
 
 
 class TestValidation:

@@ -90,7 +90,7 @@ def train_binary(
     so the returned weights carry bias 0."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    space = _Features(p.X, p.C)
+    space = _Features(p.X, p.X.T.tocsr(), p.C)
     W, iters, conv, _ = _tron(space, p.signs[:, None], eps, max_newton_iters)
     if info is not None:
         info.n_newton_iters = int(iters[0])
@@ -228,7 +228,7 @@ def oracle_train_node(X, Y, C=1.0, eps=0.1, delta=0.01, max_newton_iters=100):
     """One scalar solve per sign column of ``Y`` over all of ``X``'s
     columns, the last of which must be the constant bias feature (see
     ``helpers.with_bias_column``).  Returns (weights, infos) with weights
-    split, pruned and cast as ``labelforest.solver.train_node`` promises."""
+    split, pruned and cast as ``labelforest.solver.train_nodes`` promises."""
     X = sp.csr_matrix(X, dtype=np.float64)
     d = X.shape[1] - 1
     weights, infos = [], []
