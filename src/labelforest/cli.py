@@ -153,7 +153,8 @@ def cmd_train(args) -> int:
         raise UsageError(str(e))
 
     report = TrainReport()
-    ens = train_ensemble(ds, config, report)
+    # each tree file is written as its tree is trained; meta goes last
+    ens = train_ensemble(ds, config, report, args.model)
     t_save = time.perf_counter()
     save_model(ens, args.model)
     t_end = time.perf_counter()
@@ -163,7 +164,7 @@ def cmd_train(args) -> int:
         "%d classifiers stopped at the Newton cap, %d weights kept, %d pruned; "
         "%d CG steps, %d nodes solved in instance coordinates; "
         "%d k-means splits in %d Lloyd rounds; %d solve batches",
-        len(ens.trees), report.n_nodes, report.n_leaves,
+        config.n_trees, report.n_nodes, report.n_leaves,
         report.n_classifiers, report.n_zero_positive,
         report.n_newton_iters, report.n_not_converged,
         report.n_weights_kept, report.n_weights_pruned,
@@ -173,7 +174,7 @@ def cmd_train(args) -> int:
     log.info(
         "timings: grow %.2fs, solve %.2fs, save %.2fs, total %.2fs",
         report.grow_seconds, report.solve_seconds,
-        t_end - t_save, t_end - t_start,
+        report.save_seconds + t_end - t_save, t_end - t_start,
     )
     return EXIT_OK
 

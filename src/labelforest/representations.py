@@ -17,8 +17,9 @@ float64 CSR factors made from the X and Y that training holds:
 
 so B has a row per label and a column per instance (two in the joint
 space), and F is X itself in the input space.  Each block's Y^T F is
-formed here only for its row norms and then dropped; k-means reads the
-labels through B and F, and training never forms V.
+formed here only for its row norms, a few labels at a time, and then
+dropped; k-means reads the labels through B and F, and training never
+forms V.
 """
 
 from __future__ import annotations
@@ -61,6 +62,22 @@ def _inverse_row_norms(m: sp.csr_matrix) -> np.ndarray:
     return 1.0 / norms
 
 
+def _inverse_label_norms(Yt: sp.spmatrix, F: sp.csr_matrix) -> np.ndarray:
+    """``_inverse_row_norms(Yt @ F)`` for the L x N label matrix ``Yt``,
+    with the product formed a block of labels at a time: each block's
+    instance counts sum to at most N (one label at least), so that it
+    takes about as many products as F has nonzeros.  A row's sums run in
+    the same order as in the whole product, so the norms are its bits."""
+    Yt = Yt.tocsr()
+    ends = np.concatenate(([0], np.cumsum(np.diff(Yt.indptr))))
+    norms, lo = [np.empty(0)], 0
+    while lo < Yt.shape[0]:
+        hi = max(int(np.searchsorted(ends, ends[lo] + Yt.shape[1], side="right")) - 1, lo + 1)
+        norms.append(_inverse_row_norms(Yt[lo:hi] @ F))
+        lo = hi
+    return np.concatenate(norms)
+
+
 def build_repr(X: sp.csr_matrix, Y: sp.csr_matrix, space: ReprSpace) -> LabelRepr:
     """The factors of the label vectors of ``space`` from the instance rows
     X (n x d) and their label rows Y (n x l), computed in float64."""
@@ -72,7 +89,7 @@ def build_repr(X: sp.csr_matrix, Y: sp.csr_matrix, space: ReprSpace) -> LabelRep
         factors.append(Yt.T)
     bs = []
     for F in factors:
-        inv = sp.diags(_inverse_row_norms((Yt @ F).tocsr()))
+        inv = sp.diags(_inverse_label_norms(Yt, F))
         B = (inv @ Yt).tocsr()
         B.sort_indices()
         bs.append(B)

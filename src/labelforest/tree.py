@@ -12,11 +12,14 @@ act as negatives.  A tree's nodes are trained together: once it is grown,
 every node's inputs are built, and one ``solver.train_nodes`` call solves
 them all, so that small nodes share solve batches.  A trained tree is a
 node table, its labels, and one weight matrix and bias vector (``Tree``),
-and a tree file is those arrays.
+and a tree file is those arrays.  Given a model directory, training
+writes each tree's file as soon as the tree is trained and keeps nothing
+of it, so that it holds one tree at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import time
@@ -169,6 +172,7 @@ class TrainReport:
     n_solve_batches: int = 0
     grow_seconds: float = 0.0
     solve_seconds: float = 0.0
+    save_seconds: float = 0.0
 
 
 def label_rows(B: sp.csr_matrix, F: sp.csr_matrix, rows: np.ndarray):
@@ -269,17 +273,43 @@ def _count_solve(sol: NodeSolve, report: TrainReport) -> None:
     report.n_not_converged += int(np.count_nonzero(capped))
 
 
+def _train_tree(V, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, seed: int,
+                report: TrainReport) -> tuple[np.ndarray, np.ndarray, list[NodeSolve]]:
+    """One tree's node table, labels and node solves: the tree is grown,
+    then every node's inputs are built (``train_node_classifiers``), and
+    then all its nodes are solved by one ``solver.train_nodes`` call, which
+    shares solve batches between small nodes; the batches are counted in
+    the report."""
+    t0 = time.perf_counter()
+    table, labels, nodes = grow(V, config, np.random.default_rng(seed), report)
+    t1 = time.perf_counter()
+    problems = [train_node_classifiers(node, X, idx, report) for node in nodes]
+    solves = train_nodes(problems, C=config.c, eps=config.eps, delta=config.delta)
+    for sol in solves:
+        _count_solve(sol, report)
+    report.n_solve_batches += len(np.unique(np.concatenate([s.batch for s in solves])))
+    report.grow_seconds += t1 - t0
+    report.solve_seconds += time.perf_counter() - t1
+    report.n_nodes += len(table)
+    report.n_leaves += int(table["leaf"].sum())
+    return table, labels, solves
+
+
 def train_ensemble(
-    ds: Dataset, config: TrainConfig = TrainConfig(), report: TrainReport | None = None
+    ds: Dataset, config: TrainConfig = TrainConfig(), report: TrainReport | None = None,
+    model_dir=None,
 ) -> Ensemble:
     """Train T trees differing only in their clustering seed.
 
     The label representation, the factors B and F, is built once and
-    shared; instances are unit-normalized first.  Each tree is grown, then
-    every node's inputs are built (``train_node_classifiers``), and then
-    all its nodes are solved by one ``solver.train_nodes`` call, which
-    shares solve batches between small nodes; the batches are counted in
-    the report.
+    shared; instances are unit-normalized first.  Each tree is trained by
+    ``_train_tree``.  Without ``model_dir``, the returned ensemble holds
+    every tree, each node's weight block stacked into the tree's W once.
+    With it, each tree's file is written to ``model_dir`` as soon as the
+    tree is trained, from the node blocks as they are, and nothing of the
+    tree is kept: the returned ensemble holds no trees, and ``save_model``
+    has only the meta file left to write.  The time spent writing is
+    counted in the report.
     """
     if ds.l < 1:
         raise DataFormatError("training needs at least one label")
@@ -293,22 +323,16 @@ def train_ensemble(
     for t in range(config.n_trees):
         seed = config.base_seed + t
         log.info("training tree %d/%d (seed %d)", t + 1, config.n_trees, seed)
-        t0 = time.perf_counter()
-        table, labels, nodes = grow(V, config, np.random.default_rng(seed), report)
-        t1 = time.perf_counter()
-        problems = [train_node_classifiers(node, X, idx, report) for node in nodes]
-        solves = train_nodes(problems, C=config.c, eps=config.eps, delta=config.delta)
-        for sol in solves:
-            _count_solve(sol, report)
-        report.n_solve_batches += len(np.unique(np.concatenate([s.batch for s in solves])))
-        report.grow_seconds += t1 - t0
-        report.solve_seconds += time.perf_counter() - t1
-        report.n_nodes += len(table)
-        report.n_leaves += int(table["leaf"].sum())
-        # one W per tree: the nodes' blocks are stacked once, then dropped
-        W = sp.vstack([s.W for s in solves], format="csr")
-        trees.append(Tree(table, labels, W, np.concatenate([s.bias for s in solves])))
-        del nodes, solves
+        table, labels, solves = _train_tree(V, X, idx, config, seed, report)
+        Ws, bias = [s.W for s in solves], [s.bias for s in solves]
+        if model_dir is None:
+            trees.append(Tree(table, labels, sp.vstack(Ws, format="csr"), np.concatenate(bias)))
+        else:
+            t0 = time.perf_counter()
+            _write_tree(model_dir, t, table, labels, Ws, bias, ds.d)
+            report.save_seconds += time.perf_counter() - t0
+        # nothing of tree t may outlive this pass: tree t + 1 is trained in its memory
+        del solves, Ws, bias
     return Ensemble(trees, config, ds.d, ds.l)
 
 
@@ -325,25 +349,45 @@ def _meta_lines(ens: Ensemble) -> str:
     return "".join(f"{k}={getattr(values[k], 'value', values[k])}\n" for k in META_KEYS)
 
 
+def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray,
+                Ws: list[sp.csr_matrix], bias: list[np.ndarray], d: int) -> None:
+    """Write tree t's file: its node table, its labels, and its weight rows,
+    given as the CSR blocks ``Ws`` that stack into its W and the matching
+    pieces of its bias.  Each section is written block by block, so W is
+    never stacked.  Before tree 0's file, the directory is made if it is
+    missing, and any meta file in it is removed: from then until
+    ``save_model`` writes meta last, the directory holds no loadable
+    model."""
+    if t == 0:
+        os.makedirs(model_dir, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(model_dir, "meta"))
+    sections = [
+        ([[FORMAT_VERSION]], "<u4"),
+        ([[len(nodes)]], "<i8"),
+        ([nodes], NODE),
+        ([labels], "<u4"),
+        ([np.diff(W.indptr) for W in Ws], "<u4"),
+        ([W.indices for W in Ws], _id_dtype(d)),
+        ([W.data for W in Ws], "<f4"),
+        (bias, "<f4"),
+    ]
+    with open(os.path.join(model_dir, f"tree_{t}.bin"), "wb") as f:
+        f.write(MAGIC)
+        for blocks, dtype in sections:
+            for a in blocks:
+                f.write(np.asarray(a, dtype=dtype).data)
+
+
 def save_model(ens: Ensemble, model_dir) -> None:
-    os.makedirs(model_dir, exist_ok=True)
+    """Write the trees of ``ens``, then its meta file, last: a directory
+    whose writing stopped part-way holds no loadable model.  The trees that
+    ``train_ensemble`` wrote to ``model_dir`` itself are not in ``ens``,
+    and then only meta is written."""
+    for t, tree in enumerate(ens.trees):
+        _write_tree(model_dir, t, tree.nodes, tree.labels, [tree.W], [tree.bias], ens.d)
     with open(os.path.join(model_dir, "meta"), "w", encoding="utf-8") as f:
         f.write(_meta_lines(ens))
-    for t, tree in enumerate(ens.trees):
-        W = tree.W
-        with open(os.path.join(model_dir, f"tree_{t}.bin"), "wb") as f:
-            f.write(MAGIC)
-            for a, dtype in [
-                ([FORMAT_VERSION], "<u4"),
-                ([len(tree.nodes)], "<i8"),
-                (tree.nodes, NODE),
-                (tree.labels, "<u4"),
-                (np.diff(W.indptr), "<u4"),
-                (W.indices, _id_dtype(ens.d)),
-                (W.data, "<f4"),
-                (tree.bias, "<f4"),
-            ]:
-                f.write(np.asarray(a, dtype=dtype).data)
 
 
 def _check_nodes(nodes: np.ndarray, l: int, d_max: int) -> None:

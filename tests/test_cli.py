@@ -258,6 +258,84 @@ class TestPipeline:
         assert int(m.group(2)) == sum(p.n_iters_run for p in parts) > len(parts)
 
 
+class TestStreamedTrain:
+    """``train`` writes each tree's file as soon as the tree is trained, and
+    meta last: its directory has the bytes of the library route's
+    ``save_model(train_ensemble(...))``, and a run that stops part-way
+    leaves no loadable model."""
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("space", ["input", "joint"])
+    def test_directory_is_the_library_routes_bytes(self, paths, tmp_path, space, depth,
+                                                   n_trees):
+        streamed, saved = tmp_path / "streamed", tmp_path / "saved"
+        assert main(["train", "--data", paths["train"], "--model", str(streamed),
+                     "--trees", str(n_trees), "--branch", "4", "--max-depth", str(depth),
+                     "--repr", space, "--seed", "5"]) == 0
+        config = TrainConfig(n_trees=n_trees, k=4, d_max=depth, repr_space=space, base_seed=5)
+        ens = train_ensemble(parse_dataset(paths["train"]), config)
+        save_model(ens, saved)
+        assert max(t.nodes["depth"].max() for t in ens.trees) == depth
+        assert sorted(os.listdir(streamed)) == sorted(os.listdir(saved)) == \
+            ["meta"] + [f"tree_{t}.bin" for t in range(n_trees)]
+        assert _sha256_of_dir(streamed) == _sha256_of_dir(saved)
+
+    def test_library_route_with_a_directory_keeps_no_tree(self, paths, tmp_path):
+        """Given a directory, ``train_ensemble`` writes the tree files and
+        returns no tree; ``save_model`` then adds meta alone."""
+        model = tmp_path / "m"
+        config = TrainConfig(n_trees=2, k=8, base_seed=3)
+        ens = train_ensemble(parse_dataset(paths["train"]), config, None, model)
+        assert ens.trees == [] and sorted(os.listdir(model)) == ["tree_0.bin", "tree_1.bin"]
+        save_model(ens, model)
+        assert load_model(model).config == config
+
+    def test_interrupted_train_leaves_no_loadable_model(self, paths, trained, tmp_path,
+                                                         monkeypatch, capsys):
+        """A run that fails while solving its second tree, over a directory
+        holding an older model, leaves tree_0 written and no meta."""
+        model = tmp_path / "m"
+        shutil.copytree(trained, model)
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("stopped")
+            return train_nodes(*args, **kwargs)
+
+        train_nodes = tree.train_nodes
+        monkeypatch.setattr(tree, "train_nodes", fail_second)
+        old = (model / "tree_0.bin").read_bytes()
+        assert main(["train", "--data", paths["train"], "--model", str(model),
+                     "--branch", "4", "--seed", "9"]) == 3
+        assert len(calls) == 2 and (model / "tree_0.bin").read_bytes() != old
+        assert not (model / "meta").exists()
+        with pytest.raises(ModelFormatError, match="no meta file"):
+            load_model(model)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", paths["test"],
+                     "--output", str(tmp_path / "pred.txt")]) == 2
+        assert "data error: no meta file" in capsys.readouterr().err
+
+    def test_save_timing_counts_every_tree_write(self, paths, tmp_path, monkeypatch, caplog):
+        """The ``timings:`` line's save is the time spent writing the tree
+        files during training plus meta after it."""
+        def slow_write(*args):
+            time.sleep(0.1)
+            write(*args)
+
+        write = tree._write_tree
+        monkeypatch.setattr(tree, "_write_tree", slow_write)
+        caplog.set_level(logging.INFO, logger="labelforest")
+        assert main(["train", "--data", paths["train"], "--model", str(tmp_path / "m"),
+                     "--trees", "3", "--branch", "8"]) == 0
+        line = next(r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("timings:"))
+        assert float(re.search(r"save (\d+\.\d+)s", line).group(1)) >= 0.3
+
+
 class TestBeamFlag:
     def test_beam_above_fanout_equals_exhaustive(self, paths, tmp_path):
         model = str(tmp_path / "wide")
@@ -544,6 +622,7 @@ class TestExitCodes:
         f.write_text("2 3 0\n 0:1.0\n 1:2.0 2:0.5\n")
         assert main(["train", "--data", str(f), "--model", str(tmp_path / "m")]) == 2
         assert "data error: training needs at least one label" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("command, header", [
         ("stats", f"0 1 {2**62}"),

@@ -6,12 +6,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelforest import representations
 from labelforest.data import normalize_instances, parse_dataset
-from labelforest.representations import LabelRepr, ReprSpace, build_repr
+from labelforest.representations import (
+    LabelRepr,
+    ReprSpace,
+    _inverse_label_norms,
+    _inverse_row_norms,
+    build_repr,
+)
 from labelforest.tree import label_rows
 
 from conftest import random_dataset
-from helpers import csr_from_rows, row, rows
+from helpers import csr_from_rows, row, rows, same_csr_bits
 
 
 def parse_text(text):
@@ -267,3 +274,61 @@ class TestFactors:
         np.testing.assert_allclose((B @ F).toarray(), want[:, cols], rtol=0, atol=1e-15)
         root = label_rows(r.B, r.F, np.arange(Y.shape[1]))
         assert root[0] is r.B and root[1] is r.F
+
+
+class TestBlockedNorms:
+    """A label's norm is taken over a block of labels' rows of Yᵀ·F, and
+    equals the norm of the whole product, ``_inverse_row_norms(Yᵀ·F)``, bit
+    for bit: in every factor and space, with labels no instance carries,
+    and over several blocks."""
+
+    @staticmethod
+    def data(seed):
+        """X, Y with dense labels, so that their instance counts sum to
+        several times N, and a label between the others that no instance
+        carries."""
+        ds = random_dataset(seed, n=30, d=20, l=14, label_density=0.3)
+        empty = sp.csr_matrix((ds.n, 1), dtype=ds.Y.dtype)
+        Y = sp.hstack([ds.Y[:, :7], empty, ds.Y[:, 7:]], format="csr")
+        return normalize_instances(ds), Y
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_blocks_give_the_whole_products_bits(self, seed):
+        X, Y = self.data(seed)
+        Yt = Y.T.astype(np.float64)
+        assert np.diff(Yt.tocsr().indptr)[7] == 0
+        for F in (X.astype(np.float64), Yt.T):
+            got = _inverse_label_norms(Yt, F)
+            want = _inverse_row_norms((Yt @ F).tocsr())
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_several_blocks_each_at_most_n_instances(self, monkeypatch):
+        X, Y = self.data(0)
+        blocks = []
+
+        def spy(m):
+            blocks.append(m.shape[0])
+            return norms(m)
+
+        norms = representations._inverse_row_norms
+        monkeypatch.setattr(representations, "_inverse_row_norms", spy)
+        _inverse_label_norms(Y.T, X)
+        counts = np.bincount(Y.indices, minlength=Y.shape[1])
+        ends = np.cumsum(blocks)
+        assert len(blocks) >= 2 and ends[-1] == Y.shape[1]
+        assert all(counts[end - size : end].sum() <= Y.shape[0]
+                   for size, end in zip(blocks, ends))
+
+    def test_joint_factor_b_is_the_whole_products(self):
+        """The joint space's B, built with each block's norms from the whole
+        product, has the bits of ``build_repr``'s."""
+        X, Y = self.data(1)
+        Yt = Y.T.astype(np.float64)
+        scale = 1.0 / np.sqrt(2.0)
+        want = sp.hstack([(sp.diags(_inverse_row_norms((Yt @ F).tocsr())) @ Yt) * scale
+                          for F in (X.astype(np.float64), Yt.T)], format="csr")
+        want.sort_indices()
+        got = build_repr(X, Y, ReprSpace.JOINT).B
+        assert not np.diff(got.indptr)[7]
+        assert same_csr_bits(got, want)

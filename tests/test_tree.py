@@ -2,8 +2,12 @@ import io
 import os
 import shutil
 import struct
+import sys
 import tempfile
-from dataclasses import fields
+import tracemalloc
+import weakref
+from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -476,6 +480,80 @@ class TestEnsemble:
         ds = parse_text("1 1 0\n 0:1.0\n")
         with pytest.raises(ValueError):
             train_ensemble(ds, TrainConfig(n_trees=1))
+
+
+class TestTrainMemory:
+    """Training to a model directory holds one tree at a time, so its
+    memory does not grow with the tree count.  Run on its own (CI gives it
+    a step), so that no earlier test's allocations sit in its peaks."""
+
+    SEEDS = (0, 1, 2)
+
+    @pytest.fixture(scope="class")
+    def smoke(self, tmp_path_factory):
+        """The bench's ``smoke`` training rows, and its settings (input
+        space, K = 8, depth 1 at its L = 120)."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            import gen
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        shape = WORKLOADS["smoke"].shape
+        ds = parse_dataset(gen.write_train(shape, str(tmp_path_factory.mktemp("smoke"))))
+        return ds, TrainConfig(k=8, d_max=1, repr_space="input")
+
+    @staticmethod
+    def streamed_peak(ds, config, model_dir) -> int:
+        """The most memory tracemalloc saw ``train``'s route (a tree file
+        written per tree, then meta) hold at once beyond what was held
+        before it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_model(train_ensemble(ds, config, None, model_dir), model_dir)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_tree_count(self, smoke, tmp_path):
+        """Three trees (seeds 0-2) peak within 5% of the largest one-tree
+        peak over the same seeds."""
+        ds, config = smoke
+        one = max(self.streamed_peak(ds, replace(config, n_trees=1, base_seed=s),
+                                     tmp_path / f"one_{s}") for s in self.SEEDS)
+        three = self.streamed_peak(ds, replace(config, n_trees=3, base_seed=self.SEEDS[0]),
+                                   tmp_path / "three")
+        assert three <= 1.05 * one, (three, one)
+
+    def test_tree_is_gone_before_the_next_is_solved(self, smoke, tmp_path, monkeypatch):
+        """When tree t + 1's ``train_nodes`` starts, every array of tree t's
+        node solves (weights, their index arrays, biases and the arrays
+        those are views of) has been freed."""
+        ds, config = smoke
+        refs, calls = [], []
+
+        def spy(*args, **kwargs):
+            alive = [r for r in refs if r() is not None]
+            assert not alive, f"{len(alive)} arrays of tree {len(calls) - 1} still alive"
+            solves = train_nodes(*args, **kwargs)
+            calls.append(len(solves))
+            refs[:] = [weakref.ref(b) for sol in solves
+                       for a in (sol.W.data, sol.W.indices, sol.W.indptr, sol.bias)
+                       for b in _base_chain(a)]
+            return solves
+
+        train_nodes = tree.train_nodes
+        monkeypatch.setattr(tree, "train_nodes", spy)
+        train_ensemble(ds, replace(config, n_trees=3), None, tmp_path / "m")
+        assert len(calls) == 3 and refs
+
+
+def _base_chain(a: np.ndarray):
+    """``a`` and every array it is a view of."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
 
 
 class TestModelStore:
