@@ -33,21 +33,22 @@ about twice the two sparse products, vectors shrink from f + 1 entries to
 n, and K takes at most 32 bytes per nonzero.  Nodes with many rows, such
 as the roots, usually stay in feature coordinates.
 
-``train_nodes`` solves many nodes at once, which is how a tree's nodes are
-trained.  One planner (``_batches``) cuts each node into chunks of at most
-``CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1))`` columns (at
-least one), f being its nonzero feature count, and forms the batches, one
-``_tron`` call each.  A feature-coordinate chunk is a batch alone.  The
-instance-coordinate chunks are packed, in order of row count (then of
-position), into shared batches: a chunk joins the open batch while the
-batch's columns, at 8 * ``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each
-with N the batch's largest row count, plus 8 n^2 bytes for each of its
-nodes' Gram matrices fit in ``CHUNK_BYTES``, and otherwise opens the next
-batch.  So a node solved alone keeps its chunks, and two chunks of one
-node never share a batch.  Every batch builds its rows one way: gathered,
-stacked with each node's columns shifted apart and its own bias column,
-compacted to the columns in use, and transposed (``_solve_batch``).  A
-batch's columns all have N rows: rows past their own node's n are
+``train_nodes`` solves many nodes over the rows of one matrix X, which is
+how a tree's nodes are trained, in self-contained node groups
+(``_groups``): each feature-coordinate node first, then the
+instance-coordinate nodes in order of row count (then of position).  A
+node's columns fall into chunks of at most ``CHUNK_BYTES // (8 *
+_ARRAYS_PER_COLUMN * (n + f + 1))`` columns (at least one), f being its
+nonzero feature count.  A feature-coordinate node, or an
+instance-coordinate node with rows and several chunks, is a group alone,
+with one ``_tron`` call, a batch, per chunk.  The other nodes are packed
+whole into groups of one batch: a node joins the open group while the
+group's columns, at 8 * ``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each
+with N the group's largest row count, plus 8 n^2 bytes for each of its
+nodes' Gram matrices fit in ``CHUNK_BYTES``, and otherwise opens the
+next group.  A group's rows are built once, one way, and dropped once it
+is solved (``_solve_group``): nothing passes from one group to the next.
+A packed batch's columns all have N rows: rows past their own node's n are
 padding, with sign +1 and a margin held at 1, so that they are never
 active, add no loss and keep a zero coefficient.  Every product and dot
 product a column takes is the one it takes alone, up to those zero terms:
@@ -58,6 +59,7 @@ So a node's classifiers are bit for bit those it gets alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -345,53 +347,52 @@ class NodeSolve:
 
 class Problem(NamedTuple):
     """A node's classifiers to train: an n x m sign matrix ``Y``, one
-    column per classifier, over the rows ``rows`` of the CSR matrix ``X``
-    (sorted distinct ids; every row of X if None)."""
+    column per classifier, over the rows ``rows`` (sorted distinct ids) of
+    the matrix that ``train_nodes`` is given."""
 
-    X: sp.csr_matrix
     Y: np.ndarray
-    rows: np.ndarray | None = None
+    rows: np.ndarray
 
 
-def train_nodes(problems, C: float = 1.0, eps: float = 0.1, delta: float = 0.01) -> list[NodeSolve]:
+def train_nodes(X: sp.csr_matrix, problems, C: float = 1.0, eps: float = 0.1,
+                delta: float = 0.01) -> list[NodeSolve]:
     """For each ``Problem`` (or tuple of its fields), train one classifier,
-    with a bias term, per column of its sign matrix on its rows.
+    with a bias term, per column of its sign matrix on its rows of the CSR
+    matrix ``X``.
 
     Each node is solved on its nonzero feature columns plus a constant
     bias feature, each column stopping at ``MAX_NEWTON_ITERS`` accepted
-    steps, in instance coordinates when n^2 <= 4 nnz, and in batches of
-    columns bounded by ``CHUNK_BYTES`` that instance-coordinate nodes
-    share (see the module docstring).  A node's rows are gathered only
-    when its batch is solved.  Row j of a returned ``W`` is column j's
-    feature weights with entries |w| <= ``delta`` pruned and values cast
-    to float32; ``bias[j]`` is its bias, which is never pruned.
+    steps, in instance coordinates when n^2 <= 4 nnz, and in node groups
+    whose batches of columns are bounded by ``CHUNK_BYTES`` (see the module
+    docstring).  A group's rows are gathered only when it is solved, and
+    dropped after.  Row j of a returned ``W`` is column j's feature weights
+    with entries |w| <= ``delta`` pruned and values cast to float32;
+    ``bias[j]`` is its bias, which is never pruned.
     """
     if not C > 0 or not eps > 0 or delta < 0:
         raise ValueError("require C > 0, eps > 0, delta >= 0")
+    if not isinstance(X, sp.csr_matrix):
+        raise TypeError(f"need a scipy CSR matrix, got {type(X).__name__}")
     problems = [_checked(Problem(*p)) for p in problems]
     solves = [None] * len(problems)
-    parts, kept = {}, {}  # solved chunks of the nodes begun, and a batch's carry-over
-    for batch, (in_instances, chunks) in enumerate(_batches(problems)):
-        done, kept = _solve_batch(problems, in_instances, chunks, kept, C, eps, delta, batch)
-        for (u, _, hi), part in zip(chunks, done):
-            parts.setdefault(u, []).append(part)
-            if hi == problems[u].Y.shape[1]:
-                solves[u] = _joined(parts.pop(u))
+    batches = itertools.count()  # numbers the _tron calls
+    for in_instances, nodes, spans in _groups(X, problems):
+        group = _solve_group(X, problems, in_instances, nodes, spans, C, eps, delta, batches)
+        for u, sol in zip(nodes, group):
+            solves[u] = sol
     return solves
 
 
 def _checked(p: Problem) -> Problem:
-    """``p`` with its signs as an array and its rows as an id array."""
-    if not isinstance(p.X, sp.csr_matrix):
-        raise TypeError(f"need a scipy CSR matrix, got {type(p.X).__name__}")
-    rows = np.arange(p.X.shape[0]) if p.rows is None else np.asarray(p.rows)
+    """``p`` with its signs and its rows as arrays."""
+    rows = np.asarray(p.rows)
     Y = np.asarray(p.Y)
     n = len(rows)
     if Y.ndim != 2 or Y.shape[0] != n or Y.shape[1] == 0:
         raise ValueError(f"need an {n} x m sign matrix, m >= 1, got shape {Y.shape}")
     if not np.all(np.abs(Y) == 1):
         raise ValueError("signs must be +1 or -1")
-    return Problem(p.X, Y, rows)
+    return Problem(Y, rows)
 
 
 def _in_instances(n: int, nnz: int) -> bool:
@@ -426,118 +427,103 @@ def _pruned(W, feats, d, delta):
             W[f].astype(np.float32), int(np.count_nonzero(Wf)) - len(r))
 
 
-def _batches(problems):
-    """The batches of ``train_nodes``, one ``_tron`` call each, in order:
-    whether a batch is in instance coordinates, and its column chunks
-    (u, lo, hi), the columns lo:hi of problem u (see the module
-    docstring).  A feature-coordinate chunk is a batch alone."""
+def _groups(X, problems):
+    """The node groups of ``train_nodes``, in order: whether a group is in
+    instance coordinates, its nodes, and for a node alone its column
+    chunks (lo, hi), one ``_tron`` call each (None for packed nodes, solved
+    in one call).  See the module docstring."""
     packed = []
     for u, p in enumerate(problems):
-        if _in_instances(len(p.rows), int((p.X.indptr[p.rows + 1] - p.X.indptr[p.rows]).sum())):
+        if _in_instances(len(p.rows), int((X.indptr[p.rows + 1] - X.indptr[p.rows]).sum())):
             packed.append(u)
         else:
-            yield from ((False, [(u, lo, hi)]) for lo, hi in _chunks(p)[1])
+            yield False, [u], _chunks(X, p)[1]
     per_byte = 8 * _ARRAYS_PER_COLUMN
-    chunks = []
-    cols = feats = grams = 0  # the open batch's columns, sum of their f + 1, Gram bytes
+    nodes = []
+    cols = feats = grams = 0  # the open group's columns, sum of their f + 1, Gram bytes
     for u in sorted(packed, key=lambda u: len(problems[u].rows)):
-        n = len(problems[u].rows)
-        f, spans = _chunks(problems[u])
-        for lo, hi in spans:
-            w = hi - lo
-            # nodes come in increasing row count, so this chunk's n is the batch's N
-            if chunks and per_byte * (n * (cols + w) + feats + w * (f + 1)) + grams \
-                    + 8 * n * n > CHUNK_BYTES:
-                yield True, chunks
-                chunks, cols, feats, grams = [], 0, 0, 0
-            chunks.append((u, lo, hi))
-            cols, feats, grams = cols + w, feats + w * (f + 1), grams + 8 * n * n
-    if chunks:
-        yield True, chunks
+        n, m = problems[u].Y.shape
+        f, spans = _chunks(X, problems[u])
+        alone = n > 0 and len(spans) > 1
+        # nodes come in increasing row count, so this node's n is the group's N
+        if nodes and (alone or per_byte * (n * (cols + m) + feats + m * (f + 1)) + grams
+                      + 8 * n * n > CHUNK_BYTES):
+            yield True, nodes, None
+            nodes, cols, feats, grams = [], 0, 0, 0
+        if alone:
+            yield True, [u], spans
+        else:
+            nodes.append(u)
+            cols, feats, grams = cols + m, feats + m * (f + 1), grams + 8 * n * n
+    if nodes:
+        yield True, nodes, None
 
 
-def _chunks(p: Problem):
-    """The count f of features that a node's rows use, and its column
+def _chunks(X, p: Problem):
+    """The count f of features that a node's rows of X use, and its column
     chunks (lo, hi) as it is solved alone: n rows and f + 1 features give
     ``CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1))`` columns a
     chunk, at least one."""
     n, m = p.Y.shape
-    present = np.zeros(p.X.shape[1], dtype=bool)
-    present[p.X.indices[_positions(p.X.indptr, p.rows)[0]]] = True
+    present = np.zeros(X.shape[1], dtype=bool)
+    present[X.indices[_positions(X.indptr, p.rows)[0]]] = True
     f = int(np.count_nonzero(present))
     step = max(1, CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1)))
     return f, [(lo, min(m, lo + step)) for lo in range(0, m, step)]
 
 
-def _solve_batch(problems, in_instances, chunks, kept, C, eps, delta, batch):
-    """Solve one batch of column chunks (u, lo, hi), one slot per chunk,
-    in instance coordinates or, for a chunk alone, in feature coordinates.
-    ``kept`` holds what carries over for a node whose columns continue from
-    the previous batch: its Gram matrix in instance coordinates and, if it
-    was solved alone there, its rows (stacked, transposed, and their column
-    ids).  Returns each chunk's ``NodeSolve`` and what to keep for the next
-    batch."""
-    n = np.array([len(problems[u].rows) for u, _, _ in chunks], dtype=np.int64)
-    widths = [problems[u].X.shape[1] for u, _, _ in chunks]
-    ends = np.cumsum([hi - lo for _, lo, hi in chunks])
-    starts = ends - [hi - lo for _, lo, hi in chunks]
-    slot = np.repeat(np.arange(len(chunks)), ends - starts)
+def _solve_group(X, problems, in_instances, nodes, spans, C, eps, delta, batches):
+    """Solve one node group and return each of its nodes' ``NodeSolve``.
+    The group's rows are built once: gathered, stacked with each node's
+    columns shifted apart and its own bias column, compacted to the columns
+    in use, given their Gram blocks in instance coordinates, and
+    transposed.  A node alone then takes one ``_tron`` call per column
+    chunk in ``spans``, in feature or instance coordinates; packed nodes
+    take one call for all their columns, one slot per node.  ``batches``
+    numbers the calls."""
+    n = np.array([len(problems[u].rows) for u in nodes], dtype=np.int64)
+    d = X.shape[1]
+    A = _stacked_rows(take_rows(X, np.concatenate([problems[u].rows for u in nodes])), n, d)
+    # on the columns in use alone, in order, every product keeps its bits
+    A, cols = compact_columns(A)
+    K = _gram_blocks(A @ A.T, n) if in_instances else None
+    AT = A.T.tocsr()
+    # in instance coordinates the transpose alone serves the back-projection
+    A = None if in_instances else A
+    if spans is not None:
+        parts = []
+        for lo, hi in spans:
+            space = _Instances(K, n, np.zeros(hi - lo, dtype=np.int64), C) if in_instances \
+                else _Features(A, AT, C)
+            # an overflowing C makes values inf or nan; _tron stops those columns
+            with np.errstate(over="ignore", invalid="ignore"):
+                B, iters, conv, cg = _tron(space, problems[nodes[0]].Y[:, lo:hi], eps,
+                                           MAX_NEWTON_ITERS)
+            # the node's weights in one dense block, X^T B in instance coordinates
+            W, bias, n_pruned = _pruned(AT @ B[: n[0]] if in_instances else B, cols[:-1], d, delta)
+            del B
+            parts.append(NodeSolve(W, bias, iters, cg, conv, n_pruned, in_instances,
+                                   np.full(hi - lo, next(batches))))
+        return [_joined(parts)]
+    widths = [problems[u].Y.shape[1] for u in nodes]
+    ends = np.cumsum(widths)
+    starts = ends - widths
     N = int(n.max())
     Y = np.ones((N, ends[-1]))
-    for s, (u, lo, hi) in enumerate(chunks):
-        Y[: n[s], starts[s] : ends[s]] = problems[u].Y[:, lo:hi]
-    d = max(widths)
-    row0 = np.concatenate(([0], np.cumsum(n)))  # each node's first row in the batch
-    K, stack = kept.get(chunks[0][0], ([], None))
-    if len(chunks) > 1 or stack is None:
-        A = _stacked_rows(_gathered(problems, [u for u, _, _ in chunks]), n, d)
-        # on the columns in use alone, in order, every product keeps its bits
-        A, cols = compact_columns(A)
-        if in_instances and len(K) < len(chunks):
-            rest = A[row0[1] :] if K else A
-            K += _gram_blocks(rest @ rest.T, n[len(K) :])
-            del rest
-        # in instance coordinates the transpose alone serves the back-projection
-        stack = (None if in_instances else A), A.T.tocsr(), cols
-        del A
-    A, AT, cols = stack
-    space = _Instances(K, n, slot, C) if in_instances else _Features(A, AT, C)
-    # an overflowing C makes values inf or nan; _tron stops those columns
+    for s, u in enumerate(nodes):
+        Y[: n[s], starts[s] : ends[s]] = problems[u].Y
+    slot = np.repeat(np.arange(len(nodes)), widths)
     with np.errstate(over="ignore", invalid="ignore"):
-        B, iters, conv, cg = _tron(space, Y, eps, MAX_NEWTON_ITERS)
-    if len(chunks) == 1 and N:
-        # one node with rows (so with a bias column): its weights in one
-        # dense block, X^T B in instance coordinates
-        W, bias, n_pruned = _pruned(AT @ B[:N] if in_instances else B, cols[:-1], widths[0], delta)
-        done = [NodeSolve(W, bias, iters, cg, conv, n_pruned, in_instances,
-                          np.full(len(slot), batch))]
-    else:
-        W, bias, pruned = _back_projected(B[:N], n, row0, starts, ends, AT, cols % (d + 1), d, delta)
-        done = []
-        for a, b, width in zip(starts, ends, widths):
-            i, j = W.indptr[a], W.indptr[b]
-            Wu = sp.csr_matrix((W.data[i:j], W.indices[i:j], W.indptr[a : b + 1] - i),
-                               shape=(b - a, width))
-            done.append(NodeSolve(Wu, bias[a:b], iters[a:b], cg[a:b], conv[a:b],
-                                  int(pruned[a:b].sum()), True, np.full(b - a, batch)))
-    u, _, hi = chunks[-1]
-    if hi == problems[u].Y.shape[1]:
-        return done, {}
-    return done, {u: (K[-1:], stack if len(chunks) == 1 else None)}
-
-
-def _gathered(problems, nodes) -> sp.csr_matrix:
-    """The rows of each of the ``nodes``, one node after another, as one
-    CSR matrix: one row gather per run of nodes over the same X."""
-    pieces, i = [], 0
-    while i < len(nodes):
-        X = problems[nodes[i]].X
-        j = i + 1
-        while j < len(nodes) and problems[nodes[j]].X is X:
-            j += 1
-        pieces.append(take_rows(X, np.concatenate([problems[u].rows for u in nodes[i:j]])))
-        i = j
-    return pieces[0] if len(pieces) == 1 else sp.vstack(pieces, format="csr")
+        B, iters, conv, cg = _tron(_Instances(K, n, slot, C), Y, eps, MAX_NEWTON_ITERS)
+    W, bias, pruned = _back_projected(B[:N], n, starts, ends, AT, cols % (d + 1), d, delta)
+    batch = next(batches)
+    done = []
+    for a, b in zip(starts, ends):
+        i, j = W.indptr[a], W.indptr[b]
+        Wu = sp.csr_matrix((W.data[i:j], W.indices[i:j], W.indptr[a : b + 1] - i), shape=(b - a, d))
+        done.append(NodeSolve(Wu, bias[a:b], iters[a:b], cg[a:b], conv[a:b],
+                              int(pruned[a:b].sum()), True, np.full(b - a, batch)))
+    return done
 
 
 def _stacked_rows(X, n, d) -> sp.csr_matrix:
@@ -580,16 +566,17 @@ def _gram_blocks(P, n) -> list[np.ndarray]:
     return [flat[a:b].reshape(k, k) for a, b, k in zip(off[:-1], off[1:], n)]
 
 
-def _back_projected(B, n, row0, starts, ends, AT, local, d, delta):
+def _back_projected(B, n, starts, ends, AT, local, d, delta):
     """The weights X^T b of each batch column, from one sparse product:
-    the columns ``starts[s]:ends[s]`` belong to node s, whose rows of the
-    stacked A (``AT`` = A^T as CSR) are ``row0[s]:row0[s] + n[s]`` and whose
-    coefficients are ``B[:n[s]]``.  Column c of A is its node's feature
+    the columns ``starts[s]:ends[s]`` belong to node s, whose n[s] rows of
+    the stacked A (``AT`` = A^T as CSR) follow those of nodes 0..s-1 and
+    whose coefficients are ``B[:n[s]]``.  Column c of A is its node's feature
     ``local[c]``, or its bias if that is d.  An entry sums over the node's
     rows in order, as the dense product X^T B does.  Returns the pruned
     float32 feature weights (a CSR row per batch column over d features),
     the float32 biases and each column's pruned count."""
     m = ends[-1]
+    row0 = np.concatenate(([0], np.cumsum(n)))
     slot = np.repeat(np.arange(len(n)), n)
     width = (ends - starts)[slot]
     indptr = np.concatenate(([0], np.cumsum(width)))

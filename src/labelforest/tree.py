@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -241,13 +242,11 @@ def node_problem(node: Node, idx: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray
     return insts, signs
 
 
-def train_node_classifiers(
-    node: Node, X: sp.csr_matrix, idx: sp.csr_matrix, report: TrainReport
-) -> Problem:
+def train_node_classifiers(node: Node, idx: sp.csr_matrix, report: TrainReport) -> Problem:
     """The inputs of a node's classifiers, one per child (internal) or per
-    label (leaf): its sign matrix over its instances' rows of X
-    (``node_problem``), which ``train_ensemble`` solves together with the
-    rest of the tree's.  The rows are named by id, not copied.
+    label (leaf): its sign matrix over its instances (``node_problem``),
+    which ``train_ensemble`` solves together with the rest of the tree's
+    on their rows of X.  The rows are named by id, not copied.
 
     Positives carried by no instance of the node still get a classifier
     (an all-negative problem); those cases are counted in the report, as
@@ -256,7 +255,7 @@ def train_node_classifiers(
     insts, signs = node_problem(node, idx)
     report.n_zero_positive += int(np.count_nonzero(~np.any(signs > 0, axis=0)))
     report.n_classifiers += signs.shape[1]
-    return Problem(X, signs, insts)
+    return Problem(signs, insts)
 
 
 def _count_solve(sol: NodeSolve, report: TrainReport) -> None:
@@ -283,8 +282,8 @@ def _train_tree(V, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, se
     t0 = time.perf_counter()
     table, labels, nodes = grow(V, config, np.random.default_rng(seed), report)
     t1 = time.perf_counter()
-    problems = [train_node_classifiers(node, X, idx, report) for node in nodes]
-    solves = train_nodes(problems, C=config.c, eps=config.eps, delta=config.delta)
+    problems = [train_node_classifiers(node, idx, report) for node in nodes]
+    solves = train_nodes(X, problems, C=config.c, eps=config.eps, delta=config.delta)
     for sol in solves:
         _count_solve(sol, report)
     report.n_solve_batches += len(np.unique(np.concatenate([s.batch for s in solves])))
@@ -355,13 +354,15 @@ def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray,
     given as the CSR blocks ``Ws`` that stack into its W and the matching
     pieces of its bias.  Each section is written block by block, so W is
     never stacked.  Before tree 0's file, the directory is made if it is
-    missing, and any meta file in it is removed: from then until
-    ``save_model`` writes meta last, the directory holds no loadable
-    model."""
+    missing, and any meta file and tree files in it are removed: from then
+    until ``save_model`` writes meta last, the directory holds no loadable
+    model, and no tree of an older, larger model outlives it."""
     if t == 0:
         os.makedirs(model_dir, exist_ok=True)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(model_dir, "meta"))
+        trees = [name for name in os.listdir(model_dir) if re.fullmatch(r"tree_[0-9]+\.bin", name)]
+        for name in ["meta", *trees]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(model_dir, name))
     sections = [
         ([[FORMAT_VERSION]], "<u4"),
         ([[len(nodes)]], "<i8"),

@@ -380,8 +380,8 @@ def compact_columns_oracle(A: sp.csr_matrix):
 
 def train_node(X: sp.csr_matrix, Y: np.ndarray, C: float = 1.0, eps: float = 0.1,
                delta: float = 0.01) -> NodeSolve:
-    """``solver.train_nodes`` on the one problem (X, Y)."""
-    return train_nodes([(X, Y)], C, eps, delta)[0]
+    """``solver.train_nodes`` on the one problem Y over every row of X."""
+    return train_nodes(X, [(Y, np.arange(X.shape[0]))], C, eps, delta)[0]
 
 
 def with_bias_feature_oracle(X: sp.csr_matrix):

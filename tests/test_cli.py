@@ -205,8 +205,8 @@ class TestPipeline:
         caplog.set_level(logging.INFO, logger="labelforest")
         solves = []
 
-        def spy(problems, **kwargs):
-            solves.extend(train_nodes(problems, **kwargs))
+        def spy(X, problems, **kwargs):
+            solves.extend(train_nodes(X, problems, **kwargs))
             return solves[len(solves) - len(problems):]
 
         train_nodes = tree.train_nodes
@@ -290,6 +290,14 @@ class TestStreamedTrain:
         assert ens.trees == [] and sorted(os.listdir(model)) == ["tree_0.bin", "tree_1.bin"]
         save_model(ens, model)
         assert load_model(model).config == config
+
+    def test_fewer_trees_leave_no_tree_of_the_older_model(self, paths, tmp_path):
+        model = tmp_path / "m"
+        for n_trees in (3, 1):
+            assert main(["train", "--data", paths["train"], "--model", str(model),
+                         "--trees", str(n_trees), "--branch", "4"]) == 0
+        assert sorted(os.listdir(model)) == ["meta", "tree_0.bin"]
+        assert len(load_model(model).trees) == 1
 
     def test_interrupted_train_leaves_no_loadable_model(self, paths, trained, tmp_path,
                                                          monkeypatch, capsys):

@@ -379,9 +379,9 @@ class TestBatchedAgainstOracle:
             return NodeSolve(*weights_block(weights, X.shape[1]), iters, cg, conv, pruned[-1],
                              False, np.zeros(len(iters), dtype=np.int64))
 
-        def oracle_nodes(problems, C, eps, delta):
+        def oracle_nodes(X, problems, C, eps, delta):
             return [oracle_node(tree.take_rows(X, rows), Y, C, eps, delta)
-                    for X, Y, rows in problems]
+                    for Y, rows in problems]
 
         pruned, oracle_cg = [], []
         monkeypatch.setattr(tree, "train_nodes", oracle_nodes)
@@ -474,6 +474,14 @@ class TestInstanceCoordinates:
         assert sol.in_instances and sol.converged.all()
         assert sol.W.shape == (3, 4) and sol.W.nnz == 0 and not sol.bias.any()
         assert not sol.newton_iters.any() and not sol.cg_iters.any()
+
+    def test_empty_node_of_several_chunks_is_packed(self, monkeypatch):
+        # a node without rows has no bias row to solve alone with: its
+        # chunks of one column each go into one batch
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 1)
+        sol = train_node(sp.csr_matrix((0, 4)), np.empty((0, 3), dtype=np.int8))
+        assert sol.batch.tolist() == [0, 0, 0] and sol.converged.all()
+        assert sol.W.shape == (3, 4) and sol.W.nnz == 0 and not sol.bias.any()
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_one_row(self, sign):
@@ -576,10 +584,9 @@ def kind_node(rng, kind, n, d, m):
     X, Y = random_node(rng, max(n, 2), d, max(m, 2), density=0.3)
     X, Y = X[:n], Y[:n, :m]
     if kind == "duplicate-rows":
-        # rows repeated with their signs (opposite signs can cancel a whole
-        # gradient, which the scalar oracle cannot tell from rounding)
-        at = rng.integers(0, max(n // 2, 1), n)
-        X, Y = X[at], Y[at]
+        # rows repeated with signs drawn afresh, so equal or opposite: with
+        # opposite signs a whole gradient can cancel
+        X = X[rng.integers(0, max(n // 2, 1), n)]
     if kind == "featureless-rows":
         X = X.tolil()
         for i in range(0, n, 2):
@@ -606,6 +613,14 @@ def assert_same_solve(got, want):
     assert got.bias.dtype == want.bias.dtype and got.bias.tobytes() == want.bias.tobytes()
 
 
+def stacked(nodes):
+    """The rows of the nodes (X, Y) as one matrix, the tree's form, and
+    each node's problem over its rows of it."""
+    ends = np.cumsum([X.shape[0] for X, _ in nodes])
+    X = sp.vstack([X for X, _ in nodes], format="csr")
+    return X, [(Y, np.arange(end - len(Y), end)) for (_, Y), end in zip(nodes, ends)]
+
+
 class TestTrainNodes:
     """Nodes solved together, the instance-coordinate ones in shared padded
     batches, get the solve each gets alone: the same steps and counts, and
@@ -624,24 +639,18 @@ class TestTrainNodes:
         nodes=st.lists(st.tuples(st.sampled_from(NODE_KINDS), st.integers(0, 40),
                                  st.integers(1, 6)), min_size=1, max_size=8),
         eps=st.sampled_from([0.1, 1e-6]),
-        shared=st.booleans(),
     )
-    def test_together_equals_alone(self, seed, nodes, eps, shared):
+    def test_together_equals_alone(self, seed, nodes, eps):
         rng = np.random.default_rng(seed)
         d = 4 * max(n for _, n, _ in nodes) + 8
-        problems = [kind_node(rng, kind, n, d, m) for kind, n, m in nodes]
-        alone = [train_node(X, Y, eps=eps) for X, Y in problems]
-        if shared:
-            # the tree's form: every node names its rows of one matrix
-            ends = np.cumsum([X.shape[0] for X, _ in problems])
-            X = sp.vstack([X for X, _ in problems], format="csr")
-            problems = [(X, Y, np.arange(end - len(Y), end)) for (_, Y), end in zip(problems, ends)]
-        together = train_nodes(problems, eps=eps)
+        nodes = [kind_node(rng, kind, n, d, m) for kind, n, m in nodes]
+        alone = [train_node(X, Y, eps=eps) for X, Y in nodes]
+        X, problems = stacked(nodes)
+        together = train_nodes(X, problems, eps=eps)
         assert len(together) == len(alone)
-        for got, want, p in zip(together, alone, problems):
+        for got, want, (Xu, Y) in zip(together, alone, nodes):
             assert_same_solve(got, want)
-            Xu = tree.take_rows(p[0], p[2]) if shared else p[0]
-            oracle, _ = oracle_train_node(with_bias_column(Xu), p[1], eps=eps)
+            oracle, _ = oracle_train_node(with_bias_column(Xu), Y, eps=eps)
             for a, c in zip(weights_of(got), oracle, strict=True):
                 assert relative_error(weight_vector(a), weight_vector(c)) <= INSTANCE_RTOL
         # every instance-coordinate node shares the one batch these fit in
@@ -653,8 +662,9 @@ class TestTrainNodes:
         big = random_node(rng, 12, 60, m=7, density=0.3)
         small = [random_node(rng, n, 60, m=m, density=0.05) for n, m in ((4, 3), (5, 2), (6, 2))]
         wide = sparse_rows_node(rng, 40, 60, m=3)
-        problems = [*small, wide, big]
-        whole = train_nodes(problems)
+        nodes = [*small, wide, big]
+        X, problems = stacked(nodes)
+        whole = train_nodes(X, problems)
 
         def per_column(X, N):
             return 8 * solver._ARRAYS_PER_COLUMN * (N + len(np.unique(X.indices)) + 1)
@@ -668,21 +678,35 @@ class TestTrainNodes:
         monkeypatch.setattr(solver, "CHUNK_BYTES", budget)
         spy = mock.Mock(wraps=_tron)
         monkeypatch.setattr(solver, "_tron", spy)
-        gathered = mock.Mock(wraps=solver._gathered)
-        monkeypatch.setattr(solver, "_gathered", gathered)
-        split = train_nodes(problems)
+        gathered = mock.Mock(wraps=solver.take_rows)
+        monkeypatch.setattr(solver, "take_rows", gathered)
+        grams = mock.Mock(wraps=solver._gram_blocks)
+        monkeypatch.setattr(solver, "_gram_blocks", grams)
+        split = train_nodes(X, problems)
         assert [sol.in_instances for sol in split] == [True, True, True, False, True]
         # the wide node's columns span three batches, each that column alone,
-        # and its rows are gathered once for all three
+        # and the big node's span four, two columns at most each
         assert len(set(split[3].batch.tolist())) == 3
+        assert len(set(split[4].batch.tolist())) == 4
+        assert np.bincount(split[4].batch).max() == 2
+        # no batch of either mixes it with another node
+        for u in (3, 4):
+            others = np.concatenate([sol.batch for v, sol in enumerate(split) if v != u])
+            assert not np.isin(split[u].batch, others).any()
         for b in split[3].batch:
             space, Y = spy.call_args_list[b].args[:2]
             assert isinstance(space, _Features) and Y.shape[1] == 1
-            assert all(b not in sol.batch for u, sol in enumerate(split) if u != 3)
-        assert [c.args[1] for c in gathered.call_args_list].count([3]) == 1
-        # the big node's columns span four batches, two columns at most each
-        assert len(set(split[-1].batch.tolist())) == 4
-        assert np.bincount(split[-1].batch).max() == 2
+        # each has its rows gathered, and its transpose or Gram matrix
+        # built, once for all its batches
+        rows = [c.args[1] for c in gathered.call_args_list]
+        assert len(rows) == 3  # the wide node, the small nodes, the big node
+        for u in (3, 4):
+            assert sum(np.array_equal(r, problems[u][1]) for r in rows) == 1
+        spaces = [spy.call_args_list[b].args[0] for b in np.unique(split[3].batch)]
+        assert all(space.XT is spaces[0].XT for space in spaces)
+        spaces = [spy.call_args_list[b].args[0] for b in np.unique(split[4].batch)]
+        assert all(space.K is spaces[0].K for space in spaces)
+        assert [c.args[1].tolist() for c in grams.call_args_list] == [[4, 5, 6], [12]]
         # and one batch holds every small node
         firsts = {int(sol.batch[0]) for sol in split[:3]}
         assert len(firsts) == 1
@@ -691,9 +715,9 @@ class TestTrainNodes:
         # one _tron call per batch
         batches = np.unique(np.concatenate([sol.batch for sol in split]))
         assert spy.call_count == len(batches) == batches.max() + 1
-        for got, want, (X, Y) in zip(split, whole, problems):
+        for got, want, (Xu, Y) in zip(split, whole, nodes):
             assert_same_solve(got, want)
-            assert_same_solve(got, train_node(X, Y))
+            assert_same_solve(got, train_node(Xu, Y))
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -290,11 +290,10 @@ class TestNodeInputsAgainstOracles:
             assert signs.dtype == want_signs.dtype and signs.shape == want_signs.shape
             assert signs.tobytes() == want_signs.tobytes()
             report = TrainReport()
-            X = sp.csr_matrix((n_insts, 1))
-            problem = train_node_classifiers(node, X, idx, report)
+            problem = train_node_classifiers(node, idx, report)
             assert report.n_zero_positive == want_zero
             assert report.n_classifiers == want_signs.shape[1]
-            assert problem.X is X and np.array_equal(problem.rows, want_insts)
+            assert np.array_equal(problem.rows, want_insts)
             assert np.array_equal(problem.Y, want_signs)
 
     def test_labels_in_one_cluster_make_the_node_a_leaf(self, grouped_train):

@@ -165,7 +165,11 @@ def solve_dense(p: BinaryProblem, eps=0.1, max_newton_iters=100, info=None) -> n
     gnorm0 = np.linalg.norm(g)
     if info is not None:
         info.objective_trace.append(fw)
-    if gnorm0 == 0:
+    # at w = 0 the gradient is -2C X^T s; when its terms cancel, what is
+    # left is rounding, at most n float64 epsilons of the terms' magnitude
+    # sums, and w = 0 is the minimum
+    sums = 2.0 * C * (abs(X).T @ np.ones(X.shape[0]))
+    if gnorm0 <= X.shape[0] * np.finfo(np.float64).eps * np.linalg.norm(sums):
         if info is not None:
             info.converged = True
         return w
