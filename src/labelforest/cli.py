@@ -23,6 +23,7 @@ from .tree import (
     TrainConfig,
     TrainReport,
     load_model,
+    model_file,
     save_model,
     train_ensemble,
 )
@@ -183,7 +184,7 @@ def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     ens = load_model(args.model)
     t_load = time.perf_counter() - t0
-    size = sum(entry.stat().st_size for entry in os.scandir(args.model))
+    size = sum(os.path.getsize(model_file(args.model, t)) for t in [None, *range(len(ens.trees))])
     log.info("loaded %d trees: %.2f MB on disk in %.3fs", len(ens.trees), size / 1e6, t_load)
     ds = _load_dataset(args.data)
     t0 = time.perf_counter()

@@ -37,24 +37,29 @@ as the roots, usually stay in feature coordinates.
 how a tree's nodes are trained, in self-contained node groups
 (``_groups``): each feature-coordinate node first, then the
 instance-coordinate nodes in order of row count (then of position).  A
+group is a list of batches, one ``_tron`` call each, and a batch a list
+of entries (s, lo, hi), the columns lo:hi of the group's node s.  A
 node's columns fall into chunks of at most ``CHUNK_BYTES // (8 *
 _ARRAYS_PER_COLUMN * (n + f + 1))`` columns (at least one), f being its
 nonzero feature count.  A feature-coordinate node, or an
-instance-coordinate node with rows and several chunks, is a group alone,
-with one ``_tron`` call, a batch, per chunk.  The other nodes are packed
-whole into groups of one batch: a node joins the open group while the
-group's columns, at 8 * ``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each
-with N the group's largest row count, plus 8 n^2 bytes for each of its
-nodes' Gram matrices fit in ``CHUNK_BYTES``, and otherwise opens the
-next group.  A group's rows are built once, one way, and dropped once it
-is solved (``_solve_group``): nothing passes from one group to the next.
-A packed batch's columns all have N rows: rows past their own node's n are
-padding, with sign +1 and a margin held at 1, so that they are never
-active, add no loss and keep a zero coefficient.  Every product and dot
-product a column takes is the one it takes alone, up to those zero terms:
-each node's K products are its own (see ``_Instances``), and every dot
-product sums row by row over C-ordered columns (``_coldot``, ``_cols``).
-So a node's classifiers are bit for bit those it gets alone.
+instance-coordinate node with rows and several chunks, is a group alone
+with a batch [(0, lo, hi)] per chunk.  The other nodes are packed whole
+into groups of one batch: a node joins the open group while the group's
+columns, at 8 * ``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each with N
+the group's largest row count, plus 8 n^2 bytes for each of its nodes'
+Gram matrices fit in ``CHUNK_BYTES``, and otherwise opens the next group.
+``_solve_group`` builds a group's rows once, solves its batches in one
+loop and drops the rows, so nothing passes from one group to the next.
+A node alone takes a batch's weights from one dense product, twice as
+fast on big chunks; a packed batch from one sparse product, which meets
+each node's coefficients with its own rows only.  A batch's columns all
+have N rows: rows past their own node's n are padding, with sign +1 and
+a margin held at 1, so they are never active, add no loss and keep a
+zero coefficient.  Every product and dot product a column takes is the
+one it takes alone, up to those zero terms: each node's K products are
+its own (see ``_Instances``), and every dot product sums row by row over
+C-ordered columns (``_coldot``, ``_cols``).  So a node's classifiers are
+bit for bit those it gets alone.
 """
 
 from __future__ import annotations
@@ -364,8 +369,7 @@ def train_nodes(X: sp.csr_matrix, problems, C: float = 1.0, eps: float = 0.1,
     bias feature, each column stopping at ``MAX_NEWTON_ITERS`` accepted
     steps, in instance coordinates when n^2 <= 4 nnz, and in node groups
     whose batches of columns are bounded by ``CHUNK_BYTES`` (see the module
-    docstring).  A group's rows are gathered only when it is solved, and
-    dropped after.  Row j of a returned ``W`` is column j's feature weights
+    docstring).  Row j of a returned ``W`` is column j's feature weights
     with entries |w| <= ``delta`` pruned and values cast to float32;
     ``bias[j]`` is its bias, which is never pruned.
     """
@@ -374,13 +378,12 @@ def train_nodes(X: sp.csr_matrix, problems, C: float = 1.0, eps: float = 0.1,
     if not isinstance(X, sp.csr_matrix):
         raise TypeError(f"need a scipy CSR matrix, got {type(X).__name__}")
     problems = [_checked(Problem(*p)) for p in problems]
-    solves = [None] * len(problems)
-    batches = itertools.count()  # numbers the _tron calls
-    for in_instances, nodes, spans in _groups(X, problems):
-        group = _solve_group(X, problems, in_instances, nodes, spans, C, eps, delta, batches)
-        for u, sol in zip(nodes, group):
-            solves[u] = sol
-    return solves
+    solves = {}
+    numbers = itertools.count()  # numbers the _tron calls
+    for in_instances, nodes, batches in _groups(X, problems):
+        group = _solve_group(X, problems, in_instances, nodes, batches, C, eps, delta, numbers)
+        solves.update(zip(nodes, group))
+    return [solves[u] for u in range(len(problems))]
 
 
 def _checked(p: Problem) -> Problem:
@@ -416,22 +419,22 @@ def _joined(parts: list[NodeSolve]) -> NodeSolve:
 def _pruned(W, feats, d, delta):
     """Dense weight columns ``W``, a row per feature id in ``feats`` and a
     last row of biases, as float32 CSR rows over d features with entries
-    |w| <= ``delta`` pruned, and float32 biases; returns (W, bias, count
-    of nonzero weights pruned)."""
+    |w| <= ``delta`` pruned, and float32 biases; returns (W, bias, [count
+    of nonzero weights pruned]), one count for the batch's one entry."""
     f = len(feats)
     Wf = W[:f].T
     P = np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32)
     r, c = np.nonzero(P)  # also drops a kept weight that rounds to a float32 zero
     indptr = np.searchsorted(r, np.arange(W.shape[1] + 1))
     return (sp.csr_matrix((P[r, c], feats[c], indptr), shape=(W.shape[1], d)),
-            W[f].astype(np.float32), int(np.count_nonzero(Wf)) - len(r))
+            W[f].astype(np.float32), [int(np.count_nonzero(Wf)) - len(r)])
 
 
 def _groups(X, problems):
     """The node groups of ``train_nodes``, in order: whether a group is in
-    instance coordinates, its nodes, and for a node alone its column
-    chunks (lo, hi), one ``_tron`` call each (None for packed nodes, solved
-    in one call).  See the module docstring."""
+    instance coordinates, its nodes, and its batches, one ``_tron`` call
+    each.  A batch is a list of entries (s, lo, hi), the columns lo:hi of
+    the group's node s.  See the module docstring."""
     packed = []
     for u, p in enumerate(problems):
         if _in_instances(len(p.rows), int((X.indptr[p.rows + 1] - X.indptr[p.rows]).sum())):
@@ -439,49 +442,47 @@ def _groups(X, problems):
         else:
             yield False, [u], _chunks(X, p)[1]
     per_byte = 8 * _ARRAYS_PER_COLUMN
-    nodes = []
+    nodes, batch = [], []
     cols = feats = grams = 0  # the open group's columns, sum of their f + 1, Gram bytes
     for u in sorted(packed, key=lambda u: len(problems[u].rows)):
         n, m = problems[u].Y.shape
-        f, spans = _chunks(X, problems[u])
-        alone = n > 0 and len(spans) > 1
+        f, chunks = _chunks(X, problems[u])
+        alone = n > 0 and len(chunks) > 1
         # nodes come in increasing row count, so this node's n is the group's N
         if nodes and (alone or per_byte * (n * (cols + m) + feats + m * (f + 1)) + grams
                       + 8 * n * n > CHUNK_BYTES):
-            yield True, nodes, None
-            nodes, cols, feats, grams = [], 0, 0, 0
+            yield True, nodes, [batch]
+            nodes, batch, cols, feats, grams = [], [], 0, 0, 0
         if alone:
-            yield True, [u], spans
+            yield True, [u], chunks
         else:
+            batch.append((len(nodes), 0, m))
             nodes.append(u)
             cols, feats, grams = cols + m, feats + m * (f + 1), grams + 8 * n * n
     if nodes:
-        yield True, nodes, None
+        yield True, nodes, [batch]
 
 
 def _chunks(X, p: Problem):
-    """The count f of features that a node's rows of X use, and its column
-    chunks (lo, hi) as it is solved alone: n rows and f + 1 features give
-    ``CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1))`` columns a
-    chunk, at least one."""
+    """The count f of features that a node's rows of X use, and its
+    batches alone, one [(0, lo, hi)] per column chunk (module docstring)."""
     n, m = p.Y.shape
     present = np.zeros(X.shape[1], dtype=bool)
     present[X.indices[_positions(X.indptr, p.rows)[0]]] = True
     f = int(np.count_nonzero(present))
     step = max(1, CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1)))
-    return f, [(lo, min(m, lo + step)) for lo in range(0, m, step)]
+    return f, [[(0, lo, min(m, lo + step))] for lo in range(0, m, step)]
 
 
-def _solve_group(X, problems, in_instances, nodes, spans, C, eps, delta, batches):
+def _solve_group(X, problems, in_instances, nodes, batches, C, eps, delta, numbers):
     """Solve one node group and return each of its nodes' ``NodeSolve``.
     The group's rows are built once: gathered, stacked with each node's
     columns shifted apart and its own bias column, compacted to the columns
-    in use, given their Gram blocks in instance coordinates, and
-    transposed.  A node alone then takes one ``_tron`` call per column
-    chunk in ``spans``, in feature or instance coordinates; packed nodes
-    take one call for all their columns, one slot per node.  ``batches``
-    numbers the calls."""
+    in use, given their Gram blocks in instance coordinates, transposed.
+    Each batch then takes one ``_tron`` call, numbered by ``numbers``, on
+    its padded signs, and its weights split into a part per entry."""
     n = np.array([len(problems[u].rows) for u in nodes], dtype=np.int64)
+    N = int(n.max())
     d = X.shape[1]
     A = _stacked_rows(take_rows(X, np.concatenate([problems[u].rows for u in nodes])), n, d)
     # on the columns in use alone, in order, every product keeps its bits
@@ -490,40 +491,34 @@ def _solve_group(X, problems, in_instances, nodes, spans, C, eps, delta, batches
     AT = A.T.tocsr()
     # in instance coordinates the transpose alone serves the back-projection
     A = None if in_instances else A
-    if spans is not None:
-        parts = []
-        for lo, hi in spans:
-            space = _Instances(K, n, np.zeros(hi - lo, dtype=np.int64), C) if in_instances \
-                else _Features(A, AT, C)
-            # an overflowing C makes values inf or nan; _tron stops those columns
-            with np.errstate(over="ignore", invalid="ignore"):
-                B, iters, conv, cg = _tron(space, problems[nodes[0]].Y[:, lo:hi], eps,
-                                           MAX_NEWTON_ITERS)
-            # the node's weights in one dense block, X^T B in instance coordinates
-            W, bias, n_pruned = _pruned(AT @ B[: n[0]] if in_instances else B, cols[:-1], d, delta)
-            del B
-            parts.append(NodeSolve(W, bias, iters, cg, conv, n_pruned, in_instances,
-                                   np.full(hi - lo, next(batches))))
-        return [_joined(parts)]
-    widths = [problems[u].Y.shape[1] for u in nodes]
-    ends = np.cumsum(widths)
-    starts = ends - widths
-    N = int(n.max())
-    Y = np.ones((N, ends[-1]))
-    for s, u in enumerate(nodes):
-        Y[: n[s], starts[s] : ends[s]] = problems[u].Y
-    slot = np.repeat(np.arange(len(nodes)), widths)
-    with np.errstate(over="ignore", invalid="ignore"):
-        B, iters, conv, cg = _tron(_Instances(K, n, slot, C), Y, eps, MAX_NEWTON_ITERS)
-    W, bias, pruned = _back_projected(B[:N], n, starts, ends, AT, cols % (d + 1), d, delta)
-    batch = next(batches)
-    done = []
-    for a, b in zip(starts, ends):
-        i, j = W.indptr[a], W.indptr[b]
-        Wu = sp.csr_matrix((W.data[i:j], W.indices[i:j], W.indptr[a : b + 1] - i), shape=(b - a, d))
-        done.append(NodeSolve(Wu, bias[a:b], iters[a:b], cg[a:b], conv[a:b],
-                              int(pruned[a:b].sum()), True, np.full(b - a, batch)))
-    return done
+    parts = [[] for _ in nodes]
+    for batch in batches:
+        slots, widths = np.array([(s, hi - lo) for s, lo, hi in batch]).T
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        Y = np.ones((N, ends[-1]))
+        for (s, lo, hi), a, b in zip(batch, starts, ends):
+            Y[: n[s], a:b] = problems[nodes[s]].Y[:, lo:hi]
+        space = _Instances(K, n, np.repeat(slots, widths), C) if in_instances \
+            else _Features(A, AT, C)
+        # an overflowing C makes values inf or nan; _tron stops those columns
+        with np.errstate(over="ignore", invalid="ignore"):
+            B, iters, conv, cg = _tron(space, Y, eps, MAX_NEWTON_ITERS)
+        # a node alone takes a dense X^T B per batch: over eurlex's 544 such
+        # batches _pruned takes 0.28 s, _back_projected 0.59 s.  A packed batch
+        # takes one sparse product that meets each node's B with its own rows
+        if in_instances and len(batches) == 1:
+            W, bias, pruned = _back_projected(B[:N], n, starts, ends, AT, cols % (d + 1), d, delta)
+        else:
+            W, bias, pruned = _pruned(AT @ B[:N] if in_instances else B, cols[:-1], d, delta)
+        del B
+        number = next(numbers)
+        for (s, _, _), a, b, k in zip(batch, starts, ends, pruned):
+            i, j = W.indptr[a], W.indptr[b]
+            Ws = sp.csr_matrix((W.data[i:j], W.indices[i:j], W.indptr[a : b + 1] - i), shape=(b - a, d))
+            parts[s].append(NodeSolve(Ws, bias[a:b], iters[a:b], cg[a:b], conv[a:b], int(k),
+                                      in_instances, np.full(b - a, number)))
+    return [_joined(p) for p in parts]
 
 
 def _stacked_rows(X, n, d) -> sp.csr_matrix:
@@ -574,7 +569,7 @@ def _back_projected(B, n, starts, ends, AT, local, d, delta):
     ``local[c]``, or its bias if that is d.  An entry sums over the node's
     rows in order, as the dense product X^T B does.  Returns the pruned
     float32 feature weights (a CSR row per batch column over d features),
-    the float32 biases and each column's pruned count."""
+    the float32 biases and each node's count of pruned weights."""
     m = ends[-1]
     row0 = np.concatenate(([0], np.cumsum(n)))
     slot = np.repeat(np.arange(len(n)), n)
@@ -597,9 +592,9 @@ def _back_projected(B, n, starts, ends, AT, local, d, delta):
     at = np.flatnonzero(keep)
     del keep
     indptr = np.searchsorted(at, P.indptr)
-    kept = np.diff(indptr)
     W = sp.csr_matrix((P.data[at].astype(np.float32), ids[at], indptr), shape=(m, d))
-    return W, bias, np.diff(P.indptr) - np.bincount(rows, minlength=m) - kept
+    # a column's pruned weights are its entries not kept, less its bias
+    return W, bias, np.add.reduceat(np.diff(P.indptr - indptr) - np.bincount(rows, minlength=m), starts)
 
 
 def _positions(indptr, rows):

@@ -19,7 +19,6 @@ of it, so that it holds one tree at a time.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import os
 import re
@@ -348,6 +347,11 @@ def _meta_lines(ens: Ensemble) -> str:
     return "".join(f"{k}={getattr(values[k], 'value', values[k])}\n" for k in META_KEYS)
 
 
+def model_file(model_dir, t: int | None = None) -> str:
+    """The path of a model's meta file, or of its tree t's file."""
+    return os.path.join(model_dir, "meta" if t is None else f"tree_{t}.bin")
+
+
 def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray,
                 Ws: list[sp.csr_matrix], bias: list[np.ndarray], d: int) -> None:
     """Write tree t's file: its node table, its labels, and its weight rows,
@@ -359,9 +363,8 @@ def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray,
     model, and no tree of an older, larger model outlives it."""
     if t == 0:
         os.makedirs(model_dir, exist_ok=True)
-        trees = [name for name in os.listdir(model_dir) if re.fullmatch(r"tree_[0-9]+\.bin", name)]
-        for name in ["meta", *trees]:
-            with contextlib.suppress(FileNotFoundError):
+        for name in os.listdir(model_dir):
+            if re.fullmatch(r"meta|tree_[0-9]+\.bin", name):
                 os.remove(os.path.join(model_dir, name))
     sections = [
         ([[FORMAT_VERSION]], "<u4"),
@@ -373,7 +376,7 @@ def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray,
         ([W.data for W in Ws], "<f4"),
         (bias, "<f4"),
     ]
-    with open(os.path.join(model_dir, f"tree_{t}.bin"), "wb") as f:
+    with open(model_file(model_dir, t), "wb") as f:
         f.write(MAGIC)
         for blocks, dtype in sections:
             for a in blocks:
@@ -387,7 +390,7 @@ def save_model(ens: Ensemble, model_dir) -> None:
     and then only meta is written."""
     for t, tree in enumerate(ens.trees):
         _write_tree(model_dir, t, tree.nodes, tree.labels, [tree.W], [tree.bias], ens.d)
-    with open(os.path.join(model_dir, "meta"), "w", encoding="utf-8") as f:
+    with open(model_file(model_dir), "w", encoding="utf-8") as f:
         f.write(_meta_lines(ens))
 
 
@@ -494,7 +497,7 @@ def _parse_meta(text: str) -> dict:
 
 
 def load_model(model_dir) -> Ensemble:
-    path = os.path.join(model_dir, "meta")
+    path = model_file(model_dir)
     try:
         with open(path, "r", encoding="utf-8") as f:
             meta = _parse_meta(f.read())
@@ -519,7 +522,7 @@ def load_model(model_dir) -> Ensemble:
 
     trees = []
     for t in range(config.n_trees):
-        path = os.path.join(model_dir, f"tree_{t}.bin")
+        path = model_file(model_dir, t)
         try:
             with open(path, "rb") as f:
                 trees.append(_read_tree(f, d, l, config.d_max))

@@ -998,14 +998,25 @@ class TestLoadMemory:
         assert "data error" in capsys.readouterr().err
 
     def test_predict_logs_the_load(self, paths, trained, tmp_path, caplog):
+        """The size logged is that of meta and the tree files alone, not
+        of other files or directories kept beside them."""
+        model = tmp_path / "model"
+        shutil.copytree(trained, model)
+        size = sum((model / name).stat().st_size
+                   for name in ["meta", "tree_0.bin", "tree_1.bin", "tree_2.bin"])
+        (model / "notes.txt").write_bytes(bytes(30_000))
+        (model / "old").mkdir()
+        (model / "old" / "tree_0.bin").write_bytes(bytes(30_000))
         caplog.set_level(logging.INFO, logger="labelforest")
-        assert main(["predict", "--model", trained, "--data", paths["test"],
-                     "--output", str(tmp_path / "pred.txt")]) == 0
-        size = sum(f.stat().st_size for f in Path(trained).iterdir())
+        assert main(["predict", "--model", str(model), "--data", paths["test"],
+                     "--output", str(model / "pred.txt")]) == 0
+        assert main(["predict", "--model", str(model), "--data", paths["test"],
+                     "--output", str(model / "pred.txt")]) == 0
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("loaded ")]
-        assert len(lines) == 1
-        assert re.fullmatch(rf"loaded 3 trees: {size / 1e6:.2f} MB on disk in \d+\.\d{{3}}s",
-                            lines[0])
+        assert len(lines) == 2
+        for line in lines:
+            assert re.fullmatch(rf"loaded 3 trees: {size / 1e6:.2f} MB on disk in \d+\.\d{{3}}s",
+                                line)
 
 
 def _sha256_of_dir(path) -> str:

@@ -682,6 +682,10 @@ class TestTrainNodes:
         monkeypatch.setattr(solver, "take_rows", gathered)
         grams = mock.Mock(wraps=solver._gram_blocks)
         monkeypatch.setattr(solver, "_gram_blocks", grams)
+        backs = mock.Mock(wraps=solver._back_projected)
+        monkeypatch.setattr(solver, "_back_projected", backs)
+        dense = mock.Mock(wraps=solver._pruned)
+        monkeypatch.setattr(solver, "_pruned", dense)
         split = train_nodes(X, problems)
         assert [sol.in_instances for sol in split] == [True, True, True, False, True]
         # the wide node's columns span three batches, each that column alone,
@@ -712,6 +716,12 @@ class TestTrainNodes:
         assert len(firsts) == 1
         assert max(len(c.args[0].K) for c in spy.call_args_list
                    if isinstance(c.args[0], _Instances)) == 3
+        # the packed batch alone takes its weights from the sparse
+        # back-projection; each batch of the wide and the big node, in
+        # order, takes a dense block of its own columns
+        assert backs.call_count == 1 and backs.call_args.args[1].tolist() == [4, 5, 6]
+        assert [c.args[0].shape[1] for c in dense.call_args_list] == [
+            np.count_nonzero(split[u].batch == b) for u in (3, 4) for b in np.unique(split[u].batch)]
         # one _tron call per batch
         batches = np.unique(np.concatenate([sol.batch for sol in split]))
         assert spy.call_count == len(batches) == batches.max() + 1
