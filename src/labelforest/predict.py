@@ -10,7 +10,10 @@ Two implementations are kept deliberately separate: a per-instance
 reference (`predict_ensemble`) that dots one CSR row with each classifier
 by sorted-index intersection, and a batched route (`predict_batch`) that
 scores each node's rows with one product and ranks dense row blocks, for
-the beam cut and the final top k alike.  Tests hold them to each other.
+the beam cut and the final top k alike.  The beams are searched in blocks
+of `BLOCK_ROWS` rows, and each block's labels are ranked in row slices
+whose accumulator stays within `ACC_BYTES`.  Tests hold the routes to each
+other.
 The batched route's result is one `Predictions` block, which the
 prediction file is written from and read back into.
 """
@@ -28,9 +31,12 @@ from .data import DataFormatError, Dataset, normalize_instances
 from .solver import take_rows
 from .tree import Ensemble, Tree
 
-# Rows scored together by predict_batch: enough to amortize the per-node
-# products, few enough that a block's label accumulator stays small.
+# Rows whose beams predict_batch searches together: enough to amortize the
+# per-node products.
 BLOCK_ROWS = 512
+# Bytes of one ranking accumulator: a block is ranked in row slices of at
+# most max(1, ACC_BYTES // (8 w)) rows, w the labels the block reaches.
+ACC_BYTES = 4 << 20
 
 _LABEL_ID = re.compile(r"[+-]?[0-9]+")  # as the data parser spells ids
 
@@ -208,9 +214,10 @@ def prepare_features(ens: Ensemble, ds: Dataset) -> sp.csr_matrix:
 
 
 def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Predictions:
-    """Ensemble top-k of every row of ``ds``, scored ``BLOCK_ROWS`` rows
-    at a time; a row's result depends on that row alone.  No row holds more
-    than L labels, so the block is min(k, L) wide."""
+    """Ensemble top-k of every row of ``ds``: beams searched ``BLOCK_ROWS``
+    rows at a time, labels ranked in row slices of each block within
+    ``ACC_BYTES``; a row's result depends on that row alone.  No row holds
+    more than L labels, so the block is min(k, L) wide."""
     _check_params(beam, k)
     X = prepare_features(ens, ds)
     k = min(k, ens.l)
@@ -218,23 +225,38 @@ def predict_batch(ens: Ensemble, ds: Dataset, beam: int = 10, k: int = 5) -> Pre
     for lo in range(0, ds.n, BLOCK_ROWS):
         block = X[lo : lo + BLOCK_ROWS]
         leaves = [(tree, *leaf) for tree in ens.trees for leaf in _beam(tree, block, beam)]
-        # the accumulator has a column per label reached, ascending, and
-        # holds -inf where no tree scored a label; trees add in their order
-        reached = np.zeros(ens.l, dtype=bool)
-        reached[np.concatenate([tree.node_labels(u) for tree, u, _, _ in leaves])] = True
-        col_of = np.cumsum(reached) - 1
-        acc = np.full((block.shape[0], np.count_nonzero(reached)), -np.inf)
-        for tree, u, inst, lp in leaves:
-            W, bias = tree.node_rows(u)
-            m = (take_rows(block, inst) @ W.T).toarray() + bias
-            cell = (inst[:, None], col_of[tree.node_labels(u)])
-            # an overflowing exp(-m) gives the score 0, as it should
-            with np.errstate(over="ignore"):
-                score = np.exp(lp)[:, None] / (1.0 + np.exp(-m))
-            acc[cell] = np.maximum(acc[cell], 0) + score / len(ens.trees)
-        rows, ranks, cols = _top_cols(acc, k)
-        out.labels[lo + rows, ranks] = np.flatnonzero(reached)[cols]
-        out.scores[lo + rows, ranks] = acc[rows, cols]
+        w = len(np.unique(np.concatenate([tree.node_labels(u) for tree, u, _, _ in leaves])))
+        step = max(1, ACC_BYTES // (8 * w))
+        for s in range(0, block.shape[0], step):
+            part = block[s : s + step]
+            # a leaf's inst is ascending, so its rows in the slice are one run
+            cut = [(tree, u, inst[a:b] - s, lp[a:b]) for tree, u, inst, lp in leaves
+                   for a, b in [np.searchsorted(inst, [s, s + step])] if a < b]
+            # the accumulator has a column per label the slice reaches,
+            # ascending, and holds -inf where no tree scored a label; trees
+            # add in their order
+            reached = np.zeros(ens.l, dtype=bool)
+            reached[np.concatenate([tree.node_labels(u) for tree, u, _, _ in cut])] = True
+            col_of = np.cumsum(reached) - 1
+            acc = np.full((part.shape[0], np.count_nonzero(reached)), -np.inf)
+            for tree, u, inst, lp in cut:
+                W, bias = tree.node_rows(u)
+                m = (take_rows(part, inst) @ W.T).toarray()
+                # exp(lp) / (1 + exp(-(m + bias))) / T in place, op for op;
+                # an overflowing exp(-m) gives the score 0, as it should
+                m += bias
+                with np.errstate(over="ignore"):
+                    np.exp(np.negative(m, out=m), out=m)
+                m += 1.0
+                np.divide(np.exp(lp)[:, None], m, out=m)
+                m /= len(ens.trees)
+                cell = (inst[:, None], col_of[tree.node_labels(u)])
+                old = acc[cell]
+                m += np.maximum(old, 0, out=old)
+                acc[cell] = m
+            rows, ranks, cols = _top_cols(acc, k)
+            out.labels[lo + s + rows, ranks] = np.flatnonzero(reached)[cols]
+            out.scores[lo + s + rows, ranks] = acc[rows, cols]
     return out
 
 

@@ -256,6 +256,37 @@ def tied_ensemble():
     return Ensemble(trees, TrainConfig(n_trees=2), dim, 12)
 
 
+def depth_one_ensemble(rng, d, n_labels, fan_out):
+    """Three trees, each a root over ``fan_out`` leaves that split a random
+    permutation of the labels evenly, with random sparse weights."""
+
+    def weights(rows):
+        W = sp.random(rows, d, density=0.1, random_state=rng, format="csr", dtype=np.float32)
+        return W, rng.normal(size=rows).astype(np.float32)
+
+    def tree():
+        perm = rng.permutation(n_labels)
+        leaves = [Leaf(np.sort(part), weights(len(part))) for part in np.split(perm, fan_out)]
+        return build_tree(Inner(leaves, weights(fan_out)), d)
+
+    return Ensemble([tree() for _ in range(3)], TrainConfig(n_trees=3), d, n_labels)
+
+
+def traced_predict(ens, rng):
+    """``predict_batch`` of 512 random rows at beam 10 and k 5, and the most
+    memory that tracemalloc saw it hold at once beyond what it held before."""
+    X = sp.random(512, ens.d, density=0.05, random_state=rng, format="csr", dtype=np.float32)
+    ds = Dataset(X, sp.csr_matrix((512, ens.l), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        preds = predict_batch(ens, ds, beam=10, k=5)
+        return preds, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestPredictBatch:
     def test_exact_ties_match_reference_route(self):
         ens = tied_ensemble()
@@ -280,32 +311,21 @@ class TestPredictBatch:
     def test_peak_memory_bounded(self):
         # traced peaks of this run: 26.1 MB when a block's (row, label, score)
         # triplets were merged through a sparse matrix, 6.0 MB with one
-        # accumulator over the labels the block reaches
+        # accumulator over the labels the block reaches, 6.3 MB with the
+        # block ranked in slices and each leaf scored in place
         rng = np.random.default_rng(0)
-        d, n_labels, fan_out = 300, 600, 20
-
-        def weights(rows):
-            W = sp.random(rows, d, density=0.1, random_state=rng, format="csr", dtype=np.float32)
-            return W, rng.normal(size=rows).astype(np.float32)
-
-        def tree():
-            perm = rng.permutation(n_labels)
-            leaves = [Leaf(np.sort(part), weights(len(part))) for part in np.split(perm, fan_out)]
-            return build_tree(Inner(leaves, weights(fan_out)), d)
-
-        ens = Ensemble([tree() for _ in range(3)], TrainConfig(n_trees=3), d, n_labels)
-        X = sp.random(512, d, density=0.05, random_state=rng, format="csr", dtype=np.float32)
-        ds = Dataset(X, sp.csr_matrix((512, n_labels), dtype=np.float32))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            preds = predict_batch(ens, ds, beam=10, k=5)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        preds, peak = traced_predict(depth_one_ensemble(rng, 300, 600, 20), rng)
         assert (preds.labels >= 0).all()
         assert peak < 12e6
+
+    def test_peak_memory_of_a_wide_accumulator(self):
+        # every row's beam holds all 10 leaves of each tree, so the block
+        # reaches all 4,000 labels; traced peaks of this run: 40.7 MB with
+        # one accumulator over the block, 11.0 MB ranked in slices
+        rng = np.random.default_rng(1)
+        preds, peak = traced_predict(depth_one_ensemble(rng, 300, 4000, 10), rng)
+        assert (preds.labels >= 0).all()
+        assert peak < 3 * predict.ACC_BYTES
 
     def test_matches_reference_route(self, grouped_train, grouped_test):
         train, _ = grouped_train
@@ -382,6 +402,38 @@ class TestPredictBatch:
             ref = predict_ensemble(ens, SparseRowMatrix.from_csr(X[[i]]).row(0), beam=3, k=5)
             assert blocked[i].labels.tolist() == ref.labels.tolist()
             np.testing.assert_allclose(blocked[i].scores, ref.scores, rtol=1e-10, atol=1e-12)
+
+    def test_row_slices_match_one_slice(self, grouped_train, grouped_test, monkeypatch):
+        train, _ = grouped_train
+        test, _ = grouped_test
+        ens = train_ensemble(train, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=10))
+        X = prepare_features(ens, test)
+        assert test.n <= predict.BLOCK_ROWS and test.n % 4  # one block, cut unevenly by 4
+        w = len(np.unique(np.concatenate([tree.node_labels(u) for tree in ens.trees
+                                          for u, _, _ in predict._beam(tree, X, 3)])))
+        top_cols, ranked = predict._top_cols, []
+
+        def spy(P, k):
+            if k == 5:  # the final ranking, not a beam cut (beam 3)
+                ranked[-1].append(len(P))
+            return top_cols(P, k)
+
+        monkeypatch.setattr(predict, "_top_cols", spy)
+        runs = []
+        for budget, slices in [(1, [1] * test.n),
+                               (8 * w * 4 + 7, [4] * (test.n // 4) + [test.n % 4]),
+                               (1 << 40, [test.n])]:
+            monkeypatch.setattr(predict, "ACC_BYTES", budget)
+            ranked.append([])
+            runs.append(predict_batch(ens, test, beam=3, k=5))
+            assert ranked[-1] == slices
+        for run in runs[1:]:
+            assert np.array_equal(run.labels, runs[0].labels)
+            assert np.array_equal(run.scores, runs[0].scores)
+        for i in range(test.n):
+            ref = predict_ensemble(ens, SparseRowMatrix.from_csr(X[[i]]).row(0), beam=3, k=5)
+            assert runs[0][i].labels.tolist() == ref.labels.tolist()
+            np.testing.assert_allclose(runs[0][i].scores, ref.scores, rtol=1e-10, atol=1e-12)
 
     def test_empty_dataset_gives_empty_block(self, grouped_train):
         ds, _ = grouped_train
