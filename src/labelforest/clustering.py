@@ -5,9 +5,11 @@ balancedness constraint: clusters may end up wildly different in size and
 are deliberately left that way.  Empty (or zero-mean) clusters are reseeded
 with the member vector currently fitting its own cluster worst, so exactly
 K centers survive every update.  Each round reads the assignments, the
-objective and the worst-fit members from one score array, ``V @ centers.T``;
-an update rescores in place only the clusters that gained or lost a member
-and the dead ones, as the others' centers come out bit for bit the same.
+objective and the worst-fit members from one score array, ``V @ centers.T``.
+When at most half the clusters gained or lost a member or were dead the
+round before, an update recomputes only their sums, centers and score
+columns, in place, as the others come out bit for bit the same; otherwise
+it recomputes all of them into fresh arrays.
 
 The label vectors come only as the two CSR factors of V = B·F that
 ``representations`` builds, and V itself is never formed: the scores are
@@ -60,39 +62,56 @@ def _rows(B, F, rows: np.ndarray) -> np.ndarray:
     return (B[rows] @ F).toarray()
 
 
-def _update(V, assignments: np.ndarray, K: int, scores=None, stale=None):
+def _update(V, assignments: np.ndarray, K: int, centers=None, scores=None, stale=None):
     """Normalized per-cluster means of the rows of V = B·F, given as the
-    pair ``V = (B, F)``, empty clusters reseeded (see module doc).
-    Returns ``(centers, V @ centers.T)``: a fresh product, or the last
-    round's ``scores`` with only the columns of the ``stale`` (bool mask
-    over K) and dead clusters recomputed."""
+    pair ``V = (B, F)``, dead clusters reseeded (see module doc).
+    Returns ``(centers, V @ centers.T, dead)``, ``dead`` a bool mask over K
+    of the clusters reseeded.  Without the last round's ``centers`` and
+    ``scores`` both come fresh; with them, only the rows and columns of the
+    ``stale`` clusters (a bool mask over K that holds every cluster whose
+    members changed or that was dead) are recomputed, in place."""
     B, F = V
     n = B.shape[0]
-    ind = sp.csr_matrix((np.ones(n), assignments, np.arange(n + 1)), shape=(n, K))
-    # the sums (ind.T @ B) @ F, each product taken on the transposes so that
-    # it reads B's and F's own arrays (ind.T @ B would convert B to CSC),
-    # and no sparse sum outlives its conversion; the F-ordered centers keep
-    # each row norm a sequential sum, not pairwise
-    centers = (F.T @ (B.T @ ind)).tocsr().toarray().T
-    centers /= np.maximum(np.bincount(assignments, minlength=K), 1)[:, None]
+    fresh = centers is None
+    if fresh:
+        stale = np.ones(K, dtype=bool)
+    k = int(np.count_nonzero(stale))
+    # the sums (ind.T @ B) @ F over the stale clusters' 0/1 indicator ind,
+    # each product taken on the transposes so that it reads B's and F's own
+    # arrays (ind.T @ B would convert B to CSC), and no sparse sum outlives
+    # its conversion; a cluster's sum adds its members in order, whichever
+    # other clusters ind holds
+    rows = np.flatnonzero(stale[assignments])
+    ind = sp.csr_matrix((np.ones(len(rows)), (rows, (np.cumsum(stale) - 1)[assignments[rows]])),
+                        shape=(n, k))
+    sums = (F.T @ (B.T @ ind)).tocsr().toarray().T
+    del ind
+    # the F-ordered sums keep each row norm a sequential sum, not pairwise;
+    # a lone row is C-contiguous too, so it is normed as two copies
+    if k == 1:
+        sums = np.repeat(sums.T, 2, axis=1).T
+    sums /= np.maximum(np.bincount(assignments, minlength=K)[stale], 1)[:, None]
     # dead: empty or zero-mean clusters (an empty cluster's sums are zero)
-    dead = _normalize_rows_dense(centers) == 0
-    if scores is None:
-        scores = _scores(B, F, centers)
+    dead = np.zeros(K, dtype=bool)
+    dead[stale] = _normalize_rows_dense(sums)[:k] == 0
+    if fresh:
+        centers, scores = sums, _scores(B, F, sums)
     else:
+        centers[stale] = sums[:k]
         # each column of a sparse x dense product is computed on its own
         redo = np.nonzero(stale & ~dead)[0]
         scores[:, redo] = _scores(B, F, centers[redo])
         scores[:, dead] = 0.0  # V @ 0, so a dead cluster's members fit worst
-    dead = np.nonzero(dead)[0]
-    if len(dead):
+    del sums
+    ids = np.flatnonzero(dead)
+    if len(ids):
         # worst-fit members, farthest first, seed the dead clusters
         fit = 1.0 - scores[np.arange(n), assignments]
-        seeds = _rows(B, F, np.lexsort((np.arange(n), -fit))[: len(dead)])
+        seeds = _rows(B, F, np.lexsort((np.arange(n), -fit))[: len(ids)])
         _normalize_rows_dense(seeds)
-        centers[dead] = seeds
-        scores[:, dead] = _scores(B, F, seeds)
-    return centers, scores
+        centers[ids] = seeds
+        scores[:, ids] = _scores(B, F, seeds)
+    return centers, scores, dead
 
 
 def kmeans_partition(V, K: int, seed=0) -> Partition:
@@ -116,7 +135,7 @@ def kmeans_partition(V, K: int, seed=0) -> Partition:
     centers = _rows(B, F, rng.choice(n, size=K, replace=False))
     _normalize_rows_dense(centers)
     scores = _scores(B, F, centers)
-    prev_obj, prev = np.inf, None
+    prev_obj, prev, dead = np.inf, None, None
     for iters in range(1, MAX_ITERS + 1):
         assignments = np.argmax(scores, axis=1)
         obj = float(np.sum(1.0 - scores[np.arange(n), assignments]))
@@ -125,12 +144,11 @@ def kmeans_partition(V, K: int, seed=0) -> Partition:
         prev_obj = obj
         if prev is None:  # every center was a random row
             stale = np.ones(K, dtype=bool)
-        else:  # clusters that gained or lost a member
+        else:  # clusters that gained or lost a member, and the reseeded ones
             moved = prev != assignments
-            stale = np.isin(np.arange(K), np.r_[prev[moved], assignments[moved]])
-        del centers
+            stale = dead | np.isin(np.arange(K), np.r_[prev[moved], assignments[moved]])
         if 2 * np.count_nonzero(stale) > K:
-            scores = None  # freed before the update allocates a fresh product
-        centers, scores = _update(V, assignments, K, scores, stale)
+            centers = scores = None  # freed before the update allocates fresh ones
+        centers, scores, dead = _update(V, assignments, K, centers, scores, stale)
         prev = assignments
     return Partition(assignments, centers, iters, obj)

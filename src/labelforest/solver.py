@@ -39,27 +39,32 @@ how a tree's nodes are trained, in self-contained node groups
 instance-coordinate nodes in order of row count (then of position).  A
 group is a list of batches, one ``_tron`` call each, and a batch a list
 of entries (s, lo, hi), the columns lo:hi of the group's node s.  A
-node's columns fall into chunks of at most ``CHUNK_BYTES // (8 *
+node's weights fall into chunks of at most ``CHUNK_BYTES // (8 *
 _ARRAYS_PER_COLUMN * (n + f + 1))`` columns (at least one), f being its
 nonzero feature count.  A feature-coordinate node, or an
-instance-coordinate node with rows and several chunks, is a group alone
-with a batch [(0, lo, hi)] per chunk.  The other nodes are packed whole
-into groups of one batch: a node joins the open group while the group's
-columns, at 8 * ``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each with N
-the group's largest row count, plus 8 n^2 bytes for each of its nodes'
-Gram matrices fit in ``CHUNK_BYTES``, and otherwise opens the next group.
+instance-coordinate node with rows and several chunks, is a group alone.
+In feature coordinates its batches are those chunks, [(0, lo, hi)] each.
+In instance coordinates a column holds 2n coordinates and n margins in
+the solve, so its batches are chunks of ``CHUNK_BYTES // (8 *
+_ARRAYS_PER_COLUMN * 3n)`` columns, and each batch's weights are then
+formed chunk by chunk.  The other nodes are packed whole into groups of
+one batch: a node joins the open group while the group's columns, at 8 *
+``_ARRAYS_PER_COLUMN`` * (N + f + 1) bytes each with N the group's
+largest row count, plus 8 n^2 bytes for each of its nodes' Gram matrices
+fit in ``CHUNK_BYTES``, and otherwise opens the next group.
 ``_solve_group`` builds a group's rows once, solves its batches in one
 loop and drops the rows, so nothing passes from one group to the next.
-A node alone takes a batch's weights from one dense product, twice as
-fast on big chunks; a packed batch from one sparse product, which meets
-each node's coefficients with its own rows only.  A batch's columns all
-have N rows: rows past their own node's n are padding, with sign +1 and
-a margin held at 1, so they are never active, add no loss and keep a
-zero coefficient.  Every product and dot product a column takes is the
-one it takes alone, up to those zero terms: each node's K products are
-its own (see ``_Instances``), and every dot product sums row by row over
-C-ordered columns (``_coldot``, ``_cols``).  So a node's classifiers are
-bit for bit those it gets alone.
+A node alone takes each chunk of its weights from one dense product,
+twice as fast on big chunks; a packed batch from one sparse product,
+which meets each node's coefficients with its own rows only.  A batch's
+columns all have N rows: rows past their own node's n are padding, with
+sign +1 and a margin held at 1, so they are never active, add no loss and
+keep a zero coefficient.  Every product and dot product a column takes is
+the one it takes alone, up to those zero terms: each node's K products
+are its own (see ``_Instances``), every dot product sums row by row over
+C-ordered columns (``_coldot``, ``_cols``), and each column of a sparse
+times dense product is summed on its own.  So a node's classifiers are
+bit for bit those it gets alone, in batches of any width.
 """
 
 from __future__ import annotations
@@ -81,8 +86,10 @@ MAX_NEWTON_ITERS = 100
 # Bound on the dense float64 working set of one batch of columns; a node
 # with more classifiers than fit is solved in several batches.
 CHUNK_BYTES = 4 << 20
-# Dense arrays of length (rows + features) a column holds at once in the
-# solve: weights, gradient, margins, signs, CG vectors and temporaries.
+# Dense arrays a column holds at once in the solve (weights, gradient,
+# margins, signs, CG vectors and temporaries), each counted as long as its
+# coordinates plus its margins: f + 1 + n in feature coordinates, 3n in
+# instance coordinates.
 _ARRAYS_PER_COLUMN = 10
 
 
@@ -289,6 +296,7 @@ def _tron(space, Y, eps, max_newton_iters):
 
         xi = 1.0 - Y * M
         act = (xi > 0).astype(np.float64)
+        del xi
         S, R, n_cg = _trcg(space, act, G, delta, CG_TOL_FACTOR * gnorm, cols)
         cg += n_cg
         snorm = _norm(space.dot(S, S))
@@ -380,8 +388,8 @@ def train_nodes(X: sp.csr_matrix, problems, C: float = 1.0, eps: float = 0.1,
     problems = [_checked(Problem(*p)) for p in problems]
     solves = {}
     numbers = itertools.count()  # numbers the _tron calls
-    for in_instances, nodes, batches in _groups(X, problems):
-        group = _solve_group(X, problems, in_instances, nodes, batches, C, eps, delta, numbers)
+    for in_instances, nodes, batches, step in _groups(X, problems):
+        group = _solve_group(X, problems, in_instances, nodes, batches, step, C, eps, delta, numbers)
         solves.update(zip(nodes, group))
     return [solves[u] for u in range(len(problems))]
 
@@ -419,68 +427,80 @@ def _joined(parts: list[NodeSolve]) -> NodeSolve:
 def _pruned(W, feats, d, delta):
     """Dense weight columns ``W``, a row per feature id in ``feats`` and a
     last row of biases, as float32 CSR rows over d features with entries
-    |w| <= ``delta`` pruned, and float32 biases; returns (W, bias, [count
-    of nonzero weights pruned]), one count for the batch's one entry."""
-    f = len(feats)
-    Wf = W[:f].T
-    P = np.where(np.abs(Wf) > delta, Wf, 0.0).astype(np.float32)
-    r, c = np.nonzero(P)  # also drops a kept weight that rounds to a float32 zero
-    indptr = np.searchsorted(r, np.arange(W.shape[1] + 1))
-    return (sp.csr_matrix((P[r, c], feats[c], indptr), shape=(W.shape[1], d)),
-            W[f].astype(np.float32), [int(np.count_nonzero(Wf)) - len(r)])
+    |w| <= ``delta`` pruned, and float32 biases; returns (W, bias, count
+    of nonzero weights pruned)."""
+    f, m = len(feats), W.shape[1]
+    Wf = np.ascontiguousarray(W[:f].T)  # a row per column: flat ids run column by column
+    at = np.flatnonzero(np.abs(Wf) > delta)
+    kept = Wf.ravel()[at].astype(np.float32)
+    nz = kept != 0  # a kept weight that rounds to a float32 zero is dropped too
+    if not nz.all():
+        at, kept = at[nz], kept[nz]
+    indptr = np.searchsorted(at, np.arange(m + 1) * f)
+    return (sp.csr_matrix((kept, feats[at % f], indptr), shape=(m, d)),
+            W[f].astype(np.float32), int(np.count_nonzero(Wf)) - len(at))
 
 
 def _groups(X, problems):
     """The node groups of ``train_nodes``, in order: whether a group is in
-    instance coordinates, its nodes, and its batches, one ``_tron`` call
-    each.  A batch is a list of entries (s, lo, hi), the columns lo:hi of
-    the group's node s.  See the module docstring."""
+    instance coordinates, its nodes, its batches, one ``_tron`` call each,
+    and the width of the dense chunks its weights are formed in, or 0 for
+    a packed group, whose batch takes ``_back_projected``.  A batch is a
+    list of entries (s, lo, hi), the columns lo:hi of the group's node s.
+    See the module docstring."""
+    per_byte = 8 * _ARRAYS_PER_COLUMN
     packed = []
     for u, p in enumerate(problems):
         if _in_instances(len(p.rows), int((X.indptr[p.rows + 1] - X.indptr[p.rows]).sum())):
             packed.append(u)
         else:
-            yield False, [u], _chunks(X, p)[1]
-    per_byte = 8 * _ARRAYS_PER_COLUMN
+            step = _chunks(X, p)[1]
+            yield False, [u], _batches(p.Y.shape[1], step), step
     nodes, batch = [], []
     cols = feats = grams = 0  # the open group's columns, sum of their f + 1, Gram bytes
     for u in sorted(packed, key=lambda u: len(problems[u].rows)):
         n, m = problems[u].Y.shape
-        f, chunks = _chunks(X, problems[u])
-        alone = n > 0 and len(chunks) > 1
+        f, step = _chunks(X, problems[u])
+        alone = n > 0 and m > step
         # nodes come in increasing row count, so this node's n is the group's N
         if nodes and (alone or per_byte * (n * (cols + m) + feats + m * (f + 1)) + grams
                       + 8 * n * n > CHUNK_BYTES):
-            yield True, nodes, [batch]
+            yield True, nodes, [batch], 0
             nodes, batch, cols, feats, grams = [], [], 0, 0, 0
         if alone:
-            yield True, [u], chunks
+            # in the solve a column holds 2n coordinates and n margins
+            yield True, [u], _batches(m, max(1, CHUNK_BYTES // (per_byte * 3 * n))), step
         else:
             batch.append((len(nodes), 0, m))
             nodes.append(u)
             cols, feats, grams = cols + m, feats + m * (f + 1), grams + 8 * n * n
     if nodes:
-        yield True, nodes, [batch]
+        yield True, nodes, [batch], 0
 
 
 def _chunks(X, p: Problem):
-    """The count f of features that a node's rows of X use, and its
-    batches alone, one [(0, lo, hi)] per column chunk (module docstring)."""
-    n, m = p.Y.shape
+    """The count f of features that a node's rows of X use, and the width
+    of its chunks of weight columns (module docstring)."""
     present = np.zeros(X.shape[1], dtype=bool)
     present[X.indices[_positions(X.indptr, p.rows)[0]]] = True
     f = int(np.count_nonzero(present))
-    step = max(1, CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (n + f + 1)))
-    return f, [[(0, lo, min(m, lo + step))] for lo in range(0, m, step)]
+    return f, max(1, CHUNK_BYTES // (8 * _ARRAYS_PER_COLUMN * (len(p.rows) + f + 1)))
 
 
-def _solve_group(X, problems, in_instances, nodes, batches, C, eps, delta, numbers):
+def _batches(m, step):
+    """A node's m columns as batches alone, one [(0, lo, hi)] per ``step``."""
+    return [[(0, lo, min(m, lo + step))] for lo in range(0, m, step)]
+
+
+def _solve_group(X, problems, in_instances, nodes, batches, step, C, eps, delta, numbers):
     """Solve one node group and return each of its nodes' ``NodeSolve``.
     The group's rows are built once: gathered, stacked with each node's
     columns shifted apart and its own bias column, compacted to the columns
     in use, given their Gram blocks in instance coordinates, transposed.
     Each batch then takes one ``_tron`` call, numbered by ``numbers``, on
-    its padded signs, and its weights split into a part per entry."""
+    its padded signs.  A node alone (``step`` > 0) forms each batch's
+    weights in dense chunks of ``step`` columns; a packed batch (``step``
+    0) forms them at once and splits them into a part per entry."""
     n = np.array([len(problems[u].rows) for u in nodes], dtype=np.int64)
     N = int(n.max())
     d = X.shape[1]
@@ -504,20 +524,25 @@ def _solve_group(X, problems, in_instances, nodes, batches, C, eps, delta, numbe
         # an overflowing C makes values inf or nan; _tron stops those columns
         with np.errstate(over="ignore", invalid="ignore"):
             B, iters, conv, cg = _tron(space, Y, eps, MAX_NEWTON_ITERS)
-        # a node alone takes a dense X^T B per batch: over eurlex's 544 such
-        # batches _pruned takes 0.28 s, _back_projected 0.59 s.  A packed batch
-        # takes one sparse product that meets each node's B with its own rows
-        if in_instances and len(batches) == 1:
-            W, bias, pruned = _back_projected(B[:N], n, starts, ends, AT, cols % (d + 1), d, delta)
-        else:
-            W, bias, pruned = _pruned(AT @ B[:N] if in_instances else B, cols[:-1], d, delta)
-        del B
         number = next(numbers)
-        for (s, _, _), a, b, k in zip(batch, starts, ends, pruned):
-            i, j = W.indptr[a], W.indptr[b]
-            Ws = sp.csr_matrix((W.data[i:j], W.indices[i:j], W.indptr[a : b + 1] - i), shape=(b - a, d))
-            parts[s].append(NodeSolve(Ws, bias[a:b], iters[a:b], cg[a:b], conv[a:b], int(k),
-                                      in_instances, np.full(b - a, number)))
+        if step:
+            # a node alone takes a dense X^T B per chunk: over eurlex's 555
+            # such chunks _pruned takes 0.13 s, where _back_projected took
+            # 0.59 s on chunks of the same width
+            for a in range(0, ends[-1], step):
+                b = min(a + step, ends[-1])
+                W, bias, k = _pruned(AT @ B[:N, a:b] if in_instances else B[:, a:b], cols[:-1], d, delta)
+                parts[0].append(NodeSolve(W, bias, iters[a:b], cg[a:b], conv[a:b], k,
+                                          in_instances, np.full(b - a, number)))
+        else:
+            # one sparse product meets each node's B with its own rows
+            W, bias, pruned = _back_projected(B[:N], n, starts, ends, AT, cols % (d + 1), d, delta)
+            for (s, _, _), a, b, k in zip(batch, starts, ends, pruned):
+                i, j = W.indptr[a], W.indptr[b]
+                Ws = sp.csr_matrix((W.data[i:j], W.indices[i:j], W.indptr[a : b + 1] - i), shape=(b - a, d))
+                parts[s].append(NodeSolve(Ws, bias[a:b], iters[a:b], cg[a:b], conv[a:b], int(k),
+                                          in_instances, np.full(b - a, number)))
+        del B
     return [_joined(p) for p in parts]
 
 

@@ -188,7 +188,7 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
             if prev is not None:
                 assert obj <= prev + 1e-12
             prev = obj
-            _, scores = _update(identity_pair(V), assignments, k)
+            _, scores, _ = _update(identity_pair(V), assignments, k)
 
     # beam at least as wide as any fan-out reproduces exhaustive scoring
     for trial in range(20):

@@ -85,12 +85,12 @@ class TestAssignStep:
 class TestUpdateStep:
     def test_single_member_center_is_member(self):
         v = l2_normalize(vec([(0, 1.0), (1, 1.0)], 2))
-        centers, _ = _update(identity_pair(csr([v])), np.array([0]), 2)
+        centers, _, _ = _update(identity_pair(csr([v])), np.array([0]), 2)
         np.testing.assert_allclose(centers[0], v.to_dense(), atol=1e-12)
 
     def test_zero_mean_cluster_reseeds(self):
         vecs = [vec([(0, 1.0)], 2), vec([(0, -1.0)], 2)]
-        centers, _ = _update(identity_pair(csr(vecs)), np.array([0, 0]), 2)
+        centers, _, _ = _update(identity_pair(csr(vecs)), np.array([0, 0]), 2)
         norms = np.linalg.norm(centers, axis=1)
         assert norms[0] == pytest.approx(1.0)
 
@@ -101,27 +101,30 @@ class TestUpdateStep:
             vec([(0, 1.0)], 3),
             vec([(2, 1.0)], 3),
         ]
-        centers, _ = _update(identity_pair(csr(vecs)), np.array([0, 0, 0]), 2)
+        centers, _, _ = _update(identity_pair(csr(vecs)), np.array([0, 0, 0]), 2)
         # the outlier (index 2) is farthest from the shared mean
         np.testing.assert_allclose(centers[1], [0.0, 0.0, 1.0], atol=1e-9)
 
     def test_rescore_in_place_reads_a_dead_cluster_as_worst_fit(self):
         # cluster 0 = {e0, -e0} has a zero mean; the last round's column 0
-        # scored it against its seed e0, which is not its members' fit now
+        # scored it against its seed e0, which is not its members' fit now.
+        # It was dead, so it is stale though no member moved
         pairs = [[(0, 1.0)], [(0, -1.0)], [(1, 1.0)], [(1, 1.0)], [(2, 1.0)]]
         V, a = csr([vec(p, 3) for p in pairs]), np.array([0, 0, 1, 1, 2])
-        want_centers, want_scores = _update(identity_pair(V), a, 3)
-        centers, scores = _update(identity_pair(V), a, 3, want_scores.copy(),
-                                  np.zeros(3, dtype=bool))
+        want_centers, want_scores, want_dead = _update(identity_pair(V), a, 3)
+        assert want_dead.tolist() == [True, False, False]
+        centers, scores, dead = _update(identity_pair(V), a, 3, want_centers.copy(),
+                                        want_scores.copy(), want_dead)
         assert centers.tobytes() == want_centers.tobytes()
         assert scores.tobytes() == want_scores.tobytes()
+        assert dead.tolist() == want_dead.tolist()
 
     def test_matches_dense_mean_normalize_oracle(self):
         vecs = unit_vecs(7, 12, 6)
         rng = np.random.default_rng(8)
         a = rng.integers(0, 3, size=12)
         a[:3] = [0, 1, 2]  # keep every cluster populated
-        centers, _ = _update(identity_pair(csr(vecs)), a, 3)
+        centers, _, _ = _update(identity_pair(csr(vecs)), a, 3)
         dense = np.vstack([v.to_dense() for v in vecs])
         for k in range(3):
             mean = dense[a == k].mean(axis=0)
@@ -168,7 +171,7 @@ class TestOwnCenterScores:
             V.data = rng.normal(size=V.nnz)
             a = rng.integers(0, 5, size=n)  # clusters 5..8 are dead
             a[:5] = np.arange(5)
-            centers, scores = _update(identity_pair(V), a, K)
+            centers, scores, _ = _update(identity_pair(V), a, K)
             want_centers, want_scores = update_full_scores(V, a, K)
             np.testing.assert_array_equal(centers, want_centers)
             np.testing.assert_array_equal(scores, want_scores)
@@ -279,6 +282,32 @@ class TestIncrementalRoundsAgainstFullRecompute:
         assert got.centers.tobytes() == want.centers.tobytes()
         assert got.n_iters_run == want.n_iters_run
         assert got.final_objective == want.final_objective
+
+
+    def test_matches_forced_full_updates(self, monkeypatch):
+        """Updates that recompute only the stale clusters' centers and score
+        columns give, bit for bit, the run whose every update recomputes
+        all K.  This run's second update recomputes three clusters (two
+        that traded a member and one reseeded the round before) and its
+        third one alone, whose lone row of sums is normed as two copies;
+        every update reseeds a dead cluster."""
+        V = identity_pair(pinned_input(90, 3))
+        rounds = []
+
+        def incremental(V, assignments, K, *args):
+            out = _update(V, assignments, K, *args)
+            stale = args[2] if args and args[0] is not None else np.ones(K, dtype=bool)
+            rounds.append((int(np.count_nonzero(stale)), int(np.count_nonzero(out[2]))))
+            return out
+
+        monkeypatch.setattr(clustering, "_update", incremental)
+        got = kmeans_partition(V, K=10, seed=90)
+        assert rounds == [(10, 1), (3, 1), (1, 1)]
+        monkeypatch.setattr(clustering, "_update", lambda V, a, K, *args: _update(V, a, K))
+        want = kmeans_partition(V, K=10, seed=90)
+        assert got.assignments.tobytes() == want.assignments.tobytes()
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert (got.n_iters_run, got.final_objective) == (want.n_iters_run, want.final_objective)
 
 
 def separated_factors(seed, groups, n, zero_rows):
@@ -443,7 +472,7 @@ class TestKmeansPartition:
             obj = float(np.sum(1.0 - scores[np.arange(20), a]))
             assert obj == pytest.approx(brute_objective(vecs, centers, a), abs=1e-9)
             objs.append(obj)
-            centers, scores = _update(identity_pair(V), a, 4)
+            centers, scores, _ = _update(identity_pair(V), a, 4)
         diffs = np.diff(objs)
         assert np.all(diffs <= 1e-9)
 

@@ -523,16 +523,54 @@ class TestInstanceCoordinates:
         rng = np.random.default_rng(18)
         X, Y = random_node(rng, 10, 50, m=7, density=0.3)
         whole = assert_instance_path_matches(X, Y)
-        # room for two columns per batch: four batches, the last of one
-        per_column = 8 * solver._ARRAYS_PER_COLUMN * (10 + len(np.unique(X.indices)) + 1)
+        # room for two columns per batch, a column holding 3n numbers in
+        # the solve: four batches, the last of one.  Weights take n + f + 1
+        # numbers a column, so they come one column at a time
+        per_column = 8 * solver._ARRAYS_PER_COLUMN * 3 * 10
         monkeypatch.setattr(solver, "CHUNK_BYTES", 2 * per_column)
+        assert per_column < 8 * solver._ARRAYS_PER_COLUMN * (10 + len(np.unique(X.indices)) + 1)
         spy = mock.Mock(wraps=_tron)
         monkeypatch.setattr(solver, "_tron", spy)
+        dense = mock.Mock(wraps=solver._pruned)
+        monkeypatch.setattr(solver, "_pruned", dense)
         chunked = assert_instance_path_matches(X, Y)
         assert [c.args[1].shape[1] for c in spy.call_args_list[:4]] == [2, 2, 2, 1]
         assert isinstance(spy.call_args_list[0].args[0], _Instances)
+        assert [c.args[0].shape[1] for c in dense.call_args_list[:7]] == [1] * 7
         assert chunked.newton_iters.tolist() == whole.newton_iters.tolist()
         assert chunked.cg_iters.tolist() == whole.cg_iters.tolist()
+
+    def test_wide_node_solves_in_one_batch(self, monkeypatch):
+        """A node of many columns whose weights take several chunks solves
+        in one ``_tron`` call, and gets bit for bit the classifiers of the
+        same node forced into batches of one column."""
+        rng = np.random.default_rng(21)
+        X, Y = random_node(rng, 40, 3000, m=60, density=100 / 3000)
+        f = len(np.unique(X.indices))
+        step = solver.CHUNK_BYTES // (8 * solver._ARRAYS_PER_COLUMN * (40 + f + 1))
+        assert 1 < step < 60 <= solver.CHUNK_BYTES // (8 * solver._ARRAYS_PER_COLUMN * 3 * 40)
+        spy = mock.Mock(wraps=_tron)
+        monkeypatch.setattr(solver, "_tron", spy)
+        dense = mock.Mock(wraps=solver._pruned)
+        monkeypatch.setattr(solver, "_pruned", dense)
+        whole = train_node(X, Y)
+        assert whole.in_instances and whole.W.nnz and whole.n_pruned
+        assert spy.call_count == 1 and spy.call_args.args[1].shape[1] == 60
+        assert not whole.batch.any()
+        # its weights still take dense chunks of n + f + 1 numbers a column
+        assert [c.args[0].shape[1] for c in dense.call_args_list] == [
+            min(step, 60 - lo) for lo in range(0, 60, step)]
+        monkeypatch.setattr(solver, "CHUNK_BYTES", 1)
+        spy.reset_mock()
+        ones = train_node(X, Y)
+        assert spy.call_count == 60 and ones.batch.tolist() == list(range(60))
+        assert ones.W.data.tobytes() == whole.W.data.tobytes()
+        assert ones.W.indices.tobytes() == whole.W.indices.tobytes()
+        assert ones.W.indptr.tobytes() == whole.W.indptr.tobytes()
+        assert ones.bias.tobytes() == whole.bias.tobytes()
+        assert ones.newton_iters.tolist() == whole.newton_iters.tolist()
+        assert ones.cg_iters.tolist() == whole.cg_iters.tolist()
+        assert ones.n_pruned == whole.n_pruned
 
     def test_rule_reads_the_node_counts(self, monkeypatch):
         spy = mock.Mock(wraps=_tron)
@@ -669,12 +707,14 @@ class TestTrainNodes:
         def per_column(X, N):
             return 8 * solver._ARRAYS_PER_COLUMN * (N + len(np.unique(X.indices)) + 1)
 
-        # room for two of the big node's columns, for the small nodes
-        # together, and for one of the wide node's columns
+        # room for two of the big node's weight columns, for the small nodes
+        # together, and for one of the wide node's columns; in the solve a
+        # column of the big node holds 3n numbers, so four fit
         budget = max(2 * per_column(big[0], 12) + 8 * 12 * 12,
                      sum(Y.shape[1] * per_column(X, 6) + 8 * len(Y) ** 2 for X, Y in small))
         assert budget < 3 * per_column(big[0], 12)
         assert per_column(wide[0], 40) <= budget < 2 * per_column(wide[0], 40)
+        assert budget // (8 * solver._ARRAYS_PER_COLUMN * 3 * 12) == 4
         monkeypatch.setattr(solver, "CHUNK_BYTES", budget)
         spy = mock.Mock(wraps=_tron)
         monkeypatch.setattr(solver, "_tron", spy)
@@ -689,10 +729,10 @@ class TestTrainNodes:
         split = train_nodes(X, problems)
         assert [sol.in_instances for sol in split] == [True, True, True, False, True]
         # the wide node's columns span three batches, each that column alone,
-        # and the big node's span four, two columns at most each
+        # and the big node's span two, four columns at most each
         assert len(set(split[3].batch.tolist())) == 3
-        assert len(set(split[4].batch.tolist())) == 4
-        assert np.bincount(split[4].batch).max() == 2
+        assert len(set(split[4].batch.tolist())) == 2
+        assert np.bincount(split[4].batch).max() == 4
         # no batch of either mixes it with another node
         for u in (3, 4):
             others = np.concatenate([sol.batch for v, sol in enumerate(split) if v != u])
@@ -718,10 +758,9 @@ class TestTrainNodes:
                    if isinstance(c.args[0], _Instances)) == 3
         # the packed batch alone takes its weights from the sparse
         # back-projection; each batch of the wide and the big node, in
-        # order, takes a dense block of its own columns
+        # order, takes dense blocks of its own columns, two at most
         assert backs.call_count == 1 and backs.call_args.args[1].tolist() == [4, 5, 6]
-        assert [c.args[0].shape[1] for c in dense.call_args_list] == [
-            np.count_nonzero(split[u].batch == b) for u in (3, 4) for b in np.unique(split[u].batch)]
+        assert [c.args[0].shape[1] for c in dense.call_args_list] == [1, 1, 1, 2, 2, 2, 1]
         # one _tron call per batch
         batches = np.unique(np.concatenate([sol.batch for sol in split]))
         assert spy.call_count == len(batches) == batches.max() + 1
@@ -811,6 +850,17 @@ class TestFinalize:
         X, t = one_point_node([1.0, 1e-7])
         out = weights_of(train_node(X, np.array([[1]]), eps=1e-10, delta=0.0))[0]
         assert out.w.indices.tolist() == [0, 1]
+
+    def test_weight_rounding_to_a_float32_zero_is_dropped(self):
+        # two features and the bias row, two columns: at delta = 0 a weight
+        # of 1e-50 passes |w| > delta but is a float32 zero, so it is
+        # dropped and counted as pruned
+        W = np.array([[0.5, 1e-50], [1e-50, 0.0], [2.0, -3.0]])
+        P, bias, pruned = solver._pruned(W, np.array([3, 7], dtype=np.int32), 10, 0.0)
+        assert P.shape == (2, 10) and P.dtype == np.float32
+        assert P.indptr.tolist() == [0, 1, 1] and P.indices.tolist() == [3]
+        assert P.data.tolist() == [0.5] and bias.tolist() == [2.0, -3.0]
+        assert pruned == 2
 
     def test_negative_delta_rejected(self):
         X, _ = one_point_node([1.0])
@@ -962,7 +1012,9 @@ def test_peak_memory_bounded():
     # with two np.insert calls and each batch went through a dense-to-CSR
     # step before its features were renumbered back; 14.59 MB with the
     # arrays built in place; 15.09 MB if a batch's dense pruned block and
-    # its nonzero ids live on through the next batch's solve
+    # its nonzero ids live on through the next batch's solve; 14.36 MB
+    # until each Newton step freed its margins' slacks before CG, 14.20 MB
+    # after
     rng = np.random.default_rng(0)
     X = sp.random(4000, 5000, density=110 / 5000, random_state=rng, format="csr")
     X.data = rng.random(X.nnz) + 0.1
@@ -984,10 +1036,11 @@ def test_peak_memory_bounded():
 def test_instance_coordinates_peak_memory_bounded():
     """The largest node the bench's eurlex trees solve in instance
     coordinates: 379 unit rows of about 100 nonzeros over 5,000 features,
-    and 30 columns in three batches."""
-    # traced peaks of this run: 3.92 MB, of which the 379 x 379 Gram
-    # matrix is 1.15 MB; 5.90 MB when the node is solved in feature
-    # coordinates
+    and 30 columns in one batch, whose weights take four chunks."""
+    # traced peaks of this run: 3.92 MB with the columns in four batches,
+    # of which the 379 x 379 Gram matrix is 1.15 MB; 4.03 MB in one batch,
+    # 3.95 MB once each Newton step frees its margins' slacks before CG;
+    # 5.90 MB when the node is solved in feature coordinates
     rng = np.random.default_rng(1)
     X = sp.random(379, 5000, density=99 / 5000, random_state=rng, format="csr")
     X.data = rng.random(X.nnz) + 0.1
