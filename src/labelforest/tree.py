@@ -11,10 +11,11 @@ except the root's, which see every instance so that unlabeled ones still
 act as negatives.  A tree's nodes are trained together: once it is grown,
 every node's inputs are built, and one ``solver.train_nodes`` call solves
 them all, so that small nodes share solve batches.  A trained tree is a
-node table, its labels, and one weight matrix and bias vector (``Tree``),
-and a tree file is those arrays.  Given a model directory, training
-writes each tree's file as soon as the tree is trained and keeps nothing
-of it, so that it holds one tree at a time.
+node table, its labels, its weight rows as CSR arrays and a bias vector
+(``Tree``), and a tree file stores those arrays at the widths they have in
+memory.  Given a model directory, training writes each tree's file as
+soon as the tree is trained and keeps nothing of it, so that it holds one
+tree at a time.
 """
 
 from __future__ import annotations
@@ -105,18 +106,26 @@ def _siblings(parent: np.ndarray):
 
 @dataclass
 class Tree:
-    """A trained tree as arrays.  ``nodes`` is its ``NODE`` table, each
-    node's labels are the slice ``labels[label_lo:label_hi]``, and the
-    children's slices tile the parent's in id order.  Node u owns rows
-    ``row_ptr[u]:row_ptr[u + 1]`` of the float32 CSR matrix ``W`` (one
-    column per feature) and of ``bias``: one classifier per child of an
-    internal node, in id order, or per label of a leaf.  ``child[u]`` lists
-    u's children in id order, padded with -1."""
+    """A trained tree as the arrays its file stores.  ``nodes`` is its
+    ``NODE`` table, each node's labels are the slice
+    ``labels[label_lo:label_hi]``, and the children's slices tile the
+    parent's in id order.  Node u owns the weight rows and the entries of
+    ``bias`` from ``row_ptr[u]`` to ``row_ptr[u + 1]``: one classifier per
+    child of an internal node, in id order, or per label of a leaf.  Weight
+    row r keeps the feature ids ``ids[indptr[r]:indptr[r + 1]]``, strictly
+    increasing and below D, and their float32 ``values``.  The ids have the
+    file's width, ``_id_dtype(d)``, so a kept weight costs 6 bytes when
+    D <= 65,536 (8 above); ``node_rows`` widens one node's ids to form its
+    CSR block.  ``child[u]`` lists u's children in id order, padded with
+    -1."""
 
     nodes: np.ndarray
     labels: np.ndarray
-    W: sp.csr_matrix
+    indptr: np.ndarray
+    ids: np.ndarray
+    values: np.ndarray
     bias: np.ndarray
+    d: int
 
     def __post_init__(self):
         self.row_ptr = np.concatenate(([0], np.cumsum(self.nodes["rows"])))
@@ -124,17 +133,33 @@ class Tree:
         self.child = np.full((len(self.nodes), rank.max(initial=0) + 1), -1, dtype=np.int64)
         self.child[self.nodes["parent"][kids], rank] = kids
 
+    @classmethod
+    def stack(cls, nodes: np.ndarray, labels: np.ndarray, blocks, d: int) -> "Tree":
+        """The tree whose weight rows are ``blocks`` in order, each a (row
+        pointer, feature ids, values, bias) tuple of any dtypes; the ids are
+        cast to the file's width block by block."""
+        ptrs, ids, values, bias = zip(*blocks)
+        indptr = np.cumsum(np.concatenate([[0], *map(np.diff, ptrs)]), dtype=np.int64)
+        return cls(nodes, labels, indptr,
+                   np.concatenate(ids, dtype=_id_dtype(d), casting="unsafe"),
+                   np.concatenate(values, dtype=np.float32),
+                   np.concatenate(bias, dtype=np.float32), d)
+
     def node_labels(self, u: int) -> np.ndarray:
         return self.labels[self.nodes["label_lo"][u] : self.nodes["label_hi"][u]]
 
     def node_rows(self, u: int) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Node u's rows of ``W``, as a CSR matrix on W's own arrays, and of
-        ``bias``."""
+        """Node u's weight rows as a CSR matrix, its ids widened to scipy's
+        own index dtype for the block's shape and nnz, and its entries of
+        ``bias``.  This is the one place a tree's weights become a scipy
+        matrix."""
         a, b = self.row_ptr[u], self.row_ptr[u + 1]
-        lo, hi = self.W.indptr[a], self.W.indptr[b]
+        lo, hi = self.indptr[a], self.indptr[b]
+        index = np.int32 if max(b - a, self.d, hi - lo) < 2**31 else np.int64
         W = sp.csr_matrix(
-            (self.W.data[lo:hi], self.W.indices[lo:hi], self.W.indptr[a : b + 1] - lo),
-            shape=(b - a, self.W.shape[1]),
+            (self.values[lo:hi], self.ids[lo:hi].astype(index),
+             (self.indptr[a : b + 1] - lo).astype(index)),
+            shape=(b - a, self.d),
         )
         return W, self.bias[a:b]
 
@@ -302,7 +327,8 @@ def train_ensemble(
     The label representation, the factors B and F, is built once and
     shared; instances are unit-normalized first.  Each tree is trained by
     ``_train_tree``.  Without ``model_dir``, the returned ensemble holds
-    every tree, each node's weight block stacked into the tree's W once.
+    every tree, its node blocks stacked once into the arrays a loaded tree
+    holds (``Tree.stack``).
     With it, each tree's file is written to ``model_dir`` as soon as the
     tree is trained, from the node blocks as they are, and nothing of the
     tree is kept: the returned ensemble holds no trees, and ``save_model``
@@ -322,15 +348,15 @@ def train_ensemble(
         seed = config.base_seed + t
         log.info("training tree %d/%d (seed %d)", t + 1, config.n_trees, seed)
         table, labels, solves = _train_tree(V, X, idx, config, seed, report)
-        Ws, bias = [s.W for s in solves], [s.bias for s in solves]
+        blocks = [(s.W.indptr, s.W.indices, s.W.data, s.bias) for s in solves]
         if model_dir is None:
-            trees.append(Tree(table, labels, sp.vstack(Ws, format="csr"), np.concatenate(bias)))
+            trees.append(Tree.stack(table, labels, blocks, ds.d))
         else:
             t0 = time.perf_counter()
-            _write_tree(model_dir, t, table, labels, Ws, bias, ds.d)
+            _write_tree(model_dir, t, table, labels, blocks, ds.d)
             report.save_seconds += time.perf_counter() - t0
         # nothing of tree t may outlive this pass: tree t + 1 is trained in its memory
-        del solves, Ws, bias
+        del solves, blocks
     return Ensemble(trees, config, ds.d, ds.l)
 
 
@@ -352,28 +378,29 @@ def model_file(model_dir, t: int | None = None) -> str:
     return os.path.join(model_dir, "meta" if t is None else f"tree_{t}.bin")
 
 
-def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray,
-                Ws: list[sp.csr_matrix], bias: list[np.ndarray], d: int) -> None:
+def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray, blocks,
+                d: int) -> None:
     """Write tree t's file: its node table, its labels, and its weight rows,
-    given as the CSR blocks ``Ws`` that stack into its W and the matching
-    pieces of its bias.  Each section is written block by block, so W is
-    never stacked.  Before tree 0's file, the directory is made if it is
-    missing, and any meta file and tree files in it are removed: from then
-    until ``save_model`` writes meta last, the directory holds no loadable
-    model, and no tree of an older, larger model outlives it."""
+    given as ``Tree.stack``'s blocks: a ``Tree``'s own arrays, or its node
+    solves' CSR arrays.  Each section is written block by block, so the
+    blocks are never stacked.  Before tree 0's file, the directory is made
+    if it is missing, and any meta file and tree files in it are removed:
+    from then until ``save_model`` writes meta last, the directory holds no
+    loadable model, and no tree of an older, larger model outlives it."""
     if t == 0:
         os.makedirs(model_dir, exist_ok=True)
         for name in os.listdir(model_dir):
             if re.fullmatch(r"meta|tree_[0-9]+\.bin", name):
                 os.remove(os.path.join(model_dir, name))
+    ptrs, ids, values, bias = zip(*blocks)
     sections = [
         ([[FORMAT_VERSION]], "<u4"),
         ([[len(nodes)]], "<i8"),
         ([nodes], NODE),
         ([labels], "<u4"),
-        ([np.diff(W.indptr) for W in Ws], "<u4"),
-        ([W.indices for W in Ws], _id_dtype(d)),
-        ([W.data for W in Ws], "<f4"),
+        (map(np.diff, ptrs), "<u4"),
+        (ids, _id_dtype(d)),
+        (values, "<f4"),
         (bias, "<f4"),
     ]
     with open(model_file(model_dir, t), "wb") as f:
@@ -389,7 +416,8 @@ def save_model(ens: Ensemble, model_dir) -> None:
     ``train_ensemble`` wrote to ``model_dir`` itself are not in ``ens``,
     and then only meta is written."""
     for t, tree in enumerate(ens.trees):
-        _write_tree(model_dir, t, tree.nodes, tree.labels, [tree.W], [tree.bias], ens.d)
+        _write_tree(model_dir, t, tree.nodes, tree.labels,
+                    [(tree.indptr, tree.ids, tree.values, tree.bias)], ens.d)
     with open(model_file(model_dir), "w", encoding="utf-8") as f:
         f.write(_meta_lines(ens))
 
@@ -425,7 +453,7 @@ def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
     """A tree file's arrays, each checked as a whole.  Each is filled by one
     read from the open file ``f`` into a new array of its final dtype, once
     its size is checked against the bytes left in the file; feature ids are
-    read at their stored width and converted to the index dtype."""
+    kept, and checked, at their stored width, with no wider copy."""
     left = os.fstat(f.fileno()).st_size - len(MAGIC)
 
     def take(dtype, count):
@@ -456,10 +484,8 @@ def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
     if np.any(np.bincount(labels, minlength=l) != 1):
         raise ModelFormatError(f"leaves do not hold each of the L={l} labels once")
     m = int(nodes["rows"].sum())
-    ends = np.cumsum(take("<u4", m), dtype=np.int64)
-    nnz = int(ends[-1])
-    # scipy's own index dtype for this shape and nnz, so csr_matrix keeps the arrays
-    index = np.int32 if max(m, d, nnz) < 2**31 else np.int64
+    indptr = np.concatenate(([0], np.cumsum(take("<u4", m), dtype=np.int64)))
+    nnz = int(indptr[-1])
     ids = take(_id_dtype(d), nnz)
     if nnz and ids.max() >= d:
         raise ModelFormatError(f"bad classifier weights: feature id {ids.max()} >= D={d}")
@@ -467,19 +493,19 @@ def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
     bias = take("<f4", m)
     if f.read(1):
         raise ModelFormatError("trailing bytes")
-    try:
-        W = sp.csr_matrix((values, ids.astype(index), np.concatenate(([0], ends)).astype(index)),
-                          shape=(m, d))
-        W.check_format(full_check=True)
-    except ValueError as e:
-        raise ModelFormatError(f"bad classifier weights: {e}") from e
-    if not W.has_canonical_format:
+    # each id against the one before it, at the stored width, but not a
+    # row's first id; the mask, a byte a weight, goes before the next check
+    falls = ids[1:] <= ids[:-1]
+    starts = indptr[1:-1]
+    falls[starts[(0 < starts) & (starts < nnz)] - 1] = False
+    if falls.any():
         raise ModelFormatError("bad classifier weights: indices not strictly increasing")
+    del falls
     if not np.all(np.isfinite(values)) or not values.all():
         raise ModelFormatError("bad classifier weights: zero or non-finite weight")
     if not np.all(np.isfinite(bias)):
         raise ModelFormatError("bad classifier bias: not finite")
-    return Tree(nodes, labels, W, bias)
+    return Tree(nodes, labels, indptr, ids, values, bias, d)
 
 
 def _parse_meta(text: str) -> dict:

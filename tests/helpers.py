@@ -277,9 +277,24 @@ def build_tree(spec, dim: int) -> Tree:
         table[u] = (parent, depth, isinstance(node, Leaf), lo, len(labels), W.shape[0])
 
     visit(spec, -1, 0)
-    W = sp.vstack([W for W, _ in blocks], format="csr").astype(np.float32)
-    bias = np.concatenate([b for _, b in blocks]).astype(np.float32)
-    return Tree(np.array(table, dtype=NODE), np.array(labels, dtype=np.int64), W, bias)
+    return Tree.stack(np.array(table, dtype=NODE), np.array(labels, dtype=np.int64),
+                      [(W.indptr, W.indices, W.data, bias) for W, bias in blocks], dim)
+
+
+def tree_csr(tree: Tree) -> sp.csr_matrix:
+    """A tree's weight rows as one float32 CSR matrix with int32 index
+    arrays, the full-width copy that the tree itself never holds."""
+    return sp.csr_matrix(
+        (tree.values, tree.ids.astype(np.int32), tree.indptr.astype(np.int32)),
+        shape=(len(tree.bias), tree.d),
+    )
+
+
+def same_weight_bits(a: Tree, b: Tree) -> bool:
+    """Trees ``a`` and ``b`` hold weight arrays (row pointer, ids, values
+    and bias) of equal dtypes and bytes, over the same D."""
+    pairs = zip((a.indptr, a.ids, a.values, a.bias), (b.indptr, b.ids, b.values, b.bias))
+    return a.d == b.d and all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs)
 
 
 def tree_file_sections(buf, l: int, d: int) -> dict[str, int]:

@@ -197,7 +197,7 @@ class TestPipeline:
         assert m and int(m.group(1)) > 0 and int(m.group(2)) == 0
         m = re.search(r"(\d+) weights kept, (\d+) pruned", summary[0])
         ens = load_model(tmp_path / "m")
-        kept = ens.trees[0].W.nnz
+        kept = len(ens.trees[0].ids)
         assert m and int(m.group(1)) == kept > 0 and int(m.group(2)) > 0
 
     def test_summary_reports_cg_steps_and_instance_nodes(self, paths, tmp_path, caplog,
@@ -848,7 +848,7 @@ class TestExitCodes:
         model = tmp_path / "chain"
         self.write_chain_model(model, parse_dataset(paths["test"]).d, d_max=1200, links=3)
         tree = load_model(model).trees[0]
-        assert len(tree.nodes) == 4 and tree.W.shape == (4, tree.W.shape[1]) and tree.W.nnz == 0
+        assert len(tree.nodes) == 4 and len(tree.indptr) == 5 and len(tree.ids) == 0
         pred = tmp_path / "pred.txt"
         assert main(["predict", "--model", str(model), "--data", paths["test"],
                      "--output", str(pred)]) == 0
@@ -957,17 +957,25 @@ class TestLoadMemory:
 
     def test_loaded_arrays_hold_no_file_bytes(self, model):
         for tree in load_model(model).trees:
-            for a in (tree.nodes, tree.labels, tree.W.data, tree.W.indices, tree.W.indptr,
-                      tree.bias):
+            for a in (tree.nodes, tree.labels, tree.indptr, tree.ids, tree.values, tree.bias):
                 assert not any(isinstance(b, (bytes, bytearray)) for b in _base_chain(a))
 
     def test_load_peak_is_the_arrays_and_one_file(self, model):
         ens, peak = _traced_peak(load_model, model)
         arrays = sum(a.nbytes for t in ens.trees for a in (
-            t.nodes, t.labels, t.W.data, t.W.indices, t.W.indptr, t.bias, t.row_ptr, t.child))
+            t.nodes, t.labels, t.indptr, t.ids, t.values, t.bias, t.row_ptr, t.child))
         largest = max(os.path.getsize(os.path.join(model, f"tree_{t}.bin"))
                       for t in range(len(ens.trees)))
         assert peak < arrays + largest
+
+    def test_a_kept_weight_costs_six_bytes(self, model):
+        """At D <= 65,536 a loaded tree holds each kept weight in 6 bytes, a
+        2-byte feature id and a float32 value, beside a row pointer of 8
+        bytes a row."""
+        for t in load_model(model).trees:
+            nnz, m = int(t.indptr[-1]), len(t.bias)
+            assert nnz > 40000
+            assert sum(a.nbytes for a in (t.indptr, t.ids, t.values)) == 6 * nnz + 8 * (m + 1)
 
     @pytest.mark.parametrize("claim", ["2**40 nodes", "L=2**32"])
     def test_sizes_checked_before_allocation(self, paths, tmp_path, capsys, claim):

@@ -29,6 +29,7 @@ from helpers import (
     row_weights,
     same_csr_bits,
     train_node,
+    tree_csr,
     weights_block,
     with_bias_column,
     with_bias_feature_oracle,
@@ -604,7 +605,7 @@ class TestInstanceCoordinates:
         assert report.n_cg_iters == feat_report.n_cg_iters > report.n_newton_iters
         assert report.n_weights_kept == feat_report.n_weights_kept
         for a, b in zip(ens.trees, feat.trees, strict=True):
-            assert same_csr_bits(a.W, b.W)
+            assert same_csr_bits(tree_csr(a), tree_csr(b))
             np.testing.assert_allclose(a.bias, b.bias, rtol=1e-6, atol=1e-12)
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforest import solver, tree
+from labelforest.cli import main
 from labelforest.clustering import Partition
 from labelforest.data import Dataset, build_label_index, normalize_instances, parse_dataset
 from labelforest.predict import predict_batch, prepare_features
@@ -28,6 +29,7 @@ from labelforest.tree import (
     ModelFormatError,
     TrainConfig,
     TrainReport,
+    _id_dtype,
     grow,
     load_model,
     node_problem,
@@ -53,6 +55,8 @@ from helpers import (
     random_csr,
     row,
     same_csr_bits,
+    same_weight_bits,
+    tree_csr,
     tree_file_sections,
     widened,
 )
@@ -93,7 +97,7 @@ class TestGrow:
         tree = train_small(ds, k=100).trees[0]
         assert len(tree.nodes) == 1
         assert tree.nodes["leaf"][0] == 1 and tree.nodes["depth"][0] == 0
-        assert tree.W.shape[0] == len(tree.bias) == 3
+        assert len(tree.indptr) - 1 == len(tree.bias) == 3
 
     def test_depth_capped_everywhere(self, grouped_train):
         ds, _ = grouped_train
@@ -376,7 +380,7 @@ class TestClassifiers:
         pruned, whole = TrainReport(), TrainReport()
         ens = train_ensemble(ds, TrainConfig(delta=0.01, **cfg), pruned)
         train_ensemble(ds, TrainConfig(delta=0.0, **cfg), whole)
-        kept = sum(t.W.nnz for t in ens.trees)
+        kept = sum(len(t.ids) for t in ens.trees)
         assert pruned.n_weights_kept == kept > 0
         assert pruned.n_weights_pruned > 0 and whole.n_weights_pruned == 0
         # the solves do not depend on delta, only what is kept of them
@@ -385,8 +389,8 @@ class TestClassifiers:
     def test_weights_are_float32_and_pruned(self, grouped_train):
         ds, _ = grouped_train
         tree = train_small(ds, delta=0.01).trees[0]
-        assert tree.W.dtype == np.float32 and tree.bias.dtype == np.float32
-        assert tree.W.nnz and np.min(np.abs(tree.W.data)) > 0.01 * (1 - 1e-6)
+        assert tree.values.dtype == np.float32 and tree.bias.dtype == np.float32
+        assert len(tree.values) and np.min(np.abs(tree.values)) > 0.01 * (1 - 1e-6)
 
 
 class TestEnsemble:
@@ -436,8 +440,7 @@ class TestEnsemble:
         want = train_ensemble(ds, config)
         assert len(got.trees) == 2 and all(len(t.nodes) > 1 for t in got.trees)
         for g, w in zip(got.trees, want.trees):
-            assert same_csr_bits(g.W, w.W)
-            assert g.bias.tobytes() == w.bias.tobytes()
+            assert same_weight_bits(g, w)
             assert g.labels.tobytes() == w.labels.tobytes()
 
     @pytest.mark.parametrize("space", list(ReprSpace))
@@ -572,17 +575,27 @@ class TestModelStore:
     def test_round_trip_at_id_width_boundary(self, tmp_path, d, id_size):
         """A split whose header has D = 65,536 stores 2-byte feature ids,
         one with D = 65,537 4-byte ids, and the top feature id D - 1 is
-        among the kept weights; either loads as the trained arrays."""
+        among the kept weights.  Either loads as the trained arrays, and
+        the trained and the loaded trees hold their ids at that width in
+        memory.  Both predict the bits of the same trees holding int32 ids,
+        scipy's own width."""
         train, _ = grouped_dataset(3, n=120, groups=4, labels_per_group=4)
         ds = parse_text(dataset_to_text(widened(train, d)))
         ens = train_small(ds, n_trees=2, d_max=1)
-        assert ens.trees[0].W.indices.max() == d - 1
+        assert ens.trees[0].ids.max() == d - 1
         save_model(ens, tmp_path / "m")
         for t in range(2):
             buf = (tmp_path / "m" / f"tree_{t}.bin").read_bytes()
             at = tree_file_sections(buf, ds.l, d)
             assert (at["id_size"], at["end"]) == (id_size, len(buf))
-        assert_same_trees(ens, load_model(tmp_path / "m"))
+        back = load_model(tmp_path / "m")
+        assert_same_trees(ens, back)
+        assert all(t.ids.dtype == np.dtype(f"<u{id_size}") for t in ens.trees + back.trees)
+        wide = replace(ens, trees=[replace(t, ids=t.ids.astype(np.int32)) for t in ens.trees])
+        want = predict_batch(wide, ds)
+        for got in (predict_batch(ens, ds), predict_batch(back, ds)):
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_bad_magic_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
@@ -714,9 +727,7 @@ def assert_same_trees(a, b):
     for ta, tb in zip(a.trees, b.trees, strict=True):
         assert ta.nodes.tobytes() == tb.nodes.tobytes()
         assert np.array_equal(ta.labels, tb.labels) and ta.labels.dtype == tb.labels.dtype
-        assert same_csr_bits(ta.W, tb.W)
-        assert ta.W.indices.dtype == tb.W.indices.dtype == tb.W.indptr.dtype
-        assert ta.bias.tobytes() == tb.bias.tobytes() and ta.bias.dtype == tb.bias.dtype
+        assert same_weight_bits(ta, tb)
 
 
 def leaves(tree):
@@ -794,6 +805,121 @@ class TestNodeTableRules:
         check_invariants(load_model(tmp_path / "m"))
 
 
+def _sections(buf, at):
+    """A tree file's row counts, stored feature ids and values, as views."""
+    m, nnz = (at["end"] - at["bias"]) // 4, (at["bias"] - at["values"]) // 4
+    return (np.frombuffer(buf, "<u4", count=m, offset=at["row_nnz"]),
+            np.frombuffer(buf, f"<u{at['id_size']}", count=nnz, offset=at["indices"]),
+            np.frombuffer(buf, "<f4", count=nnz, offset=at["values"]))
+
+
+def scipy_accepts_weights(buf, at, d: int) -> bool:
+    """The weight check a load made before ids were kept at their stored
+    width: scipy's full check of an int32 CSR copy of the weight sections,
+    its canonical format (ids strictly increasing within each row), and
+    finite, nonzero values."""
+    counts, ids, values = _sections(buf, at)
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64))).astype(np.int32)
+    try:
+        W = sp.csr_matrix((values, ids.astype(np.int32), indptr), shape=(len(counts), d))
+        W.check_format(full_check=True)
+    except ValueError:
+        return False
+    return bool(W.has_canonical_format and np.all(np.isfinite(values)) and values.all())
+
+
+def mutate_weights(kind: str, rng, buf: bytes, at, d: int) -> bytes:
+    """A tree file with one seeded edit of its weight sections."""
+    counts, ids, values = (a.copy() for a in _sections(buf, at))
+    starts = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    if kind in ("repeated id", "decreasing id"):
+        r = int(rng.choice(np.flatnonzero(counts >= 2)))
+        i = int(rng.integers(starts[r] + 1, starts[r + 1]))
+        ids[i - 1 : i + 1] = ids[i - 1] if kind == "repeated id" else ids[i - 1 : i + 1][::-1]
+    elif kind == "id equal to D":
+        ids[int(rng.integers(len(ids)))] = d
+    elif kind == "random id":
+        ids[int(rng.integers(len(ids)))] = rng.integers(d + 1)
+    elif kind == "empty row":
+        # a row's weights dropped
+        r = int(rng.choice(np.flatnonzero(counts)))
+        keep = np.ones(len(ids), dtype=bool)
+        keep[starts[r] : starts[r + 1]] = False
+        counts[r], ids, values = 0, ids[keep], values[keep]
+    elif kind == "rows merged":
+        # a row's weights handed to the next row
+        r = int(rng.choice(np.flatnonzero(counts[:-1])))
+        counts[r + 1] += counts[r]
+        counts[r] = 0
+    elif kind == "first id below the previous row's last":
+        # valid: ids only rise within a row
+        first = starts[1:-1]
+        room = np.minimum(ids[first - 1].astype(np.int64),
+                          np.where(counts[1:] >= 2, ids[np.minimum(first + 1, len(ids) - 1)], d))
+        r = int(rng.choice(np.flatnonzero((counts[1:] >= 1) & (first > 0) & (room > 0))))
+        ids[first[r]] = rng.integers(room[r])
+    elif kind == "zero value":
+        values[int(rng.integers(len(values)))] = 0.0
+    else:
+        values[int(rng.integers(len(values)))] = rng.choice([np.nan, np.inf, -np.inf])
+    return (buf[: at["row_nnz"]] + counts.tobytes() + ids.tobytes() + values.tobytes()
+            + buf[at["bias"] :])
+
+
+class TestWeightChecksAgainstScipy:
+    """``load_model`` checks a tree's weight sections at their stored id
+    width, with no int32 copy.  Scipy's full check of such a copy stays
+    here as the oracle (``scipy_accepts_weights``): over seeded edits of
+    the sections, at 2- and 4-byte ids, the load accepts exactly the files
+    the oracle accepts, and rejects the rest with ModelFormatError, which
+    ``predict`` turns into exit 2."""
+
+    KINDS = ["repeated id", "decreasing id", "id equal to D", "random id", "empty row",
+             "rows merged", "first id below the previous row's last", "zero value",
+             "non-finite value"]
+    VALID = ("empty row", "first id below the previous row's last")
+
+    @pytest.fixture(scope="class", params=[(None, 2), (65537, 4)], ids=["u2", "u4"])
+    def saved(self, request, tmp_path_factory):
+        d, id_size = request.param
+        train, _ = grouped_dataset(3, n=120, groups=4, labels_per_group=4)
+        ds = parse_text(dataset_to_text(train if d is None else widened(train, d)))
+        root = tmp_path_factory.mktemp("weights")
+        # a leaf per group: its rows keep the ids of their group's features
+        save_model(train_small(ds, n_trees=1, k=4, d_max=1), root / "m")
+        (root / "data.txt").write_text(dataset_to_text(ds))
+        buf = (root / "m" / "tree_0.bin").read_bytes()
+        at = tree_file_sections(buf, ds.l, ds.d)
+        assert at["id_size"] == id_size and scipy_accepts_weights(buf, at, ds.d)
+        return root, buf, ds.l, ds.d
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_load_agrees_with_scipy(self, saved, tmp_path, capsys, kind):
+        root, buf, l, d = saved
+        model = tmp_path / "m"
+        shutil.copytree(root / "m", model)
+        verdicts = []
+        for seed in range(8):
+            rng = np.random.default_rng([seed, self.KINDS.index(kind)])
+            edited = mutate_weights(kind, rng, buf, tree_file_sections(buf, l, d), d)
+            (model / "tree_0.bin").write_bytes(edited)
+            want = scipy_accepts_weights(edited, tree_file_sections(edited, l, d), d)
+            try:
+                load_model(model)
+                got = True
+            except ModelFormatError as e:
+                assert "bad classifier weights" in str(e)
+                got = False
+            assert got == want, f"seed {seed}"
+            verdicts.append(got)
+            if seed == 0:
+                rc = main(["predict", "--model", str(model), "--data", str(root / "data.txt"),
+                           "--output", str(tmp_path / "pred.txt")])
+                assert rc == (0 if got else 2)
+        capsys.readouterr()
+        assert all(verdicts) if kind in self.VALID else not all(verdicts)
+
+
 def check_invariants(ens):
     """Everything a trained ensemble holds true, read off each tree's arrays."""
     for tree in ens.trees:
@@ -805,8 +931,9 @@ def check_invariants(ens):
         fan_out = np.bincount(parent[1:], minlength=n)
         assert np.array_equal(leaf == 1, fan_out == 0)
         assert sorted(tree.labels.tolist()) == list(range(ens.l))
-        W = tree.W
-        assert isinstance(W, sp.csr_matrix) and W.shape == (nodes["rows"].sum(), ens.d)
+        assert tree.ids.dtype == _id_dtype(ens.d) and tree.indptr.dtype == np.int64
+        W = tree_csr(tree)
+        assert W.shape == (nodes["rows"].sum(), ens.d)
         assert W.dtype == np.float32 and tree.bias.dtype == np.float32
         W.check_format(full_check=True)
         assert W.has_canonical_format
