@@ -3,7 +3,7 @@
 from .data import Dataset, DataFormatError, parse_dataset
 from .metrics import EvalReport, evaluate, fit_propensities
 from .predict import predict_batch, predict_ensemble
-from .tree import Ensemble, TrainConfig, load_model, save_model, train_ensemble
+from .tree import Ensemble, TrainConfig, load_model, train_ensemble
 
 __version__ = "0.1.0"
 
@@ -19,7 +19,6 @@ __all__ = [
     "parse_dataset",
     "predict_batch",
     "predict_ensemble",
-    "save_model",
     "train_ensemble",
     "__version__",
 ]

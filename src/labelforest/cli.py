@@ -24,7 +24,6 @@ from .tree import (
     TrainReport,
     load_model,
     model_file,
-    save_model,
     train_ensemble,
 )
 
@@ -154,11 +153,7 @@ def cmd_train(args) -> int:
         raise UsageError(str(e))
 
     report = TrainReport()
-    # each tree file is written as its tree is trained; meta goes last
-    ens = train_ensemble(ds, config, report, args.model)
-    t_save = time.perf_counter()
-    save_model(ens, args.model)
-    t_end = time.perf_counter()
+    train_ensemble(ds, config, report, args.model)
     log.info(
         "trained %d trees: %d nodes, %d leaves, %d classifiers "
         "(%d with no positives), %d Newton steps, "
@@ -174,8 +169,8 @@ def cmd_train(args) -> int:
     )
     log.info(
         "timings: grow %.2fs, solve %.2fs, save %.2fs, total %.2fs",
-        report.grow_seconds, report.solve_seconds,
-        report.save_seconds + t_end - t_save, t_end - t_start,
+        report.grow_seconds, report.solve_seconds, report.save_seconds,
+        time.perf_counter() - t_start,
     )
     return EXIT_OK
 

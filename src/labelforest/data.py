@@ -66,7 +66,8 @@ def _parse_header(line: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise DataFormatError(f"header must be 'N D L', got {line!r}")
     try:
-        n, d, l = (int(p) for p in parts)
+        # a field off the ids' grammar ("1_0", non-ASCII digits) fails the unpacking
+        n, d, l = (int(p) for p in parts if _INT_TOKEN.fullmatch(p.encode()))
     except ValueError as e:
         raise DataFormatError(f"non-integer header field in {line!r}") from e
     if n < 0 or d < 0 or l < 0:

@@ -13,9 +13,10 @@ every node's inputs are built, and one ``solver.train_nodes`` call solves
 them all, so that small nodes share solve batches.  A trained tree is a
 node table, its labels, its weight rows as CSR arrays and a bias vector
 (``Tree``), and a tree file stores those arrays at the widths they have in
-memory.  Given a model directory, training writes each tree's file as
-soon as the tree is trained and keeps nothing of it, so that it holds one
-tree at a time.
+memory.  Training writes each tree's file to the model directory as soon
+as the tree is trained and keeps nothing of it, so that it holds one tree
+at a time, and writes the meta file last.  A model exists only as its
+directory, which ``load_model`` reads into an ``Ensemble``.
 """
 
 from __future__ import annotations
@@ -133,18 +134,6 @@ class Tree:
         self.child = np.full((len(self.nodes), rank.max(initial=0) + 1), -1, dtype=np.int64)
         self.child[self.nodes["parent"][kids], rank] = kids
 
-    @classmethod
-    def stack(cls, nodes: np.ndarray, labels: np.ndarray, blocks, d: int) -> "Tree":
-        """The tree whose weight rows are ``blocks`` in order, each a (row
-        pointer, feature ids, values, bias) tuple of any dtypes; the ids are
-        cast to the file's width block by block."""
-        ptrs, ids, values, bias = zip(*blocks)
-        indptr = np.cumsum(np.concatenate([[0], *map(np.diff, ptrs)]), dtype=np.int64)
-        return cls(nodes, labels, indptr,
-                   np.concatenate(ids, dtype=_id_dtype(d), casting="unsafe"),
-                   np.concatenate(values, dtype=np.float32),
-                   np.concatenate(bias, dtype=np.float32), d)
-
     def node_labels(self, u: int) -> np.ndarray:
         return self.labels[self.nodes["label_lo"][u] : self.nodes["label_hi"][u]]
 
@@ -174,6 +163,8 @@ class Node(NamedTuple):
 
 @dataclass
 class Ensemble:
+    """A model as ``load_model`` reads it from its directory."""
+
     trees: list[Tree]
     config: TrainConfig
     d: int
@@ -213,7 +204,7 @@ def label_rows(B: sp.csr_matrix, F: sp.csr_matrix, rows: np.ndarray):
     return Bs, solver.compact_columns(take_rows(F, insts))[0]
 
 
-def grow(V, config: TrainConfig, rng, report: TrainReport | None = None):
+def grow(V, config: TrainConfig, rng, report: TrainReport):
     """A tree's node table in preorder (children in cluster order), its
     labels and each node's ``Node``: a node above the depth cap with more
     than K labels is split by spherical k-means on its labels' rows of the
@@ -223,7 +214,6 @@ def grow(V, config: TrainConfig, rng, report: TrainReport | None = None):
     below K; a node whose labels all fall in one cluster is a leaf.  The
     splits and their Lloyd rounds are counted in ``report``."""
     B, F = V
-    report = report if report is not None else TrainReport()
     labels = np.arange(B.shape[0], dtype=np.int64)
     table, nodes = [], []
     stack = [(-1, 0, 0, len(labels))]
@@ -318,22 +308,18 @@ def _train_tree(V, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, se
     return table, labels, solves
 
 
-def train_ensemble(
-    ds: Dataset, config: TrainConfig = TrainConfig(), report: TrainReport | None = None,
-    model_dir=None,
-) -> Ensemble:
-    """Train T trees differing only in their clustering seed.
+def train_ensemble(ds: Dataset, config: TrainConfig, report: TrainReport | None,
+                   model_dir) -> None:
+    """Train T trees differing only in their clustering seed, and write
+    them to ``model_dir`` as a model.
 
     The label representation, the factors B and F, is built once and
     shared; instances are unit-normalized first.  Each tree is trained by
-    ``_train_tree``.  Without ``model_dir``, the returned ensemble holds
-    every tree, its node blocks stacked once into the arrays a loaded tree
-    holds (``Tree.stack``).
-    With it, each tree's file is written to ``model_dir`` as soon as the
-    tree is trained, from the node blocks as they are, and nothing of the
-    tree is kept: the returned ensemble holds no trees, and ``save_model``
-    has only the meta file left to write.  The time spent writing is
-    counted in the report.
+    ``_train_tree``, and its file is written as soon as it is trained, from
+    its node solves as they are; nothing of the tree is kept.  The meta
+    file is written last, so a directory whose writing stopped part-way
+    holds no loadable model.  The time spent writing is counted in the
+    report.
     """
     if ds.l < 1:
         raise DataFormatError("training needs at least one label")
@@ -343,21 +329,20 @@ def train_ensemble(
     repr_ = build_repr(X, ds.Y, config.repr_space)
     V = repr_.B, repr_.F
 
-    trees = []
     for t in range(config.n_trees):
         seed = config.base_seed + t
         log.info("training tree %d/%d (seed %d)", t + 1, config.n_trees, seed)
         table, labels, solves = _train_tree(V, X, idx, config, seed, report)
-        blocks = [(s.W.indptr, s.W.indices, s.W.data, s.bias) for s in solves]
-        if model_dir is None:
-            trees.append(Tree.stack(table, labels, blocks, ds.d))
-        else:
-            t0 = time.perf_counter()
-            _write_tree(model_dir, t, table, labels, blocks, ds.d)
-            report.save_seconds += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        _write_tree(model_dir, t, table, labels,
+                    [(s.W.indptr, s.W.indices, s.W.data, s.bias) for s in solves], ds.d)
+        report.save_seconds += time.perf_counter() - t0
         # nothing of tree t may outlive this pass: tree t + 1 is trained in its memory
-        del solves, blocks
-    return Ensemble(trees, config, ds.d, ds.l)
+        del solves
+    t0 = time.perf_counter()
+    with open(model_file(model_dir), "w", encoding="utf-8") as f:
+        f.write(_meta_lines(config, ds.d, ds.l))
+    report.save_seconds += time.perf_counter() - t0
 
 
 # A model's meta file holds a ``key=value`` line per key, in this order: the format's
@@ -367,9 +352,9 @@ META_KEYS = {"version": None, "T": "n_trees", "K": "k", "d_max": "d_max",
              "delta": "delta", "base_seed": "base_seed"}
 
 
-def _meta_lines(ens: Ensemble) -> str:
-    values = {"version": FORMAT_VERSION, "D": ens.d, "L": ens.l}
-    values.update((key, getattr(ens.config, f)) for key, f in META_KEYS.items() if f)
+def _meta_lines(config: TrainConfig, d: int, l: int) -> str:
+    values = {"version": FORMAT_VERSION, "D": d, "L": l}
+    values.update((key, getattr(config, f)) for key, f in META_KEYS.items() if f)
     return "".join(f"{k}={getattr(values[k], 'value', values[k])}\n" for k in META_KEYS)
 
 
@@ -381,11 +366,12 @@ def model_file(model_dir, t: int | None = None) -> str:
 def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray, blocks,
                 d: int) -> None:
     """Write tree t's file: its node table, its labels, and its weight rows,
-    given as ``Tree.stack``'s blocks: a ``Tree``'s own arrays, or its node
-    solves' CSR arrays.  Each section is written block by block, so the
-    blocks are never stacked.  Before tree 0's file, the directory is made
-    if it is missing, and any meta file and tree files in it are removed:
-    from then until ``save_model`` writes meta last, the directory holds no
+    given as blocks in row order, each a (row pointer, feature ids, values,
+    bias) tuple of any dtypes: its node solves' CSR arrays.  Each section
+    is written block by block, cast to its stored dtype, so the blocks are
+    never stacked.  Before tree 0's file, the directory is made if it is
+    missing, and any meta file and tree files in it are removed: from then
+    until ``train_ensemble`` writes meta last, the directory holds no
     loadable model, and no tree of an older, larger model outlives it."""
     if t == 0:
         os.makedirs(model_dir, exist_ok=True)
@@ -408,18 +394,6 @@ def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray, blocks
         for blocks, dtype in sections:
             for a in blocks:
                 f.write(np.asarray(a, dtype=dtype).data)
-
-
-def save_model(ens: Ensemble, model_dir) -> None:
-    """Write the trees of ``ens``, then its meta file, last: a directory
-    whose writing stopped part-way holds no loadable model.  The trees that
-    ``train_ensemble`` wrote to ``model_dir`` itself are not in ``ens``,
-    and then only meta is written."""
-    for t, tree in enumerate(ens.trees):
-        _write_tree(model_dir, t, tree.nodes, tree.labels,
-                    [(tree.indptr, tree.ids, tree.values, tree.bias)], ens.d)
-    with open(model_file(model_dir), "w", encoding="utf-8") as f:
-        f.write(_meta_lines(ens))
 
 
 def _check_nodes(nodes: np.ndarray, l: int, d_max: int) -> None:

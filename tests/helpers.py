@@ -1,6 +1,8 @@
 """Code that only the tests call: the sparse vector type ``SparseVec`` and
 its ``dot``, building sparse vectors, CSR matrices, label matrices, node
-weight blocks, trees and prediction blocks by hand, reading CSR rows as
+weight blocks, trees and prediction blocks by hand, training a model into
+a directory and loading it, writing an ensemble as a model directory,
+each classifier's duality gap, reading CSR rows as
 sparse vectors and sparse vectors as CSR rows, comparing Datasets,
 per-vector arithmetic, appending a bias column, solving one node's
 classifiers, beam-searching one tree and scoring all of its labels, the
@@ -19,6 +21,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +40,20 @@ from labelforest.predict import (
     logsigmoid,
 )
 from labelforest.solver import NodeSolve, train_nodes
-from labelforest.tree import NODE, Tree, take_rows
+from labelforest.tree import (
+    NODE,
+    Ensemble,
+    TrainConfig,
+    TrainReport,
+    Tree,
+    _id_dtype,
+    _meta_lines,
+    _write_tree,
+    load_model,
+    model_file,
+    take_rows,
+    train_ensemble,
+)
 
 
 @dataclass(frozen=True)
@@ -277,8 +293,41 @@ def build_tree(spec, dim: int) -> Tree:
         table[u] = (parent, depth, isinstance(node, Leaf), lo, len(labels), W.shape[0])
 
     visit(spec, -1, 0)
-    return Tree.stack(np.array(table, dtype=NODE), np.array(labels, dtype=np.int64),
+    return stack_tree(np.array(table, dtype=NODE), np.array(labels, dtype=np.int64),
                       [(W.indptr, W.indices, W.data, bias) for W, bias in blocks], dim)
+
+
+def stack_tree(nodes: np.ndarray, labels: np.ndarray, blocks, d: int) -> Tree:
+    """The tree whose weight rows are ``blocks`` in order, each a (row
+    pointer, feature ids, values, bias) tuple of any dtypes; the ids are
+    cast to the file's width block by block."""
+    ptrs, ids, values, bias = zip(*blocks)
+    indptr = np.cumsum(np.concatenate([[0], *map(np.diff, ptrs)]), dtype=np.int64)
+    return Tree(nodes, labels, indptr,
+                np.concatenate(ids, dtype=_id_dtype(d), casting="unsafe"),
+                np.concatenate(values, dtype=np.float32),
+                np.concatenate(bias, dtype=np.float32), d)
+
+
+def train_model(ds: Dataset, config: TrainConfig, report: TrainReport | None = None,
+                model_dir=None) -> Ensemble:
+    """The model that ``train_ensemble`` writes, as ``load_model`` reads it:
+    trained into ``model_dir``, or into a temporary directory that is gone
+    once the model is loaded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model_dir = tmp if model_dir is None else model_dir
+        train_ensemble(ds, config, report, model_dir)
+        return load_model(model_dir)
+
+
+def write_model(ens: Ensemble, model_dir) -> None:
+    """Write ``ens`` as a model directory, as ``train_ensemble`` does: each
+    tree's file, then meta.  The ensemble may be built or edited by hand."""
+    for t, tree in enumerate(ens.trees):
+        _write_tree(model_dir, t, tree.nodes, tree.labels,
+                    [(tree.indptr, tree.ids, tree.values, tree.bias)], ens.d)
+    with open(model_file(model_dir), "w", encoding="utf-8") as f:
+        f.write(_meta_lines(ens.config, ens.d, ens.l))
 
 
 def tree_csr(tree: Tree) -> sp.csr_matrix:
@@ -416,6 +465,30 @@ def with_bias_feature_oracle(X: sp.csr_matrix):
         shape=(n, len(feats) + 1),
     )
     return Xc, feats
+
+
+def duality_gaps(X: sp.csr_matrix, Y: np.ndarray, W: sp.csr_matrix, bias: np.ndarray,
+                 C: float) -> np.ndarray:
+    """Each column's relative duality gap (P(w) - D(alpha)) / P(w) for the
+    solver's objective P(w) = w.w + C sum_i xi_i^2, xi_i = max(0, 1 - y_i
+    w.x_i), where x_i ends in a bias feature of 1 and w in the column's
+    bias, so that the bias is regularised too.  Its dual is D(alpha) =
+    sum_i alpha_i - |sum_i alpha_i y_i x_i|^2 / 4 - sum_i alpha_i^2 / (4C)
+    for any alpha >= 0 (the L2-loss SVM dual of Hsieh et al., ICML 2008,
+    rescaled to this objective), a lower bound on P at its optimum;
+    alpha_i = 2C xi_i(w) there, so alpha is taken from w.  Needs nothing
+    from the solver: the weights ``W`` (one row per column of the sign
+    matrix ``Y``) and ``bias`` may come from anywhere."""
+    Xb = with_bias_column(sp.csr_matrix(X, dtype=np.float64))
+    Wb = np.column_stack([W.toarray(), bias]).astype(np.float64)
+    signs = Y.astype(np.float64)
+    xi = np.maximum(0.0, 1.0 - signs * (Xb @ Wb.T))
+    primal = np.einsum("jf,jf->j", Wb, Wb) + C * np.einsum("ij,ij->j", xi, xi)
+    alpha = 2.0 * C * xi
+    v = Xb.T @ (alpha * signs)
+    dual = alpha.sum(axis=0) - np.einsum("fj,fj->j", v, v) / 4.0 \
+        - np.einsum("ij,ij->j", alpha, alpha) / (4.0 * C)
+    return (primal - dual) / primal
 
 
 def child_instances_oracle(idx: sp.csr_matrix, labels, assignments, K: int) -> list[np.ndarray]:

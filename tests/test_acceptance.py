@@ -6,6 +6,7 @@ download instructions otherwise; everything else runs on synthetic data.
 
 import math
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -13,13 +14,13 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_dataset
-from helpers import exhaustive_scores, identity_pair, predict_tree, row
+from helpers import exhaustive_scores, identity_pair, predict_tree, row, train_model, write_model
 from labelforest.clustering import _update
 from labelforest.data import parse_dataset
 from labelforest.metrics import PropensityModel, evaluate, fit_propensities
 from labelforest.predict import predict_batch
 from labelforest.representations import ReprSpace, build_repr
-from labelforest.tree import TrainConfig, load_model, save_model, train_ensemble
+from labelforest.tree import TrainConfig, load_model, train_ensemble
 from metrics_oracle import ndcg_at_k, precision_at_k, psndcg_at_k, psp_at_k
 from tron_oracle import BinaryProblem, gradient, objective, train_binary
 
@@ -48,9 +49,11 @@ def eurlex():
 def run_eurlex(eurlex, repr_space, d_max=1, k=100):
     train, test = eurlex
     config = TrainConfig(k=k, d_max=d_max, repr_space=repr_space)
-    t0 = time.perf_counter()
-    ens = train_ensemble(train, config)
-    train_seconds = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as model_dir:
+        t0 = time.perf_counter()
+        train_ensemble(train, config, None, model_dir)
+        train_seconds = time.perf_counter() - t0
+        ens = load_model(model_dir)
     t0 = time.perf_counter()
     preds = predict_batch(ens, test, beam=10, k=5)
     ms_per_instance = 1000.0 * (time.perf_counter() - t0) / test.n
@@ -194,8 +197,7 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
     for trial in range(20):
         ds = random_dataset(2000 + trial, n=40, d=12, l=int(rng.integers(8, 25)))
         config = TrainConfig(n_trees=1, k=4, d_max=2, base_seed=trial)
-        ens = train_ensemble(ds, config)
-        tree = ens.trees[0]
+        tree = train_model(ds, config).trees[0]
         x_ds = random_dataset(3000 + trial, n=1, d=12, l=ds.l)
         x = row(x_ds.X, 0)
         got = predict_tree(tree, x, beam=ds.l, k=5)
@@ -262,7 +264,7 @@ def test_structural_invariants_and_roundtrip_predictions(tmp_path):
         (random_dataset(43, n=80, d=25, l=24), TrainConfig(d_max=1, base_seed=3)),
     ]
     for case_id, (ds, config) in enumerate(cases):
-        ens = train_ensemble(ds, config)
+        ens = train_model(ds, config, model_dir=tmp_path / f"model_{case_id}")
         for tree in ens.trees:
             leaves = np.flatnonzero(tree.nodes["leaf"])
             leaf_labels = np.concatenate([tree.node_labels(u) for u in leaves])
@@ -270,9 +272,9 @@ def test_structural_invariants_and_roundtrip_predictions(tmp_path):
             assert np.array_equal(np.sort(leaf_labels), np.arange(ds.l))
             assert tree.nodes["depth"].max() <= config.d_max
 
-        model_dir = tmp_path / f"model_{case_id}"
-        save_model(ens, model_dir)
-        loaded = load_model(model_dir)
+        # written back and read again, the model predicts the same bits
+        write_model(ens, tmp_path / f"back_{case_id}")
+        loaded = load_model(tmp_path / f"back_{case_id}")
         probe = random_dataset(90 + case_id, n=100, d=ds.d, l=ds.l)
         before = predict_batch(ens, probe, beam=10, k=5)
         after = predict_batch(loaded, probe, beam=10, k=5)

@@ -37,6 +37,8 @@ KNOWN_DEAD = {
     ("metrics", "coverage_at_k"),
     # eval and stats count labels on Y directly
     ("cli", "build_label_index"),
+    # train_ensemble writes meta too, inside the tree.train_ensemble span
+    ("cli", "save_model"),
 }
 
 

@@ -30,6 +30,7 @@ from helpers import (
     row,
     tree_file_sections,
     widened,
+    write_model,
 )
 from metrics_oracle import evaluate_oracle
 from labelforest import cli, solver, tree
@@ -48,7 +49,6 @@ from labelforest.tree import (
     ModelFormatError,
     TrainConfig,
     load_model,
-    save_model,
     train_ensemble,
 )
 
@@ -260,9 +260,8 @@ class TestPipeline:
 
 class TestStreamedTrain:
     """``train`` writes each tree's file as soon as the tree is trained, and
-    meta last: its directory has the bytes of the library route's
-    ``save_model(train_ensemble(...))``, and a run that stops part-way
-    leaves no loadable model."""
+    meta last: its directory has the bytes that ``train_ensemble`` alone
+    writes, and a run that stops part-way leaves no loadable model."""
 
     @pytest.mark.parametrize("n_trees", [1, 2, 3])
     @pytest.mark.parametrize("depth", [1, 2])
@@ -274,22 +273,22 @@ class TestStreamedTrain:
                      "--trees", str(n_trees), "--branch", "4", "--max-depth", str(depth),
                      "--repr", space, "--seed", "5"]) == 0
         config = TrainConfig(n_trees=n_trees, k=4, d_max=depth, repr_space=space, base_seed=5)
-        ens = train_ensemble(parse_dataset(paths["train"]), config)
-        save_model(ens, saved)
-        assert max(t.nodes["depth"].max() for t in ens.trees) == depth
+        train_ensemble(parse_dataset(paths["train"]), config, None, saved)
+        assert max(t.nodes["depth"].max() for t in load_model(saved).trees) == depth
         assert sorted(os.listdir(streamed)) == sorted(os.listdir(saved)) == \
             ["meta"] + [f"tree_{t}.bin" for t in range(n_trees)]
         assert _sha256_of_dir(streamed) == _sha256_of_dir(saved)
 
-    def test_library_route_with_a_directory_keeps_no_tree(self, paths, tmp_path):
-        """Given a directory, ``train_ensemble`` writes the tree files and
-        returns no tree; ``save_model`` then adds meta alone."""
+    def test_library_route_writes_a_loadable_model(self, paths, tmp_path):
+        """``train_ensemble`` alone writes the whole model, meta included,
+        and returns nothing: the directory loads with no further call."""
         model = tmp_path / "m"
         config = TrainConfig(n_trees=2, k=8, base_seed=3)
-        ens = train_ensemble(parse_dataset(paths["train"]), config, None, model)
-        assert ens.trees == [] and sorted(os.listdir(model)) == ["tree_0.bin", "tree_1.bin"]
-        save_model(ens, model)
-        assert load_model(model).config == config
+        ds = parse_dataset(paths["train"])
+        assert train_ensemble(ds, config, None, model) is None
+        assert sorted(os.listdir(model)) == ["meta", "tree_0.bin", "tree_1.bin"]
+        ens = load_model(model)
+        assert (ens.config, ens.d, ens.l, len(ens.trees)) == (config, ds.d, ds.l, 2)
 
     def test_fewer_trees_leave_no_tree_of_the_older_model(self, paths, tmp_path):
         model = tmp_path / "m"
@@ -651,6 +650,14 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "D or L out of range" in capsys.readouterr().err
 
+    def test_header_off_the_id_grammar_is_data_error(self, tmp_path, capsys):
+        """int() reads "\u0661" (an Arabic-Indic one) as 1; the header takes
+        the ids' ASCII grammar only."""
+        f = tmp_path / "digits.txt"
+        f.write_text("\u0661 3 2\n0 0:1.0\n", encoding="utf-8")
+        assert main(["stats", "--data", str(f)]) == 2
+        assert "data error: non-integer header field" in capsys.readouterr().err
+
     def test_header_not_utf8_is_data_error(self, tmp_path, capsys):
         f = tmp_path / "latin1.txt"
         f.write_bytes(b"\xff 3 4\n0 0:1.0\n")
@@ -743,7 +750,7 @@ class TestExitCodes:
             tree.labels[tree.nodes["label_lo"][second_leaf]] = tree.labels[0]
         else:
             tree.labels[0] = ens.l + 7
-        save_model(ens, tmp_path / "model")
+        write_model(ens, tmp_path / "model")
         rc = main(["predict", "--model", str(tmp_path / "model"), "--data", paths["test"],
                    "--output", str(tmp_path / "pred.txt")])
         assert rc == 2
@@ -952,7 +959,7 @@ class TestLoadMemory:
         their arrays outweigh the load's Python objects."""
         ds = random_dataset(0, n=200, d=1000, l=40, density=0.1, label_density=0.1)
         path = tmp_path_factory.mktemp("dense") / "m"
-        save_model(train_ensemble(ds, TrainConfig(k=4, d_max=1, base_seed=0, delta=0.0)), path)
+        train_ensemble(ds, TrainConfig(k=4, d_max=1, base_seed=0, delta=0.0), None, path)
         return str(path)
 
     def test_loaded_arrays_hold_no_file_bytes(self, model):

@@ -51,6 +51,30 @@ class TestParse:
         with pytest.raises(DataFormatError, match="D or L out of range"):
             parse_text(header + "\n")
 
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["N", "D", "L"])
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661", "\uff11", "1\u0660", "0x1", "1.0"],
+                             ids=["underscore", "arabic-indic", "fullwidth", "mixed", "hex",
+                                  "decimal"])
+    def test_header_field_takes_the_id_grammar(self, field, spelling):
+        """A header field is ASCII ``[+-]?[0-9]+``, as an id is: int()
+        alone would read "1_0" as 10 and non-ASCII digits as their value."""
+        parts = ["1", "3", "2"]
+        parts[field] = spelling
+        with pytest.raises(DataFormatError, match="non-integer header field"):
+            parse_text(" ".join(parts) + "\n0 0:1.0\n")
+        with pytest.raises(DataFormatError, match="non-integer header field"):
+            parse_oracle.parse_dataset(io.StringIO(" ".join(parts) + "\n0 0:1.0\n"))
+
+    def test_header_field_past_int_digit_limit_is_rejected(self):
+        """A field of 5,000 digits fits the grammar but not int()'s digit
+        limit; it is a data error, not an internal one."""
+        with pytest.raises(DataFormatError, match="non-integer header field"):
+            parse_text("1" * 5000 + " 3 2\n")
+
+    def test_signed_header_fields_are_read(self):
+        ds = parse_text("+1 +3 2\n0 0:1.0\n")
+        assert (ds.n, ds.d, ds.l) == (1, 3, 2)
+
     def test_header_d_and_l_of_2_pow_32_are_read(self):
         ds = parse_text(f"0 {2**32} {2**32}\n")
         assert (ds.n, ds.d, ds.l) == (0, 2**32, 2**32)

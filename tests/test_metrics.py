@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforest.metrics import EvalReport, PropensityModel, evaluate, fit_propensities
-from helpers import label_matrix, ranked, row
+from helpers import label_matrix, ranked, row, train_model
 from metrics_oracle import (
     coverage_at_k,
     evaluate_oracle,
@@ -312,11 +312,11 @@ class TestEvaluateOracle:
 
     def test_scored_labels_rows(self, grouped_train, grouped_test):
         from labelforest.predict import predict_batch
-        from labelforest.tree import TrainConfig, train_ensemble
+        from labelforest.tree import TrainConfig
 
         train, _ = grouped_train
         test, _ = grouped_test
-        ens = train_ensemble(train, TrainConfig(n_trees=1, k=4))
+        ens = train_model(train, TrainConfig(n_trees=1, k=4))
         preds = predict_batch(ens, test, k=5)
         truths = [row(test.Y, i).indices for i in range(test.n)]
         prop = fit_propensities(np.bincount(train.Y.indices, minlength=train.l), train.n)

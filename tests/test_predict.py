@@ -23,7 +23,7 @@ from labelforest.predict import (
     write_predictions,
 )
 from labelforest.sparse import SparseRowMatrix
-from labelforest.tree import Ensemble, TrainConfig, load_model, save_model, train_ensemble
+from labelforest.tree import Ensemble, TrainConfig, load_model, train_ensemble
 
 from conftest import grouped_dataset
 from helpers import (
@@ -37,6 +37,7 @@ from helpers import (
     exhaustive_scores,
     node_child_prob,
     predict_tree,
+    train_model,
     vec_from_pairs,
 )
 
@@ -97,7 +98,7 @@ class TestPredictTree:
 
     def test_beam_at_fanout_equals_exhaustive(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=2, base_seed=2))
+        ens = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=2, base_seed=2))
         tree = ens.trees[0]
         for trial in range(20):
             x = unit_x(100 + trial, ds.d)
@@ -135,7 +136,7 @@ class TestPredictTree:
 
     def test_scores_in_unit_interval_and_sorted(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=3))
+        ens = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=3))
         for trial in range(10):
             res = predict_tree(ens.trees[0], unit_x(trial, ds.d), beam=3, k=10)
             assert np.all(res.scores > 0) and np.all(res.scores <= 1)
@@ -143,7 +144,7 @@ class TestPredictTree:
 
     def test_monotone_beam_property(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=2, base_seed=4))
+        ens = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=2, base_seed=4))
         tree = ens.trees[0]
         for trial in range(10):
             x = unit_x(200 + trial, ds.d)
@@ -158,7 +159,7 @@ class TestPredictTree:
 class TestPredictEnsemble:
     def test_single_tree_identity(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=5))
+        ens = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=5))
         for trial in range(5):
             x = unit_x(300 + trial, ds.d)
             a = predict_tree(ens.trees[0], x, beam=3, k=5)
@@ -180,7 +181,7 @@ class TestPredictEnsemble:
 
     def test_identical_trees_equal_single(self, grouped_train):
         ds, _ = grouped_train
-        one = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=6))
+        one = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=6))
         tripled = Ensemble([one.trees[0]] * 3, one.config, one.d, one.l)
         for trial in range(5):
             x = csr_row(unit_x(400 + trial, ds.d))
@@ -330,7 +331,7 @@ class TestPredictBatch:
     def test_matches_reference_route(self, grouped_train, grouped_test):
         train, _ = grouped_train
         test, _ = grouped_test
-        ens = train_ensemble(train, TrainConfig(n_trees=3, k=3, d_max=2, base_seed=7))
+        ens = train_model(train, TrainConfig(n_trees=3, k=3, d_max=2, base_seed=7))
         for beam, k in [(1, 3), (3, 5), (8, 5)]:
             X = prepare_features(ens, test)
             batch = predict_batch(ens, test, beam=beam, k=k)
@@ -344,7 +345,7 @@ class TestPredictBatch:
 
     def test_accepts_dataset_and_checks_dim(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=8))
+        ens = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=8))
         out = predict_batch(ens, ds, beam=3, k=5)
         assert len(out) == ds.n
         bad, _ = grouped_dataset(9, n=5, feats_per_group=9)
@@ -356,8 +357,7 @@ class TestPredictBatch:
         load, predict, the prediction file and evaluate, never loads
         ``labelforest.sparse``: it has no sparse type but scipy's."""
         ds, _ = grouped_train
-        save_model(train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=1)),
-                   tmp_path / "m")
+        train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=1), None, tmp_path / "m")
         (tmp_path / "data.txt").write_text(dataset_to_text(ds))
         code = (
             "import sys, labelforest.cli\n"
@@ -379,7 +379,7 @@ class TestPredictBatch:
 
     def test_parameter_validation(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=9))
+        ens = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=9))
         with pytest.raises(ValueError):
             predict_batch(ens, ds, beam=0, k=5)
         with pytest.raises(ValueError):
@@ -390,7 +390,7 @@ class TestPredictBatch:
         train, _ = grouped_train
         test, _ = grouped_test
         assert test.n >= 11 and test.n % 4  # several blocks, the last one short
-        ens = train_ensemble(train, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=10))
+        ens = train_model(train, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=10))
         monkeypatch.setattr(predict, "BLOCK_ROWS", test.n)
         whole = predict_batch(ens, test, beam=3, k=5)
         monkeypatch.setattr(predict, "BLOCK_ROWS", 4)
@@ -406,7 +406,7 @@ class TestPredictBatch:
     def test_row_slices_match_one_slice(self, grouped_train, grouped_test, monkeypatch):
         train, _ = grouped_train
         test, _ = grouped_test
-        ens = train_ensemble(train, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=10))
+        ens = train_model(train, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=10))
         X = prepare_features(ens, test)
         assert test.n <= predict.BLOCK_ROWS and test.n % 4  # one block, cut unevenly by 4
         w = len(np.unique(np.concatenate([tree.node_labels(u) for tree in ens.trees
@@ -437,7 +437,7 @@ class TestPredictBatch:
 
     def test_empty_dataset_gives_empty_block(self, grouped_train):
         ds, _ = grouped_train
-        ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=11))
+        ens = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=1, base_seed=11))
         empty = Dataset(sp.csr_matrix((0, ds.d)), sp.csr_matrix((0, ds.l)))
         out = predict_batch(ens, empty, beam=3, k=5)
         assert len(out) == 0 and out.labels.shape == (0, 5)
@@ -446,7 +446,7 @@ class TestPredictBatch:
         self, grouped_train, tmp_path, monkeypatch
     ):
         ds, _ = grouped_train
-        ens = train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=12))
+        ens = train_model(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=12))
         built = []
         check = ScoredLabels.__post_init__
 

@@ -20,14 +20,16 @@ from labelforest.solver import (
     compact_columns,
     train_nodes,
 )
-from labelforest.tree import TrainConfig, TrainReport, train_ensemble
+from labelforest.tree import TrainConfig, TrainReport
 
 from conftest import grouped_dataset
 from helpers import (
     compact_columns_oracle,
+    duality_gaps,
     random_csr,
     row_weights,
     same_csr_bits,
+    train_model,
     train_node,
     tree_csr,
     weights_block,
@@ -364,7 +366,7 @@ class TestBatchedAgainstOracle:
         test, _ = grouped_dataset(32, n=80, groups=6, labels_per_group=5)
         config = TrainConfig(n_trees=2, k=3, d_max=2, base_seed=4)
         report = TrainReport()
-        ens = train_ensemble(train, config, report)
+        ens = train_model(train, config, report)
 
         oracle_iters = []
 
@@ -387,7 +389,7 @@ class TestBatchedAgainstOracle:
         pruned, oracle_cg = [], []
         monkeypatch.setattr(tree, "train_nodes", oracle_nodes)
         ref_report = TrainReport()
-        ref = train_ensemble(train, config, ref_report)
+        ref = train_model(train, config, ref_report)
         assert report.n_newton_iters == int(np.concatenate(oracle_iters).sum())
         assert report.n_cg_iters == int(np.concatenate(oracle_cg).sum()) > 0
         assert report.n_weights_pruned == ref_report.n_weights_pruned == sum(pruned) > 0
@@ -597,9 +599,9 @@ class TestInstanceCoordinates:
         train = Dataset(X, ds.Y)
         config = TrainConfig(n_trees=2, k=3, d_max=2, base_seed=6)
         report, feat_report = TrainReport(), TrainReport()
-        ens = train_ensemble(train, config, report)
+        ens = train_model(train, config, report)
         with in_feature_coordinates():
-            feat = train_ensemble(train, config, feat_report)
+            feat = train_model(train, config, feat_report)
         assert 0 < report.n_instance_nodes < report.n_nodes
         assert report.n_newton_iters == feat_report.n_newton_iters
         assert report.n_cg_iters == feat_report.n_cg_iters > report.n_newton_iters
@@ -789,6 +791,40 @@ class TestTrainNodes:
             Xc = with_bias_column(X)
             want = (Xc @ Xc.T).toarray()
             assert K.shape == want.shape and K.tobytes() == want.tobytes()
+
+
+class TestDualityGap:
+    """Each trained column's duality gap (``helpers.duality_gaps``), which
+    bounds its distance from its own problem's optimum with no reference
+    to the solver or its stop rule, on random nodes of 5-80 rows, 40
+    features and 1-5 columns, at C of 1 and 10."""
+
+    @staticmethod
+    def node_gaps(eps, delta):
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 16])
+            n, m = int(rng.integers(5, 81)), int(rng.integers(1, 6))
+            X, Y = random_node(rng, n, 40, 5)
+            for C in (1.0, 10.0):
+                sol = train_node(X, Y[:, :m], C=C, eps=eps, delta=delta)
+                yield duality_gaps(X, Y[:, :m], sol.W, sol.bias, C)
+
+    @pytest.mark.parametrize("eps, delta", [(0.1, 0.01), (1e-6, 0.0)])
+    def test_weak_duality(self, eps, delta):
+        """The gap is never negative, pruned or not, however early the
+        columns stop."""
+        gaps = np.concatenate(list(self.node_gaps(eps, delta)))
+        assert len(gaps) > 40 and gaps.min() >= 0
+
+    def test_tight_stop_closes_the_gap(self):
+        """At eps = 1e-6 and no pruning every column's gap is at most 1e-6.
+        The largest seen is 2.9e-7, on a column of one sign only, and
+        other columns stay below 2e-8; at eps = 1e-8 every gap is below
+        2e-10.  The default eps = 0.1 leaves a median gap of 6.3 here and
+        a largest of 334, a bound that waits for the class-balanced stop
+        test."""
+        gaps = np.concatenate(list(self.node_gaps(1e-6, 0.0)))
+        assert gaps.max() <= 1e-6
 
 
 class TestGradient:

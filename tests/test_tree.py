@@ -33,7 +33,6 @@ from labelforest.tree import (
     grow,
     load_model,
     node_problem,
-    save_model,
     take_rows,
     train_ensemble,
     train_node_classifiers,
@@ -58,7 +57,9 @@ from helpers import (
     same_weight_bits,
     tree_csr,
     tree_file_sections,
+    train_model,
     widened,
+    write_model,
 )
 
 
@@ -66,12 +67,12 @@ def parse_text(text):
     return parse_dataset(io.StringIO(text))
 
 
-def train_small(ds, **kw):
+def train_small(ds, model_dir=None, **kw):
     kw.setdefault("n_trees", 1)
     kw.setdefault("k", 3)
     kw.setdefault("d_max", 2)
     kw.setdefault("base_seed", 0)
-    return train_ensemble(ds, TrainConfig(**kw))
+    return train_model(ds, TrainConfig(**kw), model_dir=model_dir)
 
 
 def brute_instance_set(ds, labels, parent_set):
@@ -88,7 +89,7 @@ def grow_nodes(ds, **kw):
     config = TrainConfig(**{"n_trees": 1, "k": 3, "d_max": 2, "base_seed": 0, **kw})
     r = build_repr(normalize_instances(ds), ds.Y, config.repr_space)
     rng = np.random.default_rng(config.base_seed)
-    return grow((r.B, r.F), config, rng)
+    return grow((r.B, r.F), config, rng, TrainReport())
 
 
 class TestGrow:
@@ -131,9 +132,9 @@ class TestGrow:
         Y = sp.hstack([ds.Y, sp.csr_matrix((ds.n, 12), dtype=ds.Y.dtype)], format="csr")
         r = build_repr(normalize_instances(ds), Y, space)
         config = TrainConfig(n_trees=1, k=3, d_max=3)
-        table, labels, _ = grow((r.B, r.F), config, np.random.default_rng(0))
+        table, labels, _ = grow((r.B, r.F), config, np.random.default_rng(0), TrainReport())
         want_table, want_labels, _ = grow(identity_pair(r.matrix), config,
-                                          np.random.default_rng(0))
+                                          np.random.default_rng(0), TrainReport())
         assert table.tobytes() == want_table.tobytes() and len(table) > 10
         assert labels.tobytes() == want_labels.tobytes()
 
@@ -239,7 +240,8 @@ class TestNodeInputsAgainstOracles:
 
         V = identity_pair(sp.csr_matrix(np.arange(1.0, 15.0)[:, None]))
         with mock.patch.object(tree, "kmeans_partition", partition):
-            table, ordered, nodes = grow(V, TrainConfig(k=K, d_max=3), np.random.default_rng(0))
+            table, ordered, nodes = grow(V, TrainConfig(k=K, d_max=3), np.random.default_rng(0),
+                                        TrainReport())
         u = next(u for u, node in enumerate(nodes) if np.array_equal(np.sort(node.labels), labels))
         kids = table[table["parent"] == u]
         want = child_instances_oracle(idx, labels, assignments, K)
@@ -281,7 +283,7 @@ class TestNodeInputsAgainstOracles:
             return Partition(a, np.zeros((K, 1)), 1, 0.0)
 
         with mock.patch.object(tree, "kmeans_partition", partition):
-            table, labels, nodes = grow(V, config, np.random.default_rng(seed))
+            table, labels, nodes = grow(V, config, np.random.default_rng(seed), TrainReport())
         want_table, want_labels, carried = grow_oracle(idx, V, n_insts, config,
                                                        np.random.default_rng(seed), partition)
         assert table.tobytes() == want_table.tobytes()
@@ -359,16 +361,16 @@ class TestClassifiers:
         ds = parse_text("3 2 4\n0 0:1.0\n1 0:1.0 1:0.5\n2 1:1.0\n")
         # label 3 never occurs
         report = TrainReport()
-        train_ensemble(ds, TrainConfig(n_trees=1, k=100, base_seed=0), report)
+        train_model(ds, TrainConfig(n_trees=1, k=100, base_seed=0), report)
         assert report.n_zero_positive >= 1
 
     def test_newton_steps_and_cap_counted(self, grouped_train, monkeypatch):
         ds, _ = grouped_train
         capped, free = TrainReport(), TrainReport()
         config = TrainConfig(n_trees=1, k=3, d_max=1, base_seed=0, eps=1e-6)
-        train_ensemble(ds, config, free)
+        train_model(ds, config, free)
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
-        train_ensemble(ds, config, capped)
+        train_model(ds, config, capped)
         assert capped.n_not_converged > 0
         assert 0 < capped.n_newton_iters <= capped.n_classifiers
         assert free.n_not_converged == 0
@@ -378,8 +380,8 @@ class TestClassifiers:
         ds, _ = grouped_train
         cfg = dict(n_trees=2, k=3, d_max=2, base_seed=0)
         pruned, whole = TrainReport(), TrainReport()
-        ens = train_ensemble(ds, TrainConfig(delta=0.01, **cfg), pruned)
-        train_ensemble(ds, TrainConfig(delta=0.0, **cfg), whole)
+        ens = train_model(ds, TrainConfig(delta=0.01, **cfg), pruned)
+        train_model(ds, TrainConfig(delta=0.0, **cfg), whole)
         kept = sum(len(t.ids) for t in ens.trees)
         assert pruned.n_weights_kept == kept > 0
         assert pruned.n_weights_pruned > 0 and whole.n_weights_pruned == 0
@@ -398,8 +400,8 @@ class TestEnsemble:
         ds, _ = grouped_train
         cfg = TrainConfig(n_trees=2, k=3, d_max=1, base_seed=11)
         a, b = tmp_path / "a", tmp_path / "b"
-        save_model(train_ensemble(ds, cfg), a)
-        save_model(train_ensemble(ds, cfg), b)
+        train_ensemble(ds, cfg, None, a)
+        train_ensemble(ds, cfg, None, b)
         for name in ("meta", "tree_0.bin", "tree_1.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -436,8 +438,8 @@ class TestEnsemble:
 
         config = TrainConfig(n_trees=2, k=3, d_max=2, repr_space=space, base_seed=0)
         with mock.patch.object(LabelRepr, "matrix", property(formed)):
-            got = train_ensemble(ds, config)
-        want = train_ensemble(ds, config)
+            got = train_model(ds, config)
+        want = train_model(ds, config)
         assert len(got.trees) == 2 and all(len(t.nodes) > 1 for t in got.trees)
         for g, w in zip(got.trees, want.trees):
             assert same_weight_bits(g, w)
@@ -450,7 +452,7 @@ class TestEnsemble:
         ds, _ = grouped_train
         assert TrainConfig(repr_space=space.value).repr_space is space
         for name, value in (("by_name", space.value), ("by_member", space)):
-            save_model(train_small(ds, n_trees=2, repr_space=value), tmp_path / name)
+            train_small(ds, tmp_path / name, n_trees=2, repr_space=value)
         for name in ("meta", "tree_0.bin", "tree_1.bin"):
             assert (tmp_path / "by_name" / name).read_bytes() == \
                 (tmp_path / "by_member" / name).read_bytes()
@@ -466,7 +468,7 @@ class TestEnsemble:
                              delta=np.float64(0.02), base_seed=np.uint8(5))
         for field in fields(TrainConfig):
             assert type(getattr(config, field.name)) in (int, float, ReprSpace), field.name
-        save_model(train_ensemble(ds, config), tmp_path / "m")
+        train_ensemble(ds, config, None, tmp_path / "m")
         assert "C=1.0\n" in (tmp_path / "m" / "meta").read_text()
         assert load_model(tmp_path / "m").config == config == TrainConfig(
             n_trees=2, k=3, d_max=2, c=1.0, eps=0.25, delta=0.02, base_seed=5)
@@ -478,10 +480,11 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="not an integer"):
             TrainConfig(**{field: value})
 
-    def test_zero_label_dataset_rejected(self):
+    def test_zero_label_dataset_rejected(self, tmp_path):
         ds = parse_text("1 1 0\n 0:1.0\n")
         with pytest.raises(ValueError):
-            train_ensemble(ds, TrainConfig(n_trees=1))
+            train_ensemble(ds, TrainConfig(n_trees=1), None, tmp_path / "m")
+        assert not (tmp_path / "m").exists()
 
 
 class TestTrainMemory:
@@ -513,7 +516,7 @@ class TestTrainMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            save_model(train_ensemble(ds, config, None, model_dir), model_dir)
+            train_ensemble(ds, config, None, model_dir)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -560,46 +563,42 @@ def _base_chain(a: np.ndarray):
 
 class TestModelStore:
     def test_round_trip_structure(self, grouped_train, tmp_path):
+        """A trained model loads with its data's D and L and its settings,
+        and a loaded model written back has the bytes it was read from."""
         ds, _ = grouped_train
-        ens = train_small(ds, n_trees=2, d_max=2)
-        save_model(ens, tmp_path / "m")
-        back = load_model(tmp_path / "m")
-        assert (back.d, back.l) == (ds.d, ds.l)
-        assert back.config.k == ens.config.k
-        assert back.config.repr_space is ens.config.repr_space
-        assert back.config.base_seed == ens.config.base_seed
+        config = TrainConfig(n_trees=2, k=3, d_max=2, base_seed=0)
+        ens = train_model(ds, config, model_dir=tmp_path / "m")
+        assert (ens.d, ens.l, ens.config) == (ds.d, ds.l, config)
         assert max(t.nodes["depth"].max() for t in ens.trees) == 2
-        assert_same_trees(ens, back)
+        write_model(ens, tmp_path / "back")
+        for name in ("meta", "tree_0.bin", "tree_1.bin"):
+            assert (tmp_path / "m" / name).read_bytes() == (tmp_path / "back" / name).read_bytes()
+        assert_same_trees(ens, load_model(tmp_path / "back"))
 
     @pytest.mark.parametrize("d, id_size", [(65536, 2), (65537, 4)])
     def test_round_trip_at_id_width_boundary(self, tmp_path, d, id_size):
         """A split whose header has D = 65,536 stores 2-byte feature ids,
         one with D = 65,537 4-byte ids, and the top feature id D - 1 is
-        among the kept weights.  Either loads as the trained arrays, and
-        the trained and the loaded trees hold their ids at that width in
-        memory.  Both predict the bits of the same trees holding int32 ids,
-        scipy's own width."""
+        among the kept weights.  The loaded trees hold their ids at that
+        width in memory, and predict the bits of the same trees holding
+        int32 ids, scipy's own width."""
         train, _ = grouped_dataset(3, n=120, groups=4, labels_per_group=4)
         ds = parse_text(dataset_to_text(widened(train, d)))
-        ens = train_small(ds, n_trees=2, d_max=1)
+        ens = train_small(ds, tmp_path / "m", n_trees=2, d_max=1)
         assert ens.trees[0].ids.max() == d - 1
-        save_model(ens, tmp_path / "m")
         for t in range(2):
             buf = (tmp_path / "m" / f"tree_{t}.bin").read_bytes()
             at = tree_file_sections(buf, ds.l, d)
             assert (at["id_size"], at["end"]) == (id_size, len(buf))
-        back = load_model(tmp_path / "m")
-        assert_same_trees(ens, back)
-        assert all(t.ids.dtype == np.dtype(f"<u{id_size}") for t in ens.trees + back.trees)
+        assert all(t.ids.dtype == np.dtype(f"<u{id_size}") for t in ens.trees)
         wide = replace(ens, trees=[replace(t, ids=t.ids.astype(np.int32)) for t in ens.trees])
-        want = predict_batch(wide, ds)
-        for got in (predict_batch(ens, ds), predict_batch(back, ds)):
-            assert got.labels.tobytes() == want.labels.tobytes()
-            assert got.scores.tobytes() == want.scores.tobytes()
+        want, got = predict_batch(wide, ds), predict_batch(ens, ds)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_bad_magic_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
-        save_model(train_small(ds), tmp_path / "m")
+        train_small(ds, tmp_path / "m")
         p = tmp_path / "m" / "tree_0.bin"
         p.write_bytes(b"XXXX" + p.read_bytes()[4:])
         with pytest.raises(ModelFormatError, match="magic"):
@@ -607,7 +606,7 @@ class TestModelStore:
 
     def test_bad_version_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
-        save_model(train_small(ds), tmp_path / "m")
+        train_small(ds, tmp_path / "m")
         meta = (tmp_path / "m" / "meta").read_text()
         meta = meta.replace(f"version={FORMAT_VERSION}", "version=9")
         (tmp_path / "m" / "meta").write_text(meta)
@@ -616,7 +615,7 @@ class TestModelStore:
 
     def test_truncated_file_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
-        save_model(train_small(ds), tmp_path / "m")
+        train_small(ds, tmp_path / "m")
         p = tmp_path / "m" / "tree_0.bin"
         p.write_bytes(p.read_bytes()[:-6])
         with pytest.raises(ModelFormatError):
@@ -627,7 +626,7 @@ class TestModelStore:
         """Every size check passes when ``os.fstat`` overstates the size, so
         the short read of the last section is what rejects the file."""
         ds, _ = grouped_train
-        save_model(train_small(ds), tmp_path / "m")
+        train_small(ds, tmp_path / "m")
         p = tmp_path / "m" / "tree_0.bin"
         p.write_bytes(p.read_bytes()[:-6])
         fstat = os.fstat
@@ -648,7 +647,7 @@ class TestModelStore:
             "trailing bytes"])
     def test_bad_weight_block_rejected(self, grouped_train, tmp_path, edit, match):
         ds, _ = grouped_train
-        save_model(train_small(ds), tmp_path / "m")
+        train_small(ds, tmp_path / "m")
         p = tmp_path / "m" / "tree_0.bin"
         buf = bytearray(p.read_bytes())
         at = tree_file_sections(buf, ds.l, ds.d)
@@ -662,7 +661,7 @@ class TestModelStore:
     @pytest.mark.parametrize("line", ["C=nan", "C=inf", "delta=nan"])
     def test_non_finite_meta_rejected(self, grouped_train, tmp_path, line):
         ds, _ = grouped_train
-        save_model(train_small(ds), tmp_path / "m")
+        train_small(ds, tmp_path / "m")
         meta = (tmp_path / "m" / "meta").read_text().splitlines()
         key = line.split("=")[0] + "="
         meta = [line if m.startswith(key) else m for m in meta]
@@ -678,7 +677,7 @@ class TestModelStore:
         """Since format v4 a meta file has no ``normalize`` key (instances are
         always unit-normalized) and needs ``eps``; ``extra=None`` drops eps."""
         ds, _ = grouped_train
-        save_model(train_small(ds), tmp_path / "m")
+        train_small(ds, tmp_path / "m")
         meta = (tmp_path / "m" / "meta").read_text().splitlines()
         assert [m.partition("=")[0] for m in meta] == list(META_KEYS)
         meta = meta + [extra] if extra else [m for m in meta if not m.startswith("eps=")]
@@ -688,9 +687,8 @@ class TestModelStore:
 
     def test_node_deeper_than_d_max_rejected(self, grouped_train, tmp_path):
         ds, _ = grouped_train
-        ens = train_small(ds, d_max=2)
+        ens = train_small(ds, tmp_path / "m", d_max=2)
         assert ens.trees[0].nodes["depth"].max() == 2
-        save_model(ens, tmp_path / "m")
         meta = (tmp_path / "m" / "meta").read_text().replace("d_max=2", "d_max=1")
         (tmp_path / "m" / "meta").write_text(meta)
         with pytest.raises(ModelFormatError, match="exceeds d_max=1"):
@@ -716,7 +714,7 @@ class TestModelStore:
         ds, _ = grouped_train
         ens = train_small(ds, d_max=1)
         edit(ens.trees[0], ds.l)
-        save_model(ens, tmp_path / "m")
+        write_model(ens, tmp_path / "m")
         with pytest.raises(ModelFormatError, match=match):
             load_model(tmp_path / "m")
 
@@ -741,14 +739,12 @@ class TestNodeTableRules:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory, grouped_train):
         ds, _ = grouped_train
-        ens = train_small(ds, d_max=2)
-        nodes = ens.trees[0].nodes
+        path = tmp_path_factory.mktemp("rules") / "m"
+        nodes = train_small(ds, path, d_max=2).trees[0].nodes
         # node 1 is internal, and its first child is node 2, a leaf; both
         # start at label 0
         assert nodes["leaf"][1] == 0 and nodes["parent"][2] == 1 and nodes["leaf"][2] == 1
         assert nodes["label_lo"][2] == 0
-        path = tmp_path_factory.mktemp("rules") / "m"
-        save_model(ens, path)
         return path
 
     @pytest.mark.parametrize("field, node, value, match", [
@@ -886,7 +882,7 @@ class TestWeightChecksAgainstScipy:
         ds = parse_text(dataset_to_text(train if d is None else widened(train, d)))
         root = tmp_path_factory.mktemp("weights")
         # a leaf per group: its rows keep the ids of their group's features
-        save_model(train_small(ds, n_trees=1, k=4, d_max=1), root / "m")
+        train_small(ds, root / "m", n_trees=1, k=4, d_max=1)
         (root / "data.txt").write_text(dataset_to_text(ds))
         buf = (root / "m" / "tree_0.bin").read_bytes()
         at = tree_file_sections(buf, ds.l, ds.d)
@@ -956,9 +952,8 @@ def check_invariants(ens):
 def fuzz_model(tmp_path_factory):
     """A saved two-level model with the features of its own training rows."""
     ds, _ = grouped_dataset(5, n=120, groups=4, labels_per_group=4)
-    ens = train_ensemble(ds, TrainConfig(n_trees=1, k=3, d_max=2, base_seed=0))
     path = tmp_path_factory.mktemp("fuzz") / "m"
-    save_model(ens, path)
+    ens = train_model(ds, TrainConfig(n_trees=1, k=3, d_max=2, base_seed=0), model_dir=path)
     files = {name: (path / name).read_bytes() for name in ("meta", "tree_0.bin")}
     return files, prepare_features(ens, ds)
 
