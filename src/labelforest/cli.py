@@ -18,14 +18,7 @@ from .data import DataFormatError, Dataset, label_frequency_histogram, parse_dat
 from .metrics import DEFAULT_A, DEFAULT_B, PropensityModel, evaluate, fit_propensities
 from .predict import predict_batch, read_predictions, write_predictions
 from .representations import ReprSpace
-from .tree import (
-    ModelFormatError,
-    TrainConfig,
-    TrainReport,
-    load_model,
-    model_file,
-    train_ensemble,
-)
+from .tree import TrainConfig, TrainReport, load_model, model_file, train_ensemble
 
 log = logging.getLogger("labelforest")
 
@@ -267,7 +260,11 @@ def cmd_stats(args) -> int:
     print(f"L {l}")
     print(f"APpL {appl:.2f}")
     print(f"ALpP {alpp:.2f}")
-    label_frequency_histogram(freqs, sys.stdout if args.output is None else args.output)
+    if args.output is None:
+        label_frequency_histogram(freqs, sys.stdout)
+    else:
+        with open(args.output, "w", encoding="utf-8") as f:
+            label_frequency_histogram(freqs, f)
     return EXIT_OK
 
 
@@ -283,7 +280,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    except (DataFormatError, ModelFormatError, OSError) as e:
+    except (DataFormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # pragma: no cover - defensive

@@ -62,11 +62,14 @@ class Dataset:
 
 
 def _parse_header(line: str) -> tuple[int, int, int]:
+    if not line.isascii():
+        # str.split() would also split on Unicode spaces, which no body line does
+        raise DataFormatError(f"non-integer header field in {line!r}")
     parts = line.split()
     if len(parts) != 3:
         raise DataFormatError(f"header must be 'N D L', got {line!r}")
     try:
-        # a field off the ids' grammar ("1_0", non-ASCII digits) fails the unpacking
+        # a field off the ids' grammar ("1_0", "0x1") fails the unpacking
         n, d, l = (int(p) for p in parts if _INT_TOKEN.fullmatch(p.encode()))
     except ValueError as e:
         raise DataFormatError(f"non-integer header field in {line!r}") from e
@@ -139,12 +142,15 @@ def _scan_decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, point: bool)
 
 def _read_ints(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Value and well-formedness of each span read as an integer; a value
-    beyond int64 reads as -1, outside every id range."""
+    beyond int64 reads as -1, outside every id range.  int() reads at most
+    the 19 significant digits of int64, so no id meets int()'s digit limit."""
     mant, _, _, ok, long = _scan_decimals(buf, lo, hi, point=False)
     for i in np.flatnonzero(long):
         tok = buf[lo[i]:hi[i]].tobytes()
         if _INT_TOKEN.fullmatch(tok):
-            value = int(tok)
+            sign = b"-" if tok.startswith(b"-") else b""
+            digits = tok.lstrip(b"+-").lstrip(b"0") or b"0"
+            value = int(sign + digits) if len(digits) <= 19 else -1
             mant[i] = value if -(2**63) <= value < 2**63 else -1
             ok[i] = True
     return mant, ok
@@ -172,25 +178,16 @@ def _text(buf: np.ndarray, lo: int, hi: int) -> str:
 
 
 def parse_dataset(source) -> Dataset:
-    """Parse a dataset from a path or a text or binary stream.
+    """Parse the dataset file at the path ``source``.
 
     Duplicate feature ids within a line are an error; duplicate labels are
     deduplicated and counted; explicit zero feature values are dropped and
     counted; lines with an empty label list are kept as unlabeled instances.
-    CR and CRLF line endings read as LF.  Ids are ASCII ``[+-]digits``;
-    values are ASCII spellings that float() accepts.
+    CR and CRLF line endings read as LF.  Ids and the header's counts are
+    ASCII ``[+-]digits``; values are ASCII spellings that float() accepts.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
-        if isinstance(raw, str):
-            raw = raw.encode("utf-8", "surrogatepass")
-    else:
-        with open(source, "rb") as f:
-            raw = f.read()
-    return _parse_buffer(raw)
-
-
-def _parse_buffer(raw: bytes) -> Dataset:
+    with open(source, "rb") as f:
+        raw = f.read()
     if not raw:
         raise DataFormatError("empty input: missing header")
     if b"\r" in raw:
@@ -362,12 +359,8 @@ def build_label_index(ds: Dataset) -> sp.csr_matrix:
 
 def label_frequency_histogram(counts, sink) -> None:
     """Write (rank, frequency) rows of the per-label ``counts``, sorted by
-    descending frequency, to a path or a text stream."""
+    descending frequency, to the open text stream ``sink``."""
     freqs = np.sort(np.asarray(counts))[::-1]
-    if not hasattr(sink, "write"):
-        with open(sink, "w", encoding="utf-8") as f:
-            label_frequency_histogram(freqs, f)
-        return
     for rank, c in enumerate(freqs, start=1):
         sink.write(f"{rank} {c}\n")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import DataFormatError, Dataset, normalize_instances
+from .data import _INT_TOKEN, DataFormatError, Dataset, normalize_instances
 from .solver import take_rows
 from .tree import Ensemble, Tree
 
@@ -37,8 +37,6 @@ BLOCK_ROWS = 512
 # Bytes of one ranking accumulator: a block is ranked in row slices of at
 # most max(1, ACC_BYTES // (8 w)) rows, w the labels the block reaches.
 ACC_BYTES = 4 << 20
-
-_LABEL_ID = re.compile(r"[+-]?[0-9]+")  # as the data parser spells ids
 
 
 @dataclass(frozen=True)
@@ -289,7 +287,7 @@ def read_predictions(path) -> Predictions:
             lab, sep, score = tok.partition(":")
             if not sep:
                 raise DataFormatError(f"line {lineno}: malformed pair {tok!r}")
-            if not _LABEL_ID.fullmatch(lab):
+            if not _INT_TOKEN.fullmatch(lab.encode()):
                 raise DataFormatError(f"line {lineno}: bad label id in {tok!r}")
             try:
                 labels.append(int(lab))

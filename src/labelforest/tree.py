@@ -16,7 +16,8 @@ node table, its labels, its weight rows as CSR arrays and a bias vector
 memory.  Training writes each tree's file to the model directory as soon
 as the tree is trained and keeps nothing of it, so that it holds one tree
 at a time, and writes the meta file last.  A model exists only as its
-directory, which ``load_model`` reads into an ``Ensemble``.
+directory, which ``load_model`` reads into an ``Ensemble``; a directory it
+cannot decode raises ``DataFormatError``, as a bad data file does.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 
 from . import solver
 from .clustering import kmeans_partition
-from .data import DataFormatError, Dataset, build_label_index, normalize_instances
+from .data import _INT_TOKEN, DataFormatError, Dataset, build_label_index, normalize_instances
 from .representations import ReprSpace, build_repr
 from .solver import NodeSolve, Problem, take_rows, train_nodes
 
@@ -49,12 +50,10 @@ def _id_dtype(d: int) -> str:
     return "<u2" if d <= 2**16 else "<u4"
 
 
-class ModelFormatError(ValueError):
-    """Raised when a model directory or tree file cannot be decoded."""
-
-
 def _as_int(value) -> int:
-    if not isinstance(value, (str, int, np.integer)) and not float(value).is_integer():
+    """An int setting's value; as text, spelled as a data file's ids are."""
+    if isinstance(value, str) and not _INT_TOKEN.fullmatch(value.encode()) \
+            or not isinstance(value, (str, int, np.integer)) and not float(value).is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -239,13 +238,21 @@ def grow(V, config: TrainConfig, rng, report: TrainReport):
     return np.array(table, dtype=NODE), labels, nodes
 
 
-def node_problem(node: Node, idx: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """A node's instances (sorted ids) and its int8 sign matrix, one column
-    per classifier, from its labels' rows of the L x N label index ``idx``.
-    A classifier's positives carry a label of its group (one label of a
-    leaf, one child's slice of an internal node).  The node's instances are
-    all its positives, or every instance at the root (the node holding all
-    L labels), so that unlabeled instances still act as negatives there."""
+def train_node_classifiers(node: Node, idx: sp.csr_matrix, report: TrainReport) -> Problem:
+    """The inputs of a node's classifiers, one per child (internal) or per
+    label (leaf), which ``train_ensemble`` solves together with the rest of
+    the tree's on their rows of X: the node's instances (sorted ids, named,
+    not copied) and its int8 sign matrix over them, one column per
+    classifier, from its labels' rows of the L x N label index ``idx``.  A
+    classifier's positives carry a label of its group (one label of a leaf,
+    one child's slice of an internal node).  The node's instances are all
+    its positives, or every instance at the root (the node holding all L
+    labels), so that unlabeled instances still act as negatives there.
+
+    Positives carried by no instance of the node still get a classifier
+    (an all-negative problem); those cases are counted in the report, as
+    are the classifiers.
+    """
     sizes = np.ones(len(node.labels), dtype=np.int64) if node.is_leaf else node.child_sizes
     T = take_rows(idx, node.labels)
     # every instance of a label is a positive of its group's column
@@ -253,20 +260,6 @@ def node_problem(node: Node, idx: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray
     insts = np.arange(T.shape[1]) if len(node.labels) == idx.shape[0] else np.unique(T.indices)
     signs = np.full((len(insts), len(sizes)), -1, dtype=np.int8)
     signs[np.searchsorted(insts, T.indices), column] = 1
-    return insts, signs
-
-
-def train_node_classifiers(node: Node, idx: sp.csr_matrix, report: TrainReport) -> Problem:
-    """The inputs of a node's classifiers, one per child (internal) or per
-    label (leaf): its sign matrix over its instances (``node_problem``),
-    which ``train_ensemble`` solves together with the rest of the tree's
-    on their rows of X.  The rows are named by id, not copied.
-
-    Positives carried by no instance of the node still get a classifier
-    (an all-negative problem); those cases are counted in the report, as
-    are the classifiers.
-    """
-    insts, signs = node_problem(node, idx)
     report.n_zero_positive += int(np.count_nonzero(~np.any(signs > 0, axis=0)))
     report.n_classifiers += signs.shape[1]
     return Problem(signs, insts)
@@ -308,8 +301,7 @@ def _train_tree(V, X: sp.csr_matrix, idx: sp.csr_matrix, config: TrainConfig, se
     return table, labels, solves
 
 
-def train_ensemble(ds: Dataset, config: TrainConfig, report: TrainReport | None,
-                   model_dir) -> None:
+def train_ensemble(ds: Dataset, config: TrainConfig, report: TrainReport, model_dir) -> None:
     """Train T trees differing only in their clustering seed, and write
     them to ``model_dir`` as a model.
 
@@ -323,7 +315,6 @@ def train_ensemble(ds: Dataset, config: TrainConfig, report: TrainReport | None,
     """
     if ds.l < 1:
         raise DataFormatError("training needs at least one label")
-    report = report if report is not None else TrainReport()
     idx = build_label_index(ds)
     X = normalize_instances(ds)
     repr_ = build_repr(X, ds.Y, config.repr_space)
@@ -397,20 +388,20 @@ def _write_tree(model_dir, t: int, nodes: np.ndarray, labels: np.ndarray, blocks
 
 
 def _check_nodes(nodes: np.ndarray, l: int, d_max: int) -> None:
-    """Raise ModelFormatError unless the nonempty ``nodes`` is the table of
+    """Raise DataFormatError unless the nonempty ``nodes`` is the table of
     a tree over L labels, up to depth ``d_max``, with each node's row count
     its child count (internal) or label count (leaf)."""
     parent, depth, leaf, lo, hi, rows = (nodes[name] for name in NODE.names)
     ids = np.arange(len(nodes))
     if parent[0] != -1 or np.any((parent[1:] < 0) | (parent[1:] >= ids[1:])):
-        raise ModelFormatError("a node's parent is out of range or not before it")
+        raise DataFormatError("a node's parent is out of range or not before it")
     if depth[0] != 0 or np.any(depth[1:] != depth[parent[1:]] + 1):
-        raise ModelFormatError("a node's depth is not its parent's depth + 1")
+        raise DataFormatError("a node's depth is not its parent's depth + 1")
     if depth.max() > d_max:
-        raise ModelFormatError(f"node depth {depth.max()} exceeds d_max={d_max}")
+        raise DataFormatError(f"node depth {depth.max()} exceeds d_max={d_max}")
     kids, rank, n_children = _siblings(parent)
     if np.any((leaf != 0) & (leaf != 1)) or np.any((leaf == 1) != (n_children == 0)):
-        raise ModelFormatError("inconsistent leaf flag: a leaf with children or a node without")
+        raise DataFormatError("inconsistent leaf flag: a leaf with children or a node without")
     # a first child starts where its parent does, any other where its
     # previous sibling ends, and a last child ends where its parent does
     up = parent[kids]
@@ -418,9 +409,9 @@ def _check_nodes(nodes: np.ndarray, l: int, d_max: int) -> None:
     last = rank == n_children[up] - 1
     if (lo[0], hi[0]) != (0, l) or np.any(lo > hi) or np.any(lo[kids] != starts) \
             or np.any(hi[kids[last]] != hi[up[last]]):
-        raise ModelFormatError("label ranges do not tile their parent's")
+        raise DataFormatError("label ranges do not tile their parent's")
     if np.any(rows != np.where(leaf == 1, hi - lo, n_children)):
-        raise ModelFormatError("a node's row count is not its child or label count")
+        raise DataFormatError("a node's row count is not its child or label count")
 
 
 def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
@@ -434,64 +425,69 @@ def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
         nonlocal left
         size = np.dtype(dtype).itemsize * count
         if size > left:
-            raise ModelFormatError(f"truncated tree file: {size} bytes wanted, {left} left")
+            raise DataFormatError(f"truncated tree file: {size} bytes wanted, {left} left")
         left -= size
         a = np.empty(count, dtype=dtype)
         # a buffered read of a regular file comes back short only at EOF
         if f.readinto(a.view(np.uint8)) < size:
-            raise ModelFormatError("truncated tree file")
+            raise DataFormatError("truncated tree file")
         return a
 
     if f.read(len(MAGIC)) != MAGIC:
-        raise ModelFormatError("bad magic bytes")
+        raise DataFormatError("bad magic bytes")
     version = int(take("<u4", 1)[0])
     if version != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported version {version}")
+        raise DataFormatError(f"unsupported version {version}")
     n_nodes = int(take("<i8", 1)[0])
     if n_nodes < 1:
-        raise ModelFormatError(f"{n_nodes} nodes")
+        raise DataFormatError(f"{n_nodes} nodes")
     nodes = take(NODE, n_nodes)
     _check_nodes(nodes, l, d_max)
     labels = take("<u4", l).astype(np.int64)
     if labels.max() >= l:
-        raise ModelFormatError(f"label id {labels.max()} out of range [0, {l})")
+        raise DataFormatError(f"label id {labels.max()} out of range [0, {l})")
     if np.any(np.bincount(labels, minlength=l) != 1):
-        raise ModelFormatError(f"leaves do not hold each of the L={l} labels once")
+        raise DataFormatError(f"leaves do not hold each of the L={l} labels once")
     m = int(nodes["rows"].sum())
     indptr = np.concatenate(([0], np.cumsum(take("<u4", m), dtype=np.int64)))
     nnz = int(indptr[-1])
     ids = take(_id_dtype(d), nnz)
     if nnz and ids.max() >= d:
-        raise ModelFormatError(f"bad classifier weights: feature id {ids.max()} >= D={d}")
+        raise DataFormatError(f"bad classifier weights: feature id {ids.max()} >= D={d}")
     values = take("<f4", nnz)
     bias = take("<f4", m)
     if f.read(1):
-        raise ModelFormatError("trailing bytes")
+        raise DataFormatError("trailing bytes")
     # each id against the one before it, at the stored width, but not a
     # row's first id; the mask, a byte a weight, goes before the next check
     falls = ids[1:] <= ids[:-1]
     starts = indptr[1:-1]
     falls[starts[(0 < starts) & (starts < nnz)] - 1] = False
     if falls.any():
-        raise ModelFormatError("bad classifier weights: indices not strictly increasing")
+        raise DataFormatError("bad classifier weights: indices not strictly increasing")
     del falls
     if not np.all(np.isfinite(values)) or not values.all():
-        raise ModelFormatError("bad classifier weights: zero or non-finite weight")
+        raise DataFormatError("bad classifier weights: zero or non-finite weight")
     if not np.all(np.isfinite(bias)):
-        raise ModelFormatError("bad classifier bias: not finite")
+        raise DataFormatError("bad classifier bias: not finite")
     return Tree(nodes, labels, indptr, ids, values, bias, d)
 
 
 def _parse_meta(text: str) -> dict:
+    """The ``key=value`` lines of a meta file; a value is ASCII text with
+    no surrounding spaces, so float() reads it as it reads a data value."""
     meta = {}
-    for line in text.splitlines():
+    # lines end at LF, CRLF or CR only: splitlines() also ends them at \x0c, \x85 or \u2028
+    for line in re.split(r"\r\n?|\n", text):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ModelFormatError(f"bad meta line {line!r}")
+            raise DataFormatError(f"bad meta line {line!r}")
+        if not value.isascii() or value != value.strip():
+            raise DataFormatError(f"bad meta file: {key} value {value!r} is not bare ASCII")
         if key in meta:
-            raise ModelFormatError(f"bad meta file: repeated key {key!r}")
+            raise DataFormatError(f"bad meta file: repeated key {key!r}")
         meta[key] = value
     return meta
 
@@ -502,23 +498,23 @@ def load_model(model_dir) -> Ensemble:
         with open(path, "r", encoding="utf-8") as f:
             meta = _parse_meta(f.read())
     except FileNotFoundError as e:
-        raise ModelFormatError(f"no meta file in {model_dir}") from e
+        raise DataFormatError(f"no meta file in {model_dir}") from e
     except UnicodeDecodeError as e:
-        raise ModelFormatError(f"{path}: not UTF-8 text ({e})") from e
+        raise DataFormatError(f"{path}: not UTF-8 text ({e})") from e
     try:
-        if int(meta["version"]) != FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported model version {meta['version']}")
+        if _as_int(meta["version"]) != FORMAT_VERSION:
+            raise DataFormatError(f"unsupported model version {meta['version']}")
         unknown = sorted(set(meta) - set(META_KEYS))
         if unknown:
-            raise ModelFormatError(f"bad meta file: unknown keys {unknown}")
+            raise DataFormatError(f"bad meta file: unknown keys {unknown}")
         config = TrainConfig(**{f: meta[key] for key, f in META_KEYS.items() if f})
-        d, l = int(meta["D"]), int(meta["L"])
+        d, l = _as_int(meta["D"]), _as_int(meta["L"])
         if not (0 <= d <= 2**32 and 0 < l <= 2**32):
-            raise ModelFormatError(f"bad meta file: D={d} or L={l} out of range")
-    except ModelFormatError:
+            raise DataFormatError(f"bad meta file: D={d} or L={l} out of range")
+    except DataFormatError:
         raise
     except (KeyError, ValueError) as e:
-        raise ModelFormatError(f"bad meta file: {e}") from e
+        raise DataFormatError(f"bad meta file: {e}") from e
 
     trees = []
     for t in range(config.n_trees):
@@ -527,7 +523,7 @@ def load_model(model_dir) -> Ensemble:
             with open(path, "rb") as f:
                 trees.append(_read_tree(f, d, l, config.d_max))
         except FileNotFoundError as e:
-            raise ModelFormatError(f"{path}: missing, but meta has T={config.n_trees}") from e
-        except ModelFormatError as e:
-            raise ModelFormatError(f"{path}: {e}") from e
+            raise DataFormatError(f"{path}: missing, but meta has T={config.n_trees}") from e
+        except DataFormatError as e:
+            raise DataFormatError(f"{path}: {e}") from e
     return Ensemble(trees, config, d, l)

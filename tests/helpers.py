@@ -10,8 +10,9 @@ first forms of a node's solve inputs and of its children's instance
 sets, growing a tree that carries each node's instances down from its
 parent's split (the route that node problems were first built by),
 passing a plain matrix to k-means as the factor pair (V, identity),
-finding and overwriting the sections of a tree file, and widening a
-Dataset's feature range or writing it back as text.
+finding and overwriting the sections of a tree file, widening a
+Dataset's feature range or writing it back as text, parsing a body of
+text or bytes through a file, and a node's instances and signs alone.
 Values of a ``SparseVec`` may be float32 or float64; its dot products and
 norms are accumulated in float64 regardless of the storage dtype.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from labelforest.clustering import kmeans_partition
-from labelforest.data import Dataset
+from labelforest.data import Dataset, parse_dataset
 from labelforest.predict import (
     Predictions,
     ScoredLabels,
@@ -53,6 +55,7 @@ from labelforest.tree import (
     model_file,
     take_rows,
     train_ensemble,
+    train_node_classifiers,
 )
 
 
@@ -313,10 +316,10 @@ def train_model(ds: Dataset, config: TrainConfig, report: TrainReport | None = N
                 model_dir=None) -> Ensemble:
     """The model that ``train_ensemble`` writes, as ``load_model`` reads it:
     trained into ``model_dir``, or into a temporary directory that is gone
-    once the model is loaded."""
+    once the model is loaded, counting into ``report`` or a new one."""
     with tempfile.TemporaryDirectory() as tmp:
         model_dir = tmp if model_dir is None else model_dir
-        train_ensemble(ds, config, report, model_dir)
+        train_ensemble(ds, config, TrainReport() if report is None else report, model_dir)
         return load_model(model_dir)
 
 
@@ -570,6 +573,13 @@ def node_problem_oracle(node: CarriedNode, idx: sp.csr_matrix):
     return node.instances, signs, int(np.count_nonzero(counts == 0))
 
 
+def node_problem(node, idx: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """A node's instances and its sign matrix, as ``train_node_classifiers``
+    builds them, without its counts."""
+    problem = train_node_classifiers(node, idx, TrainReport())
+    return problem.rows, problem.Y
+
+
 def widened(ds: Dataset, d: int) -> Dataset:
     """``ds`` with D = d and feature j renamed d - 1 - j, so that its
     first features take the last ids of the wider range."""
@@ -586,6 +596,16 @@ def serialize_dataset(ds: Dataset, sink) -> None:
         labels = ",".join(str(j) for j in y.indices)
         feats = " ".join(f"{j}:{v}" for j, v in zip(x.indices, x.values))
         sink.write(f"{labels} {feats}".rstrip() + "\n" if feats else f"{labels}\n")
+
+
+def parse_body(body, parse=parse_dataset) -> Dataset:
+    """``parse`` of a data file holding ``body``: bytes as they are, or text
+    as UTF-8 with its line endings kept."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        with open(path, "wb") as f:
+            f.write(body.encode() if isinstance(body, str) else body)
+        return parse(path)
 
 
 def dataset_to_text(ds: Dataset) -> str:

@@ -1,15 +1,13 @@
 """The per-line, per-token dataset parser, kept as the oracle for the
 whole-buffer parser in ``labelforest.data``.
 
-It reads the stream line by line with ``readline`` and converts every
+It reads the file line by line with ``readline`` and converts every
 token with ``int()`` / ``float()``.  On valid files both parsers must give
 equal ``Dataset`` and ``ParseStats``; on a file this one rejects with a
 ``DataFormatError``, the bulk parser must reject it naming the same line.
 """
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,13 +28,9 @@ def _parse_labels(text: str, l: int, lineno: int) -> tuple[np.ndarray, int]:
     return uniq, len(ids) - len(uniq)
 
 
-def parse_dataset(source) -> Dataset:
-    """Parse a dataset from a path or a text or binary stream."""
-    if hasattr(source, "read"):
-        if isinstance(source, io.TextIOBase):
-            return _parse_stream(source)
-        return _parse_stream(io.TextIOWrapper(source, encoding="utf-8"))
-    with open(source, "r", encoding="utf-8") as f:
+def parse_dataset(path) -> Dataset:
+    """Parse the dataset file at ``path``; CR and CRLF read as LF."""
+    with open(path, "r", encoding="utf-8") as f:
         return _parse_stream(f)
 
 

@@ -20,7 +20,7 @@ from labelforest.data import parse_dataset
 from labelforest.metrics import PropensityModel, evaluate, fit_propensities
 from labelforest.predict import predict_batch
 from labelforest.representations import ReprSpace, build_repr
-from labelforest.tree import TrainConfig, load_model, train_ensemble
+from labelforest.tree import TrainConfig, TrainReport, load_model, train_ensemble
 from metrics_oracle import ndcg_at_k, precision_at_k, psndcg_at_k, psp_at_k
 from tron_oracle import BinaryProblem, gradient, objective, train_binary
 
@@ -51,7 +51,7 @@ def run_eurlex(eurlex, repr_space, d_max=1, k=100):
     config = TrainConfig(k=k, d_max=d_max, repr_space=repr_space)
     with tempfile.TemporaryDirectory() as model_dir:
         t0 = time.perf_counter()
-        train_ensemble(train, config, None, model_dir)
+        train_ensemble(train, config, TrainReport(), model_dir)
         train_seconds = time.perf_counter() - t0
         ens = load_model(model_dir)
     t0 = time.perf_counter()

@@ -35,7 +35,7 @@ from helpers import (
 from metrics_oracle import evaluate_oracle
 from labelforest import cli, solver, tree
 from labelforest.cli import main
-from labelforest.data import normalize_instances, parse_dataset
+from labelforest.data import DataFormatError, normalize_instances, parse_dataset
 from labelforest.metrics import evaluate, fit_propensities
 from labelforest.predict import (
     Predictions,
@@ -46,8 +46,8 @@ from labelforest.predict import (
 from labelforest.tree import (
     FORMAT_VERSION,
     NODE,
-    ModelFormatError,
     TrainConfig,
+    TrainReport,
     load_model,
     train_ensemble,
 )
@@ -273,7 +273,7 @@ class TestStreamedTrain:
                      "--trees", str(n_trees), "--branch", "4", "--max-depth", str(depth),
                      "--repr", space, "--seed", "5"]) == 0
         config = TrainConfig(n_trees=n_trees, k=4, d_max=depth, repr_space=space, base_seed=5)
-        train_ensemble(parse_dataset(paths["train"]), config, None, saved)
+        train_ensemble(parse_dataset(paths["train"]), config, TrainReport(), saved)
         assert max(t.nodes["depth"].max() for t in load_model(saved).trees) == depth
         assert sorted(os.listdir(streamed)) == sorted(os.listdir(saved)) == \
             ["meta"] + [f"tree_{t}.bin" for t in range(n_trees)]
@@ -285,7 +285,7 @@ class TestStreamedTrain:
         model = tmp_path / "m"
         config = TrainConfig(n_trees=2, k=8, base_seed=3)
         ds = parse_dataset(paths["train"])
-        assert train_ensemble(ds, config, None, model) is None
+        assert train_ensemble(ds, config, TrainReport(), model) is None
         assert sorted(os.listdir(model)) == ["meta", "tree_0.bin", "tree_1.bin"]
         ens = load_model(model)
         assert (ens.config, ens.d, ens.l, len(ens.trees)) == (config, ds.d, ds.l, 2)
@@ -319,7 +319,7 @@ class TestStreamedTrain:
                      "--branch", "4", "--seed", "9"]) == 3
         assert len(calls) == 2 and (model / "tree_0.bin").read_bytes() != old
         assert not (model / "meta").exists()
-        with pytest.raises(ModelFormatError, match="no meta file"):
+        with pytest.raises(DataFormatError, match="no meta file"):
             load_model(model)
         capsys.readouterr()
         assert main(["predict", "--model", str(model), "--data", paths["test"],
@@ -658,6 +658,25 @@ class TestExitCodes:
         assert main(["stats", "--data", str(f)]) == 2
         assert "data error: non-integer header field" in capsys.readouterr().err
 
+    def test_header_with_a_unicode_space_is_data_error(self, tmp_path, capsys):
+        """str.split() reads "1\u20033 2" as three fields; a body line takes
+        ASCII spaces only, and so does the header."""
+        f = tmp_path / "emspace.txt"
+        f.write_text("1\u20033 2\n0 0:1.0\n", encoding="utf-8")
+        assert main(["stats", "--data", str(f)]) == 2
+        assert "data error: non-integer header field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("9" * 5000 + " 0:1.0", "label id out of range"),
+        ("0 " + "9" * 5000 + ":1.0", "feature id out of range"),
+    ], ids=["label id", "feature id"])
+    def test_id_past_int_digit_limit_is_data_error(self, tmp_path, capsys, line, message):
+        """An id of 5,000 digits is out of range, not past int()'s limit."""
+        f = tmp_path / "long.txt"
+        f.write_text("1 2 2\n" + line + "\n")
+        assert main(["stats", "--data", str(f)]) == 2
+        assert f"data error: line 2: {message}" in capsys.readouterr().err
+
     def test_header_not_utf8_is_data_error(self, tmp_path, capsys):
         f = tmp_path / "latin1.txt"
         f.write_bytes(b"\xff 3 4\n0 0:1.0\n")
@@ -732,7 +751,7 @@ class TestExitCodes:
             # the last index of the last row that has any
             put_id(buf, at, nnz - 1, 2 ** (8 * id_size) - 1)
             (model / "tree_0.bin").write_bytes(bytes(buf))
-            with pytest.raises(ModelFormatError, match="bad classifier weights"):
+            with pytest.raises(DataFormatError, match="bad classifier weights"):
                 load_model(model)
             rc = main(["predict", "--model", str(model), "--data", files["test"],
                        "--output", str(tmp_path / "pred.txt")])
@@ -790,7 +809,7 @@ class TestExitCodes:
         shutil.copytree(trained, model)
         meta = (model / "meta").read_bytes()
         (model / "meta").write_bytes(meta.replace(b"T=3\n", b"T=3\xff\n"))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataFormatError):
             load_model(model)
         rc = main(["predict", "--model", str(model), "--data", paths["test"],
                    "--output", str(tmp_path / "pred.txt")])
@@ -809,14 +828,22 @@ class TestExitCodes:
         (lambda meta: meta + "T=1\n", "repeated key 'T'"),
         (lambda meta: meta.replace("eps=0.1\n", ""), "'eps'"),
         (lambda meta: meta + "normalize=1\n", r"unknown keys \['normalize'\]"),
-    ], ids=["negative base_seed", "repeated key", "missing eps", "normalize key"])
+        # values are spelled as in a data file: no "_", non-ASCII digits or spaces
+        (lambda meta: meta.replace("K=8\n", "K=0_8\n"), "'0_8' is not an integer"),
+        (lambda meta: meta.replace("T=3\n", "T=\uff11\n"), "T value '\uff11'"),
+        (lambda meta: re.sub(r"^D=([0-9]+)$", r"D= \1 ", meta, flags=re.M), "D value ' "),
+        (lambda meta: meta.replace("C=1.0\n", "C=\uff11.0\n"), "C value '\uff11.0'"),
+        (lambda meta: meta.replace("T=3\n", "T=3\x85\n"), "T value '3"),
+    ], ids=["negative base_seed", "repeated key", "missing eps", "normalize key",
+            "K underscore", "T fullwidth", "D spaces", "C fullwidth", "T next line"])
     def test_bad_meta_value_is_data_error(self, paths, trained, tmp_path, capsys, edit, match):
         model = tmp_path / "model"
         shutil.copytree(trained, model)
         meta = (model / "meta").read_text()
-        assert "base_seed=3\n" in meta and "T=3\n" in meta
-        (model / "meta").write_text(edit(meta))
-        with pytest.raises(ModelFormatError, match=match):
+        assert "base_seed=3\n" in meta and "T=3\n" in meta and "K=8\n" in meta
+        assert edit(meta) != meta
+        (model / "meta").write_text(edit(meta), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=match):
             load_model(model)
         rc = main(["predict", "--model", str(model), "--data", paths["test"],
                    "--output", str(tmp_path / "pred.txt")])
@@ -959,7 +986,8 @@ class TestLoadMemory:
         their arrays outweigh the load's Python objects."""
         ds = random_dataset(0, n=200, d=1000, l=40, density=0.1, label_density=0.1)
         path = tmp_path_factory.mktemp("dense") / "m"
-        train_ensemble(ds, TrainConfig(k=4, d_max=1, base_seed=0, delta=0.0), None, path)
+        train_ensemble(ds, TrainConfig(k=4, d_max=1, base_seed=0, delta=0.0), TrainReport(),
+                       path)
         return str(path)
 
     def test_loaded_arrays_hold_no_file_bytes(self, model):
@@ -1002,7 +1030,7 @@ class TestLoadMemory:
                              + bytes(16))
 
         def load():
-            with pytest.raises(ModelFormatError, match="truncated"):
+            with pytest.raises(DataFormatError, match="truncated"):
                 load_model(model)
 
         _, peak = _traced_peak(load)

@@ -23,7 +23,7 @@ from labelforest.predict import (
     write_predictions,
 )
 from labelforest.sparse import SparseRowMatrix
-from labelforest.tree import Ensemble, TrainConfig, load_model, train_ensemble
+from labelforest.tree import Ensemble, TrainConfig, TrainReport, load_model, train_ensemble
 
 from conftest import grouped_dataset
 from helpers import (
@@ -357,7 +357,8 @@ class TestPredictBatch:
         load, predict, the prediction file and evaluate, never loads
         ``labelforest.sparse``: it has no sparse type but scipy's."""
         ds, _ = grouped_train
-        train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=1), None, tmp_path / "m")
+        train_ensemble(ds, TrainConfig(n_trees=2, k=3, d_max=2, base_seed=1), TrainReport(),
+                       tmp_path / "m")
         (tmp_path / "data.txt").write_text(dataset_to_text(ds))
         code = (
             "import sys, labelforest.cli\n"

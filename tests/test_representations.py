@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforest import representations
-from labelforest.data import normalize_instances, parse_dataset
+from labelforest.data import normalize_instances
 from labelforest.representations import (
     LabelRepr,
     ReprSpace,
@@ -18,11 +16,7 @@ from labelforest.representations import (
 from labelforest.tree import label_rows
 
 from conftest import random_dataset
-from helpers import csr_from_rows, row, rows, same_csr_bits
-
-
-def parse_text(text):
-    return parse_dataset(io.StringIO(text))
+from helpers import csr_from_rows, parse_body, row, rows, same_csr_bits
 
 
 def build_input_repr(ds):
@@ -49,19 +43,19 @@ def normalize_rows(m):
 
 class TestInputRepr:
     def test_single_instance_label(self):
-        ds = parse_text("1 3 1\n0 0:3.0 2:4.0\n")
+        ds = parse_body("1 3 1\n0 0:3.0 2:4.0\n")
         r = build_input_repr(ds)
         np.testing.assert_allclose(row(r.matrix, 0).to_dense(), [0.6, 0.0, 0.8])
         assert r.dim == 3
 
     def test_two_instance_symmetry(self):
-        ds = parse_text("2 2 1\n0 0:1.0\n0 1:1.0\n")
+        ds = parse_body("2 2 1\n0 0:1.0\n0 1:1.0\n")
         r = build_input_repr(ds)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(row(r.matrix, 0).to_dense(), [s, s])
 
     def test_unused_label_zero_vector(self):
-        ds = parse_text("1 2 2\n0 0:1.0\n")
+        ds = parse_body("1 2 2\n0 0:1.0\n")
         r = build_input_repr(ds)
         assert row(r.matrix, 1).nnz == 0
 
@@ -87,13 +81,13 @@ class TestInputRepr:
 
 class TestOutputRepr:
     def test_always_cooccurring_pair(self):
-        ds = parse_text("3 1 2\n0,1 0:1\n0,1 0:1\n0,1 0:1\n")
+        ds = parse_body("3 1 2\n0,1 0:1\n0,1 0:1\n0,1 0:1\n")
         r = build_output_repr(ds)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(dense_rows(r), [[s, s], [s, s]])
 
     def test_isolated_label_is_basis_vector(self):
-        ds = parse_text("4 1 3\n0 0:1\n0 0:1\n1,2 0:1\n1,2 0:1\n")
+        ds = parse_body("4 1 3\n0 0:1\n0 0:1\n1,2 0:1\n1,2 0:1\n")
         r = build_output_repr(ds)
         np.testing.assert_allclose(row(r.matrix, 0).to_dense(), [1.0, 0.0, 0.0])
 
@@ -124,7 +118,7 @@ class TestOutputRepr:
 
 class TestJointRepr:
     def test_zero_input_block_norm(self):
-        ds = parse_text("1 2 1\n0\n")
+        ds = parse_body("1 2 1\n0\n")
         r = build_joint_repr(ds)
         v = row(r.matrix, 0)
         assert v.norm() == pytest.approx(1.0 / np.sqrt(2.0))

@@ -1,4 +1,3 @@
-import io
 import os
 import shutil
 import struct
@@ -19,20 +18,24 @@ from hypothesis import strategies as st
 from labelforest import solver, tree
 from labelforest.cli import main
 from labelforest.clustering import Partition
-from labelforest.data import Dataset, build_label_index, normalize_instances, parse_dataset
+from labelforest.data import (
+    DataFormatError,
+    Dataset,
+    build_label_index,
+    normalize_instances,
+    parse_dataset,
+)
 from labelforest.predict import predict_batch, prepare_features
 from labelforest.representations import LabelRepr, ReprSpace, build_repr
 from labelforest.tree import (
     FORMAT_VERSION,
     META_KEYS,
     NODE,
-    ModelFormatError,
     TrainConfig,
     TrainReport,
     _id_dtype,
     grow,
     load_model,
-    node_problem,
     take_rows,
     train_ensemble,
     train_node_classifiers,
@@ -48,8 +51,10 @@ from helpers import (
     id_bytes,
     identity_pair,
     l2_normalize,
+    node_problem,
     node_problem_oracle,
     node_weights,
+    parse_body,
     put_id,
     random_csr,
     row,
@@ -61,10 +66,6 @@ from helpers import (
     widened,
     write_model,
 )
-
-
-def parse_text(text):
-    return parse_dataset(io.StringIO(text))
 
 
 def train_small(ds, model_dir=None, **kw):
@@ -94,7 +95,7 @@ def grow_nodes(ds, **kw):
 
 class TestGrow:
     def test_small_label_set_root_is_leaf(self):
-        ds = parse_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        ds = parse_body("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
         tree = train_small(ds, k=100).trees[0]
         assert len(tree.nodes) == 1
         assert tree.nodes["leaf"][0] == 1 and tree.nodes["depth"][0] == 0
@@ -155,7 +156,7 @@ class TestGrow:
             assert np.array_equal(parent_insts[parent_signs[:, rank] == 1], problems[u][0])
 
     def test_root_keeps_unlabeled_instances(self):
-        ds = parse_text("3 2 4\n0,1 0:1.0\n 1:1.0\n2,3 1:1.0\n")
+        ds = parse_body("3 2 4\n0,1 0:1.0\n 1:1.0\n2,3 1:1.0\n")
         table, _, nodes = grow_nodes(ds, k=2, d_max=1)
         idx = build_label_index(ds)
         assert node_problem(nodes[0], idx)[0].tolist() == [0, 1, 2]
@@ -169,7 +170,7 @@ class TestGrow:
             lines.append("0,1,2,3,4 0:1.0")
         for _ in range(2):
             lines.append("5 1:1.0")
-        ds = parse_text("\n".join(lines) + "\n")
+        ds = parse_body("\n".join(lines) + "\n")
         tree = train_small(ds, k=2, d_max=1).trees[0]
         sizes = sorted(len(tree.node_labels(c)) for c in children(tree, 0))
         assert sizes == [1, 5]
@@ -347,7 +348,7 @@ class TestClassifiers:
             lines.append(f"0,1,2 0:1.0 1:{0.5 + 0.1 * i}")
         for i in range(4):
             lines.append(f"3,4,5 2:1.0 3:{0.5 + 0.1 * i}")
-        ds = parse_text("\n".join(lines) + "\n")
+        ds = parse_body("\n".join(lines) + "\n")
         ens = train_small(ds, k=2, d_max=1, delta=0.0, eps=1e-6)
         tree = ens.trees[0]
         for child, clf in zip(children(tree, 0), node_weights(tree, 0), strict=True):
@@ -358,7 +359,7 @@ class TestClassifiers:
                 assert (m > 0) == (i in pos)
 
     def test_zero_positive_label_counted(self):
-        ds = parse_text("3 2 4\n0 0:1.0\n1 0:1.0 1:0.5\n2 1:1.0\n")
+        ds = parse_body("3 2 4\n0 0:1.0\n1 0:1.0 1:0.5\n2 1:1.0\n")
         # label 3 never occurs
         report = TrainReport()
         train_model(ds, TrainConfig(n_trees=1, k=100, base_seed=0), report)
@@ -400,8 +401,8 @@ class TestEnsemble:
         ds, _ = grouped_train
         cfg = TrainConfig(n_trees=2, k=3, d_max=1, base_seed=11)
         a, b = tmp_path / "a", tmp_path / "b"
-        train_ensemble(ds, cfg, None, a)
-        train_ensemble(ds, cfg, None, b)
+        train_ensemble(ds, cfg, TrainReport(), a)
+        train_ensemble(ds, cfg, TrainReport(), b)
         for name in ("meta", "tree_0.bin", "tree_1.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -468,7 +469,7 @@ class TestEnsemble:
                              delta=np.float64(0.02), base_seed=np.uint8(5))
         for field in fields(TrainConfig):
             assert type(getattr(config, field.name)) in (int, float, ReprSpace), field.name
-        train_ensemble(ds, config, None, tmp_path / "m")
+        train_ensemble(ds, config, TrainReport(), tmp_path / "m")
         assert "C=1.0\n" in (tmp_path / "m" / "meta").read_text()
         assert load_model(tmp_path / "m").config == config == TrainConfig(
             n_trees=2, k=3, d_max=2, c=1.0, eps=0.25, delta=0.02, base_seed=5)
@@ -481,9 +482,9 @@ class TestEnsemble:
             TrainConfig(**{field: value})
 
     def test_zero_label_dataset_rejected(self, tmp_path):
-        ds = parse_text("1 1 0\n 0:1.0\n")
+        ds = parse_body("1 1 0\n 0:1.0\n")
         with pytest.raises(ValueError):
-            train_ensemble(ds, TrainConfig(n_trees=1), None, tmp_path / "m")
+            train_ensemble(ds, TrainConfig(n_trees=1), TrainReport(), tmp_path / "m")
         assert not (tmp_path / "m").exists()
 
 
@@ -516,7 +517,7 @@ class TestTrainMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train_ensemble(ds, config, None, model_dir)
+            train_ensemble(ds, config, TrainReport(), model_dir)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -550,7 +551,7 @@ class TestTrainMemory:
 
         train_nodes = tree.train_nodes
         monkeypatch.setattr(tree, "train_nodes", spy)
-        train_ensemble(ds, replace(config, n_trees=3), None, tmp_path / "m")
+        train_ensemble(ds, replace(config, n_trees=3), TrainReport(), tmp_path / "m")
         assert len(calls) == 3 and refs
 
 
@@ -583,7 +584,7 @@ class TestModelStore:
         width in memory, and predict the bits of the same trees holding
         int32 ids, scipy's own width."""
         train, _ = grouped_dataset(3, n=120, groups=4, labels_per_group=4)
-        ds = parse_text(dataset_to_text(widened(train, d)))
+        ds = parse_body(dataset_to_text(widened(train, d)))
         ens = train_small(ds, tmp_path / "m", n_trees=2, d_max=1)
         assert ens.trees[0].ids.max() == d - 1
         for t in range(2):
@@ -601,7 +602,7 @@ class TestModelStore:
         train_small(ds, tmp_path / "m")
         p = tmp_path / "m" / "tree_0.bin"
         p.write_bytes(b"XXXX" + p.read_bytes()[4:])
-        with pytest.raises(ModelFormatError, match="magic"):
+        with pytest.raises(DataFormatError, match="magic"):
             load_model(tmp_path / "m")
 
     def test_bad_version_rejected(self, grouped_train, tmp_path):
@@ -610,7 +611,7 @@ class TestModelStore:
         meta = (tmp_path / "m" / "meta").read_text()
         meta = meta.replace(f"version={FORMAT_VERSION}", "version=9")
         (tmp_path / "m" / "meta").write_text(meta)
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(DataFormatError, match="version"):
             load_model(tmp_path / "m")
 
     def test_truncated_file_rejected(self, grouped_train, tmp_path):
@@ -618,7 +619,7 @@ class TestModelStore:
         train_small(ds, tmp_path / "m")
         p = tmp_path / "m" / "tree_0.bin"
         p.write_bytes(p.read_bytes()[:-6])
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataFormatError):
             load_model(tmp_path / "m")
 
     def test_file_shorter_than_fstat_says_is_truncated(self, grouped_train, tmp_path,
@@ -632,7 +633,7 @@ class TestModelStore:
         fstat = os.fstat
         monkeypatch.setattr("labelforest.tree.os.fstat",
                             lambda fd: mock.Mock(st_size=fstat(fd).st_size + 6))
-        with pytest.raises(ModelFormatError, match=r": truncated tree file$"):
+        with pytest.raises(DataFormatError, match=r": truncated tree file$"):
             load_model(tmp_path / "m")
 
     @pytest.mark.parametrize("edit, match", [
@@ -655,7 +656,7 @@ class TestModelStore:
         assert struct.unpack_from("<I", buf, at["row_nnz"])[0] >= 2
         edit(buf, at, ds.d)
         p.write_bytes(bytes(buf))
-        with pytest.raises(ModelFormatError, match=match):
+        with pytest.raises(DataFormatError, match=match):
             load_model(tmp_path / "m")
 
     @pytest.mark.parametrize("line", ["C=nan", "C=inf", "delta=nan"])
@@ -666,8 +667,18 @@ class TestModelStore:
         key = line.split("=")[0] + "="
         meta = [line if m.startswith(key) else m for m in meta]
         (tmp_path / "m" / "meta").write_text("\n".join(meta) + "\n")
-        with pytest.raises(ModelFormatError, match="finite"):
+        with pytest.raises(DataFormatError, match="finite"):
             load_model(tmp_path / "m")
+
+    def test_meta_float_takes_float_spellings(self, grouped_train, tmp_path):
+        """A float value is read by float(), as a data file's values are:
+        "0_0.1" is 0.1, as "1:1_0" is a value of 10 in a data line."""
+        ds, _ = grouped_train
+        train_small(ds, tmp_path / "m")
+        meta = (tmp_path / "m" / "meta").read_text()
+        assert "eps=0.1\n" in meta
+        (tmp_path / "m" / "meta").write_text(meta.replace("eps=0.1\n", "eps=0_0.1\n"))
+        assert load_model(tmp_path / "m").config.eps == 0.1
 
     @pytest.mark.parametrize("extra", ["normalize=1", "normalize=0", "normalize=2",
                                        "normalize=yes", None],
@@ -682,7 +693,7 @@ class TestModelStore:
         assert [m.partition("=")[0] for m in meta] == list(META_KEYS)
         meta = meta + [extra] if extra else [m for m in meta if not m.startswith("eps=")]
         (tmp_path / "m" / "meta").write_text("\n".join(meta) + "\n")
-        with pytest.raises(ModelFormatError, match="bad meta file"):
+        with pytest.raises(DataFormatError, match="bad meta file"):
             load_model(tmp_path / "m")
 
     def test_node_deeper_than_d_max_rejected(self, grouped_train, tmp_path):
@@ -691,11 +702,11 @@ class TestModelStore:
         assert ens.trees[0].nodes["depth"].max() == 2
         meta = (tmp_path / "m" / "meta").read_text().replace("d_max=2", "d_max=1")
         (tmp_path / "m" / "meta").write_text(meta)
-        with pytest.raises(ModelFormatError, match="exceeds d_max=1"):
+        with pytest.raises(DataFormatError, match="exceeds d_max=1"):
             load_model(tmp_path / "m")
 
     def test_missing_meta_rejected(self, tmp_path):
-        with pytest.raises(ModelFormatError, match="meta"):
+        with pytest.raises(DataFormatError, match="meta"):
             load_model(tmp_path)
 
     @pytest.mark.parametrize("edit, match", [
@@ -715,7 +726,7 @@ class TestModelStore:
         ens = train_small(ds, d_max=1)
         edit(ens.trees[0], ds.l)
         write_model(ens, tmp_path / "m")
-        with pytest.raises(ModelFormatError, match=match):
+        with pytest.raises(DataFormatError, match=match):
             load_model(tmp_path / "m")
 
 
@@ -734,7 +745,7 @@ def leaves(tree):
 
 class TestNodeTableRules:
     """Each rule of the v3 node table, broken in a saved two-level model,
-    fails the load with ModelFormatError."""
+    fails the load with DataFormatError."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory, grouped_train):
@@ -776,7 +787,7 @@ class TestNodeTableRules:
         nodes = np.frombuffer(buf, NODE, count=n, offset=16)
         nodes[field][node] = value
         path.write_bytes(bytes(buf))
-        with pytest.raises(ModelFormatError, match=match):
+        with pytest.raises(DataFormatError, match=match):
             load_model(model)
 
     def test_depth_above_d_max_rejected(self, saved, tmp_path):
@@ -784,7 +795,7 @@ class TestNodeTableRules:
         shutil.copytree(saved, model)
         meta = (model / "meta").read_text()
         (model / "meta").write_text(meta.replace("d_max=2", "d_max=1"))
-        with pytest.raises(ModelFormatError, match="node depth 2 exceeds d_max=1"):
+        with pytest.raises(DataFormatError, match="node depth 2 exceeds d_max=1"):
             load_model(model)
 
     def test_empty_node_table_rejected(self, saved, tmp_path):
@@ -793,7 +804,7 @@ class TestNodeTableRules:
         buf = bytearray((model / "tree_0.bin").read_bytes())
         struct.pack_into("<q", buf, 8, 0)
         (model / "tree_0.bin").write_bytes(bytes(buf))
-        with pytest.raises(ModelFormatError, match="0 nodes"):
+        with pytest.raises(DataFormatError, match="0 nodes"):
             load_model(model)
 
     def test_unedited_copy_loads(self, saved, tmp_path):
@@ -867,7 +878,7 @@ class TestWeightChecksAgainstScipy:
     width, with no int32 copy.  Scipy's full check of such a copy stays
     here as the oracle (``scipy_accepts_weights``): over seeded edits of
     the sections, at 2- and 4-byte ids, the load accepts exactly the files
-    the oracle accepts, and rejects the rest with ModelFormatError, which
+    the oracle accepts, and rejects the rest with DataFormatError, which
     ``predict`` turns into exit 2."""
 
     KINDS = ["repeated id", "decreasing id", "id equal to D", "random id", "empty row",
@@ -879,7 +890,7 @@ class TestWeightChecksAgainstScipy:
     def saved(self, request, tmp_path_factory):
         d, id_size = request.param
         train, _ = grouped_dataset(3, n=120, groups=4, labels_per_group=4)
-        ds = parse_text(dataset_to_text(train if d is None else widened(train, d)))
+        ds = parse_body(dataset_to_text(train if d is None else widened(train, d)))
         root = tmp_path_factory.mktemp("weights")
         # a leaf per group: its rows keep the ids of their group's features
         train_small(ds, root / "m", n_trees=1, k=4, d_max=1)
@@ -903,7 +914,7 @@ class TestWeightChecksAgainstScipy:
             try:
                 load_model(model)
                 got = True
-            except ModelFormatError as e:
+            except DataFormatError as e:
                 assert "bad classifier weights" in str(e)
                 got = False
             assert got == want, f"seed {seed}"
@@ -960,7 +971,7 @@ def fuzz_model(tmp_path_factory):
 
 class TestModelFuzz:
     """Every single corruption of a saved model either raises
-    ModelFormatError or loads as an ensemble that keeps every invariant
+    DataFormatError or loads as an ensemble that keeps every invariant
     and predicts."""
 
     @staticmethod
@@ -971,7 +982,7 @@ class TestModelFuzz:
                     f.write(apply_edit(data, edit) if fname == name else data)
             try:
                 return load_model(tmp)
-            except ModelFormatError:
+            except DataFormatError:
                 return None
 
     @staticmethod
