@@ -6,20 +6,19 @@ classification benchmark repositories:
     N D L
     label,label,... featureId:value featureId:value ...
 
-with 0-based label and feature ids, a possibly empty label field, UTF-8
-text and tolerated CR line endings.  The parser reads the whole body at
-once: line, field and token boundaries come from array scans over its
-bytes, and ids and values are converted in bulk.  It returns the features
-X and the labels Y as float32 scipy CSR matrices, the one sparse matrix
-type of the package.  Y is also the one form of label sets: a label's
-instances are a row of its transpose, and its frequency a count over
-``Y.indices``.
+with 0-based label and feature ids, a possibly empty label field and
+tolerated CR line endings.  The parser reads the whole body at once: line,
+field and token boundaries come from array scans over its bytes, and ids
+and values are converted in bulk.  It returns the features X and the labels
+Y as float32 scipy CSR matrices, the one sparse matrix type of the package.
+Y is also the one form of label sets: a label's instances are a row of its
+transpose, and its frequency a count over ``Y.indices``.  ``read_int``
+reads the integers of every file, ``read_lines`` prediction and meta files.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,21 +61,18 @@ class Dataset:
 
 
 def _parse_header(line: str) -> tuple[int, int, int]:
-    if not line.isascii():
-        # str.split() would also split on Unicode spaces, which no body line does
-        raise DataFormatError(f"non-integer header field in {line!r}")
     parts = line.split()
     if len(parts) != 3:
         raise DataFormatError(f"header must be 'N D L', got {line!r}")
     try:
-        # a field off the ids' grammar ("1_0", "0x1") fails the unpacking
-        n, d, l = (int(p) for p in parts if _INT_TOKEN.fullmatch(p.encode()))
+        n, d, l = counts = [read_int(p) for p in parts]
     except ValueError as e:
-        raise DataFormatError(f"non-integer header field in {line!r}") from e
-    if n < 0 or d < 0 or l < 0:
+        raise DataFormatError("header count out of range [0, 2**63)") from e
+    # str.split() also splits on Unicode spaces, which no body line does
+    if None in counts or not line.isascii():
+        raise DataFormatError(f"non-integer header field in {line!r}")
+    if min(counts) < 0:
         raise DataFormatError("header counts must be non-negative")
-    if n >= 2**63:
-        raise DataFormatError("header N out of range [0, 2**63)")
     # the bound of the u32 ids in the model format
     if max(d, l) > 2**32:
         raise DataFormatError("header D or L out of range [0, 2**32]")
@@ -94,9 +90,40 @@ _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 _INT_DIGITS = 18
 _FLOAT_DIGITS = 15
 _POW10 = 10.0 ** np.arange(_FLOAT_DIGITS + 1)
-_INT_TOKEN = re.compile(rb"[+-]?[0-9]+")
 # Bytes of whole lines tokenized at a time.
 _BLOCK_BYTES = 1 << 20
+
+
+def read_int(text: str) -> int | None:
+    """``text`` as an int if it is ASCII ``[+-]digits``, else None; past
+    int64, ValueError.  int() reads at most 19 significant digits, so the
+    outcome never depends on Python's int() digit limit."""
+    unsigned = text[1:] if text[:1] in ("+", "-") else text
+    if not (unsigned.isascii() and unsigned.isdigit()):
+        return None
+    digits = unsigned.lstrip("0") or "0"
+    # 10**19 lies past int64 at either sign
+    value = (-1 if text[0] == "-" else 1) * (int(digits) if len(digits) <= 19 else 10**19)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("integer out of range [-2**63, 2**63)")
+    return value
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the text file at ``path``, ended by LF, CRLF or CR only
+    (not at FF or U+0085, as by str.splitlines()).  DataFormatError names
+    the path of a file off UTF-8, and the line of a non-ASCII character."""
+    try:
+        with open(path, encoding="utf-8") as f:  # text mode reads CRLF and CR as LF
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text ({e})") from e
+    lines = text.removesuffix("\n").split("\n") if text else []
+    if not text.isascii():
+        i = next(i for i, line in enumerate(lines) if not line.isascii())
+        char = next(c for c in lines[i] if not c.isascii())
+        raise DataFormatError(f"{path}: line {i + 1}: non-ASCII character {char!r}")
+    return lines
 
 
 def _scan_decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, point: bool):
@@ -141,18 +168,17 @@ def _scan_decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, point: bool)
 
 
 def _read_ints(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Value and well-formedness of each span read as an integer; a value
-    beyond int64 reads as -1, outside every id range.  int() reads at most
-    the 19 significant digits of int64, so no id meets int()'s digit limit."""
+    """Value and well-formedness of each span read as an integer; spans too
+    long for the bulk scan go through ``read_int``, and a value outside
+    int64 reads as -1, outside every id range."""
     mant, _, _, ok, long = _scan_decimals(buf, lo, hi, point=False)
     for i in np.flatnonzero(long):
-        tok = buf[lo[i]:hi[i]].tobytes()
-        if _INT_TOKEN.fullmatch(tok):
-            sign = b"-" if tok.startswith(b"-") else b""
-            digits = tok.lstrip(b"+-").lstrip(b"0") or b"0"
-            value = int(sign + digits) if len(digits) <= 19 else -1
-            mant[i] = value if -(2**63) <= value < 2**63 else -1
-            ok[i] = True
+        try:
+            value = read_int(buf[lo[i]:hi[i]].tobytes().decode("latin-1"))
+        except ValueError:
+            value = -1
+        if value is not None:
+            mant[i], ok[i] = value, True
     return mant, ok
 
 
@@ -184,22 +210,18 @@ def parse_dataset(source) -> Dataset:
     deduplicated and counted; explicit zero feature values are dropped and
     counted; lines with an empty label list are kept as unlabeled instances.
     CR and CRLF line endings read as LF.  Ids and the header's counts are
-    ASCII ``[+-]digits``; values are ASCII spellings that float() accepts.
+    read as ``read_int`` reads them; values are ASCII spellings that
+    float() accepts.  After the N lines only ``_SPACE`` bytes may follow.
     """
     with open(source, "rb") as f:
         raw = f.read()
-    if not raw:
-        raise DataFormatError("empty input: missing header")
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     cut = raw.find(b"\n")
     if cut < 0:
         cut = len(raw)
-    try:
-        header = raw[:cut].decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataFormatError("header is not UTF-8 text") from e
-    n, d, l = _parse_header(header)
+    # a header byte off UTF-8 reads as U+FFFD, which no count holds
+    n, d, l = _parse_header(raw[:cut].decode("utf-8", "replace"))
     body = np.frombuffer(raw, dtype=np.uint8)[cut + 1:]
 
     # line i is body[starts[i]:ends[i]]; the last line may lack its newline
@@ -221,8 +243,7 @@ def parse_dataset(source) -> Dataset:
         a = b
     if n_lines < n:
         raise DataFormatError(f"expected {n} instance lines, found {n_lines}")
-    trailer = raw[cut + 1 + (ends[-1] + 1 if m else 0):]
-    if trailer.decode("utf-8", "replace").strip():
+    if not _SPACE[body[ends[-1] + 1 if m else 0:]].all():
         raise DataFormatError("trailing content after the declared N instance lines")
 
     x_nnz, y_nnz, fid, fval, labels, dups, zeros = zip(*parts)

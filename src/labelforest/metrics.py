@@ -55,9 +55,6 @@ class EvalReport:
     ks: tuple
     rows: dict
 
-    def value(self, metric: str, k: int) -> float:
-        return self.rows[metric][k]
-
     def format(self) -> str:
         width = 10
         header = "metric".ljust(width) + "".join(f"@{k}".rjust(8) for k in self.ks)

@@ -13,21 +13,19 @@ scores each node's rows with one product and ranks dense row blocks, for
 the beam cut and the final top k alike.  The beams are searched in blocks
 of `BLOCK_ROWS` rows, and each block's labels are ranked in row slices
 whose accumulator stays within `ACC_BYTES`.  Tests hold the routes to each
-other.
-The batched route's result is one `Predictions` block, which the
+other.  The batched route's result is one `Predictions` block, which the
 prediction file is written from and read back into.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .data import _INT_TOKEN, DataFormatError, Dataset, normalize_instances
+from .data import DataFormatError, Dataset, normalize_instances, read_int, read_lines
 from .solver import take_rows
 from .tree import Ensemble, Tree
 
@@ -267,39 +265,33 @@ def write_predictions(preds: Predictions, path) -> None:
 
 
 def read_predictions(path) -> Predictions:
-    """Parse a prediction file, one row per line (ending at LF, CRLF or CR
-    only).  A non-ASCII character, a malformed pair, a label id not spelled
-    ``[+-]digits``, or a row with a repeated or negative label id or a
-    non-finite score, raises DataFormatError naming its line."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path}: not UTF-8 text ({e})") from e
-    if not text.isascii():
-        at = re.search(r"[^\x00-\x7f]", text).start()
-        lineno = text.count("\n", 0, at) + 1
-        raise DataFormatError(f"line {lineno}: non-ASCII character {text[at]!r}")
+    """A prediction file's rows, one per line of ``read_lines``.  A bad
+    pair, a label id ``read_int`` does not read, a repeated or negative
+    label id or a non-finite score raises DataFormatError naming its line."""
     label_rows, score_rows = [], []
-    for lineno, line in enumerate(text.removesuffix("\n").split("\n") if text else [], start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         labels, scores = [], []
         for tok in line.split():
             lab, sep, score = tok.partition(":")
             if not sep:
                 raise DataFormatError(f"line {lineno}: malformed pair {tok!r}")
-            if not _INT_TOKEN.fullmatch(lab.encode()):
+            try:
+                label = read_int(lab)
+            except ValueError as e:
+                raise DataFormatError(f"line {lineno}: label id out of range") from e
+            if label is None:
                 raise DataFormatError(f"line {lineno}: bad label id in {tok!r}")
             try:
-                labels.append(int(lab))
                 scores.append(float(score))
             except ValueError as e:
                 raise DataFormatError(f"line {lineno}: bad pair {tok!r}") from e
+            labels.append(label)
         if len(set(labels)) != len(labels):
             raise DataFormatError(f"line {lineno}: repeated label id")
         if not all(map(math.isfinite, scores)):
             raise DataFormatError(f"line {lineno}: non-finite score")
-        # ids are stored as int64, and -1 pads a Predictions row
-        if labels and not (0 <= min(labels) and max(labels) < 2**63):
+        # -1 pads a Predictions row
+        if labels and min(labels) < 0:
             raise DataFormatError(f"line {lineno}: label id out of range")
         label_rows.append(np.array(labels, dtype=np.int64))
         score_rows.append(np.array(scores))

@@ -16,8 +16,8 @@ node table, its labels, its weight rows as CSR arrays and a bias vector
 memory.  Training writes each tree's file to the model directory as soon
 as the tree is trained and keeps nothing of it, so that it holds one tree
 at a time, and writes the meta file last.  A model exists only as its
-directory, which ``load_model`` reads into an ``Ensemble``; a directory it
-cannot decode raises ``DataFormatError``, as a bad data file does.
+directory, which ``load_model`` reads into an ``Ensemble``, its meta file
+with ``data.read_lines`` and ``read_int``; a bad one raises ``DataFormatError``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import scipy.sparse as sp
 
 from . import solver
 from .clustering import kmeans_partition
-from .data import _INT_TOKEN, DataFormatError, Dataset, build_label_index, normalize_instances
+from .data import (DataFormatError, Dataset, build_label_index, normalize_instances, read_int,
+                   read_lines)
 from .representations import ReprSpace, build_repr
 from .solver import NodeSolve, Problem, take_rows, train_nodes
 
@@ -51,11 +52,13 @@ def _id_dtype(d: int) -> str:
 
 
 def _as_int(value) -> int:
-    """An int setting's value; as text, spelled as a data file's ids are."""
-    if isinstance(value, str) and not _INT_TOKEN.fullmatch(value.encode()) \
-            or not isinstance(value, (str, int, np.integer)) and not float(value).is_integer():
+    """An int setting's value: ``read_int`` of its text or of an integral
+    number's digits, so within int64."""
+    if not isinstance(value, (str, int, np.integer)) and float(value).is_integer():
+        value = int(value)
+    if (number := read_int(str(value))) is None:
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    return number
 
 
 @dataclass(frozen=True)
@@ -473,46 +476,32 @@ def _read_tree(f, d: int, l: int, d_max: int) -> Tree:
     return Tree(nodes, labels, indptr, ids, values, bias, d)
 
 
-def _parse_meta(text: str) -> dict:
-    """The ``key=value`` lines of a meta file; a value is ASCII text with
-    no surrounding spaces, so float() reads it as it reads a data value."""
-    meta = {}
-    # lines end at LF, CRLF or CR only: splitlines() also ends them at \x0c, \x85 or \u2028
-    for line in re.split(r"\r\n?|\n", text):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DataFormatError(f"bad meta line {line!r}")
-        if not value.isascii() or value != value.strip():
-            raise DataFormatError(f"bad meta file: {key} value {value!r} is not bare ASCII")
-        if key in meta:
-            raise DataFormatError(f"bad meta file: repeated key {key!r}")
-        meta[key] = value
-    return meta
-
-
 def load_model(model_dir) -> Ensemble:
-    path = model_file(model_dir)
+    """The model in ``model_dir``, every file of it checked as it is read."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            meta = _parse_meta(f.read())
+        lines = read_lines(model_file(model_dir))
     except FileNotFoundError as e:
         raise DataFormatError(f"no meta file in {model_dir}") from e
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path}: not UTF-8 text ({e})") from e
+    meta = {}
     try:
+        for line in filter(str.strip, lines):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"no '=' in line {line!r}")
+            if value != value.strip():
+                raise ValueError(f"{key} value {value!r} has spaces around it")
+            if key in meta:
+                raise ValueError(f"repeated key {key!r}")
+            meta[key] = value
         if _as_int(meta["version"]) != FORMAT_VERSION:
-            raise DataFormatError(f"unsupported model version {meta['version']}")
+            raise ValueError(f"unsupported model version {meta['version']}")
         unknown = sorted(set(meta) - set(META_KEYS))
         if unknown:
-            raise DataFormatError(f"bad meta file: unknown keys {unknown}")
+            raise ValueError(f"unknown keys {unknown}")
         config = TrainConfig(**{f: meta[key] for key, f in META_KEYS.items() if f})
         d, l = _as_int(meta["D"]), _as_int(meta["L"])
         if not (0 <= d <= 2**32 and 0 < l <= 2**32):
-            raise DataFormatError(f"bad meta file: D={d} or L={l} out of range")
-    except DataFormatError:
-        raise
+            raise ValueError(f"D={d} or L={l} out of range")
     except (KeyError, ValueError) as e:
         raise DataFormatError(f"bad meta file: {e}") from e
 

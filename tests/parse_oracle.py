@@ -36,8 +36,6 @@ def parse_dataset(path) -> Dataset:
 
 def _parse_stream(f) -> Dataset:
     header = f.readline()
-    if not header:
-        raise DataFormatError("empty input: missing header")
     n, d, l = _parse_header(header.rstrip("\r\n"))
 
     x_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -94,8 +92,10 @@ def _parse_stream(f) -> Dataset:
         x_indptr[i + 1] = x_indptr[i] + len(fidx)
         y_indptr[i + 1] = y_indptr[i] + len(labels)
 
+    # after the N lines, only the ASCII whitespace that separates a line's
+    # tokens: str.strip() would also drop Unicode spaces
     trailer = f.read()
-    if trailer.strip():
+    if trailer.strip(" \t\n\v\f\r\x1c\x1d\x1e\x1f"):
         raise DataFormatError("trailing content after the declared N instance lines")
 
     X = sp.csr_matrix(

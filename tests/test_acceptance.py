@@ -70,14 +70,14 @@ def eurlex_input_run(eurlex):
 @needs_eurlex
 def test_eurlex_input_repr_reproduces_published_precision(eurlex_input_run):
     report, train_seconds, ms_per_instance = eurlex_input_run
-    assert abs(report.value("P", 1) - 83.0) <= 1.5
-    assert abs(report.value("P", 3) - 69.7) <= 1.5
-    assert abs(report.value("P", 5) - 58.4) <= 1.5
+    assert abs(report.rows["P"][1] - 83.0) <= 1.5
+    assert abs(report.rows["P"][3] - 69.7) <= 1.5
+    assert abs(report.rows["P"][5] - 58.4) <= 1.5
     # rank-1 nDCG is the same statistic as P@1; deeper cutoffs sit above
     # the precision row on a corpus averaging ~5 labels per instance
-    assert report.value("nDCG", 1) == pytest.approx(report.value("P", 1), abs=1e-9)
-    assert report.value("nDCG", 3) >= report.value("P", 3) - 0.5
-    assert report.value("nDCG", 5) >= report.value("P", 5) - 0.5
+    assert report.rows["nDCG"][1] == pytest.approx(report.rows["P"][1], abs=1e-9)
+    assert report.rows["nDCG"][3] >= report.rows["P"][3] - 0.5
+    assert report.rows["nDCG"][5] >= report.rows["P"][5] - 0.5
     assert train_seconds < 1800.0
     assert ms_per_instance < 5.0
 
@@ -93,20 +93,20 @@ def test_eurlex_output_and_joint_ablations(eurlex):
         (report_j, (82.9, 69.4, 58.0)),
     ):
         for k, target in zip((1, 3, 5), targets):
-            assert abs(report.value("P", k) - target) <= 2.0
+            assert abs(report.rows["P"][k] - target) <= 2.0
 
 
 @needs_eurlex
 def test_eurlex_coverage_at_five(eurlex_input_run):
     report, _, _ = eurlex_input_run
-    assert abs(report.value("coverage", 5) - 55.61) <= 3.0
+    assert abs(report.rows["coverage"][5] - 55.61) <= 3.0
 
 
 @needs_eurlex
 def test_eurlex_deeper_trees_do_not_beat_shallow(eurlex, eurlex_input_run):
     shallow, _, _ = eurlex_input_run
     deep, _, _ = run_eurlex(eurlex, ReprSpace.INPUT, d_max=4, k=8)
-    assert shallow.value("P", 1) >= deep.value("P", 1) - 0.5
+    assert shallow.rows["P"][1] >= deep.rows["P"][1] - 0.5
 
 
 def dense_repr_rows(ds, output):

@@ -681,7 +681,7 @@ class TestExitCodes:
         f = tmp_path / "latin1.txt"
         f.write_bytes(b"\xff 3 4\n0 0:1.0\n")
         assert main(["stats", "--data", str(f)]) == 2
-        assert "data error: header is not UTF-8 text" in capsys.readouterr().err
+        assert "data error: non-integer header field in '\ufffd 3 4'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--data", "d", "--model", "m", "--trees", "0"],
@@ -823,32 +823,40 @@ class TestExitCodes:
         assert "base_seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
-    @pytest.mark.parametrize("edit, match", [
-        (lambda meta: meta.replace("base_seed=3\n", "base_seed=-1\n"), "base_seed must be >= 0"),
-        (lambda meta: meta + "T=1\n", "repeated key 'T'"),
-        (lambda meta: meta.replace("eps=0.1\n", ""), "'eps'"),
-        (lambda meta: meta + "normalize=1\n", r"unknown keys \['normalize'\]"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.replace("base_seed=3\n", "base_seed=-1\n"),
+         "bad meta file: base_seed must be >= 0"),
+        (lambda meta: meta + "T=1\n", "bad meta file: repeated key 'T'"),
+        (lambda meta: meta.replace("eps=0.1\n", ""), "bad meta file: 'eps'"),
+        (lambda meta: meta + "normalize=1\n", "bad meta file: unknown keys ['normalize']"),
         # values are spelled as in a data file: no "_", non-ASCII digits or spaces
-        (lambda meta: meta.replace("K=8\n", "K=0_8\n"), "'0_8' is not an integer"),
-        (lambda meta: meta.replace("T=3\n", "T=\uff11\n"), "T value '\uff11'"),
-        (lambda meta: re.sub(r"^D=([0-9]+)$", r"D= \1 ", meta, flags=re.M), "D value ' "),
-        (lambda meta: meta.replace("C=1.0\n", "C=\uff11.0\n"), "C value '\uff11.0'"),
-        (lambda meta: meta.replace("T=3\n", "T=3\x85\n"), "T value '3"),
+        (lambda meta: meta.replace("K=8\n", "K=0_8\n"), "bad meta file: '0_8' is not an integer"),
+        (lambda meta: meta.replace("T=3\n", "T=\uff11\n"),
+         "meta: line 2: non-ASCII character '\uff11'"),
+        (lambda meta: re.sub(r"^D=([0-9]+)$", r"D= \1 ", meta, flags=re.M),
+         "bad meta file: D value ' "),
+        (lambda meta: meta.replace("C=1.0\n", "C=\uff11.0\n"),
+         "meta: line 8: non-ASCII character '\uff11'"),
+        (lambda meta: meta.replace("T=3\n", "T=3\x85\n"),
+         "meta: line 2: non-ASCII character '\\x85'"),
     ], ids=["negative base_seed", "repeated key", "missing eps", "normalize key",
             "K underscore", "T fullwidth", "D spaces", "C fullwidth", "T next line"])
-    def test_bad_meta_value_is_data_error(self, paths, trained, tmp_path, capsys, edit, match):
+    def test_bad_meta_value_is_data_error(self, paths, trained, tmp_path, capsys, edit, message):
+        """The CLI prints the message ``load_model`` raises: a bad value's
+        key, or a non-ASCII character's line in the named meta file."""
         model = tmp_path / "model"
         shutil.copytree(trained, model)
         meta = (model / "meta").read_text()
         assert "base_seed=3\n" in meta and "T=3\n" in meta and "K=8\n" in meta
         assert edit(meta) != meta
         (model / "meta").write_text(edit(meta), encoding="utf-8")
-        with pytest.raises(DataFormatError, match=match):
+        with pytest.raises(DataFormatError) as raised:
             load_model(model)
+        assert message in str(raised.value)
         rc = main(["predict", "--model", str(model), "--data", paths["test"],
                    "--output", str(tmp_path / "pred.txt")])
         assert rc == 2
-        assert "data error: bad meta file" in capsys.readouterr().err
+        assert f"data error: {raised.value}\n" in capsys.readouterr().err
 
     def test_invalid_utf8_in_predictions_is_data_error(self, paths, predicted, tmp_path, capsys):
         bad = tmp_path / "pred.txt"

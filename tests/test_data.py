@@ -72,8 +72,8 @@ class TestParse:
 
     def test_header_field_past_int_digit_limit_is_rejected(self):
         """A field of 5,000 digits fits the grammar but not int()'s digit
-        limit; it is a data error, not an internal one."""
-        with pytest.raises(DataFormatError, match="non-integer header field"):
+        limit; it is out of range, as any count past int64 is."""
+        with pytest.raises(DataFormatError, match="header count out of range"):
             parse_body("1" * 5000 + " 3 2\n")
 
     @pytest.mark.parametrize("line, message", [
@@ -91,6 +91,20 @@ class TestParse:
         ds = parse_body("1 3 2\n" + "0" * 5000 + "1 +" + "0" * 5000 + "2:1.0\n")
         assert row(ds.Y, 0).indices.tolist() == [1]
         assert row(ds.X, 0).indices.tolist() == [2]
+
+    @pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\u0085", "\u2028"],
+                             ids=["ideographic", "no-break space", "next line", "line separator"])
+    def test_unicode_space_after_the_n_lines_is_trailing_content(self, space):
+        """After the N lines only the ASCII whitespace a body line splits on
+        may follow, as in a prediction file."""
+        for parse in (parse_dataset, parse_oracle.parse_dataset):
+            with pytest.raises(DataFormatError, match="trailing content"):
+                parse_body(f"1 3 2\n0 0:1.0\n{space}\n", parse)
+
+    def test_ascii_whitespace_after_the_n_lines_is_read(self):
+        for parse in (parse_dataset, parse_oracle.parse_dataset):
+            ds = parse_body("1 3 2\n0 0:1.0\n \t\x0b\x0c\r\n\x1c\x1f\n\n", parse)
+            assert ds.n == 1
 
     def test_signed_header_fields_are_read(self):
         ds = parse_body("+1 +3 2\n0 0:1.0\n")

@@ -235,16 +235,16 @@ class TestEvaluate:
         )
         for metric in a.rows:
             for k in a.ks:
-                assert a.value(metric, k) == pytest.approx(b.value(metric, k), abs=1e-9)
+                assert a.rows[metric][k] == pytest.approx(b.rows[metric][k], abs=1e-9)
 
     def test_ranges(self):
         preds, truths, prop = self._case()
         rep = evaluate(ranked(preds), label_matrix(truths), prop)
         for k in rep.ks:
-            assert 0.0 <= rep.value("P", k) <= 100.0
-            assert 0.0 <= rep.value("nDCG", k) <= 100.0
-            assert rep.value("PSP", k) >= 0.0
-            assert rep.value("PSnDCG", k) >= 0.0
+            assert 0.0 <= rep.rows["P"][k] <= 100.0
+            assert 0.0 <= rep.rows["nDCG"][k] <= 100.0
+            assert rep.rows["PSP"][k] >= 0.0
+            assert rep.rows["PSnDCG"][k] >= 0.0
 
     def test_format_two_decimals(self):
         preds, truths, prop = self._case()
@@ -262,8 +262,8 @@ class TestEvaluate:
         truths = [{0}, {1}, {2}]
         preds = [[0], [1], [2]]
         rep = evaluate(ranked(preds), label_matrix(truths), prop, ks=(1,))
-        assert rep.value("P", 1) == pytest.approx(100.0)
-        assert rep.value("PSP", 1) == pytest.approx(100.0)
+        assert rep.rows["P"][1] == pytest.approx(100.0)
+        assert rep.rows["PSP"][1] == pytest.approx(100.0)
 
 
 @st.composite
@@ -308,7 +308,7 @@ class TestEvaluateOracle:
         assert list(got.rows) == list(want.rows)
         for metric in want.rows:
             for k in ks:
-                assert got.value(metric, k) == pytest.approx(want.value(metric, k), abs=1e-9)
+                assert got.rows[metric][k] == pytest.approx(want.rows[metric][k], abs=1e-9)
 
     def test_scored_labels_rows(self, grouped_train, grouped_test):
         from labelforest.predict import predict_batch
@@ -325,7 +325,7 @@ class TestEvaluateOracle:
         assert got.format() == want.format()
         for metric in want.rows:
             for k in want.ks:
-                assert got.value(metric, k) == pytest.approx(want.value(metric, k), abs=1e-9)
+                assert got.rows[metric][k] == pytest.approx(want.rows[metric][k], abs=1e-9)
 
     def test_validation_messages(self):
         prop = PropensityModel.uniform(3)
