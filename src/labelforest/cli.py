@@ -14,8 +14,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .data import DataFormatError, Dataset, label_frequency_histogram, parse_dataset
-from .metrics import DEFAULT_A, DEFAULT_B, PropensityModel, evaluate, fit_propensities
+from .data import DataFormatError, Dataset, label_frequency_histogram, parse_dataset, read_int
+from .metrics import DEFAULT_A, DEFAULT_B, evaluate, fit_propensities
 from .predict import predict_batch, read_predictions, write_predictions
 from .representations import ReprSpace
 from .tree import TrainConfig, TrainReport, load_model, model_file, train_ensemble
@@ -44,21 +44,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _int(text: str) -> int:
+    """An integer flag's value, spelled as a file spells one: ``read_int``."""
+    try:
+        value = read_int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
 def _k_list(text: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not ks or any(k < 1 for k in ks):
-        raise argparse.ArgumentTypeError("every cutoff must be >= 1")
-    return ks
+    return tuple(map(_positive_int, text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,16 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     # each flag fills its TrainConfig field, defaulting to it (set first: --max-depth keeps None)
     p.set_defaults(**asdict(TrainConfig()))
     p.add_argument("--trees", dest="n_trees", metavar="TREES", type=_positive_int)
-    p.add_argument("--branch", dest="k", metavar="BRANCH", type=int,
+    p.add_argument("--branch", dest="k", metavar="BRANCH", type=_int,
                    help="k-means branching factor")
-    p.add_argument("--max-depth", dest="d_max", metavar="MAX_DEPTH", type=int, default=None,
+    p.add_argument("--max-depth", dest="d_max", metavar="MAX_DEPTH", type=_int, default=None,
                    help="maximum internal depth (default: 1 when L <= 40000, else 2)")
     p.add_argument("--repr", dest="repr_space", choices=[s.value for s in ReprSpace],
                    help="label representation space")
     p.add_argument("--c", type=float, help="misclassification weight")
     p.add_argument("--eps", type=float, help="solver gradient tolerance")
     p.add_argument("--delta", type=float, help="weight pruning threshold")
-    p.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help="base RNG seed")
+    p.add_argument("--seed", dest="base_seed", metavar="SEED", type=_int, help="base RNG seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score a test file")
@@ -88,12 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="test data file")
     p.add_argument("--output", required=True, help="prediction file to write")
     p.add_argument("--beam", type=_positive_int, default=10)
-    p.add_argument(
-        "--k",
-        type=_k_list,
-        default=(1, 3, 5),
-        help="comma-separated cutoffs; top max(k) labels are written",
-    )
+    p.add_argument("--k", type=_positive_int, default=5, help="labels written per instance")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against truth")
@@ -105,14 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="data file whose label frequencies fit the propensity model "
         "(default: the ground-truth file)",
     )
-    p.add_argument("--k", type=_k_list, default=(1, 3, 5))
-    p.add_argument("--a", type=float, help=f"propensity parameter A (default {DEFAULT_A})")
-    p.add_argument("--b", type=float, help=f"propensity parameter B (default {DEFAULT_B})")
-    p.add_argument(
-        "--uniform-propensity",
-        action="store_true",
-        help="set every propensity to 1 (PS metrics equal unscored ones)",
-    )
+    p.add_argument("--k", type=_k_list, default=(1, 3, 5), help="comma-separated cutoffs")
+    p.add_argument("--a", type=float, default=DEFAULT_A,
+                   help="propensity parameter A (default %(default)s; 0: one p for all labels)")
+    p.add_argument("--b", type=float, default=DEFAULT_B,
+                   help="propensity parameter B (default %(default)s)")
     p.add_argument("--output", default=None, help="also write the table to this file")
     p.set_defaults(func=cmd_eval)
 
@@ -176,7 +173,7 @@ def cmd_predict(args) -> int:
     log.info("loaded %d trees: %.2f MB on disk in %.3fs", len(ens.trees), size / 1e6, t_load)
     ds = _load_dataset(args.data)
     t0 = time.perf_counter()
-    preds = predict_batch(ens, ds, beam=args.beam, k=max(args.k))
+    preds = predict_batch(ens, ds, beam=args.beam, k=args.k)
     elapsed = time.perf_counter() - t0
     write_predictions(preds, args.output)
     if ds.n:
@@ -188,37 +185,31 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    fit_flags = (("--train-data", args.train_data), ("--a", args.a), ("--b", args.b))
-    given = [flag for flag, value in fit_flags if value is not None]
-    if args.uniform_propensity and given:
-        raise UsageError(f"--uniform-propensity takes no {', '.join(given)}")
     preds = read_predictions(args.predictions)
     ds = _load_dataset(args.data)
     if len(preds) != ds.n:
         raise DataFormatError(
-            f"{len(preds)} prediction rows for {ds.n} ground-truth instances"
+            f"{args.predictions}: {len(preds)} prediction rows for {ds.n} ground-truth instances"
         )
     # read_predictions has rejected negative ids; -1 is the padding
     bad = np.flatnonzero((preds.labels >= ds.l).any(axis=1))
     if len(bad):
-        raise DataFormatError(f"line {bad[0] + 1}: predicted label id out of range [0, {ds.l})")
+        raise DataFormatError(
+            f"{args.predictions}: line {bad[0] + 1}: predicted label id out of range [0, {ds.l})"
+        )
 
-    if args.uniform_propensity:
-        prop = PropensityModel.uniform(ds.l)
-    else:
-        src = ds
-        if args.train_data is not None:
-            src = _load_dataset(args.train_data)
-            if src.l != ds.l:
-                raise DataFormatError(
-                    f"propensity source has L={src.l}, ground truth has L={ds.l}"
-                )
-        freqs = np.bincount(src.Y.indices, minlength=src.l)
-        a, b = (DEFAULT_A if args.a is None else args.a), (DEFAULT_B if args.b is None else args.b)
-        try:
-            prop = fit_propensities(freqs, src.n, a, b)
-        except ValueError as e:
-            raise UsageError(f"--a {a} --b {b}: {e}")
+    src = ds
+    if args.train_data is not None:
+        src = _load_dataset(args.train_data)
+        if src.l != ds.l:
+            raise DataFormatError(
+                f"{args.train_data}: propensity source has L={src.l}, ground truth has L={ds.l}"
+            )
+    freqs = np.bincount(src.Y.indices, minlength=src.l)
+    try:
+        prop = fit_propensities(freqs, src.n, args.a, args.b)
+    except ValueError as e:
+        raise UsageError(f"--a {args.a} --b {args.b}: {e}")
 
     try:
         rep = evaluate(preds, ds.Y, prop, args.k)

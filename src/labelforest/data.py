@@ -212,9 +212,18 @@ def parse_dataset(source) -> Dataset:
     CR and CRLF line endings read as LF.  Ids and the header's counts are
     read as ``read_int`` reads them; values are ASCII spellings that
     float() accepts.  After the N lines only ``_SPACE`` bytes may follow.
+    A DataFormatError's message starts with ``source``.
     """
     with open(source, "rb") as f:
         raw = f.read()
+    try:
+        return _parse_bytes(raw)
+    except DataFormatError as e:
+        raise DataFormatError(f"{source}: {e}") from e
+
+
+def _parse_bytes(raw: bytes) -> Dataset:
+    """The dataset a file's bytes ``raw`` hold, as ``parse_dataset`` reads it."""
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     cut = raw.find(b"\n")

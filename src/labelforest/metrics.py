@@ -35,10 +35,6 @@ class PropensityModel:
     def n_labels(self) -> int:
         return len(self.p)
 
-    @classmethod
-    def uniform(cls, n_labels: int) -> "PropensityModel":
-        return cls(np.ones(n_labels))
-
 
 def fit_propensities(freqs, n: int, a: float = DEFAULT_A, b: float = DEFAULT_B) -> PropensityModel:
     """Per-label inverse-frequency propensities from the label frequencies

@@ -267,32 +267,33 @@ def write_predictions(preds: Predictions, path) -> None:
 def read_predictions(path) -> Predictions:
     """A prediction file's rows, one per line of ``read_lines``.  A bad
     pair, a label id ``read_int`` does not read, a repeated or negative
-    label id or a non-finite score raises DataFormatError naming its line."""
+    label id or a non-finite score raises DataFormatError naming the file
+    and the line."""
     label_rows, score_rows = [], []
     for lineno, line in enumerate(read_lines(path), start=1):
         labels, scores = [], []
         for tok in line.split():
             lab, sep, score = tok.partition(":")
             if not sep:
-                raise DataFormatError(f"line {lineno}: malformed pair {tok!r}")
+                raise DataFormatError(f"{path}: line {lineno}: malformed pair {tok!r}")
             try:
                 label = read_int(lab)
             except ValueError as e:
-                raise DataFormatError(f"line {lineno}: label id out of range") from e
+                raise DataFormatError(f"{path}: line {lineno}: label id out of range") from e
             if label is None:
-                raise DataFormatError(f"line {lineno}: bad label id in {tok!r}")
+                raise DataFormatError(f"{path}: line {lineno}: bad label id in {tok!r}")
             try:
                 scores.append(float(score))
             except ValueError as e:
-                raise DataFormatError(f"line {lineno}: bad pair {tok!r}") from e
+                raise DataFormatError(f"{path}: line {lineno}: bad pair {tok!r}") from e
             labels.append(label)
         if len(set(labels)) != len(labels):
-            raise DataFormatError(f"line {lineno}: repeated label id")
+            raise DataFormatError(f"{path}: line {lineno}: repeated label id")
         if not all(map(math.isfinite, scores)):
-            raise DataFormatError(f"line {lineno}: non-finite score")
+            raise DataFormatError(f"{path}: line {lineno}: non-finite score")
         # -1 pads a Predictions row
         if labels and min(labels) < 0:
-            raise DataFormatError(f"line {lineno}: label id out of range")
+            raise DataFormatError(f"{path}: line {lineno}: label id out of range")
         label_rows.append(np.array(labels, dtype=np.int64))
         score_rows.append(np.array(scores))
     return Predictions.from_rows(label_rows, score_rows)

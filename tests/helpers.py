@@ -12,7 +12,8 @@ parent's split (the route that node problems were first built by),
 passing a plain matrix to k-means as the factor pair (V, identity),
 finding and overwriting the sections of a tree file, widening a
 Dataset's feature range or writing it back as text, parsing a body of
-text or bytes through a file, and a node's instances and signs alone.
+text or bytes through a file, a node's instances and signs alone, and
+the propensity model that gives every label p = 1.
 Values of a ``SparseVec`` may be float32 or float64; its dot products and
 norms are accumulated in float64 regardless of the storage dtype.
 """
@@ -33,6 +34,7 @@ from scipy.special import expit
 
 from labelforest.clustering import kmeans_partition
 from labelforest.data import Dataset, parse_dataset
+from labelforest.metrics import PropensityModel
 from labelforest.predict import (
     Predictions,
     ScoredLabels,
@@ -612,3 +614,9 @@ def dataset_to_text(ds: Dataset) -> str:
     buf = io.StringIO()
     serialize_dataset(ds, buf)
     return buf.getvalue()
+
+
+def uniform_propensity(n_labels: int) -> PropensityModel:
+    """Propensity 1 for each of ``n_labels`` labels: the PS metrics' gains
+    are then the plain hit counts."""
+    return PropensityModel(np.ones(n_labels))

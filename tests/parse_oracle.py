@@ -29,9 +29,13 @@ def _parse_labels(text: str, l: int, lineno: int) -> tuple[np.ndarray, int]:
 
 
 def parse_dataset(path) -> Dataset:
-    """Parse the dataset file at ``path``; CR and CRLF read as LF."""
+    """Parse the dataset file at ``path``; CR and CRLF read as LF.  A
+    DataFormatError's message starts with ``path``."""
     with open(path, "r", encoding="utf-8") as f:
-        return _parse_stream(f)
+        try:
+            return _parse_stream(f)
+        except DataFormatError as e:
+            raise DataFormatError(f"{path}: {e}") from e
 
 
 def _parse_stream(f) -> Dataset:

@@ -14,7 +14,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_dataset
-from helpers import exhaustive_scores, identity_pair, predict_tree, row, train_model, write_model
+from helpers import (exhaustive_scores, identity_pair, predict_tree, row, train_model,
+                     uniform_propensity, write_model)
 from labelforest.clustering import _update
 from labelforest.data import parse_dataset
 from labelforest.metrics import PropensityModel, evaluate, fit_propensities
@@ -238,7 +239,7 @@ def test_synthetic_oracle_equivalences_under_sixty_seconds():
     for _ in range(100):
         pred, truth, p, k = dense_metric_case(rng_m)
         prop = PropensityModel(p)
-        uniform = PropensityModel.uniform(len(p))
+        uniform = uniform_propensity(len(p))
         assert precision_at_k(pred, truth, k) == pytest.approx(
             dense_p_at_k(pred, truth, k), abs=1e-12
         )

@@ -4,7 +4,8 @@ loads or fails with one message whatever Python's int() digit limit.
 Each case puts an integer of 5,000 digits in one place of one file and
 runs the CLI at the lowest limit ``sys.set_int_max_str_digits`` takes
 (640), with no limit (0) and at the default (4300).  The integer is out of
-range at all three: the command exits 2 with the same message.
+range at all three: the command exits 2 with the same message.  A flag's
+integer is read by ``read_int`` too, and one out of range exits 1.
 """
 
 import shutil
@@ -57,7 +58,7 @@ def test_header_count(tmp_path, capsys, field):
     path = tmp_path / "data.txt"
     path.write_text("\n".join([" ".join(counts), *DATA[1:]]) + "\n")
     assert_data_error_at_every_limit(["stats", "--data", str(path)], capsys,
-                                     "header count out of range [0, 2**63)")
+                                     f"{path}: header count out of range [0, 2**63)")
 
 
 @pytest.mark.parametrize("line, message", [
@@ -67,7 +68,7 @@ def test_header_count(tmp_path, capsys, field):
 def test_body_id(tmp_path, capsys, line, message):
     path = tmp_path / "data.txt"
     path.write_text("\n".join([DATA[0], line, *DATA[2:]]) + "\n")
-    assert_data_error_at_every_limit(["stats", "--data", str(path)], capsys, message)
+    assert_data_error_at_every_limit(["stats", "--data", str(path)], capsys, f"{path}: {message}")
 
 
 def test_prediction_label_id(files, tmp_path, capsys):
@@ -75,7 +76,7 @@ def test_prediction_label_id(files, tmp_path, capsys):
     path.write_text(f"{LONG}:0.5\n0:0.5\n1:0.5\n0:0.5\n")
     assert_data_error_at_every_limit(
         ["eval", "--predictions", str(path), "--data", str(files / "data.txt")], capsys,
-        "line 1: label id out of range")
+        f"{path}: line 1: label id out of range")
 
 
 def test_unedited_model_predicts_at_every_limit(files, tmp_path, capsys):
@@ -113,3 +114,14 @@ def test_train_flag_past_int64_is_usage(files, tmp_path, capsys):
                  "--seed", str(2**63)]) == 1
     assert "integer out of range" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+def test_flag_of_a_thousand_digits_is_usage_at_every_limit(tmp_path, capsys):
+    """int() refuses 1,000 digits at the limit 640 and reads them with no
+    limit, so a ``--branch`` of that length once exited 1 or, past the
+    flags, 2 on the missing data file."""
+    argv = ["train", "--data", str(tmp_path / "absent.txt"), "--model", str(tmp_path / "m"),
+            "--branch", "9" * 1000]
+    seen = outcomes(argv, capsys)
+    assert "train: argument --branch: integer out of range [-2**63, 2**63)\n" in seen[0][1]
+    assert seen == [(1, seen[0][1])] * len(LIMITS)

@@ -375,9 +375,9 @@ class TestBeamFlag:
 
 class TestEval:
     def test_uniform_propensity_reduces_to_unscored(self, tmp_path, capsys):
-        # every instance carries 5 true labels so the propensity-scored
-        # oracle gain is exactly 1 per instance and the normalized PS rows
-        # can collapse onto the plain ones
+        # A = 0 gives every label the same propensity, and every instance
+        # carries 5 true labels, so the oracle gain is the same for each
+        # instance and the normalized PS rows collapse onto the plain ones
         rng = np.random.default_rng(11)
         lines = ["30 4 12"]
         truths = []
@@ -394,7 +394,7 @@ class TestEval:
                 f.write(" ".join(f"{p}:{0.9 - 0.1 * j:.5f}" for j, p in enumerate(picks)) + "\n")
 
         assert main(["eval", "--predictions", str(pred), "--data", str(data),
-                     "--uniform-propensity"]) == 0
+                     "--a", "0"]) == 0
         table = parse_table(capsys.readouterr().out)
         assert table["PSP"] == table["P"]
         assert table["PSnDCG"] == table["nDCG"]
@@ -428,6 +428,24 @@ class TestEval:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, line, message", [
+        ("--predictions", "x:0.5", "line 2: bad label id in 'x:0.5'"),
+        ("--data", "0 1:x", "line 2: bad pair '1:x'"),
+        ("--train-data", "0 1:x", "line 2: bad pair '1:x'"),
+    ], ids=["predictions", "data", "train-data"])
+    def test_bad_file_is_named(self, paths, predicted, tmp_path, capsys, flag, line, message):
+        """``eval`` reads up to three files, and a bad one's message starts
+        with its path."""
+        files = {"--predictions": paths["pred"], "--data": paths["test"],
+                 "--train-data": paths["train"]}
+        bad = tmp_path / "bad.txt"
+        lines = Path(files[flag]).read_text().splitlines()
+        lines[1] = line
+        bad.write_text("\n".join(lines) + "\n")
+        files[flag] = str(bad)
+        assert main(["eval", *(a for item in files.items() for a in item)]) == 2
+        assert f"data error: {bad}: {message}\n" in capsys.readouterr().err
+
     def test_repeated_true_label_scores_cannot_pass_100(self, paths, trained, tmp_path, capsys):
         """Repeating each row's first true label used to score P@5 = 100."""
         test = parse_dataset(paths["test"])
@@ -443,18 +461,6 @@ class TestEval:
         assert rc == 1
         captured = capsys.readouterr()
         assert "--a" in captured.err and "--b" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("flags", [
-        ["--train-data", "/nonexistent"], ["--a", "nan"], ["--b", "1.5"],
-        ["--train-data", "/nonexistent", "--a", "nan"],
-    ], ids=["train-data", "a", "b", "train-data and a"])
-    def test_uniform_propensity_with_fit_flags_is_usage(self, paths, predicted, capsys, flags):
-        rc = main(["eval", "--predictions", paths["pred"], "--data", paths["test"],
-                   "--uniform-propensity", *flags])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "--uniform-propensity takes no " + flags[0] in captured.err
         assert captured.out == ""
 
     def test_propensity_parameters_keep_their_outputs(self, paths, predicted, capsys):
@@ -497,7 +503,7 @@ class TestEval:
         pred = tmp_path / "pred.txt"
         pred.write_bytes(b"0:0.9\x0c1:0.5\n1:0.5\n0:0.3\n")
         assert main(["eval", "--predictions", str(pred), "--data", str(truth),
-                     "--uniform-propensity"]) == 0
+                     "--a", "0"]) == 0
         assert parse_table(capsys.readouterr().out)["P"][0] == 100.0
 
     def test_negative_label_id_is_data_error(self, paths, predicted, tmp_path, capsys):
@@ -583,6 +589,13 @@ class TestStats:
         assert out == ["N 4", "D 4", "L 2", "APpL 2.00", "ALpP 1.00"]
         assert h.read_text() == "1 2\n2 2\n"
 
+    def test_bad_pooled_file_is_named(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("1 2 2\n0 0:1.0\n")
+        bad.write_text("1 2 2\n0 0:x\n")
+        assert main(["stats", "--data", str(good), str(bad)]) == 2
+        assert f"data error: {bad}: line 2: bad pair '0:x'\n" in capsys.readouterr().err
+
     def test_dimension_disagreement_is_data_error(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -656,7 +669,7 @@ class TestExitCodes:
         f = tmp_path / "digits.txt"
         f.write_text("\u0661 3 2\n0 0:1.0\n", encoding="utf-8")
         assert main(["stats", "--data", str(f)]) == 2
-        assert "data error: non-integer header field" in capsys.readouterr().err
+        assert f"data error: {f}: non-integer header field" in capsys.readouterr().err
 
     def test_header_with_a_unicode_space_is_data_error(self, tmp_path, capsys):
         """str.split() reads "1\u20033 2" as three fields; a body line takes
@@ -664,7 +677,7 @@ class TestExitCodes:
         f = tmp_path / "emspace.txt"
         f.write_text("1\u20033 2\n0 0:1.0\n", encoding="utf-8")
         assert main(["stats", "--data", str(f)]) == 2
-        assert "data error: non-integer header field" in capsys.readouterr().err
+        assert f"data error: {f}: non-integer header field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, message", [
         ("9" * 5000 + " 0:1.0", "label id out of range"),
@@ -675,19 +688,20 @@ class TestExitCodes:
         f = tmp_path / "long.txt"
         f.write_text("1 2 2\n" + line + "\n")
         assert main(["stats", "--data", str(f)]) == 2
-        assert f"data error: line 2: {message}" in capsys.readouterr().err
+        assert f"data error: {f}: line 2: {message}" in capsys.readouterr().err
 
     def test_header_not_utf8_is_data_error(self, tmp_path, capsys):
         f = tmp_path / "latin1.txt"
         f.write_bytes(b"\xff 3 4\n0 0:1.0\n")
         assert main(["stats", "--data", str(f)]) == 2
-        assert "data error: non-integer header field in '\ufffd 3 4'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"data error: {f}: non-integer header field in '\ufffd 3 4'" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--data", "d", "--model", "m", "--trees", "0"],
          "labelforest train: argument --trees: expected a positive integer, got 0"),
         (["eval", "--predictions", "p", "--data", "d", "--k", "a,b"],
-         "labelforest eval: argument --k: expected comma-separated integers, got 'a,b'"),
+         "labelforest eval: argument --k: expected an integer, got 'a'"),
     ], ids=["train --trees 0", "eval --k a,b"])
     def test_bad_flag_value_is_usage(self, capsys, argv, message):
         assert main(argv) == 1
@@ -1160,6 +1174,24 @@ class TestPinnedBytes:
         assert main(["eval", "--predictions", str(pred), "--data", paths["test"], *extra]) == 0
         assert capsys.readouterr().out == table + "\n"
 
+    @pytest.mark.parametrize("train_data", [False, True], ids=["test-freqs", "train-freqs"])
+    def test_a_zero_table_matches_recorded_text(self, paths, predicted, capsys, train_data):
+        """``--a 0`` gives every label one propensity, whatever the label
+        frequencies: the table is the one the removed --uniform-propensity
+        (p = 1 for every label) printed.  Rows hold 1 to 5 true labels, so
+        PSP differs from P at k = 3 and 5."""
+        extra = ["--train-data", paths["train"]] if train_data else []
+        assert main(["eval", "--predictions", predicted, "--data", paths["test"],
+                     "--a", "0", *extra]) == 0
+        assert capsys.readouterr().out == (
+            "metric          @1      @3      @5\n"
+            "P            40.67   41.11   42.13\n"
+            "nDCG         40.67   48.54   64.43\n"
+            "PSP          40.67   54.57   84.95\n"
+            "PSnDCG       40.67   48.54   64.43\n"
+            "coverage     80.00  100.00  100.00\n\n"
+        )
+
     def test_stats_output_matches_recorded_digest(self, paths, capsys):
         assert main(["stats", "--data", paths["train"], paths["test"]]) == 0
         out = capsys.readouterr().out
@@ -1170,10 +1202,19 @@ class TestPinnedBytes:
 
 
 class TestPredictFlags:
+    def test_k_is_one_count(self, tmp_path, capsys):
+        """``predict --k`` is the number of labels written per instance; a
+        list of cutoffs is a usage error, found before any file is read."""
+        rc = main(["predict", "--model", str(tmp_path / "m"), "--data", str(tmp_path / "d"),
+                   "--output", str(tmp_path / "p"), "--k", "1,3"])
+        assert rc == 1
+        assert "predict: argument --k: expected an integer, got '1,3'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cutoff_list_bounds_line_width(self, paths, trained, tmp_path):
         pred = tmp_path / "narrow.txt"
         assert main(["predict", "--model", trained, "--data", paths["test"],
-                     "--output", str(pred), "--k", "1,3"]) == 0
+                     "--output", str(pred), "--k", "3"]) == 0
         rows = read_predictions(pred)
         assert all(len(r.labels) <= 3 for r in rows)
         assert any(len(r.labels) == 3 for r in rows)
@@ -1183,7 +1224,7 @@ class TestPredictFlags:
         misses, as the per-instance metrics do."""
         pred = tmp_path / "narrow.txt"
         assert main(["predict", "--model", trained, "--data", paths["test"],
-                     "--output", str(pred), "--k", "1,3"]) == 0
+                     "--output", str(pred), "--k", "3"]) == 0
         capsys.readouterr()
         assert main(["eval", "--predictions", str(pred), "--data", paths["test"],
                      "--k", "1,3,5"]) == 0
@@ -1223,6 +1264,44 @@ class TestPredictFlags:
         assert huge["P"] == pytest.approx(at_l["P"] * l / 10**11, abs=0.005)
         for metric in ("nDCG", "PSP", "PSnDCG", "coverage"):
             assert huge[metric] == at_l[metric]
+
+
+class TestIntegerFlags:
+    """A flag's integer is spelled as a file spells one (``data.read_int``):
+    int() reads "1_0" as 10, "\u0663" (an Arabic-Indic three) as 3 and " 7 "
+    as 7, and a meta file refuses all three.  Each exits 1 before any file
+    is read."""
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["train", "--trees", "1_0"], "--trees", "1_0"),
+        (["train", "--branch", "\u0663"], "--branch", "\u0663"),
+        (["train", "--seed", " 7 "], "--seed", " 7 "),
+        (["train", "--max-depth", "0x2"], "--max-depth", "0x2"),
+        (["predict", "--beam", "1_0"], "--beam", "1_0"),
+        (["predict", "--k", "\uff15"], "--k", "\uff15"),
+        (["eval", "--k", "1,\uff15"], "--k", "\uff15"),
+    ], ids=["trees 1_0", "branch arabic-indic 3", "seed spaces", "max-depth hex",
+            "beam 1_0", "predict k fullwidth 5", "eval k fullwidth 5"])
+    def test_off_the_file_grammar_is_usage(self, tmp_path, capsys, argv, flag, value):
+        data, model, pred = (str(tmp_path / name) for name in ("d", "m", "p"))
+        files = {
+            "train": ["--data", data, "--model", model],
+            "predict": ["--model", model, "--data", data, "--output", pred],
+            "eval": ["--predictions", pred, "--data", data],
+        }[argv[0]]
+        assert main([argv[0], *files, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert f"labelforest {argv[0]}: argument {flag}: expected an integer, got {value!r}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_spellings_are_read(self, paths, tmp_path):
+        """A sign and leading zeros, which a file's integers may carry, set
+        the flag as the plain digits do."""
+        model = tmp_path / "m"
+        assert main(["train", "--data", paths["train"], "--model", str(model),
+                     "--trees", "+01", "--branch", "008", "--max-depth", "01",
+                     "--seed", "+3"]) == 0
+        assert load_model(model).config == TrainConfig(n_trees=1, k=8, d_max=1, base_seed=3)
 
 
 class TestFuzz:

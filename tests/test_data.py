@@ -402,16 +402,20 @@ def data_files(draw):
 
 def parse_both(body):
     """The Dataset or the error from the bulk parser and from the oracle, on
-    a file holding ``body``."""
-    try:
-        new = parse_body(body)
-    except DataFormatError as e:
-        new = e
-    try:
-        old = parse_body(body, parse_oracle.parse_dataset)
-    except Exception as e:  # the oracle overflows on ids beyond int64
-        old = e
-    return new, old
+    one file holding ``body``."""
+
+    def both(path):
+        try:
+            new = parse_dataset(path)
+        except DataFormatError as e:
+            new = e
+        try:
+            old = parse_oracle.parse_dataset(path)
+        except Exception as e:  # the oracle overflows on ids beyond int64
+            old = e
+        return new, old
+
+    return parse_body(body, both)
 
 
 class TestParseOracle:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforest.metrics import EvalReport, PropensityModel, evaluate, fit_propensities
-from helpers import label_matrix, ranked, row, train_model
+from helpers import label_matrix, ranked, row, train_model, uniform_propensity
 from metrics_oracle import (
     coverage_at_k,
     evaluate_oracle,
@@ -138,7 +138,7 @@ class TestPropensities:
 class TestPsMetrics:
     def test_uniform_propensity_reduction(self):
         rng = np.random.default_rng(2)
-        prop = PropensityModel.uniform(20)
+        prop = uniform_propensity(20)
         for _ in range(40):
             pred, truth = random_case(rng)
             k = int(rng.integers(1, 9))
@@ -174,7 +174,7 @@ class TestPsReport:
         assert ps_report(preds, truths, prop, 3) == pytest.approx(100.0, abs=1e-9)
 
     def test_zero_hits_scores_zero(self):
-        prop = PropensityModel.uniform(10)
+        prop = uniform_propensity(10)
         preds = [[0, 1], [2, 3]]
         truths = [{4}, {5}]
         assert ps_report(preds, truths, prop, 2) == 0.0
@@ -195,24 +195,24 @@ class TestPsReport:
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError):
-            ps_report([], [], PropensityModel.uniform(3), 1)
+            ps_report([], [], uniform_propensity(3), 1)
 
 
 class TestCoverage:
     def test_identical_sets_give_one(self):
-        prop = PropensityModel.uniform(10)
+        prop = uniform_propensity(10)
         truths = [{1, 2}, {3}, {4, 5}]
         preds = [oracle_top_k(t, prop, 2) for t in truths]
         assert coverage_at_k(preds, truths, prop, 2) == pytest.approx(1.0)
 
     def test_constant_predictions_count_ratio(self):
-        prop = PropensityModel.uniform(12)
+        prop = uniform_propensity(12)
         truths = [{i} for i in range(10)]
         preds = [[10, 11]] * 10
         assert coverage_at_k(preds, truths, prop, 2) == pytest.approx(2 / 10)
 
     def test_empty_truth_union_rejected(self):
-        prop = PropensityModel.uniform(5)
+        prop = uniform_propensity(5)
         with pytest.raises(ValueError):
             coverage_at_k([[1]], [set()], prop, 1)
 
@@ -258,7 +258,7 @@ class TestEvaluate:
                 assert len(frac) == 2
 
     def test_perfect_predictions(self):
-        prop = PropensityModel.uniform(6)
+        prop = uniform_propensity(6)
         truths = [{0}, {1}, {2}]
         preds = [[0], [1], [2]]
         rep = evaluate(ranked(preds), label_matrix(truths), prop, ks=(1,))
@@ -276,7 +276,7 @@ def eval_cases(draw):
     preds = [draw(st.lists(labels, unique=True, max_size=6)) for _ in range(n)]
     truths = [draw(st.sets(labels, max_size=5)) for _ in range(n)]
     if draw(st.booleans()):
-        prop = PropensityModel.uniform(l)
+        prop = uniform_propensity(l)
     else:
         p = draw(st.lists(st.floats(0.01, 1.0), min_size=l, max_size=l))
         if draw(st.booleans()):  # ties in propensity go to the lower label id
@@ -328,7 +328,7 @@ class TestEvaluateOracle:
                 assert got.rows[metric][k] == pytest.approx(want.rows[metric][k], abs=1e-9)
 
     def test_validation_messages(self):
-        prop = PropensityModel.uniform(3)
+        prop = uniform_propensity(3)
         with pytest.raises(ValueError, match="align"):
             evaluate(ranked([[0]]), label_matrix([]), prop)
         with pytest.raises(ValueError, match="empty test set"):
@@ -342,4 +342,4 @@ class TestEvaluateOracle:
             (np.ones(2, dtype=np.float32), np.array(indices), np.array([0, 2])), shape=(1, 3)
         )
         with pytest.raises(ValueError, match="sorted, distinct"):
-            evaluate(ranked([[0]]), truth, PropensityModel.uniform(3))
+            evaluate(ranked([[0]]), truth, uniform_propensity(3))

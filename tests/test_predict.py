@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from labelforest import predict
 from labelforest.data import DataFormatError, Dataset, parse_dataset
-from labelforest.metrics import PropensityModel, evaluate
+from labelforest.metrics import evaluate
 from labelforest.predict import (
     Predictions,
     ScoredLabels,
@@ -38,6 +38,7 @@ from helpers import (
     node_child_prob,
     predict_tree,
     train_model,
+    uniform_propensity,
     vec_from_pairs,
 )
 
@@ -361,14 +362,14 @@ class TestPredictBatch:
                        tmp_path / "m")
         (tmp_path / "data.txt").write_text(dataset_to_text(ds))
         code = (
-            "import sys, labelforest.cli\n"
+            "import sys, numpy as np, labelforest.cli\n"
             "from labelforest.data import parse_dataset\n"
             "from labelforest.metrics import PropensityModel, evaluate\n"
             "from labelforest.predict import predict_batch, read_predictions, write_predictions\n"
             "from labelforest.tree import load_model\n"
             "ds = parse_dataset('data.txt')\n"
             "write_predictions(predict_batch(load_model('m'), ds, beam=3, k=5), 'pred.txt')\n"
-            "evaluate(read_predictions('pred.txt'), ds.Y, PropensityModel.uniform(ds.l))\n"
+            "evaluate(read_predictions('pred.txt'), ds.Y, PropensityModel(np.ones(ds.l)))\n"
             "print(sorted(m for m in sys.modules if m.startswith('labelforest')))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -459,7 +460,7 @@ class TestPredictBatch:
         preds = predict_batch(ens, ds, beam=3, k=5)
         write_predictions(preds, tmp_path / "pred.txt")
         back = read_predictions(tmp_path / "pred.txt")
-        evaluate(back, ds.Y, PropensityModel.uniform(ds.l))
+        evaluate(back, ds.Y, uniform_propensity(ds.l))
         assert len(back) == ds.n and len(built) == 0
         # the counter does see the per-row views
         assert back[0].labels.tolist() == preds[0].labels.tolist() and len(built) == 2
